@@ -8,8 +8,8 @@ repeated run produces byte-identical output.
 
 Exit codes: 0 on success, 2 on scenario parse/validation errors, 3 when
 an audit fails and the policy is "fail" (the default; "warn" downgrades).
-``QGH_THREADS`` caps the linear-algebra thread pools and is echoed in
-the environment stamp.
+``QGH_THREADS`` caps the linear-algebra thread pools (applied when the
+package is imported) and is echoed in the environment stamp.
 """
 
 import argparse
@@ -334,17 +334,18 @@ def _run_family_job(job: dict, built: dict, seed: int, eps_net: float,
         two_js = [int(x) for x in job["two_js"]]
         t0_j = int(job.get("t0", max(two_js)))
         labels = sorted(set(two_js + [t0_j]))
-        members = {tj: built_or_make_sphere(built, tj) for tj in labels}
+        grid = _sphere_family_grid(built, labels)
+        members = {tj: built_or_make_sphere(built, tj, grid) for tj in labels}
         fam = fl.ParamFamily(labels=labels, t0=t0_j, members=members,
                              name=f"sphere-family(max={t0_j})")
-        bmaps = {tj: ex.berezin_maps(tj) for tj in labels}
+        bmaps = {tj: ex.berezin_maps(tj, grid) for tj in labels}
         rules = {}
         for tj in labels:
             if tj == t0_j:
                 continue
             rules[tj] = dq.berezin_transport_map(members[tj], members[t0_j],
                                                  bmaps[tj], bmaps[t0_j])
-        chars = ex.sphere_characters(max(labels))
+        chars = ex.sphere_characters(max(labels), grid_dims=grid)
         return fl.convergence_study(fam, t0_j, rules, bound_r=big_r,
                                     eps_net=eps_net, budget=budget, seed=seed,
                                     characters=chars)
@@ -352,11 +353,26 @@ def _run_family_job(job: dict, built: dict, seed: int, eps_net: float,
     raise ScenarioError(f"unknown family type {ftype!r}")
 
 
-def built_or_make_sphere(built: dict, two_j: int):
+def _sphere_family_grid(built: dict, two_js) -> tuple:
+    """The one SU(2) grid the scenario declares its spheres at these levels
+    on (the default grid when it declares none): family members, their
+    comparison maps and the characters must share one sample."""
+    grids = {ex.grid_dims(dict(desc.params).get("grid", ex.DEFAULT_SU2_GRID))
+             for desc, _ in built.values()
+             if desc.family == "sphere" and dict(desc.params).get("two_j") in two_js}
+    if len(grids) > 1:
+        raise ScenarioError(f"sphere family members are declared on different "
+                            f"SU(2) grids: {sorted(grids)}")
+    return grids.pop() if grids else ex.DEFAULT_SU2_GRID
+
+
+def built_or_make_sphere(built: dict, two_j: int, grid: tuple):
+    """The declared sphere at ``two_j``, else a new one on ``grid`` (the
+    grid every declared member shares, see ``_sphere_family_grid``)."""
     for desc, cq in built.values():
         if desc.family == "sphere" and dict(desc.params).get("two_j") == two_j:
             return cq
-    return ex.fuzzy_sphere(two_j)
+    return ex.fuzzy_sphere(two_j, grid_dims=grid)
 
 
 # ---------------------------------------------------------------------------
@@ -455,11 +471,6 @@ def _single_job_doc(args, example_specs, job) -> dict:
 
 
 def main(argv=None) -> int:
-    threads = os.environ.get("QGH_THREADS")
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
-
     parser = argparse.ArgumentParser(
         prog="cqmlab",
         description="quantum metric space laboratory: certified distance "

@@ -2,8 +2,11 @@
 
 A :class:`Cqms` couples a Hermitian matrix space (an order-unit space
 whose unit is the identity matrix) with a :class:`UnitaryAction`; the
-action supplies the translation seminorm.  On top of that this module
-computes the defining balls ``D_r = {a : L(a) <= 1, |a| <= r}``,
+action supplies the translation seminorm, evaluated everywhere through
+one real operator per space that maps traceless-slice coefficients to
+the stack ``(U_x S_k U_x* - S_k) / l(x)`` over the seminorm kernel (only
+its diagonals when every difference is diagonal).  On top of that this
+module computes the defining balls ``D_r = {a : L(a) <= 1, |a| <= r}``,
 their greedy epsilon-nets with statistical covering certificates, the
 radius (the best constant comparing the quotient norm with the
 seminorm), and the dual metric on states.
@@ -33,23 +36,6 @@ class NonLipError(Exception):
     multiplicity failure upstream)."""
 
 
-def _stack_norms(diffs: np.ndarray) -> np.ndarray:
-    """Operator norms of a stack, with a fast path for diagonal stacks."""
-    if diffs.size == 0:
-        return np.zeros(diffs.shape[:-2])
-    d = diffs.shape[-1]
-    diag = diffs[..., np.arange(d), np.arange(d)]
-    off = diffs - diag[..., :, None] * np.eye(d)
-    if float(np.max(np.abs(off))) <= 1e-14 * (1.0 + float(np.max(np.abs(diag), initial=0.0))):
-        return np.max(np.abs(diag), axis=-1)
-    return nm.op_norms(diffs)
-
-
-def _realify(mats: np.ndarray) -> np.ndarray:
-    m = np.asarray(mats, dtype=complex).reshape(mats.shape[0], -1)
-    return np.concatenate([m.real, m.imag], axis=1)
-
-
 @dataclass
 class HermitianSpace:
     """Real span of Hermitian matrices containing the identity.
@@ -71,7 +57,7 @@ class HermitianSpace:
         unit = np.eye(d, dtype=complex) / np.sqrt(d)
         coeffs = np.einsum("ab,kab->k", unit.conj(), b).real
         resid = b - coeffs[:, None, None] * unit
-        rows = _realify(resid)
+        rows = nm.realify(resid)
         u, s, vt = np.linalg.svd(rows, full_matrices=False)
         keep = s > 1e-10 * max(1.0, s[0] if s.size else 1.0)
         flat = vt[keep]
@@ -198,9 +184,9 @@ class BallNet:
 class Cqms:
     """Order-unit space + ergodic action + derived metric structure.
 
-    Immutable in spirit after construction; ``net_cache`` and the radius
-    cache are write-once-per-key memoizations (all numeric operations
-    stay pure, so concurrent readers are safe).
+    Immutable in spirit after construction; ``net_cache``, the radius
+    cache and the seminorm operator are write-once memoizations (all
+    numeric operations stay pure, so concurrent readers are safe).
     """
 
     space: HermitianSpace
@@ -209,7 +195,11 @@ class Cqms:
     basis_labels: dict = field(default_factory=dict)   # label -> matrix, optional
     net_cache: dict = field(default_factory=dict)
     _radius: tuple | None = field(default=None, repr=False)
-    _diag: tuple | None = field(default=None, repr=False)
+    _op: tuple | None = field(default=None, repr=False)
+
+    # elements per matrix product in ``seminorms``: caps the product at
+    # 64 kernel stacks
+    _BLOCK = 64
 
     # -- basic functionals ---------------------------------------------------
 
@@ -218,10 +208,14 @@ class Cqms:
         return self.space.dim
 
     def seminorm(self, a: np.ndarray) -> float:
-        return ga.lip_seminorm(self.action, a)
+        """L(a) = sup over the seminorm kernel of |alpha_x(a) - a| / l(x), for
+        ``a`` in the space (a component outside the space is not seen)."""
+        return float(self.seminorms(np.asarray(a)[None])[0])
 
     def seminorms(self, stack: np.ndarray) -> np.ndarray:
-        return ga.lip_seminorms(self.action, stack)
+        """L over a stack (n, d, d) of elements of the space."""
+        rows = nm.realify(stack) @ nm.realify(self.space.ortho[1:]).T
+        return self._coeff_seminorms(rows)
 
     def norm(self, a: np.ndarray) -> float:
         return nm.op_norm(a)
@@ -229,31 +223,49 @@ class Cqms:
     def unit(self) -> np.ndarray:
         return np.eye(self.dim, dtype=complex)
 
-    # -- diagonal fast path ----------------------------------------------------
+    # -- the seminorm operator -------------------------------------------------
 
-    def _diag_structure(self):
-        """(perm, inv_perm, lengths) when the space is diagonal and every
-        implementer is monomial, else None; diag(alpha_x a) = diag(a)[perm[x]]."""
-        if self._diag is None:
-            self._diag = self._compute_diag_structure()
-        return None if isinstance(self._diag, str) else self._diag
+    def _operator(self) -> tuple[np.ndarray, bool]:
+        """(op, diagonal): the seminorm as one real matrix with a row per
+        traceless slice element S_k, built on first use.
 
-    def _compute_diag_structure(self):
-        ortho = self.space.ortho
+        Row k is (U_x S_k U_x* - S_k) / l(x) over the seminorm kernel, as
+        the real view of the complex (kernel, d, d) stack, so ``c @ op``
+        viewed as complex is the stack of scaled differences of
+        a = sum c_k S_k.  When every difference is diagonal only the real
+        diagonals (kernel, d) are kept, and ``diagonal`` is True.
+        """
+        if self._op is None:
+            slice_ortho = self.space.ortho[1:]
+            others, lens = self.action.seminorm_kernel()
+            u = self.action.implementers[others]
+            uh = np.swapaxes(u.conj(), 1, 2)
+            ns, k, d = len(slice_ortho), len(others), self.dim
+            stack = np.empty((ns, k, d, d), dtype=complex)
+            # one slice element at a time keeps the build's temporaries at
+            # one (kernel, d, d) stack
+            for row, s in zip(stack, slice_ortho):
+                np.matmul(u @ s, uh, out=row)
+                row -= s
+                row /= lens[:, None, None]
+            if nm.is_diagonal(stack):
+                diag = np.diagonal(stack, axis1=-2, axis2=-1).real
+                self._op = (diag.reshape(ns, k * d).copy(), True)
+            else:
+                self._op = (stack.view(float).reshape(ns, 2 * k * d * d), False)
+        return self._op
+
+    def _coeff_seminorms(self, coeff_rows: np.ndarray) -> np.ndarray:
+        """L of sum_k c_k S_k for each row c of slice coefficients (n, ns)."""
+        op, diagonal = self._operator()
         d = self.dim
-        offmask = ~np.eye(d, dtype=bool)
-        if float(np.max(np.abs(ortho[:, offmask]))) > 1e-12:
-            return "absent"
-        others, lens = self.action.seminorm_kernel()
-        u = self.action.implementers[others]
-        perms = np.zeros((u.shape[0], d), dtype=int)
-        for i, mat in enumerate(np.abs(u)):
-            if not (np.allclose(mat.sum(axis=1), 1, atol=1e-10)
-                    and np.allclose((mat > 0.5).sum(axis=1), 1)):
-                return "absent"
-            perms[i] = np.argmax(mat, axis=1)
-        inv = np.argsort(perms, axis=1)
-        return (perms, inv, lens)
+        out = np.empty(len(coeff_rows))
+        for lo in range(0, len(coeff_rows), self._BLOCK):
+            flat = coeff_rows[lo:lo + self._BLOCK] @ op
+            if not diagonal:
+                flat = np.linalg.eigvalsh(flat.view(complex).reshape(len(flat), -1, d, d))
+            out[lo:lo + len(flat)] = np.max(np.abs(flat.reshape(len(flat), -1)), axis=1)
+        return out
 
     # -- ball geometry ---------------------------------------------------------
 
@@ -301,11 +313,10 @@ class Cqms:
         return lo
 
     def _gauges(self, stack: np.ndarray, r: float) -> np.ndarray:
-        return np.maximum(self.seminorms(stack), _stack_norms(stack) / r)
+        return np.maximum(self.seminorms(stack), nm.op_norms(stack) / r)
 
     def ball_net(self, r: float, epsilon: float, budget: int = 64,
-                 seed: int = 0, max_points: int = 220,
-                 radial_steps: int = 4, random_dirs: int = None) -> BallNet:
+                 seed: int = 0, max_points: int = 220) -> BallNet:
         """Greedy farthest-point net of D_r.
 
         Candidates are boundary points of coordinate and seeded random
@@ -314,9 +325,10 @@ class Cqms:
         >= epsilon/2 from the net, so pairwise separations stay
         >= epsilon/2.  The covering certificate is the max distance of
         ``budget`` fresh probe points of D_r to the net (statistical,
-        not geometric; the probe seed and law are recorded).
+        not geometric; the probe seed and law are recorded).  The net
+        stops at ``max_points`` points.
         """
-        key = (round(float(r), 12), round(float(epsilon), 12), budget, seed)
+        key = (round(float(r), 12), round(float(epsilon), 12), budget, seed, max_points)
         if key in self.net_cache:
             return self.net_cache[key]
         if r <= 1e-12:
@@ -327,15 +339,14 @@ class Cqms:
 
         n = self.space.real_dim
         rng = np.random.default_rng(seed)
-        if random_dirs is None:
-            random_dirs = min(max(4 * n, 48), 256)
+        random_dirs = min(max(4 * n, 48), 256)
         coeff_dirs = np.concatenate([np.eye(n), -np.eye(n),
                                      rng.standard_normal((random_dirs, n))])
         coeff_dirs = coeff_dirs / np.linalg.norm(coeff_dirs, axis=1)[:, None]
         dirs = self.space.elements(coeff_dirs)
         gauges = self._gauges(dirs, r)
         boundary = dirs / gauges[:, None, None]
-        fracs = (np.arange(radial_steps) + 1.0) / radial_steps
+        fracs = np.arange(1, 5) / 4.0          # four radial steps per ray
         cands = (boundary[None, :] * fracs[:, None, None, None]).reshape(-1, self.dim, self.dim)
         n_interior = min(max(2 * n * n, 96), 640)
         ic = rng.standard_normal((n_interior, n))
@@ -347,13 +358,13 @@ class Cqms:
 
         zero = np.zeros((self.dim, self.dim), dtype=complex)
         points = [zero]
-        mind = _stack_norms(cands - zero)
+        mind = nm.op_norms(cands - zero)
         while len(points) < max_points:
             k = int(np.argmax(mind))
             if mind[k] < epsilon / 2.0:
                 break
             points.append(cands[k])
-            mind = np.minimum(mind, _stack_norms(cands - cands[k]))
+            mind = np.minimum(mind, nm.op_norms(cands - cands[k]))
         pts = np.array(points)
 
         probe_rng = np.random.default_rng(seed + 1)
@@ -365,64 +376,45 @@ class Cqms:
         probes = pd * (radial / pg)[:, None, None]
         cert = 0.0
         for p in probes:
-            cert = max(cert, float(np.min(_stack_norms(pts - p))))
+            cert = max(cert, float(np.min(nm.op_norms(pts - p))))
         net = BallNet(r, epsilon, pts, cert, cert <= epsilon, seed + 1, budget)
         self.net_cache.setdefault(key, net)
         return net
 
     # -- support-function solver ----------------------------------------------
 
-    def _smoothed_seminorm(self, c: np.ndarray, tau: float, slice_ortho: np.ndarray):
-        """(L_tau, dL_tau/dc) for a = sum c_k S_k: log-sum-exp over the signed
-        eigenvalues of all translated differences, divided by the lengths."""
-        a = np.einsum("k,kab->ab", c, slice_ortho)
-        diag = self._diag_structure()
-        others, lens = self.action.seminorm_kernel()
+    def _smoothed_seminorm(self, c: np.ndarray, tau: float):
+        """(L_tau, dL_tau/dc) for a = sum c_k S_k over the traceless slice:
+        log-sum-exp over the signed eigenvalues of every scaled difference.
+
+        The gradient is sum_x Re tr(W_x D_x,k) with W_x the eigenvector
+        matrices weighted by the softmax, i.e. ``op @ W.view(float)``;
+        eigenvectors are computed only for kernel elements whose weight
+        did not underflow.
+        """
+        op, diagonal = self._operator()
+        flat = c @ op
         d = self.dim
-        if diag is not None:
-            perms, invs, _ = diag
-            av = np.real(np.diag(a))
-            diffs = av[perms] - av[None, :]
-            vals = diffs / lens[:, None]
-            z = np.concatenate([vals, -vals], axis=0)
-            zmax = float(np.max(z))
-            w = np.exp((z - zmax) / tau)
-            total = float(np.sum(w))
-            val = zmax + tau * np.log(total)
-            w = w / total
-            wdiag = w[: len(others)] - w[len(others):]
-            # d vals[i, j] / d av[m] = (delta_{perm[i,j], m} - delta_{j, m}) / l_i
-            grad_av = np.zeros(d)
-            for i in range(len(others)):
-                row = wdiag[i] / lens[i]
-                np.add.at(grad_av, perms[i], row)
-                grad_av -= row
-            sdiag = np.real(slice_ortho[:, np.arange(d), np.arange(d)])
-            return val, sdiag @ grad_av
-        u = self.action.implementers[others]
-        moved = np.einsum("xab,bc,xdc->xad", u, a, u.conj(), optimize=True)
-        diffs = moved - a[None]
-        ev = np.linalg.eigvalsh(diffs)
-        vals = ev / lens[:, None]
+        if diagonal:
+            vals = flat.reshape(-1, d)
+        else:
+            diffs = flat.view(complex).reshape(-1, d, d)
+            vals = np.linalg.eigvalsh(diffs)
         z = np.concatenate([vals, -vals], axis=0)
         zmax = float(np.max(z))
         wts = np.exp((z - zmax) / tau)
         total = float(np.sum(wts))
         val = zmax + tau * np.log(total)
         wts = wts / total
-        coef = (wts[: len(others)] - wts[len(others):]) / lens[:, None]
-        grad = np.zeros(len(c))
+        coef = wts[: len(vals)] - wts[len(vals):]
+        if diagonal:
+            return val, op @ coef.ravel()
+        wmat = np.zeros_like(diffs)
         active = np.flatnonzero(np.max(np.abs(coef), axis=1) > 1e-12)
         if active.size:
-            _, v_act = np.linalg.eigh(diffs[active])
-            wmat = np.einsum("xij,xj,xkj->xik", v_act, coef[active], v_act.conj(),
-                             optimize=True)
-            ua = u[active]
-            pulled = np.einsum("xba,xbc,xcd->xad", ua.conj(), wmat, ua,
-                               optimize=True) - wmat
-            total = pulled.sum(axis=0)
-            grad = np.real(np.einsum("ab,kab->k", total.conj(), slice_ortho))
-        return val, grad
+            _, v = np.linalg.eigh(diffs[active])
+            wmat[active] = (v * coef[active][:, None, :]) @ np.swapaxes(v.conj(), 1, 2)
+        return val, op @ wmat.reshape(-1).view(float)
 
     _LADDERS = {
         "fine": ((0.3, 0.1, 0.03, 0.01, 0.003, 0.001), 120),
@@ -450,15 +442,14 @@ class Cqms:
         nmat = null_space(gs[None, :])          # (ns, ns-1)
 
         def objective(u, tau):
-            c = c0 + nmat @ u
-            val, grad = self._smoothed_seminorm(c, tau, slice_ortho)
+            val, grad = self._smoothed_seminorm(c0 + nmat @ u, tau)
             return val, nmat.T @ grad
 
         factors, max_stage_iter = self._LADDERS[effort]
         u = np.zeros(nmat.shape[1])
         if nmat.shape[1] > 0:
             for factor in factors:
-                cur = self.seminorm(np.einsum("k,kab->ab", c0 + nmat @ u, slice_ortho))
+                cur = self._coeff_seminorms((c0 + nmat @ u)[None])[0]
                 tau = factor * max(cur, 1e-9)
                 res = minimize(objective, u, args=(tau,), jac=True, method="L-BFGS-B",
                                options={"maxiter": max_stage_iter, "ftol": 1e-15,
@@ -466,7 +457,7 @@ class Cqms:
                 u = res.x
         c = c0 + nmat @ u
         a = np.einsum("k,kab->ab", c, slice_ortho)
-        lv = self.seminorm(a)
+        lv = self._coeff_seminorms(c[None])[0]
         if lv < 1e-12:
             raise NonLipError(
                 "seminorm vanishes off the scalars; the action is not ergodic "
@@ -503,7 +494,7 @@ class Cqms:
                 break
         return val
 
-    def radius(self, starts: int = 4, rounds: int = 4, seed: int = 0) -> float:
+    def radius(self) -> float:
         """Ascent estimate of sup |a~| / L(a), the minimal constant comparing
         the quotient norm with the seminorm (tag "ascent").
 
@@ -513,6 +504,8 @@ class Cqms:
         second-extreme witness pairs tried as escape moves when the
         alternation reaches a fixed point.  A lower bound by construction;
         callers check it against the quadrature mean of the length function.
+        Four coordinate and two seeded random starts, four alternation
+        rounds each; the value is cached.
         """
         if self._radius is not None:
             return self._radius[0]
@@ -521,20 +514,21 @@ class Cqms:
         if ns == 0:
             self._radius = (0.0, "exact")
             return 0.0
-        rng = np.random.default_rng(seed)
-        start_coeffs = list(np.eye(ns)[:: max(1, ns // starts)][:starts])
-        start_coeffs += list(rng.standard_normal((max(2, starts // 2), ns)))
+        rng = np.random.default_rng(0)
+        start_coeffs = list(np.eye(ns)[:: max(1, ns // 4)][:4])
+        start_coeffs += list(rng.standard_normal((2, ns)))
         best = 0.0
         for c in start_coeffs:
-            a = np.einsum("k,kab->ab", c / np.linalg.norm(c), slice_ortho)
-            lv = self.seminorm(a)
+            c = c / np.linalg.norm(c)
+            a = np.einsum("k,kab->ab", c, slice_ortho)
+            lv = self._coeff_seminorms(c[None])[0]
             if lv < 1e-12:
                 if nm.quotient_norm(a) > 1e-9:
                     raise NonLipError(
                         "seminorm vanishes off the scalars; not a Lip-norm")
                 continue
             val = nm.quotient_norm(a) / lv
-            val = self._alternate_witness(a, val, rounds, "coarse", scale=1.0)
+            val = self._alternate_witness(a, val, 4, "coarse", scale=1.0)
             best = max(best, val)
         self._radius = (best, "ascent")
         return best

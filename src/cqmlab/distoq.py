@@ -375,24 +375,17 @@ class LowerReport:
 
 
 def _pairwise_norms(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
-    diffs = pa[:, None] - pb[None, :]
-    w = np.linalg.eigvalsh(diffs.reshape(-1, *diffs.shape[-2:]))
-    return np.max(np.abs(w), axis=-1).reshape(pa.shape[0], pb.shape[0])
-
-
-def _realify_stack(mats: np.ndarray) -> np.ndarray:
-    flat = np.asarray(mats, dtype=complex).reshape(mats.shape[0], -1)
-    return np.concatenate([flat.real, flat.imag], axis=1)
+    return nm.op_norms(pa[:, None] - pb[None])
 
 
 def _retract_gap(target: Cqms, stack: np.ndarray, radius: float) -> np.ndarray:
     """Distance from each stacked element to its radial retraction into
     D_radius of the target space (zero when already inside)."""
+    norms = nm.op_norms(stack)
     if radius <= 1e-12:
-        return nm.op_norms(stack)
-    gauges = np.maximum(target.seminorms(stack), nm.op_norms(stack) / radius)
-    factor = np.maximum(gauges, 1.0)
-    return nm.op_norms(stack) * (1.0 - 1.0 / factor)
+        return norms
+    factor = np.maximum(np.maximum(target.seminorms(stack), norms / radius), 1.0)
+    return norms * (1.0 - 1.0 / factor)
 
 
 def dist_oq_upper(a: Cqms, b: Cqms, phi: ComparisonMap, big_r: float = None,
@@ -441,8 +434,8 @@ def dist_oq_upper(a: Cqms, b: Cqms, phi: ComparisonMap, big_r: float = None,
     # preimage retracted into the source ball (columns); both are feasible
     # points of the defining infimum, so every entry stays an upper bound
     row_extra = res + eps * xnorm + _retract_gap(b, ims, radius_b)
-    pinv = np.linalg.pinv(_realify_stack(phi.images))
-    cb = _realify_stack(pb) @ pinv
+    pinv = np.linalg.pinv(nm.realify(phi.images))
+    cb = nm.realify(pb) @ pinv
     xb = np.einsum("nk,kab->nab", cb, phi.x_ortho)
     gaps_b = nm.op_norms(np.einsum("nk,kab->nab", cb, phi.images) - pb)
     col_extra = _retract_gap(a, xb, radius_a) + eps * nm.op_norms(xb) + gaps_b
@@ -495,7 +488,7 @@ def _subnet(points: np.ndarray, cap: int) -> np.ndarray:
     n = points.shape[0]
     if n <= cap:
         return np.arange(n)
-    norms = np.max(np.abs(np.linalg.eigvalsh(points)), axis=-1)
+    norms = nm.op_norms(points)
     chosen = [int(np.argmax(norms))]
     mind = _pairwise_norms(points, points[chosen])[:, 0]
     while len(chosen) < cap:

@@ -29,9 +29,14 @@ DEFAULT_SU2_GRID = (14, 12, 14)
 _grid_cache: dict = {}
 
 
+def grid_dims(grid=DEFAULT_SU2_GRID) -> tuple:
+    """SU(2) grid dimensions from "12x12x12" or a sequence of three integers."""
+    return tuple(int(x) for x in (grid.split("x") if isinstance(grid, str) else grid))
+
+
 def su2_grid(dims=DEFAULT_SU2_GRID) -> ga.Su2Grid:
     """Shared, cached SU(2) Euler grid so family members see one sample."""
-    dims = tuple(int(x) for x in dims)
+    dims = grid_dims(dims)
     if dims not in _grid_cache:
         _grid_cache[dims] = ga.su2_euler_grid(*dims)
     return _grid_cache[dims]
@@ -361,9 +366,7 @@ class ExampleDescriptor:
         if self.family == "torus":
             return fuzzy_torus(int(p["q"]), int(p.get("p", 1)))
         if self.family == "sphere":
-            grid = p.get("grid", DEFAULT_SU2_GRID)
-            if isinstance(grid, str):
-                grid = tuple(int(x) for x in grid.split("x"))
+            grid = grid_dims(p.get("grid", DEFAULT_SU2_GRID))
             return fuzzy_sphere(int(p["two_j"]), grid_dims=grid)
         if self.family == "cycle":
             return commutative_cycle(int(p["m"]))

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import group_action as ga
+from . import numerics as nm
 from .cqms import Cqms
 from .distoq import dist_oq_lower, dist_oq_upper, torus_frequency_map
 from .examples import fuzzy_torus, scalar_cqms
@@ -174,8 +175,7 @@ def criterion_iii_check(fam: ParamFamily, t0, section_names, eps: float,
         svals = np.array([fam.sections[name][t] for name in section_names])
         gaps = np.empty(net.size)
         for i, pt in enumerate(net.points):
-            w = np.linalg.eigvalsh(svals - pt)
-            gaps[i] = float(np.min(np.max(np.abs(w), axis=-1)))
+            gaps[i] = float(np.min(nm.op_norms(svals - pt)))
         worst = float(np.max(gaps))
         ok = worst < eps
         all_pass = all_pass and ok

@@ -7,9 +7,11 @@ closed product table; quadrature grids of continuous groups (SU(2))
 do not and are flagged ``is_exact=False``.
 
 The translation-invariant seminorm of an action is the sup over sampled
-non-identity elements of ``|alpha_x(a) - a| / l(x)``.  All reported
-quantities therefore refer to the sampled group; every grid carries a
-descriptor so results can be stamped with it.
+non-identity elements of ``|alpha_x(a) - a| / l(x)``.  This module
+supplies its group part, the seminorm kernel; ``cqms.Cqms`` builds the
+one operator that forms the quotients.  All reported quantities refer
+to the sampled group; every grid carries a descriptor so results can
+be stamped with it.
 """
 
 from dataclasses import dataclass, field
@@ -17,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import eval_chebyu
 
-from .numerics import STRUCTURAL_TOL, op_norms
+from .numerics import STRUCTURAL_TOL
 
 DEFAULT_INTEGER_TOL = 0.05
 
@@ -100,8 +102,6 @@ class IrrepCharacter:
             object.__setattr__(self, "conjugate_label", self.label)
 
     def validate(self, tol: float = 1e-8) -> None:
-        if abs(self.values[0]) > self.dimension + tol:
-            pass
         if np.max(np.abs(self.values)) > self.dimension + tol:
             raise ValueError(f"character {self.label} exceeds its dimension in modulus")
 
@@ -353,47 +353,6 @@ def apply_all(action: UnitaryAction, a: np.ndarray) -> np.ndarray:
     u = action.implementers
     return np.einsum("xab,bc,xdc->xad", u, np.asarray(a, dtype=complex), u.conj(),
                      optimize=True)
-
-
-def _sup_quotients(diffs: np.ndarray, lengths: np.ndarray) -> float:
-    """max_x ||diffs[x]|| / lengths[x], with a fast path for diagonal stacks."""
-    if diffs.size == 0:
-        return 0.0
-    d = diffs.shape[-1]
-    diag = diffs[:, np.arange(d), np.arange(d)]
-    off = diffs - diag[:, :, None] * np.eye(d)
-    if float(np.max(np.abs(off))) <= 1e-14 * (1.0 + float(np.max(np.abs(diag), initial=0.0))):
-        norms = np.max(np.abs(diag), axis=1)
-    else:
-        norms = op_norms(diffs)
-    return float(np.max(norms / lengths))
-
-
-def lip_seminorm(action: UnitaryAction, a: np.ndarray) -> float:
-    """Seminorm sup_{x != e} ||alpha_x(a) - a|| / l(x) over the sample."""
-    others, lens = action.seminorm_kernel()
-    if others.size == 0:
-        raise ValueError("group sample contains only the identity")
-    u = action.implementers[others]
-    a = np.asarray(a, dtype=complex)
-    moved = np.einsum("xab,bc,xdc->xad", u, a, u.conj(), optimize=True)
-    return _sup_quotients(moved - a[None], lens)
-
-
-def lip_seminorms(action: UnitaryAction, stack: np.ndarray,
-                  block: int = 64) -> np.ndarray:
-    """Vectorized seminorm over a stack of elements, chunked to cap memory."""
-    stack = np.asarray(stack, dtype=complex)
-    others, lens = action.seminorm_kernel()
-    u = action.implementers[others]
-    out = np.empty(stack.shape[0])
-    for lo in range(0, stack.shape[0], block):
-        chunk = stack[lo:lo + block]
-        moved = np.einsum("xab,nbc,xdc->nxad", u, chunk, u.conj(), optimize=True)
-        diffs = moved - chunk[:, None]
-        norms = op_norms(diffs.reshape(-1, *diffs.shape[-2:])).reshape(diffs.shape[:2])
-        out[lo:lo + block] = np.max(norms / lens[None, :], axis=1)
-    return out
 
 
 def projection_weight_fn(chars: list[IrrepCharacter]) -> np.ndarray:

@@ -10,6 +10,8 @@ elsewhere (seminorm sups, net construction) can batch thousands of
 small eigenproblems per call.
 """
 
+import math
+
 import numpy as np
 
 # Structural checks (Hermiticity, unitarity) at 1e-10, numerical
@@ -90,11 +92,32 @@ def op_norm(a: np.ndarray) -> float:
     return float(np.max(np.abs(w)))
 
 
+def is_diagonal(stack: np.ndarray) -> bool:
+    """True when every off-diagonal entry of the stack (..., d, d) is at most
+    1e-14 * (1 + the largest |diagonal entry|).  Reads views a block of
+    matrices at a time, so a large stack is never copied whole."""
+    d = stack.shape[-1]
+    tol = 1e-14 * (1.0 + float(np.max(np.abs(np.diagonal(stack, 0, -2, -1)), initial=0.0)))
+    flat = stack.reshape(-1, d * d)
+    block = max(1, 65536 // (d * d))
+    for lo in range(0, flat.shape[0], block):
+        rows = flat[lo:lo + block, 1:]
+        # row-major d x d minus its first entry: d - 1 runs of d off-diagonal
+        # entries, each followed by the next diagonal entry
+        off = rows.reshape(rows.shape[0], d - 1, d + 1)[:, :, :d]
+        if float(np.max(np.abs(off), initial=0.0)) > tol:
+            return False
+    return True
+
+
 def op_norms(stack: np.ndarray) -> np.ndarray:
-    """Operator norms of a stack of Hermitian matrices, shape (..., d, d)."""
+    """Operator norms of a stack of Hermitian matrices, shape (..., d, d);
+    a diagonal stack (:func:`is_diagonal`) is read off its diagonal."""
     stack = np.asarray(stack, dtype=complex)
     if stack.size == 0:
         return np.zeros(stack.shape[:-2])
+    if is_diagonal(stack):
+        return np.max(np.abs(np.diagonal(stack, 0, -2, -1)), axis=-1)
     w = np.linalg.eigvalsh(stack)
     return np.max(np.abs(w), axis=-1)
 
@@ -131,9 +154,12 @@ def matrix_exp_skew(h: np.ndarray, t: float, tol: float = 1e-9) -> np.ndarray:
     return u
 
 
-def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
-    """Hilbert-Schmidt inner product tr(a^dagger b)."""
-    return complex(np.tensordot(np.asarray(a).conj(), np.asarray(b), axes=2))
+def realify(mats: np.ndarray) -> np.ndarray:
+    """Rows [Re m, Im m] of the flattened matrices: the real dot product of
+    two rows is Re tr(a^dagger b)."""
+    m = np.asarray(mats, dtype=complex)
+    m = m.reshape(m.shape[0], math.prod(m.shape[1:]))
+    return np.concatenate([m.real, m.imag], axis=1)
 
 
 def hs_norm(a: np.ndarray) -> float:

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -141,6 +142,36 @@ def test_sphere_grid_override(tmp_path):
     assert "6x6x6" in parsed["jobs"][0]["result"]["group"]
 
 
+def test_sphere_family_uses_declared_grid(tmp_path, monkeypatch):
+    # every member, comparison map and character table of a sphere family
+    # sits on the grid the scenario declares, not on the default grid
+    from cqmlab import fields as fl
+    seen = {}
+    study = fl.convergence_study
+
+    def spy(fam, t0, rules, **kwargs):
+        seen["groups"] = {t: m.action.group.descriptor for t, m in fam.members.items()}
+        seen["sizes"] = {len(ch.values) for ch in kwargs["characters"]}
+        return study(fam, t0, rules, **kwargs)
+
+    monkeypatch.setattr(fl, "convergence_study", spy)
+    doc = {
+        "seed": 0, "eps_net": 0.6, "budget": 8,
+        "examples": [{"name": "s1", "family": "sphere", "two_j": 1, "grid": "6x6x6"}],
+        "jobs": [{"kind": "family", "type": "sphere_convergence", "two_js": [1, 2]}],
+    }
+    report, code, _ = run_doc(doc, tmp_path)
+    assert code == 0
+    assert report["jobs"][0]["status"] == "ok", report["jobs"][0].get("error")
+    assert sorted(seen["groups"]) == [1, 2]
+    assert all("6x6x6" in g for g in seen["groups"].values())
+    assert seen["sizes"] == {1 + 2 * 6 ** 3}
+    doc["examples"].append({"name": "s2", "family": "sphere", "two_j": 2, "grid": "4x4x4"})
+    report, _, _ = run_doc(doc, tmp_path)
+    assert report["jobs"][0]["status"] == "error"
+    assert "different SU(2) grids" in report["jobs"][0]["error"]
+
+
 def test_csv_trend_schema(tmp_path):
     report = {"jobs": [{"name": "fam", "kind": "family", "status": "ok",
                         "result": {"rows": [
@@ -168,8 +199,21 @@ def test_main_parse_error(tmp_path, capsys):
     assert "scenario error" in capsys.readouterr().err
 
 
+def test_qgh_threads_applied_before_numpy():
+    # the BLAS reads its thread variables when numpy is first imported, so
+    # importing cqmlab must set them before anything imports numpy
+    code = ("import os, sys, cqmlab; "
+            "print('numpy' in sys.modules, os.environ['OPENBLAS_NUM_THREADS'])")
+    env = dict(os.environ, QGH_THREADS="1", OPENBLAS_NUM_THREADS="7")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["False", "1"]
+
+
 def test_subprocess_run_deterministic(tmp_path):
-    # end-to-end through the executable: same scenario twice, byte-identical
+    # end-to-end through the executable with the BLAS capped at one and at
+    # two threads: the jobs are byte-identical, the stamp echoes the cap
     # (the larger bundled regression scenario is exercised by the acceptance
     # suite; this one keeps the subprocess path fast)
     scenario = tmp_path / "mini.json"
@@ -180,12 +224,15 @@ def test_subprocess_run_deterministic(tmp_path):
                  {"kind": "embed", "points": 12, "depth": 3, "functions": 4}],
     }))
     outs = []
-    for sub in ("r1", "r2"):
-        out = tmp_path / sub
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
         res = subprocess.run(
             [sys.executable, "-m", "cqmlab.cli", "--out", str(out),
              "run", str(scenario)],
-            capture_output=True, text=True, timeout=300)
+            capture_output=True, text=True, timeout=300,
+            env=dict(os.environ, QGH_THREADS=threads))
         assert res.returncode == 0, res.stderr
-        outs.append((out / "report.json").read_bytes())
+        data = (out / "report.json").read_bytes()
+        assert json.loads(data)["environment"]["qgh_threads"] == threads
+        outs.append(data[data.index(b'"jobs":'):])
     assert outs[0] == outs[1]

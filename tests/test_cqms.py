@@ -212,3 +212,27 @@ def test_state_diameter_cycle(cycle12):
     assert diam == pytest.approx(np.pi, rel=0.05)
     r = cycle12.radius()
     assert abs(diam / 2.0 - r) <= 0.1 * r
+
+
+@pytest.mark.parametrize("name", ["cycle12", "torus3", "sphere1"])
+def test_smoothed_seminorm_gradient(name):
+    # analytic gradient of the smoothed seminorm against central differences,
+    # on the diagonal operator (cycle) and the general one (torus, sphere)
+    obj = {"cycle12": lambda: ex.commutative_cycle(12),
+           "torus3": lambda: ex.fuzzy_torus(3, 1),
+           "sphere1": lambda: ex.fuzzy_sphere(1)}[name]()
+    assert obj._operator()[1] == (name == "cycle12")
+    rng = np.random.default_rng(11)
+    ns = obj.space.real_dim - 1
+    c = rng.standard_normal(ns)
+    exact = obj.seminorm(obj.space.element(np.concatenate([[0.0], c])))
+    tau = 0.1 * exact
+    val, grad = obj._smoothed_seminorm(c, tau)
+    # log-sum-exp sits between the max and the max plus tau log(#terms)
+    terms = 2 * len(obj.action.seminorm_kernel()[0]) * obj.dim
+    assert exact - 1e-12 <= val <= exact + tau * np.log(terms) + 1e-12
+    h = 1e-6
+    fd = np.array([(obj._smoothed_seminorm(c + h * e, tau)[0]
+                    - obj._smoothed_seminorm(c - h * e, tau)[0]) / (2 * h)
+                   for e in np.eye(ns)])
+    assert np.allclose(grad, fd, rtol=1e-6, atol=1e-7)

@@ -95,10 +95,13 @@ def test_seminorm_axioms(torus3, rng):
 
 
 def test_lip_seminorms_batch(torus3, rng):
-    stack = np.array([torus3.space.random_element(rng) for _ in range(9)])
-    batch = ga.lip_seminorms(torus3.action, stack, block=4)
+    # more rows than one matrix product of the batched path takes
+    n = torus3._BLOCK + 7
+    stack = np.array([torus3.space.random_element(rng) for _ in range(n)])
+    batch = torus3.seminorms(stack)
     singles = [torus3.seminorm(m) for m in stack]
-    assert np.allclose(batch, singles)
+    assert batch.shape == (n,)
+    assert np.allclose(batch, singles, rtol=1e-12, atol=0.0)
 
 
 def test_isotypic_trivial_projection(torus3, rng):
@@ -264,14 +267,16 @@ def test_su2_grid_structure():
         assert abs(val) < 1e-6
 
 
-def test_seminorm_kernel_preserves_sup(torus3, rng):
-    # computing over merged classes equals the raw definition over the sample
-    group = torus3.action.group
-    u = torus3.action.implementers
-    for _ in range(10):
-        a = torus3.space.random_element(rng)
-        raw = 0.0
-        for x in group.non_identity():
-            diff = u[x] @ a @ u[x].conj().T - a
-            raw = max(raw, nm.op_norm(diff) / group.lengths[x])
-        assert torus3.seminorm(a) == pytest.approx(raw, rel=1e-12)
+def test_seminorm_kernel_preserves_sup(torus3, cycle12, rng):
+    # computing over merged classes equals the raw definition over the sample,
+    # on the general operator (torus, sphere) and the diagonal one (cycle)
+    for space in (torus3, cycle12, ex.fuzzy_sphere(1)):
+        group = space.action.group
+        u = space.action.implementers
+        for _ in range(10):
+            a = space.space.random_element(rng)
+            raw = 0.0
+            for x in group.non_identity():
+                diff = u[x] @ a @ u[x].conj().T - a
+                raw = max(raw, nm.op_norm(diff) / group.lengths[x])
+            assert space.seminorm(a) == pytest.approx(raw, rel=1e-12)

@@ -97,6 +97,17 @@ def test_batched_norms(rng):
     batch = nm.op_norms(stack)
     single = [nm.op_norm(m) for m in stack]
     assert np.allclose(batch, single)
+    # a diagonal stack is read off its diagonal; one non-diagonal matrix
+    # sends the whole stack back to the eigensolver
+    diag = np.array([np.diag(rng.standard_normal(3)).astype(complex) for _ in range(5)])
+    assert nm.is_diagonal(diag) and not nm.is_diagonal(stack)
+    assert np.array_equal(nm.op_norms(diag), np.max(np.abs(np.diagonal(diag, 0, 1, 2)), axis=1))
+    mixed = np.concatenate([diag, stack[:1]])
+    assert not nm.is_diagonal(mixed)
+    assert np.allclose(nm.op_norms(diag), [nm.op_norm(m) for m in diag], rtol=1e-14, atol=0.0)
+    assert np.allclose(nm.op_norms(mixed), [nm.op_norm(m) for m in mixed])
+    grid = np.stack([diag, diag])                       # (2, 5, 3, 3)
+    assert nm.op_norms(grid).shape == (2, 5)
     qb = nm.quotient_norms(stack)
     qs = [nm.quotient_norm(m) for m in stack]
     assert np.allclose(qb, qs)
