@@ -228,16 +228,10 @@ def _run_job(job: dict, built: dict, defaults: dict) -> dict:
         desc, cq = built[job["example"]]
         chars = _characters_for(desc, cq)
         basis = None if cq.space.is_full else cq.space.complex_basis()
-        traces = ga.action_traces(cq.action, basis)
-        table = {}
-        raw_worst = 0.0
-        for ch in chars:
-            raw = complex(np.dot(cq.action.group.weights, ch.values.conj() * traces))
-            m = ga.multiplicity(cq.action, ch, traces=traces,
-                                integer_tol=float(job.get("integer_tol",
-                                                          ga.DEFAULT_INTEGER_TOL)))
-            raw_worst = max(raw_worst, abs(raw - m))
-            table[str(ch.label)] = m
+        pairs = ga.multiplicities(cq.action, chars, basis,
+                                  float(job.get("integer_tol", ga.DEFAULT_INTEGER_TOL)))
+        table = {str(ch.label): m for ch, (_, m) in zip(chars, pairs)}
+        raw_worst = max([0.0] + [abs(raw - m) for raw, m in pairs])
         out = {"table": table, "raw_worst_deviation": raw_worst,
                "grid": cq.action.group.descriptor}
         if cq.action.group.is_exact:

@@ -315,6 +315,14 @@ class Cqms:
     def _gauges(self, stack: np.ndarray, r: float) -> np.ndarray:
         return np.maximum(self.seminorms(stack), nm.op_norms(stack) / r)
 
+    def _random_points(self, rng: np.random.Generator, count: int, r: float) -> np.ndarray:
+        """``count`` seeded points of D_r: uniform coefficient directions, each
+        scaled to u**(1/n) of its boundary point (u uniform on [0, 1))."""
+        c = rng.standard_normal((count, self.space.real_dim))
+        dirs = self.space.elements(c / np.linalg.norm(c, axis=1)[:, None])
+        radial = rng.random(count) ** (1.0 / self.space.real_dim)
+        return dirs * (radial / self._gauges(dirs, r))[:, None, None]
+
     def ball_net(self, r: float, epsilon: float, budget: int = 64,
                  seed: int = 0, max_points: int = 220) -> BallNet:
         """Greedy farthest-point net of D_r.
@@ -331,9 +339,9 @@ class Cqms:
         key = (round(float(r), 12), round(float(epsilon), 12), budget, seed, max_points)
         if key in self.net_cache:
             return self.net_cache[key]
+        zero = np.zeros((1, self.dim, self.dim), dtype=complex)
         if r <= 1e-12:
-            net = BallNet(r, epsilon, np.zeros((1, self.dim, self.dim), dtype=complex),
-                          0.0, True, seed, 0)
+            net = BallNet(r, epsilon, zero, 0.0, True, seed, 0)
             self.net_cache.setdefault(key, net)
             return net
 
@@ -348,35 +356,14 @@ class Cqms:
         boundary = dirs / gauges[:, None, None]
         fracs = np.arange(1, 5) / 4.0          # four radial steps per ray
         cands = (boundary[None, :] * fracs[:, None, None, None]).reshape(-1, self.dim, self.dim)
-        n_interior = min(max(2 * n * n, 96), 640)
-        ic = rng.standard_normal((n_interior, n))
-        ic = ic / np.linalg.norm(ic, axis=1)[:, None]
-        idirs = self.space.elements(ic)
-        ig = self._gauges(idirs, r)
-        iradial = rng.random(n_interior) ** (1.0 / n)
-        cands = np.concatenate([cands, idirs * (iradial / ig)[:, None, None]])
+        cands = np.concatenate([cands, self._random_points(rng, min(max(2 * n * n, 96), 640), r)])
 
-        zero = np.zeros((self.dim, self.dim), dtype=complex)
-        points = [zero]
-        mind = nm.op_norms(cands - zero)
-        while len(points) < max_points:
-            k = int(np.argmax(mind))
-            if mind[k] < epsilon / 2.0:
-                break
-            points.append(cands[k])
-            mind = np.minimum(mind, nm.op_norms(cands - cands[k]))
-        pts = np.array(points)
+        chosen = nm.farthest_first(cands, nm.op_dists(cands, zero)[:, 0], max_points - 1,
+                                   lambda far: far < epsilon / 2.0)
+        pts = np.concatenate([zero, cands[chosen]])
 
-        probe_rng = np.random.default_rng(seed + 1)
-        pc = probe_rng.standard_normal((budget, n))
-        pc = pc / np.linalg.norm(pc, axis=1)[:, None]
-        pd = self.space.elements(pc)
-        pg = self._gauges(pd, r)
-        radial = probe_rng.random(budget) ** (1.0 / max(n, 1))
-        probes = pd * (radial / pg)[:, None, None]
-        cert = 0.0
-        for p in probes:
-            cert = max(cert, float(np.min(nm.op_norms(pts - p))))
+        probes = self._random_points(np.random.default_rng(seed + 1), budget, r)
+        cert = float(np.max(np.min(nm.op_dists(pts, probes), axis=0), initial=0.0))
         net = BallNet(r, epsilon, pts, cert, cert <= epsilon, seed + 1, budget)
         self.net_cache.setdefault(key, net)
         return net

@@ -15,6 +15,10 @@ Every bound carries a slack ledger (net covering certificates, measured
 map distortion) instead of pretending to be exact; the upper estimators
 only ever overestimate the glue norm, so reported values stay valid
 upper bounds up to the recorded net certificates.
+
+Distances between finite nets all come from the blocked kernel
+``numerics.op_dists``, and sub-nets from ``numerics.farthest_first``,
+the greedy insertion that also builds the ball nets.
 """
 
 from dataclasses import dataclass, field
@@ -81,14 +85,11 @@ class ComparisonMap:
         coeffs = [np.eye(self.k), rng.standard_normal((probes, self.k))]
         if extra is not None:
             coeffs.append(np.array([self.x_coeffs(m) for m in extra]))
-        worst = 0.0
-        for block in coeffs:
-            for c in np.atleast_2d(block):
-                x = self.x_element(c)
-                xn = nm.op_norm(x)
-                if xn < 1e-12:
-                    continue
-                worst = max(worst, abs(nm.op_norm(self.apply_coeffs(c)) / xn - 1.0))
+        coeffs = np.concatenate(coeffs)
+        xn = nm.op_norms(np.array([self.x_element(c) for c in coeffs]))
+        imn = nm.op_norms(np.array([self.apply_coeffs(c) for c in coeffs]))
+        seen = xn >= 1e-12
+        worst = float(np.max(np.abs(imn[seen] / xn[seen] - 1.0), initial=0.0))
         da = self.dim_a
         e_a = np.eye(da, dtype=complex)
         ce = self.x_coeffs(e_a)
@@ -155,18 +156,12 @@ def cycle_refinement_map(a: Cqms, b: Cqms) -> ComparisonMap:
     ma, mb = a.dim, b.dim
     if mb % ma != 0:
         raise ValueError("refinement needs the target size to be a multiple")
-    k = mb // ma
-    raw_x, raw_im = [], []
-    for j in range(ma):
-        x = np.zeros((ma, ma), dtype=complex)
-        x[j, j] = 1.0
-        im = np.zeros((mb, mb), dtype=complex)
-        for i in range(k):
-            im[j * k + i, j * k + i] = 1.0
-        raw_x.append(x)
-        raw_im.append(im)
-    return comparison_from_pairs(np.array(raw_x), np.array(raw_im),
-                                 label=f"cycle-refinement({a.name}->{b.name})")
+    pts, refined = np.arange(ma), np.arange(mb)
+    raw_x = np.zeros((ma, ma, ma), dtype=complex)
+    raw_x[pts, pts, pts] = 1.0
+    raw_im = np.zeros((ma, mb, mb), dtype=complex)
+    raw_im[refined // (mb // ma), refined, refined] = 1.0
+    return comparison_from_pairs(raw_x, raw_im, label=f"cycle-refinement({a.name}->{b.name})")
 
 
 def berezin_transport_map(a: Cqms, b: Cqms, maps_a, maps_b) -> ComparisonMap:
@@ -200,13 +195,12 @@ class SumNorm:
     bridge_d: float = 0.0
     is_upper_approx: bool = False
 
-    def value(self, a: np.ndarray, b: np.ndarray, descend: bool = False,
-              sweeps: int = 2) -> float:
+    def value(self, a: np.ndarray, b: np.ndarray, descend: bool = False) -> float:
         if self.kind == "eps_amalgam":
             return max(nm.op_norm(a + b), self.eps * nm.op_norm(a),
                        self.eps * nm.op_norm(b))
         if self.kind == "almost_amal":
-            return self._amal_value(a, b, descend, sweeps)
+            return self._amal_value(a, b, descend)
         if self.kind == "bridge":
             return max(nm.op_norm(a) / self.bridge_r, nm.op_norm(b) / self.bridge_r,
                        nm.op_norm(self.phi.apply(a) - b) / self.bridge_d)
@@ -243,19 +237,18 @@ class SumNorm:
             grad += scale * np.real(np.einsum("ab,kab->k", wmat.conj(), dbasis))
         return total, grad
 
-    def _amal_value(self, a, b, descend: bool, sweeps: int) -> float:
+    def _amal_value(self, a, b, descend: bool) -> float:
         a = np.asarray(a, dtype=complex)
         b = np.asarray(b, dtype=complex)
         zero = np.zeros(self.phi.k)
         ca = self.phi.x_coeffs(a)
-        best = min(self._amal_objective(a, b, zero),
-                   self._amal_objective(a, b, ca))
+        at_zero, at_ca = self._amal_objective(a, b, zero), self._amal_objective(a, b, ca)
+        best = min(at_zero, at_ca)
         if not descend or self.phi.k == 0:
             return best
-        c = ca if self._amal_objective(a, b, ca) <= self._amal_objective(a, b, zero) \
-            else zero
+        c = ca if at_ca <= at_zero else zero
         scale = max(best, 1e-9)
-        for factor in (0.2, 0.05, 0.01, 0.002)[: max(2, 2 * sweeps)]:
+        for factor in (0.2, 0.05, 0.01, 0.002):
             tau = factor * scale
             res = minimize(lambda u: self._amal_smoothed(a, b, u, tau), c,
                            jac=True, method="L-BFGS-B",
@@ -374,10 +367,6 @@ class LowerReport:
         }
 
 
-def _pairwise_norms(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
-    return nm.op_norms(pa[:, None] - pb[None])
-
-
 def _retract_gap(target: Cqms, stack: np.ndarray, radius: float) -> np.ndarray:
     """Distance from each stacked element to its radial retraction into
     D_radius of the target space (zero when already inside)."""
@@ -388,10 +377,14 @@ def _retract_gap(target: Cqms, stack: np.ndarray, radius: float) -> np.ndarray:
     return norms * (1.0 - 1.0 / factor)
 
 
+# glue eps = measured distortion * EPS_MARGIN; descent polishes at most
+# REFINE_WITNESSES rows per directed Hausdorff term; lower-bound sub-nets
+# keep at most SUB_CAP points
+EPS_MARGIN, REFINE_WITNESSES, SUB_CAP = 1.05, 12, 12
+
+
 def dist_oq_upper(a: Cqms, b: Cqms, phi: ComparisonMap, big_r: float = None,
-                  eps_net: float = 0.25, budget: int = 64, seed: int = 0,
-                  eps_margin: float = 1.05, refine_witnesses: int = 12,
-                  descend_sweeps: int = 2) -> BoundReport:
+                  eps_net: float = 0.25, budget: int = 64, seed: int = 0) -> BoundReport:
     """Upper estimate of the order-unit quantum distance through an explicit
     almost-amalgamation norm along ``phi``.
 
@@ -413,7 +406,7 @@ def dist_oq_upper(a: Cqms, b: Cqms, phi: ComparisonMap, big_r: float = None,
     # does not wobble with the caller's net seed
     rng = np.random.default_rng(1729)
     eps_phi, unit_defect = phi.measure(rng, probes=192, extra=net_a.points[:32])
-    eps = max(eps_phi * eps_margin, eps_phi + 1e-9, 1e-9)
+    eps = max(eps_phi * EPS_MARGIN, eps_phi + 1e-9, 1e-9)
     norm = almost_amal_norm(phi, eps)
 
     pa, pb = net_a.points, net_b.points
@@ -422,11 +415,9 @@ def dist_oq_upper(a: Cqms, b: Cqms, phi: ComparisonMap, big_r: float = None,
     res = nm.op_norms(pa - xa)
     xnorm = nm.op_norms(xa)
     ims = np.array([phi.apply_coeffs(c) for c in ca])
-    cross = _pairwise_norms(ims, pb)
+    cross = nm.op_dists(ims, pb)
     cand1 = res[:, None] + eps * xnorm[:, None] + cross
-    na = nm.op_norms(pa)
-    nb = nm.op_norms(pb)
-    cand0 = na[:, None] + nb[None, :]
+    cand0 = nm.op_norms(pa)[:, None] + nm.op_norms(pb)[None, :]
     dmat = np.minimum(cand0, cand1)
 
     # deterministic partner candidates beyond the finite nets: retract the
@@ -445,7 +436,7 @@ def dist_oq_upper(a: Cqms, b: Cqms, phi: ComparisonMap, big_r: float = None,
         # the reported Hausdorff term rests on descended values
         mins = np.minimum(dm.min(axis=1), extra)
         refined = set()
-        for _ in range(refine_witnesses):
+        for _ in range(REFINE_WITNESSES):
             i = int(np.argmax(mins))
             if i in refined:
                 break
@@ -454,7 +445,7 @@ def dist_oq_upper(a: Cqms, b: Cqms, phi: ComparisonMap, big_r: float = None,
             aa, bb = (points_row[i], points_col[j])
             if transpose:
                 aa, bb = bb, aa
-            v = norm.value(aa, -bb, descend=True, sweeps=descend_sweeps)
+            v = norm.value(aa, -bb, descend=True)
             mins[i] = min(mins[i], v)
         return float(np.max(mins))
 
@@ -462,8 +453,7 @@ def dist_oq_upper(a: Cqms, b: Cqms, phi: ComparisonMap, big_r: float = None,
             directed(dmat.T, col_extra, pb, pa, True))
     da, db = a.dim, b.dim
     unit_term = norm.value(radius_a * np.eye(da, dtype=complex),
-                           -radius_b * np.eye(db, dtype=complex),
-                           descend=True, sweeps=descend_sweeps)
+                           -radius_b * np.eye(db, dtype=complex), descend=True)
     value = max(h, unit_term)
     slack = net_a.covering_certificate + net_b.covering_certificate
     degraded = not (net_a.complete and net_b.complete)
@@ -483,41 +473,36 @@ def dist_oq_upper(a: Cqms, b: Cqms, phi: ComparisonMap, big_r: float = None,
     )
 
 
-def _subnet(points: np.ndarray, cap: int) -> np.ndarray:
-    """Greedy max-separated subset of net points (indices), deterministic."""
-    n = points.shape[0]
-    if n <= cap:
-        return np.arange(n)
-    norms = nm.op_norms(points)
-    chosen = [int(np.argmax(norms))]
-    mind = _pairwise_norms(points, points[chosen])[:, 0]
-    while len(chosen) < cap:
-        k = int(np.argmax(mind))
-        if mind[k] <= 1e-12:
-            break
-        chosen.append(k)
-        mind = np.minimum(mind, _pairwise_norms(points, points[k][None])[:, 0])
-    return np.array(sorted(chosen))
+def _subnet(points: np.ndarray) -> tuple[np.ndarray, float, FiniteMetricSpace]:
+    """Greedy max-separated subset of at most SUB_CAP net points (sorted
+    indices, deterministic), the farthest any net point lies from it, and
+    the subset as a finite metric space."""
+    idx = np.arange(len(points))
+    if len(points) > SUB_CAP:
+        first = int(np.argmax(nm.op_norms(points)))
+        rest = nm.farthest_first(points, nm.op_dists(points, points[first:first + 1])[:, 0],
+                                 SUB_CAP - 1, lambda far: far <= 1e-12)
+        idx = np.array(sorted([first] + rest))
+    sub = points[idx]
+    coarsen = float(np.max(np.min(nm.op_dists(points, sub), axis=1)))
+    dist = nm.op_dists(sub, sub)
+    dist = (dist + dist.T) / 2.0
+    np.fill_diagonal(dist, 0.0)
+    return idx, coarsen, FiniteMetricSpace(np.round(dist, 12))
 
 
 def dist_oq_lower(a: Cqms, b: Cqms, eps_net: float = 0.25, budget: int = 64,
-                  seed: int = 0, sub_cap: int = 12) -> LowerReport:
+                  seed: int = 0) -> LowerReport:
     """Lower estimate: the radius gap, and the finite Gromov-Hausdorff
     lower bound between small sub-nets of the defining balls minus the
     measured net slacks (covering certificate + subnet coarsening)."""
     ra, rb = a.radius(), b.radius()
     net_a = a.ball_net(ra, eps_net, budget=budget, seed=seed)
     net_b = b.ball_net(rb, eps_net, budget=budget, seed=seed)
-    idx_a = _subnet(net_a.points, sub_cap)
-    idx_b = _subnet(net_b.points, sub_cap)
-    sub_a = net_a.points[idx_a]
-    sub_b = net_b.points[idx_b]
-    coarsen_a = float(np.max(np.min(_pairwise_norms(net_a.points, sub_a), axis=1)))
-    coarsen_b = float(np.max(np.min(_pairwise_norms(net_b.points, sub_b), axis=1)))
+    idx_a, coarsen_a, sa = _subnet(net_a.points)
+    idx_b, coarsen_b, sb = _subnet(net_b.points)
     slack_a = net_a.covering_certificate + coarsen_a
     slack_b = net_b.covering_certificate + coarsen_b
-    sa = FiniteMetricSpace(np.round(_symmetrize(_pairwise_norms(sub_a, sub_a)), 12))
-    sb = FiniteMetricSpace(np.round(_symmetrize(_pairwise_norms(sub_b, sub_b)), 12))
     gh = gh_lower_bound(sa, sb)
     radius_gap = abs(ra - rb)
     value = max(radius_gap, gh - slack_a - slack_b, 0.0)
@@ -532,12 +517,6 @@ def dist_oq_lower(a: Cqms, b: Cqms, eps_net: float = 0.25, budget: int = 64,
             "coarsen_a": coarsen_a, "coarsen_b": coarsen_b,
         },
     )
-
-
-def _symmetrize(m: np.ndarray) -> np.ndarray:
-    out = (m + m.T) / 2.0
-    np.fill_diagonal(out, 0.0)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -626,12 +605,14 @@ def audit_pair(a: Cqms, b: Cqms, phi: ComparisonMap, eps_net: float = 0.25,
     """Convenience: compute the full report set for a pair and audit it."""
     ra, rb = a.radius(), b.radius()
     big_r = max(ra, rb)
+    # the lower bound takes no R: one report serves all three variants
+    lower = dist_oq_lower(a, b, eps_net, budget, seed)
     reports = {
         "oq_upper": dist_oq_upper(a, b, phi, None, eps_net, budget, seed),
-        "oq_lower": dist_oq_lower(a, b, eps_net, budget, seed),
+        "oq_lower": lower,
         "oqR_upper": dist_oq_upper(a, b, phi, big_r, eps_net, budget, seed),
-        "oqR_lower": dist_oq_lower(a, b, eps_net, budget, seed),
+        "oqR_lower": lower,
         "oq_rB_upper": dist_oq_upper(a, b, phi, rb, eps_net, budget, seed),
-        "oq_rB_lower": dist_oq_lower(a, b, eps_net, budget, seed),
+        "oq_rB_lower": lower,
     }
     return reports, audit_chain(a, b, reports)

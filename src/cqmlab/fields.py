@@ -155,7 +155,7 @@ class FamilyVerdict:
                 "per_label": self.per_label}
 
 
-def criterion_iii_check(fam: ParamFamily, t0, section_names, eps: float,
+def criterion_iii_check(fam: ParamFamily, section_names, eps: float,
                         bound_r: float, budget: int = 48, seed: int = 0) -> FamilyVerdict:
     """Do the named sections eps-cover the balls D_R across the grid?
 
@@ -173,10 +173,7 @@ def criterion_iii_check(fam: ParamFamily, t0, section_names, eps: float,
         member = fam.members[t]
         net = member.ball_net(bound_r, eps / 4.0, budget=budget, seed=seed)
         svals = np.array([fam.sections[name][t] for name in section_names])
-        gaps = np.empty(net.size)
-        for i, pt in enumerate(net.points):
-            gaps[i] = float(np.min(nm.op_norms(svals - pt)))
-        worst = float(np.max(gaps))
+        worst = float(np.max(np.min(nm.op_dists(svals, net.points), axis=0)))
         ok = worst < eps
         all_pass = all_pass and ok
         per[t] = {"passed": ok, "worst_gap": worst, "net_size": net.size,
@@ -198,11 +195,8 @@ def multiplicity_profile(fam: ParamFamily, characters) -> dict:
     for t in fam.labels:
         member = fam.members[t]
         basis = None if member.space.is_full else member.space.complex_basis()
-        traces = ga.action_traces(member.action, basis)
-        row = {}
-        for ch in characters:
-            row[str(ch.label)] = ga.multiplicity(member.action, ch, traces=traces)
-        table[t] = row
+        pairs = ga.multiplicities(member.action, characters, basis)
+        table[t] = {str(ch.label): m for ch, (_, m) in zip(characters, pairs)}
     neigh = fam.neighbors(fam.t0)
     locally_constant = True
     lower_semi = True
@@ -265,7 +259,7 @@ def family_agreement(fam: ParamFamily, section_names, eps: float, bound_r: float
                      characters, budget: int = 48, seed: int = 0) -> dict:
     """The desk-scale equivalence check: the section-covering verdict and
     local multiplicity constancy must agree on every bundled family."""
-    crit = criterion_iii_check(fam, fam.t0, section_names, eps, bound_r,
+    crit = criterion_iii_check(fam, section_names, eps, bound_r,
                                budget=budget, seed=seed)
     prof = multiplicity_profile(fam, characters)
     return {

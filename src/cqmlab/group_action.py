@@ -420,16 +420,25 @@ def multiplicity(action: UnitaryAction, char: IrrepCharacter,
     of a nonnegative integer, else a :class:`QuadratureError` carrying
     the raw value is raised ("quadrature too coarse").
     """
+    return multiplicities(action, [char], space_basis, integer_tol, traces)[0][1]
+
+
+def multiplicities(action: UnitaryAction, chars, space_basis: np.ndarray | None = None,
+                   integer_tol: float = DEFAULT_INTEGER_TOL,
+                   traces: np.ndarray | None = None) -> list[tuple[complex, int]]:
+    """(raw quadrature value, checked :func:`multiplicity`) per character,
+    from one evaluation of the traces."""
     if traces is None:
         traces = action_traces(action, space_basis)
-    raw = complex(np.dot(action.group.weights, char.values.conj() * traces))
-    m = int(round(raw.real))
-    if m < 0 or abs(raw - m) > integer_tol:
-        raise QuadratureError(
-            f"quadrature too coarse for multiplicity of {char.label!r}: raw={raw:.6f}",
-            raw=raw,
-        )
-    return m
+    out = []
+    for char in chars:
+        raw = complex(np.dot(action.group.weights, char.values.conj() * traces))
+        m = int(round(raw.real))
+        if m < 0 or abs(raw - m) > integer_tol:
+            raise QuadratureError(f"quadrature too coarse for multiplicity of "
+                                  f"{char.label!r}: raw={raw:.6f}", raw=raw)
+        out.append((raw, m))
+    return out
 
 
 def ergodicity_check(action: UnitaryAction, space_basis: np.ndarray | None = None,

@@ -8,6 +8,11 @@ eigensolver is LAPACK's Hermitian driver (`numpy.linalg.eigh`), which is
 deterministic on a fixed platform and fast enough that the inner loops
 elsewhere (seminorm sups, net construction) can batch thousands of
 small eigenproblems per call.
+
+Distances between stacks go through :func:`op_dists`, which forms the
+differences ``p_i - q_j`` in blocks of at most ``DIST_BLOCK`` = 2**16
+matrix entries, so this module alone bounds their memory and decides when
+the diagonal shortcut of :func:`op_norms` applies.
 """
 
 import math
@@ -18,6 +23,8 @@ import numpy as np
 # equalities at 1e-8; both overridable per call.
 STRUCTURAL_TOL = 1e-10
 NUMERIC_TOL = 1e-8
+
+DIST_BLOCK = 2 ** 16
 
 
 class NumericsError(Exception):
@@ -120,6 +127,33 @@ def op_norms(stack: np.ndarray) -> np.ndarray:
         return np.max(np.abs(np.diagonal(stack, 0, -2, -1)), axis=-1)
     w = np.linalg.eigvalsh(stack)
     return np.max(np.abs(w), axis=-1)
+
+
+def op_dists(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """|p_i - q_j| as a (len(p), len(q)) matrix: :func:`op_norms` over blocks
+    of at most ``DIST_BLOCK`` difference entries (whole rows when one fits)."""
+    p, q = np.asarray(p, dtype=complex), np.asarray(q, dtype=complex)
+    out = np.empty((len(p), len(q)))
+    cols = max(1, min(len(q), DIST_BLOCK // p.shape[-1] ** 2))
+    rows = max(1, DIST_BLOCK // (cols * p.shape[-1] ** 2))
+    for i in range(0, len(p), rows):
+        for j in range(0, len(q), cols):
+            out[i:i + rows, j:j + cols] = op_norms(p[i:i + rows, None] - q[None, j:j + cols])
+    return out
+
+
+def farthest_first(points: np.ndarray, dists: np.ndarray, cap: int, stop) -> list:
+    """Greedy farthest-point insertion: indices of ``points``, each the
+    farthest from the set so far (``dists``: distances to the starting set),
+    until ``cap`` are added or ``stop(farthest distance)`` holds."""
+    chosen = []
+    while len(chosen) < cap:
+        k = int(np.argmax(dists))
+        if stop(dists[k]):
+            break
+        chosen.append(k)
+        dists = np.minimum(dists, op_dists(points, points[k:k + 1])[:, 0])
+    return chosen
 
 
 def quotient_norm(a: np.ndarray) -> float:

@@ -7,10 +7,22 @@ norms, dense parameter grids for infima.
 """
 
 import itertools
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
+
+
+@pytest.fixture(scope="session", autouse=True)
+def children_import_src():
+    """CLI tests start Python subprocesses: they import cqmlab from src/, as
+    the ``pythonpath`` setting in pyproject.toml does for this process."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        yield
 
 
 @pytest.fixture(scope="session")

@@ -19,6 +19,7 @@ from cqmlab import examples as ex
 from cqmlab import fields as fl
 from cqmlab import finmetric as fm
 from cqmlab import group_action as ga
+from cqmlab import numerics as nm
 
 from conftest import cycle_arc_matrix, gh_bruteforce, kantorovich_lp, random_metric_space
 
@@ -90,7 +91,7 @@ def test_criterion_03_ball_geometry(bundle):
         big_r, small_r, eps = 1.0, 0.5, 0.5
         net_big = obj.ball_net(big_r, eps, budget=48, seed=0)
         net_small = obj.ball_net(small_r, eps, budget=48, seed=0)
-        dmat = dq._pairwise_norms(net_big.points, net_small.points)
+        dmat = nm.op_dists(net_big.points, net_small.points)
         h = max(dmat.min(axis=1).max(), dmat.min(axis=0).max())
         slack = 2 * (net_big.covering_certificate + net_small.covering_certificate)
         ok = ok and h <= (big_r - small_r) + slack + 1e-9

@@ -110,7 +110,7 @@ def test_almost_amal_dense_grid_oracle():
 
     axes = [np.linspace(-2.5, 2.5, 11)] * 4
     grid_min = min(objective(np.array(c)) for c in itertools.product(*axes))
-    got = norm.value(a, -b, descend=True, sweeps=4)
+    got = norm.value(a, -b, descend=True)
     assert got <= grid_min + 1e-9           # descent at least matches the grid
     assert got >= 0.0
 

@@ -32,7 +32,7 @@ def test_section_validation_errors(torus31):
 def test_criterion_iii_unknown_section(torus31):
     fam = fl.constant_family(torus31, [0, 1])
     with pytest.raises(ValueError):
-        fl.criterion_iii_check(fam, 0, ["missing"], 0.5, 1.0)
+        fl.criterion_iii_check(fam, ["missing"], 0.5, 1.0)
 
 
 def test_constant_family_passes(torus31):
@@ -44,7 +44,7 @@ def test_constant_family_passes(torus31):
         name = f"net_{i}"
         fam.sections[name] = {t: pt for t in fam.labels}
         names.append(name)
-    verdict = fl.criterion_iii_check(fam, 0, names, 1.0, bound_r, budget=32, seed=0)
+    verdict = fl.criterion_iii_check(fam, names, 1.0, bound_r, budget=32, seed=0)
     assert verdict.passed
     prof = fl.multiplicity_profile(fam, ex.torus_characters(3))
     assert prof["locally_constant"] and prof["lower_semicontinuous"]
@@ -72,7 +72,7 @@ def test_degenerate_family_fails_both(torus31):
 def test_degenerate_scalar_sections_pass_at_t0(torus31):
     fam = fl.degenerate_family(torus31, bound_r=1.0)
     names = fl.scalar_grid_sections(fam)
-    verdict = fl.criterion_iii_check(fam, fam.t0, names, 0.4, 1.0, budget=32, seed=0)
+    verdict = fl.criterion_iii_check(fam, names, 0.4, 1.0, budget=32, seed=0)
     assert verdict.per_label[fam.t0]["passed"]
     others = [t for t in fam.labels if t != fam.t0]
     assert all(not verdict.per_label[t]["passed"] for t in others)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,48 @@ def test_batched_norms(rng):
     assert np.allclose(nm.op_norms(mixed), [nm.op_norm(m) for m in mixed])
     grid = np.stack([diag, diag])                       # (2, 5, 3, 3)
     assert nm.op_norms(grid).shape == (2, 5)
+    # op_dists against a double loop of op_norm: dense, diagonal and mixed
+    # stacks, shapes spanning several row blocks (d = 3) and several column
+    # blocks (d = 16), and an empty side
+    many_diag = np.array([np.diag(rng.standard_normal(3)).astype(complex) for _ in range(60)])
+    many = np.concatenate([many_diag, [nm.random_hermitian(rng, 3) for _ in range(60)]])
+    wide = np.array([nm.random_hermitian(rng, 16) for _ in range(300)])
+    assert len(many) * len(many) * 9 > nm.DIST_BLOCK and len(wide) * 256 > nm.DIST_BLOCK
+    for p, q in ((stack, stack[:4]), (diag, diag[::-1]), (mixed, stack), (diag, mixed),
+                 (many, many), (wide[:3], wide)):
+        loop = [[nm.op_norm(a - b) for b in q] for a in p]
+        assert np.allclose(nm.op_dists(p, q), loop, rtol=1e-13, atol=1e-14)
+    assert nm.op_dists(stack[:0], stack).shape == (0, 7)
+    assert nm.op_dists(stack, stack[:0]).shape == (7, 0)
     qb = nm.quotient_norms(stack)
     qs = [nm.quotient_norm(m) for m in stack]
     assert np.allclose(qb, qs)
+
+
+def test_op_dists_memory_is_blocked(rng):
+    # the dense (200, 200, 16, 16) difference stack would take 164 MB
+    p = np.array([nm.random_hermitian(rng, 16) for _ in range(200)])
+    q = np.array([nm.random_hermitian(rng, 16) for _ in range(200)])
+    tracemalloc.start()
+    try:
+        dists = nm.op_dists(p, q)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert dists.shape == (200, 200)
+    assert peak < 16 * 2 ** 20
+
+
+def test_farthest_first(rng):
+    pts = np.array([nm.random_hermitian(rng, 3) for _ in range(30)])
+    dmat = nm.op_dists(pts, pts)
+    # reference: the greedy insertion spelled out on the full distance table
+    chosen, mind = [], dmat[0].copy()
+    while len(chosen) < 8 and mind.max() > 0.5:
+        k = int(np.argmax(mind))
+        chosen.append(k)
+        mind = np.minimum(mind, dmat[:, k])
+    assert nm.farthest_first(pts, dmat[0], 8, lambda far: far <= 0.5) == chosen
+    assert nm.farthest_first(pts, dmat[0], 0, lambda far: False) == []
+    spread = nm.farthest_first(pts, dmat[0], 30, lambda far: far <= 0.0)
+    assert sorted(spread) == [i for i in range(30) if i != 0]
