@@ -5,7 +5,12 @@ whose unit is the identity matrix) with a :class:`UnitaryAction`; the
 action supplies the translation seminorm, evaluated everywhere through
 one real operator per space that maps traceless-slice coefficients to
 the stack ``(U_x S_k U_x* - S_k) / l(x)`` over the seminorm kernel (only
-its diagonals when every difference is diagonal).  On top of that this
+its diagonals when every difference is diagonal).  A sup over a dense
+kernel is screened by the Hilbert-Schmidt bracket ``|X|_HS / sqrt(d) <=
+|X| <= |X|_HS``: an element whose HS norm is below the largest operator norm
+already solved in its row cannot be the sup, so it is never eigensolved,
+and the value is exact (the net distances of ``numerics.farthest_first``
+use the lower bound the same way).  On top of that this
 module computes the defining balls ``D_r = {a : L(a) <= 1, |a| <= r}``,
 their greedy epsilon-nets with statistical covering certificates, the
 radius (the best constant comparing the quotient norm with the
@@ -198,8 +203,8 @@ class Cqms:
     _op: tuple | None = field(default=None, repr=False)
 
     # elements per matrix product in ``seminorms``: caps the product at
-    # 64 kernel stacks
-    _BLOCK = 64
+    # 32 kernel stacks, plus at most one more for the screened survivors
+    _BLOCK = 32
 
     # -- basic functionals ---------------------------------------------------
 
@@ -256,15 +261,36 @@ class Cqms:
         return self._op
 
     def _coeff_seminorms(self, coeff_rows: np.ndarray) -> np.ndarray:
-        """L of sum_k c_k S_k for each row c of slice coefficients (n, ns)."""
+        """L of sum_k c_k S_k for each row c of slice coefficients (n, ns).
+
+        Dense kernels are screened with ``|X| <= |X|_HS``: per row, the
+        element with the largest HS norm is eigensolved first, and then only
+        the elements with ``|X|_HS * (1 + 1e-9) > best`` can exceed that
+        norm; the rest cannot change the max, so it is exact.  Rows whose
+        best norm is below 1e-150, where squared entries may underflow and
+        the HS norm is not a bound, are solved whole.
+        """
         op, diagonal = self._operator()
         d = self.dim
         out = np.empty(len(coeff_rows))
         for lo in range(0, len(coeff_rows), self._BLOCK):
             flat = coeff_rows[lo:lo + self._BLOCK] @ op
-            if not diagonal:
-                flat = np.linalg.eigvalsh(flat.view(complex).reshape(len(flat), -1, d, d))
-            out[lo:lo + len(flat)] = np.max(np.abs(flat.reshape(len(flat), -1)), axis=1)
+            n = len(flat)
+            if diagonal:
+                out[lo:lo + n] = np.max(np.abs(flat), axis=1)
+                continue
+            parts = flat.reshape(n, -1, 2 * d * d)
+            mats = flat.view(complex).reshape(n, -1, d, d)
+            hs = np.sqrt(np.einsum("rki,rki->rk", parts, parts))
+            top = (np.arange(n), np.argmax(hs, axis=1))
+            best = np.max(np.abs(np.linalg.eigvalsh(mats[top])), axis=1)
+            hs[top] = 0.0                      # solved already
+            rows, cols = np.nonzero((hs * (1.0 + 1e-9) > best[:, None])
+                                    | (best < 1e-150)[:, None])
+            if rows.size:
+                np.maximum.at(best, rows,
+                              np.max(np.abs(np.linalg.eigvalsh(mats[rows, cols])), axis=1))
+            out[lo:lo + n] = best
         return out
 
     # -- ball geometry ---------------------------------------------------------

@@ -11,8 +11,20 @@ small eigenproblems per call.
 
 Distances between stacks go through :func:`op_dists`, which forms the
 differences ``p_i - q_j`` in blocks of at most ``DIST_BLOCK`` = 2**16
-matrix entries, so this module alone bounds their memory and decides when
-the diagonal shortcut of :func:`op_norms` applies.
+matrix entries (diagonal entries when both stacks are diagonal), so this
+module alone bounds their memory and decides, once per call, when the
+diagonal shortcut applies.
+
+Screening.  For a d x d Hermitian X the Hilbert-Schmidt norm brackets the
+operator norm, ``|X|_HS / sqrt(d) <= |X| <= |X|_HS``, and costs one dot
+product where ``|X|`` costs an eigensolve.  :func:`farthest_first` uses the
+lower bound: a point whose HS distance to the new net point, divided by
+sqrt(d), is already at least its current distance to the net cannot have
+that distance lowered, so it is not sent to the eigensolver.  The upper
+bound does the same for seminorm sups in ``cqms``.  Each skip is taken
+with a 1e-9 relative margin, far above the rounding of either norm, and
+each matrix's ``eigvalsh`` result does not depend on the batch around it,
+so screened and unscreened runs give the same bits.
 """
 
 import math
@@ -130,29 +142,62 @@ def op_norms(stack: np.ndarray) -> np.ndarray:
 
 
 def op_dists(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """|p_i - q_j| as a (len(p), len(q)) matrix: :func:`op_norms` over blocks
-    of at most ``DIST_BLOCK`` difference entries (whole rows when one fits)."""
+    """|p_i - q_j| as a (len(p), len(q)) matrix, in blocks of at most
+    ``DIST_BLOCK`` difference entries (whole rows when one fits).  When both
+    stacks are diagonal (:func:`is_diagonal`, decided once per call) only
+    their diagonals are subtracted, d entries per difference; otherwise
+    every difference goes to ``eigvalsh``."""
     p, q = np.asarray(p, dtype=complex), np.asarray(q, dtype=complex)
     out = np.empty((len(p), len(q)))
-    cols = max(1, min(len(q), DIST_BLOCK // p.shape[-1] ** 2))
-    rows = max(1, DIST_BLOCK // (cols * p.shape[-1] ** 2))
+    if out.size == 0:
+        return out
+    diagonal = is_diagonal(p) and is_diagonal(q)
+    if diagonal:
+        p, q = np.diagonal(p, 0, -2, -1), np.diagonal(q, 0, -2, -1)
+    entries = p.shape[-1] if diagonal else p.shape[-1] ** 2
+    cols = max(1, min(len(q), DIST_BLOCK // entries))
+    rows = max(1, DIST_BLOCK // (cols * entries))
     for i in range(0, len(p), rows):
         for j in range(0, len(q), cols):
-            out[i:i + rows, j:j + cols] = op_norms(p[i:i + rows, None] - q[None, j:j + cols])
+            diff = p[i:i + rows, None] - q[None, j:j + cols]
+            if not diagonal:
+                diff = np.linalg.eigvalsh(diff)
+            out[i:i + rows, j:j + cols] = np.max(np.abs(diff), axis=-1)
     return out
 
 
 def farthest_first(points: np.ndarray, dists: np.ndarray, cap: int, stop) -> list:
     """Greedy farthest-point insertion: indices of ``points``, each the
-    farthest from the set so far (``dists``: distances to the starting set),
-    until ``cap`` are added or ``stop(farthest distance)`` holds."""
+    farthest from the set so far (``dists``: distances to the starting set,
+    not modified), until ``cap`` are added or ``stop(farthest distance)``
+    holds.
+
+    A diagonal stack is updated from its (n, d) diagonals.  For a dense
+    stack, a point whose HS distance to the new net point k satisfies
+    ``|p_i - p_k|_HS / sqrt(d) * (1 - 1e-9) >= dists[i]`` has
+    ``|p_i - p_k| >= dists[i]``, so the minimum keeps ``dists[i]`` exactly;
+    only the other points go to :func:`op_dists`.
+    """
+    points = np.asarray(points, dtype=complex)
+    dists = np.array(dists, dtype=float)
+    diagonal = is_diagonal(points)
+    if diagonal:
+        diag = np.diagonal(points, 0, -2, -1)
+    else:
+        flat = realify(points)
+        scale = (1.0 - 1e-9) / math.sqrt(points.shape[-1])
     chosen = []
     while len(chosen) < cap:
         k = int(np.argmax(dists))
         if stop(dists[k]):
             break
         chosen.append(k)
-        dists = np.minimum(dists, op_dists(points, points[k:k + 1])[:, 0])
+        if diagonal:
+            dists = np.minimum(dists, np.max(np.abs(diag - diag[k]), axis=1))
+        else:
+            diff = flat - flat[k]
+            near = np.flatnonzero(np.sqrt(np.einsum("ij,ij->i", diff, diff)) * scale < dists)
+            dists[near] = np.minimum(dists[near], op_dists(points[near], points[k:k + 1])[:, 0])
     return chosen
 
 

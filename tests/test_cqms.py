@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -236,3 +237,56 @@ def test_smoothed_seminorm_gradient(name):
                     - obj._smoothed_seminorm(c - h * e, tau)[0]) / (2 * h)
                    for e in np.eye(ns)])
     assert np.allclose(grad, fd, rtol=1e-6, atol=1e-7)
+
+
+def _kernel_sups(obj, stack):
+    """max |eigvalsh| over the whole seminorm kernel, row by row, from the
+    same block products as ``Cqms.seminorms``: the unscreened sup."""
+    op, diagonal = obj._operator()
+    assert not diagonal
+    rows = nm.realify(stack) @ nm.realify(obj.space.ortho[1:]).T
+    out = []
+    for lo in range(0, len(rows), obj._BLOCK):
+        flat = rows[lo:lo + obj._BLOCK] @ op
+        mats = flat.view(complex).reshape(len(flat), -1, obj.dim, obj.dim)
+        out.append(np.max(np.abs(np.linalg.eigvalsh(mats)), axis=(1, 2)))
+    return np.concatenate(out)
+
+
+@pytest.mark.parametrize("name", ["sphere2", "torus31"])
+def test_seminorm_screen_is_exact(name, monkeypatch):
+    # the HS screen skips only eigensolves that cannot reach the sup, so the
+    # values are bitwise those of the whole kernel, over several blocks
+    obj = {"sphere2": lambda: ex.fuzzy_sphere(2),
+           "torus31": lambda: ex.fuzzy_torus(3, 1)}[name]()
+    rng = np.random.default_rng(7)
+    n = 2 * obj._BLOCK + 5
+    stack = np.array([obj.space.random_element(rng) for _ in range(n)])
+    stack[:3] *= 1e-6
+    brute = _kernel_sups(obj, stack)
+    solved = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a):
+        solved.append(int(np.prod(np.shape(a)[:-2])))
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    assert np.array_equal(obj.seminorms(stack), brute)
+    if name == "sphere2":
+        assert sum(solved) < n * len(obj.action.seminorm_kernel()[0])
+
+
+def test_seminorm_screen_memory():
+    obj = ex.fuzzy_sphere(3)
+    rng = np.random.default_rng(3)
+    stack = obj.space.elements(np.concatenate(
+        [np.zeros((200, 1)), rng.standard_normal((200, obj.space.real_dim - 1))], axis=1))
+    obj.seminorm(stack[0])                     # builds the operator
+    tracemalloc.start()
+    try:
+        obj.seminorms(stack)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2 ** 20

@@ -129,29 +129,73 @@ def test_batched_norms(rng):
 
 
 def test_op_dists_memory_is_blocked(rng):
-    # the dense (200, 200, 16, 16) difference stack would take 164 MB
+    # the dense (200, 200, 16, 16) difference stack would take 164 MB; the
+    # diagonal stacks are blocked by their d diagonal entries per difference
     p = np.array([nm.random_hermitian(rng, 16) for _ in range(200)])
     q = np.array([nm.random_hermitian(rng, 16) for _ in range(200)])
-    tracemalloc.start()
-    try:
-        dists = nm.op_dists(p, q)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert dists.shape == (200, 200)
-    assert peak < 16 * 2 ** 20
+    dp = np.array([np.diag(rng.standard_normal(16)).astype(complex) for _ in range(200)])
+    dq = np.array([np.diag(rng.standard_normal(16)).astype(complex) for _ in range(200)])
+    for a, b in ((p, q), (dp, dq)):
+        tracemalloc.start()
+        try:
+            dists = nm.op_dists(a, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert dists.shape == (200, 200)
+        assert peak < 16 * 2 ** 20
+
+
+def test_op_dists_diagonal_formula(rng):
+    p = np.array([np.diag(rng.standard_normal(16)).astype(complex) for _ in range(40)])
+    q = np.array([np.diag(rng.standard_normal(16)).astype(complex) for _ in range(30)])
+    diff = np.diagonal(p, 0, 1, 2)[:, None] - np.diagonal(q, 0, 1, 2)[None]
+    assert np.array_equal(nm.op_dists(p, q), np.max(np.abs(diff), axis=-1))
+
+
+def _greedy_reference(dmat, cap, stop):
+    """The greedy insertion spelled out on the full distance table, from
+    the starting set {point 0}."""
+    chosen, mind = [], dmat[0].copy()
+    while len(chosen) < cap and not stop(mind.max()):
+        k = int(np.argmax(mind))
+        chosen.append(k)
+        mind = np.minimum(mind, dmat[:, k])
+    return chosen
 
 
 def test_farthest_first(rng):
     pts = np.array([nm.random_hermitian(rng, 3) for _ in range(30)])
     dmat = nm.op_dists(pts, pts)
-    # reference: the greedy insertion spelled out on the full distance table
-    chosen, mind = [], dmat[0].copy()
-    while len(chosen) < 8 and mind.max() > 0.5:
-        k = int(np.argmax(mind))
-        chosen.append(k)
-        mind = np.minimum(mind, dmat[:, k])
-    assert nm.farthest_first(pts, dmat[0], 8, lambda far: far <= 0.5) == chosen
+    start = dmat[0].copy()
+    chosen = _greedy_reference(dmat, 8, lambda far: far <= 0.5)
+    assert nm.farthest_first(pts, start, 8, lambda far: far <= 0.5) == chosen
+    assert np.array_equal(start, dmat[0])            # the caller's dists are not modified
     assert nm.farthest_first(pts, dmat[0], 0, lambda far: False) == []
     spread = nm.farthest_first(pts, dmat[0], 30, lambda far: far <= 0.0)
     assert sorted(spread) == [i for i in range(30) if i != 0]
+    # a dense d = 5 stack, screened by the HS lower bound, and a diagonal
+    # d = 16 stack, updated from its diagonals: the same indices as the table
+    dense = np.array([nm.random_hermitian(rng, 5) for _ in range(320)])
+    diag = np.array([np.diag(rng.standard_normal(16)).astype(complex) for _ in range(120)])
+    for stack, cap, stop in ((dense, 120, lambda far: far <= 1.0),
+                             (diag, 60, lambda far: far <= 0.5)):
+        dmat = nm.op_dists(stack, stack)
+        assert nm.farthest_first(stack, dmat[0], cap, stop) == _greedy_reference(dmat, cap, stop)
+
+
+def test_farthest_first_screens_dense_points(rng, monkeypatch):
+    dense = np.array([nm.random_hermitian(rng, 5) for _ in range(320)])
+    start = nm.op_dists(dense, dense[:1])[:, 0]
+    sent = []
+    op_dists = nm.op_dists
+
+    def counting(p, q):
+        sent.append(len(p))
+        return op_dists(p, q)
+
+    monkeypatch.setattr(nm, "op_dists", counting)
+    chosen = nm.farthest_first(dense, start, 120, lambda far: far <= 1.0)
+    assert len(sent) == len(chosen) > 10
+    assert max(sent) < len(dense)
+    assert sum(sent) < 0.75 * len(dense) * len(sent)
