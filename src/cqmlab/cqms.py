@@ -5,16 +5,26 @@ whose unit is the identity matrix) with a :class:`UnitaryAction`; the
 action supplies the translation seminorm, evaluated everywhere through
 one real operator per space that maps traceless-slice coefficients to
 the stack ``(U_x S_k U_x* - S_k) / l(x)`` over the seminorm kernel (only
-its diagonals when every difference is diagonal).  A sup over a dense
-kernel is screened by the Hilbert-Schmidt bracket ``|X|_HS / sqrt(d) <=
-|X| <= |X|_HS``: an element whose HS norm is below the largest operator norm
-already solved in its row cannot be the sup, so it is never eigensolved,
-and the value is exact (the net distances of ``numerics.farthest_first``
-use the lower bound the same way).  On top of that this
-module computes the defining balls ``D_r = {a : L(a) <= 1, |a| <= r}``,
-their greedy epsilon-nets with statistical covering certificates, the
-radius (the best constant comparing the quotient norm with the
-seminorm), and the dual metric on states.
+its diagonals when every difference is diagonal).
+
+Screening.  Every difference X = (U_x a U_x* - a) / l(x) is traceless, so
+``|X| <= sqrt((d-1)/d) |X|_HS`` (``numerics.traceless_scale``), and the HS
+norm is one dot product where ``|X|`` is an eigensolve.  A sup over a dense
+kernel never eigensolves an element whose bound is below the largest
+operator norm already solved in its row, so the value is exact.  The
+smoothed seminorm (a log-sum-exp at temperature tau) skips an element when
+its bound lies ``cut * tau`` below a floor under the top eigenvalue, the
+largest row norm ``|X e_j| <= |X|`` over the kernel, with ``cut = 37 +
+log(2 d K)`` for a kernel of K elements: its softmax weights are below
+``e^-cut`` of the top weight, all skipped weights together below
+``e^-37``, so the smoothed value moves by less than ``tau * 2^-53``.  (The
+net distances of ``numerics`` use the lower bound ``|X|_HS / sqrt(d) <=
+|X|`` the same way.)
+
+On top of the seminorm this module computes the defining balls
+``D_r = {a : L(a) <= 1, |a| <= r}``, their greedy epsilon-nets with
+statistical covering certificates, the radius (the best constant comparing
+the quotient norm with the seminorm), and the dual metric on states.
 
 The optimization workhorse is a support-function solver: maximizing a
 linear functional over {L <= 1} is recast as convex minimization of L
@@ -26,6 +36,7 @@ witnesses of the quotient norm; both quantities carry the quadrature
 mean of the length function as an exact upper bracket.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -263,15 +274,17 @@ class Cqms:
     def _coeff_seminorms(self, coeff_rows: np.ndarray) -> np.ndarray:
         """L of sum_k c_k S_k for each row c of slice coefficients (n, ns).
 
-        Dense kernels are screened with ``|X| <= |X|_HS``: per row, the
+        Dense kernels are screened with ``|X| <= sqrt((d-1)/d) |X|_HS``, which
+        holds because every kernel difference X is traceless: per row, the
         element with the largest HS norm is eigensolved first, and then only
-        the elements with ``|X|_HS * (1 + 1e-9) > best`` can exceed that
-        norm; the rest cannot change the max, so it is exact.  Rows whose
-        best norm is below 1e-150, where squared entries may underflow and
-        the HS norm is not a bound, are solved whole.
+        the elements with ``|X|_HS * sqrt((d-1)/d) * (1 + 1e-9) > best`` can
+        exceed that norm; the rest cannot change the max, so it is exact.
+        Rows whose best norm is below 1e-150, where squared entries may
+        underflow and the HS norm is not a bound, are solved whole.
         """
         op, diagonal = self._operator()
         d = self.dim
+        scale = nm.traceless_scale(d) * (1.0 + 1e-9)
         out = np.empty(len(coeff_rows))
         for lo in range(0, len(coeff_rows), self._BLOCK):
             flat = coeff_rows[lo:lo + self._BLOCK] @ op
@@ -285,7 +298,7 @@ class Cqms:
             top = (np.arange(n), np.argmax(hs, axis=1))
             best = np.max(np.abs(np.linalg.eigvalsh(mats[top])), axis=1)
             hs[top] = 0.0                      # solved already
-            rows, cols = np.nonzero((hs * (1.0 + 1e-9) > best[:, None])
+            rows, cols = np.nonzero((hs * scale > best[:, None])
                                     | (best < 1e-150)[:, None])
             if rows.size:
                 np.maximum.at(best, rows,
@@ -389,7 +402,7 @@ class Cqms:
         pts = np.concatenate([zero, cands[chosen]])
 
         probes = self._random_points(np.random.default_rng(seed + 1), budget, r)
-        cert = float(np.max(np.min(nm.op_dists(pts, probes), axis=0), initial=0.0))
+        cert = nm.covering_radius(pts, probes)
         net = BallNet(r, epsilon, pts, cert, cert <= epsilon, seed + 1, budget)
         self.net_cache.setdefault(key, net)
         return net
@@ -401,9 +414,19 @@ class Cqms:
         log-sum-exp over the signed eigenvalues of every scaled difference.
 
         The gradient is sum_x Re tr(W_x D_x,k) with W_x the eigenvector
-        matrices weighted by the softmax, i.e. ``op @ W.view(float)``;
-        eigenvectors are computed only for kernel elements whose weight
-        did not underflow.
+        matrices weighted by the softmax, i.e. ``op @ W.view(float)``.
+
+        A dense kernel is screened before its one ``eigh`` call.  Every
+        difference D_x is traceless, so ``max |lambda(D_x)| <= bound_x =
+        sqrt((d-1)/d) |D_x|_HS`` (taken with a 1e-9 margin); the largest row
+        norm ``|D_x e_j|`` over the kernel is a floor under the top
+        eigenvalue zmax.  An element with ``bound_x <= floor - cut * tau``,
+        ``cut = 37 + log(2 d K)`` for a kernel of K elements, has each of its
+        2d softmax weights below ``e^-cut`` of the top one, all skipped
+        weights together below ``e^-37``, so L_tau moves by less than
+        ``tau * 2^-53`` and each skipped gradient coefficient is below
+        1e-16; it is not eigensolved.  (Below a floor of 1e-150, where
+        squared entries may underflow, the whole kernel is solved.)
         """
         op, diagonal = self._operator()
         flat = c @ op
@@ -412,7 +435,15 @@ class Cqms:
             vals = flat.reshape(-1, d)
         else:
             diffs = flat.view(complex).reshape(-1, d, d)
-            vals = np.linalg.eigvalsh(diffs)
+            rows = flat.reshape(len(diffs), d, 2 * d)
+            norms = np.einsum("kij,kij->ki", rows, rows)      # squared row norms
+            floor = math.sqrt(float(np.max(norms)))
+            cut = 37.0 + math.log(2 * d * len(diffs))
+            limit = (floor - cut * tau) / (nm.traceless_scale(d) * (1.0 + 1e-9))
+            keep = slice(None)
+            if limit > 0.0 and floor >= 1e-150:
+                keep = np.flatnonzero(np.sum(norms, axis=1) > limit * limit)
+            vals, v = np.linalg.eigh(diffs[keep])
         z = np.concatenate([vals, -vals], axis=0)
         zmax = float(np.max(z))
         wts = np.exp((z - zmax) / tau)
@@ -423,10 +454,7 @@ class Cqms:
         if diagonal:
             return val, op @ coef.ravel()
         wmat = np.zeros_like(diffs)
-        active = np.flatnonzero(np.max(np.abs(coef), axis=1) > 1e-12)
-        if active.size:
-            _, v = np.linalg.eigh(diffs[active])
-            wmat[active] = (v * coef[active][:, None, :]) @ np.swapaxes(v.conj(), 1, 2)
+        wmat[keep] = (v * coef[:, None, :]) @ np.swapaxes(v.conj(), 1, 2)
         return val, op @ wmat.reshape(-1).view(float)
 
     _LADDERS = {

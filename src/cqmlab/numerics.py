@@ -21,7 +21,12 @@ product where ``|X|`` costs an eigensolve.  :func:`farthest_first` uses the
 lower bound: a point whose HS distance to the new net point, divided by
 sqrt(d), is already at least its current distance to the net cannot have
 that distance lowered, so it is not sent to the eigensolver.  The upper
-bound does the same for seminorm sups in ``cqms``.  Each skip is taken
+bound (tightened to ``sqrt((d-1)/d) |X|_HS`` for traceless X) does the same
+for seminorm sups in ``cqms``.  :func:`covering_radius` (the largest
+distance from a probe to its nearest point) uses both: a probe whose
+smallest HS distance is at most the largest distance found so far cannot
+raise it, and for the other probes only points whose lower bound is below
+the nearest distance so far are eigensolved.  Each skip is taken
 with a 1e-9 relative margin, far above the rounding of either norm, and
 each matrix's ``eigvalsh`` result does not depend on the batch around it,
 so screened and unscreened runs give the same bits.
@@ -201,6 +206,43 @@ def farthest_first(points: np.ndarray, dists: np.ndarray, cap: int, stop) -> lis
     return chosen
 
 
+def covering_radius(points: np.ndarray, probes: np.ndarray) -> float:
+    """max_j min_i |points_i - probes_j|, 0.0 when there are no probes: the
+    same number as ``np.max(np.min(op_dists(points, probes), axis=0),
+    initial=0.0)``, bit for bit.
+
+    When both stacks are diagonal that is what is computed.  Otherwise the
+    HS norm screens each probe: if its smallest HS distance to the points,
+    times 1 + 1e-9, is at most the running max, its nearest operator
+    distance (at most that HS distance) cannot raise the max.  Else the
+    point with the smallest HS distance is eigensolved first, and then only
+    points with ``hs / sqrt(d) * (1 - 1e-9)`` below the nearest distance so
+    far, because the others are at least that far.
+    """
+    points, probes = np.asarray(points, dtype=complex), np.asarray(probes, dtype=complex)
+    if len(probes) == 0:
+        return 0.0
+    if is_diagonal(points) and is_diagonal(probes):
+        return float(np.max(np.min(op_dists(points, probes), axis=0)))
+    flat = realify(points)
+    scale = (1.0 - 1e-9) / math.sqrt(points.shape[-1])
+    worst = 0.0
+    for q, row in zip(probes, realify(probes)):
+        diff = flat - row
+        hs = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        i = int(np.argmin(hs))
+        if hs[i] * (1.0 + 1e-9) <= worst:
+            continue
+        nearest = float(np.max(np.abs(np.linalg.eigvalsh(points[i] - q))))
+        hs[i] = np.inf                         # solved already
+        near = np.flatnonzero(hs * scale < nearest)
+        if near.size:
+            nearest = min(nearest, float(np.min(np.max(
+                np.abs(np.linalg.eigvalsh(points[near] - q)), axis=-1))))
+        worst = max(worst, nearest)
+    return worst
+
+
 def quotient_norm(a: np.ndarray) -> float:
     """Distance from ``a`` to the real multiples of the identity.
 
@@ -239,6 +281,14 @@ def realify(mats: np.ndarray) -> np.ndarray:
     m = np.asarray(mats, dtype=complex)
     m = m.reshape(m.shape[0], math.prod(m.shape[1:]))
     return np.concatenate([m.real, m.imag], axis=1)
+
+
+def traceless_scale(d: int) -> float:
+    """sqrt((d-1)/d): a traceless Hermitian d x d X has ``|X| <=
+    traceless_scale(d) * |X|_HS``, with equality for diag(d-1, -1, ..., -1).
+    (Its eigenvalues sum to 0, so if one is t the other d - 1 sum to -t and
+    ``|X|_HS^2 >= t^2 + t^2 / (d - 1)``.)"""
+    return math.sqrt((d - 1) / d)
 
 
 def hs_norm(a: np.ndarray) -> float:

@@ -218,7 +218,8 @@ def test_state_diameter_cycle(cycle12):
 @pytest.mark.parametrize("name", ["cycle12", "torus3", "sphere1"])
 def test_smoothed_seminorm_gradient(name):
     # analytic gradient of the smoothed seminorm against central differences,
-    # on the diagonal operator (cycle) and the general one (torus, sphere)
+    # on the diagonal operator (cycle) and the general one (torus, sphere);
+    # at tau = 0.001 L the negligible-weight screen skips kernel elements
     obj = {"cycle12": lambda: ex.commutative_cycle(12),
            "torus3": lambda: ex.fuzzy_torus(3, 1),
            "sphere1": lambda: ex.fuzzy_sphere(1)}[name]()
@@ -227,16 +228,68 @@ def test_smoothed_seminorm_gradient(name):
     ns = obj.space.real_dim - 1
     c = rng.standard_normal(ns)
     exact = obj.seminorm(obj.space.element(np.concatenate([[0.0], c])))
-    tau = 0.1 * exact
-    val, grad = obj._smoothed_seminorm(c, tau)
-    # log-sum-exp sits between the max and the max plus tau log(#terms)
-    terms = 2 * len(obj.action.seminorm_kernel()[0]) * obj.dim
-    assert exact - 1e-12 <= val <= exact + tau * np.log(terms) + 1e-12
-    h = 1e-6
-    fd = np.array([(obj._smoothed_seminorm(c + h * e, tau)[0]
-                    - obj._smoothed_seminorm(c - h * e, tau)[0]) / (2 * h)
-                   for e in np.eye(ns)])
-    assert np.allclose(grad, fd, rtol=1e-6, atol=1e-7)
+    for tau in (0.1 * exact, 0.001 * exact):
+        val, grad = obj._smoothed_seminorm(c, tau)
+        # log-sum-exp sits between the max and the max plus tau log(#terms)
+        terms = 2 * len(obj.action.seminorm_kernel()[0]) * obj.dim
+        assert exact - 1e-12 <= val <= exact + tau * np.log(terms) + 1e-12
+        h = 1e-6
+        fd = np.array([(obj._smoothed_seminorm(c + h * e, tau)[0]
+                        - obj._smoothed_seminorm(c - h * e, tau)[0]) / (2 * h)
+                       for e in np.eye(ns)])
+        assert np.allclose(grad, fd, rtol=1e-6, atol=1e-7)
+
+
+def _lse_reference(obj, c, tau):
+    """The smoothed seminorm and its gradient with no screen: ``eigh`` over
+    the whole kernel, log-sum-exp over every signed eigenvalue."""
+    op, _ = obj._operator()
+    diffs = (c @ op).view(complex).reshape(-1, obj.dim, obj.dim)
+    vals, v = np.linalg.eigh(diffs)
+    z = np.concatenate([vals, -vals])
+    zmax = np.max(z)
+    wts = np.exp((z - zmax) / tau)
+    val = zmax + tau * np.log(np.sum(wts))
+    wts /= np.sum(wts)
+    coef = wts[:len(vals)] - wts[len(vals):]
+    wmat = (v * coef[:, None, :]) @ np.swapaxes(v.conj(), 1, 2)
+    return val, op @ wmat.reshape(-1).view(float)
+
+
+@pytest.mark.parametrize("name", ["sphere2", "sphere3", "torus51"])
+def test_smoothed_seminorm_screen_is_negligible(name, monkeypatch):
+    # the skipped softmax weights sum to below e^-37 of the top one, so the
+    # value and gradient are those of the unscreened log-sum-exp; at small
+    # tau the sphere eigensolves only part of its kernel, and no call
+    # solves the whole kernel's eigenvalues first
+    obj = {"sphere2": lambda: ex.fuzzy_sphere(2),
+           "sphere3": lambda: ex.fuzzy_sphere(3),
+           "torus51": lambda: ex.fuzzy_torus(5, 1)}[name]()
+    kernel = len(obj.action.seminorm_kernel()[0])
+    rng = np.random.default_rng(23)
+    c = rng.standard_normal(obj.space.real_dim - 1)
+    exact = obj._coeff_seminorms(c[None])[0]
+    counts = {"eigh": [], "eigvalsh": []}
+    for kind in counts:
+        solver = getattr(np.linalg, kind)
+
+        def counting(a, *args, _solver=solver, _seen=counts[kind]):
+            _seen.append(int(np.prod(np.shape(a)[:-2])))
+            return _solver(a, *args)
+
+        monkeypatch.setattr(np.linalg, kind, counting)
+    for factor in (0.3, 0.01, 0.001):
+        tau = factor * exact
+        for seen in counts.values():
+            seen.clear()
+        val, grad = obj._smoothed_seminorm(c, tau)
+        solved = list(counts["eigh"])
+        assert not any(n >= kernel for n in counts["eigvalsh"])
+        ref_val, ref_grad = _lse_reference(obj, c, tau)
+        assert abs(val - ref_val) <= 1e-13 * (1.0 + abs(ref_val))
+        assert np.linalg.norm(grad - ref_grad) <= 1e-9 * np.linalg.norm(ref_grad)
+        if factor == 0.001 and name.startswith("sphere"):
+            assert sum(solved) < kernel
 
 
 def _kernel_sups(obj, stack):

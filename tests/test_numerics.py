@@ -199,3 +199,46 @@ def test_farthest_first_screens_dense_points(rng, monkeypatch):
     assert len(sent) == len(chosen) > 10
     assert max(sent) < len(dense)
     assert sum(sent) < 0.75 * len(dense) * len(sent)
+
+
+def test_traceless_bound(rng):
+    # |X| <= sqrt((d-1)/d) |X|_HS on traceless Hermitian stacks, with
+    # equality at diag(d-1, -1, ..., -1)
+    for d in range(2, 8):
+        stack = np.array([nm.random_hermitian(rng, d) for _ in range(200)])
+        stack -= (np.trace(stack, axis1=1, axis2=2) / d)[:, None, None] * np.eye(d)
+        hs = np.sqrt(np.einsum("nab,nab->n", stack.conj(), stack).real)
+        assert np.all(nm.op_norms(stack) <= nm.traceless_scale(d) * hs * (1.0 + 1e-12))
+        assert nm.traceless_scale(d) < 1.0
+        extreme = np.diag([d - 1.0] + [-1.0] * (d - 1)).astype(complex)
+        assert nm.op_norm(extreme) == pytest.approx(
+            nm.traceless_scale(d) * nm.hs_norm(extreme), rel=1e-14)
+
+
+def test_covering_radius(rng, monkeypatch):
+    # bitwise the max over probes of the nearest distance from the full
+    # table, on dense, diagonal, mixed and empty inputs; dense probes
+    # eigensolve fewer differences than the table
+    def table(p, q):
+        return np.max(np.min(nm.op_dists(p, q), axis=0), initial=0.0)
+
+    dense = np.array([nm.random_hermitian(rng, 4) for _ in range(150)])
+    probes = np.array([nm.random_hermitian(rng, 4) for _ in range(60)])
+    diag = np.array([np.diag(rng.standard_normal(6)).astype(complex) for _ in range(80)])
+    dprobes = np.array([np.diag(rng.standard_normal(6)).astype(complex) for _ in range(40)])
+    cases = ((dense, probes), (dense, 0.3 * probes), (dense, dense[:20]), (diag, dprobes),
+             (diag, dprobes + nm.random_hermitian(rng, 6)), (dense, probes[:0]),
+             (diag, dprobes[:0]), (dense[:1], probes))
+    for p, q in cases:
+        assert nm.covering_radius(p, q) == table(p, q)
+    assert nm.covering_radius(dense, probes[:0]) == 0.0
+    solved = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a):
+        solved.append(int(np.prod(np.shape(a)[:-2])))
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    nm.covering_radius(dense, probes)
+    assert sum(solved) < 0.5 * len(dense) * len(probes)
