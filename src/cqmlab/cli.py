@@ -458,47 +458,59 @@ def _single_job_doc(args, example_specs, job) -> dict:
         "seed": args.seed,
         "eps_net": args.eps_net,
         "budget": args.budget,
-        "audit_policy": "warn" if getattr(args, "audit_warn_only", False) else "fail",
+        "audit_policy": "warn" if args.audit_warn_only else "fail",
         "examples": example_specs,
         "jobs": [job],
     }
 
 
+def _flag_parser(defaults: bool) -> argparse.ArgumentParser:
+    """The flags every command takes, before or after the command name.  The
+    copy after the name has no defaults (``SUPPRESS``), so that it never
+    overwrites a value given before the name."""
+    def default(value):
+        return value if defaults else argparse.SUPPRESS
+
+    p = argparse.ArgumentParser(add_help=False)
+    p.add_argument("--seed", type=int, default=default(0))
+    p.add_argument("--eps-net", dest="eps_net", type=float, default=default(0.3))
+    p.add_argument("--budget", type=int, default=default(48))
+    p.add_argument("--grid", default=default(None),
+                   help="SU(2) grid override, e.g. 12x12x12")
+    p.add_argument("--out", default=default("reports"))
+    p.add_argument("--format", choices=("json", "csv"), default=default("json"))
+    p.add_argument("--audit-warn-only", action="store_true", default=default(False))
+    return p
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        prog="cqmlab",
+        prog="cqmlab", parents=[_flag_parser(True)],
         description="quantum metric space laboratory: certified distance "
                     "bounds, radii, multiplicities, family studies")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--eps-net", dest="eps_net", type=float, default=0.3)
-    parser.add_argument("--budget", type=int, default=48)
-    parser.add_argument("--grid", default=None,
-                        help="SU(2) grid override, e.g. 12x12x12")
-    parser.add_argument("--out", default="reports")
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_argument("--audit-warn-only", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
+    flags = [_flag_parser(False)]
 
-    p = sub.add_parser("example", help="construct an example, report its shape")
+    p = sub.add_parser("example", parents=flags, help="construct an example, report its shape")
     p.add_argument("descriptor")
-    p = sub.add_parser("radius", help="radius estimate and its quadrature bound")
+    p = sub.add_parser("radius", parents=flags, help="radius estimate and its quadrature bound")
     p.add_argument("descriptor")
     p.add_argument("--diameter", action="store_true")
-    p = sub.add_parser("mult", help="multiplicity table of an example")
+    p = sub.add_parser("mult", parents=flags, help="multiplicity table of an example")
     p.add_argument("descriptor")
-    p = sub.add_parser("dist", help="distance bounds for a pair")
+    p = sub.add_parser("dist", parents=flags, help="distance bounds for a pair")
     p.add_argument("a")
     p.add_argument("b")
     p.add_argument("--phi", default="identity",
                    choices=sorted(_PHI_RULES))
     p.add_argument("--R", type=float, default=None)
-    p = sub.add_parser("audit", help="full bound set + consistency audit")
+    p = sub.add_parser("audit", parents=flags, help="full bound set + consistency audit")
     p.add_argument("a")
     p.add_argument("b")
     p.add_argument("--phi", default="identity", choices=sorted(_PHI_RULES))
-    p = sub.add_parser("family", help="family study from an inline spec")
+    p = sub.add_parser("family", parents=flags, help="family study from an inline spec")
     p.add_argument("spec", help="JSON object for the family job")
-    p = sub.add_parser("run", help="run a scenario file")
+    p = sub.add_parser("run", parents=flags, help="run a scenario file")
     p.add_argument("scenario")
 
     args = parser.parse_args(argv)

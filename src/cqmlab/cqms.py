@@ -11,15 +11,9 @@ Screening.  Every difference X = (U_x a U_x* - a) / l(x) is traceless, so
 ``|X| <= sqrt((d-1)/d) |X|_HS`` (``numerics.traceless_scale``), and the HS
 norm is one dot product where ``|X|`` is an eigensolve.  A sup over a dense
 kernel never eigensolves an element whose bound is below the largest
-operator norm already solved in its row, so the value is exact.  The
-smoothed seminorm (a log-sum-exp at temperature tau) skips an element when
-its bound lies ``cut * tau`` below a floor under the top eigenvalue, the
-largest row norm ``|X e_j| <= |X|`` over the kernel, with ``cut = 37 +
-log(2 d K)`` for a kernel of K elements: its softmax weights are below
-``e^-cut`` of the top weight, all skipped weights together below
-``e^-37``, so the smoothed value moves by less than ``tau * 2^-53``.  (The
-net distances of ``numerics`` use the lower bound ``|X|_HS / sqrt(d) <=
-|X|`` the same way.)
+operator norm already solved in its row, so the value is exact.  (The net
+distances of ``numerics`` use the lower bound ``|X|_HS / sqrt(d) <= |X|``
+the same way.)
 
 On top of the seminorm this module computes the defining balls
 ``D_r = {a : L(a) <= 1, |a| <= r}``, their greedy epsilon-nets with
@@ -29,14 +23,18 @@ the quotient norm with the seminorm), and the dual metric on states.
 The optimization workhorse is a support-function solver: maximizing a
 linear functional over {L <= 1} is recast as convex minimization of L
 on an affine slice, solved by L-BFGS on a log-sum-exp smoothing of the
-seminorm with a decreasing temperature schedule.  Values returned are
-honest lower bounds (the final iterate is rescaled by its true, not
-smoothed, seminorm).  The radius alternates this solver with extreme
-witnesses of the quotient norm; both quantities carry the quadrature
-mean of the length function as an exact upper bracket.
+seminorm with a decreasing temperature schedule.  The smoothing runs on a
+working kernel: the ``WORKING_SEED`` elements largest at the starting
+point (the whole kernel when it is no larger).  After each solve every
+kernel element is evaluated at the result; those whose norm is at least
+``WORKING_ADD`` times the full-kernel max join the working kernel, and the
+solve is repeated, warm-started, until none join.  Values returned are
+honest lower bounds (the final iterate is rescaled by its true
+full-kernel, not smoothed, seminorm).  The radius alternates this solver
+with extreme witnesses of the quotient norm; both quantities carry the
+quadrature mean of the length function as an exact upper bracket.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,6 +43,12 @@ from scipy.optimize import minimize
 
 from . import group_action as ga
 from . import numerics as nm
+
+# support solves smooth over a working kernel seeded with this many elements
+# (all of a kernel with no more), and admit the elements outside it whose
+# norm at the solve's result is at least WORKING_ADD times the kernel max
+WORKING_SEED = 48
+WORKING_ADD = 0.98
 
 
 class NonLipError(Exception):
@@ -409,41 +413,22 @@ class Cqms:
 
     # -- support-function solver ----------------------------------------------
 
-    def _smoothed_seminorm(self, c: np.ndarray, tau: float):
+    def _smoothed_seminorm(self, c: np.ndarray, tau: float, op: np.ndarray):
         """(L_tau, dL_tau/dc) for a = sum c_k S_k over the traceless slice:
-        log-sum-exp over the signed eigenvalues of every scaled difference.
+        log-sum-exp over the signed eigenvalues of every scaled difference
+        of ``op``, a column slice of ``_operator()`` (a working kernel).
 
         The gradient is sum_x Re tr(W_x D_x,k) with W_x the eigenvector
         matrices weighted by the softmax, i.e. ``op @ W.view(float)``.
-
-        A dense kernel is screened before its one ``eigh`` call.  Every
-        difference D_x is traceless, so ``max |lambda(D_x)| <= bound_x =
-        sqrt((d-1)/d) |D_x|_HS`` (taken with a 1e-9 margin); the largest row
-        norm ``|D_x e_j|`` over the kernel is a floor under the top
-        eigenvalue zmax.  An element with ``bound_x <= floor - cut * tau``,
-        ``cut = 37 + log(2 d K)`` for a kernel of K elements, has each of its
-        2d softmax weights below ``e^-cut`` of the top one, all skipped
-        weights together below ``e^-37``, so L_tau moves by less than
-        ``tau * 2^-53`` and each skipped gradient coefficient is below
-        1e-16; it is not eigensolved.  (Below a floor of 1e-150, where
-        squared entries may underflow, the whole kernel is solved.)
         """
-        op, diagonal = self._operator()
+        diagonal = self._operator()[1]
         flat = c @ op
         d = self.dim
         if diagonal:
             vals = flat.reshape(-1, d)
         else:
             diffs = flat.view(complex).reshape(-1, d, d)
-            rows = flat.reshape(len(diffs), d, 2 * d)
-            norms = np.einsum("kij,kij->ki", rows, rows)      # squared row norms
-            floor = math.sqrt(float(np.max(norms)))
-            cut = 37.0 + math.log(2 * d * len(diffs))
-            limit = (floor - cut * tau) / (nm.traceless_scale(d) * (1.0 + 1e-9))
-            keep = slice(None)
-            if limit > 0.0 and floor >= 1e-150:
-                keep = np.flatnonzero(np.sum(norms, axis=1) > limit * limit)
-            vals, v = np.linalg.eigh(diffs[keep])
+            vals, v = np.linalg.eigh(diffs)
         z = np.concatenate([vals, -vals], axis=0)
         zmax = float(np.max(z))
         wts = np.exp((z - zmax) / tau)
@@ -453,9 +438,17 @@ class Cqms:
         coef = wts[: len(vals)] - wts[len(vals):]
         if diagonal:
             return val, op @ coef.ravel()
-        wmat = np.zeros_like(diffs)
-        wmat[keep] = (v * coef[:, None, :]) @ np.swapaxes(v.conj(), 1, 2)
+        wmat = (v * coef[:, None, :]) @ np.swapaxes(v.conj(), 1, 2)
         return val, op @ wmat.reshape(-1).view(float)
+
+    def _kernel_norms(self, c: np.ndarray) -> np.ndarray:
+        """|alpha_x(a) - a| / l(x) for every kernel element x, a = sum c_k S_k."""
+        op, diagonal = self._operator()
+        flat = c @ op
+        d = self.dim
+        if diagonal:
+            return np.max(np.abs(flat.reshape(-1, d)), axis=1)
+        return np.max(np.abs(np.linalg.eigvalsh(flat.view(complex).reshape(-1, d, d))), axis=1)
 
     _LADDERS = {
         "fine": ((0.3, 0.1, 0.03, 0.01, 0.003, 0.001), 120),
@@ -467,9 +460,14 @@ class Cqms:
 
         Convex reformulation: minimize L on the affine set <g, a> = 1,
         smoothed by log-sum-exp with a temperature ladder rescaled to the
-        current seminorm at each stage; the final iterate is rescaled by
-        its exact seminorm, so the returned value is a guaranteed lower
-        bound of the support function.
+        current seminorm at each stage.  The ladder sees only a working
+        kernel W: the ``WORKING_SEED`` elements largest at the starting
+        point, or the whole kernel when it has no more elements.  After a
+        ladder every kernel element is evaluated at the result, the
+        elements outside W at least ``WORKING_ADD`` times the max join W, and
+        the ladder is run again from the result until none join.  The final
+        iterate is rescaled by its exact full-kernel seminorm, so the
+        returned value is a guaranteed lower bound of the support function.
         """
         slice_ortho = self.space.ortho[1:]
         ns = slice_ortho.shape[0]
@@ -481,21 +479,34 @@ class Cqms:
             return 0.0, np.zeros((self.dim, self.dim), dtype=complex)
         c0 = gs / gn ** 2
         nmat = null_space(gs[None, :])          # (ns, ns-1)
+        op = self._operator()[0]
+        kernel = len(self.action.seminorm_kernel()[0])
+        work = None                              # None: the whole kernel
+        if kernel > WORKING_SEED:
+            work = np.sort(np.argsort(self._kernel_norms(c0))[-WORKING_SEED:])
 
-        def objective(u, tau):
-            val, grad = self._smoothed_seminorm(c0 + nmat @ u, tau)
+        def objective(u, tau, sub):
+            val, grad = self._smoothed_seminorm(c0 + nmat @ u, tau, sub)
             return val, nmat.T @ grad
 
         factors, max_stage_iter = self._LADDERS[effort]
         u = np.zeros(nmat.shape[1])
-        if nmat.shape[1] > 0:
+        while nmat.shape[1] > 0:
+            sub = op if work is None else op.reshape(ns, kernel, -1)[:, work].reshape(ns, -1)
             for factor in factors:
                 cur = self._coeff_seminorms((c0 + nmat @ u)[None])[0]
                 tau = factor * max(cur, 1e-9)
-                res = minimize(objective, u, args=(tau,), jac=True, method="L-BFGS-B",
+                res = minimize(objective, u, args=(tau, sub), jac=True, method="L-BFGS-B",
                                options={"maxiter": max_stage_iter, "ftol": 1e-15,
                                         "gtol": 1e-13})
                 u = res.x
+            if work is None:
+                break
+            norms = self._kernel_norms(c0 + nmat @ u)
+            new = np.setdiff1d(np.flatnonzero(norms >= WORKING_ADD * np.max(norms)), work)
+            if new.size == 0:
+                break
+            work = np.union1d(work, new)
         c = c0 + nmat @ u
         a = np.einsum("k,kab->ab", c, slice_ortho)
         lv = self._coeff_seminorms(c[None])[0]

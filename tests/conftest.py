@@ -10,9 +10,16 @@ import itertools
 import os
 from pathlib import Path
 
-import numpy as np
 import pytest
-from scipy.optimize import linprog
+
+# the support solves eigensolve thousands of tiny matrices per call, where an
+# idle BLAS thread pool only costs time: cap the pools at one thread, before
+# numpy is imported and sizes them (an explicit setting still wins)
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+from scipy.optimize import linprog  # noqa: E402
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -191,6 +191,24 @@ def test_main_cli_entry(tmp_path):
     assert parsed["jobs"][0]["kind"] == "radius"
 
 
+def test_main_flags_after_command(tmp_path):
+    # the common flags work after the command name too (as the README's
+    # `cqmlab run ... --out reports --format csv`), and a flag given before
+    # the name is not reset by the command's copy of it
+    scenario = tmp_path / "mini.json"
+    scenario.write_text(json.dumps({
+        "seed": 4, "examples": [{"name": "c6", "family": "cycle", "m": 6}],
+        "jobs": [{"kind": "radius", "example": "c6"}]}))
+    out = tmp_path / "run"
+    assert cli.main(["run", str(scenario), "--out", str(out), "--format", "csv"]) == 0
+    assert json.loads((out / "report.json").read_text())["jobs"][0]["status"] == "ok"
+    out = tmp_path / "mixed"
+    assert cli.main(["--budget", "8", "--out", str(out), "radius", "cycle:m=6",
+                     "--seed", "2", "--audit-warn-only"]) == 0
+    config = json.loads((out / "report.json").read_text())["config"]
+    assert (config["budget"], config["seed"], config["audit_policy"]) == (8, 2, "warn")
+
+
 def test_main_parse_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")

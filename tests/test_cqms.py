@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import null_space
+from scipy.optimize import minimize
 
 from cqmlab import cqms as cq
 from cqmlab import examples as ex
@@ -218,78 +220,110 @@ def test_state_diameter_cycle(cycle12):
 @pytest.mark.parametrize("name", ["cycle12", "torus3", "sphere1"])
 def test_smoothed_seminorm_gradient(name):
     # analytic gradient of the smoothed seminorm against central differences,
-    # on the diagonal operator (cycle) and the general one (torus, sphere);
-    # at tau = 0.001 L the negligible-weight screen skips kernel elements
+    # on the diagonal operator (cycle) and the general one (torus, sphere),
+    # over the whole kernel at a mild and a sharp temperature
     obj = {"cycle12": lambda: ex.commutative_cycle(12),
            "torus3": lambda: ex.fuzzy_torus(3, 1),
            "sphere1": lambda: ex.fuzzy_sphere(1)}[name]()
-    assert obj._operator()[1] == (name == "cycle12")
+    op, diagonal = obj._operator()
+    assert diagonal == (name == "cycle12")
     rng = np.random.default_rng(11)
     ns = obj.space.real_dim - 1
     c = rng.standard_normal(ns)
     exact = obj.seminorm(obj.space.element(np.concatenate([[0.0], c])))
     for tau in (0.1 * exact, 0.001 * exact):
-        val, grad = obj._smoothed_seminorm(c, tau)
+        val, grad = obj._smoothed_seminorm(c, tau, op)
         # log-sum-exp sits between the max and the max plus tau log(#terms)
         terms = 2 * len(obj.action.seminorm_kernel()[0]) * obj.dim
         assert exact - 1e-12 <= val <= exact + tau * np.log(terms) + 1e-12
         h = 1e-6
-        fd = np.array([(obj._smoothed_seminorm(c + h * e, tau)[0]
-                        - obj._smoothed_seminorm(c - h * e, tau)[0]) / (2 * h)
+        fd = np.array([(obj._smoothed_seminorm(c + h * e, tau, op)[0]
+                        - obj._smoothed_seminorm(c - h * e, tau, op)[0]) / (2 * h)
                        for e in np.eye(ns)])
         assert np.allclose(grad, fd, rtol=1e-6, atol=1e-7)
 
 
-def _lse_reference(obj, c, tau):
-    """The smoothed seminorm and its gradient with no screen: ``eigh`` over
-    the whole kernel, log-sum-exp over every signed eigenvalue."""
-    op, _ = obj._operator()
-    diffs = (c @ op).view(complex).reshape(-1, obj.dim, obj.dim)
-    vals, v = np.linalg.eigh(diffs)
-    z = np.concatenate([vals, -vals])
-    zmax = np.max(z)
-    wts = np.exp((z - zmax) / tau)
-    val = zmax + tau * np.log(np.sum(wts))
-    wts /= np.sum(wts)
-    coef = wts[:len(vals)] - wts[len(vals):]
-    wmat = (v * coef[:, None, :]) @ np.swapaxes(v.conj(), 1, 2)
-    return val, op @ wmat.reshape(-1).view(float)
+def _full_kernel_support(obj, g, effort):
+    """The support solve with every ladder stage smoothed over the whole
+    seminorm kernel: the reference for the working kernel."""
+    slice_ortho = obj.space.ortho[1:]
+    gs = np.real(np.einsum("kab,ab->k", slice_ortho.conj(), g))
+    c0 = gs / np.linalg.norm(gs) ** 2
+    nmat = null_space(gs[None, :])
+    op = obj._operator()[0]
+
+    def objective(u, tau):
+        val, grad = obj._smoothed_seminorm(c0 + nmat @ u, tau, op)
+        return val, nmat.T @ grad
+
+    factors, max_stage_iter = obj._LADDERS[effort]
+    u = np.zeros(nmat.shape[1])
+    for factor in factors:
+        tau = factor * max(obj._coeff_seminorms((c0 + nmat @ u)[None])[0], 1e-9)
+        u = minimize(objective, u, args=(tau,), jac=True, method="L-BFGS-B",
+                     options={"maxiter": max_stage_iter, "ftol": 1e-15, "gtol": 1e-13}).x
+    c = c0 + nmat @ u
+    lv = obj._coeff_seminorms(c[None])[0]
+    return 1.0 / lv, np.einsum("k,kab->ab", c, slice_ortho) / lv
 
 
-@pytest.mark.parametrize("name", ["sphere2", "sphere3", "torus51"])
-def test_smoothed_seminorm_screen_is_negligible(name, monkeypatch):
-    # the skipped softmax weights sum to below e^-37 of the top one, so the
-    # value and gradient are those of the unscreened log-sum-exp; at small
-    # tau the sphere eigensolves only part of its kernel, and no call
-    # solves the whole kernel's eigenvalues first
+def _orthogonal_pure_pairs(obj, count, seed):
+    """Riesz directions in the space of seeded pairs of orthogonal pure states."""
+    rng = np.random.default_rng(seed)
+    d = obj.dim
+    out = []
+    for _ in range(count):
+        v, w = rng.standard_normal((2, d)) + 1j * rng.standard_normal((2, d))
+        w = w - (np.vdot(v, w) / np.vdot(v, v)) * v
+        g = cq.vector_state(v).density - cq.vector_state(w).density
+        out.append(obj.space.element(obj.space.coeffs(g)))
+    return out
+
+
+@pytest.mark.parametrize("name", ["sphere2", "sphere3"])
+def test_working_kernel_support(name, monkeypatch):
+    # on the SU(2) kernel the ladder smooths over a small working kernel,
+    # grown in a few rounds, and its value stays that of the full-kernel
+    # ladder; the argmax is on the exact unit sphere of the full-kernel
+    # seminorm and attains the value
     obj = {"sphere2": lambda: ex.fuzzy_sphere(2),
-           "sphere3": lambda: ex.fuzzy_sphere(3),
-           "torus51": lambda: ex.fuzzy_torus(5, 1)}[name]()
-    kernel = len(obj.action.seminorm_kernel()[0])
-    rng = np.random.default_rng(23)
-    c = rng.standard_normal(obj.space.real_dim - 1)
-    exact = obj._coeff_seminorms(c[None])[0]
-    counts = {"eigh": [], "eigvalsh": []}
-    for kind in counts:
-        solver = getattr(np.linalg, kind)
+           "sphere3": lambda: ex.fuzzy_sphere(3)}[name]()
+    per_element = 2 * obj.dim ** 2
+    smoothed = cq.Cqms._smoothed_seminorm
+    widths = []
 
-        def counting(a, *args, _solver=solver, _seen=counts[kind]):
-            _seen.append(int(np.prod(np.shape(a)[:-2])))
-            return _solver(a, *args)
+    def recording(self, c, tau, sub):
+        widths.append(sub.shape[1] // per_element)
+        return smoothed(self, c, tau, sub)
 
-        monkeypatch.setattr(np.linalg, kind, counting)
-    for factor in (0.3, 0.01, 0.001):
-        tau = factor * exact
-        for seen in counts.values():
-            seen.clear()
-        val, grad = obj._smoothed_seminorm(c, tau)
-        solved = list(counts["eigh"])
-        assert not any(n >= kernel for n in counts["eigvalsh"])
-        ref_val, ref_grad = _lse_reference(obj, c, tau)
-        assert abs(val - ref_val) <= 1e-13 * (1.0 + abs(ref_val))
-        assert np.linalg.norm(grad - ref_grad) <= 1e-9 * np.linalg.norm(ref_grad)
-        if factor == 0.001 and name.startswith("sphere"):
-            assert sum(solved) < kernel
+    for g in _orthogonal_pure_pairs(obj, 3, seed=5):
+        ref, _ = _full_kernel_support(obj, g, "coarse")
+        widths.clear()
+        with monkeypatch.context() as mp:
+            mp.setattr(cq.Cqms, "_smoothed_seminorm", recording)
+            val, a = obj._support_max(g, effort="coarse")
+        assert abs(val - ref) <= 1e-4 * ref
+        assert obj.seminorm(a) == pytest.approx(1.0, abs=1e-12)
+        assert np.real(np.trace(g @ a)) == pytest.approx(val, rel=1e-12)
+        # one ladder per working kernel, each larger than the last
+        assert min(widths) == cq.WORKING_SEED
+        assert len(set(widths)) <= 4 and max(widths) < 2 * cq.WORKING_SEED
+
+
+@pytest.mark.parametrize("name", ["torus51", "cycle12"])
+def test_working_kernel_is_whole_small_kernel(name):
+    # a kernel of at most WORKING_SEED elements is the working kernel itself:
+    # one ladder, as over the whole kernel
+    obj = {"torus51": lambda: ex.fuzzy_torus(5, 1),
+           "cycle12": lambda: ex.commutative_cycle(12)}[name]()
+    assert len(obj.action.seminorm_kernel()[0]) <= cq.WORKING_SEED
+    rng = np.random.default_rng(9)
+    for _ in range(3):
+        g = obj.space.random_element(rng)
+        ref, ref_a = _full_kernel_support(obj, g, "coarse")
+        val, a = obj._support_max(g, effort="coarse")
+        assert val == pytest.approx(ref, rel=1e-12)
+        assert np.allclose(a, ref_a, rtol=0.0, atol=1e-12 * nm.hs_norm(ref_a))
 
 
 def _kernel_sups(obj, stack):
