@@ -9,7 +9,8 @@ repeated run produces byte-identical output.
 Exit codes: 0 on success, 2 on scenario parse/validation errors, 3 when
 an audit fails and the policy is "fail" (the default; "warn" downgrades).
 ``QGH_THREADS`` caps the linear-algebra thread pools (applied when the
-package is imported) and is echoed in the environment stamp.
+package is imported; unset, they default to one thread) and is echoed in
+the environment stamp.
 """
 
 import argparse
@@ -222,6 +223,7 @@ def _run_job(job: dict, built: dict, defaults: dict) -> dict:
             diam = cq.state_diameter(sample=int(job.get("sample", 16)), seed=seed)
             out["state_diameter"] = diam
             out["consistency_gap"] = abs(diam / 2.0 - value) / max(value, 1e-12)
+        out["unconverged_stages"] = cq.unconverged_stages
         return out
 
     if kind == "mult":

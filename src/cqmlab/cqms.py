@@ -20,8 +20,14 @@ On top of the seminorm this module computes the defining balls
 statistical covering certificates, the radius (the best constant comparing
 the quotient norm with the seminorm), and the dual metric on states.
 
-The optimization workhorse is a support-function solver: maximizing a
-linear functional over {L <= 1} is recast as convex minimization of L
+The optimization workhorse is a support-function solver, maximizing a
+linear functional over {L <= 1}.  When every kernel difference is
+diagonal, L is polyhedral and the support value is one linear program.  On
+a full diagonal space (functions on d points) L is moreover the Lipschitz
+constant of a weighted graph, so the Dirac-state metric is its
+shortest-path metric, and the radius and state-space diameter are exact.
+
+On dense spaces the support problem is recast as convex minimization of L
 on an affine slice, solved by L-BFGS on a log-sum-exp smoothing of the
 seminorm with a decreasing temperature schedule.  The smoothing runs on a
 working kernel: the ``WORKING_SEED`` elements largest at the starting
@@ -29,17 +35,18 @@ point (the whole kernel when it is no larger).  After each solve every
 kernel element is evaluated at the result; those whose norm is at least
 ``WORKING_ADD`` times the full-kernel max join the working kernel, and the
 solve is repeated, warm-started, until none join.  Values returned are
-honest lower bounds (the final iterate is rescaled by its true
-full-kernel, not smoothed, seminorm).  The radius alternates this solver
-with extreme witnesses of the quotient norm; both quantities carry the
-quadrature mean of the length function as an exact upper bracket.
+honest lower bounds (the final iterate, or the LP's solution, is rescaled
+by its true full-kernel, not smoothed, seminorm).  Off full diagonal
+spaces the radius alternates this solver with extreme witnesses of the
+quotient norm; both quantities carry the quadrature mean of the length
+function as an exact upper bracket.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import null_space
-from scipy.optimize import minimize
+from scipy.optimize import linprog, minimize
 
 from . import group_action as ga
 from . import numerics as nm
@@ -205,8 +212,10 @@ class Cqms:
     """Order-unit space + ergodic action + derived metric structure.
 
     Immutable in spirit after construction; ``net_cache``, the radius
-    cache and the seminorm operator are write-once memoizations (all
-    numeric operations stay pure, so concurrent readers are safe).
+    cache, the Dirac metric and the seminorm operator are write-once
+    memoizations (all numeric operations stay pure, so concurrent readers
+    are safe).  ``unconverged_stages`` counts the L-BFGS stages of this
+    space's support solves that ended without converging.
     """
 
     space: HermitianSpace
@@ -216,6 +225,8 @@ class Cqms:
     net_cache: dict = field(default_factory=dict)
     _radius: tuple | None = field(default=None, repr=False)
     _op: tuple | None = field(default=None, repr=False)
+    _dirac: np.ndarray | None = field(default=None, init=False, repr=False)
+    unconverged_stages: int = field(default=0, init=False, repr=False)
 
     # elements per matrix product in ``seminorms``: caps the product at
     # 32 kernel stacks, plus at most one more for the screened survivors
@@ -420,15 +431,11 @@ class Cqms:
 
         The gradient is sum_x Re tr(W_x D_x,k) with W_x the eigenvector
         matrices weighted by the softmax, i.e. ``op @ W.view(float)``.
+        Dense operators only: diagonal ones are solved by ``_support_max``'s LP.
         """
-        diagonal = self._operator()[1]
-        flat = c @ op
         d = self.dim
-        if diagonal:
-            vals = flat.reshape(-1, d)
-        else:
-            diffs = flat.view(complex).reshape(-1, d, d)
-            vals, v = np.linalg.eigh(diffs)
+        diffs = (c @ op).view(complex).reshape(-1, d, d)
+        vals, v = np.linalg.eigh(diffs)
         z = np.concatenate([vals, -vals], axis=0)
         zmax = float(np.max(z))
         wts = np.exp((z - zmax) / tau)
@@ -436,18 +443,14 @@ class Cqms:
         val = zmax + tau * np.log(total)
         wts = wts / total
         coef = wts[: len(vals)] - wts[len(vals):]
-        if diagonal:
-            return val, op @ coef.ravel()
         wmat = (v * coef[:, None, :]) @ np.swapaxes(v.conj(), 1, 2)
         return val, op @ wmat.reshape(-1).view(float)
 
     def _kernel_norms(self, c: np.ndarray) -> np.ndarray:
-        """|alpha_x(a) - a| / l(x) for every kernel element x, a = sum c_k S_k."""
-        op, diagonal = self._operator()
-        flat = c @ op
+        """|alpha_x(a) - a| / l(x) for every kernel element x, a = sum c_k S_k
+        (dense operators only)."""
         d = self.dim
-        if diagonal:
-            return np.max(np.abs(flat.reshape(-1, d)), axis=1)
+        flat = c @ self._operator()[0]
         return np.max(np.abs(np.linalg.eigvalsh(flat.view(complex).reshape(-1, d, d))), axis=1)
 
     _LADDERS = {
@@ -458,16 +461,26 @@ class Cqms:
     def _support_max(self, g: np.ndarray, effort: str = "fine") -> tuple[float, np.ndarray]:
         """max {<g, a> : L(a) <= 1} over the traceless slice, as (value, argmax).
 
-        Convex reformulation: minimize L on the affine set <g, a> = 1,
-        smoothed by log-sum-exp with a temperature ladder rescaled to the
-        current seminorm at each stage.  The ladder sees only a working
-        kernel W: the ``WORKING_SEED`` elements largest at the starting
-        point, or the whole kernel when it has no more elements.  After a
-        ladder every kernel element is evaluated at the result, the
+        When every kernel difference is diagonal, L(a) = max |c @ op| is
+        polyhedral in the slice coefficients c, and the support value is one
+        HiGHS linear program: maximize <g, a> subject to -1 <= c @ op <= 1.
+        A solve that does not end optimal raises (an unbounded one as
+        ``NonLipError``), so no failed solve is returned.
+
+        Otherwise, convex reformulation: minimize L on the affine set
+        <g, a> = 1, smoothed by log-sum-exp with a temperature ladder
+        rescaled to the current seminorm at each stage.  The ladder sees only
+        a working kernel W: the ``WORKING_SEED`` elements largest at the
+        starting point, or the whole kernel when it has no more elements.
+        After a ladder every kernel element is evaluated at the result, the
         elements outside W at least ``WORKING_ADD`` times the max join W, and
-        the ladder is run again from the result until none join.  The final
-        iterate is rescaled by its exact full-kernel seminorm, so the
-        returned value is a guaranteed lower bound of the support function.
+        the ladder is run again from the result until none join.  Stages
+        that end unconverged are counted in ``unconverged_stages``.
+
+        Either way the result is rescaled by its exact full-kernel seminorm,
+        so the returned value is a guaranteed lower bound of the support
+        function (and equals it, up to the LP's tolerance, on diagonal
+        spaces).
         """
         slice_ortho = self.space.ortho[1:]
         ns = slice_ortho.shape[0]
@@ -477,9 +490,17 @@ class Cqms:
         gn = np.linalg.norm(gs)
         if gn < 1e-13:
             return 0.0, np.zeros((self.dim, self.dim), dtype=complex)
+        op, diagonal = self._operator()
+        if diagonal:
+            res = linprog(-gs, A_ub=np.concatenate([op.T, -op.T]),
+                          b_ub=np.ones(2 * op.shape[1]), bounds=(None, None), method="highs")
+            if res.status == 3:
+                raise NonLipError("seminorm vanishes along the functional: not a Lip-norm")
+            if res.status != 0:
+                raise RuntimeError(f"support LP did not solve: {res.message}")
+            return self._rescaled(res.x, float(gs @ res.x))
         c0 = gs / gn ** 2
         nmat = null_space(gs[None, :])          # (ns, ns-1)
-        op = self._operator()[0]
         kernel = len(self.action.seminorm_kernel()[0])
         work = None                              # None: the whole kernel
         if kernel > WORKING_SEED:
@@ -500,6 +521,8 @@ class Cqms:
                                options={"maxiter": max_stage_iter, "ftol": 1e-15,
                                         "gtol": 1e-13})
                 u = res.x
+                if not res.success:
+                    self.unconverged_stages += 1
             if work is None:
                 break
             norms = self._kernel_norms(c0 + nmat @ u)
@@ -507,14 +530,18 @@ class Cqms:
             if new.size == 0:
                 break
             work = np.union1d(work, new)
-        c = c0 + nmat @ u
-        a = np.einsum("k,kab->ab", c, slice_ortho)
+        return self._rescaled(c0 + nmat @ u, 1.0)    # the ladder keeps <g, a> = 1
+
+    def _rescaled(self, c: np.ndarray, value: float) -> tuple[float, np.ndarray]:
+        """(value / L, a / L) for a = sum c_k S_k with <g, a> = value: a
+        support solve's result on the exact unit sphere of the seminorm."""
+        a = np.einsum("k,kab->ab", c, self.space.ortho[1:])
         lv = self._coeff_seminorms(c[None])[0]
         if lv < 1e-12:
             raise NonLipError(
                 "seminorm vanishes off the scalars; the action is not ergodic "
                 "or has infinite-multiplicity directions")
-        return 1.0 / lv, a / lv
+        return value / lv, a / lv
 
     # -- radius and the state metric --------------------------------------------
 
@@ -546,11 +573,45 @@ class Cqms:
                 break
         return val
 
-    def radius(self) -> float:
-        """Ascent estimate of sup |a~| / L(a), the minimal constant comparing
-        the quotient norm with the seminorm (tag "ascent").
+    def _dirac_metric(self) -> np.ndarray | None:
+        """rho_L(delta_i, delta_j) for every pair of points of a full diagonal
+        space (the operator is diagonal and the space holds every diagonal
+        matrix), built on first use; None for any other space.
 
-        Alternates between extreme spectral witnesses of the quotient norm
+        There every kernel implementer is monomial, U_x e_i ~ e_sigma_x(i), so
+        L(a) = max |a_i - a_sigma_x(i)| / l(x): the Lipschitz constant of a
+        for the graph with an edge i -- sigma_x(i) of length l(x).  Its dual
+        metric on Dirac states is the graph's shortest-path metric (the
+        distance to delta_j attains the sup), found by Floyd-Warshall.
+        """
+        if self._dirac is None and self._operator()[1] and self.space.real_dim == self.dim:
+            others, lens = self.action.seminorm_kernel()
+            d = self.dim
+            # sigma[x, i]: the row holding column i of U_x
+            sigma = np.argmax(np.abs(self.action.implementers[others]), axis=1)
+            dist = np.full((d, d), np.inf)
+            np.fill_diagonal(dist, 0.0)
+            src = np.broadcast_to(np.arange(d), sigma.shape)
+            wts = np.broadcast_to(lens[:, None], sigma.shape)
+            np.minimum.at(dist, (src, sigma), wts)
+            np.minimum.at(dist, (sigma, src), wts)
+            for k in range(d):
+                np.minimum(dist, dist[:, k, None] + dist[None, k, :], out=dist)
+            if not np.all(np.isfinite(dist)):
+                raise NonLipError("the kernel's graph is disconnected; not a Lip-norm")
+            self._dirac = dist
+        return self._dirac
+
+    def radius(self) -> float:
+        """sup |a~| / L(a), the minimal constant comparing the quotient norm
+        with the seminorm.
+
+        On a full diagonal space it is exact (tag "exact"): |a~| is half the
+        spread of the diagonal, so the radius is half the largest Dirac
+        distance of ``_dirac_metric``.
+
+        Elsewhere it is an ascent estimate (tag "ascent"), which
+        alternates between extreme spectral witnesses of the quotient norm
         at the current point and a support-function solve for the witness;
         multi-started from coordinate and seeded random directions, with
         second-extreme witness pairs tried as escape moves when the
@@ -566,6 +627,10 @@ class Cqms:
         if ns == 0:
             self._radius = (0.0, "exact")
             return 0.0
+        dirac = self._dirac_metric()
+        if dirac is not None:
+            self._radius = (float(np.max(dirac)) / 2.0, "exact")
+            return self._radius[0]
         rng = np.random.default_rng(0)
         start_coeffs = list(np.eye(ns)[:: max(1, ns // 4)][:4])
         start_coeffs += list(rng.standard_normal((2, ns)))
@@ -610,10 +675,17 @@ class Cqms:
 
     def state_diameter(self, R: float = None, sample: int = 24, seed: int = 0,
                        polish_rounds: int = 3) -> float:
-        """Lower estimate of the state-space diameter over pure-state pairs.
+        """The state-space diameter: exact on a full diagonal space, a lower
+        estimate over pure-state pairs elsewhere.
 
-        The pool is the extreme eigenprojections of seeded random elements
-        of the space.  Every pool pair gets a one-evaluation proxy (the
+        rho_L is jointly convex, so its max over pairs of states is attained
+        at extreme states of the space; on a full diagonal space those are
+        the Dirac states, and the diameter is the largest Dirac distance of
+        ``_dirac_metric`` (``sample``, ``seed`` and ``polish_rounds`` are then
+        unused).
+
+        Elsewhere the pool is the extreme eigenprojections of seeded random
+        elements of the space.  Every pool pair gets a one-evaluation proxy (the
         metric's value along the pair's Riesz direction, itself a valid
         lower bound); the most promising ``sample`` pairs are solved in
         full and then polished by witness alternation: the optimizer's own
@@ -629,6 +701,9 @@ class Cqms:
         slice_ortho = self.space.ortho[1:]
         if slice_ortho.shape[0] == 0:
             return 0.0
+        dirac = self._dirac_metric()
+        if dirac is not None:
+            return float(np.max(dirac))
         vecs = []
         for _ in range(n_pool):
             a = self.space.random_element(rng)

@@ -57,6 +57,8 @@ def test_small_scenario_and_roundtrip(tmp_path):
     assert code == 0
     parsed = json.loads((tmp_path / "report.json").read_text())
     assert parsed["jobs"][0]["result"]["within_bound"] is True
+    assert parsed["jobs"][0]["result"]["method"] == "exact"
+    assert parsed["jobs"][0]["result"]["unconverged_stages"] == 0
     assert set(parsed["jobs"][1]["result"]["table"].values()) == {1}
     # parse-back structural equality
     assert [j["name"] for j in parsed["jobs"]] == [j["name"] for j in report["jobs"]]
@@ -227,6 +229,22 @@ def test_qgh_threads_applied_before_numpy():
                          env=env, timeout=60)
     assert res.returncode == 0, res.stderr
     assert res.stdout.split() == ["False", "1"]
+
+
+def test_blas_pools_default_to_one_thread():
+    # without QGH_THREADS importing cqmlab caps the pools at one thread before
+    # numpy loads, and an explicit setting still wins
+    code = ("import os, sys, cqmlab; print('numpy' in sys.modules, *(os.environ[v] "
+            "for v in ('OMP_NUM_THREADS', 'OPENBLAS_NUM_THREADS', 'MKL_NUM_THREADS')))")
+    base = {k: v for k, v in os.environ.items()
+            if k not in ("QGH_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                         "MKL_NUM_THREADS")}
+    for extra, want in (({}, ["1", "1", "1"]),
+                        ({"OPENBLAS_NUM_THREADS": "2"}, ["1", "2", "1"])):
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=dict(base, **extra), timeout=60)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.split() == ["False"] + want
 
 
 def test_subprocess_run_deterministic(tmp_path):

@@ -170,6 +170,16 @@ def test_radius_non_lip_signals():
                       action=ga.UnitaryAction(group=group, implementers=impl))
     with pytest.raises(cq.NonLipError):
         trivial.radius()
+    # a diagonal space whose action only swaps two of four points: the LP is
+    # unbounded along the split, and the points' graph is disconnected
+    swap = np.eye(4, dtype=complex)[[1, 0, 2, 3]]
+    split = cq.Cqms(space=cq.diagonal_space(4),
+                    action=ga.UnitaryAction(group=ga.cyclic_group(2),
+                                            implementers=np.array([np.eye(4), swap])))
+    with pytest.raises(cq.NonLipError):
+        split._support_max(np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex))
+    with pytest.raises(cq.NonLipError):
+        split.radius()
 
 
 def test_state_metric_zero_and_symmetry(cycle12):
@@ -217,16 +227,15 @@ def test_state_diameter_cycle(cycle12):
     assert abs(diam / 2.0 - r) <= 0.1 * r
 
 
-@pytest.mark.parametrize("name", ["cycle12", "torus3", "sphere1"])
+@pytest.mark.parametrize("name", ["torus3", "sphere1"])
 def test_smoothed_seminorm_gradient(name):
     # analytic gradient of the smoothed seminorm against central differences,
-    # on the diagonal operator (cycle) and the general one (torus, sphere),
-    # over the whole kernel at a mild and a sharp temperature
-    obj = {"cycle12": lambda: ex.commutative_cycle(12),
-           "torus3": lambda: ex.fuzzy_torus(3, 1),
+    # over the whole kernel at a mild and a sharp temperature (diagonal
+    # operators are solved by LP and never smoothed)
+    obj = {"torus3": lambda: ex.fuzzy_torus(3, 1),
            "sphere1": lambda: ex.fuzzy_sphere(1)}[name]()
     op, diagonal = obj._operator()
-    assert diagonal == (name == "cycle12")
+    assert not diagonal
     rng = np.random.default_rng(11)
     ns = obj.space.real_dim - 1
     c = rng.standard_normal(ns)
@@ -310,12 +319,11 @@ def test_working_kernel_support(name, monkeypatch):
         assert len(set(widths)) <= 4 and max(widths) < 2 * cq.WORKING_SEED
 
 
-@pytest.mark.parametrize("name", ["torus51", "cycle12"])
+@pytest.mark.parametrize("name", ["torus51"])
 def test_working_kernel_is_whole_small_kernel(name):
     # a kernel of at most WORKING_SEED elements is the working kernel itself:
     # one ladder, as over the whole kernel
-    obj = {"torus51": lambda: ex.fuzzy_torus(5, 1),
-           "cycle12": lambda: ex.commutative_cycle(12)}[name]()
+    obj = {"torus51": lambda: ex.fuzzy_torus(5, 1)}[name]()
     assert len(obj.action.seminorm_kernel()[0]) <= cq.WORKING_SEED
     rng = np.random.default_rng(9)
     for _ in range(3):
@@ -324,6 +332,89 @@ def test_working_kernel_is_whole_small_kernel(name):
         val, a = obj._support_max(g, effort="coarse")
         assert val == pytest.approx(ref, rel=1e-12)
         assert np.allclose(a, ref_a, rtol=0.0, atol=1e-12 * nm.hs_norm(ref_a))
+
+
+@pytest.mark.parametrize("m", [3, 5, 8, 12, 16], ids=lambda m: f"cycle{m}")
+def test_diagonal_space_is_exact(m):
+    # on the circle the seminorm is the Lipschitz constant of the arc-length
+    # graph: the Dirac metric is the arc metric, support values are the
+    # Kantorovich LP oracle's, and radius and diameter are exact
+    obj = ex.commutative_cycle(m)
+    arcs = cycle_arc_matrix(m)
+    assert np.max(np.abs(obj._dirac_metric() - arcs)) <= 1e-12
+    rng = np.random.default_rng(m)
+    for _ in range(3):
+        g = rng.standard_normal(m)
+        g -= g.mean()
+        gmat = np.diag(g).astype(complex)
+        val, a = obj._support_max(gmat)
+        assert abs(val - kantorovich_lp(arcs, g)) <= 1e-9
+        assert obj.seminorm(a) == pytest.approx(1.0, abs=1e-12)
+        assert np.real(np.trace(gmat @ a)) == pytest.approx(val, rel=1e-12)
+    assert obj.radius() == pytest.approx(np.max(arcs) / 2.0, abs=1e-12)
+    assert obj.radius_method() == "exact"
+    assert obj.state_diameter() == 2.0 * obj.radius()
+
+
+def test_dirac_metric_is_shortest_path():
+    # squared arc lengths break the triangle inequality, so the Dirac metric
+    # is the shortest-path metric over several shifts, not the direct length;
+    # the LP oracle over the direct lengths computes the same sup
+    import dataclasses
+    import cqmlab.group_action as ga
+    base = ex.commutative_cycle(8)
+    group = dataclasses.replace(base.action.group, lengths=base.action.group.lengths ** 2)
+    obj = cq.Cqms(space=base.space,
+                  action=ga.UnitaryAction(group=group, implementers=base.action.implementers))
+    direct = cycle_arc_matrix(8) ** 2
+    dirac = obj._dirac_metric()
+    assert np.all(dirac <= direct + 1e-12) and np.max(direct - dirac) > 1.0
+    for i, j in itertools.combinations(range(8), 2):
+        c = np.zeros(8)
+        c[i], c[j] = 1.0, -1.0
+        assert dirac[i, j] == pytest.approx(kantorovich_lp(direct, c), abs=1e-9)
+        val, _ = obj._support_max(np.diag(c).astype(complex))
+        assert val == pytest.approx(dirac[i, j], abs=1e-9)
+    assert obj.radius() == pytest.approx(np.max(dirac) / 2.0, abs=1e-12)
+
+
+def test_diagonal_spaces_skip_lbfgs(monkeypatch):
+    # cycle radii, diameters and state metrics run no L-BFGS stage; a fuzzy
+    # torus still does
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return minimize(*args, **kwargs)
+
+    monkeypatch.setattr(cq, "minimize", counting)
+    for m in (8, 16):
+        obj = ex.commutative_cycle(m)
+        obj.radius()
+        obj.state_diameter(sample=8, seed=1)
+        obj.state_metric(cq.dirac_state(m, 0), cq.dirac_state(m, m // 2))
+        obj.state_metric(cq.vector_state(np.ones(m)), cq.dirac_state(m, 1), effort="coarse")
+    assert not calls
+    ex.fuzzy_torus(3, 1).radius()
+    assert calls
+
+
+def test_unconverged_stages_counted(monkeypatch):
+    # every L-BFGS stage of the space's support solves that ends unconverged
+    # is counted on the space
+    failed = []
+
+    def counting(*args, **kwargs):
+        res = minimize(*args, **kwargs)
+        failed.append(not res.success)
+        return res
+
+    monkeypatch.setattr(cq, "minimize", counting)
+    obj = ex.fuzzy_torus(5, 1)
+    assert obj.unconverged_stages == 0
+    obj.radius()
+    assert 0 < sum(failed) < len(failed)
+    assert obj.unconverged_stages == sum(failed)
 
 
 def _kernel_sups(obj, stack):
