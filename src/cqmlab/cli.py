@@ -178,6 +178,12 @@ def _characters_for(desc: ex.ExampleDescriptor, cq) -> list:
     raise ScenarioError(f"no character table for family {desc.family!r}")
 
 
+def _unconverged(a, b) -> dict:
+    """Each space's count of unconverged support-solve stages so far (a
+    space's count runs over every job of the scenario that uses it)."""
+    return {"a": a.unconverged_stages, "b": b.unconverged_stages}
+
+
 def _phi_for(rule: str, a, b):
     if rule == "identity":
         return dq.identity_map(a)
@@ -250,7 +256,8 @@ def _run_job(job: dict, built: dict, defaults: dict) -> dict:
         big_r = job.get("R")
         upper = dq.dist_oq_upper(a, b, phi, big_r, eps_net, budget, seed)
         lower = dq.dist_oq_lower(a, b, eps_net, budget, seed)
-        return {"upper": upper.as_dict(), "lower": lower.as_dict()}
+        return {"upper": upper.as_dict(), "lower": lower.as_dict(),
+                "unconverged_stages": _unconverged(a, b)}
 
     if kind == "audit":
         _, a = built[job["a"]]
@@ -258,7 +265,7 @@ def _run_job(job: dict, built: dict, defaults: dict) -> dict:
         phi = _phi_for(job.get("phi", "identity"), a, b)
         reports, record = dq.audit_pair(a, b, phi, eps_net, budget, seed)
         return {"reports": {k: v.as_dict() for k, v in reports.items()},
-                "audit": record.as_dict()}
+                "audit": record.as_dict(), "unconverged_stages": _unconverged(a, b)}
 
     if kind == "family":
         return _run_family_job(job, built, seed, eps_net, budget)

@@ -28,13 +28,15 @@ constant of a weighted graph, so the Dirac-state metric is its
 shortest-path metric, and the radius and state-space diameter are exact.
 
 On dense spaces the support problem is recast as convex minimization of L
-on an affine slice, solved by L-BFGS on a log-sum-exp smoothing of the
-seminorm with a decreasing temperature schedule.  The smoothing runs on a
-working kernel: the ``WORKING_SEED`` elements largest at the starting
-point (the whole kernel when it is no larger).  After each solve every
-kernel element is evaluated at the result; those whose norm is at least
-``WORKING_ADD`` times the full-kernel max join the working kernel, and the
-solve is repeated, warm-started, until none join.  Values returned are
+on an affine slice, solved by damped Newton steps on a log-sum-exp
+smoothing of the seminorm with a decreasing temperature schedule; the
+exact Hessian comes from the Daleckii-Krein formula for the second
+derivative of a spectral function.  The smoothing runs on a working
+kernel: the ``WORKING_SEED`` elements largest at the starting point (the
+whole kernel when it is no larger).  After each solve every kernel element
+is evaluated at the result; those whose norm is at least ``WORKING_ADD``
+times the full-kernel max join the working kernel, and the solve is
+repeated, warm-started, until none join.  Values returned are
 honest lower bounds (the final iterate, or the LP's solution, is rescaled
 by its true full-kernel, not smoothed, seminorm).  Off full diagonal
 spaces the radius alternates this solver with extreme witnesses of the
@@ -46,7 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import null_space
-from scipy.optimize import linprog, minimize
+from scipy.optimize import linprog
 
 from . import group_action as ga
 from . import numerics as nm
@@ -56,6 +58,12 @@ from . import numerics as nm
 # norm at the solve's result is at least WORKING_ADD times the kernel max
 WORKING_SEED = 48
 WORKING_ADD = 0.98
+
+# a ladder stage takes at most NEWTON_STEPS damped Newton steps; it has
+# converged once half its squared Newton decrement (the predicted decrease)
+# is at most NEWTON_TOL times the smoothed value
+NEWTON_STEPS = 30
+NEWTON_TOL = 1e-12
 
 
 class NonLipError(Exception):
@@ -214,7 +222,7 @@ class Cqms:
     Immutable in spirit after construction; ``net_cache``, the radius
     cache, the Dirac metric and the seminorm operator are write-once
     memoizations (all numeric operations stay pure, so concurrent readers
-    are safe).  ``unconverged_stages`` counts the L-BFGS stages of this
+    are safe).  ``unconverged_stages`` counts the Newton stages of this
     space's support solves that ended without converging.
     """
 
@@ -425,26 +433,53 @@ class Cqms:
     # -- support-function solver ----------------------------------------------
 
     def _smoothed_seminorm(self, c: np.ndarray, tau: float, op: np.ndarray):
-        """(L_tau, dL_tau/dc) for a = sum c_k S_k over the traceless slice:
-        log-sum-exp over the signed eigenvalues of every scaled difference
-        of ``op``, a column slice of ``_operator()`` (a working kernel).
+        """(L_tau, dL_tau/dc, d2L_tau/dc2) for a = sum c_k S_k over the
+        traceless slice: L_tau = tau log S with S = sum 2 cosh(lambda / tau)
+        over the signed eigenvalues lambda of every scaled difference of
+        ``op``, a column slice of ``_operator()`` (a working kernel).
 
-        The gradient is sum_x Re tr(W_x D_x,k) with W_x the eigenvector
-        matrices weighted by the softmax, i.e. ``op @ W.view(float)``.
+        Derivatives come from the Daleckii-Krein formula in each difference's
+        eigenbasis V, where B_k = V* D_k V for the slice directions D_k:
+        dS/dc_k = sum_i F'(lambda_i) B_k,ii and d2S/dc_k dc_l =
+        sum_ij Gamma_ij Re(B_k,ij conj(B_l,ij)), with Gamma the divided
+        differences of F'(x) = 2 sinh(x / tau) / tau (taken through
+        sinh(delta) / delta when two eigenvalues lie within tau of each
+        other); then d2L_tau = tau (S'' / S - S' S'^T / S^2).  Every
+        exponential is shifted by the largest |lambda|, so none overflows.
         Dense operators only: diagonal ones are solved by ``_support_max``'s LP.
         """
         d = self.dim
         diffs = (c @ op).view(complex).reshape(-1, d, d)
         vals, v = np.linalg.eigh(diffs)
-        z = np.concatenate([vals, -vals], axis=0)
-        zmax = float(np.max(z))
-        wts = np.exp((z - zmax) / tau)
-        total = float(np.sum(wts))
+        zmax = float(np.max(np.abs(vals)))
+        up, down = np.exp((vals - zmax) / tau), np.exp((-vals - zmax) / tau)
+        total = float(np.sum(up) + np.sum(down))
         val = zmax + tau * np.log(total)
-        wts = wts / total
-        coef = wts[: len(vals)] - wts[len(vals):]
-        wmat = (v * coef[:, None, :]) @ np.swapaxes(v.conj(), 1, 2)
-        return val, op @ wmat.reshape(-1).view(float)
+        coef = (up - down) / total               # tau F'(lambda) / S
+        ns, k = len(op), len(vals)
+        # B_k = V* D_k V for every element and slice direction, laid out as
+        # (element, i, k, j) so that each product is one matrix per element
+        dv = op.view(complex).reshape(ns, k, d, d).transpose(1, 0, 2, 3).reshape(k, ns * d, d)
+        dv = (dv @ v).reshape(k, ns, d, d).transpose(0, 2, 1, 3).reshape(k, d, ns * d)
+        bmat = (np.swapaxes(v.conj(), 1, 2) @ dv).reshape(k, d, ns, d)
+        grad = np.einsum("xiki,xi->k", bmat, coef).real
+        # tau S''/S: the divided differences of coef for pairs at least tau
+        # apart; closer pairs take (up + down) at their midpoint times
+        # sinh(delta) / (delta tau), delta = gap / (2 tau), which has no 0/0
+        gap = vals[:, :, None] - vals[:, None, :]
+        near = np.abs(gap) < tau
+        delta = np.where(near & (gap != 0.0), gap / (2.0 * tau), 1.0)
+        sinhc = np.where(gap == 0.0, 1.0, np.sinh(delta) / delta)
+        mid = (vals[:, :, None] + vals[:, None, :]) / 2.0
+        cosh = np.exp((mid - zmax) / tau) + np.exp((-mid - zmax) / tau)
+        gamma = np.where(near, cosh * sinhc / (total * tau),
+                         (coef[:, :, None] - coef[:, None, :]) / np.where(near, 1.0, gap))
+        # sum_x,ij Gamma_ij Re(B_k,ij conj(B_l,ij)) is the Gram matrix of
+        # the real views of sqrt(Gamma) B_k
+        rows = (bmat * np.sqrt(np.maximum(gamma, 0.0))[:, :, None, :]).view(float)
+        rows = rows.transpose(2, 0, 1, 3).reshape(ns, -1)
+        hess = rows @ rows.T - np.outer(grad, grad) / tau
+        return val, grad, hess
 
     def _kernel_norms(self, c: np.ndarray) -> np.ndarray:
         """|alpha_x(a) - a| / l(x) for every kernel element x, a = sum c_k S_k
@@ -453,9 +488,10 @@ class Cqms:
         flat = c @ self._operator()[0]
         return np.max(np.abs(np.linalg.eigvalsh(flat.view(complex).reshape(-1, d, d))), axis=1)
 
+    # temperature factors, each relative to the seminorm at its stage's start
     _LADDERS = {
-        "fine": ((0.3, 0.1, 0.03, 0.01, 0.003, 0.001), 120),
-        "coarse": ((0.3, 0.08, 0.02, 0.005), 80),
+        "fine": (0.3, 0.1, 0.03, 0.01, 0.003, 0.001),
+        "coarse": (0.3, 0.08, 0.02, 0.005),
     }
 
     def _support_max(self, g: np.ndarray, effort: str = "fine") -> tuple[float, np.ndarray]:
@@ -469,7 +505,8 @@ class Cqms:
 
         Otherwise, convex reformulation: minimize L on the affine set
         <g, a> = 1, smoothed by log-sum-exp with a temperature ladder
-        rescaled to the current seminorm at each stage.  The ladder sees only
+        rescaled to the current seminorm at each stage, one damped Newton
+        stage per temperature (``_ladder``).  The ladder sees only
         a working kernel W: the ``WORKING_SEED`` elements largest at the
         starting point, or the whole kernel when it has no more elements.
         After a ladder every kernel element is evaluated at the result, the
@@ -506,23 +543,10 @@ class Cqms:
         if kernel > WORKING_SEED:
             work = np.sort(np.argsort(self._kernel_norms(c0))[-WORKING_SEED:])
 
-        def objective(u, tau, sub):
-            val, grad = self._smoothed_seminorm(c0 + nmat @ u, tau, sub)
-            return val, nmat.T @ grad
-
-        factors, max_stage_iter = self._LADDERS[effort]
         u = np.zeros(nmat.shape[1])
         while nmat.shape[1] > 0:
             sub = op if work is None else op.reshape(ns, kernel, -1)[:, work].reshape(ns, -1)
-            for factor in factors:
-                cur = self._coeff_seminorms((c0 + nmat @ u)[None])[0]
-                tau = factor * max(cur, 1e-9)
-                res = minimize(objective, u, args=(tau, sub), jac=True, method="L-BFGS-B",
-                               options={"maxiter": max_stage_iter, "ftol": 1e-15,
-                                        "gtol": 1e-13})
-                u = res.x
-                if not res.success:
-                    self.unconverged_stages += 1
+            u = self._ladder(c0, nmat, u, self._LADDERS[effort], sub)
             if work is None:
                 break
             norms = self._kernel_norms(c0 + nmat @ u)
@@ -531,6 +555,32 @@ class Cqms:
                 break
             work = np.union1d(work, new)
         return self._rescaled(c0 + nmat @ u, 1.0)    # the ladder keeps <g, a> = 1
+
+    def _ladder(self, c0: np.ndarray, nmat: np.ndarray, u: np.ndarray, factors,
+                op: np.ndarray) -> np.ndarray:
+        """Minimize L over the slice points c0 + nmat @ u, starting from u: one
+        damped Newton stage on the smoothing over ``op`` per temperature
+        factor, the factor times the exact seminorm at the stage's start.
+
+        Each step solves the Newton system of the smoothed value restricted
+        to the slice and halves its length until it achieves a quarter of
+        the decrease the slope predicts (Armijo), at most 40 times.  A stage
+        converges when half its squared Newton decrement is at most
+        ``NEWTON_TOL`` times the smoothed value; one that reaches
+        ``NEWTON_STEPS`` steps, or whose backtrack cannot lower the smoothed
+        value, ends there and is counted in ``unconverged_stages``.
+        """
+        for factor in factors:
+            tau = factor * max(self._coeff_seminorms((c0 + nmat @ u)[None])[0], 1e-9)
+
+            def smoothed(u):
+                val, grad, hess = self._smoothed_seminorm(c0 + nmat @ u, tau, op)
+                return val, nmat.T @ grad, nmat.T @ hess @ nmat
+
+            u, converged = _newton_stage(smoothed, u)
+            if not converged:
+                self.unconverged_stages += 1
+        return u
 
     def _rescaled(self, c: np.ndarray, value: float) -> tuple[float, np.ndarray]:
         """(value / L, a / L) for a = sum c_k S_k with <g, a> = value: a
@@ -726,3 +776,31 @@ class Cqms:
             best = max(best, self._alternate_witness(argmax, value, polish_rounds,
                                                      "coarse", scale=2.0))
         return best
+
+
+def _newton_stage(smoothed, u: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Damped Newton on ``smoothed(u) -> (value, gradient, hessian)`` from u:
+    (final u, whether the Newton decrement met ``NEWTON_TOL``)."""
+    val, grad, hess = smoothed(u)
+    for steps in range(NEWTON_STEPS + 1):
+        # the Hessian is positive semidefinite; directions of curvature below
+        # 1e-12 of the largest (flat ones, such as any direction at a minimum
+        # with gradient 0) are left out of the step
+        w, v = np.linalg.eigh(hess)
+        keep = w > 1e-12 * w[-1]
+        step = -v[:, keep] @ ((grad @ v[:, keep]) / w[keep])
+        slope = float(grad @ step)               # minus the squared decrement
+        if -slope <= 2.0 * NEWTON_TOL * val:
+            return u, True
+        if steps == NEWTON_STEPS:
+            break
+        for halvings in range(40):
+            t = 0.5 ** halvings
+            trial = smoothed(u + t * step)
+            if trial[0] <= val + 0.25 * t * slope:
+                break
+        else:
+            return u, False                      # no step lowers the value
+        u = u + t * step
+        val, grad, hess = trial
+    return u, False

@@ -495,7 +495,12 @@ def dist_oq_lower(a: Cqms, b: Cqms, eps_net: float = 0.25, budget: int = 64,
                   seed: int = 0) -> LowerReport:
     """Lower estimate: the radius gap, and the finite Gromov-Hausdorff
     lower bound between small sub-nets of the defining balls minus the
-    measured net slacks (covering certificate + subnet coarsening)."""
+    measured net slacks (covering certificate + subnet coarsening).
+
+    When both radii are exact (halved Floyd-Warshall sums of at most d - 1
+    lengths), a gap within their rounding bound
+    ``(d_A + d_B) * eps * max(r_A, r_B)`` is float noise and counts as 0.
+    """
     ra, rb = a.radius(), b.radius()
     net_a = a.ball_net(ra, eps_net, budget=budget, seed=seed)
     net_b = b.ball_net(rb, eps_net, budget=budget, seed=seed)
@@ -505,6 +510,9 @@ def dist_oq_lower(a: Cqms, b: Cqms, eps_net: float = 0.25, budget: int = 64,
     slack_b = net_b.covering_certificate + coarsen_b
     gh = gh_lower_bound(sa, sb)
     radius_gap = abs(ra - rb)
+    if (a.radius_method() == b.radius_method() == "exact"
+            and radius_gap <= (a.dim + b.dim) * np.finfo(float).eps * max(ra, rb)):
+        radius_gap = 0.0           # rounding between two exact shortest-path sums
     value = max(radius_gap, gh - slack_a - slack_b, 0.0)
     return LowerReport(
         pair=(a.name, b.name), value=value, radius_gap=radius_gap,
@@ -607,12 +615,15 @@ def audit_pair(a: Cqms, b: Cqms, phi: ComparisonMap, eps_net: float = 0.25,
     big_r = max(ra, rb)
     # the lower bound takes no R: one report serves all three variants
     lower = dist_oq_lower(a, b, eps_net, budget, seed)
+    upper_r = dist_oq_upper(a, b, phi, big_r, eps_net, budget, seed)
     reports = {
         "oq_upper": dist_oq_upper(a, b, phi, None, eps_net, budget, seed),
         "oq_lower": lower,
-        "oqR_upper": dist_oq_upper(a, b, phi, big_r, eps_net, budget, seed),
+        "oqR_upper": upper_r,
         "oqR_lower": lower,
-        "oq_rB_upper": dist_oq_upper(a, b, phi, rb, eps_net, budget, seed),
+        # at r_B = max(r_A, r_B) this is the same call as oqR_upper
+        "oq_rB_upper": (upper_r if rb == big_r
+                        else dist_oq_upper(a, b, phi, rb, eps_net, budget, seed)),
         "oq_rB_lower": lower,
     }
     return reports, audit_chain(a, b, reports)

@@ -64,6 +64,20 @@ def cycle_arc_matrix(m: int) -> np.ndarray:
     return 2.0 * np.pi * np.minimum(diff, m - diff) / m
 
 
+def relengthed_cycle(m: int, relength):
+    """The m-cycle with its arc lengths mapped through ``relength``;
+    squared lengths break the triangle inequality, so the Dirac metric is
+    a shortest path over several shifts."""
+    import dataclasses
+    from cqmlab import cqms as cq
+    from cqmlab import examples as ex
+    from cqmlab import group_action as ga
+    base = ex.commutative_cycle(m)
+    group = dataclasses.replace(base.action.group, lengths=relength(base.action.group.lengths))
+    return cq.Cqms(space=base.space,
+                   action=ga.UnitaryAction(group=group, implementers=base.action.implementers))
+
+
 def power_iteration_opnorm(a: np.ndarray, iters: int = 2000, seed: int = 0) -> float:
     """Operator norm of Hermitian a through power iteration on a^2."""
     rng = np.random.default_rng(seed)

@@ -64,6 +64,36 @@ def test_small_scenario_and_roundtrip(tmp_path):
     assert [j["name"] for j in parsed["jobs"]] == [j["name"] for j in report["jobs"]]
 
 
+def test_pair_jobs_report_unconverged_stages(tmp_path, monkeypatch):
+    # dist and audit jobs write both spaces' unconverged stage counts, as the
+    # radius job does for its space: none at the default step cap, and with
+    # a one-step cap each space's own count from its radius solves
+    from cqmlab import cqms
+    from cqmlab import examples as ex
+    doc = {
+        "seed": 1, "eps_net": 0.6, "budget": 8,
+        "examples": [{"name": "t2", "family": "torus", "q": 2, "p": 1},
+                     {"name": "t3", "family": "torus", "q": 3, "p": 1}],
+        "jobs": [{"kind": "dist", "a": "t2", "b": "t3", "phi": "torus_freq"},
+                 {"kind": "audit", "a": "t2", "b": "t3", "phi": "torus_freq"}],
+    }
+
+    def counts():
+        report, _, _ = run_doc(doc, tmp_path)
+        assert all(job["status"] == "ok" for job in report["jobs"])
+        parsed = json.loads((tmp_path / "report.json").read_text())
+        return [job["result"]["unconverged_stages"] for job in parsed["jobs"]]
+
+    assert counts() == [{"a": 0, "b": 0}] * 2
+    monkeypatch.setattr(cqms, "NEWTON_STEPS", 1)
+    spaces = {"a": ex.fuzzy_torus(2, 1), "b": ex.fuzzy_torus(3, 1)}
+    for space in spaces.values():
+        space.radius()
+    expected = {k: space.unconverged_stages for k, space in spaces.items()}
+    assert expected["a"] != expected["b"]
+    assert counts() == [expected] * 2
+
+
 def test_render_byte_stability(tmp_path):
     doc = {
         "seed": 5, "eps_net": 0.4, "budget": 16,

@@ -10,7 +10,7 @@ from cqmlab import cqms as cq
 from cqmlab import examples as ex
 from cqmlab import numerics as nm
 
-from conftest import cycle_arc_matrix, kantorovich_lp
+from conftest import cycle_arc_matrix, kantorovich_lp, relengthed_cycle
 
 
 @pytest.fixture(scope="module")
@@ -229,9 +229,10 @@ def test_state_diameter_cycle(cycle12):
 
 @pytest.mark.parametrize("name", ["torus3", "sphere1"])
 def test_smoothed_seminorm_gradient(name):
-    # analytic gradient of the smoothed seminorm against central differences,
-    # over the whole kernel at a mild and a sharp temperature (diagonal
-    # operators are solved by LP and never smoothed)
+    # analytic gradient and Hessian of the smoothed seminorm against central
+    # differences of its value and gradient, over the whole kernel at a wide,
+    # a mild and a sharp temperature (diagonal operators are solved by LP and
+    # never smoothed)
     obj = {"torus3": lambda: ex.fuzzy_torus(3, 1),
            "sphere1": lambda: ex.fuzzy_sphere(1)}[name]()
     op, diagonal = obj._operator()
@@ -240,34 +241,46 @@ def test_smoothed_seminorm_gradient(name):
     ns = obj.space.real_dim - 1
     c = rng.standard_normal(ns)
     exact = obj.seminorm(obj.space.element(np.concatenate([[0.0], c])))
-    for tau in (0.1 * exact, 0.001 * exact):
-        val, grad = obj._smoothed_seminorm(c, tau, op)
+    # (at tau = exact most eigenvalue pairs take the near-pair formula)
+    for tau in (exact, 0.1 * exact, 0.001 * exact):
+        val, grad, hess = obj._smoothed_seminorm(c, tau, op)
         # log-sum-exp sits between the max and the max plus tau log(#terms)
         terms = 2 * len(obj.action.seminorm_kernel()[0]) * obj.dim
         assert exact - 1e-12 <= val <= exact + tau * np.log(terms) + 1e-12
         h = 1e-6
-        fd = np.array([(obj._smoothed_seminorm(c + h * e, tau, op)[0]
-                        - obj._smoothed_seminorm(c - h * e, tau, op)[0]) / (2 * h)
-                       for e in np.eye(ns)])
+        steps = [(obj._smoothed_seminorm(c + h * e, tau, op),
+                  obj._smoothed_seminorm(c - h * e, tau, op)) for e in np.eye(ns)]
+        fd = np.array([(plus[0] - minus[0]) / (2 * h) for plus, minus in steps])
         assert np.allclose(grad, fd, rtol=1e-6, atol=1e-7)
+        fd_hess = np.array([(plus[1] - minus[1]) / (2 * h) for plus, minus in steps])
+        assert np.array_equal(hess, hess.T)
+        assert np.allclose(hess, fd_hess, rtol=1e-6, atol=1e-7)
 
 
 def _full_kernel_support(obj, g, effort):
-    """The support solve with every ladder stage smoothed over the whole
-    seminorm kernel: the reference for the working kernel."""
+    """The support solve by an L-BFGS ladder with every stage smoothed over
+    the whole seminorm kernel: an independent reference for the working
+    kernel and the Newton stages, with its own log-sum-exp value and
+    gradient (sum_x Re tr(W_x D_x,k), W_x the softmax-weighted eigenvectors)."""
     slice_ortho = obj.space.ortho[1:]
     gs = np.real(np.einsum("kab,ab->k", slice_ortho.conj(), g))
     c0 = gs / np.linalg.norm(gs) ** 2
     nmat = null_space(gs[None, :])
-    op = obj._operator()[0]
+    op, d = obj._operator()[0], obj.dim
 
     def objective(u, tau):
-        val, grad = obj._smoothed_seminorm(c0 + nmat @ u, tau, op)
-        return val, nmat.T @ grad
+        vals, v = np.linalg.eigh(((c0 + nmat @ u) @ op).view(complex).reshape(-1, d, d))
+        z = np.concatenate([vals, -vals])
+        wts = np.exp((z - z.max()) / tau)
+        val = z.max() + tau * np.log(wts.sum())
+        wts /= wts.sum()
+        coef = wts[:len(vals)] - wts[len(vals):]
+        wmat = (v * coef[:, None, :]) @ np.swapaxes(v.conj(), 1, 2)
+        return val, nmat.T @ (op @ wmat.reshape(-1).view(float))
 
-    factors, max_stage_iter = obj._LADDERS[effort]
+    max_stage_iter = {"fine": 120, "coarse": 80}[effort]
     u = np.zeros(nmat.shape[1])
-    for factor in factors:
+    for factor in obj._LADDERS[effort]:
         tau = factor * max(obj._coeff_seminorms((c0 + nmat @ u)[None])[0], 1e-9)
         u = minimize(objective, u, args=(tau,), jac=True, method="L-BFGS-B",
                      options={"maxiter": max_stage_iter, "ftol": 1e-15, "gtol": 1e-13}).x
@@ -303,7 +316,9 @@ def test_working_kernel_support(name, monkeypatch):
 
     def recording(self, c, tau, sub):
         widths.append(sub.shape[1] // per_element)
-        return smoothed(self, c, tau, sub)
+        val, grad, hess = smoothed(self, c, tau, sub)
+        assert grad.shape == c.shape and hess.shape == (len(c), len(c))
+        return val, grad, hess
 
     for g in _orthogonal_pure_pairs(obj, 3, seed=5):
         ref, _ = _full_kernel_support(obj, g, "coarse")
@@ -322,16 +337,24 @@ def test_working_kernel_support(name, monkeypatch):
 @pytest.mark.parametrize("name", ["torus51"])
 def test_working_kernel_is_whole_small_kernel(name):
     # a kernel of at most WORKING_SEED elements is the working kernel itself:
-    # one ladder, as over the whole kernel
+    # one ladder, the same Newton stages as over the whole kernel
     obj = {"torus51": lambda: ex.fuzzy_torus(5, 1)}[name]()
     assert len(obj.action.seminorm_kernel()[0]) <= cq.WORKING_SEED
+    slice_ortho = obj.space.ortho[1:]
     rng = np.random.default_rng(9)
     for _ in range(3):
         g = obj.space.random_element(rng)
-        ref, ref_a = _full_kernel_support(obj, g, "coarse")
+        gs = np.real(np.einsum("kab,ab->k", slice_ortho.conj(), g))
+        c0 = gs / np.linalg.norm(gs) ** 2
+        nmat = null_space(gs[None, :])
+        u = obj._ladder(c0, nmat, np.zeros(nmat.shape[1]), obj._LADDERS["coarse"],
+                        obj._operator()[0])
+        ref, ref_a = obj._rescaled(c0 + nmat @ u, 1.0)
         val, a = obj._support_max(g, effort="coarse")
         assert val == pytest.approx(ref, rel=1e-12)
         assert np.allclose(a, ref_a, rtol=0.0, atol=1e-12 * nm.hs_norm(ref_a))
+        # and the L-BFGS reference agrees within the working-kernel tolerance
+        assert abs(val - _full_kernel_support(obj, g, "coarse")[0]) <= 1e-4 * val
 
 
 @pytest.mark.parametrize("m", [3, 5, 8, 12, 16], ids=lambda m: f"cycle{m}")
@@ -360,12 +383,7 @@ def test_dirac_metric_is_shortest_path():
     # squared arc lengths break the triangle inequality, so the Dirac metric
     # is the shortest-path metric over several shifts, not the direct length;
     # the LP oracle over the direct lengths computes the same sup
-    import dataclasses
-    import cqmlab.group_action as ga
-    base = ex.commutative_cycle(8)
-    group = dataclasses.replace(base.action.group, lengths=base.action.group.lengths ** 2)
-    obj = cq.Cqms(space=base.space,
-                  action=ga.UnitaryAction(group=group, implementers=base.action.implementers))
+    obj = relengthed_cycle(8, np.square)
     direct = cycle_arc_matrix(8) ** 2
     dirac = obj._dirac_metric()
     assert np.all(dirac <= direct + 1e-12) and np.max(direct - dirac) > 1.0
@@ -378,16 +396,17 @@ def test_dirac_metric_is_shortest_path():
     assert obj.radius() == pytest.approx(np.max(dirac) / 2.0, abs=1e-12)
 
 
-def test_diagonal_spaces_skip_lbfgs(monkeypatch):
-    # cycle radii, diameters and state metrics run no L-BFGS stage; a fuzzy
-    # torus still does
+def test_diagonal_spaces_skip_smoothing(monkeypatch):
+    # cycle radii, diameters and state metrics never evaluate the smoothed
+    # seminorm; a fuzzy torus still does
     calls = []
+    smoothed = cq.Cqms._smoothed_seminorm
 
-    def counting(*args, **kwargs):
+    def counting(self, *args):
         calls.append(1)
-        return minimize(*args, **kwargs)
+        return smoothed(self, *args)
 
-    monkeypatch.setattr(cq, "minimize", counting)
+    monkeypatch.setattr(cq.Cqms, "_smoothed_seminorm", counting)
     for m in (8, 16):
         obj = ex.commutative_cycle(m)
         obj.radius()
@@ -400,21 +419,39 @@ def test_diagonal_spaces_skip_lbfgs(monkeypatch):
 
 
 def test_unconverged_stages_counted(monkeypatch):
-    # every L-BFGS stage of the space's support solves that ends unconverged
-    # is counted on the space
-    failed = []
-
-    def counting(*args, **kwargs):
-        res = minimize(*args, **kwargs)
-        failed.append(not res.success)
-        return res
-
-    monkeypatch.setattr(cq, "minimize", counting)
+    # every Newton stage of fuzzy_torus(5,1)'s radius converges (the L-BFGS
+    # ladder left 29 of 96 at its iteration cap); with a one-step cap every
+    # stage run ends unconverged and is counted on the space
     obj = ex.fuzzy_torus(5, 1)
     assert obj.unconverged_stages == 0
     obj.radius()
-    assert 0 < sum(failed) < len(failed)
-    assert obj.unconverged_stages == sum(failed)
+    assert obj.unconverged_stages == 0
+
+    stages = []
+    newton_stage = cq._newton_stage
+
+    def counting(*args):
+        stages.append(1)
+        return newton_stage(*args)
+
+    monkeypatch.setattr(cq, "_newton_stage", counting)
+    monkeypatch.setattr(cq, "NEWTON_STEPS", 1)
+    capped = ex.fuzzy_torus(5, 1)
+    capped.radius()
+    assert stages and capped.unconverged_stages == len(stages)
+
+
+def test_newton_stage_outcomes():
+    # a quadratic converges to its minimizer; a function whose value rises
+    # along every step ends unconverged where it started
+    a = np.array([[3.0, 1.0], [1.0, 2.0]])
+    b = np.array([1.0, -1.0])
+    quadratic = lambda u: (0.5 * u @ a @ u - b @ u + 10.0, a @ u - b, a)
+    u, converged = cq._newton_stage(quadratic, np.zeros(2))
+    assert converged and np.allclose(u, np.linalg.solve(a, b), rtol=0, atol=1e-12)
+    rising = lambda u: (1.0 + u @ u, np.ones(2), np.eye(2))
+    u, converged = cq._newton_stage(rising, np.zeros(2))
+    assert not converged and np.array_equal(u, np.zeros(2))
 
 
 def _kernel_sups(obj, stack):

@@ -8,6 +8,8 @@ from cqmlab import distoq as dq
 from cqmlab import examples as ex
 from cqmlab import numerics as nm
 
+from conftest import relengthed_cycle
+
 
 @pytest.fixture(scope="module")
 def cycle8():
@@ -195,6 +197,30 @@ def test_dist_lower_scalar_vs_full():
     assert lo.value >= t.radius() - 1e-6    # pure radius gap
 
 
+def test_dist_lower_exact_radii_noise(monkeypatch):
+    # c6 and c12 both have exact radius pi/2, summed over three and six arcs:
+    # their float difference is rounding, and the lower bound reads 0; were
+    # one radius an ascent estimate, the gap would stand
+    a, b = ex.commutative_cycle(6), ex.commutative_cycle(12)
+    assert a.radius() != b.radius()
+    lo = dq.dist_oq_lower(a, b, eps_net=0.35, budget=32, seed=11)
+    assert lo.radius_gap == 0.0 and lo.value == 0.0
+    monkeypatch.setattr(b, "radius_method", lambda: "ascent")
+    lo = dq.dist_oq_lower(a, b, eps_net=0.35, budget=32, seed=11)
+    assert lo.radius_gap == abs(a.radius() - b.radius())
+
+
+def test_dist_lower_exact_radii_gap():
+    # different exact radii keep their whole gap, down to 1e-10 relative
+    b = ex.commutative_cycle(8)
+    for relength in (np.square, lambda lens: lens * (1.0 + 1e-10)):
+        a = relengthed_cycle(8, relength)
+        assert a.radius_method() == b.radius_method() == "exact"
+        lo = dq.dist_oq_lower(a, b, eps_net=0.35, budget=32, seed=0)
+        assert lo.radius_gap == abs(a.radius() - b.radius()) > 1e-10
+        assert lo.value >= lo.radius_gap
+
+
 def test_dist_upper_seed_stability(torus_pair):
     a, b = ex.fuzzy_torus(5, 1), ex.fuzzy_torus(7, 1)
     phi = dq.torus_frequency_map(a, b)
@@ -248,6 +274,29 @@ def test_audit_cycle_pair(cycle8, cycle16):
     phi = dq.cycle_refinement_map(cycle8, cycle16)
     _, record = dq.audit_pair(cycle8, cycle16, phi, eps_net=0.35, budget=24, seed=0)
     assert record.all_passed
+
+
+def test_audit_reuses_upper_at_larger_radius(cycle8, monkeypatch):
+    # when r_B is the larger radius, the R = r_B upper report is the R =
+    # max(r_A, r_B) one, computed once; otherwise it is a third call
+    squared = relengthed_cycle(8, np.square)
+    assert squared.radius() < cycle8.radius()
+    phi = dq.identity_map(cycle8)
+    calls = []
+    upper = dq.dist_oq_upper
+
+    def counting(*args):
+        calls.append(args[3])
+        return upper(*args)
+
+    monkeypatch.setattr(dq, "dist_oq_upper", counting)
+    reports, _ = dq.audit_pair(squared, cycle8, phi, eps_net=0.5, budget=8, seed=0)
+    assert len(calls) == 2 and set(calls) == {cycle8.radius(), None}
+    assert reports["oq_rB_upper"] is reports["oqR_upper"]
+    calls.clear()
+    reports, _ = dq.audit_pair(cycle8, squared, phi, eps_net=0.5, budget=8, seed=0)
+    assert len(calls) == 3 and set(calls) == {cycle8.radius(), None, squared.radius()}
+    assert reports["oq_rB_upper"].big_r == squared.radius()
 
 
 def test_audit_detects_corruption(cycle8, cycle16):
