@@ -11,9 +11,12 @@ Screening.  Every difference X = (U_x a U_x* - a) / l(x) is traceless, so
 ``|X| <= sqrt((d-1)/d) |X|_HS`` (``numerics.traceless_scale``), and the HS
 norm is one dot product where ``|X|`` is an eigensolve.  A sup over a dense
 kernel never eigensolves an element whose bound is below the largest
-operator norm already solved in its row, so the value is exact.  (The net
-distances of ``numerics`` use the lower bound ``|X|_HS / sqrt(d) <= |X|``
-the same way.)
+operator norm already solved in its row, so the value is exact.  The
+working-kernel selections of the support solver also use the lower bound
+``max_j |X e_j| <= |X|`` (``numerics.norm_bounds``): an element whose upper
+bound cannot reach the ``WORKING_SEED``-th largest lower bound, or
+``WORKING_ADD`` times the largest, is never eigensolved there.  (The net
+distances of ``numerics`` use the same two bounds.)
 
 On top of the seminorm this module computes the defining balls
 ``D_r = {a : L(a) <= 1, |a| <= r}``, their greedy epsilon-nets with
@@ -200,7 +203,9 @@ def dirac_state(d: int, i: int) -> StateFunctional:
 
 @dataclass
 class BallNet:
-    """Finite net of D_r with a probe-sampled covering certificate."""
+    """Finite net of D_r with a probe-sampled covering certificate.
+    ``capped``: greedy insertion stopped at the point cap, not at the
+    separation rule."""
 
     r: float
     epsilon: float
@@ -209,6 +214,7 @@ class BallNet:
     complete: bool
     probe_seed: int
     probe_count: int
+    capped: bool
 
     @property
     def size(self) -> int:
@@ -396,14 +402,15 @@ class Cqms:
         >= epsilon/2.  The covering certificate is the max distance of
         ``budget`` fresh probe points of D_r to the net (statistical,
         not geometric; the probe seed and law are recorded).  The net
-        stops at ``max_points`` points.
+        stops at ``max_points`` points, and is flagged ``capped`` when some
+        candidate is still >= epsilon/2 from it.
         """
         key = (round(float(r), 12), round(float(epsilon), 12), budget, seed, max_points)
         if key in self.net_cache:
             return self.net_cache[key]
         zero = np.zeros((1, self.dim, self.dim), dtype=complex)
         if r <= 1e-12:
-            net = BallNet(r, epsilon, zero, 0.0, True, seed, 0)
+            net = BallNet(r, epsilon, zero, 0.0, True, seed, 0, False)
             self.net_cache.setdefault(key, net)
             return net
 
@@ -420,13 +427,13 @@ class Cqms:
         cands = (boundary[None, :] * fracs[:, None, None, None]).reshape(-1, self.dim, self.dim)
         cands = np.concatenate([cands, self._random_points(rng, min(max(2 * n * n, 96), 640), r)])
 
-        chosen = nm.farthest_first(cands, nm.op_dists(cands, zero)[:, 0], max_points - 1,
-                                   lambda far: far < epsilon / 2.0)
+        chosen, capped = nm.farthest_first(cands, nm.op_dists(cands, zero)[:, 0], max_points - 1,
+                                           lambda far: far < epsilon / 2.0)
         pts = np.concatenate([zero, cands[chosen]])
 
         probes = self._random_points(np.random.default_rng(seed + 1), budget, r)
         cert = nm.covering_radius(pts, probes)
-        net = BallNet(r, epsilon, pts, cert, cert <= epsilon, seed + 1, budget)
+        net = BallNet(r, epsilon, pts, cert, cert <= epsilon, seed + 1, budget, capped)
         self.net_cache.setdefault(key, net)
         return net
 
@@ -481,12 +488,25 @@ class Cqms:
         hess = rows @ rows.T - np.outer(grad, grad) / tau
         return val, grad, hess
 
-    def _kernel_norms(self, c: np.ndarray) -> np.ndarray:
+    def _kernel_norms(self, c: np.ndarray, factor: float = 0.0, rank: int = 1) -> np.ndarray:
         """|alpha_x(a) - a| / l(x) for every kernel element x, a = sum c_k S_k
-        (dense operators only)."""
+        (dense operators only), or -inf for an element provably below
+        ``factor`` times the ``rank``-th largest of them; with the default
+        factor 0 none is skipped.
+
+        Screened by ``max_j |X e_j| <= |X| <= sqrt((d-1)/d) |X|_HS`` (every X
+        is traceless), each with a 1e-9 relative margin: an element whose
+        upper bound is below ``factor`` times the ``rank``-th largest lower
+        bound is not eigensolved.
+        """
         d = self.dim
-        flat = c @ self._operator()[0]
-        return np.max(np.abs(np.linalg.eigvalsh(flat.view(complex).reshape(-1, d, d))), axis=1)
+        mats = (c @ self._operator()[0]).view(complex).reshape(-1, d, d)
+        lower, hs = nm.norm_bounds(mats)
+        reach = factor * (np.partition(lower, -rank)[-rank] * (1.0 - 1e-9))
+        keep = np.flatnonzero(hs * (nm.traceless_scale(d) * (1.0 + 1e-9)) + 1e-150 >= reach)
+        norms = np.full(len(mats), -np.inf)
+        norms[keep] = np.max(np.abs(np.linalg.eigvalsh(mats[keep])), axis=1)
+        return norms
 
     # temperature factors, each relative to the seminorm at its stage's start
     _LADDERS = {
@@ -541,7 +561,12 @@ class Cqms:
         kernel = len(self.action.seminorm_kernel()[0])
         work = None                              # None: the whole kernel
         if kernel > WORKING_SEED:
-            work = np.sort(np.argsort(self._kernel_norms(c0))[-WORKING_SEED:])
+            norms = self._kernel_norms(c0, 1.0, WORKING_SEED)
+            ranked = np.sort(norms)
+            if ranked[-WORKING_SEED] == ranked[-WORKING_SEED - 1]:
+                # a tie at the cut: let argsort break it over the whole kernel
+                norms = self._kernel_norms(c0)
+            work = np.sort(np.argsort(norms)[-WORKING_SEED:])
 
         u = np.zeros(nmat.shape[1])
         while nmat.shape[1] > 0:
@@ -549,7 +574,7 @@ class Cqms:
             u = self._ladder(c0, nmat, u, self._LADDERS[effort], sub)
             if work is None:
                 break
-            norms = self._kernel_norms(c0 + nmat @ u)
+            norms = self._kernel_norms(c0 + nmat @ u, WORKING_ADD)
             new = np.setdiff1d(np.flatnonzero(norms >= WORKING_ADD * np.max(norms)), work)
             if new.size == 0:
                 break

@@ -16,9 +16,13 @@ map distortion) instead of pretending to be exact; the upper estimators
 only ever overestimate the glue norm, so reported values stay valid
 upper bounds up to the recorded net certificates.
 
-Distances between finite nets all come from the blocked kernel
-``numerics.op_dists``, and sub-nets from ``numerics.farthest_first``,
-the greedy insertion that also builds the ball nets.
+Distances between finite nets come from ``numerics``.  The upper bound's
+glue table and the sub-net coarsening read only row and column minima,
+so they go through ``numerics.nearest``, which eigensolves only the
+entries that can be one; the sub-net tables come from
+``numerics.op_dists``, and sub-nets from ``numerics.farthest_first``, the
+greedy insertion that also builds the ball nets.  Reports flag nets that
+stopped at their point cap (``net_a_capped``, ``net_b_capped``).
 """
 
 from dataclasses import dataclass, field
@@ -415,10 +419,10 @@ def dist_oq_upper(a: Cqms, b: Cqms, phi: ComparisonMap, big_r: float = None,
     res = nm.op_norms(pa - xa)
     xnorm = nm.op_norms(xa)
     ims = np.array([phi.apply_coeffs(c) for c in ca])
-    cross = nm.op_dists(ims, pb)
-    cand1 = res[:, None] + eps * xnorm[:, None] + cross
-    cand0 = nm.op_norms(pa)[:, None] + nm.op_norms(pb)[None, :]
-    dmat = np.minimum(cand0, cand1)
+    # glue candidates res_i + eps |x_i| + |phi(x_i) - b_j| against the plain
+    # |a_i| + |b_j|: only each row's and column's minimum is read
+    row_min, row_arg, col_min, col_arg = nm.nearest(
+        ims, pb, res + eps * xnorm, nm.op_norms(pa)[:, None] + nm.op_norms(pb)[None, :])
 
     # deterministic partner candidates beyond the finite nets: retract the
     # mapped point into the target ball (rows), and the least-squares glue
@@ -431,17 +435,17 @@ def dist_oq_upper(a: Cqms, b: Cqms, phi: ComparisonMap, big_r: float = None,
     gaps_b = nm.op_norms(np.einsum("nk,kab->nab", cb, phi.images) - pb)
     col_extra = _retract_gap(a, xb, radius_a) + eps * nm.op_norms(xb) + gaps_b
 
-    def directed(dm, extra, points_row, points_col, transpose):
+    def directed(nearest_min, nearest_arg, extra, points_row, points_col, transpose):
         # iteratively polish whichever row currently dominates the sup, so
         # the reported Hausdorff term rests on descended values
-        mins = np.minimum(dm.min(axis=1), extra)
+        mins = np.minimum(nearest_min, extra)
         refined = set()
         for _ in range(REFINE_WITNESSES):
             i = int(np.argmax(mins))
             if i in refined:
                 break
             refined.add(i)
-            j = int(np.argmin(dm[i]))
+            j = int(nearest_arg[i])
             aa, bb = (points_row[i], points_col[j])
             if transpose:
                 aa, bb = bb, aa
@@ -449,8 +453,8 @@ def dist_oq_upper(a: Cqms, b: Cqms, phi: ComparisonMap, big_r: float = None,
             mins[i] = min(mins[i], v)
         return float(np.max(mins))
 
-    h = max(directed(dmat, row_extra, pa, pb, False),
-            directed(dmat.T, col_extra, pb, pa, True))
+    h = max(directed(row_min, row_arg, row_extra, pa, pb, False),
+            directed(col_min, col_arg, col_extra, pb, pa, True))
     da, db = a.dim, b.dim
     unit_term = norm.value(radius_a * np.eye(da, dtype=complex),
                            -radius_b * np.eye(db, dtype=complex), descend=True)
@@ -467,6 +471,7 @@ def dist_oq_upper(a: Cqms, b: Cqms, phi: ComparisonMap, big_r: float = None,
             "glue_eps": eps, "net_a_size": net_a.size, "net_b_size": net_b.size,
             "net_a_certificate": net_a.covering_certificate,
             "net_b_certificate": net_b.covering_certificate,
+            "net_a_capped": net_a.capped, "net_b_capped": net_b.capped,
             "eps_net": eps_net,
         },
         degraded=degraded,
@@ -480,11 +485,11 @@ def _subnet(points: np.ndarray) -> tuple[np.ndarray, float, FiniteMetricSpace]:
     idx = np.arange(len(points))
     if len(points) > SUB_CAP:
         first = int(np.argmax(nm.op_norms(points)))
-        rest = nm.farthest_first(points, nm.op_dists(points, points[first:first + 1])[:, 0],
-                                 SUB_CAP - 1, lambda far: far <= 1e-12)
+        rest, _ = nm.farthest_first(points, nm.op_dists(points, points[first:first + 1])[:, 0],
+                                    SUB_CAP - 1, lambda far: far <= 1e-12)
         idx = np.array(sorted([first] + rest))
     sub = points[idx]
-    coarsen = float(np.max(np.min(nm.op_dists(points, sub), axis=1)))
+    coarsen = float(np.max(nm.nearest(points, sub)[0]))
     dist = nm.op_dists(sub, sub)
     dist = (dist + dist.T) / 2.0
     np.fill_diagonal(dist, 0.0)
@@ -522,6 +527,7 @@ def dist_oq_lower(a: Cqms, b: Cqms, eps_net: float = 0.25, budget: int = 64,
             "subnet_a": int(idx_a.size), "subnet_b": int(idx_b.size),
             "net_a_certificate": net_a.covering_certificate,
             "net_b_certificate": net_b.covering_certificate,
+            "net_a_capped": net_a.capped, "net_b_capped": net_b.capped,
             "coarsen_a": coarsen_a, "coarsen_b": coarsen_b,
         },
     )

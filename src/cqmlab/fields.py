@@ -173,7 +173,7 @@ def criterion_iii_check(fam: ParamFamily, section_names, eps: float,
         member = fam.members[t]
         net = member.ball_net(bound_r, eps / 4.0, budget=budget, seed=seed)
         svals = np.array([fam.sections[name][t] for name in section_names])
-        worst = float(np.max(np.min(nm.op_dists(svals, net.points), axis=0)))
+        worst = nm.covering_radius(svals, net.points)
         ok = worst < eps
         all_pass = all_pass and ok
         per[t] = {"passed": ok, "worst_gap": worst, "net_size": net.size,

@@ -10,23 +10,25 @@ elsewhere (seminorm sups, net construction) can batch thousands of
 small eigenproblems per call.
 
 Distances between stacks go through :func:`op_dists`, which forms the
-differences ``p_i - q_j`` in blocks of at most ``DIST_BLOCK`` = 2**16
+differences ``p_i - q_j`` in blocks of at most ``DIST_BLOCK`` = 2**14
 matrix entries (diagonal entries when both stacks are diagonal), so this
 module alone bounds their memory and decides, once per call, when the
-diagonal shortcut applies.
+diagonal shortcut applies.  Callers that read only nearest distances use
+:func:`nearest`, the min and argmin along both axes of such a table
+(with a per-row offset and a ceiling), which eigensolves few of its
+entries.
 
-Screening.  For a d x d Hermitian X the Hilbert-Schmidt norm brackets the
-operator norm, ``|X|_HS / sqrt(d) <= |X| <= |X|_HS``, and costs one dot
-product where ``|X|`` costs an eigensolve.  :func:`farthest_first` uses the
-lower bound: a point whose HS distance to the new net point, divided by
-sqrt(d), is already at least its current distance to the net cannot have
-that distance lowered, so it is not sent to the eigensolver.  The upper
-bound (tightened to ``sqrt((d-1)/d) |X|_HS`` for traceless X) does the same
-for seminorm sups in ``cqms``.  :func:`covering_radius` (the largest
-distance from a probe to its nearest point) uses both: a probe whose
-smallest HS distance is at most the largest distance found so far cannot
-raise it, and for the other probes only points whose lower bound is below
-the nearest distance so far are eigensolved.  Each skip is taken
+Screening.  For a d x d Hermitian X two cheap norms bracket the operator
+norm: ``max_j |X e_j| <= |X| <= |X|_HS`` (:func:`norm_bounds`, one pass over
+the squared entries, where ``|X|`` costs an eigensolve).  The left side
+holds because every e_j is a unit vector, with equality for diagonal X; it
+is at least ``|X|_HS / sqrt(d)``.  The right side tightens to ``sqrt((d-1)/d)
+|X|_HS`` for traceless X, which ``cqms`` uses for seminorm sups and for its
+working kernels.  :func:`nearest` eigensolves only the entries whose lower
+bound can still reach the smallest upper bound, or exact value, in their
+row or column, and :func:`covering_radius` is the max of its column minima.
+:func:`farthest_first` skips a point whose lower bound to the new net point
+is already at least its current distance to the net.  Each skip is taken
 with a 1e-9 relative margin, far above the rounding of either norm, and
 each matrix's ``eigvalsh`` result does not depend on the batch around it,
 so screened and unscreened runs give the same bits.
@@ -41,7 +43,7 @@ import numpy as np
 STRUCTURAL_TOL = 1e-10
 NUMERIC_TOL = 1e-8
 
-DIST_BLOCK = 2 ** 16
+DIST_BLOCK = 2 ** 14
 
 
 class NumericsError(Exception):
@@ -171,17 +173,87 @@ def op_dists(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return out
 
 
-def farthest_first(points: np.ndarray, dists: np.ndarray, cap: int, stop) -> list:
-    """Greedy farthest-point insertion: indices of ``points``, each the
-    farthest from the set so far (``dists``: distances to the starting set,
-    not modified), until ``cap`` are added or ``stop(farthest distance)``
-    holds.
+def norm_bounds(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(max_j |X e_j|, |X|_HS) for each matrix X of a complex stack
+    (..., d, d): the largest column norm and the Hilbert-Schmidt norm, which
+    bracket the operator norm, ``max_j |X e_j| <= |X| <= |X|_HS``.  Both come
+    from one pass over the squared entries."""
+    sq = np.abs(stack)
+    sq *= sq
+    cols = np.sum(sq, axis=-2)
+    return np.sqrt(np.max(cols, axis=-1)), np.sqrt(np.sum(cols, axis=-1))
+
+
+def nearest(p: np.ndarray, q: np.ndarray, offset=0.0, ceiling=np.inf):
+    """(row_min, row_arg, col_min, col_arg): the min and the first argmin
+    along each axis of ``T = np.minimum(ceiling, offset[:, None] +
+    op_dists(p, q))``, bit for bit.  ``offset`` broadcasts to (len(p),) and
+    ``ceiling`` to (len(p), len(q)).  Along an empty axis the min is inf and
+    the argmin -1.
+
+    When both stacks are diagonal the table is formed by :func:`op_dists`.
+    Otherwise :func:`norm_bounds` of the differences, in blocks of at most
+    ``DIST_BLOCK`` entries, bracket every entry, ``lo <= T <= hi``, and an
+    entry with ``lo >= ceiling`` is the ceiling.  The entry with the
+    smallest hi in each row and each column is eigensolved first, and its
+    exact value replaces its hi.  Then only the entries whose lo is at most
+    their row's or their column's smallest hi are eigensolved: any other is
+    above both minima, so it is neither a min nor an argmin.
+    """
+    p, q = np.asarray(p, dtype=complex), np.asarray(q, dtype=complex)
+    n, m = len(p), len(q)
+    offset = np.broadcast_to(np.asarray(offset, dtype=float), (n,))[:, None]
+    ceiling = np.broadcast_to(np.asarray(ceiling, dtype=float), (n, m))
+    if n == 0 or m == 0:
+        return np.full(n, np.inf), np.full(n, -1), np.full(m, np.inf), np.full(m, -1)
+    if is_diagonal(p) and is_diagonal(q):
+        table = np.minimum(ceiling, offset + op_dists(p, q))
+        return np.min(table, 1), np.argmin(table, 1), np.min(table, 0), np.argmin(table, 0)
+    d = p.shape[-1]
+    lo, hi = np.empty((n, m)), np.empty((n, m))
+    cols = max(1, min(m, DIST_BLOCK // (d * d)))
+    rows = max(1, DIST_BLOCK // (cols * d * d))
+    for i in range(0, n, rows):
+        for j in range(0, m, cols):
+            lo[i:i + rows, j:j + cols], hi[i:i + rows, j:j + cols] = norm_bounds(
+                p[i:i + rows, None] - q[None, j:j + cols])
+    # 1e-9 relative covers rounding, 1e-150 absolute squares that underflow;
+    # float addition is monotone, so adding the offset keeps both bounds
+    lo = offset + (lo * (1.0 - 1e-9) - 1e-150)
+    hi = np.minimum(ceiling, offset + (hi * (1.0 + 1e-9) + 1e-150))
+    capped = lo >= ceiling
+    table = np.where(capped, ceiling, np.inf)
+
+    def solve(mask):
+        ri, ci = np.nonzero(mask & ~capped)
+        chunk = max(1, DIST_BLOCK // (d * d))
+        for s in range(0, ri.size, chunk):
+            r, c = ri[s:s + chunk], ci[s:s + chunk]
+            dist = np.max(np.abs(np.linalg.eigvalsh(p[r] - q[c])), axis=-1)
+            table[r, c] = hi[r, c] = np.minimum(ceiling[r, c], offset[r, 0] + dist)
+        lo[ri, ci] = np.inf                    # solved: never again
+
+    first = np.zeros((n, m), dtype=bool)
+    first[np.arange(n), np.argmin(hi, axis=1)] = True
+    first[np.argmin(hi, axis=0), np.arange(m)] = True
+    solve(first)
+    solve(lo <= np.maximum(np.min(hi, axis=1)[:, None], np.min(hi, axis=0)))
+    return np.min(table, 1), np.argmin(table, 1), np.min(table, 0), np.argmin(table, 0)
+
+
+def farthest_first(points: np.ndarray, dists: np.ndarray, cap: int, stop) -> tuple[list, bool]:
+    """Greedy farthest-point insertion: (indices of ``points``, capped).
+    Each index is the farthest point from the set so far (``dists``:
+    distances to the starting set, not modified), until ``stop(farthest
+    distance)`` holds or ``cap`` are added; ``capped`` is true when the cap
+    ended the insertion while ``stop`` still failed on the farthest point.
 
     A diagonal stack is updated from its (n, d) diagonals.  For a dense
     stack, a point whose HS distance to the new net point k satisfies
     ``|p_i - p_k|_HS / sqrt(d) * (1 - 1e-9) >= dists[i]`` has
     ``|p_i - p_k| >= dists[i]``, so the minimum keeps ``dists[i]`` exactly;
-    only the other points go to :func:`op_dists`.
+    the survivors are screened again by the larger column-norm bound of
+    :func:`norm_bounds`, and only the rest go to :func:`op_dists`.
     """
     points = np.asarray(points, dtype=complex)
     dists = np.array(dists, dtype=float)
@@ -192,55 +264,29 @@ def farthest_first(points: np.ndarray, dists: np.ndarray, cap: int, stop) -> lis
         flat = realify(points)
         scale = (1.0 - 1e-9) / math.sqrt(points.shape[-1])
     chosen = []
-    while len(chosen) < cap:
+    while dists.size:
         k = int(np.argmax(dists))
         if stop(dists[k]):
             break
+        if len(chosen) == cap:
+            return chosen, True
         chosen.append(k)
         if diagonal:
             dists = np.minimum(dists, np.max(np.abs(diag - diag[k]), axis=1))
         else:
             diff = flat - flat[k]
             near = np.flatnonzero(np.sqrt(np.einsum("ij,ij->i", diff, diff)) * scale < dists)
+            near = near[norm_bounds(points[near] - points[k])[0] * (1.0 - 1e-9) < dists[near]]
             dists[near] = np.minimum(dists[near], op_dists(points[near], points[k:k + 1])[:, 0])
-    return chosen
+    return chosen, False
 
 
 def covering_radius(points: np.ndarray, probes: np.ndarray) -> float:
     """max_j min_i |points_i - probes_j|, 0.0 when there are no probes: the
-    same number as ``np.max(np.min(op_dists(points, probes), axis=0),
-    initial=0.0)``, bit for bit.
-
-    When both stacks are diagonal that is what is computed.  Otherwise the
-    HS norm screens each probe: if its smallest HS distance to the points,
-    times 1 + 1e-9, is at most the running max, its nearest operator
-    distance (at most that HS distance) cannot raise the max.  Else the
-    point with the smallest HS distance is eigensolved first, and then only
-    points with ``hs / sqrt(d) * (1 - 1e-9)`` below the nearest distance so
-    far, because the others are at least that far.
-    """
-    points, probes = np.asarray(points, dtype=complex), np.asarray(probes, dtype=complex)
-    if len(probes) == 0:
-        return 0.0
-    if is_diagonal(points) and is_diagonal(probes):
-        return float(np.max(np.min(op_dists(points, probes), axis=0)))
-    flat = realify(points)
-    scale = (1.0 - 1e-9) / math.sqrt(points.shape[-1])
-    worst = 0.0
-    for q, row in zip(probes, realify(probes)):
-        diff = flat - row
-        hs = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        i = int(np.argmin(hs))
-        if hs[i] * (1.0 + 1e-9) <= worst:
-            continue
-        nearest = float(np.max(np.abs(np.linalg.eigvalsh(points[i] - q))))
-        hs[i] = np.inf                         # solved already
-        near = np.flatnonzero(hs * scale < nearest)
-        if near.size:
-            nearest = min(nearest, float(np.min(np.max(
-                np.abs(np.linalg.eigvalsh(points[near] - q)), axis=-1))))
-        worst = max(worst, nearest)
-    return worst
+    largest of :func:`nearest`'s column minima, so the same number as
+    ``np.max(np.min(op_dists(points, probes), axis=0), initial=0.0)``, bit
+    for bit."""
+    return float(np.max(nearest(points, probes)[2], initial=0.0))
 
 
 def quotient_norm(a: np.ndarray) -> float:

@@ -95,6 +95,20 @@ def test_ball_net_degenerate_radius(torus2):
     assert net.size == 1 and nm.op_norm(net.points[0]) == 0.0
 
 
+def test_ball_net_cap_flag(torus2):
+    # a net that stops at max_points is flagged, and is the prefix of the
+    # uncapped greedy net
+    full = torus2.ball_net(1.0, 0.8, budget=8, seed=0)
+    assert not full.capped and 6 < full.size < 220
+    small = torus2.ball_net(1.0, 0.8, budget=8, seed=0, max_points=6)
+    assert small.capped and small.size == 6
+    assert np.array_equal(small.points, full.points[:6])
+    # a cap at the size where the separation rule stops anyway is no cap
+    exact = torus2.ball_net(1.0, 0.8, budget=8, seed=0, max_points=full.size)
+    assert not exact.capped and np.array_equal(exact.points, full.points)
+    assert not torus2.ball_net(0.0, 0.3, seed=0).capped
+
+
 def test_ball_net_validity_and_separation(torus2):
     r, eps = 1.0, 0.45
     net = torus2.ball_net(r, eps, budget=48, seed=0)
@@ -332,6 +346,48 @@ def test_working_kernel_support(name, monkeypatch):
         # one ladder per working kernel, each larger than the last
         assert min(widths) == cq.WORKING_SEED
         assert len(set(widths)) <= 4 and max(widths) < 2 * cq.WORKING_SEED
+
+
+@pytest.mark.parametrize("name", ["sphere2", "sphere3"])
+def test_kernel_norms_screen_is_exact(name, monkeypatch):
+    # the column-norm and traceless-HS bounds skip eigensolves, but every
+    # working-kernel seed and every growth set is the one computed from the
+    # norms of the whole kernel
+    obj = {"sphere2": lambda: ex.fuzzy_sphere(2),
+           "sphere3": lambda: ex.fuzzy_sphere(3)}[name]()
+    kernel = len(obj.action.seminorm_kernel()[0])
+    screened = cq.Cqms._kernel_norms
+    eigvalsh = np.linalg.eigvalsh
+    solved, calls = [], []
+
+    def counting(a):
+        solved.append(int(np.prod(np.shape(a)[:-2])))
+        return eigvalsh(a)
+
+    def checked(self, c, factor=0.0, rank=1):
+        before = len(solved)
+        got = screened(self, c, factor, rank)
+        calls.append(sum(solved[before:]))
+        mats = (c @ self._operator()[0]).view(complex).reshape(kernel, obj.dim, obj.dim)
+        norms = np.max(np.abs(eigvalsh(mats)), axis=1)
+        skipped = got == -np.inf
+        assert np.array_equal(got[~skipped], norms[~skipped])
+        top = np.sort(norms)
+        assert np.all(norms[skipped] < factor * top[-rank])
+        if rank == cq.WORKING_SEED and top[-rank] != top[-rank - 1]:
+            assert np.array_equal(np.sort(np.argsort(got)[-rank:]),
+                                  np.sort(np.argsort(norms)[-rank:]))
+        if factor == cq.WORKING_ADD:
+            assert np.array_equal(np.flatnonzero(got >= factor * np.max(got)),
+                                  np.flatnonzero(norms >= factor * np.max(norms)))
+        return got
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    monkeypatch.setattr(cq.Cqms, "_kernel_norms", checked)
+    for g in _orthogonal_pure_pairs(obj, 2, seed=11):
+        obj._support_max(g, effort="coarse")
+    assert len(calls) > 2 * 2
+    assert sum(calls) < 0.3 * kernel * len(calls)
 
 
 @pytest.mark.parametrize("name", ["torus51"])

@@ -190,6 +190,22 @@ def test_dist_bounds_cycle_refinement(cycle8, cycle16):
     assert up.value <= r_sum + up.slack + 1e-9
 
 
+def test_reports_flag_capped_nets(cycle8, cycle16, monkeypatch):
+    # both bounds report whether each net stopped at its point cap
+    phi = dq.cycle_refinement_map(cycle8, cycle16)
+    ball_net = cq.Cqms.ball_net
+    for cap, flag in ((220, False), (4, True)):
+        with monkeypatch.context() as mp:
+            mp.setattr(cq.Cqms, "ball_net",
+                       lambda self, *args, **kw: ball_net(self, *args, **kw, max_points=cap))
+            up = dq.dist_oq_upper(cycle8, cycle16, phi, eps_net=0.8, budget=16, seed=0)
+            lo = dq.dist_oq_lower(cycle8, cycle16, eps_net=0.8, budget=16, seed=0)
+        for rep in (up, lo):
+            assert rep.components["net_a_capped"] is flag
+            assert rep.components["net_b_capped"] is flag
+        assert up.as_dict()["components"]["net_b_capped"] is flag
+
+
 def test_dist_lower_scalar_vs_full():
     t = ex.fuzzy_torus(2, 1)
     scal = ex.scalar_cqms(t)

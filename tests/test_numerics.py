@@ -169,11 +169,14 @@ def test_farthest_first(rng):
     dmat = nm.op_dists(pts, pts)
     start = dmat[0].copy()
     chosen = _greedy_reference(dmat, 8, lambda far: far <= 0.5)
-    assert nm.farthest_first(pts, start, 8, lambda far: far <= 0.5) == chosen
+    assert nm.farthest_first(pts, start, 8, lambda far: far <= 0.5) == (chosen, True)
     assert np.array_equal(start, dmat[0])            # the caller's dists are not modified
-    assert nm.farthest_first(pts, dmat[0], 0, lambda far: False) == []
-    spread = nm.farthest_first(pts, dmat[0], 30, lambda far: far <= 0.0)
+    assert nm.farthest_first(pts, dmat[0], 0, lambda far: False) == ([], True)
+    spread, capped = nm.farthest_first(pts, dmat[0], 30, lambda far: far <= 0.0)
+    assert not capped
     assert sorted(spread) == [i for i in range(30) if i != 0]
+    # a cap that the stop rule reaches as well is not flagged
+    assert nm.farthest_first(pts, dmat[0], 29, lambda far: far <= 0.0) == (spread, False)
     # a dense d = 5 stack, screened by the HS lower bound, and a diagonal
     # d = 16 stack, updated from its diagonals: the same indices as the table
     dense = np.array([nm.random_hermitian(rng, 5) for _ in range(320)])
@@ -181,7 +184,7 @@ def test_farthest_first(rng):
     for stack, cap, stop in ((dense, 120, lambda far: far <= 1.0),
                              (diag, 60, lambda far: far <= 0.5)):
         dmat = nm.op_dists(stack, stack)
-        assert nm.farthest_first(stack, dmat[0], cap, stop) == _greedy_reference(dmat, cap, stop)
+        assert nm.farthest_first(stack, dmat[0], cap, stop)[0] == _greedy_reference(dmat, cap, stop)
 
 
 def test_farthest_first_screens_dense_points(rng, monkeypatch):
@@ -195,10 +198,10 @@ def test_farthest_first_screens_dense_points(rng, monkeypatch):
         return op_dists(p, q)
 
     monkeypatch.setattr(nm, "op_dists", counting)
-    chosen = nm.farthest_first(dense, start, 120, lambda far: far <= 1.0)
+    chosen, _ = nm.farthest_first(dense, start, 120, lambda far: far <= 1.0)
     assert len(sent) == len(chosen) > 10
     assert max(sent) < len(dense)
-    assert sum(sent) < 0.75 * len(dense) * len(sent)
+    assert sum(sent) < 0.3 * len(dense) * len(sent)
 
 
 def test_traceless_bound(rng):
@@ -242,3 +245,106 @@ def test_covering_radius(rng, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
     nm.covering_radius(dense, probes)
     assert sum(solved) < 0.5 * len(dense) * len(probes)
+
+
+def _nearest_table(p, q, offset=0.0, ceiling=np.inf):
+    """nearest's four arrays from the full op_dists table."""
+    offset = np.broadcast_to(np.asarray(offset, dtype=float), (len(p),))
+    t = np.minimum(ceiling, offset[:, None] + nm.op_dists(p, q))
+    return t.min(axis=1), t.argmin(axis=1), t.min(axis=0), t.argmin(axis=0)
+
+
+def _counting_eigvalsh(monkeypatch):
+    solved = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a):
+        solved.append(int(np.prod(np.shape(a)[:-2])))
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return solved
+
+
+def test_nearest(rng, monkeypatch):
+    # bitwise the min and argmin along both axes of the full table
+    dense = np.array([nm.random_hermitian(rng, 4) for _ in range(90)])
+    other = np.array([nm.random_hermitian(rng, 4) for _ in range(70)])
+    diag = np.array([np.diag(rng.standard_normal(4)).astype(complex) for _ in range(50)])
+    dupes = np.concatenate([dense[:30], dense[10:20], dense[:5]])      # tied rows and columns
+    near = dense[rng.permutation(90)] + 0.05 * other[:1]
+    norms_d, norms_o = nm.op_norms(dense), nm.op_norms(other)
+    cases = [
+        (dense, other, 0.0, np.inf),
+        (dense, other, rng.random(90), norms_d[:, None] + norms_o[None, :]),
+        (dense, other, 3.0 * rng.random(90), 2.0 + rng.random((90, 70))),    # ceiling often wins
+        (dense, other, 0.0, 0.5),                                            # ceiling everywhere
+        (dense, near, 0.0, np.inf),
+        (diag, diag[::-1] + 0.1, rng.random(50), 1.5),
+        (diag, other, 0.0, np.inf),
+        (dupes, dupes, 0.0, np.inf),
+        (dupes, dupes[::-1], 0.0, 5.0),
+        (dense[:1], other, 0.0, np.inf),
+    ]
+    for p, q, offset, ceiling in cases:
+        for got, want in zip(nm.nearest(p, q, offset, ceiling),
+                             _nearest_table(p, q, offset, ceiling)):
+            assert np.array_equal(got, want)
+    row_min, row_arg, col_min, col_arg = nm.nearest(dense, other, 3.0 * rng.random(90), 1.0)
+    assert np.all(row_min == 1.0) and np.all(row_arg == 0) and np.all(col_min == 1.0)
+    # the first of tied entries: each point of dupes is nearest to its first copy
+    assert np.array_equal(nm.nearest(dupes, dupes)[3][30:40], np.arange(10, 20))
+    # empty sides: inf minima, -1 arguments
+    row_min, row_arg, col_min, col_arg = nm.nearest(dense, other[:0])
+    assert np.all(row_min == np.inf) and np.all(row_arg == -1) and col_min.shape == (0,)
+    row_min, row_arg, col_min, col_arg = nm.nearest(diag[:0], other)
+    assert row_min.shape == (0,) and np.all(col_min == np.inf) and np.all(col_arg == -1)
+    # two nets of nearby points (d = 5): the bounds leave under 5% of the
+    # table to the eigensolver, and a ceiling that provably wins leaves none
+    pts = np.array([nm.random_hermitian(rng, 5) for _ in range(200)])
+    moved = pts[rng.permutation(200)] + 0.05 * np.array(
+        [nm.random_hermitian(rng, 5) for _ in range(200)])
+    want = _nearest_table(pts, moved)
+    solved = _counting_eigvalsh(monkeypatch)
+    got = nm.nearest(pts, moved)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert 0 < sum(solved) < 0.05 * len(pts) * len(moved)
+    solved.clear()
+    nm.nearest(pts, moved, 0.0, 1e-3)
+    assert sum(solved) == 0
+
+
+def test_nearest_memory_is_blocked(rng):
+    # the dense (200, 200, 16, 16) difference stack would take 164 MB
+    p = np.array([nm.random_hermitian(rng, 16) for _ in range(200)])
+    q = np.array([nm.random_hermitian(rng, 16) for _ in range(200)])
+    dp = np.array([np.diag(rng.standard_normal(16)).astype(complex) for _ in range(200)])
+    dq = np.array([np.diag(rng.standard_normal(16)).astype(complex) for _ in range(200)])
+    for a, b in ((p, q), (dp, dq), (dp, q)):
+        tracemalloc.start()
+        try:
+            row_min = nm.nearest(a, b)[0]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert row_min.shape == (200,)
+        assert peak < 16 * 2 ** 20
+
+
+def test_column_bound(rng):
+    # max_j |X e_j| <= |X| <= |X|_HS, with equality on the left for diagonal
+    # matrices and on the right for rank one
+    for d in (1, 2, 3, 5, 8):
+        stack = np.array([nm.random_hermitian(rng, d) for _ in range(200)])
+        lower, hs = nm.norm_bounds(stack)
+        norms = nm.op_norms(stack)
+        assert np.all(lower <= norms * (1.0 + 1e-12))
+        assert np.all(norms <= hs * (1.0 + 1e-12))
+        assert np.all(lower >= hs / np.sqrt(d) * (1.0 - 1e-12))
+        assert np.allclose(lower, [max(np.linalg.norm(m[:, j]) for j in range(d)) for m in stack],
+                           rtol=1e-14, atol=0.0)
+        diag = np.array([np.diag(rng.standard_normal(d)).astype(complex) for _ in range(20)])
+        assert np.allclose(nm.norm_bounds(diag)[0], nm.op_norms(diag), rtol=1e-15, atol=0.0)
+        v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        rank_one = np.outer(v, v.conj())[None]
+        assert nm.norm_bounds(rank_one)[1] == pytest.approx(nm.op_norms(rank_one)[0], rel=1e-13)
