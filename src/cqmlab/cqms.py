@@ -9,14 +9,12 @@ its diagonals when every difference is diagonal).
 
 Screening.  Every difference X = (U_x a U_x* - a) / l(x) is traceless, so
 ``|X| <= sqrt((d-1)/d) |X|_HS`` (``numerics.traceless_scale``), and the HS
-norm is one dot product where ``|X|`` is an eigensolve.  A sup over a dense
-kernel never eigensolves an element whose bound is below the largest
-operator norm already solved in its row, so the value is exact.  The
-working-kernel selections of the support solver also use the lower bound
-``max_j |X e_j| <= |X|`` (``numerics.norm_bounds``): an element whose upper
-bound cannot reach the ``WORKING_SEED``-th largest lower bound, or
-``WORKING_ADD`` times the largest, is never eigensolved there.  (The net
-distances of ``numerics`` use the same two bounds.)
+norm is one dot product where ``|X|`` is an eigensolve.  One rule
+(``_kernel_norms``) serves every seminorm value and the support solver's
+working-kernel selections: the most promising elements, those with the
+largest bound, are eigensolved first, and then only the elements whose bound
+reaches a fraction of the smallest norm found; the rest cannot be a max, or
+among the ``WORKING_SEED`` largest, so every value and selection is exact.
 
 On top of the seminorm this module computes the defining balls
 ``D_r = {a : L(a) <= 1, |a| <= r}``, their greedy epsilon-nets with
@@ -177,12 +175,12 @@ class StateFunctional:
     density: np.ndarray
     label: str = ""
 
-    def validate(self, tol: float = 1e-9) -> None:
+    def validate(self) -> None:
         rho = nm.check_hermitian(self.density)
         w = np.linalg.eigvalsh(rho)
         if w[0] < -1e-10:
             raise ValueError(f"state {self.label!r}: density has eigenvalue {w[0]:.2e}")
-        if abs(float(np.trace(rho).real) - 1.0) > tol:
+        if abs(float(np.trace(rho).real) - 1.0) > 1e-9:
             raise ValueError(f"state {self.label!r}: trace is not 1")
 
     def pair(self, a: np.ndarray) -> float:
@@ -242,8 +240,8 @@ class Cqms:
     _dirac: np.ndarray | None = field(default=None, init=False, repr=False)
     unconverged_stages: int = field(default=0, init=False, repr=False)
 
-    # elements per matrix product in ``seminorms``: caps the product at
-    # 32 kernel stacks, plus at most one more for the screened survivors
+    # rows per matrix product in ``_coeff_seminorms``: caps the product, and
+    # the screened survivors copied from it, at 32 kernel stacks each
     _BLOCK = 32
 
     # -- basic functionals ---------------------------------------------------
@@ -301,39 +299,47 @@ class Cqms:
         return self._op
 
     def _coeff_seminorms(self, coeff_rows: np.ndarray) -> np.ndarray:
-        """L of sum_k c_k S_k for each row c of slice coefficients (n, ns).
+        """L of sum_k c_k S_k for each row c of slice coefficients (n, ns): the
+        row max of ``_kernel_norms``, ``_BLOCK`` rows at a time."""
+        out = np.empty(len(coeff_rows))
+        for lo in range(0, len(coeff_rows), self._BLOCK):
+            out[lo:lo + self._BLOCK] = np.max(self._kernel_norms(coeff_rows[lo:lo + self._BLOCK]),
+                                              axis=1)
+        return out
 
-        Dense kernels are screened with ``|X| <= sqrt((d-1)/d) |X|_HS``, which
-        holds because every kernel difference X is traceless: per row, the
-        element with the largest HS norm is eigensolved first, and then only
-        the elements with ``|X|_HS * sqrt((d-1)/d) * (1 + 1e-9) > best`` can
-        exceed that norm; the rest cannot change the max, so it is exact.
-        Rows whose best norm is below 1e-150, where squared entries may
-        underflow and the HS norm is not a bound, are solved whole.
+    def _kernel_norms(self, coeff_rows: np.ndarray, factor: float = 1.0,
+                      rank: int = 1) -> np.ndarray:
+        """|alpha_x(a) - a| / l(x) for every kernel element x (columns) and
+        each row c of slice coefficients, a = sum c_k S_k; on a dense kernel,
+        -inf for an element provably below the row's reach.
+
+        A diagonal operator gives every norm exactly, as max |diagonal|.  On a
+        dense one every difference X is traceless, so ``|X| <= sqrt((d-1)/d)
+        |X|_HS``.  Per row, the ``rank`` elements with the largest such bound
+        are eigensolved first; the reach is ``factor`` times the smallest of
+        their norms.  Then only the elements whose bound, with a 1e-9 relative
+        and a 1e-150 absolute margin (squares that underflow), reaches it are
+        eigensolved.  So every element with a norm at or above the reach is
+        exact: with factor 1 that covers the ``rank`` largest norms.
         """
         op, diagonal = self._operator()
         d = self.dim
-        scale = nm.traceless_scale(d) * (1.0 + 1e-9)
-        out = np.empty(len(coeff_rows))
-        for lo in range(0, len(coeff_rows), self._BLOCK):
-            flat = coeff_rows[lo:lo + self._BLOCK] @ op
-            n = len(flat)
-            if diagonal:
-                out[lo:lo + n] = np.max(np.abs(flat), axis=1)
-                continue
-            parts = flat.reshape(n, -1, 2 * d * d)
-            mats = flat.view(complex).reshape(n, -1, d, d)
-            hs = np.sqrt(np.einsum("rki,rki->rk", parts, parts))
-            top = (np.arange(n), np.argmax(hs, axis=1))
-            best = np.max(np.abs(np.linalg.eigvalsh(mats[top])), axis=1)
-            hs[top] = 0.0                      # solved already
-            rows, cols = np.nonzero((hs * scale > best[:, None])
-                                    | (best < 1e-150)[:, None])
-            if rows.size:
-                np.maximum.at(best, rows,
-                              np.max(np.abs(np.linalg.eigvalsh(mats[rows, cols])), axis=1))
-            out[lo:lo + n] = best
-        return out
+        flat = coeff_rows @ op
+        n = len(flat)
+        if diagonal:
+            return np.max(np.abs(flat.reshape(n, -1, d)), axis=2)
+        parts = flat.reshape(n, -1, 2 * d * d)
+        mats = flat.view(complex).reshape(n, -1, d, d)
+        bound = (np.sqrt(np.einsum("rki,rki->rk", parts, parts))
+                 * (nm.traceless_scale(d) * (1.0 + 1e-9)) + 1e-150)
+        rows = np.arange(n)[:, None]
+        top = np.argpartition(bound, -rank, axis=1)[:, -rank:]
+        norms = np.full(bound.shape, -np.inf)
+        norms[rows, top] = np.max(np.abs(np.linalg.eigvalsh(mats[rows, top])), axis=-1)
+        reach = factor * np.min(norms[rows, top], axis=1)
+        rest = np.nonzero((bound >= reach[:, None]) & (norms == -np.inf))
+        norms[rest] = np.max(np.abs(np.linalg.eigvalsh(mats[rest])), axis=-1)
+        return norms
 
     # -- ball geometry ---------------------------------------------------------
 
@@ -348,9 +354,9 @@ class Cqms:
             raise ValueError("gauge needs r > 0")
         return max(self.seminorm(a), self.norm(a) / r)
 
-    def boundary_scale(self, direction: np.ndarray, r: float = None,
-                       rel_tol: float = 1e-6) -> float:
-        """Largest t >= 0 with t*direction inside D_r, by bisection.
+    def boundary_scale(self, direction: np.ndarray, r: float = None) -> float:
+        """Largest t >= 0 with t*direction inside D_r, by bisection to 1e-6
+        relative.
 
         The gauge value seeds the bracket; convexity of the ball and
         0 in D_r make membership monotone along the ray.
@@ -372,7 +378,7 @@ class Cqms:
             lo /= 2.0
             if lo < 1e-300:
                 return 0.0
-        while hi - lo > rel_tol * hi:
+        while hi - lo > 1e-6 * hi:
             mid = (lo + hi) / 2.0
             if self.ball_membership(mid * d, r, tol=0.0):
                 lo = mid
@@ -427,7 +433,7 @@ class Cqms:
         cands = (boundary[None, :] * fracs[:, None, None, None]).reshape(-1, self.dim, self.dim)
         cands = np.concatenate([cands, self._random_points(rng, min(max(2 * n * n, 96), 640), r)])
 
-        chosen, capped = nm.farthest_first(cands, nm.op_dists(cands, zero)[:, 0], max_points - 1,
+        chosen, capped = nm.farthest_first(cands, nm.op_norms(cands), max_points - 1,
                                            lambda far: far < epsilon / 2.0)
         pts = np.concatenate([zero, cands[chosen]])
 
@@ -488,26 +494,6 @@ class Cqms:
         hess = rows @ rows.T - np.outer(grad, grad) / tau
         return val, grad, hess
 
-    def _kernel_norms(self, c: np.ndarray, factor: float = 0.0, rank: int = 1) -> np.ndarray:
-        """|alpha_x(a) - a| / l(x) for every kernel element x, a = sum c_k S_k
-        (dense operators only), or -inf for an element provably below
-        ``factor`` times the ``rank``-th largest of them; with the default
-        factor 0 none is skipped.
-
-        Screened by ``max_j |X e_j| <= |X| <= sqrt((d-1)/d) |X|_HS`` (every X
-        is traceless), each with a 1e-9 relative margin: an element whose
-        upper bound is below ``factor`` times the ``rank``-th largest lower
-        bound is not eigensolved.
-        """
-        d = self.dim
-        mats = (c @ self._operator()[0]).view(complex).reshape(-1, d, d)
-        lower, hs = nm.norm_bounds(mats)
-        reach = factor * (np.partition(lower, -rank)[-rank] * (1.0 - 1e-9))
-        keep = np.flatnonzero(hs * (nm.traceless_scale(d) * (1.0 + 1e-9)) + 1e-150 >= reach)
-        norms = np.full(len(mats), -np.inf)
-        norms[keep] = np.max(np.abs(np.linalg.eigvalsh(mats[keep])), axis=1)
-        return norms
-
     # temperature factors, each relative to the seminorm at its stage's start
     _LADDERS = {
         "fine": (0.3, 0.1, 0.03, 0.01, 0.003, 0.001),
@@ -528,7 +514,8 @@ class Cqms:
         rescaled to the current seminorm at each stage, one damped Newton
         stage per temperature (``_ladder``).  The ladder sees only
         a working kernel W: the ``WORKING_SEED`` elements largest at the
-        starting point, or the whole kernel when it has no more elements.
+        starting point (the lowest index first among equal norms), or the
+        whole kernel when it has no more elements.
         After a ladder every kernel element is evaluated at the result, the
         elements outside W at least ``WORKING_ADD`` times the max join W, and
         the ladder is run again from the result until none join.  Stages
@@ -561,12 +548,8 @@ class Cqms:
         kernel = len(self.action.seminorm_kernel()[0])
         work = None                              # None: the whole kernel
         if kernel > WORKING_SEED:
-            norms = self._kernel_norms(c0, 1.0, WORKING_SEED)
-            ranked = np.sort(norms)
-            if ranked[-WORKING_SEED] == ranked[-WORKING_SEED - 1]:
-                # a tie at the cut: let argsort break it over the whole kernel
-                norms = self._kernel_norms(c0)
-            work = np.sort(np.argsort(norms)[-WORKING_SEED:])
+            norms = self._kernel_norms(c0[None], 1.0, WORKING_SEED)[0]
+            work = np.sort(np.argsort(-norms, kind="stable")[:WORKING_SEED])
 
         u = np.zeros(nmat.shape[1])
         while nmat.shape[1] > 0:
@@ -574,7 +557,7 @@ class Cqms:
             u = self._ladder(c0, nmat, u, self._LADDERS[effort], sub)
             if work is None:
                 break
-            norms = self._kernel_norms(c0 + nmat @ u, WORKING_ADD)
+            norms = self._kernel_norms((c0 + nmat @ u)[None], WORKING_ADD)[0]
             new = np.setdiff1d(np.flatnonzero(norms >= WORKING_ADD * np.max(norms)), work)
             if new.size == 0:
                 break
@@ -730,7 +713,7 @@ class Cqms:
         return self._radius[1]
 
     def state_metric(self, mu: StateFunctional, nu: StateFunctional,
-                     R: float = None, effort: str = "fine") -> float:
+                     R: float = None) -> float:
         """Dual metric rho_L(mu, nu) = sup {mu(a) - nu(a) : L(a) <= 1}.
 
         The supremum saturates on D_R for any R at least the radius (the
@@ -745,32 +728,27 @@ class Cqms:
         gm = self.space.element(self.space.coeffs(g))
         if nm.hs_norm(gm) <= 1e-13:
             return 0.0
-        value, _ = self._support_max(gm, effort=effort)
+        value, _ = self._support_max(gm)
         return float(max(value, 0.0))
 
-    def state_diameter(self, R: float = None, sample: int = 24, seed: int = 0,
-                       polish_rounds: int = 3) -> float:
+    def state_diameter(self, sample: int = 24, seed: int = 0) -> float:
         """The state-space diameter: exact on a full diagonal space, a lower
         estimate over pure-state pairs elsewhere.
 
         rho_L is jointly convex, so its max over pairs of states is attained
         at extreme states of the space; on a full diagonal space those are
         the Dirac states, and the diameter is the largest Dirac distance of
-        ``_dirac_metric`` (``sample``, ``seed`` and ``polish_rounds`` are then
-        unused).
+        ``_dirac_metric`` (``sample`` and ``seed`` are then unused).
 
         Elsewhere the pool is the extreme eigenprojections of seeded random
         elements of the space.  Every pool pair gets a one-evaluation proxy (the
         metric's value along the pair's Riesz direction, itself a valid
         lower bound); the most promising ``sample`` pairs are solved in
-        full and then polished by witness alternation: the optimizer's own
-        extreme eigenprojections form the next pure pair, which can only
-        increase the value.  Each reported number is a genuine metric
-        value of a genuine pure-state pair.
+        full and then polished by three rounds of witness alternation: the
+        optimizer's own extreme eigenprojections form the next pure pair,
+        which can only increase the value.  Each reported number is a
+        genuine metric value of a genuine pure-state pair.
         """
-        rad = self.radius()
-        if R is not None and R < rad - 1e-9:
-            raise ValueError(f"R={R} is below the radius estimate {rad}")
         rng = np.random.default_rng(seed)
         n_pool = max(6, sample // 2)
         slice_ortho = self.space.ortho[1:]
@@ -798,8 +776,7 @@ class Cqms:
         order = np.argsort(proxies)[::-1][:sample]
         for k in order:
             value, argmax = self._support_max(gmats[k], effort="coarse")
-            best = max(best, self._alternate_witness(argmax, value, polish_rounds,
-                                                     "coarse", scale=2.0))
+            best = max(best, self._alternate_witness(argmax, value, 3, "coarse", scale=2.0))
         return best
 
 

@@ -189,7 +189,7 @@ class SumNorm:
     ``value`` never underestimates the underlying norm for the
     ``almost_amal`` kind (every evaluation is a feasible point of the
     defining infimum), so Hausdorff distances computed from it stay on
-    the conservative side; ``is_upper_approx`` records this.
+    the conservative side.
     """
 
     kind: str                      # "eps_amalgam" | "almost_amal" | "bridge"
@@ -197,7 +197,6 @@ class SumNorm:
     phi: ComparisonMap | None = None
     bridge_r: float = 0.0
     bridge_d: float = 0.0
-    is_upper_approx: bool = False
 
     def value(self, a: np.ndarray, b: np.ndarray, descend: bool = False) -> float:
         if self.kind == "eps_amalgam":
@@ -315,7 +314,7 @@ def almost_amal_norm(phi: ComparisonMap, eps: float) -> SumNorm:
     if eps < phi.distortion:
         raise ValueError(
             f"eps={eps:.3e} is below the measured distortion {phi.distortion:.3e}")
-    return SumNorm(kind="almost_amal", eps=eps, phi=phi, is_upper_approx=True)
+    return SumNorm(kind="almost_amal", eps=eps, phi=phi)
 
 
 def bridge_norm(bridge_r: float, bridge_d: float, identification: ComparisonMap) -> SumNorm:

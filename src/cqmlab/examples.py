@@ -200,12 +200,10 @@ def fuzzy_sphere(two_j: int, grid_dims=DEFAULT_SU2_GRID) -> Cqms:
                 basis_labels=spherical_basis(two_j))
 
 
-def sphere_characters(two_j: int, grid_dims=DEFAULT_SU2_GRID, max_two_l: int = None) -> list:
-    """SU(2) characters on the shared grid for integer spins l = 0..max."""
+def sphere_characters(two_j: int, grid_dims=DEFAULT_SU2_GRID) -> list:
+    """SU(2) characters on the shared grid for integer spins l = 0..two_j + 1."""
     grid = su2_grid(grid_dims)
-    if max_two_l is None:
-        max_two_l = 2 * two_j + 2
-    return ga.su2_characters(grid, [2 * l for l in range(0, max_two_l // 2 + 1)])
+    return ga.su2_characters(grid, [2 * l for l in range(0, two_j + 2)])
 
 
 # ---------------------------------------------------------------------------
@@ -272,12 +270,12 @@ class BerezinMaps:
         return d * np.einsum("x,x,xab->ab", w, np.asarray(f, dtype=complex), self.coherent,
                              optimize=True)
 
-    def checks(self, rng: np.random.Generator | None = None, samples: int = 6) -> dict:
-        rng = rng or np.random.default_rng(0)
+    def checks(self) -> dict:
+        rng = np.random.default_rng(0)
         d = self.projector.shape[0]
         unital_defect = nm.op_norm(self.cosymbol(np.ones(self.grid.group.size)) - np.eye(d))
         pos = []
-        for _ in range(samples):
+        for _ in range(6):
             f = rng.random(self.grid.group.size)
             w = np.linalg.eigvalsh(self.cosymbol(f))
             pos.append(float(w[0]))

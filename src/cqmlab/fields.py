@@ -78,43 +78,39 @@ class ParamFamily:
 # bundled family constructors
 
 
-def constant_family(member: Cqms, labels, name: str = "constant") -> ParamFamily:
+def constant_family(member: Cqms, labels) -> ParamFamily:
     members = {t: member for t in labels}
-    return ParamFamily(labels=list(labels), t0=labels[0], members=members, name=name)
+    return ParamFamily(labels=list(labels), t0=labels[0], members=members, name="constant")
 
 
-def degenerate_family(reference: Cqms, n_grid: int = 3, bound_r: float = None,
-                      n_scalars: int = 9, name: str = "degenerate") -> ParamFamily:
-    """The non-convergent family: the scalars at t0 = 0, the full space at
-    every other grid point, with sections spanning only the t0 fibre's
-    ball (scalar multiples of the unit)."""
+def degenerate_family(reference: Cqms, bound_r: float = None) -> ParamFamily:
+    """The non-convergent family on the grid 0, 1/3, 2/3, 1: the scalars at
+    t0 = 0, the full space at every other grid point, with nine sections
+    spanning only the t0 fibre's ball (scalar multiples of the unit)."""
     if bound_r is None:
         bound_r = max(reference.radius(), 1.0)
-    labels = [round(k / n_grid, 6) for k in range(n_grid + 1)]
+    labels = [round(k / 3, 6) for k in range(4)]
     t0 = labels[0]
     members = {t: (scalar_cqms(reference) if t == t0 else reference) for t in labels}
     sections = {}
     d = reference.dim
-    for i, lam in enumerate(np.linspace(-bound_r, bound_r, n_scalars)):
+    for i, lam in enumerate(np.linspace(-bound_r, bound_r, 9)):
         sections[f"scalar_{i}"] = {t: lam * np.eye(d, dtype=complex) for t in labels}
     return ParamFamily(labels=labels, t0=t0, members=members, sections=sections,
-                       name=name)
+                       name="degenerate")
 
 
-def torus_theta_family(q: int, p_values, t0_p: int = None,
-                       name: str = None) -> ParamFamily:
-    """Fuzzy tori at one level q over a grid of deformation steps p,
-    with sections given by matched frequency coefficients."""
+def torus_theta_family(q: int, p_values) -> ParamFamily:
+    """Fuzzy tori at one level q over a grid of deformation steps p, based
+    at the first, with sections given by matched frequency coefficients."""
     p_values = list(p_values)
-    t0_p = t0_p if t0_p is not None else p_values[0]
     members = {p: fuzzy_torus(q, p) for p in p_values}
-    return ParamFamily(labels=p_values, t0=t0_p, members=members,
-                       name=name or f"torus-theta(q={q})")
+    return ParamFamily(labels=p_values, t0=p_values[0], members=members,
+                       name=f"torus-theta(q={q})")
 
 
 def transported_net_sections(fam: ParamFamily, bound_r: float, eps_net: float,
-                             budget: int = 48, seed: int = 0,
-                             prefix: str = "net") -> list:
+                             budget: int = 48, seed: int = 0) -> list:
     """Add sections whose t0 values are the t0 member's ball-net points,
     transported to the other members by matched frequency coefficients
     (fuzzy tori).  Returns the new section names."""
@@ -126,7 +122,7 @@ def transported_net_sections(fam: ParamFamily, bound_r: float, eps_net: float,
             maps[t] = torus_frequency_map(base, fam.members[t])
     names = []
     for i, pt in enumerate(net.points):
-        name = f"{prefix}_{i}"
+        name = f"net_{i}"
         values = {fam.t0: pt}
         for t, phi in maps.items():
             values[t] = phi.apply(pt)

@@ -274,11 +274,11 @@ def gh_exact_small(x: FiniteMetricSpace, y: FiniteMetricSpace) -> float:
     return float(values[hi]) / 2.0
 
 
-def gh_lower_bound(x: FiniteMetricSpace, y: FiniteMetricSpace,
-                   grid_steps: int = 11) -> float:
+def gh_lower_bound(x: FiniteMetricSpace, y: FiniteMetricSpace) -> float:
     """Certified lower bound for dist_GH: the radius/diameter gaps plus
     the packing obstruction (if P(X, eps) > P(Y, eps/2) the distance is
-    at least eps/4) scanned over a geometric eps-grid."""
+    at least eps/4) scanned over the geometric eps-grid diam * 2**-k,
+    k = 0..10."""
     bound = abs(x.radius() - y.radius())
     bound = max(bound, abs(x.diam() - y.diam()) / 2.0)
     if x.n > EXACT_COMBINATORICS_CAP or y.n > EXACT_COMBINATORICS_CAP:
@@ -286,7 +286,7 @@ def gh_lower_bound(x: FiniteMetricSpace, y: FiniteMetricSpace,
     top = max(x.diam(), y.diam())
     if top <= 0:
         return bound
-    for k in range(grid_steps):
+    for k in range(11):
         eps = top * 0.5 ** k
         if packing_number(x, eps) > packing_number(y, eps / 2.0):
             bound = max(bound, eps / 4.0)

@@ -65,7 +65,8 @@ class SampledGroup:
         """Quadrature value of the Haar integral of the length function."""
         return float(np.dot(self.weights, self.lengths))
 
-    def validate(self, tol: float = 1e-9) -> None:
+    def validate(self) -> None:
+        tol = 1e-9
         w, l = self.weights, self.lengths
         if abs(float(np.sum(w)) - 1.0) > tol:
             raise ValueError("weights do not sum to 1")
@@ -101,8 +102,8 @@ class IrrepCharacter:
         if self.conjugate_label is None:
             object.__setattr__(self, "conjugate_label", self.label)
 
-    def validate(self, tol: float = 1e-8) -> None:
-        if np.max(np.abs(self.values)) > self.dimension + tol:
+    def validate(self) -> None:
+        if np.max(np.abs(self.values)) > self.dimension + 1e-8:
             raise ValueError(f"character {self.label} exceeds its dimension in modulus")
 
 
@@ -153,8 +154,11 @@ class UnitaryAction:
         self._kernel = (idx, lens)
         return self._kernel
 
-    def validate(self, tol: float = 1e-8, pair_sample: int = 64,
-                 rng: np.random.Generator | None = None) -> None:
+    def validate(self) -> None:
+        """The group's own checks, then: the identity is implemented by the
+        identity matrix, every implementer is unitary within 1e-8, and on an
+        exact group 64 seeded pairs respect the product table up to phase."""
+        tol = 1e-8
         g = self.group
         g.validate()
         d = self.dim
@@ -165,9 +169,9 @@ class UnitaryAction:
         if float(np.max(np.abs(prods - np.eye(d)))) > tol:
             raise ValueError("an implementer is not unitary")
         if g.is_exact and g.product is not None:
-            rng = rng or np.random.default_rng(0)
+            rng = np.random.default_rng(0)
             n = g.size
-            npairs = min(pair_sample, n * n)
+            npairs = min(64, n * n)
             ii = rng.integers(0, n, size=npairs)
             jj = rng.integers(0, n, size=npairs)
             for i, j in zip(ii, jj):
@@ -441,13 +445,12 @@ def multiplicities(action: UnitaryAction, chars, space_basis: np.ndarray | None 
     return out
 
 
-def ergodicity_check(action: UnitaryAction, space_basis: np.ndarray | None = None,
-                     rank_tol: float = 0.1) -> bool:
+def ergodicity_check(action: UnitaryAction, space_basis: np.ndarray | None = None) -> bool:
     """True iff the fixed subspace of the Haar-average operator is the scalars.
 
     The averager is assembled on a Hilbert-Schmidt orthonormal basis of
     the (complexified) space; fixed directions are singular values of
-    (P - I) below ``rank_tol``.
+    (P - I) below 0.1.
     """
     d = action.dim
     if space_basis is None:
@@ -465,5 +468,5 @@ def ergodicity_check(action: UnitaryAction, space_basis: np.ndarray | None = Non
                                        u.conj(), optimize=True)
     p = np.einsum("kab,lab->kl", e.conj(), avg, optimize=True)
     sv = np.linalg.svd(p - np.eye(n), compute_uv=False)
-    fixed_dim = int(np.sum(sv < rank_tol))
+    fixed_dim = int(np.sum(sv < 0.1))
     return fixed_dim == 1

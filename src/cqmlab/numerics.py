@@ -23,15 +23,16 @@ norm: ``max_j |X e_j| <= |X| <= |X|_HS`` (:func:`norm_bounds`, one pass over
 the squared entries, where ``|X|`` costs an eigensolve).  The left side
 holds because every e_j is a unit vector, with equality for diagonal X; it
 is at least ``|X|_HS / sqrt(d)``.  The right side tightens to ``sqrt((d-1)/d)
-|X|_HS`` for traceless X, which ``cqms`` uses for seminorm sups and for its
-working kernels.  :func:`nearest` eigensolves only the entries whose lower
-bound can still reach the smallest upper bound, or exact value, in their
-row or column, and :func:`covering_radius` is the max of its column minima.
-:func:`farthest_first` skips a point whose lower bound to the new net point
-is already at least its current distance to the net.  Each skip is taken
-with a 1e-9 relative margin, far above the rounding of either norm, and
-each matrix's ``eigvalsh`` result does not depend on the batch around it,
-so screened and unscreened runs give the same bits.
+|X|_HS`` for traceless X (:func:`traceless_scale`), the one bound ``cqms``
+screens its seminorm sups with.  :func:`nearest` eigensolves only the entries
+whose lower bound can still reach the smallest upper bound, or exact value,
+in their row or column, and :func:`covering_radius` is the max of its column
+minima.  :func:`farthest_first` skips a point whose lower bound to the new
+net point is already at least its current distance to the net, and
+eigensolves the differences it keeps itself.  Each skip is taken with a
+1e-9 relative margin, far above the rounding of either norm, and each
+matrix's ``eigvalsh`` result does not depend on the batch around it, so
+screened and unscreened runs give the same bits.
 """
 
 import math
@@ -253,7 +254,7 @@ def farthest_first(points: np.ndarray, dists: np.ndarray, cap: int, stop) -> tup
     ``|p_i - p_k|_HS / sqrt(d) * (1 - 1e-9) >= dists[i]`` has
     ``|p_i - p_k| >= dists[i]``, so the minimum keeps ``dists[i]`` exactly;
     the survivors are screened again by the larger column-norm bound of
-    :func:`norm_bounds`, and only the rest go to :func:`op_dists`.
+    :func:`norm_bounds`, and only the rest are eigensolved.
     """
     points = np.asarray(points, dtype=complex)
     dists = np.array(dists, dtype=float)
@@ -277,7 +278,8 @@ def farthest_first(points: np.ndarray, dists: np.ndarray, cap: int, stop) -> tup
             diff = flat - flat[k]
             near = np.flatnonzero(np.sqrt(np.einsum("ij,ij->i", diff, diff)) * scale < dists)
             near = near[norm_bounds(points[near] - points[k])[0] * (1.0 - 1e-9) < dists[near]]
-            dists[near] = np.minimum(dists[near], op_dists(points[near], points[k:k + 1])[:, 0])
+            dists[near] = np.minimum(
+                dists[near], np.max(np.abs(np.linalg.eigvalsh(points[near] - points[k])), axis=-1))
     return chosen, False
 
 

@@ -350,44 +350,90 @@ def test_working_kernel_support(name, monkeypatch):
 
 @pytest.mark.parametrize("name", ["sphere2", "sphere3"])
 def test_kernel_norms_screen_is_exact(name, monkeypatch):
-    # the column-norm and traceless-HS bounds skip eigensolves, but every
-    # working-kernel seed and every growth set is the one computed from the
-    # norms of the whole kernel
+    # the traceless-HS bound skips eigensolves, but every solved norm is
+    # exact, every skipped one is below factor times the rank-th largest,
+    # and every working-kernel seed and growth set is the one selected from
+    # the norms of the whole kernel, also when the seed cut ties
     obj = {"sphere2": lambda: ex.fuzzy_sphere(2),
            "sphere3": lambda: ex.fuzzy_sphere(3)}[name]()
     kernel = len(obj.action.seminorm_kernel()[0])
-    screened = cq.Cqms._kernel_norms
+    screened, ladder = cq.Cqms._kernel_norms, cq.Cqms._ladder
     eigvalsh = np.linalg.eigvalsh
-    solved, calls = [], []
+    solved, calls, ties, seeds, ladders = [], [], [], [], []
 
     def counting(a):
         solved.append(int(np.prod(np.shape(a)[:-2])))
         return eigvalsh(a)
 
-    def checked(self, c, factor=0.0, rank=1):
+    def checked(self, rows, factor=1.0, rank=1):
         before = len(solved)
-        got = screened(self, c, factor, rank)
-        calls.append(sum(solved[before:]))
-        mats = (c @ self._operator()[0]).view(complex).reshape(kernel, obj.dim, obj.dim)
-        norms = np.max(np.abs(eigvalsh(mats)), axis=1)
-        skipped = got == -np.inf
-        assert np.array_equal(got[~skipped], norms[~skipped])
-        top = np.sort(norms)
-        assert np.all(norms[skipped] < factor * top[-rank])
-        if rank == cq.WORKING_SEED and top[-rank] != top[-rank - 1]:
-            assert np.array_equal(np.sort(np.argsort(got)[-rank:]),
-                                  np.sort(np.argsort(norms)[-rank:]))
-        if factor == cq.WORKING_ADD:
-            assert np.array_equal(np.flatnonzero(got >= factor * np.max(got)),
-                                  np.flatnonzero(norms >= factor * np.max(norms)))
+        got = screened(self, rows, factor, rank)
+        if rank == cq.WORKING_SEED or factor == cq.WORKING_ADD:
+            calls.append(sum(solved[before:]))
+        mats = (rows @ self._operator()[0]).view(complex).reshape(len(rows), kernel,
+                                                                    obj.dim, obj.dim)
+        norms = np.max(np.abs(eigvalsh(mats)), axis=-1)
+        assert got.shape == norms.shape
+        for row, want in zip(got, norms):
+            skipped = row == -np.inf
+            assert np.array_equal(row[~skipped], want[~skipped])
+            top = np.sort(want)
+            assert np.all(want[skipped] < factor * top[-rank])
+            if rank == cq.WORKING_SEED:
+                ties.append(top[-rank] == top[-rank - 1])
+                pick = np.argsort(-want, kind="stable")[:rank]
+                assert np.array_equal(np.argsort(-row, kind="stable")[:rank], pick)
+                seeds.append(np.sort(pick))
+            if factor == cq.WORKING_ADD:
+                assert np.array_equal(np.flatnonzero(row >= factor * np.max(row)),
+                                      np.flatnonzero(want >= factor * np.max(want)))
         return got
+
+    def recording(self, c0, nmat, u, factors, op):
+        ladders.append(op)
+        return ladder(self, c0, nmat, u, factors, op)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
     monkeypatch.setattr(cq.Cqms, "_kernel_norms", checked)
-    for g in _orthogonal_pure_pairs(obj, 2, seed=11):
+    monkeypatch.setattr(cq.Cqms, "_ladder", recording)
+    op = obj._operator()[0]
+    pairs = _orthogonal_pure_pairs(obj, 2, seed=11)
+    if name == "sphere2":
+        pairs += _orthogonal_pure_pairs(obj, 1, seed=4)     # its 48th and 49th norms tie
+    for g in pairs:
+        ladders.clear()
         obj._support_max(g, effort="coarse")
-    assert len(calls) > 2 * 2
+        # the first ladder runs on the lowest-index 48 of the largest norms
+        seed = op.reshape(len(op), kernel, -1)[:, seeds[-1]].reshape(len(op), -1)
+        assert np.array_equal(ladders[0], seed)
+    assert len(calls) > 2 * len(pairs)
     assert sum(calls) < 0.3 * kernel * len(calls)
+    assert any(ties) or name != "sphere2"
+    # entries so small that their squares underflow: every norm is solved
+    # (the 1e-150 margin), and exact
+    rows = 1e-160 * np.random.default_rng(2).standard_normal((2, obj.space.real_dim - 1))
+    assert np.all(checked(obj, rows) > 0.0)
+
+
+def test_kernel_norms_diagonal_layout(cycle12):
+    # a diagonal operator gives every element's max |diagonal| exactly, in
+    # kernel order, and it is the norm of alpha_x(a) - a over l(x)
+    op, diagonal = cycle12._operator()
+    assert diagonal
+    others, lens = cycle12.action.seminorm_kernel()
+    rows = np.random.default_rng(4).standard_normal((5, cycle12.space.real_dim - 1))
+    got = cycle12._kernel_norms(rows)
+    d = cycle12.dim
+    flat = rows @ op
+    want = np.array([[np.max(np.abs(row[x * d:(x + 1) * d])) for x in range(len(others))]
+                     for row in flat])
+    assert np.array_equal(got, want)
+    u = cycle12.action.implementers[others]
+    for row, norms in zip(rows, got):
+        a = np.einsum("k,kab->ab", row, cycle12.space.ortho[1:])
+        diffs = (u @ a @ np.swapaxes(u.conj(), 1, 2) - a) / lens[:, None, None]
+        assert np.allclose(norms, nm.op_norms(diffs), rtol=1e-12, atol=1e-14)
+    assert np.array_equal(cycle12._coeff_seminorms(rows), np.max(got, axis=1))
 
 
 @pytest.mark.parametrize("name", ["torus51"])
@@ -468,7 +514,7 @@ def test_diagonal_spaces_skip_smoothing(monkeypatch):
         obj.radius()
         obj.state_diameter(sample=8, seed=1)
         obj.state_metric(cq.dirac_state(m, 0), cq.dirac_state(m, m // 2))
-        obj.state_metric(cq.vector_state(np.ones(m)), cq.dirac_state(m, 1), effort="coarse")
+        obj.state_metric(cq.vector_state(np.ones(m)), cq.dirac_state(m, 1))
     assert not calls
     ex.fuzzy_torus(3, 1).radius()
     assert calls

@@ -190,18 +190,12 @@ def test_farthest_first(rng):
 def test_farthest_first_screens_dense_points(rng, monkeypatch):
     dense = np.array([nm.random_hermitian(rng, 5) for _ in range(320)])
     start = nm.op_dists(dense, dense[:1])[:, 0]
-    sent = []
-    op_dists = nm.op_dists
-
-    def counting(p, q):
-        sent.append(len(p))
-        return op_dists(p, q)
-
-    monkeypatch.setattr(nm, "op_dists", counting)
+    # one eigvalsh call per insertion, on the points the bounds keep
+    solved = _counting_eigvalsh(monkeypatch)
     chosen, _ = nm.farthest_first(dense, start, 120, lambda far: far <= 1.0)
-    assert len(sent) == len(chosen) > 10
-    assert max(sent) < len(dense)
-    assert sum(sent) < 0.3 * len(dense) * len(sent)
+    assert len(solved) == len(chosen) > 10
+    assert max(solved) < len(dense)
+    assert sum(solved) < 0.3 * len(dense) * len(solved)
 
 
 def test_traceless_bound(rng):
