@@ -32,7 +32,10 @@ On dense spaces the support problem is recast as convex minimization of L
 on an affine slice, solved by damped Newton steps on a log-sum-exp
 smoothing of the seminorm with a decreasing temperature schedule; the
 exact Hessian comes from the Daleckii-Krein formula for the second
-derivative of a spectral function.  The smoothing runs on a working
+derivative of a spectral function.  One routine, ``spectral_lse``, gives
+the value, gradient and Hessian of that smoothing for any affine family of
+matrices, and one routine, ``_newton_stage``, runs a stage: ``distoq``'s
+glue-norm descent uses both.  The smoothing runs on a working
 kernel: the ``WORKING_SEED`` elements largest at the starting point (the
 whole kernel when it is no larger).  After each solve every kernel element
 is evaluated at the result; those whose norm is at least ``WORKING_ADD``
@@ -447,52 +450,16 @@ class Cqms:
 
     def _smoothed_seminorm(self, c: np.ndarray, tau: float, op: np.ndarray):
         """(L_tau, dL_tau/dc, d2L_tau/dc2) for a = sum c_k S_k over the
-        traceless slice: L_tau = tau log S with S = sum 2 cosh(lambda / tau)
-        over the signed eigenvalues lambda of every scaled difference of
-        ``op``, a column slice of ``_operator()`` (a working kernel).
-
-        Derivatives come from the Daleckii-Krein formula in each difference's
-        eigenbasis V, where B_k = V* D_k V for the slice directions D_k:
-        dS/dc_k = sum_i F'(lambda_i) B_k,ii and d2S/dc_k dc_l =
-        sum_ij Gamma_ij Re(B_k,ij conj(B_l,ij)), with Gamma the divided
-        differences of F'(x) = 2 sinh(x / tau) / tau (taken through
-        sinh(delta) / delta when two eigenvalues lie within tau of each
-        other); then d2L_tau = tau (S'' / S - S' S'^T / S^2).  Every
-        exponential is shifted by the largest |lambda|, so none overflows.
+        traceless slice: ``spectral_lse`` over every scaled difference of
+        ``op``, a column slice of ``_operator()`` (a working kernel), whose
+        rows are the differences' derivatives along the slice directions.
         Dense operators only: diagonal ones are solved by ``_support_max``'s LP.
         """
-        d = self.dim
-        diffs = (c @ op).view(complex).reshape(-1, d, d)
-        vals, v = np.linalg.eigh(diffs)
-        zmax = float(np.max(np.abs(vals)))
-        up, down = np.exp((vals - zmax) / tau), np.exp((-vals - zmax) / tau)
-        total = float(np.sum(up) + np.sum(down))
-        val = zmax + tau * np.log(total)
-        coef = (up - down) / total               # tau F'(lambda) / S
-        ns, k = len(op), len(vals)
-        # B_k = V* D_k V for every element and slice direction, laid out as
-        # (element, i, k, j) so that each product is one matrix per element
-        dv = op.view(complex).reshape(ns, k, d, d).transpose(1, 0, 2, 3).reshape(k, ns * d, d)
-        dv = (dv @ v).reshape(k, ns, d, d).transpose(0, 2, 1, 3).reshape(k, d, ns * d)
-        bmat = (np.swapaxes(v.conj(), 1, 2) @ dv).reshape(k, d, ns, d)
-        grad = np.einsum("xiki,xi->k", bmat, coef).real
-        # tau S''/S: the divided differences of coef for pairs at least tau
-        # apart; closer pairs take (up + down) at their midpoint times
-        # sinh(delta) / (delta tau), delta = gap / (2 tau), which has no 0/0
-        gap = vals[:, :, None] - vals[:, None, :]
-        near = np.abs(gap) < tau
-        delta = np.where(near & (gap != 0.0), gap / (2.0 * tau), 1.0)
-        sinhc = np.where(gap == 0.0, 1.0, np.sinh(delta) / delta)
-        mid = (vals[:, :, None] + vals[:, None, :]) / 2.0
-        cosh = np.exp((mid - zmax) / tau) + np.exp((-mid - zmax) / tau)
-        gamma = np.where(near, cosh * sinhc / (total * tau),
-                         (coef[:, :, None] - coef[:, None, :]) / np.where(near, 1.0, gap))
-        # sum_x,ij Gamma_ij Re(B_k,ij conj(B_l,ij)) is the Gram matrix of
-        # the real views of sqrt(Gamma) B_k
-        rows = (bmat * np.sqrt(np.maximum(gamma, 0.0))[:, :, None, :]).view(float)
-        rows = rows.transpose(2, 0, 1, 3).reshape(ns, -1)
-        hess = rows @ rows.T - np.outer(grad, grad) / tau
-        return val, grad, hess
+        d, ns = self.dim, len(op)
+        mats = (c @ op).view(complex).reshape(1, -1, d, d)
+        dirs = op.view(complex).reshape(ns, -1, d, d).transpose(1, 0, 2, 3)
+        val, grad, hess = spectral_lse(mats, dirs[None], tau)
+        return val[0], grad[0], hess[0]
 
     # temperature factors, each relative to the seminorm at its stage's start
     _LADDERS = {
@@ -717,13 +684,13 @@ class Cqms:
         """Dual metric rho_L(mu, nu) = sup {mu(a) - nu(a) : L(a) <= 1}.
 
         The supremum saturates on D_R for any R at least the radius (the
-        ball plus scalar shifts exhausts the seminorm unit ball), so R
-        below the radius estimate is rejected.  One support-function
-        solve along the functional's in-space Riesz direction.
+        ball plus scalar shifts exhausts the seminorm unit ball), so a given
+        R below the radius estimate is rejected (the radius is computed only
+        then).  One support-function solve along the functional's in-space
+        Riesz direction.
         """
-        rad = self.radius()
-        if R is not None and R < rad - 1e-9:
-            raise ValueError(f"R={R} is below the radius estimate {rad}")
+        if R is not None and R < self.radius() - 1e-9:
+            raise ValueError(f"R={R} is below the radius estimate {self.radius()}")
         g = mu.density - nu.density
         gm = self.space.element(self.space.coeffs(g))
         if nm.hs_norm(gm) <= 1e-13:
@@ -778,6 +745,60 @@ class Cqms:
             value, argmax = self._support_max(gmats[k], effort="coarse")
             best = max(best, self._alternate_witness(argmax, value, 3, "coarse", scale=2.0))
         return best
+
+
+def spectral_lse(mats: np.ndarray, dirs: np.ndarray, tau: float, pad=None):
+    """Value, gradient and Hessian of f = tau log S, S = sum 2 cosh(lambda / tau)
+    over the eigenvalues lambda of every matrix in a group, for each of g
+    groups of an affine family of Hermitian matrices M_x + sum_k c_k D_k,x, at
+    c = 0: ``mats`` (g, m, d, d) holds the M_x and ``dirs`` (g, m, n, d, d) the
+    D_k,x; returns arrays of shapes (g,), (g, n) and (g, n, n).  ``pad`` (per
+    group) counts zero eigenvalues left out of S: those of zero rows and
+    columns that pad a smaller family to size d, whose derivatives vanish.
+
+    Derivatives come from the Daleckii-Krein formula in each matrix's
+    eigenbasis V, where B_k = V* D_k V: dS/dc_k = sum_i F'(lambda_i) B_k,ii and
+    d2S/dc_k dc_l = sum_ij Gamma_ij Re(B_k,ij conj(B_l,ij)), with Gamma the
+    divided differences of F'(x) = 2 sinh(x / tau) / tau (taken through
+    sinh(delta) / delta when two eigenvalues lie within tau of each other);
+    then d2f = tau (S'' / S - S' S'^T / S^2).  Every exponential is shifted by
+    its group's largest |lambda|, so none overflows.
+    """
+    g, m, n, d = dirs.shape[:4]
+    vals, v = np.linalg.eigh(mats)
+    # (array methods rather than np.max / np.sum: these tiny reductions are
+    # evaluated thousands of times per solve, and the wrappers cost more)
+    zmax = np.abs(vals).max(axis=(1, 2))
+    shift = zmax[:, None, None]
+    up, down = np.exp((vals - shift) / tau), np.exp((-vals - shift) / tau)
+    total = up.sum(axis=(1, 2)) + down.sum(axis=(1, 2))
+    if pad is not None:
+        total -= 2.0 * pad * np.exp(-zmax / tau)
+    val = zmax + tau * np.log(total)
+    coef = (up - down) / total[:, None, None]   # tau F'(lambda) / S
+    # B_k = V* D_k V for every matrix and direction, laid out as
+    # (matrix, i, k, j) so that one product per matrix covers every k
+    dv = dirs.reshape(g * m, n * d, d) @ v.reshape(g * m, d, d)
+    dv = dv.reshape(g * m, n, d, d).transpose(0, 2, 1, 3).reshape(g * m, d, n * d)
+    bmat = (v.conj().swapaxes(-1, -2).reshape(g * m, d, d) @ dv).reshape(g, m, d, n, d)
+    grad = np.einsum("gxiki,gxi->gk", bmat, coef).real
+    # tau S''/S: the divided differences of coef for pairs at least tau
+    # apart; closer pairs take (up + down) at their midpoint times
+    # sinh(delta) / (delta tau), delta = gap / (2 tau), which has no 0/0
+    gap = vals[..., :, None] - vals[..., None, :]
+    near = np.abs(gap) < tau
+    delta = np.where(near & (gap != 0.0), gap / (2.0 * tau), 1.0)
+    sinhc = np.where(gap == 0.0, 1.0, np.sinh(delta) / delta)
+    mid = (vals[..., :, None] + vals[..., None, :]) / 2.0
+    cosh = np.exp((mid - shift[..., None]) / tau) + np.exp((-mid - shift[..., None]) / tau)
+    gamma = np.where(near, cosh * sinhc / (total[:, None, None, None] * tau),
+                     (coef[..., :, None] - coef[..., None, :]) / np.where(near, 1.0, gap))
+    # sum_x,ij Gamma_ij Re(B_k,ij conj(B_l,ij)) is the Gram matrix of the
+    # real views of sqrt(Gamma) B_k
+    rows = (bmat * np.sqrt(np.maximum(gamma, 0.0))[:, :, :, None, :]).view(float)
+    rows = rows.transpose(0, 3, 1, 2, 4).reshape(g, n, -1)
+    hess = rows @ rows.swapaxes(1, 2) - grad[:, :, None] * grad[:, None, :] / tau
+    return val, grad, hess
 
 
 def _newton_stage(smoothed, u: np.ndarray) -> tuple[np.ndarray, bool]:

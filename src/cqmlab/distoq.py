@@ -16,6 +16,15 @@ map distortion) instead of pretending to be exact; the upper estimators
 only ever overestimate the glue norm, so reported values stay valid
 upper bounds up to the recorded net certificates.
 
+The glue norm N(a, b) = inf_x |a - x| + |b + phi(x)| + eps |x| is
+evaluated at feasible points only.  Its descent splits as ``Cqms`` splits
+its support solves.  When a, b and the map are diagonal every norm is a
+max of |entries|, so the infimum is one HiGHS linear program, exact up to
+its tolerance.  Otherwise damped Newton stages on a log-sum-exp smoothing
+(``cqms._newton_stage``, with derivatives from ``cqms.spectral_lse``) run
+at decreasing temperatures; stages that end unconverged are counted, and
+upper reports carry the count (``glue_unconverged_stages``).
+
 Distances between finite nets come from ``numerics``.  The upper bound's
 glue table and the sub-net coarsening read only row and column minima,
 so they go through ``numerics.nearest``, which eigensolves only the
@@ -26,12 +35,13 @@ stopped at their point cap (``net_a_capped``, ``net_b_capped``).
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
+from scipy.optimize import linprog, minimize_scalar
 
 from . import numerics as nm
-from .cqms import Cqms
+from .cqms import Cqms, _newton_stage, spectral_lse
 from .finmetric import FiniteMetricSpace, gh_lower_bound
 
 
@@ -181,6 +191,10 @@ def berezin_transport_map(a: Cqms, b: Cqms, maps_a, maps_b) -> ComparisonMap:
 # ---------------------------------------------------------------------------
 # admissible norms on the direct sum
 
+# the glue's Newton descent runs one stage per temperature factor, each
+# relative to the glue value at the stage's start
+GLUE_FACTORS = (0.2, 0.05, 0.01, 0.002)
+
 
 @dataclass
 class SumNorm:
@@ -189,7 +203,11 @@ class SumNorm:
     ``value`` never underestimates the underlying norm for the
     ``almost_amal`` kind (every evaluation is a feasible point of the
     defining infimum), so Hausdorff distances computed from it stay on
-    the conservative side.
+    the conservative side.  There it is the better of two starting points,
+    x = 0 and x = the projection of a onto X; with ``descend`` it is also
+    evaluated at the glue's minimizer: the LP's on diagonal pairs, else the
+    Newton stages' result.  ``unconverged_stages`` counts the Newton stages
+    of this norm that ended without converging.
     """
 
     kind: str                      # "eps_amalgam" | "almost_amal" | "bridge"
@@ -197,6 +215,7 @@ class SumNorm:
     phi: ComparisonMap | None = None
     bridge_r: float = 0.0
     bridge_d: float = 0.0
+    unconverged_stages: int = field(default=0, init=False, repr=False)
 
     def value(self, a: np.ndarray, b: np.ndarray, descend: bool = False) -> float:
         if self.kind == "eps_amalgam":
@@ -216,29 +235,36 @@ class SumNorm:
         return (nm.op_norm(a - x) + nm.op_norm(b + self.phi.apply_coeffs(c))
                 + self.eps * nm.op_norm(x))
 
-    def _amal_smoothed(self, a, b, c, tau):
-        """Smoothed glue objective and its gradient in the X coefficients:
-        each operator norm becomes tau * lse(+-eig / tau)."""
+    @cached_property
+    def _glue_lp(self) -> tuple | None:
+        """(A_ub, cost) of the glue LP in (c, t1, t2, t3), or None when the map
+        is not diagonal.  Each term |offset + L c| is one epigraph variable:
+        +-(offset + L c) <= t, with (offset, L) = (a, -X), (b, Y), (0, X) for
+        the diagonals X, Y of ``x_ortho`` and ``images``."""
         phi = self.phi
-        x = phi.x_element(c)
-        terms = [(a - x, -phi.x_ortho, 1.0),
-                 (b + phi.apply_coeffs(c), phi.images, 1.0),
-                 (x, phi.x_ortho, self.eps)]
-        total = 0.0
-        grad = np.zeros(phi.k)
-        for mat, dbasis, scale in terms:
-            if scale == 0.0:
-                continue
-            w, v = np.linalg.eigh(mat)
-            z = np.concatenate([w, -w]) / tau
-            zmax = float(np.max(z))
-            e = np.exp(z - zmax)
-            tot = float(e.sum())
-            total += scale * (tau * (zmax + np.log(tot)))
-            coef = (e[: len(w)] - e[len(w):]) / tot
-            wmat = (v * coef) @ v.conj().T
-            grad += scale * np.real(np.einsum("ab,kab->k", wmat.conj(), dbasis))
-        return total, grad
+        if not (nm.is_diagonal(phi.x_ortho) and nm.is_diagonal(phi.images)):
+            return None
+        xd = np.diagonal(phi.x_ortho, axis1=1, axis2=2).real.T
+        yd = np.diagonal(phi.images, axis1=1, axis2=2).real.T
+        lin = np.concatenate([-xd, yd, xd])
+        epi = np.repeat(-np.eye(3), [phi.dim_a, phi.dim_b, phi.dim_a], axis=0)
+        return (np.block([[lin, epi], [-lin, epi]]),
+                np.concatenate([np.zeros(phi.k), [1.0, 1.0, self.eps]]))
+
+    @cached_property
+    def _glue_dirs(self) -> tuple:
+        """The derivative stacks of the glue terms a - x, b + phi(x) and x
+        along the X coefficients, as ``spectral_lse``'s (3, 1, k, d, d) with d
+        the larger dimension, and the same as one (k, 3 d d) matrix.  The
+        smaller side's matrices are padded with zero rows and columns, whose
+        eigenvalues ``_newton_coeffs`` leaves out of the smoothing."""
+        phi = self.phi
+        k, d = phi.k, max(phi.dim_a, phi.dim_b)
+        dirs = np.zeros((3, 1, k, d, d), dtype=complex)
+        dirs[0, 0, :, :phi.dim_a, :phi.dim_a] = -phi.x_ortho
+        dirs[1, 0, :, :phi.dim_b, :phi.dim_b] = phi.images
+        dirs[2, 0, :, :phi.dim_a, :phi.dim_a] = phi.x_ortho
+        return dirs, dirs.reshape(3, k, d * d).transpose(1, 0, 2).reshape(k, -1)
 
     def _amal_value(self, a, b, descend: bool) -> float:
         a = np.asarray(a, dtype=complex)
@@ -249,16 +275,51 @@ class SumNorm:
         best = min(at_zero, at_ca)
         if not descend or self.phi.k == 0:
             return best
-        c = ca if at_ca <= at_zero else zero
-        scale = max(best, 1e-9)
-        for factor in (0.2, 0.05, 0.01, 0.002):
-            tau = factor * scale
-            res = minimize(lambda u: self._amal_smoothed(a, b, u, tau), c,
-                           jac=True, method="L-BFGS-B",
-                           options={"maxiter": 150, "ftol": 1e-15, "gtol": 1e-13})
-            c = res.x
-            scale = max(self._amal_objective(a, b, c), 1e-9)
+        if self._glue_lp is not None and nm.is_diagonal(a) and nm.is_diagonal(b):
+            c = self._lp_coeffs(a, b)
+        else:
+            c = self._newton_coeffs(a, b, ca if at_ca <= at_zero else zero, best)
         return min(best, self._amal_objective(a, b, c))
+
+    def _lp_coeffs(self, a, b) -> np.ndarray:
+        """The exact glue minimizer for diagonal a, b and map: one HiGHS LP
+        minimizing t1 + t2 + eps t3; a solve that does not end optimal raises."""
+        a_ub, cost = self._glue_lp
+        offsets = np.concatenate([np.diagonal(a).real, np.diagonal(b).real,
+                                  np.zeros(self.phi.dim_a)])
+        res = linprog(cost, A_ub=a_ub, b_ub=np.concatenate([-offsets, offsets]),
+                      bounds=(None, None), method="highs")
+        if res.status != 0:
+            raise RuntimeError(f"glue LP did not solve: {res.message}")
+        return res.x[:self.phi.k]
+
+    def _newton_coeffs(self, a, b, c, scale: float) -> np.ndarray:
+        """Descend the glue from c: one damped Newton stage (``cqms._newton_stage``)
+        per temperature factor on the log-sum-exp smoothing of its three
+        operator norms, the factor times the exact glue value at the stage's
+        start.  Stages that end unconverged are counted in
+        ``unconverged_stages``."""
+        dirs, lin = self._glue_dirs
+        d = dirs.shape[-1]
+        start = np.zeros((3, 1, d, d), dtype=complex)     # the terms at c = 0
+        start[0, 0, :len(a), :len(a)] = a
+        start[1, 0, :len(b), :len(b)] = b
+        weights = np.array([1.0, 1.0, self.eps])
+        pad = d - np.array([len(a), len(b), len(a)])
+        for factor in GLUE_FACTORS:
+            tau = factor * max(scale, 1e-9)
+
+            def smoothed(u):
+                mats = start + (u @ lin).reshape(start.shape)
+                val, grad, hess = spectral_lse(mats, dirs, tau, pad)
+                return (weights @ val, weights @ grad,
+                        (weights @ hess.reshape(3, -1)).reshape(hess.shape[1:]))
+
+            c, converged = _newton_stage(smoothed, c)
+            if not converged:
+                self.unconverged_stages += 1
+            scale = self._amal_objective(a, b, c)
+        return c
 
     # -- bridge seminorm ----------------------------------------------------
 
@@ -467,7 +528,8 @@ def dist_oq_upper(a: Cqms, b: Cqms, phi: ComparisonMap, big_r: float = None,
         components={
             "radius_a": ra, "radius_b": rb, "phi": phi.label,
             "phi_distortion": eps_phi, "phi_unit_defect": unit_defect,
-            "glue_eps": eps, "net_a_size": net_a.size, "net_b_size": net_b.size,
+            "glue_eps": eps, "glue_unconverged_stages": norm.unconverged_stages,
+            "net_a_size": net_a.size, "net_b_size": net_b.size,
             "net_a_certificate": net_a.covering_certificate,
             "net_b_certificate": net_b.covering_certificate,
             "net_a_capped": net_a.capped, "net_b_capped": net_b.capped,

@@ -1,9 +1,10 @@
 """Shared oracles and fixtures.
 
 The oracles here are deliberately independent of the production code
-paths they check: linear programming for the dual state metric, brute
-force enumeration for Gromov-Hausdorff, power iteration for operator
-norms, dense parameter grids for infima.
+paths they check: linear programming for the dual state metric and (in
+its dual form) for the diagonal glue norm, brute force enumeration for
+Gromov-Hausdorff, power iteration for operator norms, dense parameter
+grids for infima.
 """
 
 import itertools
@@ -54,6 +55,28 @@ def kantorovich_lp(dist: np.ndarray, c: np.ndarray) -> float:
     a_eq[0, 0] = 1.0
     res = linprog(-np.asarray(c, dtype=float), A_ub=np.array(rows), b_ub=np.array(rhs),
                   A_eq=a_eq, b_eq=[0.0], bounds=[(None, None)] * n, method="highs")
+    assert res.status == 0, res.message
+    return float(-res.fun)
+
+
+def glue_dual_lp(x_diag: np.ndarray, y_diag: np.ndarray, eps: float,
+                 a: np.ndarray, b: np.ndarray) -> float:
+    """Exact inf_c |a - X c|_inf + |b + Y c|_inf + eps |X c|_inf for real
+    vectors a, b and matrices X (d_A, k), Y (d_B, k), through its dual LP:
+    max <p, a> + <q, b> over |p|_1 <= 1, |q|_1 <= 1, |r|_1 <= eps with
+    X^T (r - p) + Y^T q = 0, each vector split into its positive and
+    negative parts."""
+    da, db = len(a), len(b)
+    sizes = (da, db, da)                       # p, q, r, each as (plus, minus)
+    ends = np.cumsum((0,) + tuple(2 * n for n in sizes))
+    lin = [-x_diag.T, y_diag.T, x_diag.T]
+    a_eq = np.concatenate([np.concatenate([m, -m], axis=1) for m in lin], axis=1)
+    a_ub = np.zeros((3, ends[-1]))
+    for row, (lo, hi) in enumerate(zip(ends[:-1], ends[1:])):
+        a_ub[row, lo:hi] = 1.0
+    gain = np.concatenate([a, -a, b, -b, np.zeros(2 * da)])
+    res = linprog(-gain, A_ub=a_ub, b_ub=[1.0, 1.0, eps], A_eq=a_eq,
+                  b_eq=np.zeros(x_diag.shape[1]), bounds=(0, None), method="highs")
     assert res.status == 0, res.message
     return float(-res.fun)
 

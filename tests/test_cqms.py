@@ -223,6 +223,17 @@ def test_state_metric_r_validation(cycle12):
     assert big == pytest.approx(base, rel=1e-9)   # sup saturates on D_{r_A}
 
 
+def test_state_metric_radius_only_for_r():
+    # without R a state metric is one support solve: a fresh space computes
+    # no radius; a given R is still checked against the radius
+    obj = ex.fuzzy_torus(3, 1)
+    mu, nu = cq.dirac_state(3, 0), cq.dirac_state(3, 1)
+    assert obj.state_metric(mu, nu) > 0.0
+    assert obj._radius is None
+    with pytest.raises(ValueError):
+        obj.state_metric(mu, nu, R=0.5 * obj.radius())
+
+
 def test_state_metric_bounded_by_2r(cycle12):
     big_r = cycle12.action.group.haar_mean_length()
     mu, nu = cq.dirac_state(12, 0), cq.dirac_state(12, 6)
@@ -269,6 +280,41 @@ def test_smoothed_seminorm_gradient(name):
         fd_hess = np.array([(plus[1] - minus[1]) / (2 * h) for plus, minus in steps])
         assert np.array_equal(hess, hess.T)
         assert np.allclose(hess, fd_hess, rtol=1e-6, atol=1e-7)
+
+
+def test_spectral_lse_derivatives():
+    # value, gradient and Hessian of the shared log-sum-exp routine against
+    # central differences of an affine family with an offset (the glue's
+    # shape), taken at the offset: two groups of two 4 x 4 matrices, the
+    # second padded from 3 x 3 with its zero eigenvalues left out, and an
+    # eigenvalue pair 1e-3 tau apart in the first offset, so that both Gamma
+    # branches are taken
+    rng = np.random.default_rng(4)
+    n, d, tau = 3, 4, 0.2
+    mats = np.array([[nm.random_hermitian(rng, d) for _ in range(2)] for _ in range(2)])
+    dirs = np.array([[[nm.random_hermitian(rng, d) for _ in range(n)] for _ in range(2)]
+                     for _ in range(2)])
+    w, v = np.linalg.eigh(mats[0, 0])
+    w[1] = w[2] - 1e-3 * tau
+    mats[0, 0] = (v * w) @ v.conj().T
+    mats[1, :, 3, :] = mats[1, :, :, 3] = 0.0
+    dirs[1, :, :, 3, :] = dirs[1, :, :, :, 3] = 0.0
+    pad = np.array([0, 2])
+
+    def at(c):
+        return cq.spectral_lse(mats + np.einsum("k,gmkab->gmab", c, dirs), dirs, tau, pad)
+
+    val, grad, hess = at(np.zeros(n))
+    unpadded = cq.spectral_lse(mats[1:, :, :3, :3], dirs[1:, :, :, :3, :3].copy(), tau)
+    assert val[1] == pytest.approx(unpadded[0][0], rel=1e-13)
+    assert np.allclose(grad[1], unpadded[1][0], rtol=1e-12, atol=1e-13)
+    h = 1e-5
+    steps = [(at(h * e), at(-h * e)) for e in np.eye(n)]
+    fd = np.array([(plus[0] - minus[0]) / (2 * h) for plus, minus in steps]).T
+    fd_hess = np.array([(plus[1] - minus[1]) / (2 * h) for plus, minus in steps])
+    assert np.allclose(grad, fd, rtol=1e-7, atol=1e-8)
+    assert np.allclose(hess, fd_hess.transpose(1, 0, 2), rtol=1e-6, atol=1e-7)
+    assert all(np.allclose(hs, hs.T, rtol=0, atol=1e-13) for hs in hess)
 
 
 def _full_kernel_support(obj, g, effort):

@@ -8,7 +8,7 @@ from cqmlab import distoq as dq
 from cqmlab import examples as ex
 from cqmlab import numerics as nm
 
-from conftest import relengthed_cycle
+from conftest import glue_dual_lp, relengthed_cycle
 
 
 @pytest.fixture(scope="module")
@@ -115,6 +115,81 @@ def test_almost_amal_dense_grid_oracle():
     got = norm.value(a, -b, descend=True)
     assert got <= grid_min + 1e-9           # descent at least matches the grid
     assert got >= 0.0
+
+
+def _glue_starts(norm, a, b):
+    """The glue at x = 0 and at x = the projection of a onto X: the two
+    starting points of every descent."""
+    x = norm.phi.x_element(norm.phi.x_coeffs(a))
+    return (nm.op_norm(a) + nm.op_norm(b),
+            nm.op_norm(a - x) + nm.op_norm(b + norm.phi.apply(a)) + norm.eps * nm.op_norm(x))
+
+
+def test_diagonal_glue_lp_oracle(cycle8, cycle16, monkeypatch):
+    # on diagonal pairs the descended glue is the LP optimum: within 1e-9 of
+    # the dual LP, with no smoothing, for random pairs and for pairs near
+    # the map's graph (as in the distance bounds)
+    monkeypatch.setattr(dq, "spectral_lse", None)
+    rng = np.random.default_rng(9)
+    for phi, target in ((dq.cycle_refinement_map(cycle8, cycle16), cycle16),
+                        (dq.identity_map(cycle8), cycle8)):
+        x_diag = np.diagonal(phi.x_ortho, axis1=1, axis2=2).real.T
+        y_diag = np.diagonal(phi.images, axis1=1, axis2=2).real.T
+        for eps in (1e-6, 0.05, 0.4):
+            norm = dq.almost_amal_norm(phi, eps)
+            for _ in range(4):
+                a = cycle8.space.random_element(rng)
+                b = target.space.random_element(rng)
+                for bb in (b, 0.1 * b - phi.apply(a)):
+                    got = norm.value(a, bb, descend=True)
+                    oracle = glue_dual_lp(x_diag, y_diag, eps, np.diagonal(a).real,
+                                          np.diagonal(bb).real)
+                    assert abs(got - oracle) <= 1e-9 * max(1.0, oracle)
+                    assert got <= min(_glue_starts(norm, a, bb))
+
+
+def test_dense_glue_grid_oracle(torus_pair):
+    # on a dense pair the Newton descent at least matches a coefficient grid,
+    # never exceeds either starting point, and every stage converges
+    a_space, b_space = torus_pair
+    phi = dq.torus_frequency_map(a_space, b_space)
+    norm = dq.almost_amal_norm(phi, max(phi.measure()[0], 0.05))
+    axes = np.linspace(-2.5, 2.5, 11)
+    grid = np.array(list(itertools.product(*[axes] * phi.k)))
+    xs = np.einsum("nk,kab->nab", grid, phi.x_ortho)
+    ys = np.einsum("nk,kab->nab", grid, phi.images)
+    rng = np.random.default_rng(8)
+    for _ in range(3):
+        a = a_space.space.random_element(rng)
+        b = b_space.space.random_element(rng)
+        for bb in (b, 0.1 * b - phi.apply(a)):
+            got = norm.value(a, bb, descend=True)
+            grid_min = np.min(nm.op_norms(a - xs) + nm.op_norms(bb + ys)
+                              + norm.eps * nm.op_norms(xs))
+            assert got <= grid_min + 1e-9
+            assert got <= min(_glue_starts(norm, a, bb))
+    assert norm.unconverged_stages == 0
+
+
+def test_glue_unconverged_stages_counted(torus_pair, monkeypatch):
+    # every glue Newton stage of a torus upper bound converges; with no Newton
+    # step allowed every stage run ends unconverged, and the report counts it
+    a, b = torus_pair
+    phi = dq.torus_frequency_map(a, b)
+    up = dq.dist_oq_upper(a, b, phi, eps_net=0.6, budget=8, seed=0)
+    assert up.components["glue_unconverged_stages"] == 0
+
+    stages = []
+    newton_stage = dq._newton_stage
+
+    def counting(*args):
+        stages.append(1)
+        return newton_stage(*args)
+
+    monkeypatch.setattr(dq, "_newton_stage", counting)
+    monkeypatch.setattr(cq, "NEWTON_STEPS", 0)
+    capped = dq.dist_oq_upper(a, b, phi, eps_net=0.6, budget=8, seed=0)
+    assert stages and capped.components["glue_unconverged_stages"] == len(stages)
 
 
 def test_almost_amal_admissibility(cycle8):

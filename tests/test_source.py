@@ -34,3 +34,21 @@ def test_module_constants_are_read():
     dead = sorted(f"{name}:{var}" for name, tree in trees.items()
                   for var in _assigned_names(tree) - loaded)
     assert not dead, f"module-level names never read in src: {dead}"
+
+
+def test_no_general_minimizer():
+    # every solver in src is exact (an LP) or a counted Newton stage; an
+    # import of scipy.optimize.minimize would bring back an L-BFGS whose
+    # stops nothing counts
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.ImportFrom)
+                    and (node.module or "").startswith("scipy.optimize")):
+                found += [f"{path.name}:{node.lineno}" for alias in node.names
+                          if alias.name == "minimize"]
+            elif (isinstance(node, ast.Attribute) and node.attr == "minimize"
+                  and isinstance(node.value, (ast.Name, ast.Attribute))
+                  and getattr(node.value, "attr", getattr(node.value, "id", "")) == "optimize"):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"scipy.optimize.minimize used in src: {found}"
