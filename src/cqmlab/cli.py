@@ -131,9 +131,14 @@ def validate_scenario(doc: dict) -> None:
         raise ScenarioError("scenario root must be an object")
     if "seed" not in doc:
         raise ScenarioError("scenario requires an explicit 'seed'")
+    for key in ("examples", "jobs"):
+        if not isinstance(doc.get(key, []), list):
+            raise ScenarioError(f"'{key}' must be a list")
     names = set()
     for i, spec in enumerate(doc.get("examples", [])):
         where = f"examples[{i}]"
+        if not isinstance(spec, dict):
+            raise ScenarioError(f"{where}: must be an object")
         for key in ("name", "family"):
             if key not in spec:
                 raise ScenarioError(f"{where}: missing '{key}'")
@@ -145,6 +150,8 @@ def validate_scenario(doc: dict) -> None:
         names.add(spec["name"])
     for i, job in enumerate(doc.get("jobs", [])):
         where = f"jobs[{i}]"
+        if not isinstance(job, dict):
+            raise ScenarioError(f"{where}: must be an object")
         kind = job.get("kind")
         if kind not in _JOB_KINDS:
             raise ScenarioError(f"{where}: unknown kind {kind!r}")
@@ -216,7 +223,7 @@ def _run_job(job: dict, built: dict, defaults: dict) -> dict:
             "group": cq.action.group.descriptor,
             "seminorm_kernel_size": int(cq.action.seminorm_kernel()[0].size),
             "ergodic": bool(ga.ergodicity_check(
-                cq.action, None if cq.space.is_full else cq.space.complex_basis())),
+                cq.action, None if cq.space.is_full else cq.space.ortho)),
         }
 
     if kind == "radius":
@@ -235,7 +242,7 @@ def _run_job(job: dict, built: dict, defaults: dict) -> dict:
     if kind == "mult":
         desc, cq = built[job["example"]]
         chars = _characters_for(desc, cq)
-        basis = None if cq.space.is_full else cq.space.complex_basis()
+        basis = None if cq.space.is_full else cq.space.ortho
         pairs = ga.multiplicities(cq.action, chars, basis,
                                   float(job.get("integer_tol", ga.DEFAULT_INTEGER_TOL)))
         table = {str(ch.label): m for ch, (_, m) in zip(chars, pairs)}
@@ -548,6 +555,8 @@ def main(argv=None) -> int:
                     job = json.loads(args.spec)
                 except json.JSONDecodeError as exc:
                     raise ScenarioError(f"family spec is not valid JSON: {exc}")
+                if not isinstance(job, dict):
+                    raise ScenarioError("family spec must be a JSON object")
                 job["kind"] = "family"
                 doc = _single_job_doc(args, [], job)
             else:

@@ -34,13 +34,14 @@ smoothing of the seminorm with a decreasing temperature schedule; the
 exact Hessian comes from the Daleckii-Krein formula for the second
 derivative of a spectral function.  One routine, ``spectral_lse``, gives
 the value, gradient and Hessian of that smoothing for any affine family of
-matrices, and one routine, ``_newton_stage``, runs a stage: ``distoq``'s
-glue-norm descent uses both.  The smoothing runs on a working
+matrices, and one loop, ``anneal``, runs every temperature stage: the
+glue-norm descent of ``distoq`` uses both.  The smoothing runs on a working
 kernel: the ``WORKING_SEED`` elements largest at the starting point (the
-whole kernel when it is no larger).  After each solve every kernel element
-is evaluated at the result; those whose norm is at least ``WORKING_ADD``
-times the full-kernel max join the working kernel, and the solve is
-repeated, warm-started, until none join.  Values returned are
+whole kernel when it is no larger), laid out once as an affine family of
+the slice's coordinates (``_support_family``).  After each solve every
+kernel element is evaluated at the result; those whose norm is at least
+``WORKING_ADD`` times the full-kernel max join the working kernel, and the
+solve is repeated, warm-started, until none join.  Values returned are
 honest lower bounds (the final iterate, or the LP's solution, is rescaled
 by its true full-kernel, not smoothed, seminorm).  Off full diagonal
 spaces the radius alternates this solver with extreme witnesses of the
@@ -63,7 +64,7 @@ from . import numerics as nm
 WORKING_SEED = 48
 WORKING_ADD = 0.98
 
-# a ladder stage takes at most NEWTON_STEPS damped Newton steps; it has
+# an annealing stage takes at most NEWTON_STEPS damped Newton steps; it has
 # converged once half its squared Newton decrement (the predicted decrease)
 # is at most NEWTON_TOL times the smoothed value
 NEWTON_STEPS = 30
@@ -118,9 +119,6 @@ class HermitianSpace:
     def is_full(self) -> bool:
         return self.real_dim == self.dim ** 2
 
-    def unit(self) -> np.ndarray:
-        return np.eye(self.dim, dtype=complex)
-
     def coeffs(self, a: np.ndarray) -> np.ndarray:
         return np.real(np.einsum("kab,ab->k", self.ortho.conj(), np.asarray(a, dtype=complex)))
 
@@ -139,10 +137,6 @@ class HermitianSpace:
 
     def random_element(self, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
         return self.element(scale * rng.standard_normal(self.real_dim))
-
-    def complex_basis(self) -> np.ndarray:
-        """The orthonormal Hermitian basis, reused as a basis of the complex span."""
-        return self.ortho
 
 
 def full_matrix_space(d: int) -> HermitianSpace:
@@ -448,17 +442,23 @@ class Cqms:
 
     # -- support-function solver ----------------------------------------------
 
-    def _smoothed_seminorm(self, c: np.ndarray, tau: float, op: np.ndarray):
-        """(L_tau, dL_tau/dc, d2L_tau/dc2) for a = sum c_k S_k over the
-        traceless slice: ``spectral_lse`` over every scaled difference of
-        ``op``, a column slice of ``_operator()`` (a working kernel), whose
-        rows are the differences' derivatives along the slice directions.
-        Dense operators only: diagonal ones are solved by ``_support_max``'s LP.
+    def _support_family(self, c0: np.ndarray, nmat: np.ndarray, op: np.ndarray) -> tuple:
+        """(start, lin, dirs): the scaled differences of ``op``, a working
+        kernel's columns of ``_operator()``, at the slice point c0 + nmat @ u
+        are the real view of ``start + u @ lin``; ``dirs`` is their (1, m, n,
+        d, d) derivative stack along u, laid out for ``spectral_lse``."""
+        lin = nmat.T @ op
+        dirs = lin.view(complex).reshape(len(lin), -1, self.dim, self.dim).swapaxes(0, 1)
+        return c0 @ op, lin, np.ascontiguousarray(dirs)[None]
+
+    def _smoothed_seminorm(self, u: np.ndarray, tau: float, family: tuple):
+        """(L_tau, dL_tau/du, d2L_tau/du2) at the slice point of null-space
+        coordinates u: ``spectral_lse`` over a ``_support_family``.  Dense
+        operators only: diagonal ones are solved by ``_support_max``'s LP.
         """
-        d, ns = self.dim, len(op)
-        mats = (c @ op).view(complex).reshape(1, -1, d, d)
-        dirs = op.view(complex).reshape(ns, -1, d, d).transpose(1, 0, 2, 3)
-        val, grad, hess = spectral_lse(mats, dirs[None], tau)
+        start, lin, dirs = family
+        mats = (start + u @ lin).view(complex).reshape(1, -1, self.dim, self.dim)
+        val, grad, hess = spectral_lse(mats, dirs, tau)
         return val[0], grad[0], hess[0]
 
     # temperature factors, each relative to the seminorm at its stage's start
@@ -479,7 +479,7 @@ class Cqms:
         Otherwise, convex reformulation: minimize L on the affine set
         <g, a> = 1, smoothed by log-sum-exp with a temperature ladder
         rescaled to the current seminorm at each stage, one damped Newton
-        stage per temperature (``_ladder``).  The ladder sees only
+        stage per temperature (``anneal``).  The ladder sees only
         a working kernel W: the ``WORKING_SEED`` elements largest at the
         starting point (the lowest index first among equal norms), or the
         whole kernel when it has no more elements.
@@ -521,7 +521,11 @@ class Cqms:
         u = np.zeros(nmat.shape[1])
         while nmat.shape[1] > 0:
             sub = op if work is None else op.reshape(ns, kernel, -1)[:, work].reshape(ns, -1)
-            u = self._ladder(c0, nmat, u, self._LADDERS[effort], sub)
+            family = self._support_family(c0, nmat, sub)
+            u, unconverged = anneal(lambda u, tau: self._smoothed_seminorm(u, tau, family),
+                                    lambda u: self._coeff_seminorms((c0 + nmat @ u)[None])[0],
+                                    u, self._LADDERS[effort])
+            self.unconverged_stages += unconverged
             if work is None:
                 break
             norms = self._kernel_norms((c0 + nmat @ u)[None], WORKING_ADD)[0]
@@ -530,32 +534,6 @@ class Cqms:
                 break
             work = np.union1d(work, new)
         return self._rescaled(c0 + nmat @ u, 1.0)    # the ladder keeps <g, a> = 1
-
-    def _ladder(self, c0: np.ndarray, nmat: np.ndarray, u: np.ndarray, factors,
-                op: np.ndarray) -> np.ndarray:
-        """Minimize L over the slice points c0 + nmat @ u, starting from u: one
-        damped Newton stage on the smoothing over ``op`` per temperature
-        factor, the factor times the exact seminorm at the stage's start.
-
-        Each step solves the Newton system of the smoothed value restricted
-        to the slice and halves its length until it achieves a quarter of
-        the decrease the slope predicts (Armijo), at most 40 times.  A stage
-        converges when half its squared Newton decrement is at most
-        ``NEWTON_TOL`` times the smoothed value; one that reaches
-        ``NEWTON_STEPS`` steps, or whose backtrack cannot lower the smoothed
-        value, ends there and is counted in ``unconverged_stages``.
-        """
-        for factor in factors:
-            tau = factor * max(self._coeff_seminorms((c0 + nmat @ u)[None])[0], 1e-9)
-
-            def smoothed(u):
-                val, grad, hess = self._smoothed_seminorm(c0 + nmat @ u, tau, op)
-                return val, nmat.T @ grad, nmat.T @ hess @ nmat
-
-            u, converged = _newton_stage(smoothed, u)
-            if not converged:
-                self.unconverged_stages += 1
-        return u
 
     def _rescaled(self, c: np.ndarray, value: float) -> tuple[float, np.ndarray]:
         """(value / L, a / L) for a = sum c_k S_k with <g, a> = value: a
@@ -575,10 +553,10 @@ class Cqms:
                 - np.outer(v[:, j], v[:, j].conj())) / 2.0
 
     def _alternate_witness(self, a: np.ndarray, val: float, rounds: int,
-                           effort: str, scale: float = 1.0) -> float:
+                           scale: float = 1.0) -> float:
         """Witness alternation from a current support optimizer: jump to the
         extreme (and, as escape moves, second-extreme) spectral pair of the
-        iterate and re-solve; monotone, stops at a fixed point."""
+        iterate and re-solve (coarse); monotone, stops at a fixed point."""
         d = self.dim
         for _ in range(rounds):
             w, v = np.linalg.eigh(a)
@@ -589,7 +567,7 @@ class Cqms:
             for (i, j) in pairs:
                 g = scale * self._witness(v, i, j)
                 g = self.space.element(self.space.coeffs(g))
-                new_val, new_a = self._support_max(g, effort=effort)
+                new_val, new_a = self._support_max(g, effort="coarse")
                 if new_val > val + 1e-9 * (1.0 + val):
                     a, val = new_a, new_val
                     improved = True
@@ -670,7 +648,7 @@ class Cqms:
                         "seminorm vanishes off the scalars; not a Lip-norm")
                 continue
             val = nm.quotient_norm(a) / lv
-            val = self._alternate_witness(a, val, 4, "coarse", scale=1.0)
+            val = self._alternate_witness(a, val, 4)
             best = max(best, val)
         self._radius = (best, "ascent")
         return best
@@ -743,7 +721,7 @@ class Cqms:
         order = np.argsort(proxies)[::-1][:sample]
         for k in order:
             value, argmax = self._support_max(gmats[k], effort="coarse")
-            best = max(best, self._alternate_witness(argmax, value, 3, "coarse", scale=2.0))
+            best = max(best, self._alternate_witness(argmax, value, 3, scale=2.0))
         return best
 
 
@@ -801,9 +779,25 @@ def spectral_lse(mats: np.ndarray, dirs: np.ndarray, tau: float, pad=None):
     return val, grad, hess
 
 
+def anneal(smoothed, exact, u: np.ndarray, factors) -> tuple[np.ndarray, int]:
+    """(final u, unconverged stages): one ``_newton_stage`` from u on
+    ``smoothed(u, tau) -> (value, gradient, hessian)`` per temperature factor,
+    tau the factor times ``exact(u)``, floored at 1e-9, at the stage's start.
+    The one stage loop of the support solves and the dense glue descent."""
+    unconverged = 0
+    for factor in factors:
+        tau = factor * max(exact(u), 1e-9)
+        u, converged = _newton_stage(lambda v: smoothed(v, tau), u)
+        unconverged += not converged
+    return u, unconverged
+
+
 def _newton_stage(smoothed, u: np.ndarray) -> tuple[np.ndarray, bool]:
     """Damped Newton on ``smoothed(u) -> (value, gradient, hessian)`` from u:
-    (final u, whether the Newton decrement met ``NEWTON_TOL``)."""
+    (final u, whether the Newton decrement met ``NEWTON_TOL``).  Each step is
+    halved until it achieves a quarter of the decrease its slope predicts
+    (Armijo), at most 40 times; a stage whose backtrack fails, or that reaches
+    ``NEWTON_STEPS`` steps, ends unconverged."""
     val, grad, hess = smoothed(u)
     for steps in range(NEWTON_STEPS + 1):
         # the Hessian is positive semidefinite; directions of curvature below

@@ -20,10 +20,11 @@ The glue norm N(a, b) = inf_x |a - x| + |b + phi(x)| + eps |x| is
 evaluated at feasible points only.  Its descent splits as ``Cqms`` splits
 its support solves.  When a, b and the map are diagonal every norm is a
 max of |entries|, so the infimum is one HiGHS linear program, exact up to
-its tolerance.  Otherwise damped Newton stages on a log-sum-exp smoothing
-(``cqms._newton_stage``, with derivatives from ``cqms.spectral_lse``) run
-at decreasing temperatures; stages that end unconverged are counted, and
-upper reports carry the count (``glue_unconverged_stages``).
+its tolerance.  Otherwise the glue is annealed like a support solve: the
+one stage loop ``cqms.anneal`` runs damped Newton on a log-sum-exp
+smoothing (derivatives from ``cqms.spectral_lse``) at decreasing
+temperatures; stages that end unconverged are counted, and upper reports
+carry the count (``glue_unconverged_stages``).
 
 Distances between finite nets come from ``numerics``.  The upper bound's
 glue table and the sub-net coarsening read only row and column minima,
@@ -41,7 +42,7 @@ import numpy as np
 from scipy.optimize import linprog, minimize_scalar
 
 from . import numerics as nm
-from .cqms import Cqms, _newton_stage, spectral_lse
+from .cqms import Cqms, anneal, spectral_lse
 from .finmetric import FiniteMetricSpace, gh_lower_bound
 
 
@@ -278,7 +279,7 @@ class SumNorm:
         if self._glue_lp is not None and nm.is_diagonal(a) and nm.is_diagonal(b):
             c = self._lp_coeffs(a, b)
         else:
-            c = self._newton_coeffs(a, b, ca if at_ca <= at_zero else zero, best)
+            c = self._newton_coeffs(a, b, ca if at_ca <= at_zero else zero)
         return min(best, self._amal_objective(a, b, c))
 
     def _lp_coeffs(self, a, b) -> np.ndarray:
@@ -293,12 +294,11 @@ class SumNorm:
             raise RuntimeError(f"glue LP did not solve: {res.message}")
         return res.x[:self.phi.k]
 
-    def _newton_coeffs(self, a, b, c, scale: float) -> np.ndarray:
-        """Descend the glue from c: one damped Newton stage (``cqms._newton_stage``)
-        per temperature factor on the log-sum-exp smoothing of its three
-        operator norms, the factor times the exact glue value at the stage's
-        start.  Stages that end unconverged are counted in
-        ``unconverged_stages``."""
+    def _newton_coeffs(self, a, b, c) -> np.ndarray:
+        """Descend the glue from c by ``cqms.anneal`` on the log-sum-exp
+        smoothing of its three operator norms, each temperature relative to
+        the exact glue value at its stage's start.  Stages that end
+        unconverged are counted in ``unconverged_stages``."""
         dirs, lin = self._glue_dirs
         d = dirs.shape[-1]
         start = np.zeros((3, 1, d, d), dtype=complex)     # the terms at c = 0
@@ -306,19 +306,15 @@ class SumNorm:
         start[1, 0, :len(b), :len(b)] = b
         weights = np.array([1.0, 1.0, self.eps])
         pad = d - np.array([len(a), len(b), len(a)])
-        for factor in GLUE_FACTORS:
-            tau = factor * max(scale, 1e-9)
 
-            def smoothed(u):
-                mats = start + (u @ lin).reshape(start.shape)
-                val, grad, hess = spectral_lse(mats, dirs, tau, pad)
-                return (weights @ val, weights @ grad,
-                        (weights @ hess.reshape(3, -1)).reshape(hess.shape[1:]))
+        def smoothed(c, tau):
+            mats = start + (c @ lin).reshape(start.shape)
+            val, grad, hess = spectral_lse(mats, dirs, tau, pad)
+            return (weights @ val, weights @ grad,
+                    (weights @ hess.reshape(3, -1)).reshape(hess.shape[1:]))
 
-            c, converged = _newton_stage(smoothed, c)
-            if not converged:
-                self.unconverged_stages += 1
-            scale = self._amal_objective(a, b, c)
+        c, unconverged = anneal(smoothed, lambda c: self._amal_objective(a, b, c), c, GLUE_FACTORS)
+        self.unconverged_stages += unconverged
         return c
 
     # -- bridge seminorm ----------------------------------------------------

@@ -38,6 +38,21 @@ def test_invalid_reference_diagnostic():
     assert "missing" in str(err.value)
 
 
+@pytest.mark.parametrize("doc,where", [
+    ({"seed": 1, "jobs": [5]}, "jobs[0]"),
+    ({"seed": 1, "examples": [3]}, "examples[0]"),
+    ({"seed": 1, "examples": {"name": "c6", "family": "cycle"}}, "'examples'"),
+    ({"seed": 1, "jobs": "radius"}, "'jobs'"),
+], ids=["job-number", "example-number", "examples-object", "jobs-string"])
+def test_non_object_entries_rejected(doc, where, tmp_path, capsys):
+    # an entry of the wrong JSON type is a scenario error (exit 2) naming
+    # its place, not a traceback
+    scenario = tmp_path / "bad.json"
+    scenario.write_text(json.dumps(doc))
+    assert cli.main(["--out", str(tmp_path / "out"), "run", str(scenario)]) == 2
+    assert where in capsys.readouterr().err
+
+
 def test_bad_json_diagnostic(tmp_path):
     p = tmp_path / "broken.json"
     p.write_text('{"seed": 0,,}')

@@ -254,27 +254,29 @@ def test_state_diameter_cycle(cycle12):
 
 @pytest.mark.parametrize("name", ["torus3", "sphere1"])
 def test_smoothed_seminorm_gradient(name):
-    # analytic gradient and Hessian of the smoothed seminorm against central
-    # differences of its value and gradient, over the whole kernel at a wide,
-    # a mild and a sharp temperature (diagonal operators are solved by LP and
-    # never smoothed)
+    # analytic gradient and Hessian of the smoothed seminorm in the null-space
+    # coordinates of a slice against central differences of its value and
+    # gradient, over the whole kernel at a wide, a mild and a sharp
+    # temperature (diagonal operators are solved by LP and never smoothed)
     obj = {"torus3": lambda: ex.fuzzy_torus(3, 1),
            "sphere1": lambda: ex.fuzzy_sphere(1)}[name]()
     op, diagonal = obj._operator()
     assert not diagonal
     rng = np.random.default_rng(11)
-    ns = obj.space.real_dim - 1
-    c = rng.standard_normal(ns)
-    exact = obj.seminorm(obj.space.element(np.concatenate([[0.0], c])))
+    c0, nmat = _slice(obj, obj.space.random_element(rng))
+    family = obj._support_family(c0, nmat, op)
+    n = nmat.shape[1]
+    u = rng.standard_normal(n)
+    exact = obj._coeff_seminorms((c0 + nmat @ u)[None])[0]
     # (at tau = exact most eigenvalue pairs take the near-pair formula)
     for tau in (exact, 0.1 * exact, 0.001 * exact):
-        val, grad, hess = obj._smoothed_seminorm(c, tau, op)
+        val, grad, hess = obj._smoothed_seminorm(u, tau, family)
         # log-sum-exp sits between the max and the max plus tau log(#terms)
         terms = 2 * len(obj.action.seminorm_kernel()[0]) * obj.dim
         assert exact - 1e-12 <= val <= exact + tau * np.log(terms) + 1e-12
         h = 1e-6
-        steps = [(obj._smoothed_seminorm(c + h * e, tau, op),
-                  obj._smoothed_seminorm(c - h * e, tau, op)) for e in np.eye(ns)]
+        steps = [(obj._smoothed_seminorm(u + h * e, tau, family),
+                  obj._smoothed_seminorm(u - h * e, tau, family)) for e in np.eye(n)]
         fd = np.array([(plus[0] - minus[0]) / (2 * h) for plus, minus in steps])
         assert np.allclose(grad, fd, rtol=1e-6, atol=1e-7)
         fd_hess = np.array([(plus[1] - minus[1]) / (2 * h) for plus, minus in steps])
@@ -317,15 +319,18 @@ def test_spectral_lse_derivatives():
     assert all(np.allclose(hs, hs.T, rtol=0, atol=1e-13) for hs in hess)
 
 
+def _slice(obj, g):
+    """(c0, nmat): the slice <g, a> = 1 of a support solve as c0 + nmat @ u."""
+    gs = np.real(np.einsum("kab,ab->k", obj.space.ortho[1:].conj(), g))
+    return gs / np.linalg.norm(gs) ** 2, null_space(gs[None, :])
+
+
 def _full_kernel_support(obj, g, effort):
     """The support solve by an L-BFGS ladder with every stage smoothed over
     the whole seminorm kernel: an independent reference for the working
     kernel and the Newton stages, with its own log-sum-exp value and
     gradient (sum_x Re tr(W_x D_x,k), W_x the softmax-weighted eigenvectors)."""
-    slice_ortho = obj.space.ortho[1:]
-    gs = np.real(np.einsum("kab,ab->k", slice_ortho.conj(), g))
-    c0 = gs / np.linalg.norm(gs) ** 2
-    nmat = null_space(gs[None, :])
+    c0, nmat = _slice(obj, g)
     op, d = obj._operator()[0], obj.dim
 
     def objective(u, tau):
@@ -346,7 +351,7 @@ def _full_kernel_support(obj, g, effort):
                      options={"maxiter": max_stage_iter, "ftol": 1e-15, "gtol": 1e-13}).x
     c = c0 + nmat @ u
     lv = obj._coeff_seminorms(c[None])[0]
-    return 1.0 / lv, np.einsum("k,kab->ab", c, slice_ortho) / lv
+    return 1.0 / lv, np.einsum("k,kab->ab", c, obj.space.ortho[1:]) / lv
 
 
 def _orthogonal_pure_pairs(obj, count, seed):
@@ -370,14 +375,16 @@ def test_working_kernel_support(name, monkeypatch):
     # seminorm and attains the value
     obj = {"sphere2": lambda: ex.fuzzy_sphere(2),
            "sphere3": lambda: ex.fuzzy_sphere(3)}[name]()
-    per_element = 2 * obj.dim ** 2
     smoothed = cq.Cqms._smoothed_seminorm
     widths = []
 
-    def recording(self, c, tau, sub):
-        widths.append(sub.shape[1] // per_element)
-        val, grad, hess = smoothed(self, c, tau, sub)
-        assert grad.shape == c.shape and hess.shape == (len(c), len(c))
+    def recording(self, u, tau, family):
+        # every evaluation reads one contiguous direction stack, laid out
+        # once per working kernel, and differentiates in u directly
+        widths.append(family[2].shape[1])
+        assert family[2].flags["C_CONTIGUOUS"]
+        val, grad, hess = smoothed(self, u, tau, family)
+        assert grad.shape == u.shape and hess.shape == (len(u), len(u))
         return val, grad, hess
 
     for g in _orthogonal_pure_pairs(obj, 3, seed=5):
@@ -403,7 +410,7 @@ def test_kernel_norms_screen_is_exact(name, monkeypatch):
     obj = {"sphere2": lambda: ex.fuzzy_sphere(2),
            "sphere3": lambda: ex.fuzzy_sphere(3)}[name]()
     kernel = len(obj.action.seminorm_kernel()[0])
-    screened, ladder = cq.Cqms._kernel_norms, cq.Cqms._ladder
+    screened, family = cq.Cqms._kernel_norms, cq.Cqms._support_family
     eigvalsh = np.linalg.eigvalsh
     solved, calls, ties, seeds, ladders = [], [], [], [], []
 
@@ -435,13 +442,14 @@ def test_kernel_norms_screen_is_exact(name, monkeypatch):
                                       np.flatnonzero(want >= factor * np.max(want)))
         return got
 
-    def recording(self, c0, nmat, u, factors, op):
+    def recording(self, c0, nmat, op):
+        # one family, and one ladder, per working kernel
         ladders.append(op)
-        return ladder(self, c0, nmat, u, factors, op)
+        return family(self, c0, nmat, op)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
     monkeypatch.setattr(cq.Cqms, "_kernel_norms", checked)
-    monkeypatch.setattr(cq.Cqms, "_ladder", recording)
+    monkeypatch.setattr(cq.Cqms, "_support_family", recording)
     op = obj._operator()[0]
     pairs = _orthogonal_pure_pairs(obj, 2, seed=11)
     if name == "sphere2":
@@ -488,15 +496,15 @@ def test_working_kernel_is_whole_small_kernel(name):
     # one ladder, the same Newton stages as over the whole kernel
     obj = {"torus51": lambda: ex.fuzzy_torus(5, 1)}[name]()
     assert len(obj.action.seminorm_kernel()[0]) <= cq.WORKING_SEED
-    slice_ortho = obj.space.ortho[1:]
     rng = np.random.default_rng(9)
     for _ in range(3):
         g = obj.space.random_element(rng)
-        gs = np.real(np.einsum("kab,ab->k", slice_ortho.conj(), g))
-        c0 = gs / np.linalg.norm(gs) ** 2
-        nmat = null_space(gs[None, :])
-        u = obj._ladder(c0, nmat, np.zeros(nmat.shape[1]), obj._LADDERS["coarse"],
-                        obj._operator()[0])
+        c0, nmat = _slice(obj, g)
+        family = obj._support_family(c0, nmat, obj._operator()[0])
+        u, unconverged = cq.anneal(lambda u, tau: obj._smoothed_seminorm(u, tau, family),
+                                   lambda u: obj._coeff_seminorms((c0 + nmat @ u)[None])[0],
+                                   np.zeros(nmat.shape[1]), obj._LADDERS["coarse"])
+        assert unconverged == 0
         ref, ref_a = obj._rescaled(c0 + nmat @ u, 1.0)
         val, a = obj._support_max(g, effort="coarse")
         assert val == pytest.approx(ref, rel=1e-12)

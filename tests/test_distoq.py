@@ -180,13 +180,13 @@ def test_glue_unconverged_stages_counted(torus_pair, monkeypatch):
     assert up.components["glue_unconverged_stages"] == 0
 
     stages = []
-    newton_stage = dq._newton_stage
+    newton_stage = cq._newton_stage
 
     def counting(*args):
         stages.append(1)
         return newton_stage(*args)
 
-    monkeypatch.setattr(dq, "_newton_stage", counting)
+    monkeypatch.setattr(cq, "_newton_stage", counting)
     monkeypatch.setattr(cq, "NEWTON_STEPS", 0)
     capped = dq.dist_oq_upper(a, b, phi, eps_net=0.6, budget=8, seed=0)
     assert stages and capped.components["glue_unconverged_stages"] == len(stages)
@@ -403,3 +403,24 @@ def test_audit_detects_corruption(cycle8, cycle16):
     corrupted["oq_lower"] = bad
     record2 = dq.audit_chain(cycle8, cycle16, corrupted)
     assert not record2.all_passed
+
+
+def test_annealed_values_pinned():
+    # the support solves and the glue descent share one annealing loop; these
+    # values were recorded when each still ran its own loop, and every stage
+    # converges
+    t5, s2 = ex.fuzzy_torus(5, 1), ex.fuzzy_sphere(2)
+    for obj, radius, diameter in ((t5, 1.999628557438, 4.010822130944),
+                                  (s2, 0.5075428797720, 1.016223839902)):
+        assert obj.radius() == pytest.approx(radius, rel=1e-9)
+        assert obj.state_diameter(sample=8, seed=1) == pytest.approx(diameter, rel=1e-9)
+        assert obj.unconverged_stages == 0
+    a, b = ex.fuzzy_torus(3, 1), ex.fuzzy_torus(5, 1)
+    reports, _ = dq.audit_pair(a, b, dq.torus_frequency_map(a, b), eps_net=0.5, budget=24,
+                               seed=1)
+    for key, want in (("oq_upper", 1.274303761584), ("oqR_upper", 1.410136083432),
+                      ("oq_lower", 0.3205270159476)):
+        assert reports[key].value == pytest.approx(want, rel=1e-9)
+    assert a.unconverged_stages == b.unconverged_stages == 0
+    assert reports["oq_upper"].components["glue_unconverged_stages"] == 0
+    assert reports["oqR_upper"].components["glue_unconverged_stages"] == 0

@@ -155,7 +155,7 @@ def test_isotypic_projection_rank_crosscheck(torus3):
     # equals sum over the label set of mul(gamma) * dim(gamma)^2
     chars = ex.torus_characters(3)
     pair = [c for c in chars if c.label in ((1, 0), (2, 0))]
-    basis = torus3.space.complex_basis()
+    basis = torus3.space.ortho
     images = np.array([ga.isotypic_project(torus3.action, pair, e) for e in basis])
     sv = np.linalg.svd(images.reshape(len(basis), -1), compute_uv=False)
     rank = int(np.sum(sv > 1e-8 * sv[0]))
@@ -207,7 +207,7 @@ def test_multiplicity_sphere_clebsch_gordan():
 
 def test_multiplicity_cycle_regular_representation():
     c = ex.commutative_cycle(6)
-    basis = c.space.complex_basis()
+    basis = c.space.ortho
     traces = ga.action_traces(c.action, basis)
     for ch in ex.cycle_characters(6):
         assert ga.multiplicity(c.action, ch, traces=traces) == 1
@@ -231,7 +231,7 @@ def test_multiplicity_coarse_grid_diagnostic():
 
 def test_ergodicity_examples(torus3, cycle12):
     assert ga.ergodicity_check(torus3.action)
-    assert ga.ergodicity_check(cycle12.action, cycle12.space.complex_basis())
+    assert ga.ergodicity_check(cycle12.action, cycle12.space.ortho)
 
 
 def test_ergodicity_trivial_action_false():

@@ -52,3 +52,24 @@ def test_no_general_minimizer():
                   and getattr(node.value, "attr", getattr(node.value, "id", "")) == "optimize"):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"scipy.optimize.minimize used in src: {found}"
+
+
+def test_one_annealing_loop():
+    # every Newton stage runs inside ``cqms.anneal``: a second temperature
+    # loop around ``_newton_stage`` would bring back a path whose stage
+    # schedule and unconverged count the other solves do not share
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        def visit(node, owner):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and owner is None:
+                owner = node.name
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", getattr(func, "attr", None))
+                if name == "_newton_stage" and owner != "anneal":
+                    found.append(f"{path.name}:{node.lineno} in {owner}")
+            for child in ast.iter_child_nodes(node):
+                visit(child, owner)
+
+        visit(ast.parse(path.read_text()), None)
+    assert not found, f"_newton_stage called outside cqms.anneal: {found}"
