@@ -220,11 +220,12 @@ class BallNet:
 class Cqms:
     """Order-unit space + ergodic action + derived metric structure.
 
-    Immutable in spirit after construction; ``net_cache``, the radius
-    cache, the Dirac metric and the seminorm operator are write-once
-    memoizations (all numeric operations stay pure, so concurrent readers
-    are safe).  ``unconverged_stages`` counts the Newton stages of this
-    space's support solves that ended without converging.
+    Immutable in spirit after construction; ``net_cache``, the ball-net
+    sample (``_ball_sample``), the radius cache, the Dirac metric and the
+    seminorm operator are write-once memoizations (all numeric operations
+    stay pure, so concurrent readers are safe).  ``unconverged_stages``
+    counts the Newton stages of this space's support solves that ended
+    without converging.
     """
 
     space: HermitianSpace
@@ -235,6 +236,7 @@ class Cqms:
     _radius: tuple | None = field(default=None, repr=False)
     _op: tuple | None = field(default=None, repr=False)
     _dirac: np.ndarray | None = field(default=None, init=False, repr=False)
+    _samples: dict = field(default_factory=dict, init=False, repr=False)
     unconverged_stages: int = field(default=0, init=False, repr=False)
 
     # rows per matrix product in ``_coeff_seminorms``: caps the product, and
@@ -383,16 +385,39 @@ class Cqms:
                 hi = mid
         return lo
 
-    def _gauges(self, stack: np.ndarray, r: float) -> np.ndarray:
-        return np.maximum(self.seminorms(stack), nm.op_norms(stack) / r)
+    def _ball_sample(self, seed: int, budget: int = None) -> tuple:
+        """The seeded, radius-free sample of ``ball_net``, built once per key:
+        for ``seed`` alone the (rays, interior) pair, for ``(seed, budget)``
+        the probes.  Each part is (dirs, L, N, radial): elements of the space
+        along uniform coefficient directions, their exact seminorms and
+        operator norms, and the radial draws u**(1/n) (u uniform on [0, 1))
+        of the interior points and probes (None for rays).
 
-    def _random_points(self, rng: np.random.Generator, count: int, r: float) -> np.ndarray:
-        """``count`` seeded points of D_r: uniform coefficient directions, each
-        scaled to u**(1/n) of its boundary point (u uniform on [0, 1))."""
-        c = rng.standard_normal((count, self.space.real_dim))
-        dirs = self.space.elements(c / np.linalg.norm(c, axis=1)[:, None])
-        radial = rng.random(count) ** (1.0 / self.space.real_dim)
-        return dirs * (radial / self._gauges(dirs, r))[:, None, None]
+        Rays are the coordinate directions, both signs, then seeded random
+        ones; the interior points draw their directions and then their
+        radii from the same generator; the probes draw theirs, in that
+        order, from one seeded with ``seed + 1``.
+        """
+        key = seed if budget is None else (seed, budget)
+        if key not in self._samples:
+            n = self.space.real_dim
+
+            def measured(c, radial=None):
+                dirs = self.space.elements(c / np.linalg.norm(c, axis=1)[:, None])
+                return dirs, self.seminorms(dirs), nm.op_norms(dirs), radial
+
+            def drawn(rng, count):
+                c = rng.standard_normal((count, n))
+                return measured(c, rng.random(count) ** (1.0 / n))
+
+            if budget is None:
+                rng = np.random.default_rng(seed)
+                rays = np.concatenate([np.eye(n), -np.eye(n),
+                                       rng.standard_normal((min(max(4 * n, 48), 256), n))])
+                self._samples[key] = (measured(rays), drawn(rng, min(max(2 * n * n, 96), 640)))
+            else:
+                self._samples[key] = drawn(np.random.default_rng(seed + 1), budget)
+        return self._samples[key]
 
     def ball_net(self, r: float, epsilon: float, budget: int = 64,
                  seed: int = 0, max_points: int = 220) -> BallNet:
@@ -407,6 +432,12 @@ class Cqms:
         not geometric; the probe seed and law are recorded).  The net
         stops at ``max_points`` points, and is flagged ``capped`` when some
         candidate is still >= epsilon/2 from it.
+
+        The directions and their seminorms do not depend on r or epsilon:
+        they come from ``_ball_sample``, evaluated once per seed (and per
+        budget for the probes), so every net of a space and seed shares
+        them.  A net only scales each direction by its gauge on D_r,
+        max(L, N / r), and runs the greedy insertion and the certificate.
         """
         key = (round(float(r), 12), round(float(epsilon), 12), budget, seed, max_points)
         if key in self.net_cache:
@@ -417,25 +448,24 @@ class Cqms:
             self.net_cache.setdefault(key, net)
             return net
 
-        n = self.space.real_dim
-        rng = np.random.default_rng(seed)
-        random_dirs = min(max(4 * n, 48), 256)
-        coeff_dirs = np.concatenate([np.eye(n), -np.eye(n),
-                                     rng.standard_normal((random_dirs, n))])
-        coeff_dirs = coeff_dirs / np.linalg.norm(coeff_dirs, axis=1)[:, None]
-        dirs = self.space.elements(coeff_dirs)
-        gauges = self._gauges(dirs, r)
-        boundary = dirs / gauges[:, None, None]
+        def points(part):
+            dirs, ls, ns, radial = part
+            gauges = np.maximum(ls, ns / r)
+            if radial is None:
+                return dirs / gauges[:, None, None]
+            return dirs * (radial / gauges)[:, None, None]
+
+        rays, interior = self._ball_sample(seed)
         fracs = np.arange(1, 5) / 4.0          # four radial steps per ray
-        cands = (boundary[None, :] * fracs[:, None, None, None]).reshape(-1, self.dim, self.dim)
-        cands = np.concatenate([cands, self._random_points(rng, min(max(2 * n * n, 96), 640), r)])
+        cands = (points(rays)[None, :] * fracs[:, None, None, None]).reshape(
+            -1, self.dim, self.dim)
+        cands = np.concatenate([cands, points(interior)])
 
         chosen, capped = nm.farthest_first(cands, nm.op_norms(cands), max_points - 1,
                                            lambda far: far < epsilon / 2.0)
         pts = np.concatenate([zero, cands[chosen]])
 
-        probes = self._random_points(np.random.default_rng(seed + 1), budget, r)
-        cert = nm.covering_radius(pts, probes)
+        cert = nm.covering_radius(pts, points(self._ball_sample(seed, budget)))
         net = BallNet(r, epsilon, pts, cert, cert <= epsilon, seed + 1, budget, capped)
         self.net_cache.setdefault(key, net)
         return net

@@ -128,29 +128,33 @@ class UnitaryAction:
         if self._kernel is not None:
             return self._kernel
         support = self.group.seminorm_support()
-        classes: dict = {}
         d = self.dim
         # fixed generic functional: stable phase extraction no matter which
         # entries happen to share the maximal magnitude
         probe_rng = np.random.default_rng(12345)
         probe = probe_rng.standard_normal(d * d) + 1j * probe_rng.standard_normal(d * d)
-        for i in support:
-            u = self.implementers[i]
-            flat = u.ravel()
-            s = complex(probe @ flat)
-            if abs(s) < 1e-9:
-                pivot = int(np.argmax(np.abs(flat)))
-                s = flat[pivot]
-            phase = s / abs(s)
-            # 1e-6 cells: float noise between equal automorphisms is ~1e-15,
-            # distinct grid automorphisms differ by orders of magnitude more
-            key = np.round(flat / phase, 6).tobytes()
-            l = float(self.group.lengths[i])
-            if key not in classes or l < classes[key][1]:
-                classes[key] = (int(i), l)
-        reps = sorted(classes.values())
-        idx = np.array([r[0] for r in reps], dtype=int)
-        lens = np.array([r[1] for r in reps])
+        flat = self.implementers[support].reshape(len(support), d * d)
+        s = flat @ probe
+        weak = np.flatnonzero(np.abs(s) < 1e-9)
+        s[weak] = flat[weak, np.argmax(np.abs(flat[weak]), axis=1)]
+        # the phase s / |s| taken componentwise, as Python's complex division
+        # by a float does
+        size = np.hypot(s.real, s.imag)
+        phase = np.empty_like(s)
+        phase.real, phase.imag = s.real / size, s.imag / size
+        # 1e-6 cells: float noise between equal automorphisms is ~1e-15,
+        # distinct grid automorphisms differ by orders of magnitude more;
+        # classes compare the rounded entries' bytes, so -0.0 is not 0.0
+        keys = np.ascontiguousarray(np.round(flat / phase[:, None], 6))
+        _, cls = np.unique(keys.view(np.dtype((np.void, keys.itemsize * d * d))).ravel(),
+                           return_inverse=True)
+        # per class, the lowest index among the minimal lengths
+        lengths = self.group.lengths[support]
+        order = np.lexsort((support, lengths, cls))
+        first = order[np.diff(cls[order], prepend=-1) != 0]
+        first.sort()
+        idx = support[first].astype(int)
+        lens = lengths[first].astype(float)
         self._kernel = (idx, lens)
         return self._kernel
 

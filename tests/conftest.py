@@ -101,6 +101,29 @@ def relengthed_cycle(m: int, relength):
                    action=ga.UnitaryAction(group=group, implementers=base.action.implementers))
 
 
+def kernel_oracle(action) -> tuple:
+    """``UnitaryAction.seminorm_kernel`` as one loop over the seminorm support:
+    each implementer, divided by its phase against a fixed probe (its largest
+    entry when the probe nearly annihilates it), is rounded to 1e-6 and keyed
+    by its bytes; a class keeps its first element of minimal length."""
+    support = action.group.seminorm_support()
+    classes: dict = {}
+    d = action.dim
+    probe_rng = np.random.default_rng(12345)
+    probe = probe_rng.standard_normal(d * d) + 1j * probe_rng.standard_normal(d * d)
+    for i in support:
+        flat = action.implementers[i].ravel()
+        s = complex(probe @ flat)
+        if abs(s) < 1e-9:
+            s = flat[int(np.argmax(np.abs(flat)))]
+        key = np.round(flat / (s / abs(s)), 6).tobytes()
+        length = float(action.group.lengths[i])
+        if key not in classes or length < classes[key][1]:
+            classes[key] = (int(i), length)
+    reps = sorted(classes.values())
+    return (np.array([r[0] for r in reps], dtype=int), np.array([r[1] for r in reps]))
+
+
 def power_iteration_opnorm(a: np.ndarray, iters: int = 2000, seed: int = 0) -> float:
     """Operator norm of Hermitian a through power iteration on a^2."""
     rng = np.random.default_rng(seed)

@@ -152,6 +152,44 @@ def test_lemma_R_r_hausdorff(torus2):
     assert h <= (big_r - small_r) + 2 * slack + 1e-9
 
 
+def test_nets_share_one_sample(monkeypatch):
+    # nets of one space and seed share their rays, interior points and
+    # probes: each net equals the same net on a fresh space, in either call
+    # order, and only a new probe budget evaluates seminorms again
+    specs = [(1.0, 0.5, 48, 220), (0.5, 0.5, 48, 220), (1.0, 0.25, 48, 220),
+             (1.0, 0.5, 48, 12), (0.5, 0.5, 20, 220)]
+    fresh = {spec: ex.fuzzy_sphere(2).ball_net(spec[0], spec[1], budget=spec[2], seed=3,
+                                               max_points=spec[3])
+             for spec in specs}
+    rows = []
+    kernel_norms = cq.Cqms._kernel_norms
+
+    def counted(self, coeff_rows, *args):
+        rows.append(len(coeff_rows))
+        return kernel_norms(self, coeff_rows, *args)
+
+    monkeypatch.setattr(cq.Cqms, "_kernel_norms", counted)
+    for order in (specs, specs[::-1]):
+        shared = ex.fuzzy_sphere(2)
+        rows.clear()
+        # a zero radius returns before any sample is built
+        assert shared.ball_net(0.0, 0.5, seed=3).size == 1 and not rows
+        for k, (r, eps, budget, cap) in enumerate(order):
+            rows.clear()
+            net = shared.ball_net(r, eps, budget=budget, seed=3, max_points=cap)
+            ref = fresh[(r, eps, budget, cap)]
+            assert np.array_equal(net.points, ref.points)
+            assert (net.covering_certificate, net.complete, net.capped) == (
+                ref.covering_certificate, ref.complete, ref.capped)
+            if k == 0:
+                rays, interior = shared._ball_sample(3)
+                assert sum(rows) == len(rays[0]) + len(interior[0]) + budget
+            else:
+                seen = {spec[2] for spec in order[:k]}
+                assert sum(rows) == (0 if budget in seen else budget)
+        assert any(net.capped for net in shared.net_cache.values())
+
+
 def test_radius_scalar_space():
     scal = ex.scalar_cqms(ex.fuzzy_torus(2, 1))
     assert scal.radius() == 0.0

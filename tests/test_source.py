@@ -73,3 +73,26 @@ def test_one_annealing_loop():
 
         visit(ast.parse(path.read_text()), None)
     assert not found, f"_newton_stage called outside cqms.anneal: {found}"
+
+
+def test_ball_nets_read_the_sample():
+    # ``Cqms.ball_net`` scales the seminorms of ``_ball_sample`` to its
+    # radius: an L evaluation inside it, directly or through another method,
+    # would bring back a per-net sampling path that nets of one space and
+    # seed do not share
+    tree = ast.parse((SRC / "cqms.py").read_text())
+    cls = next(node for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == "Cqms")
+    calls = {node.name: {getattr(sub.func, "id", getattr(sub.func, "attr", None))
+                         for sub in ast.walk(node) if isinstance(sub, ast.Call)}
+             for node in cls.body if isinstance(node, ast.FunctionDef)}
+    # the methods that evaluate L, closed under calls outside the sample builder
+    reach = {"seminorm", "seminorms", "_coeff_seminorms", "_kernel_norms"}
+    grown = True
+    while grown:
+        more = {name for name, called in calls.items()
+                if name != "_ball_sample" and called & reach} - reach
+        reach |= more
+        grown = bool(more)
+    found = sorted(calls["ball_net"] & reach)
+    assert not found, f"ball_net evaluates the seminorm through {found}"
