@@ -107,11 +107,6 @@ def render_csv_tables(report: dict) -> dict:
 # scenario loading
 
 
-_EXAMPLE_KEYS = {"cycle": {"m"}, "torus": {"q", "p"}, "sphere": {"two_j", "grid"}}
-_JOB_KINDS = {"example", "radius", "mult", "dist", "audit", "family", "embed"}
-_PHI_RULES = {"identity", "cycle_refine", "torus_freq", "berezin"}
-
-
 def load_scenario(path) -> dict:
     try:
         text = Path(path).read_text()
@@ -124,6 +119,12 @@ def load_scenario(path) -> dict:
                             f"{exc.msg}") from exc
     validate_scenario(doc)
     return doc
+
+
+def _descriptor(spec: dict, doc: dict) -> ex.ExampleDescriptor:
+    return ex.ExampleDescriptor.make(
+        spec["family"], seed=spec.get("seed", doc.get("seed", 0)),
+        **{k: v for k, v in spec.items() if k not in ("name", "family", "seed")})
 
 
 def validate_scenario(doc: dict) -> None:
@@ -142,47 +143,38 @@ def validate_scenario(doc: dict) -> None:
         for key in ("name", "family"):
             if key not in spec:
                 raise ScenarioError(f"{where}: missing '{key}'")
-        if spec["family"] not in _EXAMPLE_KEYS:
-            raise ScenarioError(f"{where}: unknown family {spec['family']!r}")
-        extra = set(spec) - _EXAMPLE_KEYS[spec["family"]] - {"name", "family", "seed"}
-        if extra:
-            raise ScenarioError(f"{where}: unknown fields {sorted(extra)}")
+        try:
+            _descriptor(spec, doc).validate()
+        except ValueError as exc:
+            raise ScenarioError(f"{where}: {exc}") from exc
         names.add(spec["name"])
     for i, job in enumerate(doc.get("jobs", [])):
         where = f"jobs[{i}]"
         if not isinstance(job, dict):
             raise ScenarioError(f"{where}: must be an object")
         kind = job.get("kind")
-        if kind not in _JOB_KINDS:
+        if kind not in _JOBS:
             raise ScenarioError(f"{where}: unknown kind {kind!r}")
         for ref_key in ("example", "a", "b", "reference"):
             ref = job.get(ref_key)
             if ref is not None and ref not in names:
                 raise ScenarioError(
                     f"{where}: reference {ref!r} does not name a declared example")
-        if kind in ("dist", "audit") and job.get("phi", "identity") not in _PHI_RULES:
+        if kind in ("dist", "audit") and job.get("phi", "identity") not in _PHI:
             raise ScenarioError(f"{where}: unknown phi rule {job.get('phi')!r}")
+        if kind == "family" and job.get("type") not in _FAMILY_STUDIES:
+            raise ScenarioError(f"{where}: unknown family type {job.get('type')!r}")
 
 
 def _build_examples(doc: dict) -> dict:
     built = {}
-    for spec in doc.get("examples", []):
-        desc = ex.ExampleDescriptor.make(
-            spec["family"], seed=spec.get("seed", doc.get("seed", 0)),
-            **{k: v for k, v in spec.items() if k not in ("name", "family", "seed")})
-        built[spec["name"]] = (desc, desc.build())
+    for i, spec in enumerate(doc.get("examples", [])):
+        desc = _descriptor(spec, doc)
+        try:
+            built[spec["name"]] = (desc, desc.build())
+        except (TypeError, ValueError) as exc:
+            raise ScenarioError(f"examples[{i}]: {exc}") from exc
     return built
-
-
-def _characters_for(desc: ex.ExampleDescriptor, cq) -> list:
-    p = dict(desc.params)
-    if desc.family == "torus":
-        return ex.torus_characters(int(p["q"]))
-    if desc.family == "cycle":
-        return ex.cycle_characters(int(p["m"]))
-    if desc.family == "sphere":
-        return ex.sphere_characters(int(p["two_j"]))
-    raise ScenarioError(f"no character table for family {desc.family!r}")
 
 
 def _unconverged(a, b) -> dict:
@@ -191,176 +183,173 @@ def _unconverged(a, b) -> dict:
     return {"a": a.unconverged_stages, "b": b.unconverged_stages}
 
 
-def _phi_for(rule: str, a, b):
-    if rule == "identity":
-        return dq.identity_map(a)
-    if rule == "cycle_refine":
-        return dq.cycle_refinement_map(a, b)
-    if rule == "torus_freq":
-        return dq.torus_frequency_map(a, b)
-    if rule == "berezin":
-        tja = a.dim - 1
-        tjb = b.dim - 1
-        return dq.berezin_transport_map(a, b, ex.berezin_maps(tja), ex.berezin_maps(tjb))
-    raise ScenarioError(f"unknown phi rule {rule!r}")
+# comparison maps of dist and audit jobs: rule -> (A, B) -> ComparisonMap
+_PHI = {
+    "identity": lambda a, b: dq.identity_map(a),
+    "cycle_refine": dq.cycle_refinement_map,
+    "torus_freq": dq.torus_frequency_map,
+    "berezin": lambda a, b: dq.berezin_transport_map(
+        a, b, ex.berezin_maps(a.dim - 1), ex.berezin_maps(b.dim - 1)),
+}
 
 
 # ---------------------------------------------------------------------------
-# job runners
+# job runners: each takes (job, built examples, seed, eps_net, budget)
+
+
+def _example_job(job, built, seed, eps_net, budget) -> dict:
+    desc, cq = built[job["example"]]
+    return {
+        "descriptor": desc.as_dict(), "dim": cq.dim,
+        "real_dim": cq.space.real_dim, "group_size": cq.action.group.size,
+        "group": cq.action.group.descriptor,
+        "seminorm_kernel_size": int(cq.action.seminorm_kernel()[0].size),
+        "ergodic": bool(ga.ergodicity_check(
+            cq.action, None if cq.space.is_full else cq.space.ortho)),
+    }
+
+
+def _radius_job(job, built, seed, eps_net, budget) -> dict:
+    _, cq = built[job["example"]]
+    value = cq.radius()
+    bound = cq.action.group.haar_mean_length()
+    out = {"radius": value, "method": cq.radius_method(),
+           "length_mean_bound": bound, "within_bound": bool(value <= bound + 1e-6)}
+    if job.get("diameter"):
+        diam = cq.state_diameter(sample=int(job.get("sample", 16)), seed=seed)
+        out["state_diameter"] = diam
+        out["consistency_gap"] = abs(diam / 2.0 - value) / max(value, 1e-12)
+    out["unconverged_stages"] = cq.unconverged_stages
+    return out
+
+
+def _mult_job(job, built, seed, eps_net, budget) -> dict:
+    desc, cq = built[job["example"]]
+    chars = desc.characters()
+    basis = None if cq.space.is_full else cq.space.ortho
+    pairs = ga.multiplicities(cq.action, chars, basis,
+                              float(job.get("integer_tol", ga.DEFAULT_INTEGER_TOL)))
+    table = {str(ch.label): m for ch, (_, m) in zip(chars, pairs)}
+    raw_worst = max([0.0] + [abs(raw - m) for raw, m in pairs])
+    out = {"table": table, "raw_worst_deviation": raw_worst,
+           "grid": cq.action.group.descriptor}
+    if cq.action.group.is_exact:
+        total = sum(m * ch.dimension ** 2 for ch, m in zip(chars, table.values()))
+        out["dimension_sum_check"] = {
+            "sum": total, "expected": cq.space.real_dim,
+            "passed": bool(total == cq.space.real_dim)}
+    return out
+
+
+def _dist_job(job, built, seed, eps_net, budget) -> dict:
+    a, b = built[job["a"]][1], built[job["b"]][1]
+    phi = _PHI[job.get("phi", "identity")](a, b)
+    upper = dq.dist_oq_upper(a, b, phi, job.get("R"), eps_net, budget, seed)
+    lower = dq.dist_oq_lower(a, b, eps_net, budget, seed)
+    return {"upper": upper.as_dict(), "lower": lower.as_dict(),
+            "unconverged_stages": _unconverged(a, b)}
+
+
+def _audit_job(job, built, seed, eps_net, budget) -> dict:
+    a, b = built[job["a"]][1], built[job["b"]][1]
+    phi = _PHI[job.get("phi", "identity")](a, b)
+    reports, record = dq.audit_pair(a, b, phi, eps_net, budget, seed)
+    return {"reports": {k: v.as_dict() for k, v in reports.items()},
+            "audit": record.as_dict(), "unconverged_stages": _unconverged(a, b)}
+
+
+def _embed_job(job, built, seed, eps_net, budget) -> dict:
+    from . import finmetric as fm
+    n = int(job.get("points", 30))
+    depth = int(job.get("depth", 6))
+    bound = float(job.get("bound", 1.0))
+    count = int(job.get("functions", 20))
+    space = fm.circle_space(n)
+    rng = np.random.default_rng(seed)
+    fns = [fm.random_lipschitz_function(space, rng, bound) for _ in range(count)]
+    rep = fm.universal_embed([space], bound, depth, [fns])
+    return {
+        "depth": depth, "cover_sizes": rep.cover_sizes,
+        "max_distortion": rep.max_distortion,
+        "distortion_bound": rep.distortion_bound, "z_ok": rep.z_ok,
+        "nets_ok": all(all(e.net_ok) for e in rep.per_space),
+        "edges_ok": all(e.edges_ok for e in rep.per_space),
+    }
+
+
+# ---------------------------------------------------------------------------
+# family studies: the runners of family jobs, by their "type"
+
+
+def _degenerate_study(job, built, seed, eps_net, budget) -> dict:
+    desc, ref = built[job["reference"]]
+    big_r = job.get("R")
+    bound_r = float(big_r if big_r is not None else max(ref.radius(), 1.0))
+    fam = fl.degenerate_family(ref, bound_r=bound_r)
+    return fl.family_agreement(fam, fl.scalar_grid_sections(fam), float(job.get("eps", 0.5)),
+                               bound_r, desc.characters(), budget=budget, seed=seed)
+
+
+def _torus_theta_study(job, built, seed, eps_net, budget) -> dict:
+    q = int(job["q"])
+    ps = [int(p) for p in job["ps"]]
+    fam = fl.torus_theta_family(q, ps)
+    big_r = job.get("R")
+    bound_r = float(big_r if big_r is not None else max(fam.members[p].radius() for p in ps))
+    names = fl.transported_net_sections(fam, bound_r, eps_net, budget=budget, seed=seed)
+    return fl.family_agreement(fam, names, float(job.get("eps", 0.5)), bound_r,
+                               ex.torus_characters(q), budget=budget, seed=seed)
+
+
+def _constant_study(job, built, seed, eps_net, budget) -> dict:
+    desc, member = built[job["example"]]
+    fam = fl.constant_family(member, job.get("labels", [0, 1, 2]))
+    big_r = job.get("R")
+    bound_r = float(big_r if big_r is not None else member.radius())
+    names = fl.transported_net_sections(fam, bound_r, eps_net, budget=budget, seed=seed)
+    return fl.family_agreement(fam, names, float(job.get("eps", 0.5)), bound_r,
+                               desc.characters(), budget=budget, seed=seed)
+
+
+def _sphere_convergence_study(job, built, seed, eps_net, budget) -> dict:
+    two_js = [int(x) for x in job["two_js"]]
+    t0_j = int(job.get("t0", max(two_js)))
+    labels = sorted(set(two_js + [t0_j]))
+    grid = _sphere_family_grid(built, labels)
+    members = {tj: built_or_make_sphere(built, tj, grid) for tj in labels}
+    fam = fl.ParamFamily(labels=labels, t0=t0_j, members=members,
+                         name=f"sphere-family(max={t0_j})")
+    bmaps = {tj: ex.berezin_maps(tj, grid) for tj in labels}
+    rules = {tj: dq.berezin_transport_map(members[tj], members[t0_j], bmaps[tj], bmaps[t0_j])
+             for tj in labels if tj != t0_j}
+    chars = ex.sphere_characters(max(labels), grid_dims=grid)
+    return fl.convergence_study(fam, t0_j, rules, bound_r=job.get("R"),
+                                eps_net=eps_net, budget=budget, seed=seed,
+                                characters=chars)
+
+
+_FAMILY_STUDIES = {
+    "degenerate": _degenerate_study,
+    "torus_theta": _torus_theta_study,
+    "constant": _constant_study,
+    "sphere_convergence": _sphere_convergence_study,
+}
+
+_JOBS = {
+    "example": _example_job,
+    "radius": _radius_job,
+    "mult": _mult_job,
+    "dist": _dist_job,
+    "audit": _audit_job,
+    "family": lambda job, *rest: _FAMILY_STUDIES[job["type"]](job, *rest),
+    "embed": _embed_job,
+}
 
 
 def _run_job(job: dict, built: dict, defaults: dict) -> dict:
-    kind = job["kind"]
-    seed = int(job.get("seed", defaults["seed"]))
-    eps_net = float(job.get("eps_net", defaults["eps_net"]))
-    budget = int(job.get("budget", defaults["budget"]))
-
-    if kind == "example":
-        desc, cq = built[job["example"]]
-        return {
-            "descriptor": desc.as_dict(), "dim": cq.dim,
-            "real_dim": cq.space.real_dim, "group_size": cq.action.group.size,
-            "group": cq.action.group.descriptor,
-            "seminorm_kernel_size": int(cq.action.seminorm_kernel()[0].size),
-            "ergodic": bool(ga.ergodicity_check(
-                cq.action, None if cq.space.is_full else cq.space.ortho)),
-        }
-
-    if kind == "radius":
-        _, cq = built[job["example"]]
-        value = cq.radius()
-        bound = cq.action.group.haar_mean_length()
-        out = {"radius": value, "method": cq.radius_method(),
-               "length_mean_bound": bound, "within_bound": bool(value <= bound + 1e-6)}
-        if job.get("diameter"):
-            diam = cq.state_diameter(sample=int(job.get("sample", 16)), seed=seed)
-            out["state_diameter"] = diam
-            out["consistency_gap"] = abs(diam / 2.0 - value) / max(value, 1e-12)
-        out["unconverged_stages"] = cq.unconverged_stages
-        return out
-
-    if kind == "mult":
-        desc, cq = built[job["example"]]
-        chars = _characters_for(desc, cq)
-        basis = None if cq.space.is_full else cq.space.ortho
-        pairs = ga.multiplicities(cq.action, chars, basis,
-                                  float(job.get("integer_tol", ga.DEFAULT_INTEGER_TOL)))
-        table = {str(ch.label): m for ch, (_, m) in zip(chars, pairs)}
-        raw_worst = max([0.0] + [abs(raw - m) for raw, m in pairs])
-        out = {"table": table, "raw_worst_deviation": raw_worst,
-               "grid": cq.action.group.descriptor}
-        if cq.action.group.is_exact:
-            total = sum(m * ch.dimension ** 2 for ch, m in zip(chars, table.values()))
-            out["dimension_sum_check"] = {
-                "sum": total, "expected": cq.space.real_dim,
-                "passed": bool(total == cq.space.real_dim)}
-        return out
-
-    if kind == "dist":
-        _, a = built[job["a"]]
-        _, b = built[job["b"]]
-        phi = _phi_for(job.get("phi", "identity"), a, b)
-        big_r = job.get("R")
-        upper = dq.dist_oq_upper(a, b, phi, big_r, eps_net, budget, seed)
-        lower = dq.dist_oq_lower(a, b, eps_net, budget, seed)
-        return {"upper": upper.as_dict(), "lower": lower.as_dict(),
-                "unconverged_stages": _unconverged(a, b)}
-
-    if kind == "audit":
-        _, a = built[job["a"]]
-        _, b = built[job["b"]]
-        phi = _phi_for(job.get("phi", "identity"), a, b)
-        reports, record = dq.audit_pair(a, b, phi, eps_net, budget, seed)
-        return {"reports": {k: v.as_dict() for k, v in reports.items()},
-                "audit": record.as_dict(), "unconverged_stages": _unconverged(a, b)}
-
-    if kind == "family":
-        return _run_family_job(job, built, seed, eps_net, budget)
-
-    if kind == "embed":
-        from . import finmetric as fm
-        n = int(job.get("points", 30))
-        depth = int(job.get("depth", 6))
-        bound = float(job.get("bound", 1.0))
-        count = int(job.get("functions", 20))
-        space = fm.circle_space(n)
-        rng = np.random.default_rng(seed)
-        fns = [fm.random_lipschitz_function(space, rng, bound) for _ in range(count)]
-        rep = fm.universal_embed([space], bound, depth, [fns])
-        return {
-            "depth": depth, "cover_sizes": rep.cover_sizes,
-            "max_distortion": rep.max_distortion,
-            "distortion_bound": rep.distortion_bound, "z_ok": rep.z_ok,
-            "nets_ok": all(all(e.net_ok) for e in rep.per_space),
-            "edges_ok": all(e.edges_ok for e in rep.per_space),
-        }
-
-    raise ScenarioError(f"unknown job kind {kind!r}")
-
-
-def _run_family_job(job: dict, built: dict, seed: int, eps_net: float,
-                    budget: int) -> dict:
-    ftype = job.get("type")
-    eps = float(job.get("eps", 0.5))
-    big_r = job.get("R")
-
-    if ftype == "degenerate":
-        desc, ref = built[job["reference"]]
-        bound_r = float(big_r if big_r is not None else max(ref.radius(), 1.0))
-        fam = fl.degenerate_family(ref, bound_r=bound_r)
-        chars = _characters_for(desc, ref)
-        return fl.family_agreement(fam, fl.scalar_grid_sections(fam), eps, bound_r,
-                                   chars, budget=budget, seed=seed)
-
-    if ftype == "torus_theta":
-        q = int(job["q"])
-        ps = [int(p) for p in job["ps"]]
-        fam = fl.torus_theta_family(q, ps)
-        bound_r = float(big_r if big_r is not None else
-                        max(fam.members[p].radius() for p in ps))
-        names = fl.transported_net_sections(fam, bound_r, eps_net,
-                                            budget=budget, seed=seed)
-        chars = ex.torus_characters(q)
-        return fl.family_agreement(fam, names, eps, bound_r, chars,
-                                   budget=budget, seed=seed)
-
-    if ftype == "constant":
-        _, member = built[job["example"]]
-        labels = job.get("labels", [0, 1, 2])
-        fam = fl.constant_family(member, labels)
-        bound_r = float(big_r if big_r is not None else member.radius())
-        names = []
-        net = member.ball_net(bound_r, eps_net, budget=budget, seed=seed)
-        for i, pt in enumerate(net.points):
-            name = f"net_{i}"
-            fam.sections[name] = {t: pt for t in labels}
-            names.append(name)
-        desc = built[job["example"]][0]
-        chars = _characters_for(desc, member)
-        return fl.family_agreement(fam, names, eps, bound_r, chars,
-                                   budget=budget, seed=seed)
-
-    if ftype == "sphere_convergence":
-        two_js = [int(x) for x in job["two_js"]]
-        t0_j = int(job.get("t0", max(two_js)))
-        labels = sorted(set(two_js + [t0_j]))
-        grid = _sphere_family_grid(built, labels)
-        members = {tj: built_or_make_sphere(built, tj, grid) for tj in labels}
-        fam = fl.ParamFamily(labels=labels, t0=t0_j, members=members,
-                             name=f"sphere-family(max={t0_j})")
-        bmaps = {tj: ex.berezin_maps(tj, grid) for tj in labels}
-        rules = {}
-        for tj in labels:
-            if tj == t0_j:
-                continue
-            rules[tj] = dq.berezin_transport_map(members[tj], members[t0_j],
-                                                 bmaps[tj], bmaps[t0_j])
-        chars = ex.sphere_characters(max(labels), grid_dims=grid)
-        return fl.convergence_study(fam, t0_j, rules, bound_r=big_r,
-                                    eps_net=eps_net, budget=budget, seed=seed,
-                                    characters=chars)
-
-    raise ScenarioError(f"unknown family type {ftype!r}")
+    return _JOBS[job["kind"]](job, built, int(job.get("seed", defaults["seed"])),
+                              float(job.get("eps_net", defaults["eps_net"])),
+                              int(job.get("budget", defaults["budget"])))
 
 
 def _sphere_family_grid(built: dict, two_js) -> tuple:
@@ -518,12 +507,12 @@ def main(argv=None) -> int:
     p.add_argument("a")
     p.add_argument("b")
     p.add_argument("--phi", default="identity",
-                   choices=sorted(_PHI_RULES))
+                   choices=sorted(_PHI))
     p.add_argument("--R", type=float, default=None)
     p = sub.add_parser("audit", parents=flags, help="full bound set + consistency audit")
     p.add_argument("a")
     p.add_argument("b")
-    p.add_argument("--phi", default="identity", choices=sorted(_PHI_RULES))
+    p.add_argument("--phi", default="identity", choices=sorted(_PHI))
     p = sub.add_parser("family", parents=flags, help="family study from an inline spec")
     p.add_argument("spec", help="JSON object for the family job")
     p = sub.add_parser("run", parents=flags, help="run a scenario file")
@@ -550,7 +539,7 @@ def main(argv=None) -> int:
                 if args.command == "dist" and args.R is not None:
                     job["R"] = args.R
                 doc = _single_job_doc(args, [sa, sb], job)
-            elif args.command == "family":
+            else:   # family
                 try:
                     job = json.loads(args.spec)
                 except json.JSONDecodeError as exc:
@@ -559,8 +548,6 @@ def main(argv=None) -> int:
                     raise ScenarioError("family spec must be a JSON object")
                 job["kind"] = "family"
                 doc = _single_job_doc(args, [], job)
-            else:
-                raise ScenarioError(f"unhandled command {args.command!r}")
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2

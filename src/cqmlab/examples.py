@@ -9,12 +9,16 @@ Three families at finite scale:
 * ``commutative_cycle(m)`` - functions on m circle points as diagonal
   matrices under the cyclic shift, the classical recovery case.
 
+``FAMILIES`` is the table scenario files read: per family its parameter
+ranges, its builder and its character table.
+
 ``berezin_maps`` supplies the covariant symbol transform and its
 adjoint for the sphere family; they are the raw material for the
 sphere-to-sphere comparison maps used by the distance estimators.
 """
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +27,6 @@ from . import group_action as ga
 from . import numerics as nm
 from .cqms import Cqms, HermitianSpace, diagonal_space, full_matrix_space
 
-PARAM_RANGES = {"q": (2, 12), "two_j": (1, 8), "m": (3, 64)}
 DEFAULT_SU2_GRID = (14, 12, 14)
 
 _grid_cache: dict = {}
@@ -31,7 +34,10 @@ _grid_cache: dict = {}
 
 def grid_dims(grid=DEFAULT_SU2_GRID) -> tuple:
     """SU(2) grid dimensions from "12x12x12" or a sequence of three integers."""
-    return tuple(int(x) for x in (grid.split("x") if isinstance(grid, str) else grid))
+    dims = tuple(int(x) for x in (grid.split("x") if isinstance(grid, str) else grid))
+    if len(dims) != 3 or min(dims) < 1:
+        raise ValueError(f"SU(2) grid {grid!r} is not three positive integers")
+    return dims
 
 
 def su2_grid(dims=DEFAULT_SU2_GRID) -> ga.Su2Grid:
@@ -323,10 +329,39 @@ def berezin_maps(two_j: int, grid_dims=DEFAULT_SU2_GRID) -> BerezinMaps:
 
 
 @dataclass(frozen=True)
+class Family:
+    """One bundled example family, as scenario files name it.  Builders and
+    character tables take the descriptor's parameters as a dict."""
+
+    ranges: dict                   # required integer parameter -> documented [lo, hi]
+    optional: tuple                # further parameters the builder reads
+    build: Callable
+    characters: Callable
+
+
+def _sphere_grid(p: dict) -> tuple:
+    return grid_dims(p.get("grid", DEFAULT_SU2_GRID))
+
+
+FAMILIES = {
+    "torus": Family(ranges={"q": (2, 12)}, optional=("p",),
+                    build=lambda p: fuzzy_torus(int(p["q"]), int(p.get("p", 1))),
+                    characters=lambda p: torus_characters(int(p["q"]))),
+    "sphere": Family(ranges={"two_j": (1, 8)}, optional=("grid",),
+                     build=lambda p: fuzzy_sphere(int(p["two_j"]), grid_dims=_sphere_grid(p)),
+                     characters=lambda p: sphere_characters(int(p["two_j"]),
+                                                            grid_dims=_sphere_grid(p))),
+    "cycle": Family(ranges={"m": (3, 64)}, optional=(),
+                    build=lambda p: commutative_cycle(int(p["m"])),
+                    characters=lambda p: cycle_characters(int(p["m"]))),
+}
+
+
+@dataclass(frozen=True)
 class ExampleDescriptor:
     """Named, parameterized, seedable recipe for one bundled example."""
 
-    family: str                    # "torus" | "sphere" | "cycle" | "scalars_of"
+    family: str                    # a key of FAMILIES
     params: tuple                  # sorted (key, value) pairs
     seed: int = 0
 
@@ -339,33 +374,29 @@ class ExampleDescriptor:
         return {"family": self.family, "seed": self.seed, **dict(self.params)}
 
     def validate(self) -> None:
-        p = dict(self.params)
-        if self.family == "torus":
-            q = int(p.get("q", 0))
-            lo, hi = PARAM_RANGES["q"]
-            if not lo <= q <= hi:
-                raise ValueError(f"torus level q={q} outside documented range [{lo},{hi}]")
-        elif self.family == "sphere":
-            tj = int(p.get("two_j", 0))
-            lo, hi = PARAM_RANGES["two_j"]
-            if not lo <= tj <= hi:
-                raise ValueError(f"sphere two_j={tj} outside documented range [{lo},{hi}]")
-        elif self.family == "cycle":
-            m = int(p.get("m", 0))
-            lo, hi = PARAM_RANGES["m"]
-            if not lo <= m <= hi:
-                raise ValueError(f"cycle m={m} outside documented range [{lo},{hi}]")
-        else:
+        """ValueError unless the family is known, it takes every parameter
+        given, and each ranged parameter is an integer in its range."""
+        fam = FAMILIES.get(self.family)
+        if fam is None:
             raise ValueError(f"unknown example family {self.family!r}")
+        p = dict(self.params)
+        extra = set(p) - set(fam.ranges) - set(fam.optional)
+        if extra:
+            raise ValueError(f"unknown fields {sorted(extra)}")
+        for key, (lo, hi) in fam.ranges.items():
+            try:
+                value = int(p[key])
+            except (KeyError, TypeError, ValueError):
+                raise ValueError(f"{self.family} needs an integer {key!r}, "
+                                 f"got {p.get(key)!r}") from None
+            if not lo <= value <= hi:
+                raise ValueError(f"{self.family} {key}={value} outside documented "
+                                 f"range [{lo},{hi}]")
 
     def build(self) -> Cqms:
         self.validate()
-        p = dict(self.params)
-        if self.family == "torus":
-            return fuzzy_torus(int(p["q"]), int(p.get("p", 1)))
-        if self.family == "sphere":
-            grid = grid_dims(p.get("grid", DEFAULT_SU2_GRID))
-            return fuzzy_sphere(int(p["two_j"]), grid_dims=grid)
-        if self.family == "cycle":
-            return commutative_cycle(int(p["m"]))
-        raise ValueError(f"unknown example family {self.family!r}")
+        return FAMILIES[self.family].build(dict(self.params))
+
+    def characters(self) -> list:
+        """The family's character table on the sample this example builds."""
+        return FAMILIES[self.family].characters(dict(self.params))

@@ -113,20 +113,17 @@ def transported_net_sections(fam: ParamFamily, bound_r: float, eps_net: float,
                              budget: int = 48, seed: int = 0) -> list:
     """Add sections whose t0 values are the t0 member's ball-net points,
     transported to the other members by matched frequency coefficients
-    (fuzzy tori).  Returns the new section names."""
+    (fuzzy tori); a member that is the t0 space itself takes the points
+    as they are.  Returns the new section names."""
     base = fam.members[fam.t0]
     net = base.ball_net(bound_r, eps_net, budget=budget, seed=seed)
-    maps = {}
-    for t in fam.labels:
-        if t != fam.t0:
-            maps[t] = torus_frequency_map(base, fam.members[t])
+    maps = {t: torus_frequency_map(base, fam.members[t])
+            for t in fam.labels if fam.members[t] is not base}
     names = []
     for i, pt in enumerate(net.points):
         name = f"net_{i}"
-        values = {fam.t0: pt}
-        for t, phi in maps.items():
-            values[t] = phi.apply(pt)
-        fam.sections[name] = values
+        fam.sections[name] = {t: maps[t].apply(pt) if t in maps else pt
+                              for t in fam.labels}
         names.append(name)
     return names
 

@@ -94,11 +94,6 @@ def hausdorff(space: FiniteMetricSpace, ys, zs) -> float:
     return float(max(np.max(np.min(block, axis=1)), np.max(np.min(block, axis=0))))
 
 
-def _cover_masks(space: FiniteMetricSpace, eps: float) -> np.ndarray:
-    """cover_masks[c, x] is True when x lies in the open eps-ball at c."""
-    return space.dist < eps - _TIE
-
-
 def _greedy_cover(masks: np.ndarray) -> list[int]:
     n = masks.shape[0]
     uncovered = np.ones(n, dtype=bool)
@@ -129,16 +124,23 @@ def _exact_cover(masks: np.ndarray, upper: int) -> list[int]:
     raise AssertionError("unreachable: the full set always covers")
 
 
+def _cover_subset(space: FiniteMetricSpace, subset: np.ndarray, eps: float) -> list[int]:
+    """Open eps-ball cover of a subset with centers inside the subset."""
+    sub = space.dist[np.ix_(subset, subset)]
+    masks = sub < eps - _TIE
+    centers = _greedy_cover(masks)
+    if len(subset) <= EXACT_COMBINATORICS_CAP and len(centers) > 1:
+        centers = _exact_cover(masks, upper=len(centers))
+    return [int(subset[c]) for c in centers]
+
+
 def covering_number(space: FiniteMetricSpace, eps: float,
                     return_centers: bool = False):
     """Minimal number of open eps-balls covering the space (exact for
     n <= 12 via exhaustive set cover, greedy upper bound otherwise)."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    masks = _cover_masks(space, eps)
-    centers = _greedy_cover(masks)
-    if space.n <= EXACT_COMBINATORICS_CAP and len(centers) > 1:
-        centers = _exact_cover(masks, upper=len(centers))
+    centers = _cover_subset(space, np.arange(space.n), eps)
     return (len(centers), centers) if return_centers else len(centers)
 
 
@@ -338,16 +340,6 @@ class EmbeddingReport:
     distortion_bound: float
     z_ok: bool
     max_distortion: float
-
-
-def _cover_subset(space: FiniteMetricSpace, subset: np.ndarray, eps: float) -> list[int]:
-    """Open eps-ball cover of a subset with centers inside the subset."""
-    sub = space.dist[np.ix_(subset, subset)]
-    masks = sub < eps - _TIE
-    centers = _greedy_cover(masks)
-    if len(subset) <= EXACT_COMBINATORICS_CAP and len(centers) > 1:
-        centers = _exact_cover(masks, upper=len(centers))
-    return [int(subset[c]) for c in centers]
 
 
 def universal_embed(family: list, bound_r: float, depth: int,

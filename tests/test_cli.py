@@ -53,6 +53,26 @@ def test_non_object_entries_rejected(doc, where, tmp_path, capsys):
     assert where in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("example,job,where", [
+    ({"family": "cycle", "m": 100}, {"kind": "radius", "example": "e"}, "examples[0]"),
+    ({"family": "cycle", "m": "x"}, {"kind": "radius", "example": "e"}, "examples[0]"),
+    ({"family": "torus"}, {"kind": "radius", "example": "e"}, "examples[0]"),
+    ({"family": "torus", "q": 4, "p": 2}, {"kind": "radius", "example": "e"}, "examples[0]"),
+    ({"family": "sphere", "two_j": 1, "grid": "6x6"}, {"kind": "radius", "example": "e"},
+     "examples[0]"),
+    ({"family": "cycle", "m": 6}, {"kind": "family", "type": "ring"}, "jobs[0]"),
+], ids=["m-out-of-range", "m-not-integer", "torus-without-q", "torus-not-coprime",
+        "sphere-grid-two-dims", "unknown-family-type"])
+def test_bad_examples_and_family_types_exit_2(example, job, where, tmp_path, capsys):
+    # a bad example parameter or family study type is a scenario error
+    # (exit 2) naming its place, not a traceback or a job error
+    scenario = tmp_path / "bad.json"
+    scenario.write_text(json.dumps({"seed": 1, "examples": [{"name": "e", **example}],
+                                    "jobs": [job]}))
+    assert cli.main(["--out", str(tmp_path / "out"), "run", str(scenario)]) == 2
+    assert where in capsys.readouterr().err
+
+
 def test_bad_json_diagnostic(tmp_path):
     p = tmp_path / "broken.json"
     p.write_text('{"seed": 0,,}')
@@ -187,6 +207,16 @@ def test_sphere_grid_override(tmp_path):
     assert code == 0
     parsed = json.loads((tmp_path / "report.json").read_text())
     assert "6x6x6" in parsed["jobs"][0]["result"]["group"]
+
+
+def test_sphere_mult_on_grid_override(tmp_path):
+    # the characters of a sphere's multiplicity table sit on its own grid
+    code = cli.main(["--seed", "0", "--out", str(tmp_path), "--grid", "6x6x6",
+                     "mult", "sphere:two_j=1"])
+    assert code == 0
+    job = json.loads((tmp_path / "report.json").read_text())["jobs"][0]
+    assert job["status"] == "ok", job.get("error")
+    assert job["result"]["table"] == {"spin-0": 1, "spin-1": 1, "spin-2": 0}
 
 
 def test_sphere_family_uses_declared_grid(tmp_path, monkeypatch):

@@ -195,6 +195,19 @@ def test_descriptor_validation():
         ex.ExampleDescriptor.make("segment").validate()
 
 
+def test_descriptor_characters_on_its_sample():
+    # every family's character table has one value per element of the group
+    # sample its example is built on, a sphere's also off the default grid
+    descs = [ex.ExampleDescriptor.make(name, **{k: lo for k, (lo, _) in fam.ranges.items()})
+             for name, fam in ex.FAMILIES.items()]
+    descs.append(ex.ExampleDescriptor.make("sphere", two_j=1, grid="6x6x6"))
+    for desc in descs:
+        cq = desc.build()
+        chars = desc.characters()
+        assert chars
+        assert all(len(ch.values) == cq.action.group.size for ch in chars), desc
+
+
 def test_descriptor_build_roundtrip():
     desc = ex.ExampleDescriptor.make("cycle", m=6)
     cq = desc.build()

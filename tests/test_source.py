@@ -20,8 +20,20 @@ def _assigned_names(tree: ast.Module) -> set:
     return names
 
 
+def _private_functions(tree: ast.Module) -> set:
+    """Private (``_name``, not dunder) functions at module level and methods
+    of module-level classes."""
+    defs = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            defs += [node for node in cls.body if isinstance(node, ast.FunctionDef)]
+    return {node.name for node in defs
+            if node.name.startswith("_") and not node.name.startswith("__")}
+
+
 def test_module_constants_are_read():
-    # a module-level name that no code in the package reads is a dead switch
+    # a module-level name that no code in the package reads is a dead switch,
+    # and a private function or method that nothing reads is a leftover path
     # (docstrings and comments do not count: they are not code)
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     loaded = set()
@@ -32,8 +44,8 @@ def test_module_constants_are_read():
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 loaded.add(node.attr)
     dead = sorted(f"{name}:{var}" for name, tree in trees.items()
-                  for var in _assigned_names(tree) - loaded)
-    assert not dead, f"module-level names never read in src: {dead}"
+                  for var in (_assigned_names(tree) | _private_functions(tree)) - loaded)
+    assert not dead, f"module-level names or private functions never read in src: {dead}"
 
 
 def test_no_general_minimizer():
