@@ -127,6 +127,12 @@ def _descriptor(spec: dict, doc: dict) -> ex.ExampleDescriptor:
         **{k: v for k, v in spec.items() if k not in ("name", "family", "seed")})
 
 
+def _names(value, table) -> bool:
+    """Whether a scenario value is a key of ``table``: a JSON list or object
+    is never a name (and is not hashable, so no membership test is made)."""
+    return isinstance(value, str) and value in table
+
+
 def validate_scenario(doc: dict) -> None:
     if not isinstance(doc, dict):
         raise ScenarioError("scenario root must be an object")
@@ -143,6 +149,8 @@ def validate_scenario(doc: dict) -> None:
         for key in ("name", "family"):
             if key not in spec:
                 raise ScenarioError(f"{where}: missing '{key}'")
+            if not isinstance(spec[key], str):
+                raise ScenarioError(f"{where}: '{key}' must be a string")
         try:
             _descriptor(spec, doc).validate()
         except ValueError as exc:
@@ -153,16 +161,16 @@ def validate_scenario(doc: dict) -> None:
         if not isinstance(job, dict):
             raise ScenarioError(f"{where}: must be an object")
         kind = job.get("kind")
-        if kind not in _JOBS:
+        if not _names(kind, _JOBS):
             raise ScenarioError(f"{where}: unknown kind {kind!r}")
         for ref_key in ("example", "a", "b", "reference"):
             ref = job.get(ref_key)
-            if ref is not None and ref not in names:
+            if ref is not None and not _names(ref, names):
                 raise ScenarioError(
                     f"{where}: reference {ref!r} does not name a declared example")
-        if kind in ("dist", "audit") and job.get("phi", "identity") not in _PHI:
+        if kind in ("dist", "audit") and not _names(job.get("phi", "identity"), _PHI):
             raise ScenarioError(f"{where}: unknown phi rule {job.get('phi')!r}")
-        if kind == "family" and job.get("type") not in _FAMILY_STUDIES:
+        if kind == "family" and not _names(job.get("type"), _FAMILY_STUDIES):
             raise ScenarioError(f"{where}: unknown family type {job.get('type')!r}")
 
 
@@ -183,14 +191,41 @@ def _unconverged(a, b) -> dict:
     return {"a": a.unconverged_stages, "b": b.unconverged_stages}
 
 
-# comparison maps of dist and audit jobs: rule -> (A, B) -> ComparisonMap
+def _shared_grid(descs) -> tuple:
+    """The one SU(2) grid the spheres among ``descs`` are declared on (the
+    default grid when there are none): spheres compared through Berezin
+    symbols, with the characters of their family, must share one sample."""
+    grids = {ex.grid_dims(dict(desc.params).get("grid", ex.DEFAULT_SU2_GRID))
+             for desc in descs if desc.family == "sphere"}
+    if len(grids) > 1:
+        raise ScenarioError(f"spheres compared here are declared on different "
+                            f"SU(2) grids: {sorted(grids)}")
+    return grids.pop() if grids else ex.DEFAULT_SU2_GRID
+
+
+def _berezin_map(a, b) -> dq.ComparisonMap:
+    """Berezin transport between two built spheres, with its symbols on the
+    SU(2) grid both are declared on."""
+    (desc_a, cq_a), (desc_b, cq_b) = a, b
+    grid = _shared_grid([desc_a, desc_b])
+    return dq.berezin_transport_map(cq_a, cq_b, ex.berezin_maps(cq_a.dim - 1, grid),
+                                    ex.berezin_maps(cq_b.dim - 1, grid))
+
+
+# comparison maps of dist and audit jobs: rule -> the built (descriptor,
+# Cqms) pairs of A and B -> ComparisonMap
 _PHI = {
-    "identity": lambda a, b: dq.identity_map(a),
-    "cycle_refine": dq.cycle_refinement_map,
-    "torus_freq": dq.torus_frequency_map,
-    "berezin": lambda a, b: dq.berezin_transport_map(
-        a, b, ex.berezin_maps(a.dim - 1), ex.berezin_maps(b.dim - 1)),
+    "identity": lambda a, b: dq.identity_map(a[1]),
+    "cycle_refine": lambda a, b: dq.cycle_refinement_map(a[1], b[1]),
+    "torus_freq": lambda a, b: dq.torus_frequency_map(a[1], b[1]),
+    "berezin": _berezin_map,
 }
+
+
+def _pair(job, built) -> tuple:
+    """A dist or audit job's two spaces and the comparison map of its rule."""
+    a, b = built[job["a"]], built[job["b"]]
+    return a[1], b[1], _PHI[job.get("phi", "identity")](a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +277,7 @@ def _mult_job(job, built, seed, eps_net, budget) -> dict:
 
 
 def _dist_job(job, built, seed, eps_net, budget) -> dict:
-    a, b = built[job["a"]][1], built[job["b"]][1]
-    phi = _PHI[job.get("phi", "identity")](a, b)
+    a, b, phi = _pair(job, built)
     upper = dq.dist_oq_upper(a, b, phi, job.get("R"), eps_net, budget, seed)
     lower = dq.dist_oq_lower(a, b, eps_net, budget, seed)
     return {"upper": upper.as_dict(), "lower": lower.as_dict(),
@@ -251,8 +285,7 @@ def _dist_job(job, built, seed, eps_net, budget) -> dict:
 
 
 def _audit_job(job, built, seed, eps_net, budget) -> dict:
-    a, b = built[job["a"]][1], built[job["b"]][1]
-    phi = _PHI[job.get("phi", "identity")](a, b)
+    a, b, phi = _pair(job, built)
     reports, record = dq.audit_pair(a, b, phi, eps_net, budget, seed)
     return {"reports": {k: v.as_dict() for k, v in reports.items()},
             "audit": record.as_dict(), "unconverged_stages": _unconverged(a, b)}
@@ -315,7 +348,8 @@ def _sphere_convergence_study(job, built, seed, eps_net, budget) -> dict:
     two_js = [int(x) for x in job["two_js"]]
     t0_j = int(job.get("t0", max(two_js)))
     labels = sorted(set(two_js + [t0_j]))
-    grid = _sphere_family_grid(built, labels)
+    grid = _shared_grid(desc for desc, _ in built.values()
+                        if dict(desc.params).get("two_j") in labels)
     members = {tj: built_or_make_sphere(built, tj, grid) for tj in labels}
     fam = fl.ParamFamily(labels=labels, t0=t0_j, members=members,
                          name=f"sphere-family(max={t0_j})")
@@ -352,22 +386,9 @@ def _run_job(job: dict, built: dict, defaults: dict) -> dict:
                               int(job.get("budget", defaults["budget"])))
 
 
-def _sphere_family_grid(built: dict, two_js) -> tuple:
-    """The one SU(2) grid the scenario declares its spheres at these levels
-    on (the default grid when it declares none): family members, their
-    comparison maps and the characters must share one sample."""
-    grids = {ex.grid_dims(dict(desc.params).get("grid", ex.DEFAULT_SU2_GRID))
-             for desc, _ in built.values()
-             if desc.family == "sphere" and dict(desc.params).get("two_j") in two_js}
-    if len(grids) > 1:
-        raise ScenarioError(f"sphere family members are declared on different "
-                            f"SU(2) grids: {sorted(grids)}")
-    return grids.pop() if grids else ex.DEFAULT_SU2_GRID
-
-
 def built_or_make_sphere(built: dict, two_j: int, grid: tuple):
     """The declared sphere at ``two_j``, else a new one on ``grid`` (the
-    grid every declared member shares, see ``_sphere_family_grid``)."""
+    grid every declared member shares, see ``_shared_grid``)."""
     for desc, cq in built.values():
         if desc.family == "sphere" and dict(desc.params).get("two_j") == two_j:
             return cq

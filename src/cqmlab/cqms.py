@@ -47,13 +47,15 @@ by its true full-kernel, not smoothed, seminorm).  Off full diagonal
 spaces the radius alternates this solver with extreme witnesses of the
 quotient norm; both quantities carry the quadrature mean of the length
 function as an exact upper bracket.
+
+Importing the package loads numpy alone: scipy's HiGHS ``linprog`` is
+imported inside the diagonal support solve, the one place here that calls
+it, so a run that solves no LP never loads scipy.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import null_space
-from scipy.optimize import linprog
 
 from . import group_action as ga
 from . import numerics as nm
@@ -516,6 +518,7 @@ class Cqms:
             return 0.0, np.zeros((self.dim, self.dim), dtype=complex)
         op, diagonal = self._operator()
         if diagonal:
+            from scipy.optimize import linprog
             res = linprog(-gs, A_ub=np.concatenate([op.T, -op.T]),
                           b_ub=np.ones(2 * op.shape[1]), bounds=(None, None), method="highs")
             if res.status == 3:
@@ -524,7 +527,7 @@ class Cqms:
                 raise RuntimeError(f"support LP did not solve: {res.message}")
             return self._rescaled(res.x, float(gs @ res.x))
         c0 = gs / gn ** 2
-        nmat = null_space(gs[None, :])          # (ns, ns-1)
+        nmat = nm.complement_basis(gs)          # (ns, ns-1)
         kernel = len(self.action.seminorm_kernel()[0])
         work = None                              # None: the whole kernel
         if kernel > WORKING_SEED:

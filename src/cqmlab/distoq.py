@@ -39,7 +39,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import linprog, minimize_scalar
 
 from . import numerics as nm
 from .cqms import Cqms, anneal, spectral_lse
@@ -285,6 +284,7 @@ class SumNorm:
     def _lp_coeffs(self, a, b) -> np.ndarray:
         """The exact glue minimizer for diagonal a, b and map: one HiGHS LP
         minimizing t1 + t2 + eps t3; a solve that does not end optimal raises."""
+        from scipy.optimize import linprog
         a_ub, cost = self._glue_lp
         offsets = np.concatenate([np.diagonal(a).real, np.diagonal(b).real,
                                   np.zeros(self.phi.dim_a)])
@@ -330,6 +330,7 @@ class SumNorm:
         def f(lam):
             return self.value(a + lam * ea, b + lam * eb)
 
+        from scipy.optimize import minimize_scalar
         m = self.bridge_r * f(0.0) + nm.op_norm(a) + nm.op_norm(b) + 1.0
         res = minimize_scalar(f, bounds=(-m, m), method="bounded",
                               options={"xatol": 1e-10})

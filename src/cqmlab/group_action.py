@@ -17,7 +17,6 @@ be stamped with it.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import eval_chebyu
 
 from .numerics import STRUCTURAL_TOL
 
@@ -333,11 +332,22 @@ def su2_characters(grid: Su2Grid, two_l_values) -> list[IrrepCharacter]:
 
     ``two_l_values`` lists 2l as integers (so integer and half-integer
     spins are both addressable); the conjugate of every SU(2) irrep is
-    itself.
+    itself.  U_n comes from the recurrence U_{n+1} = 2x U_n - U_{n-1} from
+    U_{-1} = 0, U_0 = 1, in the order of operations scipy's integer-degree
+    ``eval_chebyu`` uses, so the values agree with it bit for bit.
     """
+    two_l_values = list(two_l_values)
+    if min(two_l_values, default=0) < 0:
+        raise ValueError(f"2l must be nonnegative, got {min(two_l_values)}")
+    x2 = 2.0 * grid.cos_angles
+    prev, cur = np.zeros_like(x2), np.ones_like(x2)
+    chebyu = [cur]                                  # U_0, U_1, ... on the grid
+    for _ in range(max(two_l_values, default=0)):
+        prev, cur = cur, x2 * cur - prev
+        chebyu.append(cur)
     chars = []
     for two_l in two_l_values:
-        vals = eval_chebyu(two_l, grid.cos_angles).astype(complex)
+        vals = chebyu[two_l].astype(complex)
         chars.append(IrrepCharacter(label=f"spin-{two_l}/2" if two_l % 2 else f"spin-{two_l // 2}",
                                     dimension=two_l + 1, values=vals))
     return chars

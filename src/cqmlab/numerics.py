@@ -331,6 +331,15 @@ def realify(mats: np.ndarray) -> np.ndarray:
     return np.concatenate([m.real, m.imag], axis=1)
 
 
+def complement_basis(v: np.ndarray) -> np.ndarray:
+    """An orthonormal basis of the orthogonal complement of a nonzero real
+    vector, as the columns of an (n, n-1) C-contiguous array: the last n-1
+    right singular vectors of the row v.  The copy matters, because the
+    strides of a matrix decide its BLAS path, so the transposed view would
+    give products that differ in the last bits."""
+    return np.ascontiguousarray(np.linalg.svd(v[None, :])[2][1:].T)
+
+
 def traceless_scale(d: int) -> float:
     """sqrt((d-1)/d): a traceless Hermitian d x d X has ``|X| <=
     traceless_scale(d) * |X|_HS``, with equality for diag(d-1, -1, ..., -1).

@@ -61,10 +61,20 @@ def test_non_object_entries_rejected(doc, where, tmp_path, capsys):
     ({"family": "sphere", "two_j": 1, "grid": "6x6"}, {"kind": "radius", "example": "e"},
      "examples[0]"),
     ({"family": "cycle", "m": 6}, {"kind": "family", "type": "ring"}, "jobs[0]"),
+    ({"name": ["e"], "family": "cycle", "m": 6}, {"kind": "example", "example": "e"},
+     "examples[0]"),
+    ({"family": ["cycle"], "m": 6}, {"kind": "example", "example": "e"}, "examples[0]"),
+    ({"family": "cycle", "m": 6}, {"kind": ["radius"], "example": "e"}, "jobs[0]"),
+    ({"family": "cycle", "m": 6}, {"kind": "dist", "a": "e", "b": "e", "phi": ["identity"]},
+     "jobs[0]"),
+    ({"family": "cycle", "m": 6}, {"kind": "family", "type": {"degenerate": 1}}, "jobs[0]"),
+    ({"family": "cycle", "m": 6}, {"kind": "radius", "example": ["e"]}, "jobs[0]"),
 ], ids=["m-out-of-range", "m-not-integer", "torus-without-q", "torus-not-coprime",
-        "sphere-grid-two-dims", "unknown-family-type"])
+        "sphere-grid-two-dims", "unknown-family-type", "name-list", "family-list",
+        "kind-list", "phi-list", "family-type-object", "reference-list"])
 def test_bad_examples_and_family_types_exit_2(example, job, where, tmp_path, capsys):
-    # a bad example parameter or family study type is a scenario error
+    # a bad example parameter, or a job field that names no kind, rule, study
+    # type or example (a JSON list or object included), is a scenario error
     # (exit 2) naming its place, not a traceback or a job error
     scenario = tmp_path / "bad.json"
     scenario.write_text(json.dumps({"seed": 1, "examples": [{"name": "e", **example}],
@@ -249,6 +259,37 @@ def test_sphere_family_uses_declared_grid(tmp_path, monkeypatch):
     assert "different SU(2) grids" in report["jobs"][0]["error"]
 
 
+def test_berezin_map_uses_declared_grid(tmp_path, monkeypatch):
+    # the Berezin symbols of a dist job sit on the grid its spheres are
+    # declared on: a quadrature of that grid's size, the default grid never built
+    from cqmlab import distoq as dq
+    from cqmlab import examples as ex
+    monkeypatch.setattr(ex, "_grid_cache", {})
+    sizes = []
+    transport = dq.berezin_transport_map
+
+    def spy(a, b, maps_a, maps_b):
+        sizes.extend(len(m.coherent) for m in (maps_a, maps_b))
+        return transport(a, b, maps_a, maps_b)
+
+    monkeypatch.setattr(dq, "berezin_transport_map", spy)
+    doc = {
+        "seed": 0, "eps_net": 0.6, "budget": 8,
+        "examples": [{"name": "s1", "family": "sphere", "two_j": 1, "grid": "6x6x6"},
+                     {"name": "s2", "family": "sphere", "two_j": 2, "grid": "6x6x6"}],
+        "jobs": [{"kind": "dist", "a": "s1", "b": "s2", "phi": "berezin"}],
+    }
+    report, code, _ = run_doc(doc, tmp_path)
+    assert code == 0
+    assert report["jobs"][0]["status"] == "ok", report["jobs"][0].get("error")
+    assert sizes == [1 + 2 * 6 ** 3] * 2
+    assert list(ex._grid_cache) == [(6, 6, 6)]
+    doc["examples"][1]["grid"] = "4x4x4"
+    report, _, _ = run_doc(doc, tmp_path)
+    assert report["jobs"][0]["status"] == "error"
+    assert "different SU(2) grids" in report["jobs"][0]["error"]
+
+
 def test_csv_trend_schema(tmp_path):
     report = {"jobs": [{"name": "fam", "kind": "family", "status": "ok",
                         "result": {"rows": [
@@ -320,6 +361,26 @@ def test_blas_pools_default_to_one_thread():
                              env=dict(base, **extra), timeout=60)
         assert res.returncode == 0, res.stderr
         assert res.stdout.split() == ["False"] + want
+
+
+def test_import_loads_no_scipy():
+    # the CLI, dense radii and the SU(2) characters run on numpy alone; the
+    # first diagonal support LP (a cycle state metric) loads scipy.optimize
+    code = "\n".join([
+        "import sys",
+        "import cqmlab.cli",
+        "from cqmlab import cqms, examples as ex",
+        "ex.fuzzy_sphere(1).radius()",
+        "ex.fuzzy_torus(3, 1).radius()",
+        "ex.sphere_characters(1)",
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        "ex.commutative_cycle(6).state_metric(cqms.dirac_state(6, 0), cqms.dirac_state(6, 2))",
+        "print('scipy.optimize' in sys.modules)",
+    ])
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=300)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines() == ["[]", "True"]
 
 
 def test_subprocess_run_deterministic(tmp_path):

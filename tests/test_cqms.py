@@ -699,3 +699,24 @@ def test_seminorm_screen_memory():
     finally:
         tracemalloc.stop()
     assert peak < 24 * 2 ** 20
+
+
+@pytest.mark.parametrize("build", [lambda: ex.fuzzy_sphere(2), lambda: ex.fuzzy_torus(5, 1)],
+                         ids=["sphere2", "torus5"])
+def test_complement_basis_matches_null_space(build, monkeypatch):
+    # every slice basis of a radius run is scipy's null space of the
+    # functional, to the bit
+    seen = []
+    basis = nm.complement_basis
+
+    def spy(v):
+        out = basis(v)
+        seen.append((v, out))
+        return out
+
+    monkeypatch.setattr(nm, "complement_basis", spy)
+    build().radius()
+    assert seen
+    for v, out in seen:
+        assert out.flags.c_contiguous
+        assert np.array_equal(out, null_space(v[None, :]))

@@ -343,3 +343,13 @@ def test_seminorm_kernel_one_automorphism_two_lengths():
     _assert_kernel_matches_oracle(action)
     idx, lens = action.seminorm_kernel()
     assert idx.tolist() == [3, 7] and lens.tolist() == [0.4, 1.2]
+
+
+def test_su2_characters_match_scipy_chebyu():
+    # the characters' recurrence gives scipy's U_n to the bit on the default
+    # grid, for every 2l up to 40
+    from scipy.special import eval_chebyu
+    grid = ex.su2_grid()
+    chars = ga.su2_characters(grid, range(41))
+    for two_l, ch in enumerate(chars):
+        assert np.array_equal(ch.values, eval_chebyu(two_l, grid.cos_angles).astype(complex))

@@ -66,6 +66,25 @@ def test_no_general_minimizer():
     assert not found, f"scipy.optimize.minimize used in src: {found}"
 
 
+def test_scipy_imported_only_inside_functions():
+    # importing the package loads numpy alone: scipy is imported by the
+    # functions that call it, so a run that needs none of it never loads it
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        def visit(node):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                return
+            modules = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                       else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            if any(m == "scipy" or m.startswith("scipy.") for m in modules):
+                found.append(f"{path.name}:{node.lineno}")
+            for child in ast.iter_child_nodes(node):
+                visit(child)
+
+        visit(ast.parse(path.read_text()))
+    assert not found, f"scipy imported at module level in src: {found}"
+
+
 def test_one_annealing_loop():
     # every Newton stage runs inside ``cqms.anneal``: a second temperature
     # loop around ``_newton_stage`` would bring back a path whose stage
