@@ -349,27 +349,6 @@ class Cqms:
             raise ValueError("element lies outside the spanned subspace")
         return self.seminorm(a) <= 1.0 + tol and self.norm(a) <= r + tol
 
-    def gauge(self, a: np.ndarray, r: float) -> float:
-        """Minkowski gauge of D_r: max(L(a), |a|/r)."""
-        if r <= 0:
-            raise ValueError("gauge needs r > 0")
-        return max(self.seminorm(a), self.norm(a) / r)
-
-    def boundary_scale(self, direction: np.ndarray, r: float = None) -> float:
-        """Largest t >= 0 with t*direction inside D_r: 1 / gauge, since D_r is
-        convex and contains 0, and the gauge is positively homogeneous."""
-        if r is None:
-            r = self.radius()
-        d = np.asarray(direction, dtype=complex)
-        if nm.hs_norm(d) <= 0:
-            raise ValueError("direction must be nonzero")
-        if not self.space.contains(d):
-            raise ValueError("element lies outside the spanned subspace")
-        g = self.gauge(d, r)
-        if g <= 0:
-            raise ValueError("direction has zero gauge (unbounded ray)")
-        return 1.0 / g
-
     def _ball_sample(self, seed: int, budget: int = None) -> tuple:
         """The seeded, radius-free sample of ``ball_net``, built once per key:
         for ``seed`` alone the (rays, interior) pair, for ``(seed, budget)``

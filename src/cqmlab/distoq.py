@@ -1,20 +1,17 @@
-"""Certified estimates of the order-unit quantum Gromov-Hausdorff distance.
+"""Estimates of the order-unit quantum Gromov-Hausdorff distance.
 
 The distance is an infimum over admissible norms on the direct sum of
 two spaces of the max of (i) the Hausdorff distance between the balls
-D(A), D(B) and (ii) a unit-alignment term.  This module builds three
-computable admissible-norm oracles:
-
-* ``eps_amalgam_norm``   - both spaces inside one ambient algebra;
-* ``almost_amal_norm``   - glued along a comparison map of measured
-  distortion (the workhorse for upper bounds);
-* ``bridge_norm``        - the max norm scaled by (R, d) whose quotient
-  modulo the line through the two units is the bridge seminorm.
+D(A), D(B) and (ii) a unit-alignment term.  This module builds one such
+norm, ``SumNorm``: A and B glued along a comparison map phi of measured
+distortion (``almost_amal_norm``), the norm behind every upper bound.
 
 Every bound carries a slack ledger (net covering certificates, measured
 map distortion) instead of pretending to be exact; the upper estimators
-only ever overestimate the glue norm, so reported values stay valid
-upper bounds up to the recorded net certificates.
+only ever overestimate the glue norm, so reported values stay upper
+bounds up to the recorded net certificates, provided the glue is
+admissible.  Its eps is a probe maximum of phi's distortion times a
+margin, not a certified bound (see ``dist_oq_upper``).
 
 The glue norm N(a, b) = inf_x |a - x| + |b + phi(x)| + eps |x| is
 evaluated at feasible points only.  Its descent splits as ``Cqms`` splits
@@ -189,7 +186,7 @@ def berezin_transport_map(a: Cqms, b: Cqms, maps_a, maps_b) -> ComparisonMap:
 
 
 # ---------------------------------------------------------------------------
-# admissible norms on the direct sum
+# the glue norm on the direct sum
 
 # the glue's Newton descent runs one stage per temperature factor, each
 # relative to the glue value at the stage's start
@@ -198,39 +195,24 @@ GLUE_FACTORS = (0.2, 0.05, 0.01, 0.002)
 
 @dataclass
 class SumNorm:
-    """Computable admissible-norm oracle on A (+) B.
+    """The glue norm N(a, b) = inf_x |a - x| + |b + phi(x)| + eps |x| on
+    A (+) B, the one norm the upper bounds build; it is admissible when eps
+    bounds the distortion of phi on all of X.
 
-    ``value`` never underestimates the underlying norm for the
-    ``almost_amal`` kind (every evaluation is a feasible point of the
-    defining infimum), so Hausdorff distances computed from it stay on
-    the conservative side.  There it is the better of two starting points,
+    ``value`` never underestimates N: every evaluation is a feasible point
+    of the defining infimum, so Hausdorff distances computed from it stay
+    on the conservative side.  It is the better of two starting points,
     x = 0 and x = the projection of a onto X; with ``descend`` it is also
     evaluated at the glue's minimizer: the LP's on diagonal pairs, else the
     Newton stages' result.  ``unconverged_stages`` counts the Newton stages
     of this norm that ended without converging.
     """
 
-    kind: str                      # "eps_amalgam" | "almost_amal" | "bridge"
-    eps: float = 0.0
-    phi: ComparisonMap | None = None
-    bridge_r: float = 0.0
-    bridge_d: float = 0.0
+    phi: ComparisonMap
+    eps: float
     unconverged_stages: int = field(default=0, init=False, repr=False)
 
-    def value(self, a: np.ndarray, b: np.ndarray, descend: bool = False) -> float:
-        if self.kind == "eps_amalgam":
-            return max(nm.op_norm(a + b), self.eps * nm.op_norm(a),
-                       self.eps * nm.op_norm(b))
-        if self.kind == "almost_amal":
-            return self._amal_value(a, b, descend)
-        if self.kind == "bridge":
-            return max(nm.op_norm(a) / self.bridge_r, nm.op_norm(b) / self.bridge_r,
-                       nm.op_norm(self.phi.apply(a) - b) / self.bridge_d)
-        raise ValueError(f"unknown SumNorm kind {self.kind!r}")
-
-    # -- almost-amalgamation ----------------------------------------------
-
-    def _amal_objective(self, a, b, c) -> float:
+    def _objective(self, a, b, c) -> float:
         x = self.phi.x_element(c)
         return (nm.op_norm(a - x) + nm.op_norm(b + self.phi.apply_coeffs(c))
                 + self.eps * nm.op_norm(x))
@@ -266,12 +248,12 @@ class SumNorm:
         dirs[2, 0, :, :phi.dim_a, :phi.dim_a] = phi.x_ortho
         return dirs, dirs.reshape(3, k, d * d).transpose(1, 0, 2).reshape(k, -1)
 
-    def _amal_value(self, a, b, descend: bool) -> float:
+    def value(self, a: np.ndarray, b: np.ndarray, descend: bool = False) -> float:
         a = np.asarray(a, dtype=complex)
         b = np.asarray(b, dtype=complex)
         zero = np.zeros(self.phi.k)
         ca = self.phi.x_coeffs(a)
-        at_zero, at_ca = self._amal_objective(a, b, zero), self._amal_objective(a, b, ca)
+        at_zero, at_ca = self._objective(a, b, zero), self._objective(a, b, ca)
         best = min(at_zero, at_ca)
         if not descend or self.phi.k == 0:
             return best
@@ -279,7 +261,7 @@ class SumNorm:
             c = self._lp_coeffs(a, b)
         else:
             c = self._newton_coeffs(a, b, ca if at_ca <= at_zero else zero)
-        return min(best, self._amal_objective(a, b, c))
+        return min(best, self._objective(a, b, c))
 
     def _lp_coeffs(self, a, b) -> np.ndarray:
         """The exact glue minimizer for diagonal a, b and map: one HiGHS LP
@@ -313,75 +295,26 @@ class SumNorm:
             return (weights @ val, weights @ grad,
                     (weights @ hess.reshape(3, -1)).reshape(hess.shape[1:]))
 
-        c, unconverged = anneal(smoothed, lambda c: self._amal_objective(a, b, c), c, GLUE_FACTORS)
+        c, unconverged = anneal(smoothed, lambda c: self._objective(a, b, c), c, GLUE_FACTORS)
         self.unconverged_stages += unconverged
         return c
 
-    # -- bridge seminorm ----------------------------------------------------
-
-    def bridge_seminorm(self, a: np.ndarray, b: np.ndarray) -> float:
-        """N(a, b) = inf_lambda |(a, b) + lambda (e_A, e_B)|_1, the quotient
-        seminorm modulo the line through the pair of units."""
-        if self.kind != "bridge":
-            raise ValueError("bridge_seminorm is only defined for bridge norms")
-        da, db = a.shape[0], b.shape[0]
-        ea, eb = np.eye(da, dtype=complex), np.eye(db, dtype=complex)
-
-        def f(lam):
-            return self.value(a + lam * ea, b + lam * eb)
-
-        from scipy.optimize import minimize_scalar
-        m = self.bridge_r * f(0.0) + nm.op_norm(a) + nm.op_norm(b) + 1.0
-        res = minimize_scalar(f, bounds=(-m, m), method="bounded",
-                              options={"xatol": 1e-10})
-        return float(min(res.fun, f(0.0)))
-
-    # -- diagnostics ---------------------------------------------------------
-
-    def admissibility_defects(self, probes_a, probes_b) -> float:
-        """max over probes of | |(a,0)| - |a| | and | |(0,b)| - |b| |,
-        relative to 1 + |.|; ought to sit near zero for a genuinely
-        admissible norm."""
-        worst = 0.0
-        for a in probes_a:
-            za = np.zeros((self.phi.dim_b if self.phi else a.shape[0],) * 2, dtype=complex) \
-                if self.kind != "eps_amalgam" else np.zeros_like(a)
-            v = self.value(a, za, descend=True)
-            worst = max(worst, abs(v - nm.op_norm(a)) / (1.0 + nm.op_norm(a)))
-        for b in probes_b:
-            zb = np.zeros((self.phi.dim_a if self.phi else b.shape[0],) * 2, dtype=complex) \
-                if self.kind != "eps_amalgam" else np.zeros_like(b)
-            v = self.value(zb, b, descend=True)
-            worst = max(worst, abs(v - nm.op_norm(b)) / (1.0 + nm.op_norm(b)))
-        return worst
-
-
-def eps_amalgam_norm(eps: float) -> SumNorm:
-    """max(|u + v|, eps |u|, eps |v|) for two copies of one ambient space;
-    the two copies end up eps-close: |(a, -a)| = eps |a|."""
-    if not 0 < eps <= 1:
-        raise ValueError("need 0 < eps <= 1")
-    return SumNorm(kind="eps_amalgam", eps=eps)
-
 
 def almost_amal_norm(phi: ComparisonMap, eps: float) -> SumNorm:
-    """Glue norm inf{|a - x| + |b + phi(x)| + eps |x|}; requires eps at
-    least the measured distortion of phi (the admissibility hypothesis)."""
+    """The glue norm along a measured map, inf{|a - x| + |b + phi(x)| + eps |x|}.
+
+    N restricts to the norms of A and B only when eps bounds the distortion
+    | |phi(x)| - |x| | / |x| on all of X.  The check here is against
+    ``phi.distortion``, a maximum over ``measure``'s probes: a lower
+    estimate of that sup, not a certificate.  An unmeasured map raises, so
+    the probe law that sets eps is always the caller's.
+    """
     if phi.distortion is None:
-        phi.measure()
+        raise ValueError("measure the comparison map before gluing along it")
     if eps < phi.distortion:
         raise ValueError(
             f"eps={eps:.3e} is below the measured distortion {phi.distortion:.3e}")
-    return SumNorm(kind="almost_amal", eps=eps, phi=phi)
-
-
-def bridge_norm(bridge_r: float, bridge_d: float, identification: ComparisonMap) -> SumNorm:
-    """|(a,b)|_1 = max(|a|/R, |b|/R, |phi(a) - b|/d), with the bridge
-    seminorm available as the quotient modulo R (e_A, e_B)."""
-    if bridge_r <= 0 or bridge_d <= 0:
-        raise ValueError("bridge needs positive R and d")
-    return SumNorm(kind="bridge", bridge_r=bridge_r, bridge_d=bridge_d,
-                   phi=identification)
+    return SumNorm(phi=phi, eps=eps)
 
 
 # ---------------------------------------------------------------------------
@@ -446,14 +379,23 @@ EPS_MARGIN, REFINE_WITNESSES, SUB_CAP = 1.05, 12, 12
 
 def dist_oq_upper(a: Cqms, b: Cqms, phi: ComparisonMap, big_r: float = None,
                   eps_net: float = 0.25, budget: int = 64, seed: int = 0) -> BoundReport:
-    """Upper estimate of the order-unit quantum distance through an explicit
-    almost-amalgamation norm along ``phi``.
+    """Upper estimate of the order-unit quantum distance through the glue
+    norm along ``phi``.
 
     With ``big_r`` set this is the R-variant (both balls at radius R and
     unit term R e_A vs R e_B); otherwise the plain distance with per-space
     radii.  The reported value is the max of the net Hausdorff distance
-    under the glue norm and the unit term; the true distance is at most
-    ``value + slack`` where slack sums the two net covering certificates.
+    under the glue norm and the unit term; slack sums the two net covering
+    certificates.
+
+    The glue's eps (``glue_eps``) is EPS_MARGIN = 1.05 times the largest
+    distortion phi shows on a fixed probe law: a lower estimate of the
+    distortion sup, not a certified bound.  The true distance is at most
+    ``value + slack`` only when eps does bound phi's distortion on all of X.
+    On the cycle refinement maps (l-infinity isometries) it does.  On torus
+    frequency maps it does not: for torus(3,1)->(5,1) the distortion
+    exceeds 0.71 against a glue_eps of 0.430, so ``certified_upper`` there
+    is an estimate, not a bound.
     """
     ra, rb = a.radius(), b.radius()
     if big_r is None:

@@ -1,5 +1,5 @@
-"""Finite metric spaces: Hausdorff distance, covering and packing
-numbers, Gromov-Hausdorff distance (exact on tiny spaces, certified
+"""Finite metric spaces: open-ball covers and packing numbers,
+Gromov-Hausdorff distance (exact on tiny spaces, certified
 bounds otherwise), and the hierarchical universal embedding.
 
 Conventions: balls are open; boundary ties break by strict inequality
@@ -65,33 +65,8 @@ def circle_space(n: int, circumference: float = 2.0 * np.pi) -> FiniteMetricSpac
     return FiniteMetricSpace(steps * (circumference / n))
 
 
-def save_csv(space: FiniteMetricSpace, path) -> None:
-    """Row-major CSV: a header line with n, then the matrix rows."""
-    with open(path, "w") as fh:
-        fh.write(f"{space.n}\n")
-        for row in space.dist:
-            fh.write(",".join(format(x, ".9e") for x in row) + "\n")
-
-
-def load_csv(path) -> FiniteMetricSpace:
-    with open(path) as fh:
-        n = int(fh.readline().strip())
-        rows = [[float(x) for x in fh.readline().split(",")] for _ in range(n)]
-    return FiniteMetricSpace(np.array(rows))
-
-
 # ---------------------------------------------------------------------------
-# Hausdorff, covering, packing
-
-
-def hausdorff(space: FiniteMetricSpace, ys, zs) -> float:
-    """Hausdorff distance between two index subsets inside the space."""
-    ys = np.asarray(ys, dtype=int)
-    zs = np.asarray(zs, dtype=int)
-    if ys.size == 0 or zs.size == 0:
-        raise ValueError("Hausdorff distance needs nonempty subsets")
-    block = space.dist[np.ix_(ys, zs)]
-    return float(max(np.max(np.min(block, axis=1)), np.max(np.min(block, axis=0))))
+# covering, packing
 
 
 def _greedy_cover(masks: np.ndarray) -> list[int]:
@@ -132,16 +107,6 @@ def _cover_subset(space: FiniteMetricSpace, subset: np.ndarray, eps: float) -> l
     if len(subset) <= EXACT_COMBINATORICS_CAP and len(centers) > 1:
         centers = _exact_cover(masks, upper=len(centers))
     return [int(subset[c]) for c in centers]
-
-
-def covering_number(space: FiniteMetricSpace, eps: float,
-                    return_centers: bool = False):
-    """Minimal number of open eps-balls covering the space (exact for
-    n <= 12 via exhaustive set cover, greedy upper bound otherwise)."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    centers = _cover_subset(space, np.arange(space.n), eps)
-    return (len(centers), centers) if return_centers else len(centers)
 
 
 def _greedy_packing(space: FiniteMetricSpace, eps: float) -> list[int]:

@@ -366,48 +366,6 @@ def apply(action: UnitaryAction, x: int, a: np.ndarray) -> np.ndarray:
     return u @ a @ u.conj().T
 
 
-def apply_all(action: UnitaryAction, a: np.ndarray) -> np.ndarray:
-    """Stack of alpha_x(a) over the whole sample, shape (size, d, d)."""
-    u = action.implementers
-    return np.einsum("xab,bc,xdc->xad", u, np.asarray(a, dtype=complex), u.conj(),
-                     optimize=True)
-
-
-def projection_weight_fn(chars: list[IrrepCharacter]) -> np.ndarray:
-    """phi_J(x) = sum_gamma dim(gamma) conj(chi_gamma(x)) for a label set J."""
-    labels = {c.label for c in chars}
-    for c in chars:
-        if c.conjugate_label not in labels:
-            raise ValueError(
-                f"label set is not self-conjugate: missing {c.conjugate_label!r}"
-            )
-    phi = sum(c.dimension * c.values.conj() for c in chars)
-    if float(np.max(np.abs(phi.imag))) > 1e-9 * (1.0 + float(np.max(np.abs(phi)))):
-        raise ValueError("projection weight function is not real-valued")
-    return phi.real
-
-
-def projection_weight_l1(group: SampledGroup, chars: list[IrrepCharacter]) -> float:
-    """Quadrature L^1 norm of phi_J; bounds L(alpha_phi(a)) <= |phi|_1 L(a)."""
-    return float(np.dot(group.weights, np.abs(projection_weight_fn(chars))))
-
-
-def isotypic_project(action: UnitaryAction, chars: list[IrrepCharacter],
-                     a: np.ndarray) -> np.ndarray:
-    """Haar average against sum_gamma dim(gamma) conj(chi_gamma).
-
-    Rejects non-self-conjugate label sets (the averaged weight must be
-    real for the result to stay Hermitian).  Idempotent when the group
-    sample is exact.
-    """
-    phi = projection_weight_fn(chars)
-    moved = apply_all(action, a)
-    coeff = action.group.weights * phi
-    out = np.einsum("x,xab->ab", coeff, moved, optimize=True)
-    out = (out + out.conj().T) / 2.0
-    return out
-
-
 def action_traces(action: UnitaryAction, space_basis: np.ndarray | None = None) -> np.ndarray:
     """Trace of alpha_x on the complexified coefficient space, for each x.
 

@@ -48,18 +48,7 @@ DIST_BLOCK = 2 ** 14
 
 
 class NumericsError(Exception):
-    """Raised when a linear-algebra primitive cannot certify its output.
-
-    Carries the offending residual in ``residual`` when available.
-    """
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
-
-
-def identity(d: int) -> np.ndarray:
-    return np.eye(d, dtype=complex)
+    """Raised when a matrix fails a structural check (``check_hermitian``)."""
 
 
 def is_hermitian(a: np.ndarray, tol: float = STRUCTURAL_TOL) -> bool:
@@ -75,7 +64,7 @@ def check_hermitian(a: np.ndarray, tol: float = STRUCTURAL_TOL) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     if not is_hermitian(a, tol):
         dev = float(np.max(np.abs(a - a.conj().T))) if a.ndim == 2 else float("nan")
-        raise NumericsError(f"matrix is not Hermitian within {tol:g}", residual=dev)
+        raise NumericsError(f"matrix is not Hermitian within {tol:g} (deviation {dev:.3e})")
     return a
 
 
@@ -85,29 +74,6 @@ def is_unitary(u: np.ndarray, tol: float = STRUCTURAL_TOL) -> bool:
         return False
     d = u.shape[0]
     return bool(np.max(np.abs(u @ u.conj().T - np.eye(d))) <= tol)
-
-
-def hermitian_eig(a: np.ndarray, tol: float = 1e-9):
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns ``(eigenvalues, vectors)`` with eigenvalues ascending and
-    ``a = vectors @ diag(eigenvalues) @ vectors.conj().T`` within
-    ``tol * (1 + op_norm(a))``.  Raises :class:`NumericsError` with the
-    reconstruction residual if the solver fails to certify.
-    """
-    a = check_hermitian(a)
-    try:
-        w, v = np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:  # non-convergence in LAPACK
-        raise NumericsError(f"eigensolver did not converge: {exc}") from exc
-    residual = float(np.max(np.abs((v * w) @ v.conj().T - a)))
-    scale = 1.0 + (float(np.max(np.abs(w))) if w.size else 0.0)
-    if residual > tol * scale:
-        raise NumericsError(
-            f"eigendecomposition residual {residual:.3e} exceeds {tol:g}*(1+norm)",
-            residual=residual,
-        )
-    return w, v
 
 
 def op_norm(a: np.ndarray) -> float:
@@ -300,27 +266,6 @@ def quotient_norm(a: np.ndarray) -> float:
     a = np.asarray(a, dtype=complex)
     w = np.linalg.eigvalsh(a)
     return float(w[-1] - w[0]) / 2.0
-
-
-def quotient_norms(stack: np.ndarray) -> np.ndarray:
-    stack = np.asarray(stack, dtype=complex)
-    if stack.size == 0:
-        return np.zeros(stack.shape[:-2])
-    w = np.linalg.eigvalsh(stack)
-    return (w[..., -1] - w[..., 0]) / 2.0
-
-
-def matrix_exp_skew(h: np.ndarray, t: float, tol: float = 1e-9) -> np.ndarray:
-    """exp(i*t*h) for Hermitian h, via eigendecomposition.
-
-    The result is unitary within ``tol`` (max-entry of U U^dagger - I).
-    """
-    w, v = hermitian_eig(h)
-    u = (v * np.exp(1j * t * w)) @ v.conj().T
-    defect = float(np.max(np.abs(u @ u.conj().T - np.eye(h.shape[0]))))
-    if defect > tol:
-        raise NumericsError(f"exp(i t h) unitarity defect {defect:.3e}", residual=defect)
-    return u
 
 
 def realify(mats: np.ndarray) -> np.ndarray:

