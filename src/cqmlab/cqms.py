@@ -137,8 +137,8 @@ class HermitianSpace:
     def contains(self, a: np.ndarray, tol: float = 1e-8) -> bool:
         return self.projection_residual(a) <= tol * (1.0 + nm.hs_norm(a))
 
-    def random_element(self, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-        return self.element(scale * rng.standard_normal(self.real_dim))
+    def random_element(self, rng: np.random.Generator) -> np.ndarray:
+        return self.element(rng.standard_normal(self.real_dim))
 
 
 def full_matrix_space(d: int) -> HermitianSpace:
@@ -234,9 +234,9 @@ class Cqms:
     action: ga.UnitaryAction
     name: str = ""
     basis_labels: dict = field(default_factory=dict)   # label -> matrix, optional
-    net_cache: dict = field(default_factory=dict)
-    _radius: tuple | None = field(default=None, repr=False)
-    _op: tuple | None = field(default=None, repr=False)
+    net_cache: dict = field(default_factory=dict, init=False)
+    _radius: tuple | None = field(default=None, init=False, repr=False)
+    _op: tuple | None = field(default=None, init=False, repr=False)
     _dirac: np.ndarray | None = field(default=None, init=False, repr=False)
     _samples: dict = field(default_factory=dict, init=False, repr=False)
     unconverged_stages: int = field(default=0, init=False, repr=False)
@@ -260,9 +260,6 @@ class Cqms:
         """L over a stack (n, d, d) of elements of the space."""
         rows = nm.realify(stack) @ nm.realify(self.space.ortho[1:]).T
         return self._coeff_seminorms(rows)
-
-    def norm(self, a: np.ndarray) -> float:
-        return nm.op_norm(a)
 
     def unit(self) -> np.ndarray:
         return np.eye(self.dim, dtype=complex)
@@ -347,7 +344,7 @@ class Cqms:
     def ball_membership(self, a: np.ndarray, r: float, tol: float = nm.NUMERIC_TOL) -> bool:
         if not self.space.contains(a, tol=max(tol, 1e-8)):
             raise ValueError("element lies outside the spanned subspace")
-        return self.seminorm(a) <= 1.0 + tol and self.norm(a) <= r + tol
+        return self.seminorm(a) <= 1.0 + tol and nm.op_norm(a) <= r + tol
 
     def _ball_sample(self, seed: int, budget: int = None) -> tuple:
         """The seeded, radius-free sample of ``ball_net``, built once per key:
@@ -652,18 +649,14 @@ class Cqms:
         self.radius()
         return self._radius[1]
 
-    def state_metric(self, mu: StateFunctional, nu: StateFunctional,
-                     R: float = None) -> float:
+    def state_metric(self, mu: StateFunctional, nu: StateFunctional) -> float:
         """Dual metric rho_L(mu, nu) = sup {mu(a) - nu(a) : L(a) <= 1}.
 
         The supremum saturates on D_R for any R at least the radius (the
-        ball plus scalar shifts exhausts the seminorm unit ball), so a given
-        R below the radius estimate is rejected (the radius is computed only
-        then).  One support-function solve along the functional's in-space
-        Riesz direction.
+        ball plus scalar shifts exhausts the seminorm unit ball), so it is at
+        most twice the radius.  One support-function solve along the
+        functional's in-space Riesz direction.
         """
-        if R is not None and R < self.radius() - 1e-9:
-            raise ValueError(f"R={R} is below the radius estimate {self.radius()}")
         g = mu.density - nu.density
         gm = self.space.element(self.space.coeffs(g))
         if nm.hs_norm(gm) <= 1e-13:

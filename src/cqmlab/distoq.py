@@ -3,15 +3,16 @@
 The distance is an infimum over admissible norms on the direct sum of
 two spaces of the max of (i) the Hausdorff distance between the balls
 D(A), D(B) and (ii) a unit-alignment term.  This module builds one such
-norm, ``SumNorm``: A and B glued along a comparison map phi of measured
-distortion (``almost_amal_norm``), the norm behind every upper bound.
+norm, ``SumNorm``: A and B glued along a comparison map phi, the norm
+behind every upper bound.
 
 Every bound carries a slack ledger (net covering certificates, measured
 map distortion) instead of pretending to be exact; the upper estimators
 only ever overestimate the glue norm, so reported values stay upper
 bounds up to the recorded net certificates, provided the glue is
-admissible.  Its eps is a probe maximum of phi's distortion times a
-margin, not a certified bound (see ``dist_oq_upper``).
+admissible.  Its eps is decided in ``dist_oq_upper`` alone: the maximum
+of phi's distortion over ``ComparisonMap.measure``'s one probe law, times
+a margin, not a certified bound.
 
 The glue norm N(a, b) = inf_x |a - x| + |b + phi(x)| + eps |x| is
 evaluated at feasible points only.  Its descent splits as ``Cqms`` splits
@@ -52,16 +53,12 @@ class ComparisonMap:
 
     ``x_ortho`` is a Hilbert-Schmidt orthonormal Hermitian basis of X and
     ``images`` its elementwise image, so applying the map is a real
-    coefficient contraction.  ``distortion`` is the measured sup over
-    probe unit vectors of | |phi(x)| - |x| |, and ``unit_defect`` the
-    norm gap |phi(e_A) - e_B| when the unit lies in X.
+    coefficient contraction.
     """
 
     x_ortho: np.ndarray            # (k, dA, dA)
     images: np.ndarray             # (k, dB, dB)
     label: str = ""
-    distortion: float | None = None
-    unit_defect: float | None = None
 
     @property
     def k(self) -> int:
@@ -88,15 +85,17 @@ class ComparisonMap:
     def apply(self, x: np.ndarray) -> np.ndarray:
         return self.apply_coeffs(self.x_coeffs(x))
 
-    def measure(self, rng: np.random.Generator | None = None, probes: int = 64,
-                extra: np.ndarray | None = None) -> tuple[float, float | None]:
-        """Measure distortion on probe unit vectors of X (basis directions,
-        seeded random directions, optional caller-supplied elements)."""
-        rng = rng or np.random.default_rng(0)
-        coeffs = [np.eye(self.k), rng.standard_normal((probes, self.k))]
-        if extra is not None:
-            coeffs.append(np.array([self.x_coeffs(m) for m in extra]))
-        coeffs = np.concatenate(coeffs)
+    def measure(self, extra: np.ndarray) -> tuple[float, float | None]:
+        """(distortion, unit_defect).  The distortion is the max of
+        | |phi(x)| - |x| | / |x| over the one probe law of the glue eps: the k
+        basis directions of X, 192 directions drawn from ``default_rng(1729)``
+        (fixed, so the glue does not wobble with a caller's net seed), and the
+        projections onto X of the elements ``extra`` (a stack, possibly
+        empty).  The unit defect is |phi(e_A) - e_B| when the unit lies in X,
+        else None."""
+        rng = np.random.default_rng(1729)
+        points = np.reshape([self.x_coeffs(m) for m in extra], (len(extra), self.k))
+        coeffs = np.concatenate([np.eye(self.k), rng.standard_normal((192, self.k)), points])
         xn = nm.op_norms(np.array([self.x_element(c) for c in coeffs]))
         imn = nm.op_norms(np.array([self.apply_coeffs(c) for c in coeffs]))
         seen = xn >= 1e-12
@@ -107,8 +106,6 @@ class ComparisonMap:
         unit_defect = None
         if nm.hs_norm(e_a - self.x_element(ce)) <= 1e-8 * np.sqrt(da):
             unit_defect = nm.op_norm(self.apply_coeffs(ce) - np.eye(self.dim_b))
-        self.distortion = worst
-        self.unit_defect = unit_defect
         return worst, unit_defect
 
 
@@ -300,23 +297,6 @@ class SumNorm:
         return c
 
 
-def almost_amal_norm(phi: ComparisonMap, eps: float) -> SumNorm:
-    """The glue norm along a measured map, inf{|a - x| + |b + phi(x)| + eps |x|}.
-
-    N restricts to the norms of A and B only when eps bounds the distortion
-    | |phi(x)| - |x| | / |x| on all of X.  The check here is against
-    ``phi.distortion``, a maximum over ``measure``'s probes: a lower
-    estimate of that sup, not a certificate.  An unmeasured map raises, so
-    the probe law that sets eps is always the caller's.
-    """
-    if phi.distortion is None:
-        raise ValueError("measure the comparison map before gluing along it")
-    if eps < phi.distortion:
-        raise ValueError(
-            f"eps={eps:.3e} is below the measured distortion {phi.distortion:.3e}")
-    return SumNorm(phi=phi, eps=eps)
-
-
 # ---------------------------------------------------------------------------
 # distance bounds
 
@@ -389,14 +369,20 @@ def dist_oq_upper(a: Cqms, b: Cqms, phi: ComparisonMap, big_r: float = None,
     certificates.
 
     The glue's eps (``glue_eps``) is EPS_MARGIN = 1.05 times the largest
-    distortion phi shows on a fixed probe law: a lower estimate of the
-    distortion sup, not a certified bound.  The true distance is at most
-    ``value + slack`` only when eps does bound phi's distortion on all of X.
+    distortion ``phi.measure`` finds on its probe law and the first 32 points
+    of A's net: a lower estimate of the distortion sup, not a certified
+    bound.  This is the one place that decides eps.  The true distance is at
+    most ``value + slack`` only when eps does bound phi's distortion on all
+    of X.
     On the cycle refinement maps (l-infinity isometries) it does.  On torus
     frequency maps it does not: for torus(3,1)->(5,1) the distortion
     exceeds 0.71 against a glue_eps of 0.430, so ``certified_upper`` there
     is an estimate, not a bound.
     """
+    if (phi.dim_a, phi.dim_b) != (a.dim, b.dim):
+        raise ValueError(f"comparison map {phi.label!r} goes from {phi.dim_a} x {phi.dim_a} "
+                         f"to {phi.dim_b} x {phi.dim_b} matrices, but the spaces are "
+                         f"{a.dim} x {a.dim} and {b.dim} x {b.dim}")
     ra, rb = a.radius(), b.radius()
     if big_r is None:
         kind, radius_a, radius_b = "oq", ra, rb
@@ -405,12 +391,9 @@ def dist_oq_upper(a: Cqms, b: Cqms, phi: ComparisonMap, big_r: float = None,
     net_a = a.ball_net(radius_a, eps_net, budget=budget, seed=seed)
     net_b = b.ball_net(radius_b, eps_net, budget=budget, seed=seed)
 
-    # distortion measured on a fixed internal probe law, so the glue norm
-    # does not wobble with the caller's net seed
-    rng = np.random.default_rng(1729)
-    eps_phi, unit_defect = phi.measure(rng, probes=192, extra=net_a.points[:32])
+    eps_phi, unit_defect = phi.measure(net_a.points[:32])
     eps = max(eps_phi * EPS_MARGIN, eps_phi + 1e-9, 1e-9)
-    norm = almost_amal_norm(phi, eps)
+    norm = SumNorm(phi, eps)
 
     pa, pb = net_a.points, net_b.points
     ca = np.array([phi.x_coeffs(x) for x in pa])
@@ -564,7 +547,7 @@ class AuditRecord:
                 "checks": [c.as_dict() for c in self.checks]}
 
 
-def audit_chain(a: Cqms, b: Cqms, reports: dict, tol: float = 1e-9) -> AuditRecord:
+def audit_chain(a: Cqms, b: Cqms, reports: dict) -> AuditRecord:
     """Interval-consistency audit of a family of bound reports.
 
     Expected keys: ``oq_lower``/``oq_upper`` (plain distance),
@@ -574,9 +557,10 @@ def audit_chain(a: Cqms, b: Cqms, reports: dict, tol: float = 1e-9) -> AuditReco
     implied interval for the reference quantum distance from the (1/3, 5)
     and (1/2, 5/2) constant pairs is nonempty; and the R = r_B variant
     sits within |r_A - r_B| of the plain distance up to slack.  Failures
-    are recorded findings, not exceptions.
+    are recorded findings, not exceptions.  Each comparison allows 1e-9.
     """
     ra, rb = a.radius(), b.radius()
+    tol = 1e-9
     checks = []
 
     def get(key):

@@ -83,12 +83,11 @@ def constant_family(member: Cqms, labels) -> ParamFamily:
     return ParamFamily(labels=list(labels), t0=labels[0], members=members, name="constant")
 
 
-def degenerate_family(reference: Cqms, bound_r: float = None) -> ParamFamily:
+def degenerate_family(reference: Cqms, bound_r: float) -> ParamFamily:
     """The non-convergent family on the grid 0, 1/3, 2/3, 1: the scalars at
     t0 = 0, the full space at every other grid point, with nine sections
-    spanning only the t0 fibre's ball (scalar multiples of the unit)."""
-    if bound_r is None:
-        bound_r = max(reference.radius(), 1.0)
+    spanning only the t0 fibre's ball (scalar multiples of the unit, up to
+    ``bound_r``)."""
     labels = [round(k / 3, 6) for k in range(4)]
     t0 = labels[0]
     members = {t: (scalar_cqms(reference) if t == t0 else reference) for t in labels}
@@ -204,17 +203,16 @@ def multiplicity_profile(fam: ParamFamily, characters) -> dict:
             "lower_semicontinuous": lower_semi, "t0": fam.t0}
 
 
-def convergence_study(fam: ParamFamily, t0, phi_rules: dict,
+def convergence_study(fam: ParamFamily, t0, phi_rules: dict, characters,
                       bound_r: float = None, eps_net: float = 0.25,
-                      budget: int = 48, seed: int = 0,
-                      characters=None) -> dict:
-    """Distance-bound table member vs the distinguished member.
+                      budget: int = 48, seed: int = 0) -> dict:
+    """Distance-bound table member vs the distinguished member, with the
+    family's ``multiplicity_profile`` over ``characters``.
 
     ``phi_rules`` maps each label t != t0 to a ComparisonMap from A_t to
     A_{t0}.  Rows come back in grid order; the trend summary checks that
     certified upper bounds do not increase as the grid approaches t0
-    from either side, within the reported slacks.  Missing maps are
-    recorded as gaps, not errors.
+    from either side, within the reported slacks.
     """
     base = fam.members[t0]
     rows = []
@@ -222,9 +220,6 @@ def convergence_study(fam: ParamFamily, t0, phi_rules: dict,
         if t == t0:
             continue
         member = fam.members[t]
-        if t not in phi_rules:
-            rows.append({"t": t, "gap": "no comparison map"})
-            continue
         big_r = bound_r
         if big_r is None:
             big_r = max(member.radius(), base.radius())
@@ -234,18 +229,15 @@ def convergence_study(fam: ParamFamily, t0, phi_rules: dict,
         rows.append({"t": t, "upper": up.value, "upper_certified": up.certified_upper,
                      "lower": lo.value, "slack": up.slack, "degraded": up.degraded})
     i0 = fam.labels.index(t0)
-    before = [r for r in rows if "upper" in r and fam.labels.index(r["t"]) < i0]
-    after = [r for r in rows if "upper" in r and fam.labels.index(r["t"]) > i0]
+    before = [r for r in rows if fam.labels.index(r["t"]) < i0]
+    after = [r for r in rows if fam.labels.index(r["t"]) > i0]
     trend_ok = True
     for seq in (before, list(reversed(after))):
         for r1, r2 in zip(seq, seq[1:]):
             if r2["upper_certified"] > r1["upper_certified"] + r1["slack"] + r2["slack"] + 1e-9:
                 trend_ok = False
-    out = {"rows": rows, "trend_monotone_toward_t0": trend_ok, "t0": t0,
-           "note": SURROGATE_NOTE}
-    if characters is not None:
-        out["multiplicity"] = multiplicity_profile(fam, characters)
-    return out
+    return {"rows": rows, "trend_monotone_toward_t0": trend_ok, "t0": t0,
+            "note": SURROGATE_NOTE, "multiplicity": multiplicity_profile(fam, characters)}
 
 
 def family_agreement(fam: ParamFamily, section_names, eps: float, bound_r: float,

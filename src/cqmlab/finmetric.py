@@ -57,12 +57,12 @@ class FiniteMetricSpace:
         return FiniteMetricSpace(self.dist[np.ix_(idx, idx)])
 
 
-def circle_space(n: int, circumference: float = 2.0 * np.pi) -> FiniteMetricSpace:
-    """n equally spaced points on a circle with the arc metric."""
+def circle_space(n: int) -> FiniteMetricSpace:
+    """n equally spaced points on the unit circle with the arc metric."""
     k = np.arange(n)
     diff = np.abs(k[:, None] - k[None, :])
     steps = np.minimum(diff, n - diff)
-    return FiniteMetricSpace(steps * (circumference / n))
+    return FiniteMetricSpace(steps * (2.0 * np.pi / n))
 
 
 # ---------------------------------------------------------------------------
@@ -275,11 +275,12 @@ def lipschitz_constant(space: FiniteMetricSpace, f: np.ndarray) -> float:
 
 
 def random_lipschitz_function(space: FiniteMetricSpace, rng: np.random.Generator,
-                              bound: float = 1.0, anchors: int = 3) -> np.ndarray:
+                              bound: float = 1.0) -> np.ndarray:
     """A random 1-Lipschitz function with sup-norm <= bound: a minimum of
-    cones v_k + d(., a_k), clipped (both operations preserve 1-Lipschitz)."""
-    idx = rng.integers(0, space.n, size=anchors)
-    vals = rng.uniform(-bound, bound, size=anchors)
+    three cones v_k + d(., a_k), clipped (both operations preserve
+    1-Lipschitz)."""
+    idx = rng.integers(0, space.n, size=3)
+    vals = rng.uniform(-bound, bound, size=3)
     f = np.min(vals[None, :] + space.dist[:, idx], axis=1)
     return np.clip(f, -bound, bound)
 

@@ -112,7 +112,7 @@ class UnitaryAction:
 
     group: SampledGroup
     implementers: np.ndarray       # (size, d, d)
-    _kernel: tuple | None = field(default=None, repr=False)
+    _kernel: tuple | None = field(default=None, init=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -355,15 +355,6 @@ def su2_characters(grid: Su2Grid, two_l_values) -> list[IrrepCharacter]:
 
 # ---------------------------------------------------------------------------
 # operations
-
-
-def apply(action: UnitaryAction, x: int, a: np.ndarray) -> np.ndarray:
-    """alpha_x(a) = U_x a U_x^dagger."""
-    a = np.asarray(a, dtype=complex)
-    if a.shape != (action.dim, action.dim):
-        raise ValueError(f"dimension mismatch: element is {a.shape}, action is {action.dim}")
-    u = action.implementers[x]
-    return u @ a @ u.conj().T
 
 
 def action_traces(action: UnitaryAction, space_basis: np.ndarray | None = None) -> np.ndarray:

@@ -40,7 +40,7 @@ import math
 import numpy as np
 
 # Structural checks (Hermiticity, unitarity) at 1e-10, numerical
-# equalities at 1e-8; both overridable per call.
+# equalities at 1e-8.
 STRUCTURAL_TOL = 1e-10
 NUMERIC_TOL = 1e-8
 
@@ -51,20 +51,21 @@ class NumericsError(Exception):
     """Raised when a matrix fails a structural check (``check_hermitian``)."""
 
 
-def is_hermitian(a: np.ndarray, tol: float = STRUCTURAL_TOL) -> bool:
+def is_hermitian(a: np.ndarray) -> bool:
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         return False
     if not np.all(np.isfinite(a.view(float))):
         return False
-    return bool(np.max(np.abs(a - a.conj().T)) <= tol * (1.0 + np.max(np.abs(a))))
+    return bool(np.max(np.abs(a - a.conj().T)) <= STRUCTURAL_TOL * (1.0 + np.max(np.abs(a))))
 
 
-def check_hermitian(a: np.ndarray, tol: float = STRUCTURAL_TOL) -> np.ndarray:
+def check_hermitian(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
-    if not is_hermitian(a, tol):
+    if not is_hermitian(a):
         dev = float(np.max(np.abs(a - a.conj().T))) if a.ndim == 2 else float("nan")
-        raise NumericsError(f"matrix is not Hermitian within {tol:g} (deviation {dev:.3e})")
+        raise NumericsError(f"matrix is not Hermitian within {STRUCTURAL_TOL:g} "
+                            f"(deviation {dev:.3e})")
     return a
 
 

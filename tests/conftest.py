@@ -125,6 +125,12 @@ def kernel_oracle(action) -> tuple:
     return (np.array([r[0] for r in reps], dtype=int), np.array([r[1] for r in reps]))
 
 
+def conjugate(action, x: int, a: np.ndarray) -> np.ndarray:
+    """alpha_x(a) = U_x a U_x^dagger for the implementer of sample index x."""
+    u = action.implementers[x]
+    return u @ np.asarray(a, dtype=complex) @ u.conj().T
+
+
 def isotypic_weight(chars) -> np.ndarray:
     """phi_J(x) = sum_gamma dim(gamma) conj(chi_gamma(x)) for a label set J;
     J must be self-conjugate, or phi_J is not real."""

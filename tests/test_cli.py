@@ -309,6 +309,19 @@ def test_main_cli_entry(tmp_path):
     assert parsed["jobs"][0]["kind"] == "radius"
 
 
+@pytest.mark.parametrize("command", ["dist", "audit"])
+def test_identity_rule_needs_one_size(tmp_path, command):
+    # the default identity rule maps A into itself: on spaces of different
+    # sizes the job fails with an error that names the map and both sizes
+    code = cli.main(["--budget", "8", "--out", str(tmp_path), command,
+                     "cycle:m=6", "cycle:m=12"])
+    assert code == 0
+    job = json.loads((tmp_path / "report.json").read_text())["jobs"][0]
+    assert job["status"] == "error"
+    assert job["error"].startswith("ValueError: comparison map 'identity'")
+    assert "6 x 6 and 12 x 12" in job["error"]
+
+
 def test_main_flags_after_command(tmp_path):
     # the common flags work after the command name too (as the README's
     # `cqmlab run ... --out reports --format csv`), and a flag given before

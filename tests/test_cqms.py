@@ -64,8 +64,8 @@ def test_gauge_identity(torus2, cycle12, rng):
     for cqms_obj, r in ((torus2, 1.0), (cycle12, 0.7)):
         for _ in range(5):
             d = cqms_obj.space.random_element(rng)
-            t = 1.0 / max(cqms_obj.seminorm(d), cqms_obj.norm(d) / r)
-            gauge = max(cqms_obj.seminorm(t * d), cqms_obj.norm(t * d) / r)
+            t = 1.0 / max(cqms_obj.seminorm(d), nm.op_norm(d) / r)
+            gauge = max(cqms_obj.seminorm(t * d), nm.op_norm(t * d) / r)
             assert gauge == pytest.approx(1.0, rel=2e-6)
 
 
@@ -79,7 +79,7 @@ def test_boundary_scale_unit_direction(torus2):
 
 def test_boundary_ray_membership(torus2, rng):
     d = torus2.space.random_element(rng)
-    t = 1.0 / max(torus2.seminorm(d), torus2.norm(d) / 1.0)
+    t = 1.0 / max(torus2.seminorm(d), nm.op_norm(d) / 1.0)
     assert torus2.ball_membership(t * d, 1.0)
     assert not torus2.ball_membership(1.01 * t * d, 1.0, tol=0.0)
 
@@ -258,29 +258,27 @@ def test_state_metric_lp_oracle(cycle12):
 
 
 def test_state_metric_r_validation(cycle12):
+    # the sup saturates on D_{r_A}: the support solve's maximizer has
+    # L = 1 and quotient norm at most the (exact) radius
     mu, nu = cq.dirac_state(12, 0), cq.dirac_state(12, 1)
-    with pytest.raises(ValueError):
-        cycle12.state_metric(mu, nu, R=0.1)
-    big = cycle12.state_metric(mu, nu, R=cycle12.radius() + 1.0)
-    base = cycle12.state_metric(mu, nu)
-    assert big == pytest.approx(base, rel=1e-9)   # sup saturates on D_{r_A}
+    value, argmax = cycle12._support_max(mu.density - nu.density)
+    assert cycle12.seminorm(argmax) == pytest.approx(1.0, rel=1e-9)
+    assert nm.quotient_norm(argmax) <= cycle12.radius() + 1e-9
+    assert cycle12.state_metric(mu, nu) == pytest.approx(value, rel=1e-9)
 
 
 def test_state_metric_radius_only_for_r():
-    # without R a state metric is one support solve: a fresh space computes
-    # no radius; a given R is still checked against the radius
+    # a state metric is one support solve: a fresh space computes no radius
     obj = ex.fuzzy_torus(3, 1)
     mu, nu = cq.dirac_state(3, 0), cq.dirac_state(3, 1)
     assert obj.state_metric(mu, nu) > 0.0
     assert obj._radius is None
-    with pytest.raises(ValueError):
-        obj.state_metric(mu, nu, R=0.5 * obj.radius())
 
 
 def test_state_metric_bounded_by_2r(cycle12):
     big_r = cycle12.action.group.haar_mean_length()
     mu, nu = cq.dirac_state(12, 0), cq.dirac_state(12, 6)
-    assert cycle12.state_metric(mu, nu, R=big_r) <= 2 * big_r + 1e-9
+    assert cycle12.state_metric(mu, nu) <= 2 * big_r + 1e-9
 
 
 def test_state_diameter_scalar():

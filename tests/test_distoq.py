@@ -30,16 +30,22 @@ def torus_pair():
 # comparison maps
 
 
+def _no_points(phi):
+    """An empty stack of elements of A: ``measure`` then probes the basis
+    and seeded directions alone."""
+    return np.empty((0, phi.dim_a, phi.dim_a), dtype=complex)
+
+
 def test_identity_map_distortion(cycle8):
     phi = dq.identity_map(cycle8)
-    eps, unit = phi.measure()
+    eps, unit = phi.measure(_no_points(phi))
     assert eps < 1e-12
     assert unit == pytest.approx(0.0, abs=1e-12)
 
 
 def test_cycle_refinement_isometric(cycle8, cycle16):
     phi = dq.cycle_refinement_map(cycle8, cycle16)
-    eps, unit = phi.measure()
+    eps, unit = phi.measure(cycle8.ball_net(cycle8.radius(), 0.35, budget=8).points)
     assert eps < 1e-10            # step extension preserves the sup norm
     assert unit == pytest.approx(0.0, abs=1e-10)
     with pytest.raises(ValueError):
@@ -49,7 +55,7 @@ def test_cycle_refinement_isometric(cycle8, cycle16):
 def test_torus_frequency_map_unit(torus_pair):
     a, b = torus_pair
     phi = dq.torus_frequency_map(a, b)
-    _, unit = phi.measure()
+    _, unit = phi.measure(_no_points(phi))
     assert unit == pytest.approx(0.0, abs=1e-10)
     assert phi.k == a.space.real_dim     # every source frequency is shared
 
@@ -61,8 +67,7 @@ def test_torus_frequency_map_unit(torus_pair):
 def test_almost_amal_glue_bound():
     m4 = ex.commutative_cycle(4)
     phi = dq.identity_map(m4)
-    phi.measure()
-    norm = dq.almost_amal_norm(phi, 0.1)
+    norm = dq.SumNorm(phi, 0.1)
     rng = np.random.default_rng(2)
     for _ in range(10):
         x = m4.space.random_element(rng)
@@ -74,9 +79,8 @@ def test_almost_amal_dense_grid_oracle():
     # coordinate descent against a dense coefficient grid at dimension 4
     m4 = ex.commutative_cycle(4)
     phi = dq.identity_map(m4)
-    phi.measure()
     eps = 0.2
-    norm = dq.almost_amal_norm(phi, eps)
+    norm = dq.SumNorm(phi, eps)
     rng = np.random.default_rng(7)
     a = m4.space.random_element(rng)
     b = m4.space.random_element(rng)
@@ -109,11 +113,10 @@ def test_diagonal_glue_lp_oracle(cycle8, cycle16, monkeypatch):
     rng = np.random.default_rng(9)
     for phi, target in ((dq.cycle_refinement_map(cycle8, cycle16), cycle16),
                         (dq.identity_map(cycle8), cycle8)):
-        phi.measure()
         x_diag = np.diagonal(phi.x_ortho, axis1=1, axis2=2).real.T
         y_diag = np.diagonal(phi.images, axis1=1, axis2=2).real.T
         for eps in (1e-6, 0.05, 0.4):
-            norm = dq.almost_amal_norm(phi, eps)
+            norm = dq.SumNorm(phi, eps)
             for _ in range(4):
                 a = cycle8.space.random_element(rng)
                 b = target.space.random_element(rng)
@@ -130,7 +133,7 @@ def test_dense_glue_grid_oracle(torus_pair):
     # never exceeds either starting point, and every stage converges
     a_space, b_space = torus_pair
     phi = dq.torus_frequency_map(a_space, b_space)
-    norm = dq.almost_amal_norm(phi, max(phi.measure()[0], 0.05))
+    norm = dq.SumNorm(phi, max(phi.measure(_no_points(phi))[0], 0.05))
     axes = np.linspace(-2.5, 2.5, 11)
     grid = np.array(list(itertools.product(*[axes] * phi.k)))
     xs = np.einsum("nk,kab->nab", grid, phi.x_ortho)
@@ -176,12 +179,10 @@ def test_almost_amal_admissibility(cycle8, cycle16):
     # l-infinity isometry) at the eps that dist_oq_upper glues with
     refine = dq.cycle_refinement_map(cycle8, cycle16)
     up = dq.dist_oq_upper(cycle8, cycle16, refine, eps_net=0.35, budget=32, seed=0)
-    identity = dq.identity_map(cycle8)
-    identity.measure()
     rng = np.random.default_rng(3)
-    for phi, target, eps in ((identity, cycle8, 1e-6),
+    for phi, target, eps in ((dq.identity_map(cycle8), cycle8, 1e-6),
                              (refine, cycle16, up.components["glue_eps"])):
-        norm = dq.almost_amal_norm(phi, eps)
+        norm = dq.SumNorm(phi, eps)
         zero_a = np.zeros((phi.dim_a, phi.dim_a), dtype=complex)
         zero_b = np.zeros((phi.dim_b, phi.dim_b), dtype=complex)
         for _ in range(50):
@@ -191,20 +192,24 @@ def test_almost_amal_admissibility(cycle8, cycle16):
                 assert abs(got - want) <= 1e-6 * (1.0 + want)
 
 
-def test_almost_amal_rejects_small_eps(torus_pair):
-    a, b = torus_pair
+def test_glue_eps_is_measured_once():
+    # the upper report's distortion is measure's value on the first 32 points
+    # of A's net, its glue eps follows the margin rule, and measuring again
+    # returns the same pair: nothing is stored between the two
+    a, b = ex.fuzzy_torus(3, 1), ex.fuzzy_torus(5, 1)
     phi = dq.torus_frequency_map(a, b)
-    with pytest.raises(ValueError):
-        dq.almost_amal_norm(phi, 1.0)          # unmeasured: no probe law to check eps
-    phi.measure()
-    with pytest.raises(ValueError):
-        dq.almost_amal_norm(phi, phi.distortion / 2.0)
+    up = dq.dist_oq_upper(a, b, phi, eps_net=0.6, budget=8, seed=0)
+    points = a.ball_net(a.radius(), 0.6, budget=8, seed=0).points[:32]
+    first = phi.measure(points)
+    assert up.components["phi_distortion"] == first[0]
+    assert up.components["phi_unit_defect"] == first[1]
+    assert up.components["glue_eps"] == max(first[0] * dq.EPS_MARGIN, first[0] + 1e-9, 1e-9)
+    assert phi.measure(points) == first
 
 
 def test_almost_amal_norm_axioms(cycle8):
     phi = dq.identity_map(cycle8)
-    phi.measure()
-    norm = dq.almost_amal_norm(phi, 0.05)
+    norm = dq.SumNorm(phi, 0.05)
     rng = np.random.default_rng(5)
     for _ in range(15):
         a1, b1 = cycle8.space.random_element(rng), cycle8.space.random_element(rng)

@@ -5,7 +5,7 @@ from cqmlab import examples as ex
 from cqmlab import group_action as ga
 from cqmlab import numerics as nm
 
-from conftest import isotypic_oracle
+from conftest import conjugate, isotypic_oracle
 
 
 def test_clock_shift_commutation():
@@ -52,7 +52,7 @@ def test_torus_action_is_character_diagonal():
     t = ex.fuzzy_torus(4, 1)
     for w, u in t.basis_labels.items():
         for idx, x in enumerate(t.action.group.elements):
-            moved = ga.apply(t.action, idx, u)
+            moved = conjugate(t.action, idx, u)
             phase = np.exp(2j * np.pi * (w[0] * x[0] + w[1] * x[1]) / 4)
             assert np.max(np.abs(moved - phase * u)) < 1e-10
 
@@ -78,7 +78,7 @@ def test_torus_frequency_seminorm_closed_form():
         # complex element: |alpha_x(u) - u| = |<w,x> - 1| exactly
         complex_l = 0.0
         for idx in g.non_identity():
-            diff = ga.apply(t.action, idx, u) - u
+            diff = conjugate(t.action, idx, u) - u
             complex_l = max(complex_l,
                             float(np.linalg.svd(diff, compute_uv=False)[0]) / g.lengths[idx])
         assert complex_l == pytest.approx(closed, rel=1e-10)

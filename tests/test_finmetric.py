@@ -178,8 +178,13 @@ def test_embed_circle_depth6(rng):
 def test_embed_nontrivial_support(rng):
     # shallow tree on a coarse space: the support is a proper subset, the
     # distortion is positive but still under the bound
-    space = fm.circle_space(40, circumference=8.0)
-    fns = [fm.random_lipschitz_function(space, rng, 1.0, anchors=5) for _ in range(12)]
+    # 40 points on a circle of circumference 8, and minima of five cones
+    steps = np.abs(np.arange(40)[:, None] - np.arange(40)[None, :])
+    space = fm.FiniteMetricSpace(np.minimum(steps, 40 - steps) * (8.0 / 40))
+    fns = []
+    for _ in range(12):
+        idx, vals = rng.integers(0, 40, size=5), rng.uniform(-1.0, 1.0, size=5)
+        fns.append(np.clip(np.min(vals[None, :] + space.dist[:, idx], axis=1), -1.0, 1.0))
     rep = fm.universal_embed([space], 1.0, 2, [fns])
     support = rep.per_space[0].support()
     assert len(support) < 40

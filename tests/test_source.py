@@ -46,6 +46,36 @@ def _loaded_names(paths) -> set:
     return loaded
 
 
+def _function_reads(paths) -> set:
+    """(module, name) for every read of a module-level function: a ``Name``
+    load in its own module, an attribute load on a name imported as its
+    module (``ga.apply``), or a ``from .module import name``."""
+    reads = set()
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        aliases = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                package = "" if node.level else (node.module or "")
+                for alias in node.names:
+                    if (node.level and node.module is None) or package == "cqmlab":
+                        aliases[alias.asname or alias.name] = alias.name
+                    elif node.level or package.startswith("cqmlab."):
+                        reads.add(((node.module or "").rsplit(".", 1)[-1], alias.name))
+            elif isinstance(node, ast.Import):
+                aliases.update({alias.asname: alias.name.rsplit(".", 1)[-1]
+                                for alias in node.names
+                                if alias.asname and alias.name.startswith("cqmlab.")})
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                    and path.parent == SRC):
+                reads.add((path.stem, node.id))
+            elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                  and isinstance(node.value, ast.Name) and node.value.id in aliases):
+                reads.add((aliases[node.value.id], node.attr))
+    return reads
+
+
 def _public_defs(tree: ast.Module) -> list:
     """Public functions and classes at module level, and public methods of
     module-level classes as ``Class.method``."""
@@ -84,17 +114,27 @@ def test_module_constants_are_read():
 def test_public_names_have_callers():
     # a public function, class or method that neither the package nor the
     # benchmark reads serves only its own tests; string keys (a workload's
-    # "hausdorff" result) are not reads
-    loaded = _loaded_names(sorted(SRC.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")))
-    defined = {path.name: _public_defs(ast.parse(path.read_text()))
-               for path in sorted(SRC.glob("*.py"))}
-    unread = sorted(f"{module}:{name}" for module, names in defined.items() for name in names
-                    if name.split(".")[-1] not in loaded and name not in TEST_ONLY)
+    # "hausdorff" result) are not reads.  A module-level function is read
+    # only through its own module: ``np.linalg.norm`` does not read a
+    # ``norm``, nor ``phi.apply`` a module-level ``apply``
+    paths = sorted(SRC.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    loaded, reads = _loaded_names(paths), _function_reads(paths)
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    functions = {(module, node.name) for module, tree in trees.items() for node in tree.body
+                 if isinstance(node, ast.FunctionDef)}
+
+    def read(module, name):
+        if (module, name) in functions:
+            return (module, name) in reads
+        return name.split(".")[-1] in loaded
+
+    defined = {module: _public_defs(tree) for module, tree in trees.items()}
+    unread = sorted(f"{module}.py:{name}" for module, names in defined.items()
+                    for name in names if not read(module, name) and name not in TEST_ONLY)
     assert not unread, f"public names in src that only tests reach: {unread}"
     # an allowlist entry that is gone or now read is stale
-    everything = {name for names in defined.values() for name in names}
-    stale = sorted(name for name in TEST_ONLY
-                   if name not in everything or name.split(".")[-1] in loaded)
+    owner = {name: module for module, names in defined.items() for name in names}
+    stale = sorted(name for name in TEST_ONLY if name not in owner or read(owner[name], name))
     assert not stale, f"stale entries in TEST_ONLY: {stale}"
 
 
@@ -177,3 +217,72 @@ def test_ball_nets_read_the_sample():
         grown = bool(more)
     found = sorted(calls["ball_net"] & reach)
     assert not found, f"ball_net evaluates the seminorm through {found}"
+
+
+# defaulted parameters that no call in src or perfbench passes, each kept on
+# purpose
+UNSET_DEFAULTS = {
+    "Cqms.ball_net.max_points": "perfbench/tracer.py binds it to count cap hits",
+    "main.argv": "the console entry point",
+}
+
+
+def _defaulted_params(tree: ast.Module) -> list:
+    """(qualname, call name, parameter, positional index or None) for every
+    defaulted parameter of a module-level function or a method of a
+    module-level class; ``__init__`` is called by its class name, and the
+    index skips the bound ``self``/``cls``."""
+    owners = [(None, node) for node in tree.body if isinstance(node, ast.FunctionDef)]
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            owners += [(cls.name, node) for node in cls.body if isinstance(node, ast.FunctionDef)]
+    out = []
+    for cls, fn in owners:
+        qual = fn.name if cls is None else f"{cls}.{fn.name}"
+        call = cls if fn.name == "__init__" else fn.name
+        decorators = {getattr(d, "id", None) for d in fn.decorator_list}
+        positional = fn.args.posonlyargs + fn.args.args
+        if cls is not None and "staticmethod" not in decorators:
+            positional = positional[1:]
+        defaulted = positional[len(positional) - len(fn.args.defaults):]
+        out += [(qual, call, arg.arg, positional.index(arg)) for arg in defaulted]
+        out += [(qual, call, arg.arg, None)
+                for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                if default is not None]
+    return out
+
+
+def _passed_params(paths) -> dict:
+    """Call name -> (keywords passed, most positional arguments, whether some
+    call passes ``*`` or ``**``) over every call in the files."""
+    passed = {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            keywords, count, star = passed.get(name, (set(), 0, False))
+            keywords = keywords | {kw.arg for kw in node.keywords if kw.arg is not None}
+            star = (star or any(kw.arg is None for kw in node.keywords)
+                    or any(isinstance(arg, ast.Starred) for arg in node.args))
+            passed[name] = (keywords, max(count, len(node.args)), star)
+    return passed
+
+
+def test_defaulted_parameters_are_set():
+    # a default that no caller overrides is a constant dressed as a knob:
+    # only tests can set it, so it is a second law beside the one in use
+    passed = _passed_params(sorted(SRC.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")))
+    found, unset = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        for qual, call, param, index in _defaulted_params(ast.parse(path.read_text())):
+            keywords, count, star = passed.get(call, (set(), 0, False))
+            if star or param in keywords or (index is not None and index < count):
+                continue
+            unset.add(f"{qual}.{param}")
+            if qual not in TEST_ONLY and f"{qual}.{param}" not in UNSET_DEFAULTS:
+                found.append(f"{path.name}:{qual}.{param}")
+    assert not found, f"defaulted parameters that no call in src or perfbench sets: {found}"
+    # an allowlist entry that is gone or now set is stale
+    stale = sorted(set(UNSET_DEFAULTS) - unset)
+    assert not stale, f"stale entries in UNSET_DEFAULTS: {stale}"
