@@ -15,6 +15,7 @@ the environment stamp.
 
 import argparse
 import json
+import math
 import os
 import platform
 import sys
@@ -131,11 +132,28 @@ def _names(value, table) -> bool:
     return isinstance(value, str) and value in table
 
 
+def _check_settings(spec: dict, where: str) -> None:
+    """The run-wide settings a scenario, or one of its jobs, may set: ``seed``
+    and ``budget`` are integers (a boolean is not one), ``budget`` is at least
+    1, and ``eps_net`` is a positive finite number."""
+    for key in ("seed", "budget"):
+        value = spec.get(key, 1)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ScenarioError(f"{where}'{key}' must be an integer, got {value!r}")
+    if spec.get("budget", 1) < 1:
+        raise ScenarioError(f"{where}'budget' must be at least 1, got {spec['budget']}")
+    eps_net = spec.get("eps_net", 1.0)
+    if (isinstance(eps_net, bool) or not isinstance(eps_net, (int, float))
+            or not 0.0 < eps_net < math.inf):
+        raise ScenarioError(f"{where}'eps_net' must be a positive number, got {eps_net!r}")
+
+
 def validate_scenario(doc: dict) -> None:
     if not isinstance(doc, dict):
         raise ScenarioError("scenario root must be an object")
     if "seed" not in doc:
         raise ScenarioError("scenario requires an explicit 'seed'")
+    _check_settings(doc, "")
     for key in ("examples", "jobs"):
         if not isinstance(doc.get(key, []), list):
             raise ScenarioError(f"'{key}' must be a list")
@@ -158,6 +176,7 @@ def validate_scenario(doc: dict) -> None:
         where = f"jobs[{i}]"
         if not isinstance(job, dict):
             raise ScenarioError(f"{where}: must be an object")
+        _check_settings(job, f"{where}: ")
         kind = job.get("kind")
         if not _names(kind, _JOBS):
             raise ScenarioError(f"{where}: unknown kind {kind!r}")

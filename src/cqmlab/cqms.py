@@ -172,45 +172,31 @@ class StateFunctional:
     """State mu(a) = tr(density a), given by a density matrix."""
 
     density: np.ndarray
-    label: str = ""
-
-    def validate(self) -> None:
-        rho = nm.check_hermitian(self.density)
-        w = np.linalg.eigvalsh(rho)
-        if w[0] < -1e-10:
-            raise ValueError(f"state {self.label!r}: density has eigenvalue {w[0]:.2e}")
-        if abs(float(np.trace(rho).real) - 1.0) > 1e-9:
-            raise ValueError(f"state {self.label!r}: trace is not 1")
-
-    def pair(self, a: np.ndarray) -> float:
-        return float(np.real(np.einsum("ab,ba->", self.density, np.asarray(a, dtype=complex))))
 
 
-def vector_state(v: np.ndarray, label: str = "") -> StateFunctional:
+def vector_state(v: np.ndarray) -> StateFunctional:
     v = np.asarray(v, dtype=complex)
     v = v / np.linalg.norm(v)
-    return StateFunctional(density=np.outer(v, v.conj()), label=label)
+    return StateFunctional(density=np.outer(v, v.conj()))
 
 
 def dirac_state(d: int, i: int) -> StateFunctional:
     v = np.zeros(d)
     v[i] = 1.0
-    return vector_state(v, label=f"delta_{i}")
+    return vector_state(v)
 
 
 @dataclass
 class BallNet:
-    """Finite net of D_r with a probe-sampled covering certificate.
-    ``capped``: greedy insertion stopped at the point cap, not at the
-    separation rule."""
+    """Finite net of D_r with a probe-sampled covering certificate: the
+    largest distance to the net of ``budget`` probes drawn from ``seed + 1``
+    (``Cqms.ball_net``'s arguments).  ``complete``: the certificate is at
+    most the net's epsilon.  ``capped``: greedy insertion stopped at the
+    point cap, not at the separation rule."""
 
-    r: float
-    epsilon: float
     points: np.ndarray             # (N, d, d)
     covering_certificate: float
     complete: bool
-    probe_seed: int
-    probe_count: int
     capped: bool
 
     @property
@@ -233,7 +219,7 @@ class Cqms:
     space: HermitianSpace
     action: ga.UnitaryAction
     name: str = ""
-    basis_labels: dict = field(default_factory=dict)   # label -> matrix, optional
+    basis_labels: dict = field(default_factory=dict)   # torus frequency w -> unitary u_w
     net_cache: dict = field(default_factory=dict, init=False)
     _radius: tuple | None = field(default=None, init=False, repr=False)
     _op: tuple | None = field(default=None, init=False, repr=False)
@@ -257,7 +243,12 @@ class Cqms:
         return float(self.seminorms(np.asarray(a)[None])[0])
 
     def seminorms(self, stack: np.ndarray) -> np.ndarray:
-        """L over a stack (n, d, d) of elements of the space."""
+        """L over a stack (n, d, d) of elements of the space; ValueError when
+        the elements are not d x d."""
+        stack = np.asarray(stack)
+        if stack.shape[-2:] != (self.dim, self.dim):
+            raise ValueError(f"{self.name or 'the space'} holds {self.dim} x {self.dim} "
+                             f"matrices, not {stack.shape[-2]} x {stack.shape[-1]}")
         rows = nm.realify(stack) @ nm.realify(self.space.ortho[1:]).T
         return self._coeff_seminorms(rows)
 
@@ -390,9 +381,10 @@ class Cqms:
         >= epsilon/2 from the net, so pairwise separations stay
         >= epsilon/2.  The covering certificate is the max distance of
         ``budget`` fresh probe points of D_r to the net (statistical,
-        not geometric; the probe seed and law are recorded).  The net
-        stops at ``max_points`` points, and is flagged ``capped`` when some
-        candidate is still >= epsilon/2 from it.
+        not geometric): they are drawn from ``seed + 1``, so a report's
+        seed and budget reproduce them, and a budget below 1 is a
+        ValueError.  The net stops at ``max_points`` points, and is flagged
+        ``capped`` when some candidate is still >= epsilon/2 from it.
 
         The directions and their seminorms do not depend on r or epsilon:
         they come from ``_ball_sample``, evaluated once per seed (and per
@@ -400,12 +392,15 @@ class Cqms:
         them.  A net only scales each direction by its gauge on D_r,
         max(L, N / r), and runs the greedy insertion and the certificate.
         """
+        if budget < 1:
+            raise ValueError(f"a covering certificate needs at least one probe, got "
+                             f"budget={budget}")
         key = (round(float(r), 12), round(float(epsilon), 12), budget, seed, max_points)
         if key in self.net_cache:
             return self.net_cache[key]
         zero = np.zeros((1, self.dim, self.dim), dtype=complex)
         if r <= 1e-12:
-            net = BallNet(r, epsilon, zero, 0.0, True, seed, 0, False)
+            net = BallNet(zero, 0.0, True, False)
             self.net_cache.setdefault(key, net)
             return net
 
@@ -427,7 +422,7 @@ class Cqms:
         pts = np.concatenate([zero, cands[chosen]])
 
         cert = nm.covering_radius(pts, points(self._ball_sample(seed, budget)))
-        net = BallNet(r, epsilon, pts, cert, cert <= epsilon, seed + 1, budget, capped)
+        net = BallNet(pts, cert, cert <= epsilon, capped)
         self.net_cache.setdefault(key, net)
         return net
 

@@ -146,26 +146,6 @@ def spin_matrices(two_j: int):
     return jx, jy, jz
 
 
-def spherical_basis(two_j: int) -> dict:
-    """Spherical tensor operators T_{l m} on the spin-j space, l = 0..2j,
-    Hilbert-Schmidt normalized; built by lowering from T_{l l} ~ (J+)^l.
-    They give the matched (l, m)-labeled basis for sphere sections."""
-    jx, jy, _ = spin_matrices(two_j)
-    jp = jx + 1j * jy
-    jm = jx - 1j * jy
-    out = {}
-    for l in range(0, two_j + 1):
-        t = np.linalg.matrix_power(jp, l).astype(complex)
-        t = t / nm.hs_norm(t) if nm.hs_norm(t) > 0 else t
-        out[(l, l)] = t
-        for m in range(l, -l, -1):
-            c = math.sqrt(l * (l + 1) - m * (m - 1))
-            t = (jm @ out[(l, m)] - out[(l, m)] @ jm) / c
-            norm = nm.hs_norm(t)
-            out[(l, m - 1)] = t / norm
-    return out
-
-
 def su2_implementers(two_j: int, grid: ga.Su2Grid) -> np.ndarray:
     """Spin-j Euler rotations for every grid element; inverse pairs are
     exact daggers of their partners."""
@@ -202,8 +182,7 @@ def fuzzy_sphere(two_j: int, grid_dims=DEFAULT_SU2_GRID) -> Cqms:
     action = ga.UnitaryAction(group=grid.group, implementers=impl)
     space = full_matrix_space(two_j + 1)
     return Cqms(space=space, action=action,
-                name=f"sphere(two_j={two_j},grid={'x'.join(str(x) for x in grid_dims)})",
-                basis_labels=spherical_basis(two_j))
+                name=f"sphere(two_j={two_j},grid={'x'.join(str(x) for x in grid_dims)})")
 
 
 def sphere_characters(two_j: int, grid_dims=DEFAULT_SU2_GRID) -> list:
@@ -226,10 +205,8 @@ def commutative_cycle(m: int) -> Cqms:
     shift[np.arange(1, m) % m, np.arange(m - 1)] = 1.0
     shift[0, m - 1] = 1.0
     implementers = np.array([np.linalg.matrix_power(shift, k) for k in range(m)])
-    space = diagonal_space(m)
-    labels = {("pt", j): space.basis[j] for j in range(m)}
     action = ga.UnitaryAction(group=group, implementers=implementers)
-    return Cqms(space=space, action=action, name=f"cycle(m={m})", basis_labels=labels)
+    return Cqms(space=diagonal_space(m), action=action, name=f"cycle(m={m})")
 
 
 def cycle_characters(m: int) -> list:
@@ -242,8 +219,7 @@ def scalar_cqms(reference: Cqms) -> Cqms:
     non-convergent family."""
     d = reference.dim
     space = HermitianSpace(basis=np.eye(d, dtype=complex)[None])
-    return Cqms(space=space, action=reference.action,
-                name=f"scalars(d={d})", basis_labels={"unit": np.eye(d, dtype=complex)})
+    return Cqms(space=space, action=reference.action, name=f"scalars(d={d})")
 
 
 # ---------------------------------------------------------------------------
@@ -258,10 +234,9 @@ class BerezinMaps:
     the sampled group; ``cosymbol`` is its adjoint for the normalized
     trace pairing on matrices and the quadrature L^2 pairing on
     functions.  The adjoint is unital and positive up to quadrature
-    defects, which ``checks`` reports rather than hides.
+    defects.
     """
 
-    two_j: int
     grid: ga.Su2Grid
     coherent: np.ndarray           # (size, d, d): alpha_x(P)
     projector: np.ndarray
@@ -275,28 +250,6 @@ class BerezinMaps:
         w = self.grid.group.weights
         return d * np.einsum("x,x,xab->ab", w, np.asarray(f, dtype=complex), self.coherent,
                              optimize=True)
-
-    def checks(self) -> dict:
-        rng = np.random.default_rng(0)
-        d = self.projector.shape[0]
-        unital_defect = nm.op_norm(self.cosymbol(np.ones(self.grid.group.size)) - np.eye(d))
-        pos = []
-        for _ in range(6):
-            f = rng.random(self.grid.group.size)
-            w = np.linalg.eigvalsh(self.cosymbol(f))
-            pos.append(float(w[0]))
-        rank_mat = []
-        basis = full_matrix_space(d).ortho
-        for e in basis:
-            rank_mat.append(self.symbol(e))
-        sv = np.linalg.svd(np.array(rank_mat), compute_uv=False)
-        rank = int(np.sum(sv > 1e-9 * sv[0]))
-        return {
-            "unital_defect": float(unital_defect),
-            "positivity_min_eig": min(pos),
-            "symbol_rank": rank,
-            "full_rank": rank == d * d,
-        }
 
     def equivariance_defect(self, implementers: np.ndarray, a: np.ndarray,
                             x_indices) -> float:
@@ -321,7 +274,7 @@ def berezin_maps(two_j: int, grid_dims=DEFAULT_SU2_GRID) -> BerezinMaps:
     proj = np.zeros((d, d), dtype=complex)
     proj[0, 0] = 1.0          # highest weight m = j
     coherent = np.einsum("xab,bc,xdc->xad", impl, proj, impl.conj(), optimize=True)
-    return BerezinMaps(two_j=two_j, grid=grid, coherent=coherent, projector=proj)
+    return BerezinMaps(grid=grid, coherent=coherent, projector=proj)
 
 
 # ---------------------------------------------------------------------------

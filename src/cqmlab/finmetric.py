@@ -298,11 +298,8 @@ class SpaceEmbedding:
 
 @dataclass
 class EmbeddingReport:
-    depth: int
-    bound_r: float
     cover_sizes: list               # K_j actually used
     per_space: list                 # SpaceEmbedding per family member
-    distortions: list               # per space: (num_fns, num_fns) sup-distance gap
     distortion_bound: float
     z_ok: bool
     max_distortion: float
@@ -362,7 +359,6 @@ def universal_embed(family: list, bound_r: float, depth: int,
                                          net_ok=net_ok, edges_ok=edges_ok))
 
     z_ok = True
-    distortions = []
     max_dist = 0.0
     for space, emb, fns in zip(family, embeddings, functions):
         for f in fns:
@@ -373,19 +369,10 @@ def universal_embed(family: list, bound_r: float, depth: int,
                     if abs(f[c] - f[p]) > eps[j] + 1e-12:
                         z_ok = False
         supp = emb.support()
-        k = len(fns)
-        gap = np.zeros((k, k))
-        for i in range(k):
-            for l in range(i + 1, k):
-                diff = np.abs(np.asarray(fns[i]) - np.asarray(fns[l]))
-                full = float(np.max(diff))
-                embedded = float(np.max(diff[supp]))
-                gap[i, l] = gap[l, i] = abs(full - embedded)
-        distortions.append(gap)
-        if k > 1:
-            max_dist = max(max_dist, float(np.max(gap)))
+        for i, l in itertools.combinations(range(len(fns)), 2):
+            diff = np.abs(np.asarray(fns[i]) - np.asarray(fns[l]))
+            max_dist = max(max_dist, abs(float(np.max(diff)) - float(np.max(diff[supp]))))
 
-    return EmbeddingReport(depth=depth, bound_r=bound_r, cover_sizes=sizes,
-                           per_space=embeddings, distortions=distortions,
+    return EmbeddingReport(cover_sizes=sizes, per_space=embeddings,
                            distortion_bound=2.0 ** (-depth + 1),
                            z_ok=z_ok, max_distortion=max_dist)

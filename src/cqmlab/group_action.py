@@ -2,9 +2,9 @@
 
 A :class:`SampledGroup` is a finite list of group elements with
 quadrature weights for the Haar integral, a length function, and an
-exact inverse pairing.  Exact finite groups (cyclic products) carry a
-closed product table; quadrature grids of continuous groups (SU(2))
-do not and are flagged ``is_exact=False``.
+exact inverse pairing.  Quadrature grids of continuous groups (SU(2)),
+unlike the exact finite groups (cyclic products), are flagged
+``is_exact=False``.
 
 The translation-invariant seminorm of an action is the sup over sampled
 non-identity elements of ``|alpha_x(a) - a| / l(x)``.  This module
@@ -17,8 +17,6 @@ be stamped with it.
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .numerics import STRUCTURAL_TOL
 
 DEFAULT_INTEGER_TOL = 0.05
 
@@ -41,16 +39,11 @@ class SampledGroup:
     identity_index: int
     inverse: np.ndarray            # permutation of indices, x -> x^{-1}
     is_exact: bool
-    product: np.ndarray | None = None   # index table, exact groups only
     descriptor: str = ""
 
     @property
     def size(self) -> int:
         return len(self.elements)
-
-    def non_identity(self) -> np.ndarray:
-        idx = np.arange(self.size)
-        return idx[idx != self.identity_index]
 
     def seminorm_support(self) -> np.ndarray:
         """One representative per inverse pair, identity excluded: since the
@@ -64,29 +57,6 @@ class SampledGroup:
         """Quadrature value of the Haar integral of the length function."""
         return float(np.dot(self.weights, self.lengths))
 
-    def validate(self) -> None:
-        tol = 1e-9
-        w, l = self.weights, self.lengths
-        if abs(float(np.sum(w)) - 1.0) > tol:
-            raise ValueError("weights do not sum to 1")
-        if np.any(w < -tol):
-            raise ValueError("negative quadrature weight")
-        if abs(l[self.identity_index]) > tol:
-            raise ValueError("length at identity is nonzero")
-        others = self.non_identity()
-        if others.size and np.min(l[others]) <= 0:
-            raise ValueError("length vanishes off the identity")
-        if np.max(np.abs(l[self.inverse] - l)) > tol:
-            raise ValueError("length not symmetric under inversion")
-        if np.any(self.inverse[self.inverse] != np.arange(self.size)):
-            raise ValueError("inverse is not an involution")
-        if self.is_exact:
-            if self.product is None:
-                raise ValueError("exact group without a product table")
-            p = self.product
-            if p.shape != (self.size, self.size) or np.any(p < 0) or np.any(p >= self.size):
-                raise ValueError("product table does not close")
-
 
 @dataclass(frozen=True)
 class IrrepCharacter:
@@ -95,15 +65,6 @@ class IrrepCharacter:
     label: object
     dimension: int
     values: np.ndarray
-    conjugate_label: object = None
-
-    def __post_init__(self):
-        if self.conjugate_label is None:
-            object.__setattr__(self, "conjugate_label", self.label)
-
-    def validate(self) -> None:
-        if np.max(np.abs(self.values)) > self.dimension + 1e-8:
-            raise ValueError(f"character {self.label} exceeds its dimension in modulus")
 
 
 @dataclass
@@ -157,35 +118,6 @@ class UnitaryAction:
         self._kernel = (idx, lens)
         return self._kernel
 
-    def validate(self) -> None:
-        """The group's own checks, then: the identity is implemented by the
-        identity matrix, every implementer is unitary within 1e-8, and on an
-        exact group 64 seeded pairs respect the product table up to phase."""
-        tol = 1e-8
-        g = self.group
-        g.validate()
-        d = self.dim
-        uid = self.implementers[g.identity_index]
-        if np.max(np.abs(uid - np.eye(d))) > STRUCTURAL_TOL:
-            raise ValueError("implementer at the identity is not the identity matrix")
-        prods = self.implementers @ np.swapaxes(self.implementers.conj(), -1, -2)
-        if float(np.max(np.abs(prods - np.eye(d)))) > tol:
-            raise ValueError("an implementer is not unitary")
-        if g.is_exact and g.product is not None:
-            rng = np.random.default_rng(0)
-            n = g.size
-            npairs = min(64, n * n)
-            ii = rng.integers(0, n, size=npairs)
-            jj = rng.integers(0, n, size=npairs)
-            for i, j in zip(ii, jj):
-                lhs = self.implementers[i] @ self.implementers[j]
-                rhs = self.implementers[g.product[i, j]]
-                # compare up to a global phase
-                tr = np.trace(rhs.conj().T @ lhs)
-                phase = tr / abs(tr) if abs(tr) > 1e-12 else 1.0
-                if np.max(np.abs(lhs - phase * rhs)) > tol:
-                    raise ValueError("product table and implementers disagree")
-
 
 # ---------------------------------------------------------------------------
 # group constructors
@@ -208,7 +140,6 @@ def cyclic_group(m: int) -> SampledGroup:
         identity_index=0,
         inverse=np.mod(-idx, m),
         is_exact=True,
-        product=np.mod(idx[:, None] + idx[None, :], m),
         descriptor=f"Z_{m} (arc length)",
     )
 
@@ -220,7 +151,6 @@ def torus_group(q: int, n: int = 2) -> SampledGroup:
     grids = np.indices((q,) * n).reshape(n, -1).T      # (q^n, n)
     strides = np.array([q ** (n - 1 - i) for i in range(n)])
     lengths = _arc(grids, q).sum(axis=1)
-    prod = np.mod(grids[:, None, :] + grids[None, :, :], q) @ strides
     return SampledGroup(
         elements=tuple(tuple(int(c) for c in row) for row in grids),
         weights=np.full(q ** n, 1.0 / q ** n),
@@ -228,7 +158,6 @@ def torus_group(q: int, n: int = 2) -> SampledGroup:
         identity_index=0,
         inverse=(np.mod(-grids, q) @ strides),
         is_exact=True,
-        product=prod,
         descriptor=f"Z_{q}^{n} in T^{n} (flat word length)",
     )
 
@@ -240,7 +169,6 @@ def cyclic_characters(m: int) -> list[IrrepCharacter]:
             label=int(k),
             dimension=1,
             values=np.exp(2j * np.pi * k * idx / m),
-            conjugate_label=int((-k) % m),
         )
         for k in range(m)
     ]
@@ -251,14 +179,7 @@ def torus_characters(q: int, n: int = 2) -> list[IrrepCharacter]:
     chars = []
     for w in grids:
         vals = np.exp(2j * np.pi * (grids @ w) / q)
-        chars.append(
-            IrrepCharacter(
-                label=tuple(int(c) for c in w),
-                dimension=1,
-                values=vals,
-                conjugate_label=tuple(int(c) for c in np.mod(-w, q)),
-            )
-        )
+        chars.append(IrrepCharacter(label=tuple(int(c) for c in w), dimension=1, values=vals))
     return chars
 
 
@@ -266,13 +187,12 @@ def torus_characters(q: int, n: int = 2) -> list[IrrepCharacter]:
 class Su2Grid:
     """Euler-angle product quadrature of SU(2), symmetrized under inversion.
 
-    ``matrices`` holds the defining 2x2 representatives; ``cos_angles``
-    the cosine of the geodesic angle on the unit-quaternion sphere
-    (half the space-rotation angle), which is the length function.
+    ``cos_angles`` holds the cosine of the geodesic angle on the
+    unit-quaternion sphere (half the space-rotation angle), whose arccos is
+    the length function.
     """
 
     group: SampledGroup
-    matrices: np.ndarray           # (size, 2, 2)
     cos_angles: np.ndarray
     euler: np.ndarray              # (size, 3) alpha, beta, gamma of the base point
 
@@ -294,19 +214,12 @@ def su2_euler_grid(n_alpha: int = 12, n_beta: int = 12, n_gamma: int = 12) -> Su
     wg = np.full(n_gamma, 1.0 / n_gamma)
     ww = (wa[:, None, None] * wb[None, :, None] * wg[None, None, :]).ravel()
 
+    # half the trace of the defining 2x2 matrix of each node, whose diagonal
+    # is (h, conj h) with h = exp(-i (alpha + gamma) / 2) cos(beta / 2)
     half = np.exp(-0.5j * (aa + gg)) * np.cos(bb / 2.0)
-    off = np.exp(-0.5j * (aa - gg)) * np.sin(bb / 2.0)
-    base = np.empty((aa.size, 2, 2), dtype=complex)
-    base[:, 0, 0] = half
-    base[:, 0, 1] = -off
-    base[:, 1, 0] = off.conj()
-    base[:, 1, 1] = half.conj()
-
-    mats = np.concatenate([np.eye(2, dtype=complex)[None], base,
-                           np.swapaxes(base.conj(), 1, 2)])
     n = aa.size
     weights = np.concatenate([[0.0], ww / 2.0, ww / 2.0])
-    cos_ang = np.real(np.trace(base, axis1=1, axis2=2)) / 2.0
+    cos_ang = half.real
     cos_angles = np.concatenate([[1.0], cos_ang, cos_ang])
     lengths = np.arccos(np.clip(cos_angles, -1.0, 1.0))
     inverse = np.concatenate([[0], np.arange(n) + 1 + n, np.arange(n) + 1])
@@ -321,10 +234,9 @@ def su2_euler_grid(n_alpha: int = 12, n_beta: int = 12, n_gamma: int = 12) -> Su
         identity_index=0,
         inverse=inverse,
         is_exact=False,
-        product=None,
         descriptor=f"SU(2) Euler grid {n_alpha}x{n_beta}x{n_gamma}, inversion-symmetrized",
     )
-    return Su2Grid(group=group, matrices=mats, cos_angles=cos_angles, euler=euler)
+    return Su2Grid(group=group, cos_angles=cos_angles, euler=euler)
 
 
 def su2_characters(grid: Su2Grid, two_l_values) -> list[IrrepCharacter]:

@@ -4,8 +4,9 @@ The oracles here are deliberately independent of the production code
 paths they check: linear programming for the dual state metric and (in
 its dual form) for the diagonal glue norm, brute force enumeration for
 Gromov-Hausdorff, power iteration for operator norms, dense parameter
-grids for infima, and the Haar-averaged isotypic projector for
-multiplicities.
+grids for infima, the Haar-averaged isotypic projector for
+multiplicities, and the group laws of the exact samples recomputed from
+their element labels.
 """
 
 import itertools
@@ -125,6 +126,56 @@ def kernel_oracle(action) -> tuple:
     return (np.array([r[0] for r in reps], dtype=int), np.array([r[1] for r in reps]))
 
 
+def exact_product(group) -> np.ndarray:
+    """Index table of an exact group's product, from its element labels: the
+    cyclic and torus samples are Z_q^n, labelled by integers or n-tuples that
+    add componentwise mod q.  A KeyError means the sample does not close."""
+    labels = [tuple(np.atleast_1d(x).tolist()) for x in group.elements]
+    q = round(group.size ** (1.0 / len(labels[0])))
+    index = {x: i for i, x in enumerate(labels)}
+    return np.array([[index[tuple((s + t) % q for s, t in zip(x, y))] for y in labels]
+                     for x in labels])
+
+
+def check_group(group) -> None:
+    """The laws of a group sample: Haar weights nonnegative and summing to 1,
+    a length zero at the identity only and even under the inverse pairing, an
+    involutive inverse, and on an exact group a product that closes."""
+    tol = 1e-9
+    w, l = group.weights, group.lengths
+    off = np.arange(group.size) != group.identity_index
+    assert abs(float(np.sum(w)) - 1.0) <= tol, "weights do not sum to 1"
+    assert np.all(w >= -tol), "negative quadrature weight"
+    assert abs(l[group.identity_index]) <= tol, "length at the identity is nonzero"
+    assert np.all(l[off] > 0), "length vanishes off the identity"
+    assert np.max(np.abs(l[group.inverse] - l)) <= tol, "length not even under inversion"
+    assert np.array_equal(group.inverse[group.inverse], np.arange(group.size)), \
+        "inverse is not an involution"
+    if group.is_exact:
+        exact_product(group)
+
+
+def check_action(action) -> None:
+    """``check_group``, then: the identity is implemented by the identity
+    matrix, every implementer is unitary within 1e-8, and on an exact group 64
+    seeded pairs respect ``exact_product`` up to a global phase."""
+    tol = 1e-8
+    g, u = action.group, action.implementers
+    check_group(g)
+    assert np.max(np.abs(u[g.identity_index] - np.eye(action.dim))) <= 1e-10, \
+        "implementer at the identity is not the identity matrix"
+    prods = u @ np.swapaxes(u.conj(), -1, -2)
+    assert float(np.max(np.abs(prods - np.eye(action.dim)))) <= tol, "an implementer is not unitary"
+    if g.is_exact:
+        product = exact_product(g)
+        rng = np.random.default_rng(0)
+        for i, j in rng.integers(0, g.size, size=(min(64, g.size ** 2), 2)):
+            lhs, rhs = u[i] @ u[j], u[product[i, j]]
+            tr = np.trace(rhs.conj().T @ lhs)
+            phase = tr / abs(tr) if abs(tr) > 1e-12 else 1.0
+            assert np.max(np.abs(lhs - phase * rhs)) <= tol, "product and implementers disagree"
+
+
 def conjugate(action, x: int, a: np.ndarray) -> np.ndarray:
     """alpha_x(a) = U_x a U_x^dagger for the implementer of sample index x."""
     u = action.implementers[x]
@@ -133,13 +184,10 @@ def conjugate(action, x: int, a: np.ndarray) -> np.ndarray:
 
 def isotypic_weight(chars) -> np.ndarray:
     """phi_J(x) = sum_gamma dim(gamma) conj(chi_gamma(x)) for a label set J;
-    J must be self-conjugate, or phi_J is not real."""
-    labels = {c.label for c in chars}
-    for c in chars:
-        if c.conjugate_label not in labels:
-            raise ValueError(f"label set is not self-conjugate: missing {c.conjugate_label!r}")
+    J must be self-conjugate, or phi_J is not real (a ValueError)."""
     phi = sum(c.dimension * c.values.conj() for c in chars)
-    assert float(np.max(np.abs(phi.imag))) <= 1e-9 * (1.0 + float(np.max(np.abs(phi))))
+    if float(np.max(np.abs(phi.imag))) > 1e-9 * (1.0 + float(np.max(np.abs(phi)))):
+        raise ValueError("label set is not self-conjugate: its weight is not real")
     return phi.real
 
 

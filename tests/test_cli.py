@@ -83,6 +83,46 @@ def test_bad_examples_and_family_types_exit_2(example, job, where, tmp_path, cap
     assert where in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("settings,job,where", [
+    ({"seed": "x"}, {}, "'seed' must be an integer"),
+    ({"seed": True}, {}, "'seed' must be an integer"),
+    ({"budget": [3]}, {}, "'budget' must be an integer"),
+    ({"budget": 2.5}, {}, "'budget' must be an integer"),
+    ({"budget": 0}, {}, "'budget' must be at least 1"),
+    ({"eps_net": 0}, {}, "'eps_net' must be a positive number"),
+    ({"eps_net": "0.3"}, {}, "'eps_net' must be a positive number"),
+    ({"eps_net": float("nan")}, {}, "'eps_net' must be a positive number"),
+    ({}, {"seed": "x"}, "jobs[0]: 'seed' must be an integer"),
+    ({}, {"budget": False}, "jobs[0]: 'budget' must be an integer"),
+    ({}, {"budget": -4}, "jobs[0]: 'budget' must be at least 1"),
+    ({}, {"eps_net": -0.3}, "jobs[0]: 'eps_net' must be a positive number"),
+], ids=["seed-string", "seed-bool", "budget-list", "budget-float", "budget-zero",
+        "eps-zero", "eps-string", "eps-nan", "job-seed-string", "job-budget-bool",
+        "job-budget-negative", "job-eps-negative"])
+def test_bad_run_settings_exit_2(settings, job, where, tmp_path, capsys):
+    # a seed or budget that is not an integer (a boolean is not one), a budget
+    # below 1, or an eps_net that is not a positive number, for the whole run
+    # or for one job, is a scenario error (exit 2) naming its place, not a
+    # traceback or a job error
+    scenario = tmp_path / "bad.json"
+    scenario.write_text(json.dumps({
+        "seed": 1, **settings, "examples": [{"name": "c3", "family": "cycle", "m": 3}],
+        "jobs": [{"kind": "radius", "example": "c3", **job}]}))
+    assert cli.main(["--out", str(tmp_path / "out"), "run", str(scenario)]) == 2
+    assert where in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [["--budget", "0"], ["--eps-net", "0"],
+                                   ["--eps-net", "-0.5"], ["--eps-net", "inf"]])
+def test_bad_run_setting_flags_exit_2(flags, tmp_path, capsys):
+    # the common flags are the settings of a one-job scenario: a zero budget
+    # would report a covering certificate from no probe at all
+    code = cli.main(["--out", str(tmp_path), *flags, "dist", "torus:q=2,p=1",
+                     "torus:q=3,p=1", "--phi", "torus_freq"])
+    assert code == 2
+    assert "scenario error" in capsys.readouterr().err
+
+
 def test_bad_json_diagnostic(tmp_path):
     p = tmp_path / "broken.json"
     p.write_text('{"seed": 0,,}')

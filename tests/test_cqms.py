@@ -38,14 +38,6 @@ def test_space_ortho_unit_first(cycle12):
     assert np.allclose(unit, np.eye(12) / np.sqrt(12))
 
 
-def test_state_functional_validation():
-    good = cq.dirac_state(3, 1)
-    good.validate()
-    bad = cq.StateFunctional(density=np.diag([0.7, 0.7, -0.4]).astype(complex))
-    with pytest.raises(ValueError):
-        bad.validate()
-
-
 def test_ball_membership_basics(torus2):
     zero = np.zeros((2, 2), dtype=complex)
     for r in (0.0, 0.5, 3.0):
@@ -98,6 +90,14 @@ def test_ball_net_scalar_space_interval():
 def test_ball_net_degenerate_radius(torus2):
     net = torus2.ball_net(0.0, 0.3, seed=0)
     assert net.size == 1 and nm.op_norm(net.points[0]) == 0.0
+
+
+def test_ball_net_needs_a_probe(torus2):
+    # with no probe there is no covering certificate: a budget of 0 would
+    # report slack 0 and a complete net
+    for r in (0.0, 1.0):
+        with pytest.raises(ValueError, match="at least one probe, got budget=0"):
+            torus2.ball_net(r, 0.5, budget=0, seed=0)
 
 
 def test_ball_net_cap_flag(torus2):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cqmlab import examples as ex
+from cqmlab.cqms import full_matrix_space
 from cqmlab import group_action as ga
 from cqmlab import numerics as nm
 
@@ -71,13 +72,14 @@ def test_torus_frequency_seminorm_closed_form():
         t = ex.fuzzy_torus(q, 1)
         g = t.action.group
         u = t.basis_labels[(1, 0)]
+        others = np.flatnonzero(np.arange(g.size) != g.identity_index)
         closed = 0.0
-        for idx in g.non_identity():
+        for idx in others:
             x = g.elements[idx]
             closed = max(closed, abs(np.exp(2j * np.pi * x[0] / q) - 1.0) / g.lengths[idx])
         # complex element: |alpha_x(u) - u| = |<w,x> - 1| exactly
         complex_l = 0.0
-        for idx in g.non_identity():
+        for idx in others:
             diff = conjugate(t.action, idx, u) - u
             complex_l = max(complex_l,
                             float(np.linalg.svd(diff, compute_uv=False)[0]) / g.lengths[idx])
@@ -111,22 +113,14 @@ def test_spin_matrices_algebra():
         assert np.allclose(casimir, j * (j + 1) * np.eye(two_j + 1), atol=1e-12)
 
 
-def test_spherical_basis_labels():
-    basis = ex.spherical_basis(4)
-    assert set(l for l, _ in basis) == {0, 1, 2, 3, 4}
-    for (l, m), t in basis.items():
-        assert abs(nm.hs_norm(t) - 1.0) < 1e-9
-
-
 def test_spherical_basis_isotypic():
-    # T_{l m} spans the spin-l isotypic component: projecting onto l leaves
-    # the Hermitian combinations unchanged
+    # J_z spans T_{1,0}, in the spin-1 isotypic component: projecting onto
+    # l = 1 leaves it unchanged
     s = ex.fuzzy_sphere(2)
     chars = ga.su2_characters(ex.su2_grid(), [2])   # l = 1
-    t10 = s.basis_labels[(1, 0)]
-    a = (t10 + t10.conj().T) / 2.0
-    proj = isotypic_oracle(s.action, chars, a)
-    assert np.max(np.abs(proj - a)) < 1e-6
+    jz = ex.spin_matrices(2)[2]
+    proj = isotypic_oracle(s.action, chars, jz)
+    assert np.max(np.abs(proj - jz)) < 1e-6
 
 
 def test_sphere_shapes_and_ergodicity():
@@ -168,12 +162,19 @@ def test_berezin_symbol_normalization():
 
 
 def test_berezin_checks():
+    rng = np.random.default_rng(0)
     for two_j in (1, 2, 3, 4):
         maps = ex.berezin_maps(two_j)
-        checks = maps.checks()
-        assert checks["unital_defect"] < 5e-3           # quadrature defect only
-        assert checks["positivity_min_eig"] > -1e-12    # exactly positive
-        assert checks["full_rank"]                      # symbol injective
+        d, size = two_j + 1, maps.grid.group.size
+        # quadrature defect only
+        assert nm.op_norm(maps.cosymbol(np.ones(size)) - np.eye(d)) < 5e-3
+        # exactly positive: nonnegative functions go to positive matrices
+        for _ in range(6):
+            assert np.linalg.eigvalsh(maps.cosymbol(rng.random(size)))[0] > -1e-12
+        # symbol injective
+        symbols = np.array([maps.symbol(e) for e in full_matrix_space(d).ortho])
+        sv = np.linalg.svd(symbols, compute_uv=False)
+        assert int(np.sum(sv > 1e-9 * sv[0])) == d * d
 
 
 def test_berezin_equivariance_defect():

@@ -6,7 +6,8 @@ from cqmlab import examples as ex
 from cqmlab import group_action as ga
 from cqmlab import numerics as nm
 
-from conftest import conjugate, isotypic_oracle, isotypic_weight, kernel_oracle
+from conftest import (check_action, check_group, conjugate, isotypic_oracle, isotypic_weight,
+                      kernel_oracle)
 
 
 @pytest.fixture(scope="module")
@@ -22,15 +23,15 @@ def cycle12():
 def test_group_invariants(torus3, cycle12):
     for cq in (torus3, cycle12):
         g = cq.action.group
-        g.validate()
+        check_group(g)
         assert abs(g.weights.sum() - 1.0) < 1e-12
         assert g.lengths[g.identity_index] == 0.0
-        assert np.all(g.lengths[g.non_identity()] > 0)
+        assert np.all(g.lengths[np.arange(g.size) != g.identity_index] > 0)
         assert np.allclose(g.lengths[g.inverse], g.lengths)
 
 
 def test_action_validate(torus3):
-    torus3.action.validate()
+    check_action(torus3.action)
 
 
 def test_apply_identity_and_unit(torus3):
@@ -52,8 +53,8 @@ def test_apply_preserves_norm(torus3, rng):
 
 def test_apply_dimension_mismatch(torus3):
     # the seminorm, where the action meets elements, rejects a 4 x 4 element
-    # of a 3 x 3 space instead of broadcasting it
-    with pytest.raises(ValueError):
+    # of a 3 x 3 space, naming the space and both sizes
+    with pytest.raises(ValueError, match=r"torus\(q=3,p=1\) holds 3 x 3 matrices, not 4 x 4"):
         torus3.seminorm(np.eye(4, dtype=complex))
 
 
@@ -259,12 +260,13 @@ def test_ergodicity_block_sum_false():
 def test_su2_grid_structure():
     grid = ga.su2_euler_grid(4, 4, 4)
     g = grid.group
-    g.validate()
+    check_group(g)
     assert abs(g.weights.sum() - 1.0) < 1e-12
     # inverse pairing is exact daggers
+    u = ex.su2_implementers(1, grid)
     for i in (1, 5, 20):
         j = g.inverse[i]
-        assert np.allclose(grid.matrices[j], grid.matrices[i].conj().T)
+        assert np.allclose(u[j], u[i].conj().T)
     # haar quadrature integrates characters to ~0 (orthogonality with trivial)
     chars = ga.su2_characters(grid, [2, 4])
     for ch in chars:
@@ -281,7 +283,7 @@ def test_seminorm_kernel_preserves_sup(torus3, cycle12, rng):
         for _ in range(10):
             a = space.space.random_element(rng)
             raw = 0.0
-            for x in group.non_identity():
+            for x in np.flatnonzero(np.arange(group.size) != group.identity_index):
                 diff = u[x] @ a @ u[x].conj().T - a
                 raw = max(raw, nm.op_norm(diff) / group.lengths[x])
             assert space.seminorm(a) == pytest.approx(raw, rel=1e-12)

@@ -1,19 +1,30 @@
-"""Static checks on the package source."""
+"""Checks on the package source: static ones on its syntax tree, and one on
+the calls that the scenarios and benchmark workloads make."""
 
 import ast
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "cqmlab"
 
-# public names that no code in src or perfbench reads, each kept on purpose
+# functions and methods in src that the traffic of
+# ``test_traffic_calls_every_function`` never calls, each kept on purpose; an
+# entry also covers the functions nested in it.  A public name here is also
+# exempt from ``test_public_names_have_callers``
 TEST_ONLY = {
     "gh_exact_small": "criterion 08's exact Gromov-Hausdorff oracle for gh_lower_bound",
+    "_distortion_values": "gh_exact_small's candidate distortions",
+    "_feasible_maps": "gh_exact_small's exact correspondence search",
     "ball_cover_test": "criterion 08's covering lemma for gh_lower_bound",
     "FiniteMetricSpace.subspace": "criterion 08's lemmas compare a space with its subspaces",
     "Cqms.ball_membership": "tests check live ball nets against the definition of D_r",
+    "Cqms.seminorm": "the one-element L that ball_membership and 23 test sites use",
     "is_unitary": "tests check the frequency bases and implementers are unitary",
     "BerezinMaps.equivariance_defect": "tests check the Berezin maps are equivariant",
+    "QuadratureError.__init__": "runs only when a quadrature is too coarse for a multiplicity",
     "random_hermitian": "test input",
     "dirac_state": "test input",
     "multiplicity": "perfbench/tracer.py hooks it by name; tests check one character at a time",
@@ -132,10 +143,6 @@ def test_public_names_have_callers():
     unread = sorted(f"{module}.py:{name}" for module, names in defined.items()
                     for name in names if not read(module, name) and name not in TEST_ONLY)
     assert not unread, f"public names in src that only tests reach: {unread}"
-    # an allowlist entry that is gone or now read is stale
-    owner = {name: module for module, names in defined.items() for name in names}
-    stale = sorted(name for name in TEST_ONLY if name not in owner or read(owner[name], name))
-    assert not stale, f"stale entries in TEST_ONLY: {stale}"
 
 
 def test_no_general_minimizer():
@@ -286,3 +293,105 @@ def test_defaulted_parameters_are_set():
     # an allowlist entry that is gone or now set is stale
     stale = sorted(set(UNSET_DEFAULTS) - unset)
     assert not stale, f"stale entries in UNSET_DEFAULTS: {stale}"
+
+
+def _defs() -> dict:
+    """(file name, first line) -> qualified name (``Class.method``,
+    ``function.nested``) for every function and method in src, nested ones
+    included.  The first line is the first decorator's, as in the code
+    object's ``co_firstlineno``."""
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        def visit(node, prefix):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    line = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                    found[(path.name, line)] = prefix + child.name
+                    visit(child, f"{prefix}{child.name}.")
+                elif isinstance(child, ast.ClassDef):
+                    visit(child, f"{prefix}{child.name}.")
+                else:
+                    visit(child, prefix)
+
+        visit(ast.parse(path.read_text()), "")
+    return found
+
+
+def _record_traffic(out: Path) -> None:
+    """Run the measured traffic and write to ``out/traffic.json`` the exit
+    codes of its CLI runs and (file name, first line) of every function in
+    src that it called.  The traffic: every scenario in ``scenarios/``
+    through ``cli.main(["run", ..., "--format", "csv"])``, one single-command
+    ``cli.main`` call, and one ``run_pass()`` of each benchmark workload at
+    seed 1 (then its ``close()``, where it has one).  Only call events are
+    traced, and nothing is traced in the functions called."""
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+    from cqmlab import cli
+    from perfbench.workloads import WORKLOADS
+
+    called = set()
+
+    def hook(frame, event, arg):
+        called.add(frame.f_code)
+
+    codes = {}
+    sys.settrace(hook)
+    try:
+        for scenario in sorted((ROOT / "scenarios").glob("*.json")):
+            codes[scenario.stem] = cli.main(["run", str(scenario), "--format", "csv",
+                                             "--out", str(out / scenario.stem)])
+        codes["dist"] = cli.main(["--out", str(out / "dist"), "--budget", "8", "dist",
+                                  "cycle:m=3", "cycle:m=6", "--phi", "cycle_refine"])
+        for workload in WORKLOADS.values():
+            run = workload(1, ROOT)
+            try:
+                run.run_pass()
+            finally:
+                getattr(run, "close", lambda: None)()
+    finally:
+        sys.settrace(None)
+    files = {name: Path(name).resolve() for name in {code.co_filename for code in called}}
+    lines = sorted({(files[code.co_filename].name, code.co_firstlineno) for code in called
+                    if files[code.co_filename].parent == SRC.resolve()})
+    (out / "traffic.json").write_text(json.dumps({"codes": codes, "called": lines}))
+
+
+def test_traffic_calls_every_function(tmp_path):
+    # a function or method that no scenario, CLI command or benchmark
+    # workload calls serves only its own tests: measured by tracing calls,
+    # not matched by name, so a test-only method that shares its name with a
+    # live one is caught.  The traffic runs in a fresh interpreter, because
+    # caches filled by earlier tests (the SU(2) grids) would hide the calls
+    # that build them
+    from cqmlab import cli
+    jobs = json.loads((ROOT / "scenarios" / "every-kind.json").read_text())["jobs"]
+    assert {job["kind"] for job in jobs} == set(cli._JOBS)
+    assert {job["type"] for job in jobs if job["kind"] == "family"} == set(cli._FAMILY_STUDIES)
+    assert ({job.get("phi", "identity") for job in jobs if job["kind"] in ("dist", "audit")}
+            == set(cli._PHI))
+
+    child = subprocess.run([sys.executable, __file__, str(tmp_path)],
+                           capture_output=True, text=True, timeout=300)
+    assert child.returncode == 0, child.stderr
+    traffic = json.loads((tmp_path / "traffic.json").read_text())
+    assert set(traffic["codes"].values()) == {0}, traffic["codes"]
+    for report in tmp_path.glob("*/report.json"):
+        errors = [job for job in json.loads(report.read_text())["jobs"] if job["status"] != "ok"]
+        assert not errors, f"{report.parent.name}: {errors}"
+
+    defs, called = _defs(), {tuple(key) for key in traffic["called"]}
+
+    def allowed(qual):
+        return any(qual == name or qual.startswith(name + ".") for name in TEST_ONLY)
+
+    uncalled = sorted(f"{file}:{qual}" for (file, line), qual in defs.items()
+                      if (file, line) not in called and not allowed(qual))
+    assert not uncalled, f"functions in src that the traffic never calls: {uncalled}"
+    # an allowlist entry that is gone or now called is stale
+    quals = {qual: key for key, qual in defs.items()}
+    stale = sorted(name for name in TEST_ONLY if name not in quals or quals[name] in called)
+    assert not stale, f"stale entries in TEST_ONLY: {stale}"
+
+
+if __name__ == "__main__":
+    _record_traffic(Path(sys.argv[1]))
