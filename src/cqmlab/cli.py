@@ -120,10 +120,9 @@ def load_scenario(path) -> dict:
     return doc
 
 
-def _descriptor(spec: dict, doc: dict) -> ex.ExampleDescriptor:
+def _descriptor(spec: dict) -> ex.ExampleDescriptor:
     return ex.ExampleDescriptor.make(
-        spec["family"], seed=spec.get("seed", doc.get("seed", 0)),
-        **{k: v for k, v in spec.items() if k not in ("name", "family", "seed")})
+        spec["family"], **{k: v for k, v in spec.items() if k not in ("name", "family")})
 
 
 def _names(value, table) -> bool:
@@ -168,7 +167,7 @@ def validate_scenario(doc: dict) -> None:
             if not isinstance(spec[key], str):
                 raise ScenarioError(f"{where}: '{key}' must be a string")
         try:
-            _descriptor(spec, doc).validate()
+            _descriptor(spec).validate()
         except ValueError as exc:
             raise ScenarioError(f"{where}: {exc}") from exc
         names.add(spec["name"])
@@ -194,7 +193,7 @@ def validate_scenario(doc: dict) -> None:
 def _build_examples(doc: dict) -> dict:
     built = {}
     for i, spec in enumerate(doc.get("examples", [])):
-        desc = _descriptor(spec, doc)
+        desc = _descriptor(spec)
         try:
             built[spec["name"]] = (desc, desc.build())
         except (TypeError, ValueError) as exc:
@@ -296,7 +295,7 @@ def _mult_job(job, built, seed, eps_net, budget) -> dict:
 def _dist_job(job, built, seed, eps_net, budget) -> dict:
     a, b, phi = _pair(job, built)
     upper = dq.dist_oq_upper(a, b, phi, job.get("R"), eps_net, budget, seed)
-    lower = dq.dist_oq_lower(a, b, eps_net, budget, seed)
+    lower = dq.dist_oq_lower(a, b)
     return {"upper": upper.as_dict(), "lower": lower.as_dict(),
             "unconverged_stages": _unconverged(a, b)}
 

@@ -6,11 +6,11 @@ D(A), D(B) and (ii) a unit-alignment term.  This module builds one such
 norm, ``SumNorm``: A and B glued along a comparison map phi, the norm
 behind every upper bound.
 
-Every bound carries a slack ledger (net covering certificates, measured
-map distortion) instead of pretending to be exact; the upper estimators
-only ever overestimate the glue norm, so reported values stay upper
-bounds up to the recorded net certificates, provided the glue is
-admissible.  Its eps is decided in ``dist_oq_upper`` alone: the maximum
+Every upper bound carries a slack ledger (net covering certificates,
+measured map distortion) instead of pretending to be exact; the
+estimators only ever overestimate the glue norm, so reported values
+stay upper bounds up to the recorded net certificates, provided the glue
+is admissible.  Its eps is decided in ``dist_oq_upper`` alone: the maximum
 of phi's distortion over ``ComparisonMap.measure``'s one probe law, times
 a margin, not a certified bound.
 
@@ -25,12 +25,11 @@ temperatures; stages that end unconverged are counted, and upper reports
 carry the count (``glue_unconverged_stages``).
 
 Distances between finite nets come from ``numerics``.  The upper bound's
-glue table and the sub-net coarsening read only row and column minima,
-so they go through ``numerics.nearest``, which eigensolves only the
-entries that can be one; the sub-net tables come from
-``numerics.op_dists``, and sub-nets from ``numerics.farthest_first``, the
-greedy insertion that also builds the ball nets.  Reports flag nets that
-stopped at their point cap (``net_a_capped``, ``net_b_capped``).
+glue table reads only row and column minima, so it goes through
+``numerics.nearest``, which eigensolves only the entries that can be one.
+Upper reports flag nets that stopped at their point cap (``net_a_capped``,
+``net_b_capped``).  The lower bound is the radius gap alone and builds no
+net.
 """
 
 from dataclasses import dataclass, field
@@ -40,7 +39,6 @@ import numpy as np
 
 from . import numerics as nm
 from .cqms import Cqms, anneal, spectral_lse
-from .finmetric import FiniteMetricSpace, gh_lower_bound
 
 
 # ---------------------------------------------------------------------------
@@ -329,15 +327,16 @@ class LowerReport:
     pair: tuple
     value: float
     radius_gap: float
-    gh_term: float
-    slack: float
     components: dict = field(default_factory=dict)
+    # no net, so no slack: a class constant kept because the benchmark's
+    # torus-audit check reads ``slack`` on every report.  ``as_dict`` leaves
+    # it out, where a 0.0 would read as the net slack it once reported
+    slack = 0.0
 
     def as_dict(self) -> dict:
         return {
             "pair": list(self.pair), "value": self.value,
-            "radius_gap": self.radius_gap, "gh_term": self.gh_term,
-            "slack": self.slack, "components": dict(self.components),
+            "radius_gap": self.radius_gap, "components": dict(self.components),
         }
 
 
@@ -352,9 +351,8 @@ def _retract_gap(target: Cqms, stack: np.ndarray, radius: float) -> np.ndarray:
 
 
 # glue eps = measured distortion * EPS_MARGIN; descent polishes at most
-# REFINE_WITNESSES rows per directed Hausdorff term; lower-bound sub-nets
-# keep at most SUB_CAP points
-EPS_MARGIN, REFINE_WITNESSES, SUB_CAP = 1.05, 12, 12
+# REFINE_WITNESSES rows per directed Hausdorff term
+EPS_MARGIN, REFINE_WITNESSES = 1.05, 12
 
 
 def dist_oq_upper(a: Cqms, b: Cqms, phi: ComparisonMap, big_r: float = None,
@@ -461,59 +459,23 @@ def dist_oq_upper(a: Cqms, b: Cqms, phi: ComparisonMap, big_r: float = None,
     )
 
 
-def _subnet(points: np.ndarray) -> tuple[np.ndarray, float, FiniteMetricSpace]:
-    """Greedy max-separated subset of at most SUB_CAP net points (sorted
-    indices, deterministic), the farthest any net point lies from it, and
-    the subset as a finite metric space."""
-    idx = np.arange(len(points))
-    if len(points) > SUB_CAP:
-        first = int(np.argmax(nm.op_norms(points)))
-        rest, _ = nm.farthest_first(points, nm.op_dists(points, points[first:first + 1])[:, 0],
-                                    SUB_CAP - 1, lambda far: far <= 1e-12)
-        idx = np.array(sorted([first] + rest))
-    sub = points[idx]
-    coarsen = float(np.max(nm.nearest(points, sub)[0]))
-    dist = nm.op_dists(sub, sub)
-    dist = (dist + dist.T) / 2.0
-    np.fill_diagonal(dist, 0.0)
-    return idx, coarsen, FiniteMetricSpace(np.round(dist, 12))
-
-
-def dist_oq_lower(a: Cqms, b: Cqms, eps_net: float = 0.25, budget: int = 64,
-                  seed: int = 0) -> LowerReport:
-    """Lower estimate: the radius gap, and the finite Gromov-Hausdorff
-    lower bound between small sub-nets of the defining balls minus the
-    measured net slacks (covering certificate + subnet coarsening).
+def dist_oq_lower(a: Cqms, b: Cqms) -> LowerReport:
+    """Lower estimate: the radius gap |r_A - r_B|.
 
     When both radii are exact (halved Floyd-Warshall sums of at most d - 1
     lengths), a gap within their rounding bound
     ``(d_A + d_B) * eps * max(r_A, r_B)`` is float noise and counts as 0.
+    On dense spaces both radii are ascent lower estimates, so their gap is
+    an estimate, not a certified bound, until the radii are bracketed.
+    ``finmetric.gh_lower_bound`` is a tested tool, not part of this bound.
     """
     ra, rb = a.radius(), b.radius()
-    net_a = a.ball_net(ra, eps_net, budget=budget, seed=seed)
-    net_b = b.ball_net(rb, eps_net, budget=budget, seed=seed)
-    idx_a, coarsen_a, sa = _subnet(net_a.points)
-    idx_b, coarsen_b, sb = _subnet(net_b.points)
-    slack_a = net_a.covering_certificate + coarsen_a
-    slack_b = net_b.covering_certificate + coarsen_b
-    gh = gh_lower_bound(sa, sb)
     radius_gap = abs(ra - rb)
     if (a.radius_method() == b.radius_method() == "exact"
             and radius_gap <= (a.dim + b.dim) * np.finfo(float).eps * max(ra, rb)):
         radius_gap = 0.0           # rounding between two exact shortest-path sums
-    value = max(radius_gap, gh - slack_a - slack_b, 0.0)
-    return LowerReport(
-        pair=(a.name, b.name), value=value, radius_gap=radius_gap,
-        gh_term=gh, slack=slack_a + slack_b,
-        components={
-            "radius_a": ra, "radius_b": rb,
-            "subnet_a": int(idx_a.size), "subnet_b": int(idx_b.size),
-            "net_a_certificate": net_a.covering_certificate,
-            "net_b_certificate": net_b.covering_certificate,
-            "net_a_capped": net_a.capped, "net_b_capped": net_b.capped,
-            "coarsen_a": coarsen_a, "coarsen_b": coarsen_b,
-        },
-    )
+    return LowerReport(pair=(a.name, b.name), value=radius_gap, radius_gap=radius_gap,
+                       components={"radius_a": ra, "radius_b": rb})
 
 
 # ---------------------------------------------------------------------------
@@ -603,8 +565,9 @@ def audit_pair(a: Cqms, b: Cqms, phi: ComparisonMap, eps_net: float = 0.25,
     """Convenience: compute the full report set for a pair and audit it."""
     ra, rb = a.radius(), b.radius()
     big_r = max(ra, rb)
-    # the lower bound takes no R: one report serves all three variants
-    lower = dist_oq_lower(a, b, eps_net, budget, seed)
+    # the lower bound is the radius gap and takes no R or net: one report
+    # serves all three variants
+    lower = dist_oq_lower(a, b)
     upper_r = dist_oq_upper(a, b, phi, big_r, eps_net, budget, seed)
     reports = {
         "oq_upper": dist_oq_upper(a, b, phi, None, eps_net, budget, seed),

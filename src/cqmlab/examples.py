@@ -312,19 +312,17 @@ FAMILIES = {
 
 @dataclass(frozen=True)
 class ExampleDescriptor:
-    """Named, parameterized, seedable recipe for one bundled example."""
+    """Named, parameterized recipe for one bundled example."""
 
     family: str                    # a key of FAMILIES
     params: tuple                  # sorted (key, value) pairs
-    seed: int = 0
 
     @staticmethod
-    def make(family: str, seed: int = 0, **params) -> "ExampleDescriptor":
-        return ExampleDescriptor(family=family, seed=seed,
-                                 params=tuple(sorted(params.items())))
+    def make(family: str, **params) -> "ExampleDescriptor":
+        return ExampleDescriptor(family=family, params=tuple(sorted(params.items())))
 
     def as_dict(self) -> dict:
-        return {"family": self.family, "seed": self.seed, **dict(self.params)}
+        return {"family": self.family, **dict(self.params)}
 
     def validate(self) -> None:
         """ValueError unless the family is known, it takes every parameter

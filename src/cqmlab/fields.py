@@ -9,8 +9,8 @@ rules in matched labeled bases, so evaluation is exact).  Three studies:
   criterion, evaluated against each member's net);
 * ``multiplicity_profile`` - the integer multiplicity table with local
   constancy and lower semicontinuity flags at the distinguished point;
-* ``convergence_study``   - certified distance bounds member-by-member
-  against the distinguished member, with a trend summary.
+* ``convergence_study``   - distance bounds member-by-member against the
+  distinguished member, with a trend summary.
 
 The upper-semicontinuity side of the continuous-field axioms has no
 finite-grid analogue with literal truth; reports carry the section
@@ -207,7 +207,8 @@ def convergence_study(fam: ParamFamily, t0, phi_rules: dict, characters,
                       bound_r: float = None, eps_net: float = 0.25,
                       budget: int = 48, seed: int = 0) -> dict:
     """Distance-bound table member vs the distinguished member, with the
-    family's ``multiplicity_profile`` over ``characters``.
+    family's ``multiplicity_profile`` over ``characters``.  A row's lower
+    bound is the radius gap, an estimate on dense members (ascent radii).
 
     ``phi_rules`` maps each label t != t0 to a ComparisonMap from A_t to
     A_{t0}.  Rows come back in grid order; the trend summary checks that
@@ -225,7 +226,7 @@ def convergence_study(fam: ParamFamily, t0, phi_rules: dict, characters,
             big_r = max(member.radius(), base.radius())
         up = dist_oq_upper(member, base, phi_rules[t], big_r, eps_net,
                            budget=budget, seed=seed)
-        lo = dist_oq_lower(member, base, eps_net, budget=budget, seed=seed)
+        lo = dist_oq_lower(member, base)
         rows.append({"t": t, "upper": up.value, "upper_certified": up.certified_upper,
                      "lower": lo.value, "slack": up.slack, "degraded": up.degraded})
     i0 = fam.labels.index(t0)

@@ -49,9 +49,6 @@ class FiniteMetricSpace:
     def diam(self) -> float:
         return float(np.max(self.dist))
 
-    def radius(self) -> float:
-        return self.diam() / 2.0
-
     def subspace(self, idx) -> "FiniteMetricSpace":
         idx = np.asarray(idx, dtype=int)
         return FiniteMetricSpace(self.dist[np.ix_(idx, idx)])
@@ -242,12 +239,11 @@ def gh_exact_small(x: FiniteMetricSpace, y: FiniteMetricSpace) -> float:
 
 
 def gh_lower_bound(x: FiniteMetricSpace, y: FiniteMetricSpace) -> float:
-    """Certified lower bound for dist_GH: the radius/diameter gaps plus
-    the packing obstruction (if P(X, eps) > P(Y, eps/2) the distance is
-    at least eps/4) scanned over the geometric eps-grid diam * 2**-k,
+    """Certified lower bound for dist_GH: half the diameter gap plus the
+    packing obstruction (if P(X, eps) > P(Y, eps/2) the distance is at
+    least eps/4) scanned over the geometric eps-grid diam * 2**-k,
     k = 0..10."""
-    bound = abs(x.radius() - y.radius())
-    bound = max(bound, abs(x.diam() - y.diam()) / 2.0)
+    bound = abs(x.diam() - y.diam()) / 2.0
     if x.n > EXACT_COMBINATORICS_CAP or y.n > EXACT_COMBINATORICS_CAP:
         return bound       # packing obstruction needs exact packing numbers
     top = max(x.diam(), y.diam())

@@ -151,8 +151,7 @@ def test_criterion_05_pseudo_triangle(bundle, bound_pairs):
     table = {label: reports for label, _, _, reports, _ in bound_pairs}
     up_ab = table["sphere1|sphere2"]["oq_upper"]
     up_bc = table["sphere2|sphere3"]["oq_upper"]
-    lo_ac = dq.dist_oq_lower(bundle["sphere1"], bundle["sphere3"],
-                             eps_net=0.5, budget=24, seed=0)
+    lo_ac = dq.dist_oq_lower(bundle["sphere1"], bundle["sphere3"])
     slack = up_ab.slack + up_bc.slack
     lhs = lo_ac.value
     rhs = up_ab.value + up_bc.value + slack

@@ -83,6 +83,18 @@ def test_bad_examples_and_family_types_exit_2(example, job, where, tmp_path, cap
     assert where in capsys.readouterr().err
 
 
+def test_example_seed_is_an_unknown_field(tmp_path, capsys):
+    # no builder reads a seed, so an example that sets one is a scenario
+    # error naming the field, not a setting that is silently dropped
+    scenario = tmp_path / "bad.json"
+    scenario.write_text(json.dumps({
+        "seed": 1, "examples": [{"name": "c6", "family": "cycle", "m": 6, "seed": 3}],
+        "jobs": [{"kind": "example", "example": "c6"}]}))
+    assert cli.main(["--out", str(tmp_path / "out"), "run", str(scenario)]) == 2
+    err = capsys.readouterr().err
+    assert "examples[0]" in err and "'seed'" in err
+
+
 @pytest.mark.parametrize("settings,job,where", [
     ({"seed": "x"}, {}, "'seed' must be an integer"),
     ({"seed": True}, {}, "'seed' must be an integer"),

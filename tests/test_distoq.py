@@ -236,7 +236,7 @@ def test_dist_upper_identical(cycle8):
 def test_dist_bounds_cycle_refinement(cycle8, cycle16):
     phi = dq.cycle_refinement_map(cycle8, cycle16)
     up = dq.dist_oq_upper(cycle8, cycle16, phi, eps_net=0.35, budget=32, seed=0)
-    lo = dq.dist_oq_lower(cycle8, cycle16, eps_net=0.35, budget=32, seed=0)
+    lo = dq.dist_oq_lower(cycle8, cycle16)
     assert np.isfinite(up.value)
     assert lo.value <= up.certified_upper + 1e-9
     r_sum = cycle8.radius() + cycle16.radius()
@@ -244,7 +244,7 @@ def test_dist_bounds_cycle_refinement(cycle8, cycle16):
 
 
 def test_reports_flag_capped_nets(cycle8, cycle16, monkeypatch):
-    # both bounds report whether each net stopped at its point cap
+    # the upper bound reports whether each net stopped at its point cap
     phi = dq.cycle_refinement_map(cycle8, cycle16)
     ball_net = cq.Cqms.ball_net
     for cap, flag in ((220, False), (4, True)):
@@ -252,18 +252,27 @@ def test_reports_flag_capped_nets(cycle8, cycle16, monkeypatch):
             mp.setattr(cq.Cqms, "ball_net",
                        lambda self, *args, **kw: ball_net(self, *args, **kw, max_points=cap))
             up = dq.dist_oq_upper(cycle8, cycle16, phi, eps_net=0.8, budget=16, seed=0)
-            lo = dq.dist_oq_lower(cycle8, cycle16, eps_net=0.8, budget=16, seed=0)
-        for rep in (up, lo):
-            assert rep.components["net_a_capped"] is flag
-            assert rep.components["net_b_capped"] is flag
+        assert up.components["net_a_capped"] is flag
+        assert up.components["net_b_capped"] is flag
         assert up.as_dict()["components"]["net_b_capped"] is flag
 
 
 def test_dist_lower_scalar_vs_full():
     t = ex.fuzzy_torus(2, 1)
     scal = ex.scalar_cqms(t)
-    lo = dq.dist_oq_lower(scal, t, eps_net=0.4, budget=24, seed=0)
+    lo = dq.dist_oq_lower(scal, t)
     assert lo.value >= t.radius() - 1e-6    # pure radius gap
+
+
+def test_dist_lower_is_the_radius_gap():
+    # the lower bound builds no ball net: on a dense pair, whose radii are
+    # ascent estimates, it is their plain gap
+    a, b = ex.fuzzy_torus(2, 1), ex.fuzzy_torus(3, 1)
+    lo = dq.dist_oq_lower(a, b)
+    assert a.net_cache == {} and b.net_cache == {}
+    assert lo.value == lo.radius_gap == abs(a.radius() - b.radius())
+    assert lo.slack == 0.0 and set(lo.as_dict()) == {"pair", "value", "radius_gap",
+                                                     "components"}
 
 
 def test_dist_lower_exact_radii_noise(monkeypatch):
@@ -272,10 +281,10 @@ def test_dist_lower_exact_radii_noise(monkeypatch):
     # one radius an ascent estimate, the gap would stand
     a, b = ex.commutative_cycle(6), ex.commutative_cycle(12)
     assert a.radius() != b.radius()
-    lo = dq.dist_oq_lower(a, b, eps_net=0.35, budget=32, seed=11)
+    lo = dq.dist_oq_lower(a, b)
     assert lo.radius_gap == 0.0 and lo.value == 0.0
     monkeypatch.setattr(b, "radius_method", lambda: "ascent")
-    lo = dq.dist_oq_lower(a, b, eps_net=0.35, budget=32, seed=11)
+    lo = dq.dist_oq_lower(a, b)
     assert lo.radius_gap == abs(a.radius() - b.radius())
 
 
@@ -285,7 +294,7 @@ def test_dist_lower_exact_radii_gap():
     for relength in (np.square, lambda lens: lens * (1.0 + 1e-10)):
         a = relengthed_cycle(8, relength)
         assert a.radius_method() == b.radius_method() == "exact"
-        lo = dq.dist_oq_lower(a, b, eps_net=0.35, budget=32, seed=0)
+        lo = dq.dist_oq_lower(a, b)
         assert lo.radius_gap == abs(a.radius() - b.radius()) > 1e-10
         assert lo.value >= lo.radius_gap
 
@@ -306,7 +315,7 @@ def test_pseudo_triangle_cycles():
     pbc = dq.cycle_refinement_map(b, c)
     up_ab = dq.dist_oq_upper(a, b, pab, eps_net=0.35, budget=32, seed=0)
     up_bc = dq.dist_oq_upper(b, c, pbc, eps_net=0.35, budget=32, seed=0)
-    lo_ac = dq.dist_oq_lower(a, c, eps_net=0.35, budget=32, seed=0)
+    lo_ac = dq.dist_oq_lower(a, c)
     total_slack = up_ab.slack + up_bc.slack
     assert lo_ac.value <= up_ab.value + up_bc.value + total_slack + 1e-9
 

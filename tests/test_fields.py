@@ -112,6 +112,5 @@ def test_degenerate_lower_bound_away_from_zero(torus31):
     fam = fl.degenerate_family(torus31, bound_r=1.0)
     t0 = fam.t0
     other = [t for t in fam.labels if t != t0][0]
-    lo = dq.dist_oq_lower(fam.members[other], fam.members[t0],
-                          eps_net=0.4, budget=24, seed=0)
+    lo = dq.dist_oq_lower(fam.members[other], fam.members[t0])
     assert lo.value >= torus31.radius() - 1e-6

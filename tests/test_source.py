@@ -19,6 +19,10 @@ TEST_ONLY = {
     "_distortion_values": "gh_exact_small's candidate distortions",
     "_feasible_maps": "gh_exact_small's exact correspondence search",
     "ball_cover_test": "criterion 08's covering lemma for gh_lower_bound",
+    "gh_lower_bound": "test_finmetric checks it against gh_exact_small; no distance bound uses it",
+    "packing_number": "criterion 08's packing lemma, checked against gh_exact_small",
+    "_greedy_packing": "packing_number's start, checked with it by criterion 08",
+    "FiniteMetricSpace.diam": "criterion 08 and test_finmetric scale eps by it",
     "FiniteMetricSpace.subspace": "criterion 08's lemmas compare a space with its subspaces",
     "Cqms.ball_membership": "tests check live ball nets against the definition of D_r",
     "Cqms.seminorm": "the one-element L that ball_membership and 23 test sites use",
