@@ -6,6 +6,13 @@ studies).  Runs are deterministic for a fixed seed and platform; the
 report serializer sorts keys and formats every float as %.9e, so a
 repeated run produces byte-identical output.
 
+Each field of a scenario is declared once, as a ``(type, default, range)``
+row of a field table: ``SETTINGS`` for the run-wide settings, ``_JOBS``
+and ``_FAMILY_STUDIES`` for each job kind and study type (as ``(runner,
+fields)``), and ``examples.FAMILIES`` for each example family.
+``validate_scenario`` checks every object before any job runs, and each
+runner takes its checked job, with every default filled in.
+
 Exit codes: 0 on success, 2 on scenario parse/validation errors, 3 when
 an audit fails and the policy is "fail" (the default; "warn" downgrades).
 ``QGH_THREADS`` caps the linear-algebra thread pools (applied when the
@@ -15,10 +22,10 @@ the environment stamp.
 
 import argparse
 import json
-import math
 import os
 import platform
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -47,10 +54,7 @@ def _render(obj, indent: int = 0) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        if x != x or x in (float("inf"), float("-inf")):
-            return "null"
-        return format(x, ".9e")
+        return format(float(obj), ".9e") if np.isfinite(obj) else "null"
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, np.ndarray):
@@ -78,26 +82,22 @@ def render_json(report: dict) -> str:
 def render_csv_tables(report: dict) -> dict:
     """Extract plotter-ready CSV tables from a report: one per job that
     produced a trend table (columns t, upper, lower, slack) and one per
-    multiplicity table."""
+    family job's multiplicity profile (columns t and the characters)."""
     tables = {}
     for job in report.get("jobs", []):
         res = job.get("result") or {}
         rows = res.get("rows")
         if rows:
-            lines = ["t,upper,lower,slack"]
-            for r in rows:
-                lines.append(",".join([str(r["t"]), format(r["upper"], ".9e"),
-                                       format(r["lower"], ".9e"),
-                                       format(r["slack"], ".9e")]))
+            lines = ["t,upper,lower,slack"] + [
+                ",".join([str(r["t"])] + [format(r[k], ".9e")
+                                          for k in ("upper", "lower", "slack")])
+                for r in rows]
             tables[f"{job['name']}_trend.csv"] = "\n".join(lines) + "\n"
-        mult = res.get("multiplicity") or res.get("table")
-        if isinstance(mult, dict) and "table" in mult:
-            mult = mult["table"]
-        if isinstance(mult, dict) and mult and all(isinstance(v, dict) for v in mult.values()):
+        mult = (res.get("multiplicity") or {}).get("table")
+        if mult:
             chars = sorted({c for row in mult.values() for c in row})
-            lines = ["t," + ",".join(chars)]
-            for t in sorted(mult, key=str):
-                lines.append(str(t) + "," + ",".join(str(mult[t][c]) for c in chars))
+            lines = ["t," + ",".join(chars)] + [
+                f"{t}," + ",".join(str(mult[t][c]) for c in chars) for t in sorted(mult, key=str)]
             tables[f"{job['name']}_mult.csv"] = "\n".join(lines) + "\n"
     return tables
 
@@ -120,85 +120,57 @@ def load_scenario(path) -> dict:
     return doc
 
 
-def _descriptor(spec: dict) -> ex.ExampleDescriptor:
-    return ex.ExampleDescriptor.make(
-        spec["family"], **{k: v for k, v in spec.items() if k not in ("name", "family")})
+@contextmanager
+def _at(where: str):
+    """Raise a ValueError from inside as a ScenarioError located at ``where``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ScenarioError(f"{where}{exc}") from None
 
 
-def _names(value, table) -> bool:
-    """Whether a scenario value is a key of ``table``: a JSON list or object
-    is never a name (and is not hashable, so no membership test is made)."""
-    return isinstance(value, str) and value in table
-
-
-def _check_settings(spec: dict, where: str) -> None:
-    """The run-wide settings a scenario, or one of its jobs, may set: ``seed``
-    and ``budget`` are integers (a boolean is not one), ``budget`` is at least
-    1, and ``eps_net`` is a positive finite number."""
-    for key in ("seed", "budget"):
-        value = spec.get(key, 1)
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ScenarioError(f"{where}'{key}' must be an integer, got {value!r}")
-    if spec.get("budget", 1) < 1:
-        raise ScenarioError(f"{where}'budget' must be at least 1, got {spec['budget']}")
-    eps_net = spec.get("eps_net", 1.0)
-    if (isinstance(eps_net, bool) or not isinstance(eps_net, (int, float))
-            or not 0.0 < eps_net < math.inf):
-        raise ScenarioError(f"{where}'eps_net' must be a positive number, got {eps_net!r}")
-
-
-def validate_scenario(doc: dict) -> None:
+def validate_scenario(doc: dict) -> dict:
+    """The scenario checked against its field tables: the run-wide settings,
+    ``examples`` as descriptors by name, and ``jobs`` with every default
+    filled in (a job's ``seed``, ``budget`` and ``eps_net`` are the run's
+    unless it sets them).  A ScenarioError names the first bad object and
+    field."""
     if not isinstance(doc, dict):
         raise ScenarioError("scenario root must be an object")
     if "seed" not in doc:
         raise ScenarioError("scenario requires an explicit 'seed'")
-    _check_settings(doc, "")
-    for key in ("examples", "jobs"):
-        if not isinstance(doc.get(key, []), list):
-            raise ScenarioError(f"'{key}' must be a list")
-    names = set()
-    for i, spec in enumerate(doc.get("examples", [])):
-        where = f"examples[{i}]"
-        if not isinstance(spec, dict):
-            raise ScenarioError(f"{where}: must be an object")
-        for key in ("name", "family"):
-            if key not in spec:
-                raise ScenarioError(f"{where}: missing '{key}'")
-            if not isinstance(spec[key], str):
-                raise ScenarioError(f"{where}: '{key}' must be a string")
-        try:
-            _descriptor(spec).validate()
-        except ValueError as exc:
-            raise ScenarioError(f"{where}: {exc}") from exc
-        names.add(spec["name"])
-    for i, job in enumerate(doc.get("jobs", [])):
-        where = f"jobs[{i}]"
-        if not isinstance(job, dict):
-            raise ScenarioError(f"{where}: must be an object")
-        _check_settings(job, f"{where}: ")
-        kind = job.get("kind")
-        if not _names(kind, _JOBS):
-            raise ScenarioError(f"{where}: unknown kind {kind!r}")
-        for ref_key in ("example", "a", "b", "reference"):
-            ref = job.get(ref_key)
-            if ref is not None and not _names(ref, names):
-                raise ScenarioError(
-                    f"{where}: reference {ref!r} does not name a declared example")
-        if kind in ("dist", "audit") and not _names(job.get("phi", "identity"), _PHI):
-            raise ScenarioError(f"{where}: unknown phi rule {job.get('phi')!r}")
-        if kind == "family" and not _names(job.get("type"), _FAMILY_STUDIES):
-            raise ScenarioError(f"{where}: unknown family type {job.get('type')!r}")
-
-
-def _build_examples(doc: dict) -> dict:
-    built = {}
-    for i, spec in enumerate(doc.get("examples", [])):
-        desc = _descriptor(spec)
-        try:
-            built[spec["name"]] = (desc, desc.build())
-        except (TypeError, ValueError) as exc:
-            raise ScenarioError(f"examples[{i}]: {exc}") from exc
-    return built
+    with _at(""):
+        run = ex.check_fields(_SCENARIO, doc)
+    examples, jobs = {}, []
+    for i, spec in enumerate(run["examples"]):
+        with _at(f"examples[{i}]: "):
+            if not isinstance(spec, dict):
+                raise ValueError("must be an object")
+            name = spec.get("name")
+            if not isinstance(name, str):
+                raise ValueError(f"'name' must be a string, got {name!r}")
+            desc = ex.ExampleDescriptor.make(spec.get("family"), **{
+                k: v for k, v in spec.items() if k not in ("name", "family")})
+            desc.checked()
+            if name in examples:
+                raise ValueError(f"duplicate name {name!r}")
+            examples[name] = desc
+    for i, spec in enumerate(run["jobs"]):
+        with _at(f"jobs[{i}]: "):
+            if not isinstance(spec, dict):
+                raise ValueError("must be an object")
+            fields = {**_JOB, **ex.lookup(_JOBS, "kind", spec.get("kind"))[1]}
+            if spec["kind"] == "family":
+                fields.update(ex.lookup(_FAMILY_STUDIES, "family type", spec.get("type"))[1])
+            job = ex.check_fields(fields, {"name": f"job{i:02d}_{spec['kind']}",
+                                           **{k: run[k] for k in _JOB if k in run}, **spec})
+            for key, (kind, _, _) in fields.items():
+                if kind is _REF and job[key] not in examples:
+                    raise ValueError(f"reference {job[key]!r} does not name a declared example")
+            if job["name"] in {other["name"] for other in jobs}:
+                raise ValueError(f"duplicate name {job['name']!r}")
+            jobs.append(job)
+    return {**run, "examples": examples, "jobs": jobs}
 
 
 def _unconverged(a, b) -> dict:
@@ -211,8 +183,7 @@ def _shared_grid(descs) -> tuple:
     """The one SU(2) grid the spheres among ``descs`` are declared on (the
     default grid when there are none): spheres compared through Berezin
     symbols, with the characters of their family, must share one sample."""
-    grids = {ex.grid_dims(dict(desc.params).get("grid", ex.DEFAULT_SU2_GRID))
-             for desc in descs if desc.family == "sphere"}
+    grids = {desc.checked()["grid"] for desc in descs if desc.family == "sphere"}
     if len(grids) > 1:
         raise ScenarioError(f"spheres compared here are declared on different "
                             f"SU(2) grids: {sorted(grids)}")
@@ -241,14 +212,14 @@ _PHI = {
 def _pair(job, built) -> tuple:
     """A dist or audit job's two spaces and the comparison map of its rule."""
     a, b = built[job["a"]], built[job["b"]]
-    return a[1], b[1], _PHI[job.get("phi", "identity")](a, b)
+    return a[1], b[1], _PHI[job["phi"]](a, b)
 
 
 # ---------------------------------------------------------------------------
-# job runners: each takes (job, built examples, seed, eps_net, budget)
+# job runners: each takes (checked job, built examples)
 
 
-def _example_job(job, built, seed, eps_net, budget) -> dict:
+def _example_job(job, built) -> dict:
     desc, cq = built[job["example"]]
     return {
         "descriptor": desc.as_dict(), "dim": cq.dim,
@@ -260,26 +231,25 @@ def _example_job(job, built, seed, eps_net, budget) -> dict:
     }
 
 
-def _radius_job(job, built, seed, eps_net, budget) -> dict:
+def _radius_job(job, built) -> dict:
     _, cq = built[job["example"]]
     value = cq.radius()
     bound = cq.action.group.haar_mean_length()
     out = {"radius": value, "method": cq.radius_method(),
            "length_mean_bound": bound, "within_bound": bool(value <= bound + 1e-6)}
-    if job.get("diameter"):
-        diam = cq.state_diameter(sample=int(job.get("sample", 16)), seed=seed)
+    if job["diameter"]:
+        diam = cq.state_diameter(sample=job["sample"], seed=job["seed"])
         out["state_diameter"] = diam
         out["consistency_gap"] = abs(diam / 2.0 - value) / max(value, 1e-12)
     out["unconverged_stages"] = cq.unconverged_stages
     return out
 
 
-def _mult_job(job, built, seed, eps_net, budget) -> dict:
+def _mult_job(job, built) -> dict:
     desc, cq = built[job["example"]]
     chars = desc.characters()
     basis = None if cq.space.is_full else cq.space.ortho
-    pairs = ga.multiplicities(cq.action, chars, basis,
-                              float(job.get("integer_tol", ga.DEFAULT_INTEGER_TOL)))
+    pairs = ga.multiplicities(cq.action, chars, basis, job["integer_tol"])
     table = {str(ch.label): m for ch, (_, m) in zip(chars, pairs)}
     raw_worst = max([0.0] + [abs(raw - m) for raw, m in pairs])
     out = {"table": table, "raw_worst_deviation": raw_worst,
@@ -292,33 +262,30 @@ def _mult_job(job, built, seed, eps_net, budget) -> dict:
     return out
 
 
-def _dist_job(job, built, seed, eps_net, budget) -> dict:
+def _dist_job(job, built) -> dict:
     a, b, phi = _pair(job, built)
-    upper = dq.dist_oq_upper(a, b, phi, job.get("R"), eps_net, budget, seed)
+    upper = dq.dist_oq_upper(a, b, phi, job["R"], job["eps_net"], job["budget"], job["seed"])
     lower = dq.dist_oq_lower(a, b)
     return {"upper": upper.as_dict(), "lower": lower.as_dict(),
             "unconverged_stages": _unconverged(a, b)}
 
 
-def _audit_job(job, built, seed, eps_net, budget) -> dict:
+def _audit_job(job, built) -> dict:
     a, b, phi = _pair(job, built)
-    reports, record = dq.audit_pair(a, b, phi, eps_net, budget, seed)
+    reports, record = dq.audit_pair(a, b, phi, job["eps_net"], job["budget"], job["seed"])
     return {"reports": {k: v.as_dict() for k, v in reports.items()},
             "audit": record.as_dict(), "unconverged_stages": _unconverged(a, b)}
 
 
-def _embed_job(job, built, seed, eps_net, budget) -> dict:
+def _embed_job(job, built) -> dict:
     from . import finmetric as fm
-    n = int(job.get("points", 30))
-    depth = int(job.get("depth", 6))
-    bound = float(job.get("bound", 1.0))
-    count = int(job.get("functions", 20))
-    space = fm.circle_space(n)
-    rng = np.random.default_rng(seed)
-    fns = [fm.random_lipschitz_function(space, rng, bound) for _ in range(count)]
-    rep = fm.universal_embed([space], bound, depth, [fns])
+    space = fm.circle_space(job["points"])
+    rng = np.random.default_rng(job["seed"])
+    fns = [fm.random_lipschitz_function(space, rng, job["bound"])
+           for _ in range(job["functions"])]
+    rep = fm.universal_embed([space], job["bound"], job["depth"], [fns])
     return {
-        "depth": depth, "cover_sizes": rep.cover_sizes,
+        "depth": job["depth"], "cover_sizes": rep.cover_sizes,
         "max_distortion": rep.max_distortion,
         "distortion_bound": rep.distortion_bound, "z_ok": rep.z_ok,
         "nets_ok": all(all(e.net_ok) for e in rep.per_space),
@@ -327,88 +294,115 @@ def _embed_job(job, built, seed, eps_net, budget) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# family studies: the runners of family jobs, by their "type"
+# family studies: the runners of family jobs, by their "type"; a study's
+# ball radius R defaults (None) to one from its members' radii
 
 
-def _degenerate_study(job, built, seed, eps_net, budget) -> dict:
+def _degenerate_study(job, built) -> dict:
     desc, ref = built[job["reference"]]
-    big_r = job.get("R")
-    bound_r = float(big_r if big_r is not None else max(ref.radius(), 1.0))
+    bound_r = job["R"] or max(ref.radius(), 1.0)
     fam = fl.degenerate_family(ref, bound_r=bound_r)
-    return fl.family_agreement(fam, fl.scalar_grid_sections(fam), float(job.get("eps", 0.5)),
-                               bound_r, desc.characters(), budget=budget, seed=seed)
+    return fl.family_agreement(fam, fl.scalar_grid_sections(fam), job["eps"], bound_r,
+                               desc.characters(), budget=job["budget"], seed=job["seed"])
 
 
-def _torus_theta_study(job, built, seed, eps_net, budget) -> dict:
-    q = int(job["q"])
-    ps = [int(p) for p in job["ps"]]
-    fam = fl.torus_theta_family(q, ps)
-    big_r = job.get("R")
-    bound_r = float(big_r if big_r is not None else max(fam.members[p].radius() for p in ps))
-    names = fl.transported_net_sections(fam, bound_r, eps_net, budget=budget, seed=seed)
-    return fl.family_agreement(fam, names, float(job.get("eps", 0.5)), bound_r,
-                               ex.torus_characters(q), budget=budget, seed=seed)
+def _torus_theta_study(job, built) -> dict:
+    fam = fl.torus_theta_family(job["q"], job["ps"])
+    bound_r = job["R"] or max(fam.members[p].radius() for p in job["ps"])
+    names = fl.transported_net_sections(fam, bound_r, job["eps_net"],
+                                        budget=job["budget"], seed=job["seed"])
+    return fl.family_agreement(fam, names, job["eps"], bound_r, ex.torus_characters(job["q"]),
+                               budget=job["budget"], seed=job["seed"])
 
 
-def _constant_study(job, built, seed, eps_net, budget) -> dict:
+def _constant_study(job, built) -> dict:
     desc, member = built[job["example"]]
-    fam = fl.constant_family(member, job.get("labels", [0, 1, 2]))
-    big_r = job.get("R")
-    bound_r = float(big_r if big_r is not None else member.radius())
-    names = fl.transported_net_sections(fam, bound_r, eps_net, budget=budget, seed=seed)
-    return fl.family_agreement(fam, names, float(job.get("eps", 0.5)), bound_r,
-                               desc.characters(), budget=budget, seed=seed)
+    fam = fl.constant_family(member, job["labels"])
+    bound_r = job["R"] or member.radius()
+    names = fl.transported_net_sections(fam, bound_r, job["eps_net"],
+                                        budget=job["budget"], seed=job["seed"])
+    return fl.family_agreement(fam, names, job["eps"], bound_r, desc.characters(),
+                               budget=job["budget"], seed=job["seed"])
 
 
-def _sphere_convergence_study(job, built, seed, eps_net, budget) -> dict:
-    two_js = [int(x) for x in job["two_js"]]
-    t0_j = int(job.get("t0", max(two_js)))
-    labels = sorted(set(two_js + [t0_j]))
-    grid = _shared_grid(desc for desc, _ in built.values()
-                        if dict(desc.params).get("two_j") in labels)
-    members = {tj: built_or_make_sphere(built, tj, grid) for tj in labels}
+def _sphere_convergence_study(job, built) -> dict:
+    t0_j = job["t0"] or max(job["two_js"])
+    labels = sorted(set(job["two_js"] + [t0_j]))
+    # the first declared sphere of each level, else a new one on the grid
+    # that the declared ones share
+    declared = [(desc, cq) for desc, cq in built.values()
+                if desc.family == "sphere" and desc.checked()["two_j"] in labels]
+    grid = _shared_grid(desc for desc, _ in declared)
+    found = {desc.checked()["two_j"]: cq for desc, cq in reversed(declared)}
+    members = {tj: found[tj] if tj in found else ex.fuzzy_sphere(tj, grid_dims=grid)
+               for tj in labels}
     fam = fl.ParamFamily(labels=labels, t0=t0_j, members=members,
                          name=f"sphere-family(max={t0_j})")
     bmaps = {tj: ex.berezin_maps(tj, grid) for tj in labels}
     rules = {tj: dq.berezin_transport_map(members[tj], members[t0_j], bmaps[tj], bmaps[t0_j])
              for tj in labels if tj != t0_j}
     chars = ex.sphere_characters(max(labels), grid_dims=grid)
-    return fl.convergence_study(fam, t0_j, rules, bound_r=job.get("R"),
-                                eps_net=eps_net, budget=budget, seed=seed,
-                                characters=chars)
+    return fl.convergence_study(fam, t0_j, rules, bound_r=job["R"], eps_net=job["eps_net"],
+                                budget=job["budget"], seed=job["seed"], characters=chars)
 
 
+# ---------------------------------------------------------------------------
+# field tables: each scenario field is a (type, default, range) row, checked
+# by ``ex.check_fields`` (``...``: no default, the field must be given)
+
+_LIST = ex.field_type("a list", lambda v: isinstance(v, list))
+# a job's name names its CSV tables, so it must not leave the output folder
+_STEM = ex.field_type("a file-name stem", lambda v: isinstance(v, str)
+                      and v not in (".", "..") and not {"/", "\\"} & set(v))
+_REF = ex.field_type("the name of an example", lambda v: isinstance(v, str))
+
+# the run-wide settings; a job may set seed, budget and eps_net for itself
+SETTINGS = {
+    "seed": (ex.integer, 0, (0, None)),
+    "budget": (ex.integer, 48, (1, None)),
+    "eps_net": (ex.number, 0.3, None),
+    "audit_policy": (ex.one_of("fail", "warn"), "fail", None),
+}
+_SCENARIO = {**SETTINGS, "examples": (_LIST, [], None), "jobs": (_LIST, [], None)}
+
+# the fields of every job; a job's name defaults to job<index>_<kind>
+_JOB = {"kind": (ex.text, ..., None), "name": (_STEM, ..., None),
+        **{k: SETTINGS[k] for k in ("seed", "budget", "eps_net")}}
+
+_EXAMPLE = (_REF, ..., None)
+_R = (ex.number, None, None)
+_EPS = (ex.number, 0.5, None)
+_SPHERE_LEVELS = ex.FAMILIES["sphere"].fields["two_j"][2]
+
+# family study type -> (runner, its fields)
 _FAMILY_STUDIES = {
-    "degenerate": _degenerate_study,
-    "torus_theta": _torus_theta_study,
-    "constant": _constant_study,
-    "sphere_convergence": _sphere_convergence_study,
+    "degenerate": (_degenerate_study, {"reference": _EXAMPLE, "R": _R, "eps": _EPS}),
+    "torus_theta": (_torus_theta_study, {"q": ex.FAMILIES["torus"].fields["q"],
+                                         "ps": (ex.integers, ..., None), "R": _R, "eps": _EPS}),
+    "constant": (_constant_study, {"example": _EXAMPLE, "labels": (ex.integers, [0, 1, 2], None),
+                                   "R": _R, "eps": _EPS}),
+    "sphere_convergence": (_sphere_convergence_study, {
+        "two_js": (ex.integers, ..., _SPHERE_LEVELS), "t0": (ex.integer, None, _SPHERE_LEVELS),
+        "R": _R}),
 }
 
+_PAIR = {"a": _EXAMPLE, "b": _EXAMPLE, "phi": (ex.one_of(*_PHI), "identity", None)}
+
+# job kind -> (runner, its fields besides those of every job)
 _JOBS = {
-    "example": _example_job,
-    "radius": _radius_job,
-    "mult": _mult_job,
-    "dist": _dist_job,
-    "audit": _audit_job,
-    "family": lambda job, *rest: _FAMILY_STUDIES[job["type"]](job, *rest),
-    "embed": _embed_job,
+    "example": (_example_job, {"example": _EXAMPLE}),
+    "radius": (_radius_job, {"example": _EXAMPLE, "diameter": (ex.boolean, False, None),
+                             "sample": (ex.integer, 16, (1, None))}),
+    "mult": (_mult_job, {"example": _EXAMPLE,
+                         "integer_tol": (ex.number, ga.DEFAULT_INTEGER_TOL, None)}),
+    "dist": (_dist_job, {**_PAIR, "R": _R}),
+    "audit": (_audit_job, _PAIR),
+    "family": (lambda job, built: _FAMILY_STUDIES[job["type"]][0](job, built),
+               {"type": (ex.text, ..., None)}),
+    "embed": (_embed_job, {"points": (ex.integer, 30, (1, None)),
+                           "depth": (ex.integer, 6, (1, None)), "bound": (ex.number, 1.0, None),
+                           "functions": (ex.integer, 20, (0, None))}),
 }
-
-
-def _run_job(job: dict, built: dict, defaults: dict) -> dict:
-    return _JOBS[job["kind"]](job, built, int(job.get("seed", defaults["seed"])),
-                              float(job.get("eps_net", defaults["eps_net"])),
-                              int(job.get("budget", defaults["budget"])))
-
-
-def built_or_make_sphere(built: dict, two_j: int, grid: tuple):
-    """The declared sphere at ``two_j``, else a new one on ``grid`` (the
-    grid every declared member shares, see ``_shared_grid``)."""
-    for desc, cq in built.values():
-        if desc.family == "sphere" and dict(desc.params).get("two_j") == two_j:
-            return cq
-    return ex.fuzzy_sphere(two_j, grid_dims=grid)
 
 
 # ---------------------------------------------------------------------------
@@ -429,81 +423,53 @@ def environment_stamp(doc: dict) -> dict:
 def run_scenario(doc: dict) -> tuple[dict, int]:
     """Execute jobs in declaration order; per-job failures are recorded,
     not fatal.  Returns (report, exit_code)."""
-    validate_scenario(doc)
-    defaults = {
-        "seed": int(doc.get("seed", 0)),
-        "eps_net": float(doc.get("eps_net", 0.3)),
-        "budget": int(doc.get("budget", 48)),
-    }
-    built = _build_examples(doc)
+    run = validate_scenario(doc)
+    built = {}
+    for i, (name, desc) in enumerate(run["examples"].items()):
+        with _at(f"examples[{i}]: "):
+            built[name] = (desc, desc.build())
     jobs_out = []
     audit_failed = False
-    for i, job in enumerate(doc.get("jobs", [])):
-        name = job.get("name", f"job{i:02d}_{job['kind']}")
-        entry = {"name": name, "kind": job["kind"]}
+    for job in run["jobs"]:
+        entry = {"name": job["name"], "kind": job["kind"]}
         try:
-            result = _run_job(job, built, defaults)
-            entry["status"] = "ok"
-            entry["result"] = result
-            audit = result.get("audit") if isinstance(result, dict) else None
-            if audit is not None and not audit.get("all_passed", True):
-                audit_failed = True
+            entry.update(status="ok", result=_JOBS[job["kind"]][0](job, built))
+            audit_failed |= not entry["result"].get("audit", {}).get("all_passed", True)
         except Exception as exc:   # job failures are findings, not crashes
-            entry["status"] = "error"
-            entry["error"] = f"{type(exc).__name__}: {exc}"
+            entry.update(status="error", error=f"{type(exc).__name__}: {exc}")
         jobs_out.append(entry)
-    report = {
-        "environment": environment_stamp(doc),
-        "config": {k: doc.get(k) for k in ("seed", "eps_net", "budget", "audit_policy")},
-        "jobs": jobs_out,
-    }
-    policy = doc.get("audit_policy", "fail")
-    code = 3 if (audit_failed and policy == "fail") else 0
-    return report, code
+    # the config block echoes the settings as given, not their defaults
+    report = {"environment": environment_stamp(doc), "jobs": jobs_out,
+              "config": {k: doc.get(k) for k in SETTINGS}}
+    return report, 3 if (audit_failed and run["audit_policy"] == "fail") else 0
 
 
 def write_report(report: dict, out_dir, fmt: str = "json") -> list:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths = []
-    target = out / "report.json"
-    target.write_text(render_json(report))
-    paths.append(target)
-    if fmt == "csv":
-        for fname, text in render_csv_tables(report).items():
-            p = out / fname
-            p.write_text(text)
-            paths.append(p)
-    return paths
+    texts = {"report.json": render_json(report),
+             **(render_csv_tables(report) if fmt == "csv" else {})}
+    for name, text in texts.items():
+        (out / name).write_text(text)
+    return [out / name for name in texts]
 
 
 # ---------------------------------------------------------------------------
 # argument parsing
 
 
-def _parse_example_arg(arg: str) -> dict:
-    """cycle:m=12 | torus:q=3,p=1 | sphere:two_j=2,grid=12x12x12"""
+def _parse_example_arg(arg: str, grid) -> dict:
+    """cycle:m=12 | torus:q=3,p=1 | sphere:two_j=2,grid=12x12x12, named by
+    ``arg`` itself; ``grid`` (the --grid flag), when set, is a sphere's grid."""
+    family, _, rest = arg.partition(":")
     try:
-        family, _, rest = arg.partition(":")
-        fields = {}
-        if rest:
-            for part in rest.split(","):
-                k, _, v = part.partition("=")
-                fields[k] = v if "x" in v else int(v)
-        return {"name": arg, "family": family, **fields}
+        pairs = [part.partition("=") for part in rest.split(",")] if rest else []
+        fields = {k: v if "x" in v else int(v) for k, _, v in pairs}
     except ValueError as exc:
         raise ScenarioError(f"cannot parse example descriptor {arg!r}") from exc
-
-
-def _single_job_doc(args, example_specs, job) -> dict:
-    return {
-        "seed": args.seed,
-        "eps_net": args.eps_net,
-        "budget": args.budget,
-        "audit_policy": "warn" if args.audit_warn_only else "fail",
-        "examples": example_specs,
-        "jobs": [job],
-    }
+    if grid and family == "sphere":
+        fields["grid"] = grid
+    return {"name": arg, "family": family, **fields}
 
 
 def _flag_parser(defaults: bool) -> argparse.ArgumentParser:
@@ -514,9 +480,10 @@ def _flag_parser(defaults: bool) -> argparse.ArgumentParser:
         return value if defaults else argparse.SUPPRESS
 
     p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--seed", type=int, default=default(0))
-    p.add_argument("--eps-net", dest="eps_net", type=float, default=default(0.3))
-    p.add_argument("--budget", type=int, default=default(48))
+    p.add_argument("--seed", type=int, default=default(SETTINGS["seed"][1]))
+    p.add_argument("--eps-net", dest="eps_net", type=float,
+                   default=default(SETTINGS["eps_net"][1]))
+    p.add_argument("--budget", type=int, default=default(SETTINGS["budget"][1]))
     p.add_argument("--grid", default=default(None),
                    help="SU(2) grid override, e.g. 12x12x12")
     p.add_argument("--out", default=default("reports"))
@@ -531,72 +498,57 @@ def main(argv=None) -> int:
         description="quantum metric space laboratory: certified distance "
                     "bounds, radii, multiplicities, family studies")
     sub = parser.add_subparsers(dest="command", required=True)
-    flags = [_flag_parser(False)]
 
-    p = sub.add_parser("example", parents=flags, help="construct an example, report its shape")
-    p.add_argument("descriptor")
-    p = sub.add_parser("radius", parents=flags, help="radius estimate and its quadrature bound")
-    p.add_argument("descriptor")
-    p.add_argument("--diameter", action="store_true")
-    p = sub.add_parser("mult", parents=flags, help="multiplicity table of an example")
-    p.add_argument("descriptor")
-    p = sub.add_parser("dist", parents=flags, help="distance bounds for a pair")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.add_argument("--phi", default="identity",
-                   choices=sorted(_PHI))
-    p.add_argument("--R", type=float, default=None)
-    p = sub.add_parser("audit", parents=flags, help="full bound set + consistency audit")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.add_argument("--phi", default="identity", choices=sorted(_PHI))
-    p = sub.add_parser("family", parents=flags, help="family study from an inline spec")
-    p.add_argument("spec", help="JSON object for the family job")
-    p = sub.add_parser("run", parents=flags, help="run a scenario file")
-    p.add_argument("scenario")
+    def command(name, summary, *positionals):
+        # a job flag that is not given is left out of the job, whose field
+        # table then fills in its default
+        p = sub.add_parser(name, parents=[_flag_parser(False)], help=summary,
+                           argument_default=argparse.SUPPRESS)
+        for key in positionals:
+            p.add_argument(key)
+        return p
+
+    command("example", "construct an example, report its shape", "example")
+    command("radius", "radius estimate and its quadrature bound", "example").add_argument(
+        "--diameter", action="store_true")
+    command("mult", "multiplicity table of an example", "example")
+    for name, summary in (("dist", "distance bounds for a pair"),
+                          ("audit", "full bound set + consistency audit")):
+        p = command(name, summary, "a", "b")
+        p.add_argument("--phi", choices=sorted(_PHI))
+        if name == "dist":
+            p.add_argument("--R", type=float)
+    command("family", "family study from an inline JSON object", "spec")
+    command("run", "run a scenario file", "scenario")
 
     args = parser.parse_args(argv)
-
     try:
         if args.command == "run":
             doc = load_scenario(args.scenario)
-        else:
-            if args.command in ("example", "radius", "mult"):
-                spec = _parse_example_arg(args.descriptor)
-                if args.grid and spec["family"] == "sphere":
-                    spec["grid"] = args.grid
-                job = {"kind": args.command, "example": spec["name"]}
-                if args.command == "radius" and args.diameter:
-                    job["diameter"] = True
-                doc = _single_job_doc(args, [spec], job)
-            elif args.command in ("dist", "audit"):
-                sa, sb = _parse_example_arg(args.a), _parse_example_arg(args.b)
-                job = {"kind": args.command, "a": sa["name"], "b": sb["name"],
-                       "phi": args.phi}
-                if args.command == "dist" and args.R is not None:
-                    job["R"] = args.R
-                doc = _single_job_doc(args, [sa, sb], job)
-            else:   # family
+        else:   # a one-job scenario from the arguments
+            specs = []
+            if args.command == "family":
                 try:
                     job = json.loads(args.spec)
                 except json.JSONDecodeError as exc:
                     raise ScenarioError(f"family spec is not valid JSON: {exc}")
                 if not isinstance(job, dict):
                     raise ScenarioError("family spec must be a JSON object")
-                job["kind"] = "family"
-                doc = _single_job_doc(args, [], job)
-    except ScenarioError as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
+            else:   # the job's own fields, each example named by its descriptor
+                fields = _JOBS[args.command][1]
+                job = {k: v for k, v in vars(args).items() if k in fields}
+                specs = [_parse_example_arg(ref, args.grid) for ref in
+                         dict.fromkeys(v for k, v in job.items() if fields[k][0] is _REF)]
+            doc = {"seed": args.seed, "eps_net": args.eps_net, "budget": args.budget,
+                   "audit_policy": ("warn" if args.audit_warn_only
+                                    else SETTINGS["audit_policy"][1]),
+                   "examples": specs, "jobs": [{**job, "kind": args.command}]}
         report, code = run_scenario(doc)
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2
-    paths = write_report(report, args.out, args.format)
-    for p in paths:
-        print(p)
+    for path in write_report(report, args.out, args.format):
+        print(path)
     return code
 
 

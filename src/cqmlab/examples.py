@@ -9,8 +9,9 @@ Three families at finite scale:
 * ``commutative_cycle(m)`` - functions on m circle points as diagonal
   matrices under the cyclic shift, the classical recovery case.
 
-``FAMILIES`` is the table scenario files read: per family its parameter
-ranges, its builder and its character table.
+``FAMILIES`` is the table scenario files read: per family its field
+table, its builder and its character table.  ``check_fields`` is the one
+checker of field tables, these and those of ``cli``.
 
 ``berezin_maps`` supplies the covariant symbol transform and its
 adjoint for the sphere family; they are the raw material for the
@@ -34,9 +35,11 @@ _grid_cache: dict = {}
 
 def grid_dims(grid=DEFAULT_SU2_GRID) -> tuple:
     """SU(2) grid dimensions from "12x12x12" or a sequence of three integers."""
-    dims = tuple(int(x) for x in (grid.split("x") if isinstance(grid, str) else grid))
-    if len(dims) != 3 or min(dims) < 1:
-        raise ValueError(f"SU(2) grid {grid!r} is not three positive integers")
+    parts = (grid.split("x") if isinstance(grid, str)
+             else grid if isinstance(grid, (list, tuple)) else ())
+    dims = tuple(int(x) if isinstance(x, str) and x.isdecimal() else x for x in parts)
+    if len(dims) != 3 or not all(_is_int(x) and x >= 1 for x in dims):
+        raise ValueError(f"must be three positive integers like 12x12x12, got {grid!r}")
     return dims
 
 
@@ -278,35 +281,94 @@ def berezin_maps(two_j: int, grid_dims=DEFAULT_SU2_GRID) -> BerezinMaps:
 
 
 # ---------------------------------------------------------------------------
-# descriptors (the scenario-file unit)
+# field tables (the scenario-file unit)
+
+
+def field_type(what: str, test: Callable, convert: Callable = lambda v: v) -> Callable:
+    """A field type: a function that returns ``convert(value)`` for a value
+    that passes ``test``, and otherwise raises ValueError: it must be ``what``."""
+    def check(value):
+        if not test(value):
+            raise ValueError(f"must be {what}, got {value!r}")
+        return convert(value)
+    return check
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+boolean = field_type("true or false", lambda v: isinstance(v, bool))
+integer = field_type("an integer", _is_int)
+integers = field_type("a non-empty list of integers",
+                      lambda v: isinstance(v, list) and v != [] and all(map(_is_int, v)))
+number = field_type("a positive number", lambda v: (_is_int(v) or isinstance(v, float))
+                    and 0 < v < math.inf, float)
+text = field_type("a string", lambda v: isinstance(v, str))
+
+
+def one_of(*choices) -> Callable:
+    """The field type of a string among ``choices``."""
+    return field_type(f"one of {list(choices)}", lambda v: isinstance(v, str) and v in choices)
+
+
+def check_fields(table: dict, spec: dict) -> dict:
+    """``spec`` checked against a field table of ``name: (type, default,
+    range)`` rows, with every default filled in.  A type converts a value or
+    raises ValueError (see ``field_type``); an integer, or each of a list,
+    lies in the range ``(lo, hi)`` (hi None: no upper bound); a default of
+    ``...`` marks a field that must be given."""
+    unknown = sorted(set(spec) - set(table))
+    if unknown:
+        raise ValueError(f"unknown fields {unknown}")
+    out = {}
+    for key, (kind, default, bounds) in table.items():
+        if key not in spec:
+            if default is ...:
+                raise ValueError(f"missing {key!r}")
+            out[key] = default
+            continue
+        try:
+            out[key] = kind(spec[key])
+        except ValueError as exc:
+            raise ValueError(f"{key!r} {exc}") from None
+        if bounds is not None:
+            lo, hi = bounds
+            values = out[key] if isinstance(out[key], list) else [out[key]]
+            if any(v < lo or (hi is not None and v > hi) for v in values):
+                span = f"at least {lo}" if hi is None else f"in [{lo}, {hi}]"
+                raise ValueError(f"{key!r} must be {span}, got {spec[key]!r}")
+    return out
+
+
+def lookup(table: dict, key: str, value):
+    """The entry of ``table`` that ``value`` (given for ``key``) names."""
+    if isinstance(value, str) and value in table:
+        return table[value]
+    raise ValueError(f"unknown {key} {value!r}")
 
 
 @dataclass(frozen=True)
 class Family:
     """One bundled example family, as scenario files name it.  Builders and
-    character tables take the descriptor's parameters as a dict."""
+    character tables take the checked fields of ``fields`` as a dict."""
 
-    ranges: dict                   # required integer parameter -> documented [lo, hi]
-    optional: tuple                # further parameters the builder reads
+    fields: dict                   # field table of its parameters
     build: Callable
     characters: Callable
 
 
-def _sphere_grid(p: dict) -> tuple:
-    return grid_dims(p.get("grid", DEFAULT_SU2_GRID))
-
-
 FAMILIES = {
-    "torus": Family(ranges={"q": (2, 12)}, optional=("p",),
-                    build=lambda p: fuzzy_torus(int(p["q"]), int(p.get("p", 1))),
-                    characters=lambda p: torus_characters(int(p["q"]))),
-    "sphere": Family(ranges={"two_j": (1, 8)}, optional=("grid",),
-                     build=lambda p: fuzzy_sphere(int(p["two_j"]), grid_dims=_sphere_grid(p)),
-                     characters=lambda p: sphere_characters(int(p["two_j"]),
-                                                            grid_dims=_sphere_grid(p))),
-    "cycle": Family(ranges={"m": (3, 64)}, optional=(),
-                    build=lambda p: commutative_cycle(int(p["m"])),
-                    characters=lambda p: cycle_characters(int(p["m"]))),
+    "torus": Family(fields={"q": (integer, ..., (2, 12)), "p": (integer, 1, None)},
+                    build=lambda p: fuzzy_torus(p["q"], p["p"]),
+                    characters=lambda p: torus_characters(p["q"])),
+    "sphere": Family(fields={"two_j": (integer, ..., (1, 8)),
+                             "grid": (grid_dims, DEFAULT_SU2_GRID, None)},
+                     build=lambda p: fuzzy_sphere(p["two_j"], grid_dims=p["grid"]),
+                     characters=lambda p: sphere_characters(p["two_j"], grid_dims=p["grid"])),
+    "cycle": Family(fields={"m": (integer, ..., (3, 64))},
+                    build=lambda p: commutative_cycle(p["m"]),
+                    characters=lambda p: cycle_characters(p["m"])),
 }
 
 
@@ -315,7 +377,7 @@ class ExampleDescriptor:
     """Named, parameterized recipe for one bundled example."""
 
     family: str                    # a key of FAMILIES
-    params: tuple                  # sorted (key, value) pairs
+    params: tuple                  # sorted (key, value) pairs, as given
 
     @staticmethod
     def make(family: str, **params) -> "ExampleDescriptor":
@@ -324,30 +386,15 @@ class ExampleDescriptor:
     def as_dict(self) -> dict:
         return {"family": self.family, **dict(self.params)}
 
-    def validate(self) -> None:
-        """ValueError unless the family is known, it takes every parameter
-        given, and each ranged parameter is an integer in its range."""
-        fam = FAMILIES.get(self.family)
-        if fam is None:
-            raise ValueError(f"unknown example family {self.family!r}")
-        p = dict(self.params)
-        extra = set(p) - set(fam.ranges) - set(fam.optional)
-        if extra:
-            raise ValueError(f"unknown fields {sorted(extra)}")
-        for key, (lo, hi) in fam.ranges.items():
-            try:
-                value = int(p[key])
-            except (KeyError, TypeError, ValueError):
-                raise ValueError(f"{self.family} needs an integer {key!r}, "
-                                 f"got {p.get(key)!r}") from None
-            if not lo <= value <= hi:
-                raise ValueError(f"{self.family} {key}={value} outside documented "
-                                 f"range [{lo},{hi}]")
+    def checked(self) -> dict:
+        """The parameters checked against the family's field table, with its
+        defaults filled in; ValueError on an unknown family or a bad field."""
+        return check_fields(lookup(FAMILIES, "example family", self.family).fields,
+                            dict(self.params))
 
     def build(self) -> Cqms:
-        self.validate()
-        return FAMILIES[self.family].build(dict(self.params))
+        return FAMILIES[self.family].build(self.checked())
 
     def characters(self) -> list:
         """The family's character table on the sample this example builds."""
-        return FAMILIES[self.family].characters(dict(self.params))
+        return FAMILIES[self.family].characters(self.checked())

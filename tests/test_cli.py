@@ -69,9 +69,14 @@ def test_non_object_entries_rejected(doc, where, tmp_path, capsys):
      "jobs[0]"),
     ({"family": "cycle", "m": 6}, {"kind": "family", "type": {"degenerate": 1}}, "jobs[0]"),
     ({"family": "cycle", "m": 6}, {"kind": "radius", "example": ["e"]}, "jobs[0]"),
+    ({"family": "torus", "q": 3.9}, {"kind": "example", "example": "e"}, "examples[0]: 'q'"),
+    ({"family": "cycle", "m": "6"}, {"kind": "example", "example": "e"}, "examples[0]: 'm'"),
+    ({"family": "torus", "q": 3, "p": True}, {"kind": "example", "example": "e"},
+     "examples[0]: 'p'"),
 ], ids=["m-out-of-range", "m-not-integer", "torus-without-q", "torus-not-coprime",
         "sphere-grid-two-dims", "unknown-family-type", "name-list", "family-list",
-        "kind-list", "phi-list", "family-type-object", "reference-list"])
+        "kind-list", "phi-list", "family-type-object", "reference-list", "q-float",
+        "m-string", "p-bool"])
 def test_bad_examples_and_family_types_exit_2(example, job, where, tmp_path, capsys):
     # a bad example parameter, or a job field that names no kind, rule, study
     # type or example (a JSON list or object included), is a scenario error
@@ -108,9 +113,11 @@ def test_example_seed_is_an_unknown_field(tmp_path, capsys):
     ({}, {"budget": False}, "jobs[0]: 'budget' must be an integer"),
     ({}, {"budget": -4}, "jobs[0]: 'budget' must be at least 1"),
     ({}, {"eps_net": -0.3}, "jobs[0]: 'eps_net' must be a positive number"),
+    ({"audit_policy": "fial"}, {}, "'audit_policy' must be one of ['fail', 'warn']"),
+    ({"audit_policy": 5}, {}, "'audit_policy' must be one of ['fail', 'warn']"),
 ], ids=["seed-string", "seed-bool", "budget-list", "budget-float", "budget-zero",
         "eps-zero", "eps-string", "eps-nan", "job-seed-string", "job-budget-bool",
-        "job-budget-negative", "job-eps-negative"])
+        "job-budget-negative", "job-eps-negative", "policy-typo", "policy-number"])
 def test_bad_run_settings_exit_2(settings, job, where, tmp_path, capsys):
     # a seed or budget that is not an integer (a boolean is not one), a budget
     # below 1, or an eps_net that is not a positive number, for the whole run
@@ -122,6 +129,125 @@ def test_bad_run_settings_exit_2(settings, job, where, tmp_path, capsys):
         "jobs": [{"kind": "radius", "example": "c3", **job}]}))
     assert cli.main(["--out", str(tmp_path / "out"), "run", str(scenario)]) == 2
     assert where in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("settings,job,where", [
+    ({}, {"kind": "radius", "example": "c3", "sampel": 4}, "jobs[0]: unknown fields ['sampel']"),
+    ({"budgt": 8}, {"kind": "radius", "example": "c3"}, "unknown fields ['budgt']"),
+    ({}, {"kind": "radius", "example": "c3", "sample": "x"},
+     "jobs[0]: 'sample' must be an integer"),
+    ({}, {"kind": "radius", "example": "c3", "diameter": "yes"},
+     "jobs[0]: 'diameter' must be true or false"),
+    ({}, {"kind": "radius"}, "jobs[0]: missing 'example'"),
+    ({}, {"kind": "embed", "points": "x"}, "jobs[0]: 'points' must be an integer"),
+    ({}, {"kind": "embed", "depth": 0}, "jobs[0]: 'depth' must be at least 1"),
+    ({}, {"kind": "mult", "example": "c3", "integer_tol": "big"},
+     "jobs[0]: 'integer_tol' must be a positive number"),
+    ({}, {"kind": "dist", "a": "c3", "b": "c3", "R": -1}, "jobs[0]: 'R' must be a positive number"),
+    ({}, {"kind": "dist", "a": "c3", "b": "c3", "phi": "identiy"}, "jobs[0]: 'phi' must be one of"),
+    ({}, {"kind": "audit", "a": "c3", "b": "c3", "budget": 4, "audit_policy": "warn"},
+     "jobs[0]: unknown fields ['audit_policy']"),
+], ids=["job-unknown-key", "top-unknown-key", "sample-string", "diameter-string",
+        "example-missing", "points-string", "depth-zero", "integer-tol-string", "R-negative",
+        "phi-typo", "job-audit-policy"])
+def test_bad_job_fields_exit_2(settings, job, where, tmp_path, capsys):
+    # every field of a scenario is checked against its table before any job
+    # runs: an unknown key at any level, or a mistyped, missing or
+    # out-of-range field, is a scenario error (exit 2) naming the object and
+    # the field, not a setting that is ignored or a job error
+    scenario = tmp_path / "bad.json"
+    scenario.write_text(json.dumps({
+        "seed": 1, **settings, "examples": [{"name": "c3", "family": "cycle", "m": 3}],
+        "jobs": [job]}))
+    assert cli.main(["--out", str(tmp_path / "out"), "run", str(scenario)]) == 2
+    assert where in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("examples,jobs,where", [
+    ([], [{"kind": "family", "type": "constant", "example": "c3", "name": "../escaped"}],
+     "jobs[0]: 'name' must be a file-name stem"),
+    ([], [{"kind": "example", "example": "c3", "name": "sub\\escaped"}],
+     "jobs[0]: 'name' must be a file-name stem"),
+    ([], [{"kind": "example", "example": "c3", "name": "."}],
+     "jobs[0]: 'name' must be a file-name stem"),
+    ([], [{"kind": "example", "example": "c3", "name": ".."}],
+     "jobs[0]: 'name' must be a file-name stem"),
+    ([], [{"kind": "example", "example": "c3", "name": 7}],
+     "jobs[0]: 'name' must be a file-name stem"),
+    ([], [{"kind": "example", "example": "c3", "name": "twice"},
+          {"kind": "radius", "example": "c3", "name": "twice"}], "jobs[1]: duplicate name 'twice'"),
+    ([], [{"kind": "example", "example": "c3"},
+          {"kind": "radius", "example": "c3", "name": "job00_example"}],
+     "jobs[1]: duplicate name 'job00_example'"),
+    ([{"name": "c3", "family": "cycle", "m": 6}], [{"kind": "example", "example": "c3"}],
+     "examples[1]: duplicate name 'c3'"),
+], ids=["name-parent", "name-backslash", "name-dot", "name-dotdot", "name-number",
+        "job-names-repeat", "name-repeats-default", "example-names-repeat"])
+def test_bad_names_exit_2(examples, jobs, where, tmp_path, capsys):
+    # a job's name names its CSV tables, so it is a file-name stem that no
+    # other job has; two examples of one name would leave every job on the
+    # second.  Either is a scenario error (exit 2), and nothing is written
+    scenario = tmp_path / "bad.json"
+    scenario.write_text(json.dumps({
+        "seed": 1, "examples": [{"name": "c3", "family": "cycle", "m": 3}, *examples],
+        "jobs": jobs}))
+    code = cli.main(["--out", str(tmp_path / "out"), "--format", "csv", "run", str(scenario)])
+    assert code == 2
+    assert where in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
+
+
+@pytest.mark.parametrize("job,where", [
+    ({"type": "torus_theta", "q": 13, "ps": [1]}, "'q' must be in [2, 12], got 13"),
+    ({"type": "torus_theta", "q": 3, "ps": "12"}, "'ps' must be a non-empty list of integers"),
+    ({"type": "torus_theta", "q": 3, "ps": []}, "'ps' must be a non-empty list of integers"),
+    ({"type": "torus_theta", "q": 3, "ps": [1, 2.0]}, "'ps' must be a non-empty list"),
+    ({"type": "sphere_convergence", "two_js": "12"}, "'two_js' must be a non-empty list"),
+    ({"type": "sphere_convergence", "two_js": [1, 9]}, "'two_js' must be in [1, 8], got [1, 9]"),
+    ({"type": "sphere_convergence", "two_js": [1, 2], "t0": 0}, "'t0' must be in [1, 8]"),
+    ({"type": "constant", "example": "c3", "labels": [0, "1"]}, "'labels' must be a non-empty"),
+    ({"type": "constant", "example": "c3", "eps": 0}, "'eps' must be a positive number"),
+    ({"type": "degenerate", "reference": "c3", "R": "big"}, "'R' must be a positive number"),
+    ({"type": "degenerate", "reference": "c3", "eps_net": 0.5, "q": 3}, "unknown fields ['q']"),
+], ids=["q-above-range", "ps-string", "ps-empty", "ps-float", "two-js-string",
+        "two-js-above-range", "t0-below-range", "labels-string", "eps-zero", "R-string",
+        "study-unknown-key"])
+def test_bad_family_study_fields(job, where):
+    # a family study's fields are checked with the job, before anything is
+    # built: its levels take the ranges of their example family's table
+    doc = {"seed": 1, "examples": [{"name": "c3", "family": "cycle", "m": 3}],
+           "jobs": [{"kind": "family", **job}]}
+    with pytest.raises(cli.ScenarioError) as err:
+        cli.validate_scenario(doc)
+    assert f"jobs[0]: {where}" in str(err.value)
+
+
+def test_checked_jobs_have_every_default():
+    # validate_scenario hands each runner its job with every field filled in:
+    # the run's settings where the job sets none, and each table default
+    doc = {"seed": 4, "budget": 9,
+           "examples": [{"name": "c3", "family": "cycle", "m": 3}],
+           "jobs": [{"kind": "radius", "example": "c3"},
+                    {"kind": "dist", "a": "c3", "b": "c3", "eps_net": 1, "name": "d"},
+                    {"kind": "family", "type": "sphere_convergence", "two_js": [1, 2]}]}
+    run = cli.validate_scenario(doc)
+    assert run["audit_policy"] == "fail" and list(run["examples"]) == ["c3"]
+    assert run["jobs"][0] == {"kind": "radius", "name": "job00_radius", "seed": 4, "budget": 9,
+                              "eps_net": 0.3, "example": "c3", "diameter": False, "sample": 16}
+    assert run["jobs"][1] == {"kind": "dist", "name": "d", "seed": 4, "budget": 9,
+                              "eps_net": 1.0, "a": "c3", "b": "c3", "phi": "identity", "R": None}
+    assert run["jobs"][2] == {"kind": "family", "name": "job02_family", "seed": 4, "budget": 9,
+                              "eps_net": 0.3, "type": "sphere_convergence", "two_js": [1, 2],
+                              "t0": None, "R": None}
+    assert isinstance(run["jobs"][1]["eps_net"], float)
+
+
+def test_one_command_pair_of_one_example(tmp_path):
+    # a dist or audit command on one descriptor twice declares one example
+    code = cli.main(["--budget", "8", "--out", str(tmp_path), "dist", "cycle:m=3", "cycle:m=3"])
+    assert code == 0
+    job = json.loads((tmp_path / "report.json").read_text())["jobs"][0]
+    assert job["status"] == "ok", job.get("error")
 
 
 @pytest.mark.parametrize("flags", [["--budget", "0"], ["--eps-net", "0"],

@@ -187,21 +187,26 @@ def test_berezin_equivariance_defect():
 
 
 def test_descriptor_validation():
-    ex.ExampleDescriptor.make("torus", q=3, p=1).validate()
-    with pytest.raises(ValueError):
-        ex.ExampleDescriptor.make("torus", q=20).validate()
-    with pytest.raises(ValueError):
-        ex.ExampleDescriptor.make("sphere", two_j=10).validate()
-    with pytest.raises(ValueError):
-        ex.ExampleDescriptor.make("cycle", m=100).validate()
-    with pytest.raises(ValueError):
-        ex.ExampleDescriptor.make("segment").validate()
+    # parameters are checked against the family's field table, which fills
+    # in the defaults; a value out of range or of the wrong type, or an
+    # unknown family, is a ValueError
+    assert ex.ExampleDescriptor.make("torus", q=3, p=1).checked() == {"q": 3, "p": 1}
+    assert ex.ExampleDescriptor.make("torus", q=3).checked() == {"q": 3, "p": 1}
+    assert (ex.ExampleDescriptor.make("sphere", two_j=1, grid="6x6x6").checked()
+            == {"two_j": 1, "grid": (6, 6, 6)})
+    for family, params in (("torus", {"q": 20}), ("sphere", {"two_j": 10}),
+                           ("cycle", {"m": 100}), ("segment", {}), ("torus", {"q": 3.9}),
+                           ("cycle", {"m": "6"}), ("cycle", {"m": True}),
+                           ("sphere", {"two_j": 1, "grid": [6, 6.5, 6]})):
+        with pytest.raises(ValueError):
+            ex.ExampleDescriptor.make(family, **params).checked()
 
 
 def test_descriptor_characters_on_its_sample():
     # every family's character table has one value per element of the group
     # sample its example is built on, a sphere's also off the default grid
-    descs = [ex.ExampleDescriptor.make(name, **{k: lo for k, (lo, _) in fam.ranges.items()})
+    descs = [ex.ExampleDescriptor.make(name, **{k: bounds[0] for k, (_, default, bounds)
+                                                in fam.fields.items() if default is ...})
              for name, fam in ex.FAMILIES.items()]
     descs.append(ex.ExampleDescriptor.make("sphere", two_j=1, grid="6x6x6"))
     for desc in descs:

@@ -327,12 +327,11 @@ def _record_traffic(out: Path) -> None:
     src that it called.  The traffic: every scenario in ``scenarios/``
     through ``cli.main(["run", ..., "--format", "csv"])``, one single-command
     ``cli.main`` call, and one ``run_pass()`` of each benchmark workload at
-    seed 1 (then its ``close()``, where it has one).  Only call events are
-    traced, and nothing is traced in the functions called."""
+    seed 1 (then its ``close()``, where it has one).  The imports of the
+    package and the workloads are traced too, since the field tables of
+    ``cli`` are built by calls made when it is imported.  Only call events
+    are traced, and nothing is traced in the functions called."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
-    from cqmlab import cli
-    from perfbench.workloads import WORKLOADS
-
     called = set()
 
     def hook(frame, event, arg):
@@ -341,6 +340,9 @@ def _record_traffic(out: Path) -> None:
     codes = {}
     sys.settrace(hook)
     try:
+        from cqmlab import cli
+        from perfbench.workloads import WORKLOADS
+
         for scenario in sorted((ROOT / "scenarios").glob("*.json")):
             codes[scenario.stem] = cli.main(["run", str(scenario), "--format", "csv",
                                              "--out", str(out / scenario.stem)])
@@ -368,11 +370,26 @@ def test_traffic_calls_every_function(tmp_path):
     # caches filled by earlier tests (the SU(2) grids) would hide the calls
     # that build them
     from cqmlab import cli
-    jobs = json.loads((ROOT / "scenarios" / "every-kind.json").read_text())["jobs"]
+    from cqmlab import examples as ex
+    doc = json.loads((ROOT / "scenarios" / "every-kind.json").read_text())
+    jobs = doc["jobs"]
     assert {job["kind"] for job in jobs} == set(cli._JOBS)
     assert {job["type"] for job in jobs if job["kind"] == "family"} == set(cli._FAMILY_STUDIES)
     assert ({job.get("phi", "identity") for job in jobs if job["kind"] in ("dist", "audit")}
             == set(cli._PHI))
+    # every declared field is set at least once: the run-wide settings at the
+    # top level, the fields of every job on some job, and each kind's, study
+    # type's and example family's own fields on an object of that kind
+    tables = [("settings", cli.SETTINGS, [doc]), ("job", cli._JOB, jobs)]
+    tables += [(kind, fields, [job for job in jobs if job["kind"] == kind])
+               for kind, (_, fields) in cli._JOBS.items()]
+    tables += [(study, fields, [job for job in jobs if job.get("type") == study])
+               for study, (_, fields) in cli._FAMILY_STUDIES.items()]
+    tables += [(name, fam.fields, [spec for spec in doc["examples"] if spec["family"] == name])
+               for name, fam in ex.FAMILIES.items()]
+    unset = sorted(f"{name}.{key}" for name, fields, specs in tables for key in fields
+                   if not any(key in spec for spec in specs))
+    assert not unset, f"fields that every-kind.json never sets: {unset}"
 
     child = subprocess.run([sys.executable, __file__, str(tmp_path)],
                            capture_output=True, text=True, timeout=300)
