@@ -43,10 +43,17 @@ kernel element is evaluated at the result; those whose norm is at least
 ``WORKING_ADD`` times the full-kernel max join the working kernel, and the
 solve is repeated, warm-started, until none join.  Values returned are
 honest lower bounds (the final iterate, or the LP's solution, is rescaled
-by its true full-kernel, not smoothed, seminorm).  Off full diagonal
-spaces the radius alternates this solver with extreme witnesses of the
-quotient norm; both quantities carry the quadrature mean of the length
-function as an exact upper bracket.
+by its true full-kernel, not smoothed, seminorm).
+
+The radius is half the diameter of the state space under the dual metric:
+for Hermitian a, |a~| = (lambda_max - lambda_min) / 2 is half the largest
+mu(a) - nu(a) over states.  Off full diagonal spaces one ascent over
+pure-state pairs serves both numbers (``Cqms._alternate_witness``): it
+alternates this solver with the extreme eigenvector pairs of its iterate,
+from the radius's starts and, for a diameter, from a pool of pure-state
+pairs, and keeps its best on the space, so a diameter is twice the radius
+by construction.  Both carry the quadrature mean of the length function as
+an exact upper bracket.
 
 Importing the package loads numpy alone: scipy's HiGHS ``linprog`` is
 imported inside the diagonal support solve, the one place here that calls
@@ -209,9 +216,11 @@ class Cqms:
     """Order-unit space + ergodic action + derived metric structure.
 
     Immutable in spirit after construction; ``net_cache``, the ball-net
-    sample (``_ball_sample``), the radius cache, the Dirac metric and the
-    seminorm operator are write-once memoizations (all numeric operations
-    stay pure, so concurrent readers are safe).  ``unconverged_stages``
+    sample (``_ball_sample``), the Dirac metric and the seminorm operator
+    are write-once memoizations.  The radius cache ``_radius`` (None until
+    the first radius ascent; then the best pure-state pair's value in radius
+    units and its element, or None for an exact radius) only rises: a
+    ``state_diameter`` call continues its ascent.  ``unconverged_stages``
     counts the Newton stages of this space's support solves that ended
     without converging.
     """
@@ -371,8 +380,8 @@ class Cqms:
                 self._samples[key] = drawn(np.random.default_rng(seed + 1), budget)
         return self._samples[key]
 
-    def ball_net(self, r: float, epsilon: float, budget: int = 64,
-                 seed: int = 0, max_points: int = 220) -> BallNet:
+    def ball_net(self, r: float, epsilon: float, budget: int, seed: int,
+                 max_points: int = 220) -> BallNet:
         """Greedy farthest-point net of D_r.
 
         Candidates are boundary points of coordinate and seeded random
@@ -535,33 +544,37 @@ class Cqms:
 
     # -- radius and the state metric --------------------------------------------
 
-    def _witness(self, v: np.ndarray, i: int, j: int) -> np.ndarray:
-        return (np.outer(v[:, i], v[:, i].conj())
-                - np.outer(v[:, j], v[:, j].conj())) / 2.0
+    def _alternate_witness(self, starts, rounds: int) -> None:
+        """Continue the ascent whose best the radius cache holds from each
+        (value, a) start.  Every value is (mu(a) - nu(a)) / (2 L(a)) for pure
+        states mu, nu: at most |a~| / L(a), so a lower bound of the radius,
+        and half a lower bound of rho_L(mu, nu).
 
-    def _alternate_witness(self, a: np.ndarray, val: float, rounds: int,
-                           scale: float = 1.0) -> float:
-        """Witness alternation from a current support optimizer: jump to the
-        extreme (and, as escape moves, second-extreme) spectral pair of the
-        iterate and re-solve (coarse); monotone, stops at a fixed point."""
+        A round takes the extreme (then, as escape moves, the second-extreme)
+        eigenvector pair (mu, nu) of the iterate, solves the support problem
+        (coarse) for the witness (P_mu - P_nu) / 2, and moves to the first
+        solve that improves the value; at most ``rounds`` rounds, stopping at
+        a fixed point.  The cache keeps the best (value, a) and never falls.
+        """
         d = self.dim
-        for _ in range(rounds):
-            w, v = np.linalg.eigh(a)
-            pairs = [(d - 1, 0)]
-            if d > 2:
-                pairs += [(d - 1, 1), (d - 2, 0)]
-            improved = False
-            for (i, j) in pairs:
-                g = scale * self._witness(v, i, j)
-                g = self.space.element(self.space.coeffs(g))
-                new_val, new_a = self._support_max(g, effort="coarse")
-                if new_val > val + 1e-9 * (1.0 + val):
-                    a, val = new_a, new_val
-                    improved = True
+        pairs = [(d - 1, 0)] + ([(d - 1, 1), (d - 2, 0)] if d > 2 else [])
+        best = self._radius
+        for val, a in starts:
+            for _ in range(rounds):
+                _, v = np.linalg.eigh(a)
+                for i, j in pairs:
+                    g = (np.outer(v[:, i], v[:, i].conj())
+                         - np.outer(v[:, j], v[:, j].conj())) / 2.0
+                    new_val, new_a = self._support_max(self.space.element(self.space.coeffs(g)),
+                                                       effort="coarse")
+                    if new_val > val + 1e-9 * (1.0 + val):
+                        val, a = new_val, new_a
+                        break
+                else:
                     break
-            if not improved:
-                break
-        return val
+            if best is None or val > best[0]:
+                best = (val, a)
+        self._radius = best
 
     def _dirac_metric(self) -> np.ndarray | None:
         """rho_L(delta_i, delta_j) for every pair of points of a full diagonal
@@ -594,55 +607,43 @@ class Cqms:
 
     def radius(self) -> float:
         """sup |a~| / L(a), the minimal constant comparing the quotient norm
-        with the seminorm.
+        with the seminorm.  For Hermitian a, |a~| = (lambda_max - lambda_min)
+        / 2 is half the largest mu(a) - nu(a) over states, so the radius is
+        half the diameter of the state space under rho_L.
 
-        On a full diagonal space it is exact (tag "exact"): |a~| is half the
-        spread of the diagonal, so the radius is half the largest Dirac
-        distance of ``_dirac_metric``.
+        On a full diagonal space it is exact (tag "exact"): half the largest
+        Dirac distance of ``_dirac_metric``.
 
-        Elsewhere it is an ascent estimate (tag "ascent"), which
-        alternates between extreme spectral witnesses of the quotient norm
-        at the current point and a support-function solve for the witness;
-        multi-started from coordinate and seeded random directions, with
-        second-extreme witness pairs tried as escape moves when the
-        alternation reaches a fixed point.  A lower bound by construction;
-        callers check it against the quadrature mean of the length function.
-        Four coordinate and two seeded random starts, four alternation
-        rounds each; the value is cached.
+        Elsewhere it is an ascent estimate (tag "ascent"), a lower bound by
+        construction: ``_alternate_witness`` from four coordinate and two
+        seeded random starts, four rounds each.  The value is cached; a later
+        ``state_diameter`` continues the same ascent over more pure-state
+        pairs, so it can raise the radius but never lower it.  Callers check
+        it against the quadrature mean of the length function.
         """
         if self._radius is not None:
             return self._radius[0]
-        slice_ortho = self.space.ortho[1:]
-        ns = slice_ortho.shape[0]
+        ns = self.space.real_dim - 1
         if ns == 0:
-            self._radius = (0.0, "exact")
-            return 0.0
-        dirac = self._dirac_metric()
-        if dirac is not None:
-            self._radius = (float(np.max(dirac)) / 2.0, "exact")
-            return self._radius[0]
-        rng = np.random.default_rng(0)
-        start_coeffs = list(np.eye(ns)[:: max(1, ns // 4)][:4])
-        start_coeffs += list(rng.standard_normal((2, ns)))
-        best = 0.0
-        for c in start_coeffs:
-            c = c / np.linalg.norm(c)
-            a = np.einsum("k,kab->ab", c, slice_ortho)
-            lv = self._coeff_seminorms(c[None])[0]
-            if lv < 1e-12:
-                if nm.quotient_norm(a) > 1e-9:
-                    raise NonLipError(
-                        "seminorm vanishes off the scalars; not a Lip-norm")
-                continue
-            val = nm.quotient_norm(a) / lv
-            val = self._alternate_witness(a, val, 4)
-            best = max(best, val)
-        self._radius = (best, "ascent")
-        return best
+            self._radius = (0.0, None)
+        elif self._dirac_metric() is not None:
+            self._radius = (float(np.max(self._dirac_metric())) / 2.0, None)
+        else:
+            rng = np.random.default_rng(0)
+            starts = []
+            for c in list(np.eye(ns)[:: max(1, ns // 4)][:4]) + list(rng.standard_normal((2, ns))):
+                c = c / np.linalg.norm(c)
+                a = np.einsum("k,kab->ab", c, self.space.ortho[1:])
+                lv = self._coeff_seminorms(c[None])[0]
+                if lv < 1e-12:
+                    raise NonLipError("seminorm vanishes off the scalars; not a Lip-norm")
+                starts.append((nm.quotient_norm(a) / lv, a))
+            self._alternate_witness(starts, 4)
+        return self._radius[0]
 
     def radius_method(self) -> str:
         self.radius()
-        return self._radius[1]
+        return "exact" if self._radius[1] is None else "ascent"
 
     def state_metric(self, mu: StateFunctional, nu: StateFunctional) -> float:
         """Dual metric rho_L(mu, nu) = sup {mu(a) - nu(a) : L(a) <= 1}.
@@ -659,53 +660,41 @@ class Cqms:
         value, _ = self._support_max(gm)
         return float(max(value, 0.0))
 
-    def state_diameter(self, sample: int = 24, seed: int = 0) -> float:
-        """The state-space diameter: exact on a full diagonal space, a lower
-        estimate over pure-state pairs elsewhere.
+    def state_diameter(self, sample: int, seed: int) -> float:
+        """The diameter of the state space under rho_L: twice the radius,
+        after the radius ascent has also run over a pool of pure-state pairs.
 
-        rho_L is jointly convex, so its max over pairs of states is attained
-        at extreme states of the space; on a full diagonal space those are
-        the Dirac states, and the diameter is the largest Dirac distance of
-        ``_dirac_metric`` (``sample`` and ``seed`` are then unused).
-
-        Elsewhere the pool is the extreme eigenprojections of seeded random
-        elements of the space.  Every pool pair gets a one-evaluation proxy (the
-        metric's value along the pair's Riesz direction, itself a valid
-        lower bound); the most promising ``sample`` pairs are solved in
-        full and then polished by three rounds of witness alternation: the
-        optimizer's own extreme eigenprojections form the next pure pair,
-        which can only increase the value.  Each reported number is a
-        genuine metric value of a genuine pure-state pair.
+        Exact on a full diagonal space (the largest Dirac distance; ``sample``
+        and ``seed`` are then unused).  Elsewhere rho_L is jointly convex, so
+        its max over pairs of states is attained at pure states.  The pool
+        is the extreme eigenvectors of ``max(6, sample // 2)`` random elements
+        of the space drawn from ``seed``.  Every pool pair gets a
+        one-evaluation proxy: the metric's value along the pair's Riesz
+        direction, itself a valid lower bound.  The best proxy, then the
+        ``sample`` most promising pairs solved in full and polished by three
+        rounds, enter ``_alternate_witness``, each value halved.  So
+        afterwards ``state_diameter(sample, seed) == 2 * radius()`` exactly,
+        and neither number drops on a later call.
         """
+        if self.radius_method() == "exact":
+            return 2.0 * self.radius()
         rng = np.random.default_rng(seed)
-        n_pool = max(6, sample // 2)
-        slice_ortho = self.space.ortho[1:]
-        if slice_ortho.shape[0] == 0:
-            return 0.0
-        dirac = self._dirac_metric()
-        if dirac is not None:
-            return float(np.max(dirac))
-        vecs = []
-        for _ in range(n_pool):
-            a = self.space.random_element(rng)
-            w, v = np.linalg.eigh(a)
-            vecs.append(v[:, -1])
-            vecs.append(v[:, 0])
-        states = [vector_state(v) for v in vecs]
-        pairs = [(i, j) for i in range(len(states)) for j in range(i + 1, len(states))]
-        gmats = np.array([
-            self.space.element(self.space.coeffs(states[i].density - states[j].density))
-            for i, j in pairs])
+        states = []
+        for _ in range(max(6, sample // 2)):
+            _, v = np.linalg.eigh(self.space.random_element(rng))
+            states += [vector_state(v[:, -1]), vector_state(v[:, 0])]
+        gmats = np.array([self.space.element(self.space.coeffs(mu.density - nu.density))
+                          for k, mu in enumerate(states) for nu in states[k + 1:]])
         norms = self.seminorms(gmats)
         riesz = np.einsum("nab,nab->n", gmats.conj(), gmats).real
         with np.errstate(divide="ignore", invalid="ignore"):
             proxies = np.where(norms > 1e-12, riesz / norms, 0.0)
-        best = float(np.max(proxies))
-        order = np.argsort(proxies)[::-1][:sample]
-        for k in order:
-            value, argmax = self._support_max(gmats[k], effort="coarse")
-            best = max(best, self._alternate_witness(argmax, value, 3, scale=2.0))
-        return best
+        order = np.argsort(proxies)[::-1]
+        top = order[0]
+        self._alternate_witness([(proxies[top] / 2.0, gmats[top] / norms[top])], 0)
+        solved = [self._support_max(gmats[k], effort="coarse") for k in order[:sample]]
+        self._alternate_witness([(value / 2.0, a) for value, a in solved], 3)
+        return 2.0 * self.radius()
 
 
 def spectral_lse(mats: np.ndarray, dirs: np.ndarray, tau: float, pad=None):

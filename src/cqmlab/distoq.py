@@ -355,12 +355,12 @@ def _retract_gap(target: Cqms, stack: np.ndarray, radius: float) -> np.ndarray:
 EPS_MARGIN, REFINE_WITNESSES = 1.05, 12
 
 
-def dist_oq_upper(a: Cqms, b: Cqms, phi: ComparisonMap, big_r: float = None,
-                  eps_net: float = 0.25, budget: int = 64, seed: int = 0) -> BoundReport:
+def dist_oq_upper(a: Cqms, b: Cqms, phi: ComparisonMap, big_r: float | None,
+                  eps_net: float, budget: int, seed: int) -> BoundReport:
     """Upper estimate of the order-unit quantum distance through the glue
     norm along ``phi``.
 
-    With ``big_r`` set this is the R-variant (both balls at radius R and
+    With ``big_r`` a number this is the R-variant (both balls at radius R and
     unit term R e_A vs R e_B); otherwise the plain distance with per-space
     radii.  The reported value is the max of the net Hausdorff distance
     under the glue norm and the unit term; slack sums the two net covering
@@ -525,11 +525,8 @@ def audit_chain(a: Cqms, b: Cqms, reports: dict) -> AuditRecord:
     tol = 1e-9
     checks = []
 
-    def get(key):
-        return reports.get(key)
-
-    lo, up = get("oq_lower"), get("oq_upper")
-    lo_r, up_r = get("oqR_lower"), get("oqR_upper")
+    lo, up = reports.get("oq_lower"), reports.get("oq_upper")
+    lo_r, up_r = reports.get("oqR_lower"), reports.get("oqR_upper")
 
     if lo is not None and up is not None:
         checks.append(AuditCheck(
@@ -548,7 +545,7 @@ def audit_chain(a: Cqms, b: Cqms, reports: dict) -> AuditRecord:
         checks.append(AuditCheck(
             "dist_q interval nonempty", q_lo <= q_hi + tol, q_lo, q_hi,
             note="[max(lower/3, lowerR/2), min(5 upper, 2.5 upperR)]"))
-    up_rb, lo_rb = get("oq_rB_upper"), get("oq_rB_lower")
+    up_rb, lo_rb = reports.get("oq_rB_upper"), reports.get("oq_rB_lower")
     if all(x is not None for x in (lo, up, up_rb, lo_rb)):
         slack = up.slack + up_rb.slack
         gap = max(0.0,
@@ -560,8 +557,8 @@ def audit_chain(a: Cqms, b: Cqms, reports: dict) -> AuditRecord:
     return AuditRecord(pair=(a.name, b.name), checks=checks)
 
 
-def audit_pair(a: Cqms, b: Cqms, phi: ComparisonMap, eps_net: float = 0.25,
-               budget: int = 64, seed: int = 0) -> tuple[dict, AuditRecord]:
+def audit_pair(a: Cqms, b: Cqms, phi: ComparisonMap, eps_net: float, budget: int,
+               seed: int) -> tuple[dict, AuditRecord]:
     """Convenience: compute the full report set for a pair and audit it."""
     ra, rb = a.radius(), b.radius()
     big_r = max(ra, rb)

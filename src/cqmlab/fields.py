@@ -109,7 +109,7 @@ def torus_theta_family(q: int, p_values) -> ParamFamily:
 
 
 def transported_net_sections(fam: ParamFamily, bound_r: float, eps_net: float,
-                             budget: int = 48, seed: int = 0) -> list:
+                             budget: int, seed: int) -> list:
     """Add sections whose t0 values are the t0 member's ball-net points,
     transported to the other members by matched frequency coefficients
     (fuzzy tori); a member that is the t0 space itself takes the points
@@ -148,7 +148,7 @@ class FamilyVerdict:
 
 
 def criterion_iii_check(fam: ParamFamily, section_names, eps: float,
-                        bound_r: float, budget: int = 48, seed: int = 0) -> FamilyVerdict:
+                        bound_r: float, budget: int, seed: int) -> FamilyVerdict:
     """Do the named sections eps-cover the balls D_R across the grid?
 
     Per member: every point of its (R, eps/4)-net must lie within eps of
@@ -204,16 +204,18 @@ def multiplicity_profile(fam: ParamFamily, characters) -> dict:
 
 
 def convergence_study(fam: ParamFamily, t0, phi_rules: dict, characters,
-                      bound_r: float = None, eps_net: float = 0.25,
-                      budget: int = 48, seed: int = 0) -> dict:
+                      bound_r: float | None, eps_net: float, budget: int,
+                      seed: int) -> dict:
     """Distance-bound table member vs the distinguished member, with the
     family's ``multiplicity_profile`` over ``characters``.  A row's lower
     bound is the radius gap, an estimate on dense members (ascent radii).
 
     ``phi_rules`` maps each label t != t0 to a ComparisonMap from A_t to
-    A_{t0}.  Rows come back in grid order; the trend summary checks that
-    certified upper bounds do not increase as the grid approaches t0
-    from either side, within the reported slacks.
+    A_{t0}.  Each row's upper bound is the R-variant at ``bound_r``, or,
+    when it is None, at the larger of the two radii.  Rows come back in
+    grid order; the trend summary checks that certified upper bounds do not
+    increase as the grid approaches t0 from either side, within the
+    reported slacks.
     """
     base = fam.members[t0]
     rows = []
@@ -242,7 +244,7 @@ def convergence_study(fam: ParamFamily, t0, phi_rules: dict, characters,
 
 
 def family_agreement(fam: ParamFamily, section_names, eps: float, bound_r: float,
-                     characters, budget: int = 48, seed: int = 0) -> dict:
+                     characters, budget: int, seed: int) -> dict:
     """The desk-scale equivalence check: the section-covering verdict and
     local multiplicity constancy must agree on every bundled family."""
     crit = criterion_iii_check(fam, section_names, eps, bound_r,

@@ -88,7 +88,7 @@ def test_ball_net_scalar_space_interval():
 
 
 def test_ball_net_degenerate_radius(torus2):
-    net = torus2.ball_net(0.0, 0.3, seed=0)
+    net = torus2.ball_net(0.0, 0.3, budget=64, seed=0)
     assert net.size == 1 and nm.op_norm(net.points[0]) == 0.0
 
 
@@ -111,7 +111,7 @@ def test_ball_net_cap_flag(torus2):
     # a cap at the size where the separation rule stops anyway is no cap
     exact = torus2.ball_net(1.0, 0.8, budget=8, seed=0, max_points=full.size)
     assert not exact.capped and np.array_equal(exact.points, full.points)
-    assert not torus2.ball_net(0.0, 0.3, seed=0).capped
+    assert not torus2.ball_net(0.0, 0.3, budget=64, seed=0).capped
 
 
 def test_ball_net_validity_and_separation(torus2):
@@ -141,7 +141,7 @@ def test_ball_net_grid_oracle_dimension4(torus2):
 
 
 def test_nested_nets(torus2):
-    small = torus2.ball_net(0.5, 0.4, seed=0)
+    small = torus2.ball_net(0.5, 0.4, budget=64, seed=0)
     for p in small.points:
         assert torus2.ball_membership(p, 1.0)
 
@@ -178,7 +178,7 @@ def test_nets_share_one_sample(monkeypatch):
         shared = ex.fuzzy_sphere(2)
         rows.clear()
         # a zero radius returns before any sample is built
-        assert shared.ball_net(0.0, 0.5, seed=3).size == 1 and not rows
+        assert shared.ball_net(0.0, 0.5, budget=64, seed=3).size == 1 and not rows
         for k, (r, eps, budget, cap) in enumerate(order):
             rows.clear()
             net = shared.ball_net(r, eps, budget=budget, seed=3, max_points=cap)
@@ -291,6 +291,29 @@ def test_state_diameter_cycle(cycle12):
     assert diam == pytest.approx(np.pi, rel=0.05)
     r = cycle12.radius()
     assert abs(diam / 2.0 - r) <= 0.1 * r
+
+
+@pytest.mark.parametrize("build, radius, floor", [
+    (lambda: ex.fuzzy_torus(3, 1), 1.6791015414899422, 1.7080715384292215),
+    (lambda: ex.fuzzy_torus(5, 1), 1.999628557437582, 2.005411065471815),
+    (lambda: ex.fuzzy_sphere(1), 0.5090495209479443, 0.5090495209479443),
+    (lambda: ex.fuzzy_sphere(2), 0.5075428797720113, 0.5081119199512445),
+], ids=["torus3", "torus5", "sphere1", "sphere2"])
+def test_radius_is_half_the_diameter(build, radius, floor):
+    # r = diam S(A) / 2, and one ascent over pure-state pairs serves both: a
+    # fresh radius is the six-start ascent's value, to the bit; a diameter
+    # continues that ascent, so afterwards r = diam / 2 exactly and neither
+    # drops.  The floors are max(r, diam / 2) from when the two numbers came
+    # from separate ascents (torus3, torus5 and sphere2 had r < diam / 2)
+    obj = build()
+    assert obj.radius() == radius
+    diam = obj.state_diameter(8, 1)
+    assert diam == 2.0 * obj.radius()
+    assert obj.radius() >= floor - 1e-12
+    assert obj.state_diameter(1, 2) >= diam
+    # the cached value is witnessed: |a~| / L(a) of the cached element
+    value, a = obj._radius
+    assert nm.quotient_norm(a) / obj.seminorm(a) >= value * (1.0 - 1e-9)
 
 
 @pytest.mark.parametrize("name", ["torus3", "sphere1"])
@@ -573,7 +596,7 @@ def test_diagonal_space_is_exact(m):
         assert np.real(np.trace(gmat @ a)) == pytest.approx(val, rel=1e-12)
     assert obj.radius() == pytest.approx(np.max(arcs) / 2.0, abs=1e-12)
     assert obj.radius_method() == "exact"
-    assert obj.state_diameter() == 2.0 * obj.radius()
+    assert obj.state_diameter(24, 0) == 2.0 * obj.radius()
 
 
 def test_dirac_metric_is_shortest_path():

@@ -45,7 +45,7 @@ def test_identity_map_distortion(cycle8):
 
 def test_cycle_refinement_isometric(cycle8, cycle16):
     phi = dq.cycle_refinement_map(cycle8, cycle16)
-    eps, unit = phi.measure(cycle8.ball_net(cycle8.radius(), 0.35, budget=8).points)
+    eps, unit = phi.measure(cycle8.ball_net(cycle8.radius(), 0.35, budget=8, seed=0).points)
     assert eps < 1e-10            # step extension preserves the sup norm
     assert unit == pytest.approx(0.0, abs=1e-10)
     with pytest.raises(ValueError):
@@ -156,7 +156,7 @@ def test_glue_unconverged_stages_counted(torus_pair, monkeypatch):
     # step allowed every stage run ends unconverged, and the report counts it
     a, b = torus_pair
     phi = dq.torus_frequency_map(a, b)
-    up = dq.dist_oq_upper(a, b, phi, eps_net=0.6, budget=8, seed=0)
+    up = dq.dist_oq_upper(a, b, phi, None, eps_net=0.6, budget=8, seed=0)
     assert up.components["glue_unconverged_stages"] == 0
 
     stages = []
@@ -168,7 +168,7 @@ def test_glue_unconverged_stages_counted(torus_pair, monkeypatch):
 
     monkeypatch.setattr(cq, "_newton_stage", counting)
     monkeypatch.setattr(cq, "NEWTON_STEPS", 0)
-    capped = dq.dist_oq_upper(a, b, phi, eps_net=0.6, budget=8, seed=0)
+    capped = dq.dist_oq_upper(a, b, phi, None, eps_net=0.6, budget=8, seed=0)
     assert stages and capped.components["glue_unconverged_stages"] == len(stages)
 
 
@@ -178,7 +178,7 @@ def test_almost_amal_admissibility(cycle8, cycle16):
     # on cycle8 at eps = 1e-6, and for the c8 -> c16 refinement (an
     # l-infinity isometry) at the eps that dist_oq_upper glues with
     refine = dq.cycle_refinement_map(cycle8, cycle16)
-    up = dq.dist_oq_upper(cycle8, cycle16, refine, eps_net=0.35, budget=32, seed=0)
+    up = dq.dist_oq_upper(cycle8, cycle16, refine, None, eps_net=0.35, budget=32, seed=0)
     rng = np.random.default_rng(3)
     for phi, target, eps in ((dq.identity_map(cycle8), cycle8, 1e-6),
                              (refine, cycle16, up.components["glue_eps"])):
@@ -198,7 +198,7 @@ def test_glue_eps_is_measured_once():
     # returns the same pair: nothing is stored between the two
     a, b = ex.fuzzy_torus(3, 1), ex.fuzzy_torus(5, 1)
     phi = dq.torus_frequency_map(a, b)
-    up = dq.dist_oq_upper(a, b, phi, eps_net=0.6, budget=8, seed=0)
+    up = dq.dist_oq_upper(a, b, phi, None, eps_net=0.6, budget=8, seed=0)
     points = a.ball_net(a.radius(), 0.6, budget=8, seed=0).points[:32]
     first = phi.measure(points)
     assert up.components["phi_distortion"] == first[0]
@@ -228,14 +228,14 @@ def test_almost_amal_norm_axioms(cycle8):
 
 def test_dist_upper_identical(cycle8):
     phi = dq.identity_map(cycle8)
-    up = dq.dist_oq_upper(cycle8, cycle8, phi, eps_net=0.3, budget=32, seed=0)
+    up = dq.dist_oq_upper(cycle8, cycle8, phi, None, eps_net=0.3, budget=32, seed=0)
     assert up.value <= 2 * 0.3
     assert up.unit_term <= 1e-8
 
 
 def test_dist_bounds_cycle_refinement(cycle8, cycle16):
     phi = dq.cycle_refinement_map(cycle8, cycle16)
-    up = dq.dist_oq_upper(cycle8, cycle16, phi, eps_net=0.35, budget=32, seed=0)
+    up = dq.dist_oq_upper(cycle8, cycle16, phi, None, eps_net=0.35, budget=32, seed=0)
     lo = dq.dist_oq_lower(cycle8, cycle16)
     assert np.isfinite(up.value)
     assert lo.value <= up.certified_upper + 1e-9
@@ -251,7 +251,7 @@ def test_reports_flag_capped_nets(cycle8, cycle16, monkeypatch):
         with monkeypatch.context() as mp:
             mp.setattr(cq.Cqms, "ball_net",
                        lambda self, *args, **kw: ball_net(self, *args, **kw, max_points=cap))
-            up = dq.dist_oq_upper(cycle8, cycle16, phi, eps_net=0.8, budget=16, seed=0)
+            up = dq.dist_oq_upper(cycle8, cycle16, phi, None, eps_net=0.8, budget=16, seed=0)
         assert up.components["net_a_capped"] is flag
         assert up.components["net_b_capped"] is flag
         assert up.as_dict()["components"]["net_b_capped"] is flag
@@ -304,7 +304,7 @@ def test_dist_upper_seed_stability(torus_pair):
     phi = dq.torus_frequency_map(a, b)
     values = []
     for seed in (0, 1):
-        up = dq.dist_oq_upper(a, b, phi, eps_net=0.6, budget=24, seed=seed)
+        up = dq.dist_oq_upper(a, b, phi, None, eps_net=0.6, budget=24, seed=seed)
         values.append(up.value)
     assert abs(values[0] - values[1]) <= 0.05 * max(values)
 
@@ -313,8 +313,8 @@ def test_pseudo_triangle_cycles():
     a, b, c = (ex.commutative_cycle(m) for m in (6, 12, 24))
     pab = dq.cycle_refinement_map(a, b)
     pbc = dq.cycle_refinement_map(b, c)
-    up_ab = dq.dist_oq_upper(a, b, pab, eps_net=0.35, budget=32, seed=0)
-    up_bc = dq.dist_oq_upper(b, c, pbc, eps_net=0.35, budget=32, seed=0)
+    up_ab = dq.dist_oq_upper(a, b, pab, None, eps_net=0.35, budget=32, seed=0)
+    up_bc = dq.dist_oq_upper(b, c, pbc, None, eps_net=0.35, budget=32, seed=0)
     lo_ac = dq.dist_oq_lower(a, c)
     total_slack = up_ab.slack + up_bc.slack
     assert lo_ac.value <= up_ab.value + up_bc.value + total_slack + 1e-9
@@ -334,9 +334,9 @@ def test_cycle_refinement_bound_decreases():
     # discretization convergence: the m vs 2m upper bound shrinks as m grows
     a6, a12, a24 = (ex.commutative_cycle(m) for m in (6, 12, 24))
     up_coarse = dq.dist_oq_upper(a6, a12, dq.cycle_refinement_map(a6, a12),
-                                 eps_net=0.35, budget=32, seed=0)
+                                 None, eps_net=0.35, budget=32, seed=0)
     up_fine = dq.dist_oq_upper(a12, a24, dq.cycle_refinement_map(a12, a24),
-                               eps_net=0.35, budget=32, seed=0)
+                               None, eps_net=0.35, budget=32, seed=0)
     assert up_fine.value < up_coarse.value
 
 

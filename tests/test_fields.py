@@ -32,7 +32,7 @@ def test_section_validation_errors(torus31):
 def test_criterion_iii_unknown_section(torus31):
     fam = fl.constant_family(torus31, [0, 1])
     with pytest.raises(ValueError):
-        fl.criterion_iii_check(fam, ["missing"], 0.5, 1.0)
+        fl.criterion_iii_check(fam, ["missing"], 0.5, 1.0, budget=48, seed=0)
 
 
 def test_constant_family_passes(torus31):
@@ -98,7 +98,7 @@ def test_sphere_family_trend():
     bmaps = {tj: ex.berezin_maps(tj) for tj in (1, 2, 3)}
     rules = {tj: dq.berezin_transport_map(members[tj], members[3], bmaps[tj], bmaps[3])
              for tj in (1, 2)}
-    study = fl.convergence_study(fam, 3, rules, eps_net=0.5, budget=24, seed=0,
+    study = fl.convergence_study(fam, 3, rules, bound_r=None, eps_net=0.5, budget=24, seed=0,
                                  characters=ex.sphere_characters(3))
     rows = {r["t"]: r for r in study["rows"] if "upper" in r}
     assert set(rows) == {1, 2}

@@ -300,17 +300,18 @@ def test_defaulted_parameters_are_set():
 
 
 def _defs() -> dict:
-    """(file name, first line) -> qualified name (``Class.method``,
+    """(file name, first line, name) -> qualified name (``Class.method``,
     ``function.nested``) for every function and method in src, nested ones
     included.  The first line is the first decorator's, as in the code
-    object's ``co_firstlineno``."""
+    object's ``co_firstlineno``; the name is its ``co_name``, so a lambda
+    written on a def's line is not taken for that def."""
     found = {}
     for path in sorted(SRC.glob("*.py")):
         def visit(node, prefix):
             for child in ast.iter_child_nodes(node):
                 if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     line = min([child.lineno] + [d.lineno for d in child.decorator_list])
-                    found[(path.name, line)] = prefix + child.name
+                    found[(path.name, line, child.name)] = prefix + child.name
                     visit(child, f"{prefix}{child.name}.")
                 elif isinstance(child, ast.ClassDef):
                     visit(child, f"{prefix}{child.name}.")
@@ -323,8 +324,8 @@ def _defs() -> dict:
 
 def _record_traffic(out: Path) -> None:
     """Run the measured traffic and write to ``out/traffic.json`` the exit
-    codes of its CLI runs and (file name, first line) of every function in
-    src that it called.  The traffic: every scenario in ``scenarios/``
+    codes of its CLI runs and (file name, first line, name) of every function
+    in src that it called.  The traffic: every scenario in ``scenarios/``
     through ``cli.main(["run", ..., "--format", "csv"])``, one single-command
     ``cli.main`` call, and one ``run_pass()`` of each benchmark workload at
     seed 1 (then its ``close()``, where it has one).  The imports of the
@@ -357,8 +358,8 @@ def _record_traffic(out: Path) -> None:
     finally:
         sys.settrace(None)
     files = {name: Path(name).resolve() for name in {code.co_filename for code in called}}
-    lines = sorted({(files[code.co_filename].name, code.co_firstlineno) for code in called
-                    if files[code.co_filename].parent == SRC.resolve()})
+    lines = sorted({(files[code.co_filename].name, code.co_firstlineno, code.co_name)
+                    for code in called if files[code.co_filename].parent == SRC.resolve()})
     (out / "traffic.json").write_text(json.dumps({"codes": codes, "called": lines}))
 
 
@@ -405,8 +406,8 @@ def test_traffic_calls_every_function(tmp_path):
     def allowed(qual):
         return any(qual == name or qual.startswith(name + ".") for name in TEST_ONLY)
 
-    uncalled = sorted(f"{file}:{qual}" for (file, line), qual in defs.items()
-                      if (file, line) not in called and not allowed(qual))
+    uncalled = sorted(f"{key[0]}:{qual}" for key, qual in defs.items()
+                      if key not in called and not allowed(qual))
     assert not uncalled, f"functions in src that the traffic never calls: {uncalled}"
     # an allowlist entry that is gone or now called is stale
     quals = {qual: key for key, qual in defs.items()}
