@@ -302,27 +302,24 @@ def _embed_job(job, built) -> dict:
 def _degenerate_study(job, built) -> dict:
     desc, ref = built[job["reference"]]
     bound_r = job["R"] or max(ref.radius(), 1.0)
-    fam = fl.degenerate_family(ref, bound_r=bound_r)
-    return fl.family_agreement(fam, fl.scalar_grid_sections(fam), job["eps"], bound_r,
-                               desc.characters(), budget=job["budget"], seed=job["seed"])
-
-
-def _torus_theta_study(job, built) -> dict:
-    fam = fl.torus_theta_family(job["q"], job["ps"])
-    bound_r = job["R"] or max(fam.members[p].radius() for p in job["ps"])
-    names = fl.transported_net_sections(fam, bound_r, job["eps_net"],
-                                        budget=job["budget"], seed=job["seed"])
-    return fl.family_agreement(fam, names, job["eps"], bound_r, ex.torus_characters(job["q"]),
+    fam, sections = fl.degenerate_family(ref, bound_r=bound_r)
+    return fl.family_agreement(fam, sections, job["eps"], bound_r, desc.characters(),
                                budget=job["budget"], seed=job["seed"])
 
 
-def _constant_study(job, built) -> dict:
-    desc, member = built[job["example"]]
-    fam = fl.constant_family(member, job["labels"])
-    bound_r = job["R"] or member.radius()
-    names = fl.transported_net_sections(fam, bound_r, job["eps_net"],
-                                        budget=job["budget"], seed=job["seed"])
-    return fl.family_agreement(fam, names, job["eps"], bound_r, desc.characters(),
+def _net_section_study(job, built) -> dict:
+    """The torus_theta and constant studies, which differ only in their
+    family and character table: sections transported from the t0 member's
+    ball net."""
+    if job["type"] == "torus_theta":
+        fam, chars = fl.torus_theta_family(job["q"], job["ps"]), ex.torus_characters(job["q"])
+    else:
+        desc, member = built[job["example"]]
+        fam, chars = fl.constant_family(member, job["labels"]), desc.characters()
+    bound_r = job["R"] or max(m.radius() for m in fam.members.values())
+    sections = fl.transported_net_sections(fam, bound_r, job["eps_net"],
+                                           budget=job["budget"], seed=job["seed"])
+    return fl.family_agreement(fam, sections, job["eps"], bound_r, chars,
                                budget=job["budget"], seed=job["seed"])
 
 
@@ -343,7 +340,7 @@ def _sphere_convergence_study(job, built) -> dict:
     rules = {tj: dq.berezin_transport_map(members[tj], members[t0_j], bmaps[tj], bmaps[t0_j])
              for tj in labels if tj != t0_j}
     chars = ex.sphere_characters(max(labels), grid_dims=grid)
-    return fl.convergence_study(fam, t0_j, rules, bound_r=job["R"], eps_net=job["eps_net"],
+    return fl.convergence_study(fam, rules, bound_r=job["R"], eps_net=job["eps_net"],
                                 budget=job["budget"], seed=job["seed"], characters=chars)
 
 
@@ -378,10 +375,11 @@ _SPHERE_LEVELS = ex.FAMILIES["sphere"].fields["two_j"][2]
 # family study type -> (runner, its fields)
 _FAMILY_STUDIES = {
     "degenerate": (_degenerate_study, {"reference": _EXAMPLE, "R": _R, "eps": _EPS}),
-    "torus_theta": (_torus_theta_study, {"q": ex.FAMILIES["torus"].fields["q"],
+    "torus_theta": (_net_section_study, {"q": ex.FAMILIES["torus"].fields["q"],
                                          "ps": (ex.integers, ..., None), "R": _R, "eps": _EPS}),
-    "constant": (_constant_study, {"example": _EXAMPLE, "labels": (ex.integers, [0, 1, 2], None),
-                                   "R": _R, "eps": _EPS}),
+    "constant": (_net_section_study, {"example": _EXAMPLE,
+                                      "labels": (ex.integers, [0, 1, 2], None),
+                                      "R": _R, "eps": _EPS}),
     "sphere_convergence": (_sphere_convergence_study, {
         "two_js": (ex.integers, ..., _SPHERE_LEVELS), "t0": (ex.integer, None, _SPHERE_LEVELS),
         "R": _R}),

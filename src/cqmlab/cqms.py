@@ -261,9 +261,6 @@ class Cqms:
         rows = nm.realify(stack) @ nm.realify(self.space.ortho[1:]).T
         return self._coeff_seminorms(rows)
 
-    def unit(self) -> np.ndarray:
-        return np.eye(self.dim, dtype=complex)
-
     # -- the seminorm operator -------------------------------------------------
 
     def _operator(self) -> tuple[np.ndarray, bool]:

@@ -510,50 +510,38 @@ class AuditRecord:
 
 
 def audit_chain(a: Cqms, b: Cqms, reports: dict) -> AuditRecord:
-    """Interval-consistency audit of a family of bound reports.
+    """Interval-consistency audit of ``audit_pair``'s report set.
 
-    Expected keys: ``oq_lower``/``oq_upper`` (plain distance),
-    ``oqR_lower``/``oqR_upper`` (R-variant at R >= both radii), and
-    optionally ``oq_rB_upper``/``oq_rB_lower`` (R-variant at R = r_B).
-    Checks: lower <= upper + slack; upper <= r_A + r_B + slack; the
-    implied interval for the reference quantum distance from the (1/3, 5)
-    and (1/2, 5/2) constant pairs is nonempty; and the R = r_B variant
-    sits within |r_A - r_B| of the plain distance up to slack.  Failures
-    are recorded findings, not exceptions.  Each comparison allows 1e-9.
+    Keys: ``oq_upper`` (plain distance), ``oqR_upper`` (R-variant at R >=
+    both radii), ``oq_rB_upper`` (R-variant at R = r_B), and
+    ``oq_lower``/``oqR_lower``/``oq_rB_lower``, which are one report, the
+    radius gap; ``oq_lower`` is read for all three.  Checks: lower <=
+    upper + slack; upper <= r_A + r_B + slack; the implied interval for the
+    reference quantum distance from the (1/3, 5) and (1/2, 5/2) constant
+    pairs is nonempty; and the R = r_B variant sits within |r_A - r_B| of
+    the plain distance up to slack.  Failures are recorded findings, not
+    exceptions.  Each comparison allows 1e-9.
     """
     ra, rb = a.radius(), b.radius()
     tol = 1e-9
-    checks = []
-
-    lo, up = reports.get("oq_lower"), reports.get("oq_upper")
-    lo_r, up_r = reports.get("oqR_lower"), reports.get("oqR_upper")
-
-    if lo is not None and up is not None:
-        checks.append(AuditCheck(
-            "lower<=upper", lo.value <= up.certified_upper + tol,
-            lo.value, up.certified_upper))
-        checks.append(AuditCheck(
-            "upper<=rA+rB+slack", up.value <= ra + rb + up.slack + tol,
-            up.value, ra + rb + up.slack))
-    if lo_r is not None and up_r is not None:
-        checks.append(AuditCheck(
-            "R-variant lower<=upper", lo_r.value <= up_r.certified_upper + tol,
-            lo_r.value, up_r.certified_upper))
-    if all(x is not None for x in (lo, up, lo_r, up_r)):
-        q_lo = max(lo.value / 3.0, lo_r.value / 2.0)
-        q_hi = min(5.0 * up.certified_upper, 2.5 * up_r.certified_upper)
-        checks.append(AuditCheck(
-            "dist_q interval nonempty", q_lo <= q_hi + tol, q_lo, q_hi,
-            note="[max(lower/3, lowerR/2), min(5 upper, 2.5 upperR)]"))
-    up_rb, lo_rb = reports.get("oq_rB_upper"), reports.get("oq_rB_lower")
-    if all(x is not None for x in (lo, up, up_rb, lo_rb)):
-        slack = up.slack + up_rb.slack
-        gap = max(0.0,
-                  lo.value - (up_rb.certified_upper),
-                  lo_rb.value - (up.certified_upper))
-        checks.append(AuditCheck(
-            "|oq - oq^{rB}| <= |rA-rB| + slack", gap <= abs(ra - rb) + slack + tol,
-            gap, abs(ra - rb) + slack))
+    lo = reports["oq_lower"]
+    up, up_r, up_rb = reports["oq_upper"], reports["oqR_upper"], reports["oq_rB_upper"]
+    q_lo = max(lo.value / 3.0, lo.value / 2.0)
+    q_hi = min(5.0 * up.certified_upper, 2.5 * up_r.certified_upper)
+    slack = up.slack + up_rb.slack
+    gap = max(0.0, lo.value - up_rb.certified_upper, lo.value - up.certified_upper)
+    checks = [
+        AuditCheck("lower<=upper", lo.value <= up.certified_upper + tol,
+                   lo.value, up.certified_upper),
+        AuditCheck("upper<=rA+rB+slack", up.value <= ra + rb + up.slack + tol,
+                   up.value, ra + rb + up.slack),
+        AuditCheck("R-variant lower<=upper", lo.value <= up_r.certified_upper + tol,
+                   lo.value, up_r.certified_upper),
+        AuditCheck("dist_q interval nonempty", q_lo <= q_hi + tol, q_lo, q_hi,
+                   note="[max(lower/3, lowerR/2), min(5 upper, 2.5 upperR)]"),
+        AuditCheck("|oq - oq^{rB}| <= |rA-rB| + slack", gap <= abs(ra - rb) + slack + tol,
+                   gap, abs(ra - rb) + slack),
+    ]
     return AuditRecord(pair=(a.name, b.name), checks=checks)
 
 

@@ -212,10 +212,6 @@ def commutative_cycle(m: int) -> Cqms:
     return Cqms(space=diagonal_space(m), action=action, name=f"cycle(m={m})")
 
 
-def cycle_characters(m: int) -> list:
-    return ga.cyclic_characters(m)
-
-
 def scalar_cqms(reference: Cqms) -> Cqms:
     """The one-dimensional space R*I inside the same ambient matrices,
     carrying the same (now trivial) action.  The degenerate fibre of the
@@ -368,7 +364,7 @@ FAMILIES = {
                      characters=lambda p: sphere_characters(p["two_j"], grid_dims=p["grid"])),
     "cycle": Family(fields={"m": (integer, ..., (3, 64))},
                     build=lambda p: commutative_cycle(p["m"]),
-                    characters=lambda p: cycle_characters(p["m"])),
+                    characters=lambda p: ga.cyclic_characters(p["m"])),
 }
 
 

@@ -1,8 +1,9 @@
 """Parameterized families of quantum metric spaces over finite grids.
 
 A continuous-parameter family is operationalized as an ordered finite
-grid of labels with one space per label and named sections (coefficient
-rules in matched labeled bases, so evaluation is exact).  Three studies:
+grid of labels with one space per label.  A section set is a dict from
+label to an (n, d, d) stack whose row i is section i at that label; the
+study that reads it takes it as an argument.  Three studies:
 
 * ``criterion_iii_check`` - do finitely many sections epsilon-cover the
   defining balls across the grid (the ball-covering convergence
@@ -17,7 +18,7 @@ finite-grid analogue with literal truth; reports carry the section
 surrogate only and say so.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,36 +34,20 @@ SURROGATE_NOTE = ("finite-grid surrogate: section coverage over the sampled grid
 
 @dataclass
 class ParamFamily:
-    """Ordered parameter grid with one member space per label.
-
-    ``sections`` maps a section name to a dict of per-label elements;
-    every section must evaluate inside its member's span and the unit
-    section ("unit") is mandatory.
-    """
+    """Ordered parameter grid with one member space per label, based at
+    ``t0``.  Sections are not part of a family: studies take them."""
 
     labels: list
     t0: object
     members: dict
-    sections: dict = field(default_factory=dict)
     name: str = ""
 
     def __post_init__(self):
         if self.t0 not in self.members:
             raise ValueError("t0 is not a member label")
-        if "unit" not in self.sections:
-            self.sections["unit"] = {t: self.members[t].unit() for t in self.labels}
-        self.validate()
-
-    def validate(self) -> None:
         for t in self.labels:
             if t not in self.members:
                 raise ValueError(f"missing member at {t!r}")
-        for name, values in self.sections.items():
-            for t in self.labels:
-                if t not in values:
-                    raise ValueError(f"section {name!r} undefined at {t!r}")
-                if not self.members[t].space.contains(values[t], tol=1e-7):
-                    raise ValueError(f"section {name!r} leaves the span at {t!r}")
 
     def neighbors(self, t) -> list:
         i = self.labels.index(t)
@@ -83,25 +68,24 @@ def constant_family(member: Cqms, labels) -> ParamFamily:
     return ParamFamily(labels=list(labels), t0=labels[0], members=members, name="constant")
 
 
-def degenerate_family(reference: Cqms, bound_r: float) -> ParamFamily:
+def degenerate_family(reference: Cqms, bound_r: float) -> tuple[ParamFamily, dict]:
     """The non-convergent family on the grid 0, 1/3, 2/3, 1: the scalars at
-    t0 = 0, the full space at every other grid point, with nine sections
-    spanning only the t0 fibre's ball (scalar multiples of the unit, up to
-    ``bound_r``)."""
+    t0 = 0, the full space at every other grid point.  Returns it with its
+    nine sections, which span only the t0 fibre's ball (scalar multiples
+    of the unit, up to ``bound_r``)."""
     labels = [round(k / 3, 6) for k in range(4)]
     t0 = labels[0]
     members = {t: (scalar_cqms(reference) if t == t0 else reference) for t in labels}
-    sections = {}
     d = reference.dim
-    for i, lam in enumerate(np.linspace(-bound_r, bound_r, 9)):
-        sections[f"scalar_{i}"] = {t: lam * np.eye(d, dtype=complex) for t in labels}
-    return ParamFamily(labels=labels, t0=t0, members=members, sections=sections,
-                       name="degenerate")
+    scalars = np.array([lam * np.eye(d, dtype=complex)
+                        for lam in np.linspace(-bound_r, bound_r, 9)])
+    fam = ParamFamily(labels=labels, t0=t0, members=members, name="degenerate")
+    return fam, {t: scalars for t in labels}
 
 
 def torus_theta_family(q: int, p_values) -> ParamFamily:
     """Fuzzy tori at one level q over a grid of deformation steps p, based
-    at the first, with sections given by matched frequency coefficients."""
+    at the first.  Its sections come from ``transported_net_sections``."""
     p_values = list(p_values)
     members = {p: fuzzy_torus(q, p) for p in p_values}
     return ParamFamily(labels=p_values, t0=p_values[0], members=members,
@@ -109,70 +93,58 @@ def torus_theta_family(q: int, p_values) -> ParamFamily:
 
 
 def transported_net_sections(fam: ParamFamily, bound_r: float, eps_net: float,
-                             budget: int, seed: int) -> list:
-    """Add sections whose t0 values are the t0 member's ball-net points,
+                             budget: int, seed: int) -> dict:
+    """The section set whose t0 values are the t0 member's ball-net points,
     transported to the other members by matched frequency coefficients
     (fuzzy tori); a member that is the t0 space itself takes the points
-    as they are.  Returns the new section names."""
+    as they are.  Returns label -> (n, d, d) stack, one row per net point."""
     base = fam.members[fam.t0]
     net = base.ball_net(bound_r, eps_net, budget=budget, seed=seed)
-    maps = {t: torus_frequency_map(base, fam.members[t])
-            for t in fam.labels if fam.members[t] is not base}
-    names = []
-    for i, pt in enumerate(net.points):
-        name = f"net_{i}"
-        fam.sections[name] = {t: maps[t].apply(pt) if t in maps else pt
-                              for t in fam.labels}
-        names.append(name)
-    return names
-
-
-def scalar_grid_sections(fam: ParamFamily) -> list:
-    return [n for n in fam.sections if n.startswith("scalar_")]
+    sections = {}
+    for t in fam.labels:
+        member = fam.members[t]
+        if member is base:
+            sections[t] = net.points
+        else:
+            phi = torus_frequency_map(base, member)
+            sections[t] = np.array([phi.apply(pt) for pt in net.points])
+    return sections
 
 
 # ---------------------------------------------------------------------------
 # studies
 
 
-@dataclass
-class FamilyVerdict:
-    name: str
-    per_label: dict
-    passed: bool
-    note: str = ""
+def criterion_iii_check(fam: ParamFamily, sections: dict, eps: float,
+                        bound_r: float, budget: int, seed: int) -> dict:
+    """Do the sections eps-cover the balls D_R across the grid?
 
-    def as_dict(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "note": self.note,
-                "per_label": self.per_label}
-
-
-def criterion_iii_check(fam: ParamFamily, section_names, eps: float,
-                        bound_r: float, budget: int, seed: int) -> FamilyVerdict:
-    """Do the named sections eps-cover the balls D_R across the grid?
-
-    Per member: every point of its (R, eps/4)-net must lie within eps of
-    some section value; the verdict carries the worst gap and the net's
-    covering certificate (nets flagged incomplete degrade the verdict's
-    meaning, not its computation).
+    ``sections`` maps every label to an (n, d, d) stack of section values;
+    a label it lacks, or a value that is not d x d or lies outside its
+    member's span (tolerance 1e-7), is a ValueError naming the label.  Per
+    member: every point of its (R, eps/4)-net must lie within eps of some
+    section value; the verdict carries the worst gap and the net's covering
+    certificate (nets flagged incomplete degrade the verdict's meaning, not
+    its computation).
     """
-    for name in section_names:
-        if name not in fam.sections:
-            raise ValueError(f"unknown section {name!r}")
     per = {}
     all_pass = True
     for t in fam.labels:
-        member = fam.members[t]
+        if t not in sections:
+            raise ValueError(f"sections undefined at {t!r}")
+        member, stack = fam.members[t], np.asarray(sections[t])
+        if (stack.shape[1:] != (member.dim, member.dim)
+                or not all(member.space.contains(s, tol=1e-7) for s in stack)):
+            raise ValueError(f"a section leaves the span at {t!r}")
         net = member.ball_net(bound_r, eps / 4.0, budget=budget, seed=seed)
-        svals = np.array([fam.sections[name][t] for name in section_names])
-        worst = nm.covering_radius(svals, net.points)
+        worst = nm.covering_radius(stack, net.points)
         ok = worst < eps
         all_pass = all_pass and ok
         per[t] = {"passed": ok, "worst_gap": worst, "net_size": net.size,
                   "net_certificate": net.covering_certificate,
                   "net_complete": net.complete}
-    return FamilyVerdict(name=f"criterion-iii(eps={eps},R={bound_r})",
-                         per_label=per, passed=all_pass, note=SURROGATE_NOTE)
+    return {"name": f"criterion-iii(eps={eps},R={bound_r})", "passed": all_pass,
+            "note": SURROGATE_NOTE, "per_label": per}
 
 
 def multiplicity_profile(fam: ParamFamily, characters) -> dict:
@@ -203,20 +175,21 @@ def multiplicity_profile(fam: ParamFamily, characters) -> dict:
             "lower_semicontinuous": lower_semi, "t0": fam.t0}
 
 
-def convergence_study(fam: ParamFamily, t0, phi_rules: dict, characters,
+def convergence_study(fam: ParamFamily, phi_rules: dict, characters,
                       bound_r: float | None, eps_net: float, budget: int,
                       seed: int) -> dict:
     """Distance-bound table member vs the distinguished member, with the
     family's ``multiplicity_profile`` over ``characters``.  A row's lower
     bound is the radius gap, an estimate on dense members (ascent radii).
 
-    ``phi_rules`` maps each label t != t0 to a ComparisonMap from A_t to
-    A_{t0}.  Each row's upper bound is the R-variant at ``bound_r``, or,
-    when it is None, at the larger of the two radii.  Rows come back in
+    ``phi_rules`` maps each label t != ``fam.t0`` to a ComparisonMap from
+    A_t to A_{t0}.  Each row's upper bound is the R-variant at ``bound_r``,
+    or, when it is None, at the larger of the two radii.  Rows come back in
     grid order; the trend summary checks that certified upper bounds do not
     increase as the grid approaches t0 from either side, within the
     reported slacks.
     """
+    t0 = fam.t0
     base = fam.members[t0]
     rows = []
     for t in fam.labels:
@@ -243,18 +216,17 @@ def convergence_study(fam: ParamFamily, t0, phi_rules: dict, characters,
             "note": SURROGATE_NOTE, "multiplicity": multiplicity_profile(fam, characters)}
 
 
-def family_agreement(fam: ParamFamily, section_names, eps: float, bound_r: float,
+def family_agreement(fam: ParamFamily, sections: dict, eps: float, bound_r: float,
                      characters, budget: int, seed: int) -> dict:
     """The desk-scale equivalence check: the section-covering verdict and
     local multiplicity constancy must agree on every bundled family."""
-    crit = criterion_iii_check(fam, section_names, eps, bound_r,
-                               budget=budget, seed=seed)
+    crit = criterion_iii_check(fam, sections, eps, bound_r, budget=budget, seed=seed)
     prof = multiplicity_profile(fam, characters)
     return {
         "family": fam.name,
-        "criterion_iii_passed": crit.passed,
+        "criterion_iii_passed": crit["passed"],
         "multiplicity_locally_constant": prof["locally_constant"],
-        "agree": crit.passed == prof["locally_constant"],
-        "criterion": crit.as_dict(),
+        "agree": crit["passed"] == prof["locally_constant"],
+        "criterion": crit,
         "multiplicity": prof,
     }

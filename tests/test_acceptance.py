@@ -31,10 +31,9 @@ def verdict(num: int, ok: bool, detail: str) -> None:
     assert ok, detail
 
 
-# -- bundled examples (shared, built once) -----------------------------------
+# -- bundled examples ----------------------------------------------------------
 
-@pytest.fixture(scope="module")
-def bundle():
+def bundled_spaces() -> dict:
     return {
         "cycle8": ex.commutative_cycle(8),
         "cycle12": ex.commutative_cycle(12),
@@ -45,6 +44,13 @@ def bundle():
         "sphere2": ex.fuzzy_sphere(2),
         "sphere3": ex.fuzzy_sphere(3),
     }
+
+
+@pytest.fixture(scope="module")
+def bundle():
+    # shared, built once; criterion 02 builds its own, because a state
+    # diameter raises a space's cached radius, which later criteria read
+    return bundled_spaces()
 
 
 def test_criterion_01_classical_recovery():
@@ -70,10 +76,10 @@ def test_criterion_01_classical_recovery():
                    f"adjacent {adjacent:.6f} vs {2*np.pi/12:.6f}, {elapsed:.1f}s")
 
 
-def test_criterion_02_radius_bound(bundle):
+def test_criterion_02_radius_bound():
     rows = []
     ok = True
-    for name, obj in bundle.items():
+    for name, obj in bundled_spaces().items():
         r = obj.radius()
         bound = obj.action.group.haar_mean_length()
         diam = obj.state_diameter(sample=16, seed=3)
@@ -191,16 +197,16 @@ def test_criterion_06_multiplicity_exactness():
 def test_criterion_07_convergence_vs_multiplicity(bundle):
     verdicts = {}
     # degenerate family: both criteria must fail
-    fam_d = fl.degenerate_family(bundle["torus31"], bound_r=1.0)
-    agree_d = fl.family_agreement(fam_d, fl.scalar_grid_sections(fam_d), eps=0.4,
+    fam_d, scalars = fl.degenerate_family(bundle["torus31"], bound_r=1.0)
+    agree_d = fl.family_agreement(fam_d, scalars, eps=0.4,
                                   bound_r=1.0, characters=ex.torus_characters(3),
                                   budget=32, seed=0)
     verdicts["degenerate"] = agree_d
     # fuzzy-torus grid family: both must pass (recorded eps schedule)
     fam_t = fl.torus_theta_family(5, [1, 2])
     bound_r = max(fam_t.members[p].radius() for p in (1, 2))
-    names = fl.transported_net_sections(fam_t, bound_r, eps_net=0.6, budget=24, seed=0)
-    agree_t = fl.family_agreement(fam_t, names, eps=1.15, bound_r=bound_r,
+    sections_t = fl.transported_net_sections(fam_t, bound_r, eps_net=0.6, budget=24, seed=0)
+    agree_t = fl.family_agreement(fam_t, sections_t, eps=1.15, bound_r=bound_r,
                                   characters=ex.torus_characters(5),
                                   budget=24, seed=0)
     verdicts["torus-theta"] = agree_t
@@ -208,11 +214,8 @@ def test_criterion_07_convergence_vs_multiplicity(bundle):
     fam_c = fl.constant_family(bundle["torus21"], [0, 1])
     r21 = bundle["torus21"].radius()
     net = bundle["torus21"].ball_net(r21, 0.3, budget=32, seed=0)
-    names_c = []
-    for i, pt in enumerate(net.points):
-        fam_c.sections[f"net_{i}"] = {t: pt for t in fam_c.labels}
-        names_c.append(f"net_{i}")
-    agree_c = fl.family_agreement(fam_c, names_c, eps=1.0, bound_r=r21,
+    agree_c = fl.family_agreement(fam_c, {t: net.points for t in fam_c.labels},
+                                  eps=1.0, bound_r=r21,
                                   characters=ex.torus_characters(2),
                                   budget=32, seed=0)
     verdicts["constant"] = agree_c

@@ -414,10 +414,10 @@ def test_sphere_family_uses_declared_grid(tmp_path, monkeypatch):
     seen = {}
     study = fl.convergence_study
 
-    def spy(fam, t0, rules, **kwargs):
+    def spy(fam, rules, **kwargs):
         seen["groups"] = {t: m.action.group.descriptor for t, m in fam.members.items()}
         seen["sizes"] = {len(ch.values) for ch in kwargs["characters"]}
-        return study(fam, t0, rules, **kwargs)
+        return study(fam, rules, **kwargs)
 
     monkeypatch.setattr(fl, "convergence_study", spy)
     doc = {

@@ -215,7 +215,7 @@ def test_multiplicity_cycle_regular_representation():
     c = ex.commutative_cycle(6)
     basis = c.space.ortho
     traces = ga.action_traces(c.action, basis)
-    for ch in ex.cycle_characters(6):
+    for ch in ga.cyclic_characters(6):
         assert ga.multiplicity(c.action, ch, traces=traces) == 1
 
 
