@@ -226,8 +226,7 @@ def _example_job(job, built) -> dict:
         "real_dim": cq.space.real_dim, "group_size": cq.action.group.size,
         "group": cq.action.group.descriptor,
         "seminorm_kernel_size": int(cq.action.seminorm_kernel()[0].size),
-        "ergodic": bool(ga.ergodicity_check(
-            cq.action, None if cq.space.is_full else cq.space.ortho)),
+        "ergodic": bool(ga.ergodicity_check(cq.action, cq.space.ortho)),
     }
 
 
@@ -249,8 +248,7 @@ def _radius_job(job, built) -> dict:
 def _mult_job(job, built) -> dict:
     desc, cq = built[job["example"]]
     chars = desc.characters()
-    basis = None if cq.space.is_full else cq.space.ortho
-    pairs = ga.multiplicities(cq.action, chars, basis, job["integer_tol"])
+    pairs = ga.multiplicities(cq.action, chars, cq.space.ortho, job["integer_tol"])
     table = {str(ch.label): m for ch, (_, m) in zip(chars, pairs)}
     raw_worst = max([0.0] + [abs(raw - m) for raw, m in pairs])
     out = {"table": table, "raw_worst_deviation": raw_worst,
@@ -312,7 +310,7 @@ def _net_section_study(job, built) -> dict:
     family and character table: sections transported from the t0 member's
     ball net."""
     if job["type"] == "torus_theta":
-        fam, chars = fl.torus_theta_family(job["q"], job["ps"]), ex.torus_characters(job["q"])
+        fam, chars = fl.torus_theta_family(job["q"], job["ps"]), ga.torus_characters(job["q"], 2)
     else:
         desc, member = built[job["example"]]
         fam, chars = fl.constant_family(member, job["labels"]), desc.characters()

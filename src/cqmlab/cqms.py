@@ -124,10 +124,6 @@ class HermitianSpace:
     def real_dim(self) -> int:
         return self.ortho.shape[0]
 
-    @property
-    def is_full(self) -> bool:
-        return self.real_dim == self.dim ** 2
-
     def coeffs(self, a: np.ndarray) -> np.ndarray:
         return np.real(np.einsum("kab,ab->k", self.ortho.conj(), np.asarray(a, dtype=complex)))
 
@@ -174,20 +170,15 @@ def diagonal_space(d: int) -> HermitianSpace:
     return HermitianSpace(basis=mats)
 
 
-@dataclass(frozen=True)
-class StateFunctional:
-    """State mu(a) = tr(density a), given by a density matrix."""
-
-    density: np.ndarray
-
-
-def vector_state(v: np.ndarray) -> StateFunctional:
+def vector_state(v: np.ndarray) -> np.ndarray:
+    """Density matrix of the pure state of ``v``: the state
+    mu(a) = tr(density a)."""
     v = np.asarray(v, dtype=complex)
     v = v / np.linalg.norm(v)
-    return StateFunctional(density=np.outer(v, v.conj()))
+    return np.outer(v, v.conj())
 
 
-def dirac_state(d: int, i: int) -> StateFunctional:
+def dirac_state(d: int, i: int) -> np.ndarray:
     v = np.zeros(d)
     v[i] = 1.0
     return vector_state(v)
@@ -642,15 +633,16 @@ class Cqms:
         self.radius()
         return "exact" if self._radius[1] is None else "ascent"
 
-    def state_metric(self, mu: StateFunctional, nu: StateFunctional) -> float:
-        """Dual metric rho_L(mu, nu) = sup {mu(a) - nu(a) : L(a) <= 1}.
+    def state_metric(self, mu: np.ndarray, nu: np.ndarray) -> float:
+        """Dual metric rho_L(mu, nu) = sup {mu(a) - nu(a) : L(a) <= 1}, for
+        states given by their density matrices.
 
         The supremum saturates on D_R for any R at least the radius (the
         ball plus scalar shifts exhausts the seminorm unit ball), so it is at
         most twice the radius.  One support-function solve along the
         functional's in-space Riesz direction.
         """
-        g = mu.density - nu.density
+        g = mu - nu
         gm = self.space.element(self.space.coeffs(g))
         if nm.hs_norm(gm) <= 1e-13:
             return 0.0
@@ -680,7 +672,7 @@ class Cqms:
         for _ in range(max(6, sample // 2)):
             _, v = np.linalg.eigh(self.space.random_element(rng))
             states += [vector_state(v[:, -1]), vector_state(v[:, 0])]
-        gmats = np.array([self.space.element(self.space.coeffs(mu.density - nu.density))
+        gmats = np.array([self.space.element(self.space.coeffs(mu - nu))
                           for k, mu in enumerate(states) for nu in states[k + 1:]])
         norms = self.seminorms(gmats)
         riesz = np.einsum("nab,nab->n", gmats.conj(), gmats).real

@@ -467,7 +467,6 @@ def dist_oq_lower(a: Cqms, b: Cqms) -> LowerReport:
     ``(d_A + d_B) * eps * max(r_A, r_B)`` is float noise and counts as 0.
     On dense spaces both radii are ascent lower estimates, so their gap is
     an estimate, not a certified bound, until the radii are bracketed.
-    ``finmetric.gh_lower_bound`` is a tested tool, not part of this bound.
     """
     ra, rb = a.radius(), b.radius()
     radius_gap = abs(ra - rb)
@@ -526,7 +525,8 @@ def audit_chain(a: Cqms, b: Cqms, reports: dict) -> AuditRecord:
     tol = 1e-9
     lo = reports["oq_lower"]
     up, up_r, up_rb = reports["oq_upper"], reports["oqR_upper"], reports["oq_rB_upper"]
-    q_lo = max(lo.value / 3.0, lo.value / 2.0)
+    # one lower report serves both variants: max(lower/3, lower/2) = lower/2
+    q_lo = lo.value / 2.0
     q_hi = min(5.0 * up.certified_upper, 2.5 * up_r.certified_upper)
     slack = up.slack + up_rb.slack
     gap = max(0.0, lo.value - up_rb.certified_upper, lo.value - up.certified_upper)
@@ -538,7 +538,7 @@ def audit_chain(a: Cqms, b: Cqms, reports: dict) -> AuditRecord:
         AuditCheck("R-variant lower<=upper", lo.value <= up_r.certified_upper + tol,
                    lo.value, up_r.certified_upper),
         AuditCheck("dist_q interval nonempty", q_lo <= q_hi + tol, q_lo, q_hi,
-                   note="[max(lower/3, lowerR/2), min(5 upper, 2.5 upperR)]"),
+                   note="[lower/2, min(5 upper, 2.5 upperR)]"),
         AuditCheck("|oq - oq^{rB}| <= |rA-rB| + slack", gap <= abs(ra - rb) + slack + tol,
                    gap, abs(ra - rb) + slack),
     ]

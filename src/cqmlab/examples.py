@@ -3,11 +3,15 @@
 Three families at finite scale:
 
 * ``fuzzy_torus(q, p)`` - the q x q clock/shift algebra carrying the
-  ergodic Z_q x Z_q translation action with the flat word length;
+  ergodic Z_q^2 translation action with the flat word length;
 * ``fuzzy_sphere(two_j)`` - the full matrix algebra of a spin-j
   representation under SU(2) conjugation sampled on an Euler grid;
 * ``commutative_cycle(m)`` - functions on m circle points as diagonal
-  matrices under the cyclic shift, the classical recovery case.
+  matrices under Z_m^1, the 1-torus case, acting by the shift of
+  ``clock_and_shift(m)``: the classical recovery case.
+
+The torus and the cycle share one group family and its characters,
+``group_action.torus_group(q, n)`` and ``torus_characters(q, n)``.
 
 ``FAMILIES`` is the table scenario files read: per family its field
 table, its builder and its character table.  ``check_fields`` is the one
@@ -101,7 +105,7 @@ def fuzzy_torus(q: int, p: int = 1) -> Cqms:
     if q < 2:
         raise ValueError("need q >= 2")
     freq = torus_frequency_basis(q, p)
-    group = ga.torus_group(q, n=2)
+    group = ga.torus_group(q, 2)
 
     # implementers: conjugation by clock/shift monomials chosen so that
     # u_w picks up exactly exp(2 pi i (k1 w1 + k2 w2) / q)
@@ -122,10 +126,6 @@ def fuzzy_torus(q: int, p: int = 1) -> Cqms:
     action = ga.UnitaryAction(group=group, implementers=implementers)
     return Cqms(space=space, action=action, name=f"torus(q={q},p={p})",
                 basis_labels=dict(freq))
-
-
-def torus_characters(q: int) -> list:
-    return ga.torus_characters(q, n=2)
 
 
 # ---------------------------------------------------------------------------
@@ -200,13 +200,11 @@ def sphere_characters(two_j: int, grid_dims=DEFAULT_SU2_GRID) -> list:
 
 def commutative_cycle(m: int) -> Cqms:
     """Functions on m equally spaced circle points, as diagonal matrices
-    under the cyclic translation action with the arc length."""
+    under the translation action of Z_m^1 with the arc length."""
     if m < 3:
         raise ValueError("need m >= 3")
-    group = ga.cyclic_group(m)
-    shift = np.zeros((m, m), dtype=complex)
-    shift[np.arange(1, m) % m, np.arange(m - 1)] = 1.0
-    shift[0, m - 1] = 1.0
+    group = ga.torus_group(m, 1)
+    _, shift = clock_and_shift(m)
     implementers = np.array([np.linalg.matrix_power(shift, k) for k in range(m)])
     action = ga.UnitaryAction(group=group, implementers=implementers)
     return Cqms(space=diagonal_space(m), action=action, name=f"cycle(m={m})")
@@ -357,14 +355,14 @@ class Family:
 FAMILIES = {
     "torus": Family(fields={"q": (integer, ..., (2, 12)), "p": (integer, 1, None)},
                     build=lambda p: fuzzy_torus(p["q"], p["p"]),
-                    characters=lambda p: torus_characters(p["q"])),
+                    characters=lambda p: ga.torus_characters(p["q"], 2)),
     "sphere": Family(fields={"two_j": (integer, ..., (1, 8)),
                              "grid": (grid_dims, DEFAULT_SU2_GRID, None)},
                      build=lambda p: fuzzy_sphere(p["two_j"], grid_dims=p["grid"]),
                      characters=lambda p: sphere_characters(p["two_j"], grid_dims=p["grid"])),
     "cycle": Family(fields={"m": (integer, ..., (3, 64))},
                     build=lambda p: commutative_cycle(p["m"]),
-                    characters=lambda p: ga.cyclic_characters(p["m"])),
+                    characters=lambda p: ga.torus_characters(p["m"], 1)),
 }
 
 

@@ -158,8 +158,7 @@ def multiplicity_profile(fam: ParamFamily, characters) -> dict:
     table = {}
     for t in fam.labels:
         member = fam.members[t]
-        basis = None if member.space.is_full else member.space.ortho
-        pairs = ga.multiplicities(member.action, characters, basis)
+        pairs = ga.multiplicities(member.action, characters, member.space.ortho)
         table[t] = {str(ch.label): m for ch, (_, m) in zip(characters, pairs)}
     neigh = fam.neighbors(fam.t0)
     locally_constant = True

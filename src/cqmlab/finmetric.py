@@ -1,6 +1,6 @@
-"""Finite metric spaces: open-ball covers and packing numbers,
-Gromov-Hausdorff distance (exact on tiny spaces, certified
-bounds otherwise), and the hierarchical universal embedding.
+"""Finite metric spaces: open-ball covers and packing numbers, the exact
+Gromov-Hausdorff distance of tiny spaces, and the hierarchical universal
+embedding.
 
 Conventions: balls are open; boundary ties break by strict inequality
 with a 1e-12 slack.  Gromov-Hausdorff is computed through the
@@ -221,9 +221,7 @@ def gh_exact_small(x: FiniteMetricSpace, y: FiniteMetricSpace) -> float:
     over the achievable distortion values with an exact feasibility
     search at each candidate."""
     if x.n > GH_EXACT_CAP or y.n > GH_EXACT_CAP:
-        raise ValueError(
-            f"gh_exact_small handles at most {GH_EXACT_CAP} points; "
-            "use gh_lower_bound / Hausdorff bounds instead")
+        raise ValueError(f"gh_exact_small handles at most {GH_EXACT_CAP} points")
     dx, dy = x.dist, y.dist
     values = _distortion_values(dx, dy)
     lo, hi = 0, len(values) - 1
@@ -236,26 +234,6 @@ def gh_exact_small(x: FiniteMetricSpace, y: FiniteMetricSpace) -> float:
         else:
             lo = mid
     return float(values[hi]) / 2.0
-
-
-def gh_lower_bound(x: FiniteMetricSpace, y: FiniteMetricSpace) -> float:
-    """Certified lower bound for dist_GH: half the diameter gap plus the
-    packing obstruction (if P(X, eps) > P(Y, eps/2) the distance is at
-    least eps/4) scanned over the geometric eps-grid diam * 2**-k,
-    k = 0..10."""
-    bound = abs(x.diam() - y.diam()) / 2.0
-    if x.n > EXACT_COMBINATORICS_CAP or y.n > EXACT_COMBINATORICS_CAP:
-        return bound       # packing obstruction needs exact packing numbers
-    top = max(x.diam(), y.diam())
-    if top <= 0:
-        return bound
-    for k in range(11):
-        eps = top * 0.5 ** k
-        if packing_number(x, eps) > packing_number(y, eps / 2.0):
-            bound = max(bound, eps / 4.0)
-        if packing_number(y, eps) > packing_number(x, eps / 2.0):
-            bound = max(bound, eps / 4.0)
-    return bound
 
 
 # ---------------------------------------------------------------------------

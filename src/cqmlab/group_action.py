@@ -2,16 +2,20 @@
 
 A :class:`SampledGroup` is a finite list of group elements with
 quadrature weights for the Haar integral, a length function, and an
-exact inverse pairing.  Quadrature grids of continuous groups (SU(2)),
-unlike the exact finite groups (cyclic products), are flagged
-``is_exact=False``.
+exact inverse pairing.  The exact finite groups are one family, Z_q^n
+inside the n-torus (``torus_group`` and its characters
+``torus_characters``): n = 1 is the cycle Z_q in the circle, n = 2 the
+fuzzy torus's group.  Quadrature grids of continuous groups (SU(2)) are
+flagged ``is_exact=False``.
 
 The translation-invariant seminorm of an action is the sup over sampled
 non-identity elements of ``|alpha_x(a) - a| / l(x)``.  This module
 supplies its group part, the seminorm kernel; ``cqms.Cqms`` builds the
-one operator that forms the quotients.  All reported quantities refer
-to the sampled group; every grid carries a descriptor so results can
-be stamped with it.
+one operator that forms the quotients.  Multiplicities and the
+ergodicity check decompose the action on the space that a given
+Hilbert-Schmidt orthonormal basis spans (a space's ``ortho``).  All
+reported quantities refer to the sampled group; every grid carries a
+descriptor so results can be stamped with it.
 """
 
 from dataclasses import dataclass, field
@@ -128,24 +132,10 @@ def _arc(k: np.ndarray, m: int) -> np.ndarray:
     return 2.0 * np.pi * np.minimum(k, m - k) / m
 
 
-def cyclic_group(m: int) -> SampledGroup:
-    """Z_m as the exact subgroup of the circle, arc-length metric."""
-    if m < 2:
-        raise ValueError("need m >= 2")
-    idx = np.arange(m)
-    return SampledGroup(
-        elements=tuple(int(k) for k in idx),
-        weights=np.full(m, 1.0 / m),
-        lengths=_arc(idx, m),
-        identity_index=0,
-        inverse=np.mod(-idx, m),
-        is_exact=True,
-        descriptor=f"Z_{m} (arc length)",
-    )
-
-
-def torus_group(q: int, n: int = 2) -> SampledGroup:
-    """Z_q^n inside the n-torus with the flat word length sum_i arc(x_i)."""
+def torus_group(q: int, n: int) -> SampledGroup:
+    """Z_q^n inside the n-torus with the flat word length sum_i arc(x_i), the
+    arc length of the circle when n = 1.  Elements are n-tuples, in
+    lexicographic order from the identity (0, ..., 0)."""
     if q < 2:
         raise ValueError("need q >= 2")
     grids = np.indices((q,) * n).reshape(n, -1).T      # (q^n, n)
@@ -162,19 +152,9 @@ def torus_group(q: int, n: int = 2) -> SampledGroup:
     )
 
 
-def cyclic_characters(m: int) -> list[IrrepCharacter]:
-    idx = np.arange(m)
-    return [
-        IrrepCharacter(
-            label=int(k),
-            dimension=1,
-            values=np.exp(2j * np.pi * k * idx / m),
-        )
-        for k in range(m)
-    ]
-
-
-def torus_characters(q: int, n: int = 2) -> list[IrrepCharacter]:
+def torus_characters(q: int, n: int) -> list[IrrepCharacter]:
+    """The q^n characters x -> exp(2 pi i <w, x> / q) of Z_q^n, labelled by
+    the n-tuple w, in the element order of ``torus_group(q, n)``."""
     grids = np.indices((q,) * n).reshape(n, -1).T
     chars = []
     for w in grids:
@@ -197,7 +177,7 @@ class Su2Grid:
     euler: np.ndarray              # (size, 3) alpha, beta, gamma of the base point
 
 
-def su2_euler_grid(n_alpha: int = 12, n_beta: int = 12, n_gamma: int = 12) -> Su2Grid:
+def su2_euler_grid(n_alpha: int, n_beta: int, n_gamma: int) -> Su2Grid:
     """Product grid: uniform alpha in [0,2pi), Gauss-Legendre in cos(beta),
     uniform gamma in [0,4pi).  Each node is paired with its inverse at half
     weight so the sample is exactly closed under inversion; the identity is
@@ -269,18 +249,17 @@ def su2_characters(grid: Su2Grid, two_l_values) -> list[IrrepCharacter]:
 # operations
 
 
-def action_traces(action: UnitaryAction, space_basis: np.ndarray | None = None) -> np.ndarray:
-    """Trace of alpha_x on the complexified coefficient space, for each x.
-
-    For the full matrix space this is |tr U_x|^2.  For a proper subspace
-    the trace is computed on a Hilbert-Schmidt orthonormal basis of the
-    complex span (``space_basis``, shape (n, d, d)).
+def action_traces(action: UnitaryAction, space_basis: np.ndarray) -> np.ndarray:
+    """Trace of alpha_x on the complexified space, for each x, computed on
+    ``space_basis``, a Hilbert-Schmidt orthonormal basis (n, d, d) of its
+    complex span.  A basis of d^2 elements spans all d x d matrices, on
+    which the trace is |tr U_x|^2.
     """
     u = action.implementers
-    if space_basis is None:
+    e = np.asarray(space_basis, dtype=complex)
+    if e.shape[0] == action.dim ** 2:
         tr = np.trace(u, axis1=1, axis2=2)
         return (tr * tr.conj()).real
-    e = np.asarray(space_basis, dtype=complex)
     out = np.empty(u.shape[0])
     for i in range(u.shape[0]):
         moved = np.einsum("ab,kbc,dc->kad", u[i], e, u[i].conj(), optimize=True)
@@ -288,27 +267,23 @@ def action_traces(action: UnitaryAction, space_basis: np.ndarray | None = None) 
     return out
 
 
-def multiplicity(action: UnitaryAction, char: IrrepCharacter,
-                 space_basis: np.ndarray | None = None,
-                 integer_tol: float = DEFAULT_INTEGER_TOL,
-                 traces: np.ndarray | None = None) -> int:
-    """Multiplicity of an irreducible in the complexified action.
+def multiplicity(action: UnitaryAction, char: IrrepCharacter, space_basis: np.ndarray) -> int:
+    """Multiplicity of an irreducible in the complexified action on the space
+    that ``space_basis`` spans (see :func:`multiplicities`)."""
+    return multiplicities(action, [char], space_basis)[0][1]
 
-    Character orthogonality: quadrature of conj(chi) times the trace of
-    alpha_x on the space.  The raw value must sit within ``integer_tol``
-    of a nonnegative integer, else a :class:`QuadratureError` carrying
-    the raw value is raised ("quadrature too coarse").
+
+def multiplicities(action: UnitaryAction, chars, space_basis: np.ndarray,
+                   integer_tol: float = DEFAULT_INTEGER_TOL) -> list[tuple[complex, int]]:
+    """(raw quadrature value, checked multiplicity) per character, from one
+    evaluation of the traces.
+
+    Character orthogonality: the multiplicity is the quadrature of conj(chi)
+    times the trace of alpha_x on the space.  The raw value must sit within
+    ``integer_tol`` of a nonnegative integer, else a :class:`QuadratureError`
+    carrying the raw value is raised ("quadrature too coarse").
     """
-    return multiplicities(action, [char], space_basis, integer_tol, traces)[0][1]
-
-
-def multiplicities(action: UnitaryAction, chars, space_basis: np.ndarray | None = None,
-                   integer_tol: float = DEFAULT_INTEGER_TOL,
-                   traces: np.ndarray | None = None) -> list[tuple[complex, int]]:
-    """(raw quadrature value, checked :func:`multiplicity`) per character,
-    from one evaluation of the traces."""
-    if traces is None:
-        traces = action_traces(action, space_basis)
+    traces = action_traces(action, space_basis)
     out = []
     for char in chars:
         raw = complex(np.dot(action.group.weights, char.values.conj() * traces))
@@ -320,19 +295,15 @@ def multiplicities(action: UnitaryAction, chars, space_basis: np.ndarray | None 
     return out
 
 
-def ergodicity_check(action: UnitaryAction, space_basis: np.ndarray | None = None) -> bool:
+def ergodicity_check(action: UnitaryAction, space_basis: np.ndarray) -> bool:
     """True iff the fixed subspace of the Haar-average operator is the scalars.
 
-    The averager is assembled on a Hilbert-Schmidt orthonormal basis of
-    the (complexified) space; fixed directions are singular values of
-    (P - I) below 0.1.
+    The averager is assembled on ``space_basis``, a Hilbert-Schmidt
+    orthonormal basis of the (complexified) space; fixed directions are
+    singular values of (P - I) below 0.1.
     """
     d = action.dim
-    if space_basis is None:
-        e = np.zeros((d * d, d, d), dtype=complex)
-        e[np.arange(d * d), np.repeat(np.arange(d), d), np.tile(np.arange(d), d)] = 1.0
-    else:
-        e = np.asarray(space_basis, dtype=complex)
+    e = np.asarray(space_basis, dtype=complex)
     n = e.shape[0]
     u = action.implementers
     w = action.group.weights

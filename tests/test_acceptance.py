@@ -172,21 +172,21 @@ def test_criterion_06_multiplicity_exactness():
     worst_torus = 0.0
     for q, p in ((2, 1), (3, 1), (5, 1), (5, 2), (7, 1)):
         t = ex.fuzzy_torus(q, p)
-        traces = ga.action_traces(t.action)
-        for ch in ex.torus_characters(q):
+        traces = ga.action_traces(t.action, t.space.ortho)
+        for ch in ga.torus_characters(q, 2):
             raw = complex(np.dot(t.action.group.weights, ch.values.conj() * traces))
             worst_torus = max(worst_torus, abs(raw - 1.0))
             ok = ok and abs(raw - 1.0) < 1e-9
     worst_sphere = 0.0
     for two_j in (1, 2, 3, 4, 5, 6):
         s = ex.fuzzy_sphere(two_j)
-        traces = ga.action_traces(s.action)
+        traces = ga.action_traces(s.action, s.space.ortho)
         for two_l in range(0, 2 * two_j + 4, 2):
             ch = ga.su2_characters(ex.su2_grid(), [two_l])[0]
             raw = complex(np.dot(s.action.group.weights, ch.values.conj() * traces))
             expected = 1 if two_l <= 2 * two_j else 0
             worst_sphere = max(worst_sphere, abs(raw - expected))
-            m = ga.multiplicity(s.action, ch, traces=traces)
+            m = ga.multiplicity(s.action, ch, s.space.ortho)
             ok = ok and m == expected
     elapsed = time.monotonic() - start
     ok = ok and worst_sphere < 0.05 and elapsed < 60.0
@@ -199,7 +199,7 @@ def test_criterion_07_convergence_vs_multiplicity(bundle):
     # degenerate family: both criteria must fail
     fam_d, scalars = fl.degenerate_family(bundle["torus31"], bound_r=1.0)
     agree_d = fl.family_agreement(fam_d, scalars, eps=0.4,
-                                  bound_r=1.0, characters=ex.torus_characters(3),
+                                  bound_r=1.0, characters=ga.torus_characters(3, 2),
                                   budget=32, seed=0)
     verdicts["degenerate"] = agree_d
     # fuzzy-torus grid family: both must pass (recorded eps schedule)
@@ -207,7 +207,7 @@ def test_criterion_07_convergence_vs_multiplicity(bundle):
     bound_r = max(fam_t.members[p].radius() for p in (1, 2))
     sections_t = fl.transported_net_sections(fam_t, bound_r, eps_net=0.6, budget=24, seed=0)
     agree_t = fl.family_agreement(fam_t, sections_t, eps=1.15, bound_r=bound_r,
-                                  characters=ex.torus_characters(5),
+                                  characters=ga.torus_characters(5, 2),
                                   budget=24, seed=0)
     verdicts["torus-theta"] = agree_t
     # constant family: trivially passes both
@@ -216,7 +216,7 @@ def test_criterion_07_convergence_vs_multiplicity(bundle):
     net = bundle["torus21"].ball_net(r21, 0.3, budget=32, seed=0)
     agree_c = fl.family_agreement(fam_c, {t: net.points for t in fam_c.labels},
                                   eps=1.0, bound_r=r21,
-                                  characters=ex.torus_characters(2),
+                                  characters=ga.torus_characters(2, 2),
                                   budget=32, seed=0)
     verdicts["constant"] = agree_c
     ok = (not agree_d["criterion_iii_passed"]

@@ -221,7 +221,7 @@ def test_radius_below_length_mean(cycle12, torus2):
 
 def test_radius_non_lip_signals():
     import cqmlab.group_action as ga
-    group = ga.cyclic_group(4)
+    group = ga.torus_group(4, 1)
     impl = np.array([np.eye(3, dtype=complex)] * 4)
     trivial = cq.Cqms(space=cq.full_matrix_space(3),
                       action=ga.UnitaryAction(group=group, implementers=impl))
@@ -231,7 +231,7 @@ def test_radius_non_lip_signals():
     # unbounded along the split, and the points' graph is disconnected
     swap = np.eye(4, dtype=complex)[[1, 0, 2, 3]]
     split = cq.Cqms(space=cq.diagonal_space(4),
-                    action=ga.UnitaryAction(group=ga.cyclic_group(2),
+                    action=ga.UnitaryAction(group=ga.torus_group(2, 1),
                                             implementers=np.array([np.eye(4), swap])))
     with pytest.raises(cq.NonLipError):
         split._support_max(np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex))
@@ -261,7 +261,7 @@ def test_state_metric_r_validation(cycle12):
     # the sup saturates on D_{r_A}: the support solve's maximizer has
     # L = 1 and quotient norm at most the (exact) radius
     mu, nu = cq.dirac_state(12, 0), cq.dirac_state(12, 1)
-    value, argmax = cycle12._support_max(mu.density - nu.density)
+    value, argmax = cycle12._support_max(mu - nu)
     assert cycle12.seminorm(argmax) == pytest.approx(1.0, rel=1e-9)
     assert nm.quotient_norm(argmax) <= cycle12.radius() + 1e-9
     assert cycle12.state_metric(mu, nu) == pytest.approx(value, rel=1e-9)
@@ -426,7 +426,7 @@ def _orthogonal_pure_pairs(obj, count, seed):
     for _ in range(count):
         v, w = rng.standard_normal((2, d)) + 1j * rng.standard_normal((2, d))
         w = w - (np.vdot(v, w) / np.vdot(v, v)) * v
-        g = cq.vector_state(v).density - cq.vector_state(w).density
+        g = cq.vector_state(v) - cq.vector_state(w)
         out.append(obj.space.element(obj.space.coeffs(g)))
     return out
 

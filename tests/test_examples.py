@@ -61,7 +61,7 @@ def test_torus_action_is_character_diagonal():
 def test_torus_q2_shape():
     t = ex.fuzzy_torus(2, 1)
     assert t.space.real_dim == 4
-    assert ga.ergodicity_check(t.action)
+    assert ga.ergodicity_check(t.action, t.space.ortho)
 
 
 def test_torus_frequency_seminorm_closed_form():
@@ -127,8 +127,8 @@ def test_sphere_shapes_and_ergodicity():
     for two_j in (1, 2):
         s = ex.fuzzy_sphere(two_j)
         assert s.dim == two_j + 1
-        assert s.space.is_full
-        assert ga.ergodicity_check(s.action)
+        assert s.space.real_dim == s.dim ** 2
+        assert ga.ergodicity_check(s.action, s.space.ortho)
 
 
 def test_sphere_radius_below_grid_mean():

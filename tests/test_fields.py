@@ -4,6 +4,7 @@ import pytest
 from cqmlab import distoq as dq
 from cqmlab import examples as ex
 from cqmlab import fields as fl
+from cqmlab import group_action as ga
 
 
 @pytest.fixture(scope="module")
@@ -44,7 +45,7 @@ def test_constant_family_passes(torus31):
     verdict = fl.criterion_iii_check(fam, {t: net.points for t in fam.labels}, 1.0, bound_r,
                                      budget=32, seed=0)
     assert verdict["passed"]
-    prof = fl.multiplicity_profile(fam, ex.torus_characters(3))
+    prof = fl.multiplicity_profile(fam, ga.torus_characters(3, 2))
     assert prof["locally_constant"] and prof["lower_semicontinuous"]
     table = prof["table"]
     assert all(v == 1 for v in table[0].values())
@@ -53,7 +54,7 @@ def test_constant_family_passes(torus31):
 def test_degenerate_family_fails_both(torus31):
     fam, scalars = fl.degenerate_family(torus31, bound_r=1.0)
     agree = fl.family_agreement(fam, scalars, eps=0.4, bound_r=1.0,
-                                characters=ex.torus_characters(3),
+                                characters=ga.torus_characters(3, 2),
                                 budget=32, seed=0)
     assert not agree["criterion_iii_passed"]
     assert not agree["multiplicity_locally_constant"]
@@ -83,7 +84,7 @@ def test_torus_theta_family_passes_both():
     # regression threshold: worst transported-section gap measured 1.026 on
     # the first certified run of this grid (bound_r ~ 2.0), pinned with headroom
     agree = fl.family_agreement(fam, sections, eps=1.15, bound_r=bound_r,
-                                characters=ex.torus_characters(5),
+                                characters=ga.torus_characters(5, 2),
                                 budget=24, seed=0)
     assert agree["multiplicity_locally_constant"]
     assert agree["criterion_iii_passed"], agree["criterion"]

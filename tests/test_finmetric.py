@@ -95,20 +95,6 @@ def test_gh_cap():
         fm.gh_exact_small(big, big)
 
 
-def test_gh_lower_bound_le_exact(rng):
-    for _ in range(30):
-        n, m = int(rng.integers(2, 7)), int(rng.integers(2, 7))
-        x, y = random_metric_space(rng, n), random_metric_space(rng, m)
-        assert fm.gh_lower_bound(x, y) <= fm.gh_exact_small(x, y) + 1e-9
-
-
-def test_gh_lower_bound_radius_gap():
-    point = fm.FiniteMetricSpace(np.zeros((1, 1)))
-    two = fm.FiniteMetricSpace(np.array([[0.0, 2.0], [2.0, 0.0]]))
-    assert fm.gh_lower_bound(point, two) >= 1.0
-    assert fm.gh_lower_bound(point, point) == 0.0
-
-
 def test_ball_cover_trivial(rng):
     x = random_metric_space(rng, 8)
     assert fm.ball_cover_test(x, list(range(8)), 1e-6)

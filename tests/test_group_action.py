@@ -3,6 +3,7 @@ import pytest
 from scipy.linalg import null_space
 
 from cqmlab import examples as ex
+from cqmlab.cqms import full_matrix_space
 from cqmlab import group_action as ga
 from cqmlab import numerics as nm
 
@@ -28,6 +29,23 @@ def test_group_invariants(torus3, cycle12):
         assert g.lengths[g.identity_index] == 0.0
         assert np.all(g.lengths[np.arange(g.size) != g.identity_index] > 0)
         assert np.allclose(g.lengths[g.inverse], g.lengths)
+
+
+@pytest.mark.parametrize("m", [3, 8, 16])
+def test_cycle_is_the_one_torus(m):
+    # the cycle's group is Z_m^1: 1-tuple elements, the arc length of the
+    # circle, the inverse -k and uniform weights; its characters are
+    # labelled (k,) and take exp(2 pi i k x / m) at x
+    g = ex.commutative_cycle(m).action.group
+    k = np.arange(m)
+    assert g.elements == tuple((int(x),) for x in k)
+    assert np.array_equal(g.lengths, 2 * np.pi * np.minimum(k, m - k) / m)
+    assert np.array_equal(g.inverse, (-k) % m)
+    assert np.array_equal(g.weights, np.full(m, 1 / m))
+    chars = ga.torus_characters(m, 1)
+    assert [ch.label for ch in chars] == [(int(w),) for w in k]
+    for w, ch in zip(k, chars):
+        assert np.max(np.abs(ch.values - np.exp(2j * np.pi * (w * k) / m))) < 1e-15
 
 
 def test_action_validate(torus3):
@@ -111,7 +129,7 @@ def test_lip_seminorms_batch(torus3, rng):
 
 
 def test_isotypic_trivial_projection(torus3, rng):
-    chars = ex.torus_characters(3)
+    chars = ga.torus_characters(3, 2)
     trivial = [c for c in chars if c.label == (0, 0)]
     a = torus3.space.random_element(rng)
     proj = isotypic_oracle(torus3.action, trivial, a)
@@ -120,7 +138,7 @@ def test_isotypic_trivial_projection(torus3, rng):
 
 
 def test_isotypic_idempotent(torus3, rng):
-    chars = ex.torus_characters(3)
+    chars = ga.torus_characters(3, 2)
     pair = [c for c in chars if c.label in ((1, 0), (2, 0))]
     a = torus3.space.random_element(rng)
     once = isotypic_oracle(torus3.action, pair, a)
@@ -129,7 +147,7 @@ def test_isotypic_idempotent(torus3, rng):
 
 
 def test_isotypic_returns_component(torus3):
-    chars = ex.torus_characters(3)
+    chars = ga.torus_characters(3, 2)
     pair = [c for c in chars if c.label in ((1, 0), (2, 0))]
     u = torus3.basis_labels[(1, 0)]
     a = u + u.conj().T
@@ -138,7 +156,7 @@ def test_isotypic_returns_component(torus3):
 
 
 def test_isotypic_rejects_non_self_conjugate(torus3, rng):
-    chars = ex.torus_characters(3)
+    chars = ga.torus_characters(3, 2)
     single = [c for c in chars if c.label == (1, 0)]
     with pytest.raises(ValueError):
         isotypic_oracle(torus3.action, single, torus3.space.random_element(rng))
@@ -146,7 +164,7 @@ def test_isotypic_rejects_non_self_conjugate(torus3, rng):
 
 def test_projection_seminorm_bound(torus3, rng):
     # L(alpha_phi(a)) <= |phi|_1 L(a)
-    chars = ex.torus_characters(3)
+    chars = ga.torus_characters(3, 2)
     pair = [c for c in chars if c.label in ((1, 0), (2, 0), (0, 0))]
     bound = float(np.dot(torus3.action.group.weights, np.abs(isotypic_weight(pair))))
     for _ in range(25):
@@ -159,13 +177,13 @@ def test_isotypic_projection_rank_crosscheck(torus3):
     # multiplicity uses the trace/character formula; the projector rank is
     # kept as an independent cross-check: rank over the complexified space
     # equals sum over the label set of mul(gamma) * dim(gamma)^2
-    chars = ex.torus_characters(3)
+    chars = ga.torus_characters(3, 2)
     pair = [c for c in chars if c.label in ((1, 0), (2, 0))]
     basis = torus3.space.ortho
     images = np.array([isotypic_oracle(torus3.action, pair, e) for e in basis])
     sv = np.linalg.svd(images.reshape(len(basis), -1), compute_uv=False)
     rank = int(np.sum(sv > 1e-8 * sv[0]))
-    expected = sum(ga.multiplicity(torus3.action, c) * c.dimension ** 2 for c in pair)
+    expected = sum(ga.multiplicity(torus3.action, c, basis) * c.dimension ** 2 for c in pair)
     assert rank == expected == 2
 
 
@@ -173,7 +191,7 @@ def test_isotypic_component_empirical_boundedness(torus3, rng):
     # no certified constant exists for L <= C |.| on an isotypic component
     # (the abstract constant is nonconstructive); we only report that the
     # empirical ratio over samples is bounded, never a certificate
-    chars = ex.torus_characters(3)
+    chars = ga.torus_characters(3, 2)
     pair = [c for c in chars if c.label in ((1, 2), (2, 1))]
     ratios = []
     for _ in range(50):
@@ -186,43 +204,40 @@ def test_isotypic_component_empirical_boundedness(torus3, rng):
 
 
 def test_multiplicity_trivial_is_one(torus3):
-    chars = ex.torus_characters(3)
+    chars = ga.torus_characters(3, 2)
     trivial = next(c for c in chars if c.label == (0, 0))
-    assert ga.multiplicity(torus3.action, trivial) == 1
+    assert ga.multiplicity(torus3.action, trivial, torus3.space.ortho) == 1
 
 
 def test_multiplicity_torus_all_one():
     for q, p in ((3, 1), (4, 1), (5, 2)):
         t = ex.fuzzy_torus(q, p)
-        traces = ga.action_traces(t.action)
-        for ch in ex.torus_characters(q):
+        traces = ga.action_traces(t.action, t.space.ortho)
+        for ch in ga.torus_characters(q, 2):
             raw = complex(np.dot(t.action.group.weights, ch.values.conj() * traces))
             assert abs(raw - 1) < 1e-9
-            assert ga.multiplicity(t.action, ch, traces=traces) == 1
+            assert ga.multiplicity(t.action, ch, t.space.ortho) == 1
 
 
 def test_multiplicity_sphere_clebsch_gordan():
     for two_j in (1, 2, 3):
         s = ex.fuzzy_sphere(two_j)
-        traces = ga.action_traces(s.action)
         for two_l in range(0, 2 * two_j + 4, 2):
             ch = ga.su2_characters(ex.su2_grid(), [two_l])[0]
             expected = 1 if two_l <= 2 * two_j else 0
-            assert ga.multiplicity(s.action, ch, traces=traces) == expected
+            assert ga.multiplicity(s.action, ch, s.space.ortho) == expected
 
 
 def test_multiplicity_cycle_regular_representation():
     c = ex.commutative_cycle(6)
-    basis = c.space.ortho
-    traces = ga.action_traces(c.action, basis)
-    for ch in ga.cyclic_characters(6):
-        assert ga.multiplicity(c.action, ch, traces=traces) == 1
+    for ch in ga.torus_characters(6, 1):
+        assert ga.multiplicity(c.action, ch, c.space.ortho) == 1
 
 
 def test_multiplicity_dimension_sum(torus3):
     # sum over gamma of mul * dim^2 = dim_C of the space, for complete lists
-    total = sum(ga.multiplicity(torus3.action, ch) * ch.dimension ** 2
-                for ch in ex.torus_characters(3))
+    total = sum(ga.multiplicity(torus3.action, ch, torus3.space.ortho) * ch.dimension ** 2
+                for ch in ga.torus_characters(3, 2))
     assert total == 9
 
 
@@ -231,20 +246,20 @@ def test_multiplicity_coarse_grid_diagnostic():
     s = ex.fuzzy_sphere(4, grid_dims=(2, 2, 2))
     chars = ga.su2_characters(grid, [8])
     with pytest.raises(ga.QuadratureError) as err:
-        ga.multiplicity(s.action, chars[0])
+        ga.multiplicity(s.action, chars[0], s.space.ortho)
     assert err.value.raw is not None
 
 
 def test_ergodicity_examples(torus3, cycle12):
-    assert ga.ergodicity_check(torus3.action)
+    assert ga.ergodicity_check(torus3.action, torus3.space.ortho)
     assert ga.ergodicity_check(cycle12.action, cycle12.space.ortho)
 
 
 def test_ergodicity_trivial_action_false():
-    group = ga.cyclic_group(4)
+    group = ga.torus_group(4, 1)
     impl = np.array([np.eye(3, dtype=complex)] * 4)
     action = ga.UnitaryAction(group=group, implementers=impl)
-    assert not ga.ergodicity_check(action)
+    assert not ga.ergodicity_check(action, full_matrix_space(3).ortho)
 
 
 def test_ergodicity_block_sum_false():
@@ -254,7 +269,7 @@ def test_ergodicity_block_sum_false():
     big[:, :2, :2] = impl
     big[:, 2:, 2:] = impl
     action = ga.UnitaryAction(group=t.action.group, implementers=big)
-    assert not ga.ergodicity_check(action)
+    assert not ga.ergodicity_check(action, full_matrix_space(4).ortho)
 
 
 def test_su2_grid_structure():

@@ -1,11 +1,15 @@
-"""Checks on the package source: static ones on its syntax tree, and one on
+"""Checks on the package source: static ones on its syntax tree, and two on
 the calls that the scenarios and benchmark workloads make."""
 
 import ast
+import importlib
+import inspect
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "cqmlab"
@@ -13,13 +17,13 @@ SRC = ROOT / "src" / "cqmlab"
 # functions and methods in src that the traffic of
 # ``test_traffic_calls_every_function`` never calls, each kept on purpose; an
 # entry also covers the functions nested in it.  A public name here is also
-# exempt from ``test_public_names_have_callers``
+# exempt from ``test_public_names_have_callers``, and an entry's defaulted
+# parameters from ``test_traffic_binds_every_default``
 TEST_ONLY = {
-    "gh_exact_small": "criterion 08's exact Gromov-Hausdorff oracle for gh_lower_bound",
+    "gh_exact_small": "criterion 08's exact Gromov-Hausdorff oracle for its lemmas",
     "_distortion_values": "gh_exact_small's candidate distortions",
     "_feasible_maps": "gh_exact_small's exact correspondence search",
-    "ball_cover_test": "criterion 08's covering lemma for gh_lower_bound",
-    "gh_lower_bound": "test_finmetric checks it against gh_exact_small; no distance bound uses it",
+    "ball_cover_test": "criterion 08's covering lemma, checked against gh_exact_small",
     "packing_number": "criterion 08's packing lemma, checked against gh_exact_small",
     "_greedy_packing": "packing_number's start, checked with it by criterion 08",
     "FiniteMetricSpace.diam": "criterion 08 and test_finmetric scale eps by it",
@@ -230,75 +234,6 @@ def test_ball_nets_read_the_sample():
     assert not found, f"ball_net evaluates the seminorm through {found}"
 
 
-# defaulted parameters that no call in src or perfbench passes, each kept on
-# purpose
-UNSET_DEFAULTS = {
-    "Cqms.ball_net.max_points": "perfbench/tracer.py binds it to count cap hits",
-    "main.argv": "the console entry point",
-}
-
-
-def _defaulted_params(tree: ast.Module) -> list:
-    """(qualname, call name, parameter, positional index or None) for every
-    defaulted parameter of a module-level function or a method of a
-    module-level class; ``__init__`` is called by its class name, and the
-    index skips the bound ``self``/``cls``."""
-    owners = [(None, node) for node in tree.body if isinstance(node, ast.FunctionDef)]
-    for cls in tree.body:
-        if isinstance(cls, ast.ClassDef):
-            owners += [(cls.name, node) for node in cls.body if isinstance(node, ast.FunctionDef)]
-    out = []
-    for cls, fn in owners:
-        qual = fn.name if cls is None else f"{cls}.{fn.name}"
-        call = cls if fn.name == "__init__" else fn.name
-        decorators = {getattr(d, "id", None) for d in fn.decorator_list}
-        positional = fn.args.posonlyargs + fn.args.args
-        if cls is not None and "staticmethod" not in decorators:
-            positional = positional[1:]
-        defaulted = positional[len(positional) - len(fn.args.defaults):]
-        out += [(qual, call, arg.arg, positional.index(arg)) for arg in defaulted]
-        out += [(qual, call, arg.arg, None)
-                for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
-                if default is not None]
-    return out
-
-
-def _passed_params(paths) -> dict:
-    """Call name -> (keywords passed, most positional arguments, whether some
-    call passes ``*`` or ``**``) over every call in the files."""
-    passed = {}
-    for path in paths:
-        for node in ast.walk(ast.parse(path.read_text())):
-            if not isinstance(node, ast.Call):
-                continue
-            name = getattr(node.func, "id", getattr(node.func, "attr", None))
-            keywords, count, star = passed.get(name, (set(), 0, False))
-            keywords = keywords | {kw.arg for kw in node.keywords if kw.arg is not None}
-            star = (star or any(kw.arg is None for kw in node.keywords)
-                    or any(isinstance(arg, ast.Starred) for arg in node.args))
-            passed[name] = (keywords, max(count, len(node.args)), star)
-    return passed
-
-
-def test_defaulted_parameters_are_set():
-    # a default that no caller overrides is a constant dressed as a knob:
-    # only tests can set it, so it is a second law beside the one in use
-    passed = _passed_params(sorted(SRC.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")))
-    found, unset = [], set()
-    for path in sorted(SRC.glob("*.py")):
-        for qual, call, param, index in _defaulted_params(ast.parse(path.read_text())):
-            keywords, count, star = passed.get(call, (set(), 0, False))
-            if star or param in keywords or (index is not None and index < count):
-                continue
-            unset.add(f"{qual}.{param}")
-            if qual not in TEST_ONLY and f"{qual}.{param}" not in UNSET_DEFAULTS:
-                found.append(f"{path.name}:{qual}.{param}")
-    assert not found, f"defaulted parameters that no call in src or perfbench sets: {found}"
-    # an allowlist entry that is gone or now set is stale
-    stale = sorted(set(UNSET_DEFAULTS) - unset)
-    assert not stale, f"stale entries in UNSET_DEFAULTS: {stale}"
-
-
 def _defs() -> dict:
     """(file name, first line, name) -> qualified name (``Class.method``,
     ``function.nested``) for every function and method in src, nested ones
@@ -322,10 +257,58 @@ def _defs() -> dict:
     return found
 
 
+# defaulted parameters that the traffic of ``test_traffic_calls_every_function``
+# never binds to another value, each kept on purpose
+UNSET_DEFAULTS = {
+    "Cqms.ball_net.max_points": "perfbench/tracer.py binds it to count cap hits",
+}
+
+_SCALARS = (type(None), bool, int, float, str)
+
+
+def _is_default(value, default) -> bool:
+    """``value`` is ``default``: of the same type and equal for a None, bool,
+    int, float or str default, the same object for any other."""
+    if isinstance(default, _SCALARS):
+        return type(value) is type(default) and value == default
+    return value is default
+
+
+def _scoped_functions(namespace: dict) -> dict:
+    """code -> (qualified name, function) for the module-level functions of
+    the module whose globals are ``namespace``, and the methods of its
+    module-level classes, decorators unwrapped.  Only code written in the
+    module's file counts: a dataclass's generated ``__init__`` is left out."""
+    module, path = namespace.get("__name__"), namespace.get("__file__")
+    found = []
+    for name, obj in list(namespace.items()):
+        if inspect.isclass(obj) and obj.__module__ == module:
+            found += [(f"{name}.{attr}", value) for attr, value in vars(obj).items()]
+        elif inspect.isfunction(obj) and obj.__module__ == module and obj.__qualname__ == name:
+            found.append((name, obj))
+    out = {}
+    for qual, obj in found:
+        fn = inspect.unwrap(getattr(obj, "__func__", getattr(obj, "fget", obj)))
+        if inspect.isfunction(fn) and fn.__code__.co_filename == path:
+            out[fn.__code__] = (qual, fn)
+    return out
+
+
+def _defaulted(qual: str, fn) -> list:
+    """(``qual.parameter``, parameter, default) for each defaulted parameter of
+    ``fn``."""
+    return [(f"{qual}.{param.name}", param.name, param.default)
+            for param in inspect.signature(fn).parameters.values()
+            if param.default is not param.empty]
+
+
 def _record_traffic(out: Path) -> None:
     """Run the measured traffic and write to ``out/traffic.json`` the exit
-    codes of its CLI runs and (file name, first line, name) of every function
-    in src that it called.  The traffic: every scenario in ``scenarios/``
+    codes of its CLI runs, (file name, first line, name) of every function
+    in src that it called, and the defaulted parameters of src (``Class.method.
+    parameter`` or ``function.parameter``; module-level functions and
+    methods of module-level classes) that no call bound to a value other
+    than the default.  The traffic: every scenario in ``scenarios/``
     through ``cli.main(["run", ..., "--format", "csv"])``, one single-command
     ``cli.main`` call, and one ``run_pass()`` of each benchmark workload at
     seed 1 (then its ``close()``, where it has one).  The imports of the
@@ -333,10 +316,30 @@ def _record_traffic(out: Path) -> None:
     ``cli`` are built by calls made when it is imported.  Only call events
     are traced, and nothing is traced in the functions called."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
-    called = set()
+    called, bound = set(), set()
+    # code -> defaulted parameters not yet bound to another value; file name
+    # -> whether it is in src
+    watched, in_src = {}, {}
 
     def hook(frame, event, arg):
-        called.add(frame.f_code)
+        code = frame.f_code
+        called.add(code)
+        pending = watched.get(code)
+        if pending is None:
+            name = code.co_filename
+            if name not in in_src:
+                in_src[name] = Path(name).resolve().parent == SRC.resolve()
+            qual, fn = (_scoped_functions(frame.f_globals).get(code, (None, None))
+                        if in_src[name] else (None, None))
+            pending = watched[code] = _defaulted(qual, fn) if fn else []
+        if pending:
+            args, still = frame.f_locals, []
+            for key, name, default in pending:
+                if _is_default(args[name], default):
+                    still.append((key, name, default))
+                else:
+                    bound.add(key)
+            watched[code] = still
 
     codes = {}
     sys.settrace(hook)
@@ -360,16 +363,35 @@ def _record_traffic(out: Path) -> None:
     files = {name: Path(name).resolve() for name in {code.co_filename for code in called}}
     lines = sorted({(files[code.co_filename].name, code.co_firstlineno, code.co_name)
                     for code in called if files[code.co_filename].parent == SRC.resolve()})
-    (out / "traffic.json").write_text(json.dumps({"codes": codes, "called": lines}))
+    defaulted = {key for path in sorted(SRC.glob("*.py"))
+                 for qual, fn in _scoped_functions(
+                     vars(importlib.import_module(f"cqmlab.{path.stem}"))).values()
+                 for key, _, _ in _defaulted(qual, fn)}
+    (out / "traffic.json").write_text(json.dumps({"codes": codes, "called": lines,
+                                                  "unbound": sorted(defaulted - bound)}))
 
 
-def test_traffic_calls_every_function(tmp_path):
+@pytest.fixture(scope="module")
+def traffic(tmp_path_factory):
+    """The measured traffic of ``_record_traffic``, run once in a fresh
+    interpreter, because caches filled by earlier tests (the SU(2) grids)
+    would hide the calls that build them: (output directory, traffic.json)."""
+    out = tmp_path_factory.mktemp("traffic")
+    child = subprocess.run([sys.executable, __file__, str(out)],
+                           capture_output=True, text=True, timeout=300)
+    assert child.returncode == 0, child.stderr
+    return out, json.loads((out / "traffic.json").read_text())
+
+
+def _allowed(qual: str) -> bool:
+    return any(qual == name or qual.startswith(name + ".") for name in TEST_ONLY)
+
+
+def test_traffic_calls_every_function(traffic):
     # a function or method that no scenario, CLI command or benchmark
     # workload calls serves only its own tests: measured by tracing calls,
     # not matched by name, so a test-only method that shares its name with a
-    # live one is caught.  The traffic runs in a fresh interpreter, because
-    # caches filled by earlier tests (the SU(2) grids) would hide the calls
-    # that build them
+    # live one is caught
     from cqmlab import cli
     from cqmlab import examples as ex
     doc = json.loads((ROOT / "scenarios" / "every-kind.json").read_text())
@@ -392,27 +414,34 @@ def test_traffic_calls_every_function(tmp_path):
                    if not any(key in spec for spec in specs))
     assert not unset, f"fields that every-kind.json never sets: {unset}"
 
-    child = subprocess.run([sys.executable, __file__, str(tmp_path)],
-                           capture_output=True, text=True, timeout=300)
-    assert child.returncode == 0, child.stderr
-    traffic = json.loads((tmp_path / "traffic.json").read_text())
-    assert set(traffic["codes"].values()) == {0}, traffic["codes"]
-    for report in tmp_path.glob("*/report.json"):
+    out, record = traffic
+    assert set(record["codes"].values()) == {0}, record["codes"]
+    for report in out.glob("*/report.json"):
         errors = [job for job in json.loads(report.read_text())["jobs"] if job["status"] != "ok"]
         assert not errors, f"{report.parent.name}: {errors}"
 
-    defs, called = _defs(), {tuple(key) for key in traffic["called"]}
-
-    def allowed(qual):
-        return any(qual == name or qual.startswith(name + ".") for name in TEST_ONLY)
-
+    defs, called = _defs(), {tuple(key) for key in record["called"]}
     uncalled = sorted(f"{key[0]}:{qual}" for key, qual in defs.items()
-                      if key not in called and not allowed(qual))
+                      if key not in called and not _allowed(qual))
     assert not uncalled, f"functions in src that the traffic never calls: {uncalled}"
     # an allowlist entry that is gone or now called is stale
     quals = {qual: key for key, qual in defs.items()}
     stale = sorted(name for name in TEST_ONLY if name not in quals or quals[name] in called)
     assert not stale, f"stale entries in TEST_ONLY: {stale}"
+
+
+def test_traffic_binds_every_default(traffic):
+    # a default that the traffic never overrides is a constant dressed as a
+    # knob: only tests can set it, so it is a second law beside the one in
+    # use.  Measured on the traced calls, not matched by name, so a
+    # parameter passed to one method does not count for another of its name
+    unbound = set(traffic[1]["unbound"])
+    found = sorted(key for key in unbound
+                   if key not in UNSET_DEFAULTS and not _allowed(key.rsplit(".", 1)[0]))
+    assert not found, f"defaulted parameters that the traffic never binds: {found}"
+    # an allowlist entry that is gone or now bound is stale
+    stale = sorted(set(UNSET_DEFAULTS) - unbound)
+    assert not stale, f"stale entries in UNSET_DEFAULTS: {stale}"
 
 
 if __name__ == "__main__":
