@@ -352,10 +352,11 @@ _STEM = ex.field_type("a file-name stem", lambda v: isinstance(v, str)
                       and v not in (".", "..") and not {"/", "\\"} & set(v))
 _REF = ex.field_type("the name of an example", lambda v: isinstance(v, str))
 
-# the run-wide settings; a job may set seed, budget and eps_net for itself
+# the run-wide settings; a job may set seed, budget and eps_net for itself.
+# Fields that size arrays are capped, so too large a value exits 2, not OOM
 SETTINGS = {
     "seed": (ex.integer, 0, (0, None)),
-    "budget": (ex.integer, 48, (1, None)),
+    "budget": (ex.integer, 48, (1, 4096)),
     "eps_net": (ex.number, 0.3, None),
     "audit_policy": (ex.one_of("fail", "warn"), "fail", None),
 }
@@ -389,14 +390,14 @@ _PAIR = {"a": _EXAMPLE, "b": _EXAMPLE, "phi": (ex.one_of(*_PHI), "identity", Non
 _JOBS = {
     "example": (_example_job, {"example": _EXAMPLE}),
     "radius": (_radius_job, {"example": _EXAMPLE, "diameter": (ex.boolean, False, None),
-                             "sample": (ex.integer, 16, (1, None))}),
+                             "sample": (ex.integer, 16, (1, 256))}),
     "mult": (_mult_job, {"example": _EXAMPLE,
                          "integer_tol": (ex.number, ga.DEFAULT_INTEGER_TOL, None)}),
     "dist": (_dist_job, {**_PAIR, "R": _R}),
     "audit": (_audit_job, _PAIR),
     "family": (lambda job, built: _FAMILY_STUDIES[job["type"]][0](job, built),
                {"type": (ex.text, ..., None)}),
-    "embed": (_embed_job, {"points": (ex.integer, 30, (1, None)),
+    "embed": (_embed_job, {"points": (ex.integer, 30, (1, 128)),
                            "depth": (ex.integer, 6, (1, None)), "bound": (ex.number, 1.0, None),
                            "functions": (ex.integer, 20, (0, None))}),
 }

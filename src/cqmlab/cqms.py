@@ -92,7 +92,8 @@ class HermitianSpace:
     The stored orthonormal basis (Hilbert-Schmidt) starts with the
     normalized identity; the remaining vectors span the traceless-
     within-the-space slice.  Orthonormalization is SVD-based, so heavily
-    redundant spanning sets are fine.
+    redundant spanning sets are fine.  ``coeffs`` and ``element`` map
+    (..., d, d) stacks to (..., n) coordinates on it and back.
     """
 
     basis: np.ndarray              # (n, d, d) Hermitian spanning set
@@ -125,13 +126,11 @@ class HermitianSpace:
         return self.ortho.shape[0]
 
     def coeffs(self, a: np.ndarray) -> np.ndarray:
-        return np.real(np.einsum("kab,ab->k", self.ortho.conj(), np.asarray(a, dtype=complex)))
+        return np.real(np.einsum("kab,...ab->...k", self.ortho.conj(),
+                                 np.asarray(a, dtype=complex)))
 
     def element(self, coeffs: np.ndarray) -> np.ndarray:
-        return np.einsum("k,kab->ab", np.asarray(coeffs, dtype=float), self.ortho)
-
-    def elements(self, coeff_rows: np.ndarray) -> np.ndarray:
-        return np.einsum("nk,kab->nab", np.asarray(coeff_rows, dtype=float), self.ortho)
+        return np.einsum("...k,kab->...ab", np.asarray(coeffs, dtype=float), self.ortho)
 
     def projection_residual(self, a: np.ndarray) -> float:
         a = np.asarray(a, dtype=complex)
@@ -352,7 +351,7 @@ class Cqms:
             n = self.space.real_dim
 
             def measured(c, radial=None):
-                dirs = self.space.elements(c / np.linalg.norm(c, axis=1)[:, None])
+                dirs = self.space.element(c / np.linalg.norm(c, axis=1)[:, None])
                 return dirs, self.seminorms(dirs), nm.op_norms(dirs), radial
 
             def drawn(rng, count):
@@ -672,8 +671,9 @@ class Cqms:
         for _ in range(max(6, sample // 2)):
             _, v = np.linalg.eigh(self.space.random_element(rng))
             states += [vector_state(v[:, -1]), vector_state(v[:, 0])]
-        gmats = np.array([self.space.element(self.space.coeffs(mu - nu))
-                          for k, mu in enumerate(states) for nu in states[k + 1:]])
+        states = np.array(states)
+        first, second = np.triu_indices(len(states), 1)
+        gmats = self.space.element(self.space.coeffs(states[first] - states[second]))
         norms = self.seminorms(gmats)
         riesz = np.einsum("nab,nab->n", gmats.conj(), gmats).real
         with np.errstate(divide="ignore", invalid="ignore"):

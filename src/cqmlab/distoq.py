@@ -51,7 +51,8 @@ class ComparisonMap:
 
     ``x_ortho`` is a Hilbert-Schmidt orthonormal Hermitian basis of X and
     ``images`` its elementwise image, so applying the map is a real
-    coefficient contraction.
+    coefficient contraction.  Coordinates and elements are (..., k) and
+    (..., d, d) stacks.
     """
 
     x_ortho: np.ndarray            # (k, dA, dA)
@@ -71,14 +72,14 @@ class ComparisonMap:
         return self.images.shape[-1]
 
     def x_coeffs(self, a: np.ndarray) -> np.ndarray:
-        return np.real(np.einsum("kab,ab->k", self.x_ortho.conj(),
+        return np.real(np.einsum("kab,...ab->...k", self.x_ortho.conj(),
                                  np.asarray(a, dtype=complex)))
 
     def x_element(self, c: np.ndarray) -> np.ndarray:
-        return np.einsum("k,kab->ab", np.asarray(c, dtype=float), self.x_ortho)
+        return np.einsum("...k,kab->...ab", np.asarray(c, dtype=float), self.x_ortho)
 
     def apply_coeffs(self, c: np.ndarray) -> np.ndarray:
-        return np.einsum("k,kab->ab", np.asarray(c, dtype=float), self.images)
+        return np.einsum("...k,kab->...ab", np.asarray(c, dtype=float), self.images)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return self.apply_coeffs(self.x_coeffs(x))
@@ -92,10 +93,10 @@ class ComparisonMap:
         empty).  The unit defect is |phi(e_A) - e_B| when the unit lies in X,
         else None."""
         rng = np.random.default_rng(1729)
-        points = np.reshape([self.x_coeffs(m) for m in extra], (len(extra), self.k))
+        points = self.x_coeffs(extra)
         coeffs = np.concatenate([np.eye(self.k), rng.standard_normal((192, self.k)), points])
-        xn = nm.op_norms(np.array([self.x_element(c) for c in coeffs]))
-        imn = nm.op_norms(np.array([self.apply_coeffs(c) for c in coeffs]))
+        xn = nm.op_norms(self.x_element(coeffs))
+        imn = nm.op_norms(self.apply_coeffs(coeffs))
         seen = xn >= 1e-12
         worst = float(np.max(np.abs(imn[seen] / xn[seen] - 1.0), initial=0.0))
         da = self.dim_a
@@ -394,11 +395,11 @@ def dist_oq_upper(a: Cqms, b: Cqms, phi: ComparisonMap, big_r: float | None,
     norm = SumNorm(phi, eps)
 
     pa, pb = net_a.points, net_b.points
-    ca = np.array([phi.x_coeffs(x) for x in pa])
-    xa = np.array([phi.x_element(c) for c in ca])
+    ca = phi.x_coeffs(pa)
+    xa = phi.x_element(ca)
     res = nm.op_norms(pa - xa)
     xnorm = nm.op_norms(xa)
-    ims = np.array([phi.apply_coeffs(c) for c in ca])
+    ims = phi.apply_coeffs(ca)
     # glue candidates res_i + eps |x_i| + |phi(x_i) - b_j| against the plain
     # |a_i| + |b_j|: only each row's and column's minimum is read
     row_min, row_arg, col_min, col_arg = nm.nearest(

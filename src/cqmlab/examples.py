@@ -33,17 +33,21 @@ from . import numerics as nm
 from .cqms import Cqms, HermitianSpace, diagonal_space, full_matrix_space
 
 DEFAULT_SU2_GRID = (14, 12, 14)
+MAX_SU2_NODES = 4096
 
 _grid_cache: dict = {}
 
 
 def grid_dims(grid=DEFAULT_SU2_GRID) -> tuple:
-    """SU(2) grid dimensions from "12x12x12" or a sequence of three integers."""
+    """SU(2) grid dimensions from "12x12x12" or a sequence of three integers
+    with at most ``MAX_SU2_NODES`` nodes (sizes scale with the nodes)."""
     parts = (grid.split("x") if isinstance(grid, str)
              else grid if isinstance(grid, (list, tuple)) else ())
     dims = tuple(int(x) if isinstance(x, str) and x.isdecimal() else x for x in parts)
-    if len(dims) != 3 or not all(_is_int(x) and x >= 1 for x in dims):
-        raise ValueError(f"must be three positive integers like 12x12x12, got {grid!r}")
+    if (len(dims) != 3 or not all(_is_int(x) and x >= 1 for x in dims)
+            or math.prod(dims) > MAX_SU2_NODES):
+        raise ValueError(f"must be three positive integers like 12x12x12 with at most "
+                         f"{MAX_SU2_NODES} nodes, got {grid!r}")
     return dims
 
 

@@ -107,7 +107,7 @@ def transported_net_sections(fam: ParamFamily, bound_r: float, eps_net: float,
             sections[t] = net.points
         else:
             phi = torus_frequency_map(base, member)
-            sections[t] = np.array([phi.apply(pt) for pt in net.points])
+            sections[t] = phi.apply(net.points)
     return sections
 
 

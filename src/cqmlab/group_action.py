@@ -9,16 +9,20 @@ fuzzy torus's group.  Quadrature grids of continuous groups (SU(2)) are
 flagged ``is_exact=False``.
 
 The translation-invariant seminorm of an action is the sup over sampled
-non-identity elements of ``|alpha_x(a) - a| / l(x)``.  This module
-supplies its group part, the seminorm kernel; ``cqms.Cqms`` builds the
-one operator that forms the quotients.  Multiplicities and the
-ergodicity check decompose the action on the space that a given
-Hilbert-Schmidt orthonormal basis spans (a space's ``ortho``).  All
-reported quantities refer to the sampled group; every grid carries a
-descriptor so results can be stamped with it.
+non-identity elements of ``|alpha_x(a) - a| / l(x)``.  Each constructor
+declares the elements that sup needs, its ``kernel``, from two structural
+facts: implementers are isometries and ``l(x^-1) = l(x)``, so one element
+of each inverse pair suffices; and on SU(2) every irreducible implementer
+has ``U(-x) = +-U(x)``, so ``alpha_{-x} = alpha_x`` and the shorter of x
+and -x dominates.  ``cqms.Cqms`` builds the one operator that forms the
+quotients over the kernel.  Multiplicities and the ergodicity check
+decompose the action on the space that a given Hilbert-Schmidt
+orthonormal basis spans (a space's ``ortho``).  All reported quantities
+refer to the sampled group; every grid carries a descriptor so results
+can be stamped with it.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,6 +46,7 @@ class SampledGroup:
     lengths: np.ndarray            # l(x) >= 0, zero only at the identity
     identity_index: int
     inverse: np.ndarray            # permutation of indices, x -> x^{-1}
+    kernel: np.ndarray             # ascending indices the seminorm sup needs
     is_exact: bool
     descriptor: str = ""
 
@@ -77,50 +82,17 @@ class UnitaryAction:
 
     group: SampledGroup
     implementers: np.ndarray       # (size, d, d)
-    _kernel: tuple | None = field(default=None, init=False, repr=False)
 
     @property
     def dim(self) -> int:
         return self.implementers.shape[-1]
 
     def seminorm_kernel(self) -> tuple[np.ndarray, np.ndarray]:
-        """(indices, lengths) after merging sample elements that induce the
-        same automorphism up to a global implementer phase, keeping the
-        minimal length per class.  The seminorm sup over the sample is
-        unchanged: equal automorphisms give equal norms, and the smallest
-        length dominates the quotient."""
-        if self._kernel is not None:
-            return self._kernel
-        support = self.group.seminorm_support()
-        d = self.dim
-        # fixed generic functional: stable phase extraction no matter which
-        # entries happen to share the maximal magnitude
-        probe_rng = np.random.default_rng(12345)
-        probe = probe_rng.standard_normal(d * d) + 1j * probe_rng.standard_normal(d * d)
-        flat = self.implementers[support].reshape(len(support), d * d)
-        s = flat @ probe
-        weak = np.flatnonzero(np.abs(s) < 1e-9)
-        s[weak] = flat[weak, np.argmax(np.abs(flat[weak]), axis=1)]
-        # the phase s / |s| taken componentwise, as Python's complex division
-        # by a float does
-        size = np.hypot(s.real, s.imag)
-        phase = np.empty_like(s)
-        phase.real, phase.imag = s.real / size, s.imag / size
-        # 1e-6 cells: float noise between equal automorphisms is ~1e-15,
-        # distinct grid automorphisms differ by orders of magnitude more;
-        # classes compare the rounded entries' bytes, so -0.0 is not 0.0
-        keys = np.ascontiguousarray(np.round(flat / phase[:, None], 6))
-        _, cls = np.unique(keys.view(np.dtype((np.void, keys.itemsize * d * d))).ravel(),
-                           return_inverse=True)
-        # per class, the lowest index among the minimal lengths
-        lengths = self.group.lengths[support]
-        order = np.lexsort((support, lengths, cls))
-        first = order[np.diff(cls[order], prepend=-1) != 0]
-        first.sort()
-        idx = support[first].astype(int)
-        lens = lengths[first].astype(float)
-        self._kernel = (idx, lens)
-        return self._kernel
+        """(indices, lengths) of the group's declared kernel.  The sup over
+        it is the sup over the sample when the implementers are unitary and,
+        on an SU(2) grid, an irreducible spin (``examples.su2_implementers``):
+        each dropped element acts as a kept one of no greater length does."""
+        return self.group.kernel, self.group.lengths[self.group.kernel]
 
 
 # ---------------------------------------------------------------------------
@@ -135,18 +107,23 @@ def _arc(k: np.ndarray, m: int) -> np.ndarray:
 def torus_group(q: int, n: int) -> SampledGroup:
     """Z_q^n inside the n-torus with the flat word length sum_i arc(x_i), the
     arc length of the circle when n = 1.  Elements are n-tuples, in
-    lexicographic order from the identity (0, ..., 0)."""
+    lexicographic order from the identity (0, ..., 0).  The kernel keeps
+    the first of each inverse pair, the identity left out, as
+    ``seminorm_support`` does: the sup is the same for any unitary
+    implementers."""
     if q < 2:
         raise ValueError("need q >= 2")
     grids = np.indices((q,) * n).reshape(n, -1).T      # (q^n, n)
     strides = np.array([q ** (n - 1 - i) for i in range(n)])
-    lengths = _arc(grids, q).sum(axis=1)
+    inverse = np.mod(-grids, q) @ strides
+    idx = np.arange(q ** n)
     return SampledGroup(
         elements=tuple(tuple(int(c) for c in row) for row in grids),
         weights=np.full(q ** n, 1.0 / q ** n),
-        lengths=lengths,
+        lengths=_arc(grids, q).sum(axis=1),
         identity_index=0,
-        inverse=(np.mod(-grids, q) @ strides),
+        inverse=inverse,
+        kernel=idx[(idx != 0) & (idx <= inverse)],
         is_exact=True,
         descriptor=f"Z_{q}^{n} in T^{n} (flat word length)",
     )
@@ -181,7 +158,14 @@ def su2_euler_grid(n_alpha: int, n_beta: int, n_gamma: int) -> Su2Grid:
     """Product grid: uniform alpha in [0,2pi), Gauss-Legendre in cos(beta),
     uniform gamma in [0,4pi).  Each node is paired with its inverse at half
     weight so the sample is exactly closed under inversion; the identity is
-    adjoined with weight zero."""
+    adjoined with weight zero.
+
+    The kernel is the nodes, which stand for their inverses.  When n_gamma
+    is even, the node gamma + 2 pi (half the gamma grid away) is -x, whose
+    spin-j implementer is (-1)^{2j} U(x): both act as one automorphism, so
+    of each such pair the kernel keeps the one of smaller (length, index).
+    This holds for irreducible implementers, not for a sum of spins of
+    both parities."""
     u, wu = np.polynomial.legendre.leggauss(n_beta)
     betas = np.arccos(u)
     alphas = 2.0 * np.pi * np.arange(n_alpha) / n_alpha
@@ -203,6 +187,13 @@ def su2_euler_grid(n_alpha: int, n_beta: int, n_gamma: int) -> Su2Grid:
     cos_angles = np.concatenate([[1.0], cos_ang, cos_ang])
     lengths = np.arccos(np.clip(cos_angles, -1.0, 1.0))
     inverse = np.concatenate([[0], np.arange(n) + 1 + n, np.arange(n) + 1])
+    node = np.arange(n)
+    kernel = 1 + node
+    if n_gamma % 2 == 0:
+        # the node of -x = (alpha, beta, gamma +- 2 pi)
+        partner = node - node % n_gamma + (node + n_gamma // 2) % n_gamma
+        own, other = lengths[kernel], lengths[1 + partner]
+        kernel = kernel[(own < other) | ((own == other) & (node < partner))]
     euler = np.concatenate([np.zeros((1, 3)),
                             np.stack([aa, bb, gg], axis=1),
                             np.stack([aa, bb, gg], axis=1)])
@@ -213,6 +204,7 @@ def su2_euler_grid(n_alpha: int, n_beta: int, n_gamma: int) -> Su2Grid:
         lengths=lengths,
         identity_index=0,
         inverse=inverse,
+        kernel=kernel,
         is_exact=False,
         descriptor=f"SU(2) Euler grid {n_alpha}x{n_beta}x{n_gamma}, inversion-symmetrized",
     )

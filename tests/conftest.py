@@ -5,8 +5,9 @@ paths they check: linear programming for the dual state metric and (in
 its dual form) for the diagonal glue norm, brute force enumeration for
 Gromov-Hausdorff, power iteration for operator norms, dense parameter
 grids for infima, the Haar-averaged isotypic projector for
-multiplicities, and the group laws of the exact samples recomputed from
-their element labels.
+multiplicities, implementers merged by a phase-free hash for the
+declared seminorm kernels, and the group laws of the exact samples
+recomputed from their element labels.
 """
 
 import itertools
@@ -104,10 +105,13 @@ def relengthed_cycle(m: int, relength):
 
 
 def kernel_oracle(action) -> tuple:
-    """``UnitaryAction.seminorm_kernel`` as one loop over the seminorm support:
-    each implementer, divided by its phase against a fixed probe (its largest
-    entry when the probe nearly annihilates it), is rounded to 1e-6 and keyed
-    by its bytes; a class keeps its first element of minimal length."""
+    """The reference for the kernel a group declares, found from the
+    implementers alone: over the seminorm support (one element per inverse
+    pair), each implementer, divided by its phase against a fixed probe (its
+    largest entry when the probe nearly annihilates it), is rounded to 1e-6
+    and keyed by its bytes, so elements that act as one automorphism share a
+    class; a class keeps its first element of minimal length.  Returns
+    (indices, lengths) in ascending index order, as ``seminorm_kernel``."""
     support = action.group.seminorm_support()
     classes: dict = {}
     d = action.dim

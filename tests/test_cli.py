@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 
 from cqmlab import cli
+from cqmlab import examples as ex
+from cqmlab import group_action as ga
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -105,13 +107,13 @@ def test_example_seed_is_an_unknown_field(tmp_path, capsys):
     ({"seed": True}, {}, "'seed' must be an integer"),
     ({"budget": [3]}, {}, "'budget' must be an integer"),
     ({"budget": 2.5}, {}, "'budget' must be an integer"),
-    ({"budget": 0}, {}, "'budget' must be at least 1"),
+    ({"budget": 0}, {}, "'budget' must be in [1, 4096]"),
     ({"eps_net": 0}, {}, "'eps_net' must be a positive number"),
     ({"eps_net": "0.3"}, {}, "'eps_net' must be a positive number"),
     ({"eps_net": float("nan")}, {}, "'eps_net' must be a positive number"),
     ({}, {"seed": "x"}, "jobs[0]: 'seed' must be an integer"),
     ({}, {"budget": False}, "jobs[0]: 'budget' must be an integer"),
-    ({}, {"budget": -4}, "jobs[0]: 'budget' must be at least 1"),
+    ({}, {"budget": -4}, "jobs[0]: 'budget' must be in [1, 4096]"),
     ({}, {"eps_net": -0.3}, "jobs[0]: 'eps_net' must be a positive number"),
     ({"audit_policy": "fial"}, {}, "'audit_policy' must be one of ['fail', 'warn']"),
     ({"audit_policy": 5}, {}, "'audit_policy' must be one of ['fail', 'warn']"),
@@ -129,6 +131,51 @@ def test_bad_run_settings_exit_2(settings, job, where, tmp_path, capsys):
         "jobs": [{"kind": "radius", "example": "c3", **job}]}))
     assert cli.main(["--out", str(tmp_path / "out"), "run", str(scenario)]) == 2
     assert where in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("settings,example,job,where", [
+    ({}, {"grid": "4097x1x1"}, {"kind": "example", "example": "e"},
+     "examples[0]: 'grid' must be three positive integers like 12x12x12 with at most 4096"),
+    ({}, {"grid": "400x400x400"}, {"kind": "example", "example": "e"},
+     "examples[0]: 'grid' must be three positive integers like 12x12x12 with at most 4096"),
+    ({}, {}, {"kind": "embed", "points": 129}, "jobs[0]: 'points' must be in [1, 128]"),
+    ({}, {}, {"kind": "radius", "example": "e", "diameter": True, "sample": 257},
+     "jobs[0]: 'sample' must be in [1, 256]"),
+    ({"budget": 4097}, {}, {"kind": "example", "example": "e"}, "'budget' must be in [1, 4096]"),
+    ({}, {}, {"kind": "audit", "a": "e", "b": "e", "budget": 4097},
+     "jobs[0]: 'budget' must be in [1, 4096]"),
+], ids=["grid-4097-nodes", "grid-400-cubed", "points-129", "sample-257", "budget-4097",
+        "job-budget-4097"])
+def test_oversized_fields_exit_2_before_building(settings, example, job, where, tmp_path,
+                                                 capsys, monkeypatch):
+    # a field that sizes the run's arrays, one past its cap, is a scenario
+    # error (exit 2) found by validation alone: no grid, example or job runs
+    def refuse(*args, **kwargs):
+        raise AssertionError("built before the scenario was validated")
+
+    monkeypatch.setattr(ga, "su2_euler_grid", refuse)
+    monkeypatch.setattr(ex.ExampleDescriptor, "build", refuse)
+    monkeypatch.setattr(cli, "_JOBS", {k: (refuse, f) for k, (_, f) in cli._JOBS.items()})
+    scenario = tmp_path / "big.json"
+    scenario.write_text(json.dumps({
+        "seed": 1, **settings,
+        "examples": [{"name": "e", "family": "sphere", "two_j": 1, **example}],
+        "jobs": [job]}))
+    assert cli.main(["--out", str(tmp_path / "out"), "run", str(scenario)]) == 2
+    assert where in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_size_caps_admit_their_limit():
+    # each capped field validates at its cap
+    run = cli.validate_scenario({
+        "seed": 1, "budget": 4096,
+        "examples": [{"name": "e", "family": "sphere", "two_j": 1, "grid": "16x16x16"}],
+        "jobs": [{"kind": "embed", "points": 128},
+                 {"kind": "radius", "example": "e", "diameter": True, "sample": 256}]})
+    assert run["examples"]["e"].checked()["grid"] == (16, 16, 16)
+    assert [job["budget"] for job in run["jobs"]] == [4096, 4096]
+    assert (run["jobs"][0]["points"], run["jobs"][1]["sample"]) == (128, 256)
 
 
 @pytest.mark.parametrize("settings,job,where", [

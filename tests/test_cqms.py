@@ -715,7 +715,7 @@ def test_seminorm_screen_is_exact(name, monkeypatch):
 def test_seminorm_screen_memory():
     obj = ex.fuzzy_sphere(3)
     rng = np.random.default_rng(3)
-    stack = obj.space.elements(np.concatenate(
+    stack = obj.space.element(np.concatenate(
         [np.zeros((200, 1)), rng.standard_normal((200, obj.space.real_dim - 1))], axis=1))
     obj.seminorm(stack[0])                     # builds the operator
     tracemalloc.start()

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from scipy.linalg import null_space
 
 from cqmlab import examples as ex
 from cqmlab.cqms import full_matrix_space
@@ -304,64 +303,25 @@ def test_seminorm_kernel_preserves_sup(torus3, cycle12, rng):
             assert space.seminorm(a) == pytest.approx(raw, rel=1e-12)
 
 
-def _hand_action(mats, lengths, inverse) -> ga.UnitaryAction:
-    """An inexact sampled group on the given implementers, identity first."""
-    k = len(mats)
-    group = ga.SampledGroup(elements=tuple(range(k)), weights=np.full(k, 1.0 / k),
-                            lengths=np.array(lengths, dtype=float), identity_index=0,
-                            inverse=np.array(inverse), is_exact=False)
-    return ga.UnitaryAction(group=group, implementers=np.array(mats, dtype=complex))
+# spheres on the default grid are named by their level alone
+_KERNEL_CASES = (
+    [(f"sphere{two_j}" + ("" if dims == ex.DEFAULT_SU2_GRID else "-" + "x".join(map(str, dims))),
+      lambda two_j=two_j, dims=dims: ex.fuzzy_sphere(two_j, grid_dims=dims))
+     for dims in [(14, 12, 14), (6, 6, 6), (5, 5, 5), (7, 6, 5), (4, 3, 2)]
+     for two_j in range(1, 5)]
+    + [(f"torus{q}{p}", lambda q=q, p=p: ex.fuzzy_torus(q, p))
+       for q, p in [(2, 1), (3, 1), (4, 1), (5, 1), (6, 1), (7, 1), (7, 2)]]
+    + [(f"cycle{m}", lambda m=m: ex.commutative_cycle(m)) for m in (3, 8, 12, 16)])
 
 
-def _assert_kernel_matches_oracle(action):
+@pytest.mark.parametrize("make", [make for _, make in _KERNEL_CASES],
+                         ids=[name for name, _ in _KERNEL_CASES])
+def test_seminorm_kernel_matches_oracle(make):
+    # the kernel the group declares is the one that merging its elements by
+    # their implementers finds: values and dtypes
+    action = make().action
     for got, want in zip(action.seminorm_kernel(), kernel_oracle(action)):
         assert got.dtype == want.dtype and np.array_equal(got, want)
-
-
-@pytest.mark.parametrize("make", [lambda: ex.fuzzy_sphere(1), lambda: ex.fuzzy_sphere(2),
-                                  lambda: ex.fuzzy_sphere(3), lambda: ex.fuzzy_torus(3, 1),
-                                  lambda: ex.fuzzy_torus(5, 1),
-                                  lambda: ex.commutative_cycle(12)],
-                         ids=["sphere1", "sphere2", "sphere3", "torus31", "torus51", "cycle12"])
-def test_seminorm_kernel_matches_oracle(make):
-    _assert_kernel_matches_oracle(make().action)
-
-
-def test_seminorm_kernel_pivot_fallback():
-    # an SU(2) implementer that the fixed probe annihilates: its phase comes
-    # from its largest entry, and i U merges with U at the smaller length
-    probe_rng = np.random.default_rng(12345)
-    probe = probe_rng.standard_normal(4) + 1j * probe_rng.standard_normal(4)
-
-    def su2(x):
-        alpha, beta = x[0] + 1j * x[1], x[2] + 1j * x[3]
-        return np.array([[alpha, -beta.conj()], [beta, alpha.conj()]])
-
-    # probe @ su2(x).ravel() is real-linear in x: take a unit null vector
-    lin = np.array([probe @ su2(e).ravel() for e in np.eye(4)])
-    x = null_space(np.stack([lin.real, lin.imag]))[:, 0]
-    u = su2(x / np.linalg.norm(x))
-    assert abs(probe @ u.ravel()) < 1e-9
-    v = np.diag(np.exp([0.25j * np.pi, -0.25j * np.pi]))
-    mats = [np.eye(2), u, u.conj().T, 1j * u, -1j * u.conj().T, v, v.conj().T]
-    action = _hand_action(mats, [0.0, 1.0, 1.0, 0.5, 0.5, 0.8, 0.8], [0, 2, 1, 4, 3, 6, 5])
-    _assert_kernel_matches_oracle(action)
-    idx, lens = action.seminorm_kernel()
-    assert idx.tolist() == [3, 5] and lens.tolist() == [0.5, 0.8]
-
-
-def test_seminorm_kernel_one_automorphism_two_lengths():
-    # W, e^{0.3i} W and W again at lengths 0.9, 0.4, 0.4: the class keeps the
-    # lowest index of the minimal length
-    w = np.linalg.qr(np.arange(9).reshape(3, 3) + 1j * np.eye(3))[0]
-    z = np.diag(np.exp(2j * np.pi * np.arange(3) / 3))
-    mats = [np.eye(3), w, w.conj().T, np.exp(0.3j) * w, np.exp(-0.3j) * w.conj().T,
-            w, w.conj().T, z, z.conj().T]
-    action = _hand_action(mats, [0.0, 0.9, 0.9, 0.4, 0.4, 0.4, 0.4, 1.2, 1.2],
-                          [0, 2, 1, 4, 3, 6, 5, 8, 7])
-    _assert_kernel_matches_oracle(action)
-    idx, lens = action.seminorm_kernel()
-    assert idx.tolist() == [3, 7] and lens.tolist() == [0.4, 1.2]
 
 
 def test_su2_characters_match_scipy_chebyu():

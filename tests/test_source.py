@@ -36,6 +36,8 @@ TEST_ONLY = {
     "random_hermitian": "test input",
     "dirac_state": "test input",
     "multiplicity": "perfbench/tracer.py hooks it by name; tests check one character at a time",
+    "SampledGroup.seminorm_support": "perfbench/workloads.py::reference_gauge reads it; the "
+                                     "kernel oracle of tests/conftest.py starts from it",
 }
 
 
