@@ -34,11 +34,14 @@ smoothing of the seminorm with a decreasing temperature schedule; the
 exact Hessian comes from the Daleckii-Krein formula for the second
 derivative of a spectral function.  One routine, ``spectral_lse``, gives
 the value, gradient and Hessian of that smoothing for any affine family of
-matrices, and one loop, ``anneal``, runs every temperature stage: the
-glue-norm descent of ``distoq`` uses both.  The smoothing runs on a working
-kernel: the ``WORKING_SEED`` elements largest at the starting point (the
-whole kernel when it is no larger), laid out once as an affine family of
-the slice's coordinates (``_support_family``).  After each solve every
+matrices, and the gradient's derivative in the temperature.  One loop,
+``anneal``, runs every temperature stage, each started on the tangent of
+the minimizer path that the previous stage returns (a Newton step in tau),
+so a stage mostly polishes instead of travelling: the glue-norm descent of
+``distoq`` uses both.  The smoothing runs on a working kernel: the
+``WORKING_SEED`` elements largest at the starting point (the whole kernel
+when it is no larger), laid out once as an affine family of the slice's
+coordinates (``_support_family``).  After each solve every
 kernel element is evaluated at the result; those whose norm is at least
 ``WORKING_ADD`` times the full-kernel max join the working kernel, and the
 solve is repeated, warm-started, until none join.  Values returned are
@@ -434,14 +437,14 @@ class Cqms:
         return c0 @ op, lin, np.ascontiguousarray(dirs)[None]
 
     def _smoothed_seminorm(self, u: np.ndarray, tau: float, family: tuple):
-        """(L_tau, dL_tau/du, d2L_tau/du2) at the slice point of null-space
-        coordinates u: ``spectral_lse`` over a ``_support_family``.  Dense
-        operators only: diagonal ones are solved by ``_support_max``'s LP.
+        """(L_tau, dL_tau/du, d2L_tau/du2, d2L_tau/du dtau) at the slice point
+        of null-space coordinates u: ``spectral_lse`` over a
+        ``_support_family``.  Dense operators only: diagonal ones are solved
+        by ``_support_max``'s LP.
         """
         start, lin, dirs = family
         mats = (start + u @ lin).view(complex).reshape(1, -1, self.dim, self.dim)
-        val, grad, hess = spectral_lse(mats, dirs, tau)
-        return val[0], grad[0], hess[0]
+        return tuple(part[0] for part in spectral_lse(mats, dirs, tau))
 
     # temperature factors, each relative to the seminorm at its stage's start
     _LADDERS = {
@@ -541,7 +544,10 @@ class Cqms:
         eigenvector pair (mu, nu) of the iterate, solves the support problem
         (coarse) for the witness (P_mu - P_nu) / 2, and moves to the first
         solve that improves the value; at most ``rounds`` rounds, stopping at
-        a fixed point.  The cache keeps the best (value, a) and never falls.
+        a fixed point.  A start then records the quotient its element
+        witnesses, |a~| / L(a), where that is higher: a lower bound of the
+        radius by definition.  The cache keeps the best (value, a) and never
+        falls.
         """
         d = self.dim
         pairs = [(d - 1, 0)] + ([(d - 1, 1), (d - 2, 0)] if d > 2 else [])
@@ -559,6 +565,7 @@ class Cqms:
                         break
                 else:
                     break
+            val = max(val, nm.quotient_norm(a) / self.seminorm(a))
             if best is None or val > best[0]:
                 best = (val, a)
         self._radius = best
@@ -687,13 +694,14 @@ class Cqms:
 
 
 def spectral_lse(mats: np.ndarray, dirs: np.ndarray, tau: float, pad=None):
-    """Value, gradient and Hessian of f = tau log S, S = sum 2 cosh(lambda / tau)
-    over the eigenvalues lambda of every matrix in a group, for each of g
-    groups of an affine family of Hermitian matrices M_x + sum_k c_k D_k,x, at
-    c = 0: ``mats`` (g, m, d, d) holds the M_x and ``dirs`` (g, m, n, d, d) the
-    D_k,x; returns arrays of shapes (g,), (g, n) and (g, n, n).  ``pad`` (per
-    group) counts zero eigenvalues left out of S: those of zero rows and
-    columns that pad a smaller family to size d, whose derivatives vanish.
+    """Value, gradient, Hessian and the gradient's tau-derivative of f = tau
+    log S, S = sum 2 cosh(lambda / tau) over the eigenvalues lambda of every
+    matrix in a group, for each of g groups of an affine family of Hermitian
+    matrices M_x + sum_k c_k D_k,x, at c = 0: ``mats`` (g, m, d, d) holds the
+    M_x and ``dirs`` (g, m, n, d, d) the D_k,x; returns arrays of shapes (g,),
+    (g, n), (g, n, n) and (g, n).  ``pad`` (per group) counts zero eigenvalues
+    left out of S: those of zero rows and columns that pad a smaller family to
+    size d, whose derivatives vanish.
 
     Derivatives come from the Daleckii-Krein formula in each matrix's
     eigenbasis V, where B_k = V* D_k V: dS/dc_k = sum_i F'(lambda_i) B_k,ii and
@@ -701,7 +709,11 @@ def spectral_lse(mats: np.ndarray, dirs: np.ndarray, tau: float, pad=None):
     divided differences of F'(x) = 2 sinh(x / tau) / tau (taken through
     sinh(delta) / delta when two eigenvalues lie within tau of each other);
     then d2f = tau (S'' / S - S' S'^T / S^2).  Every exponential is shifted by
-    its group's largest |lambda|, so none overflows.
+    its group's largest |lambda|, z, so none overflows.  The gradient is sum_i
+    coef_i B_k,ii with coef = (up - down) / total over the shifted terms up =
+    e^((lambda - z) / tau) and down = e^((-lambda - z) / tau); differentiating
+    those in tau (d up = -up (lambda - z) / tau^2, d down = down (lambda + z) /
+    tau^2) gives d grad / d tau, the input of ``anneal``'s stage predictor.
     """
     g, m, n, d = dirs.shape[:4]
     vals, v = np.linalg.eigh(mats)
@@ -710,17 +722,24 @@ def spectral_lse(mats: np.ndarray, dirs: np.ndarray, tau: float, pad=None):
     zmax = np.abs(vals).max(axis=(1, 2))
     shift = zmax[:, None, None]
     up, down = np.exp((vals - shift) / tau), np.exp((-vals - shift) / tau)
+    d_up, d_down = -up * (vals - shift) / tau ** 2, down * (vals + shift) / tau ** 2
     total = up.sum(axis=(1, 2)) + down.sum(axis=(1, 2))
+    d_total = d_up.sum(axis=(1, 2)) + d_down.sum(axis=(1, 2))
     if pad is not None:
-        total -= 2.0 * pad * np.exp(-zmax / tau)
+        # each padded zero eigenvalue adds 2 e^(-zmax / tau) to total
+        padded = 2.0 * pad * np.exp(-zmax / tau)
+        total -= padded
+        d_total -= padded * zmax / tau ** 2
     val = zmax + tau * np.log(total)
     coef = (up - down) / total[:, None, None]   # tau F'(lambda) / S
+    d_coef = (d_up - d_down - coef * d_total[:, None, None]) / total[:, None, None]
     # B_k = V* D_k V for every matrix and direction, laid out as
     # (matrix, i, k, j) so that one product per matrix covers every k
     dv = dirs.reshape(g * m, n * d, d) @ v.reshape(g * m, d, d)
     dv = dv.reshape(g * m, n, d, d).transpose(0, 2, 1, 3).reshape(g * m, d, n * d)
     bmat = (v.conj().swapaxes(-1, -2).reshape(g * m, d, d) @ dv).reshape(g, m, d, n, d)
     grad = np.einsum("gxiki,gxi->gk", bmat, coef).real
+    dgrad = np.einsum("gxiki,gxi->gk", bmat, d_coef).real
     # tau S''/S: the divided differences of coef for pairs at least tau
     # apart; closer pairs take (up + down) at their midpoint times
     # sinh(delta) / (delta tau), delta = gap / (2 tau), which has no 0/0
@@ -737,39 +756,51 @@ def spectral_lse(mats: np.ndarray, dirs: np.ndarray, tau: float, pad=None):
     rows = (bmat * np.sqrt(np.maximum(gamma, 0.0))[:, :, :, None, :]).view(float)
     rows = rows.transpose(0, 3, 1, 2, 4).reshape(g, n, -1)
     hess = rows @ rows.swapaxes(1, 2) - grad[:, :, None] * grad[:, None, :] / tau
-    return val, grad, hess
+    return val, grad, hess, dgrad
 
 
 def anneal(smoothed, exact, u: np.ndarray, factors) -> tuple[np.ndarray, int]:
-    """(final u, unconverged stages): one ``_newton_stage`` from u on
-    ``smoothed(u, tau) -> (value, gradient, hessian)`` per temperature factor,
-    tau the factor times ``exact(u)``, floored at 1e-9, at the stage's start.
-    The one stage loop of the support solves and the dense glue descent."""
-    unconverged = 0
+    """(final u, unconverged stages): one ``_newton_stage`` on ``smoothed(u,
+    tau) -> (value, gradient, hessian, d gradient / d tau)`` per temperature
+    factor, tau the factor times ``exact(u)``, floored at 1e-9, at the previous
+    stage's minimizer u.  The minimizer path u(tau) moves O(tau' - tau) between
+    stages, so a stage starts on its tangent, at u + (tau' - tau) du/dtau, when
+    the previous stage converged and returned one, and at u otherwise.  The
+    one stage loop of the support solves and the dense glue descent."""
+    unconverged, tau, tangent = 0, None, None
     for factor in factors:
-        tau = factor * max(exact(u), 1e-9)
-        u, converged = _newton_stage(lambda v: smoothed(v, tau), u)
-        unconverged += not converged
+        new_tau = factor * max(exact(u), 1e-9)
+        start = u if tangent is None else u + (new_tau - tau) * tangent
+        u, tangent = _newton_stage(lambda v: smoothed(v, new_tau), start)
+        tau = new_tau
+        unconverged += tangent is None
     return u, unconverged
 
 
-def _newton_stage(smoothed, u: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Damped Newton on ``smoothed(u) -> (value, gradient, hessian)`` from u:
-    (final u, whether the Newton decrement met ``NEWTON_TOL``).  Each step is
-    halved until it achieves a quarter of the decrease its slope predicts
-    (Armijo), at most 40 times; a stage whose backtrack fails, or that reaches
-    ``NEWTON_STEPS`` steps, ends unconverged."""
-    val, grad, hess = smoothed(u)
+def _newton_stage(smoothed, u: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """Damped Newton on ``smoothed(u) -> (value, gradient, hessian, d gradient
+    / d tau)`` from u: (final u, its tangent du/dtau), the tangent None when
+    the Newton decrement did not meet ``NEWTON_TOL``.  Each step is halved
+    until it achieves a quarter of the decrease its slope predicts (Armijo),
+    at most 40 times; a stage whose backtrack fails, or that reaches
+    ``NEWTON_STEPS`` steps, ends unconverged.
+
+    At a minimizer the gradient vanishes for every tau, so H du/dtau + d
+    gradient / d tau = 0: the tangent is -H+ (d gradient / d tau), H+ the
+    pseudo-inverse over the eigenpairs that the final convergence check kept.
+    """
+    val, grad, hess, dgrad = smoothed(u)
     for steps in range(NEWTON_STEPS + 1):
         # the Hessian is positive semidefinite; directions of curvature below
         # 1e-12 of the largest (flat ones, such as any direction at a minimum
         # with gradient 0) are left out of the step
         w, v = np.linalg.eigh(hess)
         keep = w > 1e-12 * w[-1]
-        step = -v[:, keep] @ ((grad @ v[:, keep]) / w[keep])
+        w, v = w[keep], v[:, keep]
+        step = -v @ ((grad @ v) / w)
         slope = float(grad @ step)               # minus the squared decrement
         if -slope <= 2.0 * NEWTON_TOL * val:
-            return u, True
+            return u, -v @ ((dgrad @ v) / w)
         if steps == NEWTON_STEPS:
             break
         for halvings in range(40):
@@ -778,7 +809,7 @@ def _newton_stage(smoothed, u: np.ndarray) -> tuple[np.ndarray, bool]:
             if trial[0] <= val + 0.25 * t * slope:
                 break
         else:
-            return u, False                      # no step lowers the value
+            return u, None                       # no step lowers the value
         u = u + t * step
-        val, grad, hess = trial
-    return u, False
+        val, grad, hess, dgrad = trial
+    return u, None

@@ -287,9 +287,9 @@ class SumNorm:
 
         def smoothed(c, tau):
             mats = start + (c @ lin).reshape(start.shape)
-            val, grad, hess = spectral_lse(mats, dirs, tau, pad)
+            val, grad, hess, dgrad = spectral_lse(mats, dirs, tau, pad)
             return (weights @ val, weights @ grad,
-                    (weights @ hess.reshape(3, -1)).reshape(hess.shape[1:]))
+                    (weights @ hess.reshape(3, -1)).reshape(hess.shape[1:]), weights @ dgrad)
 
         c, unconverged = anneal(smoothed, lambda c: self._objective(a, b, c), c, GLUE_FACTORS)
         self.unconverged_stages += unconverged

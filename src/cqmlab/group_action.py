@@ -10,11 +10,13 @@ flagged ``is_exact=False``.
 
 The translation-invariant seminorm of an action is the sup over sampled
 non-identity elements of ``|alpha_x(a) - a| / l(x)``.  Each constructor
-declares the elements that sup needs, its ``kernel``, from two structural
-facts: implementers are isometries and ``l(x^-1) = l(x)``, so one element
-of each inverse pair suffices; and on SU(2) every irreducible implementer
-has ``U(-x) = +-U(x)``, so ``alpha_{-x} = alpha_x`` and the shorter of x
-and -x dominates.  ``cqms.Cqms`` builds the one operator that forms the
+declares the elements that sup needs, its ``kernel``, from structural
+facts.  On Z_q^n the length is the word length of the n generators, so
+their quotients dominate every other element's (``torus_group``).  On
+SU(2) implementers are isometries and ``l(x^-1) = l(x)``, so one element
+of each inverse pair suffices; and every irreducible implementer has
+``U(-x) = +-U(x)``, so ``alpha_{-x} = alpha_x`` and the shorter of x and
+-x dominates.  ``cqms.Cqms`` builds the one operator that forms the
 quotients over the kernel.  Multiplicities and the ergodicity check
 decompose the action on the space that a given Hilbert-Schmidt
 orthonormal basis spans (a space's ``ortho``).  All reported quantities
@@ -89,9 +91,11 @@ class UnitaryAction:
 
     def seminorm_kernel(self) -> tuple[np.ndarray, np.ndarray]:
         """(indices, lengths) of the group's declared kernel.  The sup over
-        it is the sup over the sample when the implementers are unitary and,
-        on an SU(2) grid, an irreducible spin (``examples.su2_implementers``):
-        each dropped element acts as a kept one of no greater length does."""
+        it is the sup over the sample when the implementers are unitary and
+        follow the group law up to phase (on Z_q^n the generators then
+        dominate every element) and, on an SU(2) grid, an irreducible spin
+        (``examples.su2_implementers``): each dropped element acts as a kept
+        one of no greater length does."""
         return self.group.kernel, self.group.lengths[self.group.kernel]
 
 
@@ -107,23 +111,28 @@ def _arc(k: np.ndarray, m: int) -> np.ndarray:
 def torus_group(q: int, n: int) -> SampledGroup:
     """Z_q^n inside the n-torus with the flat word length sum_i arc(x_i), the
     arc length of the circle when n = 1.  Elements are n-tuples, in
-    lexicographic order from the identity (0, ..., 0).  The kernel keeps
-    the first of each inverse pair, the identity left out, as
-    ``seminorm_support`` does: the sup is the same for any unitary
-    implementers."""
+    lexicographic order from the identity (0, ..., 0).
+
+    The kernel is the n generators e_i, at the indices ``np.sort(strides)``.
+    Write x = sum_i k_i e_i with centred |k_i| <= q / 2, so that l(x) =
+    sum_i |k_i| l(e_i) with l(e_i) = 2 pi / q.  For an action alpha of the
+    group by isometries, alpha_x is the product of the alpha_{e_i}^{k_i};
+    telescoping that product one generator step at a time gives
+    ``|alpha_x a - a| <= sum_i |k_i| |alpha_{e_i} a - a|``, at most l(x)
+    max_i |alpha_{e_i} a - a| / l(e_i).  So the seminorm sup over the whole
+    sample is attained on the generators."""
     if q < 2:
         raise ValueError("need q >= 2")
     grids = np.indices((q,) * n).reshape(n, -1).T      # (q^n, n)
     strides = np.array([q ** (n - 1 - i) for i in range(n)])
     inverse = np.mod(-grids, q) @ strides
-    idx = np.arange(q ** n)
     return SampledGroup(
         elements=tuple(tuple(int(c) for c in row) for row in grids),
         weights=np.full(q ** n, 1.0 / q ** n),
         lengths=_arc(grids, q).sum(axis=1),
         identity_index=0,
         inverse=inverse,
-        kernel=idx[(idx != 0) & (idx <= inverse)],
+        kernel=np.sort(strides),
         is_exact=True,
         descriptor=f"Z_{q}^{n} in T^{n} (flat word length)",
     )

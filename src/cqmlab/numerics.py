@@ -222,6 +222,18 @@ def farthest_first(points: np.ndarray, dists: np.ndarray, cap: int, stop) -> tup
     ``|p_i - p_k| >= dists[i]``, so the minimum keeps ``dists[i]`` exactly;
     the survivors are screened again by the larger column-norm bound of
     :func:`norm_bounds`, and only the rest are eigensolved.
+
+    The squared HS distances come in Gram form, ``s_i + s_k - 2 <p_i, p_k>``
+    from the squared norms s of the m = 2 d^2 real entries, with no (N, m)
+    difference.  Each of the m-term sums s_i, s_k and <p_i, p_k> is off by at
+    most m u times s_i, s_k and (s_i + s_k) / 2 (u = eps / 2, the unit
+    roundoff, in any summation order), and the two final additions by at most
+    u times 3 (s_i + s_k), so the computed form is within (m + 2) eps (s_i +
+    s_k) of the exact one.  The screen subtracts twice that margin,
+    2 (m + 2) eps (s_i + s_k), before its square root, so it skips only
+    points that the exact HS screen skips.  A point either screen keeps but
+    whose operator distance is at least ``dists[i]`` leaves ``dists[i]``
+    unchanged, so both screens insert the same points.
     """
     points = np.asarray(points, dtype=complex)
     dists = np.array(dists, dtype=float)
@@ -230,6 +242,8 @@ def farthest_first(points: np.ndarray, dists: np.ndarray, cap: int, stop) -> tup
         diag = np.diagonal(points, 0, -2, -1)
     else:
         flat = realify(points)
+        sq = np.einsum("ij,ij->i", flat, flat)
+        margin = 2.0 * (flat.shape[1] + 2) * np.finfo(float).eps
         scale = (1.0 - 1e-9) / math.sqrt(points.shape[-1])
     chosen = []
     while dists.size:
@@ -242,8 +256,9 @@ def farthest_first(points: np.ndarray, dists: np.ndarray, cap: int, stop) -> tup
         if diagonal:
             dists = np.minimum(dists, np.max(np.abs(diag - diag[k]), axis=1))
         else:
-            diff = flat - flat[k]
-            near = np.flatnonzero(np.sqrt(np.einsum("ij,ij->i", diff, diff)) * scale < dists)
+            total = sq + sq[k]
+            hs2 = total * (1.0 - margin) - 2.0 * (flat @ flat[k])
+            near = np.flatnonzero(np.sqrt(np.maximum(hs2, 0.0)) * scale < dists)
             near = near[norm_bounds(points[near] - points[k])[0] * (1.0 - 1e-9) < dists[near]]
             dists[near] = np.minimum(
                 dists[near], np.max(np.abs(np.linalg.eigvalsh(points[near] - points[k])), axis=-1))

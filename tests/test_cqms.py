@@ -294,17 +294,19 @@ def test_state_diameter_cycle(cycle12):
 
 
 @pytest.mark.parametrize("build, radius, floor", [
-    (lambda: ex.fuzzy_torus(3, 1), 1.6791015414899422, 1.7080715384292215),
-    (lambda: ex.fuzzy_torus(5, 1), 1.999628557437582, 2.005411065471815),
-    (lambda: ex.fuzzy_sphere(1), 0.5090495209479443, 0.5090495209479443),
-    (lambda: ex.fuzzy_sphere(2), 0.5075428797720113, 0.5081119199512445),
+    (lambda: ex.fuzzy_torus(3, 1), 1.6800136746987515, 1.7080715384292215),
+    (lambda: ex.fuzzy_torus(5, 1), 2.004121708809974, 2.005411065471815),
+    (lambda: ex.fuzzy_sphere(1), 0.5090497278466298, 0.5090495209479443),
+    (lambda: ex.fuzzy_sphere(2), 0.5080591627344642, 0.5081119199512445),
 ], ids=["torus3", "torus5", "sphere1", "sphere2"])
 def test_radius_is_half_the_diameter(build, radius, floor):
     # r = diam S(A) / 2, and one ascent over pure-state pairs serves both: a
-    # fresh radius is the six-start ascent's value, to the bit; a diameter
-    # continues that ascent, so afterwards r = diam / 2 exactly and neither
-    # drops.  The floors are max(r, diam / 2) from when the two numbers came
-    # from separate ascents (torus3, torus5 and sphere2 had r < diam / 2)
+    # fresh radius is the six-start ascent's witnessed value, to the bit
+    # (recorded with tangent-predicted stages and Z_q^n generator kernels);
+    # a diameter continues that ascent, so afterwards r = diam / 2 exactly
+    # and neither drops.  The floors are max(r, diam / 2) from when the two
+    # numbers came from separate ascents (torus3, torus5 and sphere2 had
+    # r < diam / 2)
     obj = build()
     assert obj.radius() == radius
     diam = obj.state_diameter(8, 1)
@@ -334,7 +336,7 @@ def test_smoothed_seminorm_gradient(name):
     exact = obj._coeff_seminorms((c0 + nmat @ u)[None])[0]
     # (at tau = exact most eigenvalue pairs take the near-pair formula)
     for tau in (exact, 0.1 * exact, 0.001 * exact):
-        val, grad, hess = obj._smoothed_seminorm(u, tau, family)
+        val, grad, hess, _ = obj._smoothed_seminorm(u, tau, family)
         # log-sum-exp sits between the max and the max plus tau log(#terms)
         terms = 2 * len(obj.action.seminorm_kernel()[0]) * obj.dim
         assert exact - 1e-12 <= val <= exact + tau * np.log(terms) + 1e-12
@@ -354,7 +356,8 @@ def test_spectral_lse_derivatives():
     # shape), taken at the offset: two groups of two 4 x 4 matrices, the
     # second padded from 3 x 3 with its zero eigenvalues left out, and an
     # eigenvalue pair 1e-3 tau apart in the first offset, so that both Gamma
-    # branches are taken
+    # branches are taken; and the gradient's tau-derivative against central
+    # differences in tau, at the glue's temperature scale too
     rng = np.random.default_rng(4)
     n, d, tau = 3, 4, 0.2
     mats = np.array([[nm.random_hermitian(rng, d) for _ in range(2)] for _ in range(2)])
@@ -370,10 +373,16 @@ def test_spectral_lse_derivatives():
     def at(c):
         return cq.spectral_lse(mats + np.einsum("k,gmkab->gmab", c, dirs), dirs, tau, pad)
 
-    val, grad, hess = at(np.zeros(n))
+    val, grad, hess, dgrad = at(np.zeros(n))
     unpadded = cq.spectral_lse(mats[1:, :, :3, :3], dirs[1:, :, :, :3, :3].copy(), tau)
     assert val[1] == pytest.approx(unpadded[0][0], rel=1e-13)
     assert np.allclose(grad[1], unpadded[1][0], rtol=1e-12, atol=1e-13)
+    assert np.allclose(dgrad[1], unpadded[3][0], rtol=1e-12, atol=1e-13)
+    for t in (tau, 5.0 * tau):
+        ht = 1e-5 * t
+        fd_tau = (cq.spectral_lse(mats, dirs, t + ht, pad)[1]
+                  - cq.spectral_lse(mats, dirs, t - ht, pad)[1]) / (2 * ht)
+        assert np.allclose(cq.spectral_lse(mats, dirs, t, pad)[3], fd_tau, rtol=1e-7, atol=1e-8)
     h = 1e-5
     steps = [(at(h * e), at(-h * e)) for e in np.eye(n)]
     fd = np.array([(plus[0] - minus[0]) / (2 * h) for plus, minus in steps]).T
@@ -447,9 +456,9 @@ def test_working_kernel_support(name, monkeypatch):
         # once per working kernel, and differentiates in u directly
         widths.append(family[2].shape[1])
         assert family[2].flags["C_CONTIGUOUS"]
-        val, grad, hess = smoothed(self, u, tau, family)
-        assert grad.shape == u.shape and hess.shape == (len(u), len(u))
-        return val, grad, hess
+        val, grad, hess, dgrad = smoothed(self, u, tau, family)
+        assert grad.shape == dgrad.shape == u.shape and hess.shape == (len(u), len(u))
+        return val, grad, hess, dgrad
 
     for g in _orthogonal_pure_pairs(obj, 3, seed=5):
         ref, _ = _full_kernel_support(obj, g, "coarse")
@@ -662,16 +671,62 @@ def test_unconverged_stages_counted(monkeypatch):
 
 
 def test_newton_stage_outcomes():
-    # a quadratic converges to its minimizer; a function whose value rises
-    # along every step ends unconverged where it started
+    # a quadratic with a tau-dependent linear term, 0.5 u A u - (b + tau c) u,
+    # converges to its minimizer A^-1 (b + tau c) with tangent A^-1 c; a
+    # function whose value rises along every step ends unconverged where it
+    # started, with no tangent
     a = np.array([[3.0, 1.0], [1.0, 2.0]])
-    b = np.array([1.0, -1.0])
-    quadratic = lambda u: (0.5 * u @ a @ u - b @ u + 10.0, a @ u - b, a)
-    u, converged = cq._newton_stage(quadratic, np.zeros(2))
-    assert converged and np.allclose(u, np.linalg.solve(a, b), rtol=0, atol=1e-12)
-    rising = lambda u: (1.0 + u @ u, np.ones(2), np.eye(2))
-    u, converged = cq._newton_stage(rising, np.zeros(2))
-    assert not converged and np.array_equal(u, np.zeros(2))
+    b, c = np.array([1.0, -1.0]), np.array([0.5, 2.0])
+    quadratic = lambda u: (0.5 * u @ a @ u - b @ u + 10.0, a @ u - b, a, -c)
+    u, tangent = cq._newton_stage(quadratic, np.zeros(2))
+    assert np.allclose(u, np.linalg.solve(a, b), rtol=0, atol=1e-12)
+    assert np.allclose(tangent, np.linalg.solve(a, c), rtol=0, atol=1e-12)
+    rising = lambda u: (1.0 + u @ u, np.ones(2), np.eye(2), np.zeros(2))
+    u, tangent = cq._newton_stage(rising, np.zeros(2))
+    assert tangent is None and np.array_equal(u, np.zeros(2))
+
+
+@pytest.mark.parametrize("name", ["torus3", "sphere1"])
+def test_stage_tangent_is_the_minimizer_path(name):
+    # a converged stage's tangent du/dtau is the central difference of the
+    # minimizers of two converged stages at tau (1 +- 1e-3), each started at
+    # the stage's own minimizer, over a solve's slice at two of its ladder's
+    # temperatures (a smaller step moves less than the stopping rule resolves)
+    obj = {"torus3": lambda: ex.fuzzy_torus(3, 1), "sphere1": lambda: ex.fuzzy_sphere(1)}[name]()
+    c0, nmat = _slice(obj, obj.space.random_element(np.random.default_rng(11)))
+    family = obj._support_family(c0, nmat, obj._operator()[0])
+    exact = lambda u: obj._coeff_seminorms((c0 + nmat @ u)[None])[0]
+    u, unconverged = cq.anneal(lambda u, tau: obj._smoothed_seminorm(u, tau, family), exact,
+                               np.zeros(nmat.shape[1]), (0.3, 0.1))
+    assert unconverged == 0
+    h = 1e-3
+    for factor in (0.03, 0.01):
+        tau = factor * exact(u)
+        u, tangent = cq._newton_stage(lambda v: obj._smoothed_seminorm(v, tau, family), u)
+        ends = [cq._newton_stage(lambda v: obj._smoothed_seminorm(v, t, family), u)
+                for t in (tau * (1.0 + h), tau * (1.0 - h))]
+        assert tangent is not None and all(end[1] is not None for end in ends)
+        fd = (ends[0][0] - ends[1][0]) / (2.0 * h * tau)
+        assert np.linalg.norm(fd - tangent) <= 1e-4 * np.linalg.norm(tangent)
+
+
+def test_torus_radius_evaluation_count(monkeypatch):
+    # each annealing stage starts on the previous stage's tangent, and the
+    # generator kernel keeps the smoothing small: fuzzy_torus(5,1)'s radius
+    # takes at most 500 smoothed evaluations (448 at this writing), and
+    # every stage converges
+    calls = []
+    smoothed = cq.Cqms._smoothed_seminorm
+
+    def counting(self, *args):
+        calls.append(1)
+        return smoothed(self, *args)
+
+    monkeypatch.setattr(cq.Cqms, "_smoothed_seminorm", counting)
+    obj = ex.fuzzy_torus(5, 1)
+    obj.radius()
+    assert 0 < len(calls) <= 500
+    assert obj.unconverged_stages == 0
 
 
 def _kernel_sups(obj, stack):

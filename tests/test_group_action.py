@@ -288,10 +288,14 @@ def test_su2_grid_structure():
         assert abs(val) < 1e-6
 
 
-def test_seminorm_kernel_preserves_sup(torus3, cycle12, rng):
-    # computing over merged classes equals the raw definition over the sample,
-    # on the general operator (torus, sphere) and the diagonal one (cycle)
-    for space in (torus3, cycle12, ex.fuzzy_sphere(1)):
+def test_seminorm_kernel_preserves_sup(rng):
+    # the sup over the declared kernel equals the raw definition over the
+    # whole sample, on the general operator (tori, sphere) and the diagonal
+    # one (cycles): on Z_q^n the kernel is the n generators alone
+    spaces = ([ex.fuzzy_torus(q, p) for q, p in [(2, 1), (3, 1), (4, 1), (5, 1), (6, 1),
+                                                  (7, 1), (7, 2)]]
+              + [ex.commutative_cycle(m) for m in (3, 8, 12, 16)] + [ex.fuzzy_sphere(1)])
+    for space in spaces:
         group = space.action.group
         u = space.action.implementers
         for _ in range(10):
@@ -317,11 +321,21 @@ _KERNEL_CASES = (
 @pytest.mark.parametrize("make", [make for _, make in _KERNEL_CASES],
                          ids=[name for name, _ in _KERNEL_CASES])
 def test_seminorm_kernel_matches_oracle(make):
-    # the kernel the group declares is the one that merging its elements by
-    # their implementers finds: values and dtypes
+    # on SU(2) the kernel the group declares is the one that merging its
+    # elements by their implementers finds: values and dtypes.  On Z_q^n it
+    # is the n generators, found from the element labels, a subset of the
+    # oracle's classes
     action = make().action
-    for got, want in zip(action.seminorm_kernel(), kernel_oracle(action)):
-        assert got.dtype == want.dtype and np.array_equal(got, want)
+    group = action.group
+    got, want = action.seminorm_kernel(), kernel_oracle(action)
+    assert got[0].dtype == want[0].dtype and got[1].dtype == want[1].dtype
+    if not group.is_exact:
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        return
+    n = len(group.elements[0])
+    gens = sorted(group.elements.index(tuple(int(i == j) for j in range(n))) for i in range(n))
+    assert np.array_equal(got[0], gens)
+    assert np.array_equal(got[1], want[1][np.isin(want[0], gens)])
 
 
 def test_su2_characters_match_scipy_chebyu():

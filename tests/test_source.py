@@ -29,7 +29,6 @@ TEST_ONLY = {
     "FiniteMetricSpace.diam": "criterion 08 and test_finmetric scale eps by it",
     "FiniteMetricSpace.subspace": "criterion 08's lemmas compare a space with its subspaces",
     "Cqms.ball_membership": "tests check live ball nets against the definition of D_r",
-    "Cqms.seminorm": "the one-element L that ball_membership and 23 test sites use",
     "is_unitary": "tests check the frequency bases and implementers are unitary",
     "BerezinMaps.equivariance_defect": "tests check the Berezin maps are equivariant",
     "QuadratureError.__init__": "runs only when a quadrature is too coarse for a multiplicity",
