@@ -30,11 +30,12 @@ shortest-path metric, and the radius and state-space diameter are exact.
 
 On dense spaces the support problem is recast as convex minimization of L
 on an affine slice, solved by damped Newton steps on a log-sum-exp
-smoothing of the seminorm with a decreasing temperature schedule; the
-exact Hessian comes from the Daleckii-Krein formula for the second
-derivative of a spectral function.  One routine, ``spectral_lse``, gives
-the value, gradient and Hessian of that smoothing for any affine family of
-matrices, and the gradient's derivative in the temperature.  One loop,
+smoothing of the seminorm at the decreasing temperatures of one ladder,
+``LADDER``, shared by every annealed solve; the exact Hessian comes from
+the Daleckii-Krein formula for the second derivative of a spectral
+function.  One routine, ``spectral_lse``, gives the value, gradient and
+Hessian of that smoothing for any affine family of matrices, and the
+gradient's derivative in the temperature.  One loop,
 ``anneal``, runs every temperature stage, each started on the tangent of
 the minimizer path that the previous stage returns (a Newton step in tau),
 so a stage mostly polishes instead of travelling: the glue-norm descent of
@@ -81,6 +82,10 @@ WORKING_ADD = 0.98
 # is at most NEWTON_TOL times the smoothed value
 NEWTON_STEPS = 30
 NEWTON_TOL = 1e-12
+
+# the one temperature ladder of every annealed solve: each stage's factor,
+# relative to the exact objective at the stage's start
+LADDER = (0.2, 0.05, 0.01, 0.002)
 
 
 class NonLipError(Exception):
@@ -446,13 +451,7 @@ class Cqms:
         mats = (start + u @ lin).view(complex).reshape(1, -1, self.dim, self.dim)
         return tuple(part[0] for part in spectral_lse(mats, dirs, tau))
 
-    # temperature factors, each relative to the seminorm at its stage's start
-    _LADDERS = {
-        "fine": (0.3, 0.1, 0.03, 0.01, 0.003, 0.001),
-        "coarse": (0.3, 0.08, 0.02, 0.005),
-    }
-
-    def _support_max(self, g: np.ndarray, effort: str = "fine") -> tuple[float, np.ndarray]:
+    def _support_max(self, g: np.ndarray) -> tuple[float, np.ndarray]:
         """max {<g, a> : L(a) <= 1} over the traceless slice, as (value, argmax).
 
         When every kernel difference is diagonal, L(a) = max |c @ op| is
@@ -462,10 +461,10 @@ class Cqms:
         ``NonLipError``), so no failed solve is returned.
 
         Otherwise, convex reformulation: minimize L on the affine set
-        <g, a> = 1, smoothed by log-sum-exp with a temperature ladder
-        rescaled to the current seminorm at each stage, one damped Newton
-        stage per temperature (``anneal``).  The ladder sees only
-        a working kernel W: the ``WORKING_SEED`` elements largest at the
+        <g, a> = 1, smoothed by log-sum-exp at the temperatures of the one
+        ladder, ``LADDER``, rescaled to the current seminorm at each stage,
+        one damped Newton stage per temperature (``anneal``).  The ladder
+        sees only a working kernel W: the ``WORKING_SEED`` elements largest at the
         starting point (the lowest index first among equal norms), or the
         whole kernel when it has no more elements.
         After a ladder every kernel element is evaluated at the result, the
@@ -510,7 +509,7 @@ class Cqms:
             family = self._support_family(c0, nmat, sub)
             u, unconverged = anneal(lambda u, tau: self._smoothed_seminorm(u, tau, family),
                                     lambda u: self._coeff_seminorms((c0 + nmat @ u)[None])[0],
-                                    u, self._LADDERS[effort])
+                                    u)
             self.unconverged_stages += unconverged
             if work is None:
                 break
@@ -542,12 +541,12 @@ class Cqms:
 
         A round takes the extreme (then, as escape moves, the second-extreme)
         eigenvector pair (mu, nu) of the iterate, solves the support problem
-        (coarse) for the witness (P_mu - P_nu) / 2, and moves to the first
-        solve that improves the value; at most ``rounds`` rounds, stopping at
-        a fixed point.  A start then records the quotient its element
-        witnesses, |a~| / L(a), where that is higher: a lower bound of the
-        radius by definition.  The cache keeps the best (value, a) and never
-        falls.
+        (on ``LADDER``, as every support solve) for the witness (P_mu -
+        P_nu) / 2, and moves to the first solve that improves the value; at
+        most ``rounds`` rounds, stopping at a fixed point.  A start then
+        records the quotient its element witnesses, |a~| / L(a), where that
+        is higher: a lower bound of the radius by definition.  The cache
+        keeps the best (value, a) and never falls.
         """
         d = self.dim
         pairs = [(d - 1, 0)] + ([(d - 1, 1), (d - 2, 0)] if d > 2 else [])
@@ -558,8 +557,7 @@ class Cqms:
                 for i, j in pairs:
                     g = (np.outer(v[:, i], v[:, i].conj())
                          - np.outer(v[:, j], v[:, j].conj())) / 2.0
-                    new_val, new_a = self._support_max(self.space.element(self.space.coeffs(g)),
-                                                       effort="coarse")
+                    new_val, new_a = self._support_max(g)
                     if new_val > val + 1e-9 * (1.0 + val):
                         val, a = new_val, new_a
                         break
@@ -626,12 +624,8 @@ class Cqms:
             rng = np.random.default_rng(0)
             starts = []
             for c in list(np.eye(ns)[:: max(1, ns // 4)][:4]) + list(rng.standard_normal((2, ns))):
-                c = c / np.linalg.norm(c)
-                a = np.einsum("k,kab->ab", c, self.space.ortho[1:])
-                lv = self._coeff_seminorms(c[None])[0]
-                if lv < 1e-12:
-                    raise NonLipError("seminorm vanishes off the scalars; not a Lip-norm")
-                starts.append((nm.quotient_norm(a) / lv, a))
+                _, a = self._rescaled(c, 1.0)
+                starts.append((nm.quotient_norm(a), a))
             self._alternate_witness(starts, 4)
         return self._radius[0]
 
@@ -648,11 +642,7 @@ class Cqms:
         most twice the radius.  One support-function solve along the
         functional's in-space Riesz direction.
         """
-        g = mu - nu
-        gm = self.space.element(self.space.coeffs(g))
-        if nm.hs_norm(gm) <= 1e-13:
-            return 0.0
-        value, _ = self._support_max(gm)
+        value, _ = self._support_max(mu - nu)
         return float(max(value, 0.0))
 
     def state_diameter(self, sample: int, seed: int) -> float:
@@ -666,9 +656,9 @@ class Cqms:
         of the space drawn from ``seed``.  Every pool pair gets a
         one-evaluation proxy: the metric's value along the pair's Riesz
         direction, itself a valid lower bound.  The best proxy, then the
-        ``sample`` most promising pairs solved in full and polished by three
-        rounds, enter ``_alternate_witness``, each value halved.  So
-        afterwards ``state_diameter(sample, seed) == 2 * radius()`` exactly,
+        ``sample`` most promising pairs solved in full (on ``LADDER``) and
+        polished by three rounds, enter ``_alternate_witness``, each value
+        halved.  So afterwards ``state_diameter(sample, seed) == 2 * radius()`` exactly,
         and neither number drops on a later call.
         """
         if self.radius_method() == "exact":
@@ -688,20 +678,18 @@ class Cqms:
         order = np.argsort(proxies)[::-1]
         top = order[0]
         self._alternate_witness([(proxies[top] / 2.0, gmats[top] / norms[top])], 0)
-        solved = [self._support_max(gmats[k], effort="coarse") for k in order[:sample]]
+        solved = [self._support_max(gmats[k]) for k in order[:sample]]
         self._alternate_witness([(value / 2.0, a) for value, a in solved], 3)
         return 2.0 * self.radius()
 
 
-def spectral_lse(mats: np.ndarray, dirs: np.ndarray, tau: float, pad=None):
+def spectral_lse(mats: np.ndarray, dirs: np.ndarray, tau: float):
     """Value, gradient, Hessian and the gradient's tau-derivative of f = tau
     log S, S = sum 2 cosh(lambda / tau) over the eigenvalues lambda of every
     matrix in a group, for each of g groups of an affine family of Hermitian
     matrices M_x + sum_k c_k D_k,x, at c = 0: ``mats`` (g, m, d, d) holds the
     M_x and ``dirs`` (g, m, n, d, d) the D_k,x; returns arrays of shapes (g,),
-    (g, n), (g, n, n) and (g, n).  ``pad`` (per group) counts zero eigenvalues
-    left out of S: those of zero rows and columns that pad a smaller family to
-    size d, whose derivatives vanish.
+    (g, n), (g, n, n) and (g, n).
 
     Derivatives come from the Daleckii-Krein formula in each matrix's
     eigenbasis V, where B_k = V* D_k V: dS/dc_k = sum_i F'(lambda_i) B_k,ii and
@@ -725,11 +713,6 @@ def spectral_lse(mats: np.ndarray, dirs: np.ndarray, tau: float, pad=None):
     d_up, d_down = -up * (vals - shift) / tau ** 2, down * (vals + shift) / tau ** 2
     total = up.sum(axis=(1, 2)) + down.sum(axis=(1, 2))
     d_total = d_up.sum(axis=(1, 2)) + d_down.sum(axis=(1, 2))
-    if pad is not None:
-        # each padded zero eigenvalue adds 2 e^(-zmax / tau) to total
-        padded = 2.0 * pad * np.exp(-zmax / tau)
-        total -= padded
-        d_total -= padded * zmax / tau ** 2
     val = zmax + tau * np.log(total)
     coef = (up - down) / total[:, None, None]   # tau F'(lambda) / S
     d_coef = (d_up - d_down - coef * d_total[:, None, None]) / total[:, None, None]
@@ -759,16 +742,17 @@ def spectral_lse(mats: np.ndarray, dirs: np.ndarray, tau: float, pad=None):
     return val, grad, hess, dgrad
 
 
-def anneal(smoothed, exact, u: np.ndarray, factors) -> tuple[np.ndarray, int]:
+def anneal(smoothed, exact, u: np.ndarray) -> tuple[np.ndarray, int]:
     """(final u, unconverged stages): one ``_newton_stage`` on ``smoothed(u,
-    tau) -> (value, gradient, hessian, d gradient / d tau)`` per temperature
-    factor, tau the factor times ``exact(u)``, floored at 1e-9, at the previous
-    stage's minimizer u.  The minimizer path u(tau) moves O(tau' - tau) between
-    stages, so a stage starts on its tangent, at u + (tau' - tau) du/dtau, when
-    the previous stage converged and returned one, and at u otherwise.  The
-    one stage loop of the support solves and the dense glue descent."""
+    tau) -> (value, gradient, hessian, d gradient / d tau)`` per factor of
+    ``LADDER``, tau the factor times ``exact(u)``, floored at 1e-9, at the
+    previous stage's minimizer u.  The minimizer path u(tau) moves O(tau' -
+    tau) between stages, so a stage starts on its tangent, at u + (tau' - tau)
+    du/dtau, when the previous stage converged and returned one, and at u
+    otherwise.  The one stage loop of the support solves and the dense glue
+    descent."""
     unconverged, tau, tangent = 0, None, None
-    for factor in factors:
+    for factor in LADDER:
         new_tau = factor * max(exact(u), 1e-9)
         start = u if tangent is None else u + (new_tau - tau) * tangent
         u, tangent = _newton_stage(lambda v: smoothed(v, new_tau), start)

@@ -20,9 +20,10 @@ its support solves.  When a, b and the map are diagonal every norm is a
 max of |entries|, so the infimum is one HiGHS linear program, exact up to
 its tolerance.  Otherwise the glue is annealed like a support solve: the
 one stage loop ``cqms.anneal`` runs damped Newton on a log-sum-exp
-smoothing (derivatives from ``cqms.spectral_lse``) at decreasing
-temperatures; stages that end unconverged are counted, and upper reports
-carry the count (``glue_unconverged_stages``).
+smoothing (derivatives from ``cqms.spectral_lse``) at the decreasing
+temperatures of the one ladder, ``cqms.LADDER``; stages that end
+unconverged are counted, and upper reports carry the count
+(``glue_unconverged_stages``).
 
 Distances between finite nets come from ``numerics``.  The upper bound's
 glue table reads only row and column minima, so it goes through
@@ -184,11 +185,6 @@ def berezin_transport_map(a: Cqms, b: Cqms, maps_a, maps_b) -> ComparisonMap:
 # ---------------------------------------------------------------------------
 # the glue norm on the direct sum
 
-# the glue's Newton descent runs one stage per temperature factor, each
-# relative to the glue value at the stage's start
-GLUE_FACTORS = (0.2, 0.05, 0.01, 0.002)
-
-
 @dataclass
 class SumNorm:
     """The glue norm N(a, b) = inf_x |a - x| + |b + phi(x)| + eps |x| on
@@ -234,8 +230,7 @@ class SumNorm:
         """The derivative stacks of the glue terms a - x, b + phi(x) and x
         along the X coefficients, as ``spectral_lse``'s (3, 1, k, d, d) with d
         the larger dimension, and the same as one (k, 3 d d) matrix.  The
-        smaller side's matrices are padded with zero rows and columns, whose
-        eigenvalues ``_newton_coeffs`` leaves out of the smoothing."""
+        smaller side's matrices are padded with zero rows and columns."""
         phi = self.phi
         k, d = phi.k, max(phi.dim_a, phi.dim_b)
         dirs = np.zeros((3, 1, k, d, d), dtype=complex)
@@ -274,24 +269,26 @@ class SumNorm:
 
     def _newton_coeffs(self, a, b, c) -> np.ndarray:
         """Descend the glue from c by ``cqms.anneal`` on the log-sum-exp
-        smoothing of its three operator norms, each temperature relative to
-        the exact glue value at its stage's start.  Stages that end
-        unconverged are counted in ``unconverged_stages``."""
+        smoothing of its three operator norms, each temperature a factor of
+        ``cqms.LADDER`` times the exact glue value at its stage's start.  The
+        zero-padded stacks are smoothed as they stand: their zero eigenvalues
+        lie within the max, so the smoothing still bounds each norm from
+        above, and ``value`` evaluates the exact objective at the result.
+        Stages that end unconverged are counted in ``unconverged_stages``."""
         dirs, lin = self._glue_dirs
         d = dirs.shape[-1]
         start = np.zeros((3, 1, d, d), dtype=complex)     # the terms at c = 0
         start[0, 0, :len(a), :len(a)] = a
         start[1, 0, :len(b), :len(b)] = b
         weights = np.array([1.0, 1.0, self.eps])
-        pad = d - np.array([len(a), len(b), len(a)])
 
         def smoothed(c, tau):
             mats = start + (c @ lin).reshape(start.shape)
-            val, grad, hess, dgrad = spectral_lse(mats, dirs, tau, pad)
+            val, grad, hess, dgrad = spectral_lse(mats, dirs, tau)
             return (weights @ val, weights @ grad,
                     (weights @ hess.reshape(3, -1)).reshape(hess.shape[1:]), weights @ dgrad)
 
-        c, unconverged = anneal(smoothed, lambda c: self._objective(a, b, c), c, GLUE_FACTORS)
+        c, unconverged = anneal(smoothed, lambda c: self._objective(a, b, c), c)
         self.unconverged_stages += unconverged
         return c
 

@@ -294,19 +294,19 @@ def test_state_diameter_cycle(cycle12):
 
 
 @pytest.mark.parametrize("build, radius, floor", [
-    (lambda: ex.fuzzy_torus(3, 1), 1.6800136746987515, 1.7080715384292215),
-    (lambda: ex.fuzzy_torus(5, 1), 2.004121708809974, 2.005411065471815),
-    (lambda: ex.fuzzy_sphere(1), 0.5090497278466298, 0.5090495209479443),
-    (lambda: ex.fuzzy_sphere(2), 0.5080591627344642, 0.5081119199512445),
+    (lambda: ex.fuzzy_torus(3, 1), 1.6801983363120239, 1.7080715384292215),
+    (lambda: ex.fuzzy_torus(5, 1), 2.005099767889147, 2.005411065471815),
+    (lambda: ex.fuzzy_sphere(1), 0.5097421934694651, 0.5090495209479443),
+    (lambda: ex.fuzzy_sphere(2), 0.5088864047356051, 0.5081119199512445),
 ], ids=["torus3", "torus5", "sphere1", "sphere2"])
 def test_radius_is_half_the_diameter(build, radius, floor):
     # r = diam S(A) / 2, and one ascent over pure-state pairs serves both: a
     # fresh radius is the six-start ascent's witnessed value, to the bit
-    # (recorded with tangent-predicted stages and Z_q^n generator kernels);
-    # a diameter continues that ascent, so afterwards r = diam / 2 exactly
-    # and neither drops.  The floors are max(r, diam / 2) from when the two
-    # numbers came from separate ascents (torus3, torus5 and sphere2 had
-    # r < diam / 2)
+    # (recorded with tangent-predicted stages on the one ladder and Z_q^n
+    # generator kernels); a diameter continues that ascent, so afterwards
+    # r = diam / 2 exactly and neither drops.  The floors are max(r,
+    # diam / 2) from when the two numbers came from separate ascents
+    # (torus3, torus5 and sphere2 had r < diam / 2)
     obj = build()
     assert obj.radius() == radius
     diam = obj.state_diameter(8, 1)
@@ -354,10 +354,10 @@ def test_spectral_lse_derivatives():
     # value, gradient and Hessian of the shared log-sum-exp routine against
     # central differences of an affine family with an offset (the glue's
     # shape), taken at the offset: two groups of two 4 x 4 matrices, the
-    # second padded from 3 x 3 with its zero eigenvalues left out, and an
-    # eigenvalue pair 1e-3 tau apart in the first offset, so that both Gamma
-    # branches are taken; and the gradient's tau-derivative against central
-    # differences in tau, at the glue's temperature scale too
+    # second zero-padded from 3 x 3, and an eigenvalue pair 1e-3 tau apart
+    # in the first offset, so that both Gamma branches are taken; and the
+    # gradient's tau-derivative against central differences in tau, at the
+    # glue's temperature scale too
     rng = np.random.default_rng(4)
     n, d, tau = 3, 4, 0.2
     mats = np.array([[nm.random_hermitian(rng, d) for _ in range(2)] for _ in range(2)])
@@ -368,21 +368,16 @@ def test_spectral_lse_derivatives():
     mats[0, 0] = (v * w) @ v.conj().T
     mats[1, :, 3, :] = mats[1, :, :, 3] = 0.0
     dirs[1, :, :, 3, :] = dirs[1, :, :, :, 3] = 0.0
-    pad = np.array([0, 2])
 
     def at(c):
-        return cq.spectral_lse(mats + np.einsum("k,gmkab->gmab", c, dirs), dirs, tau, pad)
+        return cq.spectral_lse(mats + np.einsum("k,gmkab->gmab", c, dirs), dirs, tau)
 
     val, grad, hess, dgrad = at(np.zeros(n))
-    unpadded = cq.spectral_lse(mats[1:, :, :3, :3], dirs[1:, :, :, :3, :3].copy(), tau)
-    assert val[1] == pytest.approx(unpadded[0][0], rel=1e-13)
-    assert np.allclose(grad[1], unpadded[1][0], rtol=1e-12, atol=1e-13)
-    assert np.allclose(dgrad[1], unpadded[3][0], rtol=1e-12, atol=1e-13)
     for t in (tau, 5.0 * tau):
         ht = 1e-5 * t
-        fd_tau = (cq.spectral_lse(mats, dirs, t + ht, pad)[1]
-                  - cq.spectral_lse(mats, dirs, t - ht, pad)[1]) / (2 * ht)
-        assert np.allclose(cq.spectral_lse(mats, dirs, t, pad)[3], fd_tau, rtol=1e-7, atol=1e-8)
+        fd_tau = (cq.spectral_lse(mats, dirs, t + ht)[1]
+                  - cq.spectral_lse(mats, dirs, t - ht)[1]) / (2 * ht)
+        assert np.allclose(cq.spectral_lse(mats, dirs, t)[3], fd_tau, rtol=1e-7, atol=1e-8)
     h = 1e-5
     steps = [(at(h * e), at(-h * e)) for e in np.eye(n)]
     fd = np.array([(plus[0] - minus[0]) / (2 * h) for plus, minus in steps]).T
@@ -398,7 +393,7 @@ def _slice(obj, g):
     return gs / np.linalg.norm(gs) ** 2, null_space(gs[None, :])
 
 
-def _full_kernel_support(obj, g, effort):
+def _full_kernel_support(obj, g):
     """The support solve by an L-BFGS ladder with every stage smoothed over
     the whole seminorm kernel: an independent reference for the working
     kernel and the Newton stages, with its own log-sum-exp value and
@@ -416,12 +411,11 @@ def _full_kernel_support(obj, g, effort):
         wmat = (v * coef[:, None, :]) @ np.swapaxes(v.conj(), 1, 2)
         return val, nmat.T @ (op @ wmat.reshape(-1).view(float))
 
-    max_stage_iter = {"fine": 120, "coarse": 80}[effort]
     u = np.zeros(nmat.shape[1])
-    for factor in obj._LADDERS[effort]:
+    for factor in cq.LADDER:
         tau = factor * max(obj._coeff_seminorms((c0 + nmat @ u)[None])[0], 1e-9)
         u = minimize(objective, u, args=(tau,), jac=True, method="L-BFGS-B",
-                     options={"maxiter": max_stage_iter, "ftol": 1e-15, "gtol": 1e-13}).x
+                     options={"maxiter": 120, "ftol": 1e-15, "gtol": 1e-13}).x
     c = c0 + nmat @ u
     lv = obj._coeff_seminorms(c[None])[0]
     return 1.0 / lv, np.einsum("k,kab->ab", c, obj.space.ortho[1:]) / lv
@@ -461,11 +455,11 @@ def test_working_kernel_support(name, monkeypatch):
         return val, grad, hess, dgrad
 
     for g in _orthogonal_pure_pairs(obj, 3, seed=5):
-        ref, _ = _full_kernel_support(obj, g, "coarse")
+        ref, _ = _full_kernel_support(obj, g)
         widths.clear()
         with monkeypatch.context() as mp:
             mp.setattr(cq.Cqms, "_smoothed_seminorm", recording)
-            val, a = obj._support_max(g, effort="coarse")
+            val, a = obj._support_max(g)
         assert abs(val - ref) <= 1e-4 * ref
         assert obj.seminorm(a) == pytest.approx(1.0, abs=1e-12)
         assert np.real(np.trace(g @ a)) == pytest.approx(val, rel=1e-12)
@@ -529,7 +523,7 @@ def test_kernel_norms_screen_is_exact(name, monkeypatch):
         pairs += _orthogonal_pure_pairs(obj, 1, seed=4)     # its 48th and 49th norms tie
     for g in pairs:
         ladders.clear()
-        obj._support_max(g, effort="coarse")
+        obj._support_max(g)
         # the first ladder runs on the lowest-index 48 of the largest norms
         seed = op.reshape(len(op), kernel, -1)[:, seeds[-1]].reshape(len(op), -1)
         assert np.array_equal(ladders[0], seed)
@@ -576,14 +570,14 @@ def test_working_kernel_is_whole_small_kernel(name):
         family = obj._support_family(c0, nmat, obj._operator()[0])
         u, unconverged = cq.anneal(lambda u, tau: obj._smoothed_seminorm(u, tau, family),
                                    lambda u: obj._coeff_seminorms((c0 + nmat @ u)[None])[0],
-                                   np.zeros(nmat.shape[1]), obj._LADDERS["coarse"])
+                                   np.zeros(nmat.shape[1]))
         assert unconverged == 0
         ref, ref_a = obj._rescaled(c0 + nmat @ u, 1.0)
-        val, a = obj._support_max(g, effort="coarse")
+        val, a = obj._support_max(g)
         assert val == pytest.approx(ref, rel=1e-12)
         assert np.allclose(a, ref_a, rtol=0.0, atol=1e-12 * nm.hs_norm(ref_a))
         # and the L-BFGS reference agrees within the working-kernel tolerance
-        assert abs(val - _full_kernel_support(obj, g, "coarse")[0]) <= 1e-4 * val
+        assert abs(val - _full_kernel_support(obj, g)[0]) <= 1e-4 * val
 
 
 @pytest.mark.parametrize("m", [3, 5, 8, 12, 16], ids=lambda m: f"cycle{m}")
@@ -690,17 +684,20 @@ def test_newton_stage_outcomes():
 def test_stage_tangent_is_the_minimizer_path(name):
     # a converged stage's tangent du/dtau is the central difference of the
     # minimizers of two converged stages at tau (1 +- 1e-3), each started at
-    # the stage's own minimizer, over a solve's slice at two of its ladder's
-    # temperatures (a smaller step moves less than the stopping rule resolves)
+    # the stage's own minimizer, over a solve's slice at the last two of the
+    # ladder's temperatures, reached through its first two (a smaller step
+    # moves less than the stopping rule resolves)
     obj = {"torus3": lambda: ex.fuzzy_torus(3, 1), "sphere1": lambda: ex.fuzzy_sphere(1)}[name]()
     c0, nmat = _slice(obj, obj.space.random_element(np.random.default_rng(11)))
     family = obj._support_family(c0, nmat, obj._operator()[0])
     exact = lambda u: obj._coeff_seminorms((c0 + nmat @ u)[None])[0]
-    u, unconverged = cq.anneal(lambda u, tau: obj._smoothed_seminorm(u, tau, family), exact,
-                               np.zeros(nmat.shape[1]), (0.3, 0.1))
-    assert unconverged == 0
+    u = np.zeros(nmat.shape[1])
+    for factor in cq.LADDER[:2]:
+        tau = factor * exact(u)
+        u, tangent = cq._newton_stage(lambda v: obj._smoothed_seminorm(v, tau, family), u)
+        assert tangent is not None
     h = 1e-3
-    for factor in (0.03, 0.01):
+    for factor in cq.LADDER[2:]:
         tau = factor * exact(u)
         u, tangent = cq._newton_stage(lambda v: obj._smoothed_seminorm(v, tau, family), u)
         ends = [cq._newton_stage(lambda v: obj._smoothed_seminorm(v, t, family), u)

@@ -394,21 +394,52 @@ def test_audit_detects_corruption(cycle8, cycle16):
 
 def test_annealed_values_pinned():
     # the support solves and the glue descent share one annealing loop; these
-    # values were recorded with its stages started on the tangent of the
-    # minimizer path and with Z_q^n generator kernels, and every stage
-    # converges
+    # values were recorded with its stages, one per factor of the one ladder,
+    # started on the tangent of the minimizer path and with Z_q^n generator
+    # kernels, and every stage converges
     t5, s2 = ex.fuzzy_torus(5, 1), ex.fuzzy_sphere(2)
-    for obj, radius, diameter in ((t5, 2.004121708810, 4.013813705849),
-                                  (s2, 0.5080591627345, 1.017490863490)):
+    for obj, radius, diameter in ((t5, 2.005099767889, 4.015626102737),
+                                  (s2, 0.5088864047356, 1.017772809471)):
         assert obj.radius() == pytest.approx(radius, rel=1e-9)
         assert obj.state_diameter(sample=8, seed=1) == pytest.approx(diameter, rel=1e-9)
         assert obj.unconverged_stages == 0
     a, b = ex.fuzzy_torus(3, 1), ex.fuzzy_torus(5, 1)
     reports, _ = dq.audit_pair(a, b, dq.torus_frequency_map(a, b), eps_net=0.5, budget=24,
                                seed=1)
-    for key, want in (("oq_upper", 1.274303761584), ("oqR_upper", 1.416886266092),
-                      ("oq_lower", 0.3241080341112)):
+    for key, want in (("oq_upper", 1.274303761584), ("oqR_upper", 1.418355630662),
+                      ("oq_lower", 0.3249014315771)):
         assert reports[key].value == pytest.approx(want, rel=1e-9)
     assert a.unconverged_stages == b.unconverged_stages == 0
     assert reports["oq_upper"].components["glue_unconverged_stages"] == 0
     assert reports["oqR_upper"].components["glue_unconverged_stages"] == 0
+
+
+def test_every_anneal_runs_the_ladder(monkeypatch):
+    # one temperature ladder serves every annealed solve: each ``anneal``
+    # call of a dense state metric, a radius ascent and a dense glue descent
+    # runs exactly one Newton stage per factor of ``cqms.LADDER``
+    stages = []
+    anneal, newton_stage = cq.anneal, cq._newton_stage
+
+    def counting_anneal(*args):
+        stages.append(0)
+        return anneal(*args)
+
+    def counting_stage(*args):
+        stages[-1] += 1
+        return newton_stage(*args)
+
+    monkeypatch.setattr(cq, "anneal", counting_anneal)
+    monkeypatch.setattr(dq, "anneal", counting_anneal)
+    monkeypatch.setattr(cq, "_newton_stage", counting_stage)
+    rng = np.random.default_rng(3)
+    s2, t3, t5 = ex.fuzzy_sphere(2), ex.fuzzy_torus(3, 1), ex.fuzzy_torus(5, 1)
+    v, w = rng.standard_normal((2, s2.dim)) + 1j * rng.standard_normal((2, s2.dim))
+    solves = (lambda: s2.state_metric(cq.vector_state(v), cq.vector_state(w)),
+              t5.radius,
+              lambda: dq.SumNorm(dq.torus_frequency_map(t3, t5), 0.5).value(
+                  t3.space.random_element(rng), t5.space.random_element(rng), descend=True))
+    for solve in solves:
+        stages.clear()
+        solve()
+        assert stages and all(count == len(cq.LADDER) for count in stages)
