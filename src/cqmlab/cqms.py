@@ -22,32 +22,32 @@ statistical covering certificates, the radius (the best constant comparing
 the quotient norm with the seminorm), and the dual metric on states.
 
 The optimization workhorse is a support-function solver, maximizing a
-linear functional over {L <= 1}.  When every kernel difference is
-diagonal, L is polyhedral and the support value is one linear program.  On
-a full diagonal space (functions on d points) L is moreover the Lipschitz
-constant of a weighted graph, so the Dirac-state metric is its
-shortest-path metric, and the radius and state-space diameter are exact.
+linear functional over {L <= 1}, recast as the minimum of L on an affine
+slice.  It and ``distoq``'s glue norm both minimize a weighted sum of
+operator norms over an affine family of Hermitian matrices, and one
+function, ``minimize_norms``, solves every such problem.  When every
+matrix is diagonal the sum is polyhedral and its minimum is one linear
+program.  On a full diagonal space (functions on d points) L is moreover
+the Lipschitz constant of a weighted graph, so the Dirac-state metric is
+its shortest-path metric, and the radius and state-space diameter are
+exact.
 
-On dense spaces the support problem is recast as convex minimization of L
-on an affine slice, solved by damped Newton steps on a log-sum-exp
-smoothing of the seminorm at the decreasing temperatures of one ladder,
-``LADDER``, shared by every annealed solve; the exact Hessian comes from
-the Daleckii-Krein formula for the second derivative of a spectral
-function.  One routine, ``spectral_lse``, gives the value, gradient and
-Hessian of that smoothing for any affine family of matrices, and the
-gradient's derivative in the temperature.  One loop,
+Otherwise the norms are smoothed by log-sum-exp and minimized by damped
+Newton steps at the decreasing temperatures of one ladder, ``LADDER``; the
+exact Hessian comes from the Daleckii-Krein formula for the second
+derivative of a spectral function.  One routine, ``spectral_lse``, gives
+the value, gradient and Hessian of that smoothing for any affine family of
+matrices, and the gradient's derivative in the temperature.  One loop,
 ``anneal``, runs every temperature stage, each started on the tangent of
 the minimizer path that the previous stage returns (a Newton step in tau),
-so a stage mostly polishes instead of travelling: the glue-norm descent of
-``distoq`` uses both.  The smoothing runs on a working kernel: the
-``WORKING_SEED`` elements largest at the starting point (the whole kernel
-when it is no larger), laid out once as an affine family of the slice's
-coordinates (``_support_family``).  After each solve every
+so a stage mostly polishes instead of travelling.  The support solve runs
+on a working kernel: the ``WORKING_SEED`` elements largest at the starting
+point (the whole kernel when it is no larger).  After each solve every
 kernel element is evaluated at the result; those whose norm is at least
 ``WORKING_ADD`` times the full-kernel max join the working kernel, and the
 solve is repeated, warm-started, until none join.  Values returned are
-honest lower bounds (the final iterate, or the LP's solution, is rescaled
-by its true full-kernel, not smoothed, seminorm).
+honest lower bounds (the result is rescaled by its true full-kernel, not
+smoothed, seminorm).
 
 The radius is half the diameter of the state space under the dual metric:
 for Hermitian a, |a~| = (lambda_max - lambda_min) / 2 is half the largest
@@ -60,8 +60,8 @@ by construction.  Both carry the quadrature mean of the length function as
 an exact upper bracket.
 
 Importing the package loads numpy alone: scipy's HiGHS ``linprog`` is
-imported inside the diagonal support solve, the one place here that calls
-it, so a run that solves no LP never loads scipy.
+imported inside ``minimize_norms``'s linear program, the one place in the
+package that calls it, so a run that solves no LP never loads scipy.
 """
 
 from dataclasses import dataclass, field
@@ -432,50 +432,30 @@ class Cqms:
 
     # -- support-function solver ----------------------------------------------
 
-    def _support_family(self, c0: np.ndarray, nmat: np.ndarray, op: np.ndarray) -> tuple:
-        """(start, lin, dirs): the scaled differences of ``op``, a working
-        kernel's columns of ``_operator()``, at the slice point c0 + nmat @ u
-        are the real view of ``start + u @ lin``; ``dirs`` is their (1, m, n,
-        d, d) derivative stack along u, laid out for ``spectral_lse``."""
-        lin = nmat.T @ op
-        dirs = lin.view(complex).reshape(len(lin), -1, self.dim, self.dim).swapaxes(0, 1)
-        return c0 @ op, lin, np.ascontiguousarray(dirs)[None]
-
-    def _smoothed_seminorm(self, u: np.ndarray, tau: float, family: tuple):
-        """(L_tau, dL_tau/du, d2L_tau/du2, d2L_tau/du dtau) at the slice point
-        of null-space coordinates u: ``spectral_lse`` over a
-        ``_support_family``.  Dense operators only: diagonal ones are solved
-        by ``_support_max``'s LP.
-        """
-        start, lin, dirs = family
-        mats = (start + u @ lin).view(complex).reshape(1, -1, self.dim, self.dim)
-        return tuple(part[0] for part in spectral_lse(mats, dirs, tau))
-
     def _support_max(self, g: np.ndarray) -> tuple[float, np.ndarray]:
         """max {<g, a> : L(a) <= 1} over the traceless slice, as (value, argmax).
 
-        When every kernel difference is diagonal, L(a) = max |c @ op| is
-        polyhedral in the slice coefficients c, and the support value is one
-        HiGHS linear program: maximize <g, a> subject to -1 <= c @ op <= 1.
-        A solve that does not end optimal raises (an unbounded one as
-        ``NonLipError``), so no failed solve is returned.
+        By homogeneity this is 1 / min {L(a) : <g, a> = 1}: the minimum of
+        one group of kernel norms over the slice's coordinates u, solved by
+        ``minimize_norms``.  When every kernel difference is diagonal, L is
+        polyhedral on the slice and the minimum is one HiGHS linear program.
+        Otherwise the seminorm is smoothed by log-sum-exp at the temperatures
+        of the one ladder, ``LADDER``, rescaled to the current seminorm at
+        each stage, one damped Newton stage per temperature (``anneal``), and
+        stages that end unconverged are counted in ``unconverged_stages``.
 
-        Otherwise, convex reformulation: minimize L on the affine set
-        <g, a> = 1, smoothed by log-sum-exp at the temperatures of the one
-        ladder, ``LADDER``, rescaled to the current seminorm at each stage,
-        one damped Newton stage per temperature (``anneal``).  The ladder
-        sees only a working kernel W: the ``WORKING_SEED`` elements largest at the
-        starting point (the lowest index first among equal norms), or the
-        whole kernel when it has no more elements.
-        After a ladder every kernel element is evaluated at the result, the
-        elements outside W at least ``WORKING_ADD`` times the max join W, and
-        the ladder is run again from the result until none join.  Stages
-        that end unconverged are counted in ``unconverged_stages``.
+        The solve sees only a working kernel W: the ``WORKING_SEED`` elements
+        largest at the starting point (the lowest index first among equal
+        norms), or the whole kernel when it has no more elements.  After a
+        solve every kernel element is evaluated at the result, the elements
+        outside W at least ``WORKING_ADD`` times the max join W, and the solve
+        is run again from the result until none join.
 
-        Either way the result is rescaled by its exact full-kernel seminorm,
-        so the returned value is a guaranteed lower bound of the support
-        function (and equals it, up to the LP's tolerance, on diagonal
-        spaces).
+        The result is rescaled by its exact full-kernel seminorm, so the
+        returned value is a guaranteed lower bound of the support function
+        (and equals it, up to the LP's tolerance, on diagonal spaces).  A
+        functional along which L vanishes off the scalars reaches L = 0 on
+        the slice, and the rescaling raises ``NonLipError``.
         """
         slice_ortho = self.space.ortho[1:]
         ns = slice_ortho.shape[0]
@@ -486,15 +466,8 @@ class Cqms:
         if gn < 1e-13:
             return 0.0, np.zeros((self.dim, self.dim), dtype=complex)
         op, diagonal = self._operator()
-        if diagonal:
-            from scipy.optimize import linprog
-            res = linprog(-gs, A_ub=np.concatenate([op.T, -op.T]),
-                          b_ub=np.ones(2 * op.shape[1]), bounds=(None, None), method="highs")
-            if res.status == 3:
-                raise NonLipError("seminorm vanishes along the functional: not a Lip-norm")
-            if res.status != 0:
-                raise RuntimeError(f"support LP did not solve: {res.message}")
-            return self._rescaled(res.x, float(gs @ res.x))
+        # one group of kernel differences, as minimize_norms lays them out
+        layout = (1, -1, self.dim) if diagonal else (1, -1, self.dim, 2 * self.dim)
         c0 = gs / gn ** 2
         nmat = nm.complement_basis(gs)          # (ns, ns-1)
         kernel = len(self.action.seminorm_kernel()[0])
@@ -506,10 +479,9 @@ class Cqms:
         u = np.zeros(nmat.shape[1])
         while nmat.shape[1] > 0:
             sub = op if work is None else op.reshape(ns, kernel, -1)[:, work].reshape(ns, -1)
-            family = self._support_family(c0, nmat, sub)
-            u, unconverged = anneal(lambda u, tau: self._smoothed_seminorm(u, tau, family),
-                                    lambda u: self._coeff_seminorms((c0 + nmat @ u)[None])[0],
-                                    u)
+            u, unconverged = minimize_norms((c0 @ sub).reshape(layout), nmat.T @ sub, np.ones(1),
+                                            lambda u: self._coeff_seminorms((c0 + nmat @ u)[None])[0],
+                                            u)
             self.unconverged_stages += unconverged
             if work is None:
                 break
@@ -518,7 +490,7 @@ class Cqms:
             if new.size == 0:
                 break
             work = np.union1d(work, new)
-        return self._rescaled(c0 + nmat @ u, 1.0)    # the ladder keeps <g, a> = 1
+        return self._rescaled(c0 + nmat @ u, 1.0)    # the slice keeps <g, a> = 1
 
     def _rescaled(self, c: np.ndarray, value: float) -> tuple[float, np.ndarray]:
         """(value / L, a / L) for a = sum c_k S_k with <g, a> = value: a
@@ -742,6 +714,47 @@ def spectral_lse(mats: np.ndarray, dirs: np.ndarray, tau: float):
     return val, grad, hess, dgrad
 
 
+def minimize_norms(start: np.ndarray, lin: np.ndarray, weights: np.ndarray, exact,
+                   u: np.ndarray) -> tuple[np.ndarray, int]:
+    """(minimizer, unconverged stages) of f(u) = sum_g weights_g max_x |M_gx(u)|
+    over an affine family M(u) = start + u @ lin of d x d Hermitian matrices
+    in g groups of m: the one norm minimizer of the support solves and the
+    glue descent.
+
+    The layout of ``start`` (the family at u = 0) decides the method, and
+    ``lin`` (n, start.size) holds the family's derivative along u in the
+    same layout.  Diagonals, (g, m, d), make f polyhedral: its minimum is
+    one HiGHS linear program in (u, t), minimizing weights @ t subject to
+    -t_g <= every diagonal entry of group g <= t_g, and a solve that does not
+    end optimal raises (``exact`` and the start u are then unused).  Real
+    views of the complex matrices, (g, m, d, 2d), are annealed from u
+    (``anneal``, its temperatures scaled by ``exact(u)``) on the weighted sum
+    of each group's ``spectral_lse``.
+    """
+    g, n = len(start), len(lin)
+    if start.ndim == 3:
+        from scipy.optimize import linprog
+        rows = lin.T
+        epi = np.repeat(-np.eye(g), len(rows) // g, axis=0)
+        res = linprog(np.concatenate([np.zeros(n), weights]),
+                      A_ub=np.block([[rows, epi], [-rows, epi]]),
+                      b_ub=np.concatenate([-start.ravel(), start.ravel()]),
+                      bounds=(None, None), method="highs")
+        if res.status != 0:
+            raise RuntimeError(f"norm LP did not solve: {res.message}")
+        return res.x[:n], 0
+    d = start.shape[2]
+    dirs = np.ascontiguousarray(lin.view(complex).reshape(n, g, -1, d, d).transpose(1, 2, 0, 3, 4))
+
+    def smoothed(v, tau):
+        mats = (start + (v @ lin).reshape(start.shape)).view(complex)
+        val, grad, hess, dgrad = spectral_lse(mats, dirs, tau)
+        return (weights @ val, weights @ grad,
+                (weights @ hess.reshape(g, -1)).reshape(n, n), weights @ dgrad)
+
+    return anneal(smoothed, exact, u)
+
+
 def anneal(smoothed, exact, u: np.ndarray) -> tuple[np.ndarray, int]:
     """(final u, unconverged stages): one ``_newton_stage`` on ``smoothed(u,
     tau) -> (value, gradient, hessian, d gradient / d tau)`` per factor of
@@ -749,8 +762,8 @@ def anneal(smoothed, exact, u: np.ndarray) -> tuple[np.ndarray, int]:
     previous stage's minimizer u.  The minimizer path u(tau) moves O(tau' -
     tau) between stages, so a stage starts on its tangent, at u + (tau' - tau)
     du/dtau, when the previous stage converged and returned one, and at u
-    otherwise.  The one stage loop of the support solves and the dense glue
-    descent."""
+    otherwise.  The one stage loop, run by ``minimize_norms`` for every
+    dense norm solve."""
     unconverged, tau, tangent = 0, None, None
     for factor in LADDER:
         new_tau = factor * max(exact(u), 1e-9)

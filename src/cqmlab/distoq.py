@@ -15,15 +15,14 @@ of phi's distortion over ``ComparisonMap.measure``'s one probe law, times
 a margin, not a certified bound.
 
 The glue norm N(a, b) = inf_x |a - x| + |b + phi(x)| + eps |x| is
-evaluated at feasible points only.  Its descent splits as ``Cqms`` splits
-its support solves.  When a, b and the map are diagonal every norm is a
-max of |entries|, so the infimum is one HiGHS linear program, exact up to
-its tolerance.  Otherwise the glue is annealed like a support solve: the
-one stage loop ``cqms.anneal`` runs damped Newton on a log-sum-exp
-smoothing (derivatives from ``cqms.spectral_lse``) at the decreasing
-temperatures of the one ladder, ``cqms.LADDER``; stages that end
-unconverged are counted, and upper reports carry the count
-(``glue_unconverged_stages``).
+evaluated at feasible points only.  Its descent is a weighted sum of three
+operator norms over an affine family, so it goes through the one norm
+minimizer of the support solves, ``cqms.minimize_norms``.  When a, b and
+the map are diagonal every norm is a max of |entries|, so the infimum is
+one HiGHS linear program, exact up to its tolerance.  Otherwise the glue is
+annealed on a log-sum-exp smoothing at the decreasing temperatures of the
+one ladder, ``cqms.LADDER``; stages that end unconverged are counted, and
+upper reports carry the count (``glue_unconverged_stages``).
 
 Distances between finite nets come from ``numerics``.  The upper bound's
 glue table reads only row and column minima, so it goes through
@@ -39,7 +38,7 @@ from functools import cached_property
 import numpy as np
 
 from . import numerics as nm
-from .cqms import Cqms, anneal, spectral_lse
+from .cqms import Cqms, minimize_norms
 
 
 # ---------------------------------------------------------------------------
@@ -195,9 +194,12 @@ class SumNorm:
     of the defining infimum, so Hausdorff distances computed from it stay
     on the conservative side.  It is the better of two starting points,
     x = 0 and x = the projection of a onto X; with ``descend`` it is also
-    evaluated at the glue's minimizer: the LP's on diagonal pairs, else the
-    Newton stages' result.  ``unconverged_stages`` counts the Newton stages
-    of this norm that ended without converging.
+    evaluated at the result of ``cqms.minimize_norms`` over the three terms
+    weighted (1, 1, eps), zero-padded to the larger dimension (their zero
+    eigenvalues lie within each max): the LP's minimizer on diagonal pairs,
+    else the annealed one, started at the better starting point, its
+    temperatures scaled by the exact glue value.  ``unconverged_stages``
+    counts the Newton stages of this norm that ended without converging.
     """
 
     phi: ComparisonMap
@@ -210,34 +212,16 @@ class SumNorm:
                 + self.eps * nm.op_norm(x))
 
     @cached_property
-    def _glue_lp(self) -> tuple | None:
-        """(A_ub, cost) of the glue LP in (c, t1, t2, t3), or None when the map
-        is not diagonal.  Each term |offset + L c| is one epigraph variable:
-        +-(offset + L c) <= t, with (offset, L) = (a, -X), (b, Y), (0, X) for
-        the diagonals X, Y of ``x_ortho`` and ``images``."""
+    def _glue_dirs(self) -> np.ndarray:
+        """The glue terms a - x, b + phi(x) and x along the X coefficients:
+        (k, 3, 1, d, d), d the larger dimension, the smaller side's matrices
+        padded with zero rows and columns."""
         phi = self.phi
-        if not (nm.is_diagonal(phi.x_ortho) and nm.is_diagonal(phi.images)):
-            return None
-        xd = np.diagonal(phi.x_ortho, axis1=1, axis2=2).real.T
-        yd = np.diagonal(phi.images, axis1=1, axis2=2).real.T
-        lin = np.concatenate([-xd, yd, xd])
-        epi = np.repeat(-np.eye(3), [phi.dim_a, phi.dim_b, phi.dim_a], axis=0)
-        return (np.block([[lin, epi], [-lin, epi]]),
-                np.concatenate([np.zeros(phi.k), [1.0, 1.0, self.eps]]))
-
-    @cached_property
-    def _glue_dirs(self) -> tuple:
-        """The derivative stacks of the glue terms a - x, b + phi(x) and x
-        along the X coefficients, as ``spectral_lse``'s (3, 1, k, d, d) with d
-        the larger dimension, and the same as one (k, 3 d d) matrix.  The
-        smaller side's matrices are padded with zero rows and columns."""
-        phi = self.phi
-        k, d = phi.k, max(phi.dim_a, phi.dim_b)
-        dirs = np.zeros((3, 1, k, d, d), dtype=complex)
-        dirs[0, 0, :, :phi.dim_a, :phi.dim_a] = -phi.x_ortho
-        dirs[1, 0, :, :phi.dim_b, :phi.dim_b] = phi.images
-        dirs[2, 0, :, :phi.dim_a, :phi.dim_a] = phi.x_ortho
-        return dirs, dirs.reshape(3, k, d * d).transpose(1, 0, 2).reshape(k, -1)
+        dirs = np.zeros((phi.k, 3, 1) + (max(phi.dim_a, phi.dim_b),) * 2, dtype=complex)
+        dirs[:, 0, 0, :phi.dim_a, :phi.dim_a] = -phi.x_ortho
+        dirs[:, 1, 0, :phi.dim_b, :phi.dim_b] = phi.images
+        dirs[:, 2, 0, :phi.dim_a, :phi.dim_a] = phi.x_ortho
+        return dirs
 
     def value(self, a: np.ndarray, b: np.ndarray, descend: bool = False) -> float:
         a = np.asarray(a, dtype=complex)
@@ -248,49 +232,20 @@ class SumNorm:
         best = min(at_zero, at_ca)
         if not descend or self.phi.k == 0:
             return best
-        if self._glue_lp is not None and nm.is_diagonal(a) and nm.is_diagonal(b):
-            c = self._lp_coeffs(a, b)
-        else:
-            c = self._newton_coeffs(a, b, ca if at_ca <= at_zero else zero)
-        return min(best, self._objective(a, b, c))
-
-    def _lp_coeffs(self, a, b) -> np.ndarray:
-        """The exact glue minimizer for diagonal a, b and map: one HiGHS LP
-        minimizing t1 + t2 + eps t3; a solve that does not end optimal raises."""
-        from scipy.optimize import linprog
-        a_ub, cost = self._glue_lp
-        offsets = np.concatenate([np.diagonal(a).real, np.diagonal(b).real,
-                                  np.zeros(self.phi.dim_a)])
-        res = linprog(cost, A_ub=a_ub, b_ub=np.concatenate([-offsets, offsets]),
-                      bounds=(None, None), method="highs")
-        if res.status != 0:
-            raise RuntimeError(f"glue LP did not solve: {res.message}")
-        return res.x[:self.phi.k]
-
-    def _newton_coeffs(self, a, b, c) -> np.ndarray:
-        """Descend the glue from c by ``cqms.anneal`` on the log-sum-exp
-        smoothing of its three operator norms, each temperature a factor of
-        ``cqms.LADDER`` times the exact glue value at its stage's start.  The
-        zero-padded stacks are smoothed as they stand: their zero eigenvalues
-        lie within the max, so the smoothing still bounds each norm from
-        above, and ``value`` evaluates the exact objective at the result.
-        Stages that end unconverged are counted in ``unconverged_stages``."""
-        dirs, lin = self._glue_dirs
-        d = dirs.shape[-1]
-        start = np.zeros((3, 1, d, d), dtype=complex)     # the terms at c = 0
+        dirs = self._glue_dirs
+        start = np.zeros(dirs.shape[1:], dtype=complex)     # the terms at x = 0
         start[0, 0, :len(a), :len(a)] = a
         start[1, 0, :len(b), :len(b)] = b
-        weights = np.array([1.0, 1.0, self.eps])
-
-        def smoothed(c, tau):
-            mats = start + (c @ lin).reshape(start.shape)
-            val, grad, hess, dgrad = spectral_lse(mats, dirs, tau)
-            return (weights @ val, weights @ grad,
-                    (weights @ hess.reshape(3, -1)).reshape(hess.shape[1:]), weights @ dgrad)
-
-        c, unconverged = anneal(smoothed, lambda c: self._objective(a, b, c), c)
+        if nm.is_diagonal(start) and nm.is_diagonal(dirs):
+            start, dirs = np.diagonal(start, 0, -2, -1).real, np.diagonal(dirs, 0, -2, -1).real
+        else:
+            start, dirs = start.view(float), dirs.view(float)
+        c, unconverged = minimize_norms(start, dirs.reshape(self.phi.k, -1),
+                                        np.array([1.0, 1.0, self.eps]),
+                                        lambda c: self._objective(a, b, c),
+                                        ca if at_ca <= at_zero else zero)
         self.unconverged_stages += unconverged
-        return c
+        return min(best, self._objective(a, b, c))
 
 
 # ---------------------------------------------------------------------------

@@ -227,8 +227,9 @@ def test_radius_non_lip_signals():
                       action=ga.UnitaryAction(group=group, implementers=impl))
     with pytest.raises(cq.NonLipError):
         trivial.radius()
-    # a diagonal space whose action only swaps two of four points: the LP is
-    # unbounded along the split, and the points' graph is disconnected
+    # a diagonal space whose action only swaps two of four points: the
+    # seminorm reaches 0 on the functional's slice, and the points' graph is
+    # disconnected
     swap = np.eye(4, dtype=complex)[[1, 0, 2, 3]]
     split = cq.Cqms(space=cq.diagonal_space(4),
                     action=ga.UnitaryAction(group=ga.torus_group(2, 1),
@@ -319,7 +320,7 @@ def test_radius_is_half_the_diameter(build, radius, floor):
 
 
 @pytest.mark.parametrize("name", ["torus3", "sphere1"])
-def test_smoothed_seminorm_gradient(name):
+def test_smoothed_seminorm_gradient(name, monkeypatch):
     # analytic gradient and Hessian of the smoothed seminorm in the null-space
     # coordinates of a slice against central differences of its value and
     # gradient, over the whole kernel at a wide, a mild and a sharp
@@ -330,19 +331,18 @@ def test_smoothed_seminorm_gradient(name):
     assert not diagonal
     rng = np.random.default_rng(11)
     c0, nmat = _slice(obj, obj.space.random_element(rng))
-    family = obj._support_family(c0, nmat, op)
+    smoothed = _smoothed(obj, c0, nmat, op, monkeypatch)
     n = nmat.shape[1]
     u = rng.standard_normal(n)
     exact = obj._coeff_seminorms((c0 + nmat @ u)[None])[0]
     # (at tau = exact most eigenvalue pairs take the near-pair formula)
     for tau in (exact, 0.1 * exact, 0.001 * exact):
-        val, grad, hess, _ = obj._smoothed_seminorm(u, tau, family)
+        val, grad, hess, _ = smoothed(u, tau)
         # log-sum-exp sits between the max and the max plus tau log(#terms)
         terms = 2 * len(obj.action.seminorm_kernel()[0]) * obj.dim
         assert exact - 1e-12 <= val <= exact + tau * np.log(terms) + 1e-12
         h = 1e-6
-        steps = [(obj._smoothed_seminorm(u + h * e, tau, family),
-                  obj._smoothed_seminorm(u - h * e, tau, family)) for e in np.eye(n)]
+        steps = [(smoothed(u + h * e, tau), smoothed(u - h * e, tau)) for e in np.eye(n)]
         fd = np.array([(plus[0] - minus[0]) / (2 * h) for plus, minus in steps])
         assert np.allclose(grad, fd, rtol=1e-6, atol=1e-7)
         fd_hess = np.array([(plus[1] - minus[1]) / (2 * h) for plus, minus in steps])
@@ -391,6 +391,28 @@ def _slice(obj, g):
     """(c0, nmat): the slice <g, a> = 1 of a support solve as c0 + nmat @ u."""
     gs = np.real(np.einsum("kab,ab->k", obj.space.ortho[1:].conj(), g))
     return gs / np.linalg.norm(gs) ** 2, null_space(gs[None, :])
+
+
+def _family(obj, c0, nmat, op):
+    """(start, lin): the kernel columns ``op`` of a dense operator over the
+    slice c0 + nmat @ u, laid out for ``minimize_norms`` as ``_support_max``
+    lays them out."""
+    return (c0 @ op).reshape(1, -1, obj.dim, 2 * obj.dim), nmat.T @ op
+
+
+def _smoothed(obj, c0, nmat, op, monkeypatch):
+    """The smoothed seminorm (u, tau) -> (value, gradient, Hessian, d
+    gradient / d tau) that ``minimize_norms`` anneals over ``_family``."""
+    seen = []
+
+    def capture(smoothed, exact, u):
+        seen.append(smoothed)
+        return u, 0
+
+    with monkeypatch.context() as mp:
+        mp.setattr(cq, "anneal", capture)
+        cq.minimize_norms(*_family(obj, c0, nmat, op), np.ones(1), None, np.zeros(nmat.shape[1]))
+    return seen[0]
 
 
 def _full_kernel_support(obj, g):
@@ -442,23 +464,30 @@ def test_working_kernel_support(name, monkeypatch):
     # seminorm and attains the value
     obj = {"sphere2": lambda: ex.fuzzy_sphere(2),
            "sphere3": lambda: ex.fuzzy_sphere(3)}[name]()
-    smoothed = cq.Cqms._smoothed_seminorm
+    lse, anneal = cq.spectral_lse, cq.anneal
     widths = []
 
-    def recording(self, u, tau, family):
+    def recording(mats, dirs, tau):
         # every evaluation reads one contiguous direction stack, laid out
-        # once per working kernel, and differentiates in u directly
-        widths.append(family[2].shape[1])
-        assert family[2].flags["C_CONTIGUOUS"]
-        val, grad, hess, dgrad = smoothed(self, u, tau, family)
-        assert grad.shape == dgrad.shape == u.shape and hess.shape == (len(u), len(u))
-        return val, grad, hess, dgrad
+        # once per working kernel
+        widths.append(dirs.shape[1])
+        assert dirs.flags["C_CONTIGUOUS"]
+        return lse(mats, dirs, tau)
+
+    def checked(smoothed, exact, u):
+        # and the smoothed seminorm differentiates in u directly
+        def shaped(v, tau):
+            val, grad, hess, dgrad = smoothed(v, tau)
+            assert grad.shape == dgrad.shape == v.shape and hess.shape == (len(v), len(v))
+            return val, grad, hess, dgrad
+        return anneal(shaped, exact, u)
 
     for g in _orthogonal_pure_pairs(obj, 3, seed=5):
         ref, _ = _full_kernel_support(obj, g)
         widths.clear()
         with monkeypatch.context() as mp:
-            mp.setattr(cq.Cqms, "_smoothed_seminorm", recording)
+            mp.setattr(cq, "spectral_lse", recording)
+            mp.setattr(cq, "anneal", checked)
             val, a = obj._support_max(g)
         assert abs(val - ref) <= 1e-4 * ref
         assert obj.seminorm(a) == pytest.approx(1.0, abs=1e-12)
@@ -477,7 +506,7 @@ def test_kernel_norms_screen_is_exact(name, monkeypatch):
     obj = {"sphere2": lambda: ex.fuzzy_sphere(2),
            "sphere3": lambda: ex.fuzzy_sphere(3)}[name]()
     kernel = len(obj.action.seminorm_kernel()[0])
-    screened, family = cq.Cqms._kernel_norms, cq.Cqms._support_family
+    screened, minimize_norms = cq.Cqms._kernel_norms, cq.minimize_norms
     eigvalsh = np.linalg.eigvalsh
     solved, calls, ties, seeds, ladders = [], [], [], [], []
 
@@ -509,14 +538,14 @@ def test_kernel_norms_screen_is_exact(name, monkeypatch):
                                       np.flatnonzero(want >= factor * np.max(want)))
         return got
 
-    def recording(self, c0, nmat, op):
+    def recording(start, lin, weights, exact, u):
         # one family, and one ladder, per working kernel
-        ladders.append(op)
-        return family(self, c0, nmat, op)
+        ladders.append(start)
+        return minimize_norms(start, lin, weights, exact, u)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
     monkeypatch.setattr(cq.Cqms, "_kernel_norms", checked)
-    monkeypatch.setattr(cq.Cqms, "_support_family", recording)
+    monkeypatch.setattr(cq, "minimize_norms", recording)
     op = obj._operator()[0]
     pairs = _orthogonal_pure_pairs(obj, 2, seed=11)
     if name == "sphere2":
@@ -526,7 +555,7 @@ def test_kernel_norms_screen_is_exact(name, monkeypatch):
         obj._support_max(g)
         # the first ladder runs on the lowest-index 48 of the largest norms
         seed = op.reshape(len(op), kernel, -1)[:, seeds[-1]].reshape(len(op), -1)
-        assert np.array_equal(ladders[0], seed)
+        assert np.array_equal(ladders[0].ravel(), _slice(obj, g)[0] @ seed)
     assert len(calls) > 2 * len(pairs)
     assert sum(calls) < 0.3 * kernel * len(calls)
     assert any(ties) or name != "sphere2"
@@ -567,10 +596,9 @@ def test_working_kernel_is_whole_small_kernel(name):
     for _ in range(3):
         g = obj.space.random_element(rng)
         c0, nmat = _slice(obj, g)
-        family = obj._support_family(c0, nmat, obj._operator()[0])
-        u, unconverged = cq.anneal(lambda u, tau: obj._smoothed_seminorm(u, tau, family),
-                                   lambda u: obj._coeff_seminorms((c0 + nmat @ u)[None])[0],
-                                   np.zeros(nmat.shape[1]))
+        u, unconverged = cq.minimize_norms(
+            *_family(obj, c0, nmat, obj._operator()[0]), np.ones(1),
+            lambda u: obj._coeff_seminorms((c0 + nmat @ u)[None])[0], np.zeros(nmat.shape[1]))
         assert unconverged == 0
         ref, ref_a = obj._rescaled(c0 + nmat @ u, 1.0)
         val, a = obj._support_max(g)
@@ -602,6 +630,55 @@ def test_diagonal_space_is_exact(m):
     assert obj.state_diameter(24, 0) == 2.0 * obj.radius()
 
 
+@pytest.mark.parametrize("m", [6, 12, 16], ids=lambda m: f"cycle{m}")
+def test_dirac_state_metrics_match_lp_oracle(m):
+    # the diagonal support LP minimizes L on the functional's slice: every
+    # Dirac-pair state metric is the Kantorovich LP oracle's within 1e-9
+    # relative
+    obj = ex.commutative_cycle(m)
+    arcs = cycle_arc_matrix(m)
+    for i, j in itertools.combinations(range(m), 2):
+        c = np.zeros(m)
+        c[i], c[j] = 1.0, -1.0
+        want = kantorovich_lp(arcs, c)
+        assert abs(obj.state_metric(cq.dirac_state(m, i), cq.dirac_state(m, j)) - want) \
+            <= 1e-9 * want
+
+
+@pytest.mark.parametrize("weights", [[1.0], [1.0, 1.0, 0.3]], ids=["one", "three"])
+def test_minimize_norms_layouts_agree(weights):
+    # one family of diagonal matrices in both layouts: as diagonals it is one
+    # LP, as real views of the dense matrices it is annealed.  The LP is
+    # optimal, so at most the annealed value, and the annealed value is
+    # within the last stage's log-sum-exp bias, tau log(2 m d) per unit of
+    # weight, of the LP's
+    rng = np.random.default_rng(len(weights))
+    weights = np.array(weights)
+    g, m, d, n = len(weights), 4, 3, 5
+    start = rng.standard_normal((g, m, d))
+    lin = rng.standard_normal((n, g * m * d))
+    objective = lambda u: weights @ np.max(np.abs(start + (u @ lin).reshape(g, m, d)),
+                                           axis=(1, 2))
+    lp_u, unconverged = cq.minimize_norms(start, lin, weights, None, None)
+    assert unconverged == 0
+    dense = np.zeros((g, m, d, d), dtype=complex)
+    dense[..., np.arange(d), np.arange(d)] = start
+    dirs = np.zeros((n, g, m, d, d), dtype=complex)
+    dirs[..., np.arange(d), np.arange(d)] = lin.reshape(n, g, m, d)
+    starts = []
+
+    def exact(u):
+        starts.append(objective(u))
+        return starts[-1]
+
+    u, _ = cq.minimize_norms(dense.view(float), dirs.view(float).reshape(n, -1), weights, exact,
+                             np.zeros(n))
+    lp, annealed = objective(lp_u), objective(u)
+    tau = cq.LADDER[-1] * max(starts[-1], 1e-9)
+    assert lp <= annealed + 1e-9
+    assert annealed <= lp + tau * np.sum(weights) * np.log(2 * m * d) + 1e-9
+
+
 def test_dirac_metric_is_shortest_path():
     # squared arc lengths break the triangle inequality, so the Dirac metric
     # is the shortest-path metric over several shifts, not the direct length;
@@ -623,13 +700,13 @@ def test_diagonal_spaces_skip_smoothing(monkeypatch):
     # cycle radii, diameters and state metrics never evaluate the smoothed
     # seminorm; a fuzzy torus still does
     calls = []
-    smoothed = cq.Cqms._smoothed_seminorm
+    lse = cq.spectral_lse
 
-    def counting(self, *args):
+    def counting(*args):
         calls.append(1)
-        return smoothed(self, *args)
+        return lse(*args)
 
-    monkeypatch.setattr(cq.Cqms, "_smoothed_seminorm", counting)
+    monkeypatch.setattr(cq, "spectral_lse", counting)
     for m in (8, 16):
         obj = ex.commutative_cycle(m)
         obj.radius()
@@ -681,7 +758,7 @@ def test_newton_stage_outcomes():
 
 
 @pytest.mark.parametrize("name", ["torus3", "sphere1"])
-def test_stage_tangent_is_the_minimizer_path(name):
+def test_stage_tangent_is_the_minimizer_path(name, monkeypatch):
     # a converged stage's tangent du/dtau is the central difference of the
     # minimizers of two converged stages at tau (1 +- 1e-3), each started at
     # the stage's own minimizer, over a solve's slice at the last two of the
@@ -689,18 +766,18 @@ def test_stage_tangent_is_the_minimizer_path(name):
     # moves less than the stopping rule resolves)
     obj = {"torus3": lambda: ex.fuzzy_torus(3, 1), "sphere1": lambda: ex.fuzzy_sphere(1)}[name]()
     c0, nmat = _slice(obj, obj.space.random_element(np.random.default_rng(11)))
-    family = obj._support_family(c0, nmat, obj._operator()[0])
+    smoothed = _smoothed(obj, c0, nmat, obj._operator()[0], monkeypatch)
     exact = lambda u: obj._coeff_seminorms((c0 + nmat @ u)[None])[0]
     u = np.zeros(nmat.shape[1])
     for factor in cq.LADDER[:2]:
         tau = factor * exact(u)
-        u, tangent = cq._newton_stage(lambda v: obj._smoothed_seminorm(v, tau, family), u)
+        u, tangent = cq._newton_stage(lambda v: smoothed(v, tau), u)
         assert tangent is not None
     h = 1e-3
     for factor in cq.LADDER[2:]:
         tau = factor * exact(u)
-        u, tangent = cq._newton_stage(lambda v: obj._smoothed_seminorm(v, tau, family), u)
-        ends = [cq._newton_stage(lambda v: obj._smoothed_seminorm(v, t, family), u)
+        u, tangent = cq._newton_stage(lambda v: smoothed(v, tau), u)
+        ends = [cq._newton_stage(lambda v: smoothed(v, t), u)
                 for t in (tau * (1.0 + h), tau * (1.0 - h))]
         assert tangent is not None and all(end[1] is not None for end in ends)
         fd = (ends[0][0] - ends[1][0]) / (2.0 * h * tau)
@@ -711,15 +788,15 @@ def test_torus_radius_evaluation_count(monkeypatch):
     # each annealing stage starts on the previous stage's tangent, and the
     # generator kernel keeps the smoothing small: fuzzy_torus(5,1)'s radius
     # takes at most 500 smoothed evaluations (448 at this writing), and
-    # every stage converges
+    # every stage converges; each evaluation is one ``spectral_lse`` call
     calls = []
-    smoothed = cq.Cqms._smoothed_seminorm
+    lse = cq.spectral_lse
 
-    def counting(self, *args):
+    def counting(*args):
         calls.append(1)
-        return smoothed(self, *args)
+        return lse(*args)
 
-    monkeypatch.setattr(cq.Cqms, "_smoothed_seminorm", counting)
+    monkeypatch.setattr(cq, "spectral_lse", counting)
     obj = ex.fuzzy_torus(5, 1)
     obj.radius()
     assert 0 < len(calls) <= 500

@@ -109,7 +109,7 @@ def test_diagonal_glue_lp_oracle(cycle8, cycle16, monkeypatch):
     # on diagonal pairs the descended glue is the LP optimum: within 1e-9 of
     # the dual LP, with no smoothing, for random pairs and for pairs near
     # the map's graph (as in the distance bounds)
-    monkeypatch.setattr(dq, "spectral_lse", None)
+    monkeypatch.setattr(cq, "spectral_lse", None)
     rng = np.random.default_rng(9)
     for phi, target in ((dq.cycle_refinement_map(cycle8, cycle16), cycle16),
                         (dq.identity_map(cycle8), cycle8)):
@@ -430,7 +430,6 @@ def test_every_anneal_runs_the_ladder(monkeypatch):
         return newton_stage(*args)
 
     monkeypatch.setattr(cq, "anneal", counting_anneal)
-    monkeypatch.setattr(dq, "anneal", counting_anneal)
     monkeypatch.setattr(cq, "_newton_stage", counting_stage)
     rng = np.random.default_rng(3)
     s2, t3, t5 = ex.fuzzy_sphere(2), ex.fuzzy_torus(3, 1), ex.fuzzy_torus(5, 1)

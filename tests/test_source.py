@@ -212,6 +212,31 @@ def test_one_annealing_loop():
     assert not found, f"_newton_stage called outside cqms.anneal: {found}"
 
 
+def test_one_norm_minimizer():
+    # every norm LP and every log-sum-exp smoothing runs inside
+    # ``cqms.minimize_norms``: a second call site of ``linprog`` or
+    # ``spectral_lse`` would bring back a solve with its own family layout
+    # and its own objective
+    found, inside = [], []
+    for path in sorted(SRC.glob("*.py")):
+        def visit(node, owner):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and owner is None:
+                owner = node.name
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name in ("linprog", "spectral_lse"):
+                    if (path.name, owner) == ("cqms.py", "minimize_norms"):
+                        inside.append(name)
+                    else:
+                        found.append(f"{path.name}:{node.lineno} {name} in {owner}")
+            for child in ast.iter_child_nodes(node):
+                visit(child, owner)
+
+        visit(ast.parse(path.read_text()), None)
+    assert not found, f"linprog or spectral_lse called outside cqms.minimize_norms: {found}"
+    assert sorted(inside) == ["linprog", "spectral_lse"]
+
+
 def test_ball_nets_read_the_sample():
     # ``Cqms.ball_net`` scales the seminorms of ``_ball_sample`` to its
     # radius: an L evaluation inside it, directly or through another method,
