@@ -223,6 +223,12 @@ class SumNorm:
         dirs[:, 2, 0, :phi.dim_a, :phi.dim_a] = phi.x_ortho
         return dirs
 
+    @cached_property
+    def _glue_diagonal(self) -> bool:
+        """Whether every matrix of ``_glue_dirs`` is diagonal: a property of
+        phi alone, so ``value`` scans them once per norm, not once per call."""
+        return nm.is_diagonal(self._glue_dirs)
+
     def value(self, a: np.ndarray, b: np.ndarray, descend: bool = False) -> float:
         a = np.asarray(a, dtype=complex)
         b = np.asarray(b, dtype=complex)
@@ -236,7 +242,7 @@ class SumNorm:
         start = np.zeros(dirs.shape[1:], dtype=complex)     # the terms at x = 0
         start[0, 0, :len(a), :len(a)] = a
         start[1, 0, :len(b), :len(b)] = b
-        if nm.is_diagonal(start) and nm.is_diagonal(dirs):
+        if nm.is_diagonal(start) and self._glue_diagonal:
             start, dirs = np.diagonal(start, 0, -2, -1).real, np.diagonal(dirs, 0, -2, -1).real
         else:
             start, dirs = start.view(float), dirs.view(float)

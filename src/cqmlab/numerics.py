@@ -11,9 +11,14 @@ small eigenproblems per call.
 
 Distances between stacks go through :func:`op_dists`, which forms the
 differences ``p_i - q_j`` in blocks of at most ``DIST_BLOCK`` = 2**14
-matrix entries (diagonal entries when both stacks are diagonal), so this
-module alone bounds their memory and decides, once per call, when the
-diagonal shortcut applies.  Callers that read only nearest distances use
+entries, so this module alone bounds their memory and decides, once per
+call, when the diagonal shortcut applies.  When both stacks are diagonal a
+distance is the l-infinity distance of two diagonals.  The diagonals are
+then read once as contiguous (d, n) planes, plane j holding every matrix's
+j-th entry, so the max over the d entries is d elementwise maxima over
+whole planes, not a reduction along a short last axis, which numpy takes
+one row at a time.  :func:`op_norms` and :func:`farthest_first` read
+diagonal stacks the same way.  Callers that read only nearest distances use
 :func:`nearest`, the min and argmin along both axes of such a table
 (with a per-row offset and a ceiling), which eigensolves few of its
 entries.
@@ -111,32 +116,58 @@ def op_norms(stack: np.ndarray) -> np.ndarray:
     if stack.size == 0:
         return np.zeros(stack.shape[:-2])
     if is_diagonal(stack):
-        return np.max(np.abs(np.diagonal(stack, 0, -2, -1)), axis=-1)
+        diag = np.diagonal(stack, 0, -2, -1)
+        mags = np.empty(diag.shape[-1:] + diag.shape[:-1])
+        np.abs(diag, out=np.moveaxis(mags, 0, -1))
+        return np.max(mags, axis=0)
     w = np.linalg.eigvalsh(stack)
     return np.max(np.abs(w), axis=-1)
 
 
+def _diagonal_planes(stack: np.ndarray) -> np.ndarray:
+    """The diagonals of a stack (n, d, d) as one contiguous (d, n) array,
+    plane j holding the j-th diagonal entry of every matrix."""
+    planes = np.empty(stack.shape[-1:] + stack.shape[:1], dtype=complex)
+    np.copyto(planes.T, np.diagonal(stack, 0, -2, -1))
+    return planes
+
+
 def op_dists(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """|p_i - q_j| as a (len(p), len(q)) matrix, in blocks of at most
-    ``DIST_BLOCK`` difference entries (whole rows when one fits).  When both
-    stacks are diagonal (:func:`is_diagonal`, decided once per call) only
-    their diagonals are subtracted, d entries per difference; otherwise
-    every difference goes to ``eigvalsh``."""
+    """|p_i - q_k| as a (len(p), len(q)) matrix, in blocks of at most
+    ``DIST_BLOCK`` entries (whole rows when one fits).  When both stacks are
+    diagonal (:func:`is_diagonal`, decided once per call) their diagonals are
+    read once as (d, n) planes (:func:`_diagonal_planes`), and a block of
+    distances is the elementwise max over j of its (rows, cols) planes of
+    |p_ij - q_kj|, each formed in one plane-sized buffer.  Every entry takes
+    one subtraction, one complex abs and an exact max, so it is the same
+    number as ``np.max(np.abs(diag(p_i) - diag(q_k)))``, bit for bit.
+    Otherwise a block holds at most ``DIST_BLOCK`` entries of the (rows,
+    cols, d, d) differences, and every difference goes to ``eigvalsh``."""
     p, q = np.asarray(p, dtype=complex), np.asarray(q, dtype=complex)
     out = np.empty((len(p), len(q)))
     if out.size == 0:
         return out
-    diagonal = is_diagonal(p) and is_diagonal(q)
-    if diagonal:
-        p, q = np.diagonal(p, 0, -2, -1), np.diagonal(q, 0, -2, -1)
-    entries = p.shape[-1] if diagonal else p.shape[-1] ** 2
+    if is_diagonal(p) and is_diagonal(q):
+        p, q = _diagonal_planes(p), _diagonal_planes(q)
+        cols = min(out.shape[1], DIST_BLOCK)
+        rows = DIST_BLOCK // cols
+        diff, mags = np.empty((rows, cols), dtype=complex), np.empty((rows, cols))
+        for i in range(0, out.shape[0], rows):
+            for j in range(0, out.shape[1], cols):
+                block = out[i:i + rows, j:j + cols]
+                r, c = block.shape
+                planes = zip(p[:, i:i + r, None], q[:, j:j + c])
+                np.abs(np.subtract(*next(planes), out=diff[:r, :c]), out=block)
+                for pk, qk in planes:
+                    np.subtract(pk, qk, out=diff[:r, :c])
+                    np.maximum(block, np.abs(diff[:r, :c], out=mags[:r, :c]), out=block)
+        return out
+    entries = p.shape[-1] ** 2
     cols = max(1, min(len(q), DIST_BLOCK // entries))
     rows = max(1, DIST_BLOCK // (cols * entries))
     for i in range(0, len(p), rows):
         for j in range(0, len(q), cols):
-            diff = p[i:i + rows, None] - q[None, j:j + cols]
-            if not diagonal:
-                diff = np.linalg.eigvalsh(diff)
+            diff = np.linalg.eigvalsh(p[i:i + rows, None] - q[None, j:j + cols])
             out[i:i + rows, j:j + cols] = np.max(np.abs(diff), axis=-1)
     return out
 
@@ -216,7 +247,11 @@ def farthest_first(points: np.ndarray, dists: np.ndarray, cap: int, stop) -> tup
     distance)`` holds or ``cap`` are added; ``capped`` is true when the cap
     ended the insertion while ``stop`` still failed on the farthest point.
 
-    A diagonal stack is updated from its (n, d) diagonals.  For a dense
+    A diagonal stack is updated from its diagonals, read once as (d, n)
+    planes: each insertion subtracts the new point's column from them and
+    takes the max of the |differences| over the d planes, in buffers made
+    before the loop, so every distance is the same number as the max over
+    the (n, d) rows of |diagonal differences|.  For a dense
     stack, a point whose HS distance to the new net point k satisfies
     ``|p_i - p_k|_HS / sqrt(d) * (1 - 1e-9) >= dists[i]`` has
     ``|p_i - p_k| >= dists[i]``, so the minimum keeps ``dists[i]`` exactly;
@@ -239,7 +274,9 @@ def farthest_first(points: np.ndarray, dists: np.ndarray, cap: int, stop) -> tup
     dists = np.array(dists, dtype=float)
     diagonal = is_diagonal(points)
     if diagonal:
-        diag = np.diagonal(points, 0, -2, -1)
+        planes = _diagonal_planes(points)
+        diff, mags = np.empty(planes.shape, dtype=complex), np.empty(planes.shape)
+        row = np.empty(len(points))
     else:
         flat = realify(points)
         sq = np.einsum("ij,ij->i", flat, flat)
@@ -254,7 +291,8 @@ def farthest_first(points: np.ndarray, dists: np.ndarray, cap: int, stop) -> tup
             return chosen, True
         chosen.append(k)
         if diagonal:
-            dists = np.minimum(dists, np.max(np.abs(diag - diag[k]), axis=1))
+            np.abs(np.subtract(planes, planes[:, k, None], out=diff), out=mags)
+            np.minimum(dists, np.max(mags, axis=0, out=row), out=dists)
         else:
             total = sq + sq[k]
             hs2 = total * (1.0 - margin) - 2.0 * (flat @ flat[k])

@@ -108,8 +108,17 @@ def _glue_starts(norm, a, b):
 def test_diagonal_glue_lp_oracle(cycle8, cycle16, monkeypatch):
     # on diagonal pairs the descended glue is the LP optimum: within 1e-9 of
     # the dual LP, with no smoothing, for random pairs and for pairs near
-    # the map's graph (as in the distance bounds)
+    # the map's graph (as in the distance bounds).  Each norm scans its glue
+    # terms (k, 3, 1, d, d) for diagonality once, not on every descent
     monkeypatch.setattr(cq, "spectral_lse", None)
+    scans = []
+    is_diagonal = nm.is_diagonal
+
+    def counting(stack):
+        scans.append(np.ndim(stack) == 5)
+        return is_diagonal(stack)
+
+    monkeypatch.setattr(nm, "is_diagonal", counting)
     rng = np.random.default_rng(9)
     for phi, target in ((dq.cycle_refinement_map(cycle8, cycle16), cycle16),
                         (dq.identity_map(cycle8), cycle8)):
@@ -126,6 +135,7 @@ def test_diagonal_glue_lp_oracle(cycle8, cycle16, monkeypatch):
                                           np.diagonal(bb).real)
                     assert abs(got - oracle) <= 1e-9 * max(1.0, oracle)
                     assert got <= min(_glue_starts(norm, a, bb))
+    assert sum(scans) == 2 * 3
 
 
 def test_dense_glue_grid_oracle(torus_pair):

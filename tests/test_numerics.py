@@ -77,29 +77,112 @@ def test_batched_norms(rng):
     assert nm.op_dists(stack, stack[:0]).shape == (7, 0)
 
 
+def _diagonal_stack(rng, n, d):
+    """n diagonal d x d matrices with complex diagonals, so that every |.|
+    below goes through the complex abs."""
+    diag = rng.standard_normal((n, d)) + 1e-3j * rng.standard_normal((n, d))
+    return diag[:, :, None] * np.eye(d)
+
+
 def test_op_dists_memory_is_blocked(rng):
     # the dense (200, 200, 16, 16) difference stack would take 164 MB; the
-    # diagonal stacks are blocked by their d diagonal entries per difference
+    # diagonal stacks are blocked too, and the (24, 600, 600) difference of
+    # the larger diagonal pair would take 138 MB
     p = np.array([nm.random_hermitian(rng, 16) for _ in range(200)])
     q = np.array([nm.random_hermitian(rng, 16) for _ in range(200)])
     dp = np.array([np.diag(rng.standard_normal(16)).astype(complex) for _ in range(200)])
     dq = np.array([np.diag(rng.standard_normal(16)).astype(complex) for _ in range(200)])
-    for a, b in ((p, q), (dp, dq)):
+    wide_p, wide_q = _diagonal_stack(rng, 600, 24), _diagonal_stack(rng, 600, 24)
+    for a, b in ((p, q), (dp, dq), (wide_p, wide_q)):
         tracemalloc.start()
         try:
             dists = nm.op_dists(a, b)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert dists.shape == (200, 200)
+        assert dists.shape == (len(a), len(b))
         assert peak < 16 * 2 ** 20
 
 
+def _linf_loop(p, q):
+    """The diagonal distance table spelled out pair by pair, max_j |p_ij -
+    q_kj|, with numpy's complex abs (Python's own abs of a complex rounds
+    differently in the last bit)."""
+    return np.array([[max(np.abs(np.diagonal(a) - np.diagonal(b))) for b in q]
+                     for a in p]).reshape(len(p), len(q))
+
+
 def test_op_dists_diagonal_formula(rng):
-    p = np.array([np.diag(rng.standard_normal(16)).astype(complex) for _ in range(40)])
-    q = np.array([np.diag(rng.standard_normal(16)).astype(complex) for _ in range(30)])
-    diff = np.diagonal(p, 0, 1, 2)[:, None] - np.diagonal(q, 0, 1, 2)[None]
-    assert np.array_equal(nm.op_dists(p, q), np.max(np.abs(diff), axis=-1))
+    # bit for bit the pair loop, for d = 1, 2 and 16, on shapes spanning
+    # several row blocks and (d = 1) several column blocks, and empty sides;
+    # op_norms bit for bit a loop over the matrices
+    p1, q1 = _diagonal_stack(rng, 3, 1), _diagonal_stack(rng, nm.DIST_BLOCK + 500, 1)
+    p2, q2 = _diagonal_stack(rng, 150, 2), _diagonal_stack(rng, 130, 2)
+    p16, q16 = _diagonal_stack(rng, 140, 16), _diagonal_stack(rng, 120, 16)
+    assert len(q1) > nm.DIST_BLOCK and len(p2) * len(q2) > nm.DIST_BLOCK
+    assert len(p16) * len(q16) > nm.DIST_BLOCK
+    for p, q in ((p1, q1), (q1[:40], p1), (p2, q2), (p16, q16), (q16[:7], p16[:30]),
+                 (p2, p2[:1]), (p16[:0], q16), (p16, q16[:0])):
+        assert np.array_equal(nm.op_dists(p, q), _linf_loop(p, q))
+        assert np.array_equal(nm.op_norms(p), [max(np.abs(np.diagonal(a)), default=0.0)
+                                               for a in p])
+    grid = np.stack([p16[:5], q16[:5]])                 # (2, 5, 16, 16)
+    assert np.array_equal(nm.op_norms(grid), nm.op_norms(grid.reshape(10, 16, 16)).reshape(2, 5))
+
+
+def test_diagonal_nets_match_the_pair_loop(rng):
+    # nearest, covering_radius and farthest_first on diagonal stacks, bit
+    # for bit the pair loop's table read by plain Python loops: offsets,
+    # ceilings, duplicated points whose first index must win, d = 1, 2, 16,
+    # row blocks and empty sides
+    for d, n, m in ((1, 60, 300), (2, 150, 130), (16, 140, 120)):
+        p, q = _diagonal_stack(rng, n, d), _diagonal_stack(rng, m, d)
+        dupes = np.concatenate([p[:30], p[10:20], p[:5]])
+        for a, b, offset, ceiling in (
+                (p, q, 0.0, np.inf),
+                (p, q, rng.random(n), 1.0 + rng.random((n, m))),
+                (p, q, 0.0, 0.3),
+                (p, np.concatenate([q, 9.0 * q[:1]]), 0.0, np.inf),    # a far last probe
+                (dupes, dupes, 0.0, np.inf),
+                (dupes, dupes[::-1], rng.random(len(dupes)), 2.0),
+                (p[:1], q, 0.0, np.inf),
+                (p[:0], q, 0.0, np.inf),
+                (p, q[:0], 0.0, np.inf)):
+            table = _linf_loop(a, b)
+            off = np.broadcast_to(offset, (len(a),))
+            cap = np.broadcast_to(ceiling, table.shape)
+            t = [[min(cap[i, k], off[i] + table[i, k]) for k in range(len(b))]
+                 for i in range(len(a))]
+            cols = [[t[i][k] for i in range(len(a))] for k in range(len(b))]
+            want = ([min(row, default=np.inf) for row in t],
+                    [min(range(len(row)), key=row.__getitem__, default=-1) for row in t],
+                    [min(col, default=np.inf) for col in cols],
+                    [min(range(len(col)), key=col.__getitem__, default=-1) for col in cols])
+            for got, w in zip(nm.nearest(a, b, offset, ceiling), want):
+                assert np.array_equal(got, w)
+            assert nm.covering_radius(a, b) == max(
+                (min(table[:, k], default=np.inf) for k in range(len(b))), default=0.0)
+        # every later copy of a duplicated point is nearest to its first copy
+        assert np.array_equal(nm.nearest(dupes, dupes)[3][30:40], np.arange(10, 20))
+        # greedy insertion from the origin: the farthest point from the net
+        # so far, the first of ties, until stop or the cap
+        for points in (p, dupes):
+            table = _linf_loop(points, points)
+            start = np.array([max(np.abs(np.diagonal(a))) for a in points])
+            for cap, stop in ((10, lambda far: far <= 0.0), (len(points), lambda far: far <= 0.0),
+                              (len(points), lambda far: far < 0.3 * max(start))):
+                chosen, mind, capped = [], list(start), False
+                while True:
+                    k = max(range(len(mind)), key=mind.__getitem__)
+                    if stop(mind[k]):
+                        break
+                    if len(chosen) == cap:
+                        capped = True
+                        break
+                    chosen.append(k)
+                    mind = [min(mind[i], table[i, k]) for i in range(len(mind))]
+                assert nm.farthest_first(points, start, cap, stop) == (chosen, capped)
+        assert nm.farthest_first(p[:0], np.zeros(0), 5, lambda far: False) == ([], False)
 
 
 def _greedy_reference(dmat, cap, stop):
