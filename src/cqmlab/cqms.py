@@ -144,7 +144,7 @@ class HermitianSpace:
         a = np.asarray(a, dtype=complex)
         return nm.hs_norm(a - self.element(self.coeffs(a)))
 
-    def contains(self, a: np.ndarray, tol: float = 1e-8) -> bool:
+    def contains(self, a: np.ndarray, tol: float) -> bool:
         return self.projection_residual(a) <= tol * (1.0 + nm.hs_norm(a))
 
     def random_element(self, rng: np.random.Generator) -> np.ndarray:
@@ -421,8 +421,7 @@ class Cqms:
             -1, self.dim, self.dim)
         cands = np.concatenate([cands, points(interior)])
 
-        chosen, capped = nm.farthest_first(cands, nm.op_norms(cands), max_points - 1,
-                                           lambda far: far < epsilon / 2.0)
+        chosen, capped = nm.farthest_first(cands, max_points - 1, epsilon / 2.0)
         pts = np.concatenate([zero, cands[chosen]])
 
         cert = nm.covering_radius(pts, points(self._ball_sample(seed, budget)))

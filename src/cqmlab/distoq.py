@@ -109,7 +109,7 @@ class ComparisonMap:
 
 
 def comparison_from_pairs(raw_x: np.ndarray, raw_images: np.ndarray,
-                          label: str = "") -> ComparisonMap:
+                          label: str) -> ComparisonMap:
     """Orthonormalize a spanning set of X, carrying the images along so the
     same real coefficients evaluate both sides."""
     xs, ims = [], []
@@ -192,14 +192,14 @@ class SumNorm:
 
     ``value`` never underestimates N: every evaluation is a feasible point
     of the defining infimum, so Hausdorff distances computed from it stay
-    on the conservative side.  It is the better of two starting points,
-    x = 0 and x = the projection of a onto X; with ``descend`` it is also
-    evaluated at the result of ``cqms.minimize_norms`` over the three terms
-    weighted (1, 1, eps), zero-padded to the larger dimension (their zero
-    eigenvalues lie within each max): the LP's minimizer on diagonal pairs,
-    else the annealed one, started at the better starting point, its
-    temperatures scaled by the exact glue value.  ``unconverged_stages``
-    counts the Newton stages of this norm that ended without converging.
+    on the conservative side.  It is the best of three points: x = 0, x =
+    the projection of a onto X, and the result of ``cqms.minimize_norms``
+    over the three terms weighted (1, 1, eps), zero-padded to the larger
+    dimension (their zero eigenvalues lie within each max): the LP's
+    minimizer on diagonal pairs, else the annealed one, started at the
+    better of the first two points, its temperatures scaled by the exact
+    glue value.  ``unconverged_stages`` counts the Newton stages of this
+    norm that ended without converging.
     """
 
     phi: ComparisonMap
@@ -229,14 +229,14 @@ class SumNorm:
         phi alone, so ``value`` scans them once per norm, not once per call."""
         return nm.is_diagonal(self._glue_dirs)
 
-    def value(self, a: np.ndarray, b: np.ndarray, descend: bool = False) -> float:
+    def value(self, a: np.ndarray, b: np.ndarray) -> float:
         a = np.asarray(a, dtype=complex)
         b = np.asarray(b, dtype=complex)
         zero = np.zeros(self.phi.k)
         ca = self.phi.x_coeffs(a)
         at_zero, at_ca = self._objective(a, b, zero), self._objective(a, b, ca)
         best = min(at_zero, at_ca)
-        if not descend or self.phi.k == 0:
+        if self.phi.k == 0:
             return best
         dirs = self._glue_dirs
         start = np.zeros(dirs.shape[1:], dtype=complex)     # the terms at x = 0
@@ -299,10 +299,11 @@ class LowerReport:
         }
 
 
-def _retract_gap(target: Cqms, stack: np.ndarray, radius: float) -> np.ndarray:
+def _retract_gap(target: Cqms, stack: np.ndarray, norms: np.ndarray,
+                 radius: float) -> np.ndarray:
     """Distance from each stacked element to its radial retraction into
-    D_radius of the target space (zero when already inside)."""
-    norms = nm.op_norms(stack)
+    D_radius of the target space (zero when already inside), given the
+    elements' operator norms."""
     if radius <= 1e-12:
         return norms
     factor = np.maximum(np.maximum(target.seminorms(stack), norms / radius), 1.0)
@@ -367,12 +368,13 @@ def dist_oq_upper(a: Cqms, b: Cqms, phi: ComparisonMap, big_r: float | None,
     # mapped point into the target ball (rows), and the least-squares glue
     # preimage retracted into the source ball (columns); both are feasible
     # points of the defining infimum, so every entry stays an upper bound
-    row_extra = res + eps * xnorm + _retract_gap(b, ims, radius_b)
+    row_extra = res + eps * xnorm + _retract_gap(b, ims, nm.op_norms(ims), radius_b)
     pinv = np.linalg.pinv(nm.realify(phi.images))
     cb = nm.realify(pb) @ pinv
     xb = np.einsum("nk,kab->nab", cb, phi.x_ortho)
     gaps_b = nm.op_norms(np.einsum("nk,kab->nab", cb, phi.images) - pb)
-    col_extra = _retract_gap(a, xb, radius_a) + eps * nm.op_norms(xb) + gaps_b
+    xbnorm = nm.op_norms(xb)
+    col_extra = _retract_gap(a, xb, xbnorm, radius_a) + eps * xbnorm + gaps_b
 
     def directed(nearest_min, nearest_arg, extra, points_row, points_col, transpose):
         # iteratively polish whichever row currently dominates the sup, so
@@ -388,7 +390,7 @@ def dist_oq_upper(a: Cqms, b: Cqms, phi: ComparisonMap, big_r: float | None,
             aa, bb = (points_row[i], points_col[j])
             if transpose:
                 aa, bb = bb, aa
-            v = norm.value(aa, -bb, descend=True)
+            v = norm.value(aa, -bb)
             mins[i] = min(mins[i], v)
         return float(np.max(mins))
 
@@ -396,7 +398,7 @@ def dist_oq_upper(a: Cqms, b: Cqms, phi: ComparisonMap, big_r: float | None,
             directed(col_min, col_arg, col_extra, pb, pa, True))
     da, db = a.dim, b.dim
     unit_term = norm.value(radius_a * np.eye(da, dtype=complex),
-                           -radius_b * np.eye(db, dtype=complex), descend=True)
+                           -radius_b * np.eye(db, dtype=complex))
     value = max(h, unit_term)
     slack = net_a.covering_certificate + net_b.covering_certificate
     degraded = not (net_a.complete and net_b.complete)

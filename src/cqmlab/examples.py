@@ -192,7 +192,7 @@ def fuzzy_sphere(two_j: int, grid_dims=DEFAULT_SU2_GRID) -> Cqms:
                 name=f"sphere(two_j={two_j},grid={'x'.join(str(x) for x in grid_dims)})")
 
 
-def sphere_characters(two_j: int, grid_dims=DEFAULT_SU2_GRID) -> list:
+def sphere_characters(two_j: int, grid_dims) -> list:
     """SU(2) characters on the shared grid for integer spins l = 0..two_j + 1."""
     grid = su2_grid(grid_dims)
     return ga.su2_characters(grid, [2 * l for l in range(0, two_j + 2)])
@@ -268,7 +268,7 @@ class BerezinMaps:
         return worst
 
 
-def berezin_maps(two_j: int, grid_dims=DEFAULT_SU2_GRID) -> BerezinMaps:
+def berezin_maps(two_j: int, grid_dims) -> BerezinMaps:
     grid = su2_grid(grid_dims)
     impl = su2_implementers(two_j, grid)
     d = two_j + 1

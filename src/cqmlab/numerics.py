@@ -9,19 +9,19 @@ deterministic on a fixed platform and fast enough that the inner loops
 elsewhere (seminorm sups, net construction) can batch thousands of
 small eigenproblems per call.
 
-Distances between stacks go through :func:`op_dists`, which forms the
-differences ``p_i - q_j`` in blocks of at most ``DIST_BLOCK`` = 2**14
-entries, so this module alone bounds their memory and decides, once per
-call, when the diagonal shortcut applies.  When both stacks are diagonal a
-distance is the l-infinity distance of two diagonals.  The diagonals are
-then read once as contiguous (d, n) planes, plane j holding every matrix's
-j-th entry, so the max over the d entries is d elementwise maxima over
-whole planes, not a reduction along a short last axis, which numpy takes
-one row at a time.  :func:`op_norms` and :func:`farthest_first` read
-diagonal stacks the same way.  Callers that read only nearest distances use
-:func:`nearest`, the min and argmin along both axes of such a table
-(with a per-row offset and a ceiling), which eigensolves few of its
-entries.
+Distances between stacks go through :func:`nearest`, the min and the first
+argmin along both axes of the table |p_i - q_k| (with a per-row offset and a
+ceiling).  It forms the differences ``p_i - q_k`` in blocks of at most
+``DIST_BLOCK`` = 2**14 entries, so this module alone bounds their memory, and
+it decides, with one :func:`is_diagonal` scan of each stack, when the
+diagonal shortcut applies.  When both stacks are diagonal a distance is the
+l-infinity distance of two diagonals.  The diagonals are then read once as
+contiguous (d, n) planes, plane j holding every matrix's j-th entry, so the
+max over the d entries is d elementwise maxima over whole planes, not a
+reduction along a short last axis, which numpy takes one row at a time.
+Otherwise it eigensolves few of the table's entries.  :func:`farthest_first`
+grows a net from the origin by greedy insertion, and reads a diagonal stack,
+as :func:`op_norms` does, in the same planes.
 
 Screening.  For a d x d Hermitian X two cheap norms bracket the operator
 norm: ``max_j |X e_j| <= |X| <= |X|_HS`` (:func:`norm_bounds`, one pass over
@@ -132,46 +132,6 @@ def _diagonal_planes(stack: np.ndarray) -> np.ndarray:
     return planes
 
 
-def op_dists(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """|p_i - q_k| as a (len(p), len(q)) matrix, in blocks of at most
-    ``DIST_BLOCK`` entries (whole rows when one fits).  When both stacks are
-    diagonal (:func:`is_diagonal`, decided once per call) their diagonals are
-    read once as (d, n) planes (:func:`_diagonal_planes`), and a block of
-    distances is the elementwise max over j of its (rows, cols) planes of
-    |p_ij - q_kj|, each formed in one plane-sized buffer.  Every entry takes
-    one subtraction, one complex abs and an exact max, so it is the same
-    number as ``np.max(np.abs(diag(p_i) - diag(q_k)))``, bit for bit.
-    Otherwise a block holds at most ``DIST_BLOCK`` entries of the (rows,
-    cols, d, d) differences, and every difference goes to ``eigvalsh``."""
-    p, q = np.asarray(p, dtype=complex), np.asarray(q, dtype=complex)
-    out = np.empty((len(p), len(q)))
-    if out.size == 0:
-        return out
-    if is_diagonal(p) and is_diagonal(q):
-        p, q = _diagonal_planes(p), _diagonal_planes(q)
-        cols = min(out.shape[1], DIST_BLOCK)
-        rows = DIST_BLOCK // cols
-        diff, mags = np.empty((rows, cols), dtype=complex), np.empty((rows, cols))
-        for i in range(0, out.shape[0], rows):
-            for j in range(0, out.shape[1], cols):
-                block = out[i:i + rows, j:j + cols]
-                r, c = block.shape
-                planes = zip(p[:, i:i + r, None], q[:, j:j + c])
-                np.abs(np.subtract(*next(planes), out=diff[:r, :c]), out=block)
-                for pk, qk in planes:
-                    np.subtract(pk, qk, out=diff[:r, :c])
-                    np.maximum(block, np.abs(diff[:r, :c], out=mags[:r, :c]), out=block)
-        return out
-    entries = p.shape[-1] ** 2
-    cols = max(1, min(len(q), DIST_BLOCK // entries))
-    rows = max(1, DIST_BLOCK // (cols * entries))
-    for i in range(0, len(p), rows):
-        for j in range(0, len(q), cols):
-            diff = np.linalg.eigvalsh(p[i:i + rows, None] - q[None, j:j + cols])
-            out[i:i + rows, j:j + cols] = np.max(np.abs(diff), axis=-1)
-    return out
-
-
 def norm_bounds(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(max_j |X e_j|, |X|_HS) for each matrix X of a complex stack
     (..., d, d): the largest column norm and the Hilbert-Schmidt norm, which
@@ -185,12 +145,19 @@ def norm_bounds(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def nearest(p: np.ndarray, q: np.ndarray, offset=0.0, ceiling=np.inf):
     """(row_min, row_arg, col_min, col_arg): the min and the first argmin
-    along each axis of ``T = np.minimum(ceiling, offset[:, None] +
-    op_dists(p, q))``, bit for bit.  ``offset`` broadcasts to (len(p),) and
+    along each axis of ``T = np.minimum(ceiling, offset[:, None] + D)``, bit
+    for bit, where ``D = op_norms(p[:, None] - q[None, :])`` is the full
+    table of distances |p_i - q_k|.  ``offset`` broadcasts to (len(p),) and
     ``ceiling`` to (len(p), len(q)).  Along an empty axis the min is inf and
     the argmin -1.
 
-    When both stacks are diagonal the table is formed by :func:`op_dists`.
+    When both stacks are diagonal (:func:`is_diagonal`, one scan of each) D
+    is formed whole, in blocks of at most ``DIST_BLOCK`` entries (whole rows
+    when one fits).  The diagonals are read once as (d, n) planes
+    (:func:`_diagonal_planes`), and a block of D is the elementwise max over
+    j of its (rows, cols) planes of |p_ij - q_kj|, each formed in one
+    plane-sized buffer: one subtraction, one complex abs and an exact max
+    per entry, the same numbers as ``op_norms``'s diagonal branch.
     Otherwise :func:`norm_bounds` of the differences, in blocks of at most
     ``DIST_BLOCK`` entries, bracket every entry, ``lo <= T <= hi``, and an
     entry with ``lo >= ceiling`` is the ceiling.  The entry with the
@@ -206,7 +173,21 @@ def nearest(p: np.ndarray, q: np.ndarray, offset=0.0, ceiling=np.inf):
     if n == 0 or m == 0:
         return np.full(n, np.inf), np.full(n, -1), np.full(m, np.inf), np.full(m, -1)
     if is_diagonal(p) and is_diagonal(q):
-        table = np.minimum(ceiling, offset + op_dists(p, q))
+        p, q = _diagonal_planes(p), _diagonal_planes(q)
+        table = np.empty((n, m))
+        cols = min(m, DIST_BLOCK)
+        rows = DIST_BLOCK // cols
+        diff, mags = np.empty((rows, cols), dtype=complex), np.empty((rows, cols))
+        for i in range(0, n, rows):
+            for j in range(0, m, cols):
+                block = table[i:i + rows, j:j + cols]
+                r, c = block.shape
+                planes = zip(p[:, i:i + r, None], q[:, j:j + c])
+                np.abs(np.subtract(*next(planes), out=diff[:r, :c]), out=block)
+                for pk, qk in planes:
+                    np.subtract(pk, qk, out=diff[:r, :c])
+                    np.maximum(block, np.abs(diff[:r, :c], out=mags[:r, :c]), out=block)
+        table = np.minimum(ceiling, offset + table)
         return np.min(table, 1), np.argmin(table, 1), np.min(table, 0), np.argmin(table, 0)
     d = p.shape[-1]
     lo, hi = np.empty((n, m)), np.empty((n, m))
@@ -240,12 +221,16 @@ def nearest(p: np.ndarray, q: np.ndarray, offset=0.0, ceiling=np.inf):
     return np.min(table, 1), np.argmin(table, 1), np.min(table, 0), np.argmin(table, 0)
 
 
-def farthest_first(points: np.ndarray, dists: np.ndarray, cap: int, stop) -> tuple[list, bool]:
-    """Greedy farthest-point insertion: (indices of ``points``, capped).
-    Each index is the farthest point from the set so far (``dists``:
-    distances to the starting set, not modified), until ``stop(farthest
-    distance)`` holds or ``cap`` are added; ``capped`` is true when the cap
-    ended the insertion while ``stop`` still failed on the farthest point.
+def farthest_first(points: np.ndarray, cap: int, separation: float) -> tuple[list, bool]:
+    """Greedy farthest-point insertion from the origin: (indices of
+    ``points``, capped).  Each index is the point farthest from the origin
+    and the points chosen so far, until that distance is below
+    ``separation`` or ``cap`` points are chosen; ``capped`` is true when the
+    cap ended the insertion with the farthest point still at least
+    ``separation`` away.  An empty stack gives ([], False).  The starting
+    distances are the norms |p_i|, the same numbers as :func:`op_norms`, and
+    the indices are those of the same insertion on the full table
+    ``op_norms(points[:, None] - points[None, :])``, bit for bit.
 
     A diagonal stack is updated from its diagonals, read once as (d, n)
     planes: each insertion subtracts the new point's column from them and
@@ -256,7 +241,9 @@ def farthest_first(points: np.ndarray, dists: np.ndarray, cap: int, stop) -> tup
     ``|p_i - p_k|_HS / sqrt(d) * (1 - 1e-9) >= dists[i]`` has
     ``|p_i - p_k| >= dists[i]``, so the minimum keeps ``dists[i]`` exactly;
     the survivors are screened again by the larger column-norm bound of
-    :func:`norm_bounds`, and only the rest are eigensolved.
+    :func:`norm_bounds`, and only the rest are eigensolved.  The starting
+    norms come from the same planes (their max |.| over the d planes) or from
+    one ``eigvalsh`` of the stack.
 
     The squared HS distances come in Gram form, ``s_i + s_k - 2 <p_i, p_k>``
     from the squared norms s of the m = 2 d^2 real entries, with no (N, m)
@@ -271,21 +258,24 @@ def farthest_first(points: np.ndarray, dists: np.ndarray, cap: int, stop) -> tup
     unchanged, so both screens insert the same points.
     """
     points = np.asarray(points, dtype=complex)
-    dists = np.array(dists, dtype=float)
+    if not len(points):
+        return [], False
     diagonal = is_diagonal(points)
     if diagonal:
         planes = _diagonal_planes(points)
         diff, mags = np.empty(planes.shape, dtype=complex), np.empty(planes.shape)
         row = np.empty(len(points))
+        dists = np.max(np.abs(planes, out=mags), axis=0)
     else:
+        dists = np.max(np.abs(np.linalg.eigvalsh(points)), axis=-1)
         flat = realify(points)
         sq = np.einsum("ij,ij->i", flat, flat)
         margin = 2.0 * (flat.shape[1] + 2) * np.finfo(float).eps
         scale = (1.0 - 1e-9) / math.sqrt(points.shape[-1])
     chosen = []
-    while dists.size:
+    while True:
         k = int(np.argmax(dists))
-        if stop(dists[k]):
+        if dists[k] < separation:
             break
         if len(chosen) == cap:
             return chosen, True
@@ -306,8 +296,8 @@ def farthest_first(points: np.ndarray, dists: np.ndarray, cap: int, stop) -> tup
 def covering_radius(points: np.ndarray, probes: np.ndarray) -> float:
     """max_j min_i |points_i - probes_j|, 0.0 when there are no probes: the
     largest of :func:`nearest`'s column minima, so the same number as
-    ``np.max(np.min(op_dists(points, probes), axis=0), initial=0.0)``, bit
-    for bit."""
+    ``np.max(np.min(D, axis=0), initial=0.0)`` on the full table ``D =
+    op_norms(points[:, None] - probes[None, :])``, bit for bit."""
     return float(np.max(nearest(points, probes)[2], initial=0.0))
 
 

@@ -97,7 +97,7 @@ def test_criterion_03_ball_geometry(bundle):
         big_r, small_r, eps = 1.0, 0.5, 0.5
         net_big = obj.ball_net(big_r, eps, budget=48, seed=0)
         net_small = obj.ball_net(small_r, eps, budget=48, seed=0)
-        dmat = nm.op_dists(net_big.points, net_small.points)
+        dmat = nm.op_norms(net_big.points[:, None] - net_small.points[None, :])
         h = max(dmat.min(axis=1).max(), dmat.min(axis=0).max())
         slack = 2 * (net_big.covering_certificate + net_small.covering_certificate)
         ok = ok and h <= (big_r - small_r) + slack + 1e-9
@@ -128,7 +128,8 @@ def bound_pairs(bundle):
             phi = dq.torus_frequency_map(a, b)
         elif kind == "berezin":
             ja, jb = a.dim - 1, b.dim - 1
-            phi = dq.berezin_transport_map(a, b, ex.berezin_maps(ja), ex.berezin_maps(jb))
+            phi = dq.berezin_transport_map(a, b, ex.berezin_maps(ja, ex.DEFAULT_SU2_GRID),
+                                           ex.berezin_maps(jb, ex.DEFAULT_SU2_GRID))
         else:
             phi = dq.cycle_refinement_map(a, b)
         reports, record = dq.audit_pair(a, b, phi, eps_net=0.5, budget=24, seed=0)

@@ -610,7 +610,7 @@ def test_import_loads_no_scipy():
         "from cqmlab import cqms, examples as ex",
         "ex.fuzzy_sphere(1).radius()",
         "ex.fuzzy_torus(3, 1).radius()",
-        "ex.sphere_characters(1)",
+        "ex.sphere_characters(1, ex.DEFAULT_SU2_GRID)",
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
         "ex.commutative_cycle(6).state_metric(cqms.dirac_state(6, 0), cqms.dirac_state(6, 2))",
         "print('scipy.optimize' in sys.modules)",

@@ -26,7 +26,7 @@ def cycle12():
 def test_space_projection_roundtrip(torus2, rng):
     a = torus2.space.random_element(rng)
     assert torus2.space.projection_residual(a) < 1e-10
-    assert torus2.space.contains(a)
+    assert torus2.space.contains(a, 1e-8)
     off = np.zeros((2, 2), dtype=complex)
     off[0, 1] = 1.0
     with pytest.raises(nm.NumericsError):
@@ -193,6 +193,28 @@ def test_nets_share_one_sample(monkeypatch):
                 seen = {spec[2] for spec in order[:k]}
                 assert sum(rows) == (0 if budget in seen else budget)
         assert any(net.capped for net in shared.net_cache.values())
+
+
+def test_ball_net_scans_candidates_once(monkeypatch):
+    # one is_diagonal scan of the candidates (inside farthest_first), then
+    # one of the net and one of the probes for the certificate; a dense
+    # net stops the certificate's scans at the net
+    scans = []
+    is_diagonal = nm.is_diagonal
+
+    def counting(stack):
+        scans.append(len(stack))
+        return is_diagonal(stack)
+
+    for space, diagonal in ((ex.commutative_cycle(8), True), (ex.fuzzy_torus(2, 1), False)):
+        space.ball_net(1.0, 0.5, budget=16, seed=0)          # builds the shared sample
+        space.net_cache.clear()
+        rays, interior = space._ball_sample(0)
+        monkeypatch.setattr(nm, "is_diagonal", counting)
+        net = space.ball_net(1.0, 0.5, budget=16, seed=0)
+        monkeypatch.undo()
+        assert scans == [4 * len(rays[0]) + len(interior[0]), net.size] + [16] * diagonal
+        scans.clear()
 
 
 def test_radius_scalar_space():

@@ -92,7 +92,7 @@ def test_almost_amal_dense_grid_oracle():
 
     axes = [np.linspace(-2.5, 2.5, 11)] * 4
     grid_min = min(objective(np.array(c)) for c in itertools.product(*axes))
-    got = norm.value(a, -b, descend=True)
+    got = norm.value(a, -b)
     assert got <= grid_min + 1e-9           # descent at least matches the grid
     assert got >= 0.0
 
@@ -130,7 +130,7 @@ def test_diagonal_glue_lp_oracle(cycle8, cycle16, monkeypatch):
                 a = cycle8.space.random_element(rng)
                 b = target.space.random_element(rng)
                 for bb in (b, 0.1 * b - phi.apply(a)):
-                    got = norm.value(a, bb, descend=True)
+                    got = norm.value(a, bb)
                     oracle = glue_dual_lp(x_diag, y_diag, eps, np.diagonal(a).real,
                                           np.diagonal(bb).real)
                     assert abs(got - oracle) <= 1e-9 * max(1.0, oracle)
@@ -153,7 +153,7 @@ def test_dense_glue_grid_oracle(torus_pair):
         a = a_space.space.random_element(rng)
         b = b_space.space.random_element(rng)
         for bb in (b, 0.1 * b - phi.apply(a)):
-            got = norm.value(a, bb, descend=True)
+            got = norm.value(a, bb)
             grid_min = np.min(nm.op_norms(a - xs) + nm.op_norms(bb + ys)
                               + norm.eps * nm.op_norms(xs))
             assert got <= grid_min + 1e-9
@@ -197,8 +197,8 @@ def test_almost_amal_admissibility(cycle8, cycle16):
         zero_b = np.zeros((phi.dim_b, phi.dim_b), dtype=complex)
         for _ in range(50):
             a, b = cycle8.space.random_element(rng), target.space.random_element(rng)
-            for got, want in ((norm.value(a, zero_b, descend=True), nm.op_norm(a)),
-                              (norm.value(zero_a, b, descend=True), nm.op_norm(b))):
+            for got, want in ((norm.value(a, zero_b), nm.op_norm(a)),
+                              (norm.value(zero_a, b), nm.op_norm(b))):
                 assert abs(got - want) <= 1e-6 * (1.0 + want)
 
 
@@ -225,11 +225,9 @@ def test_almost_amal_norm_axioms(cycle8):
         a1, b1 = cycle8.space.random_element(rng), cycle8.space.random_element(rng)
         a2, b2 = cycle8.space.random_element(rng), cycle8.space.random_element(rng)
         lam = float(rng.normal())
-        v12 = norm.value(a1 + a2, b1 + b2, descend=True)
-        assert v12 <= (norm.value(a1, b1, descend=True)
-                       + norm.value(a2, b2, descend=True) + 1e-6)
-        assert norm.value(lam * a1, lam * b1, descend=True) <= (
-            abs(lam) * norm.value(a1, b1, descend=True) + 1e-6)
+        v12 = norm.value(a1 + a2, b1 + b2)
+        assert v12 <= norm.value(a1, b1) + norm.value(a2, b2) + 1e-6
+        assert norm.value(lam * a1, lam * b1) <= abs(lam) * norm.value(a1, b1) + 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +445,7 @@ def test_every_anneal_runs_the_ladder(monkeypatch):
     solves = (lambda: s2.state_metric(cq.vector_state(v), cq.vector_state(w)),
               t5.radius,
               lambda: dq.SumNorm(dq.torus_frequency_map(t3, t5), 0.5).value(
-                  t3.space.random_element(rng), t5.space.random_element(rng), descend=True))
+                  t3.space.random_element(rng), t5.space.random_element(rng)))
     for solve in solves:
         stages.clear()
         solve()

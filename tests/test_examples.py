@@ -152,7 +152,7 @@ def test_cycle_diameter_even():
 
 
 def test_berezin_symbol_normalization():
-    maps = ex.berezin_maps(2)
+    maps = ex.berezin_maps(2, ex.DEFAULT_SU2_GRID)
     p = maps.projector
     # sigma_P at the group identity is tr(P P) = 1
     assert maps.symbol(p)[maps.grid.group.identity_index].real == pytest.approx(1.0)
@@ -164,7 +164,7 @@ def test_berezin_symbol_normalization():
 def test_berezin_checks():
     rng = np.random.default_rng(0)
     for two_j in (1, 2, 3, 4):
-        maps = ex.berezin_maps(two_j)
+        maps = ex.berezin_maps(two_j, ex.DEFAULT_SU2_GRID)
         d, size = two_j + 1, maps.grid.group.size
         # quadrature defect only
         assert nm.op_norm(maps.cosymbol(np.ones(size)) - np.eye(d)) < 5e-3
@@ -178,7 +178,7 @@ def test_berezin_checks():
 
 
 def test_berezin_equivariance_defect():
-    maps = ex.berezin_maps(2)
+    maps = ex.berezin_maps(2, ex.DEFAULT_SU2_GRID)
     s = ex.fuzzy_sphere(2)
     rng = np.random.default_rng(0)
     a = s.space.random_element(rng)

@@ -62,19 +62,39 @@ def test_batched_norms(rng):
     assert np.allclose(nm.op_norms(mixed), [nm.op_norm(m) for m in mixed])
     grid = np.stack([diag, diag])                       # (2, 5, 3, 3)
     assert nm.op_norms(grid).shape == (2, 5)
-    # op_dists against a double loop of op_norm: dense, diagonal and mixed
-    # stacks, shapes spanning several row blocks (d = 3) and several column
-    # blocks (d = 16), and an empty side
+    # the full table and nearest's minima against a double loop of op_norm:
+    # dense, diagonal and mixed stacks, shapes spanning several row blocks
+    # (d = 3) and several column blocks (d = 16), and an empty side
     many_diag = np.array([np.diag(rng.standard_normal(3)).astype(complex) for _ in range(60)])
     many = np.concatenate([many_diag, [nm.random_hermitian(rng, 3) for _ in range(60)]])
     wide = np.array([nm.random_hermitian(rng, 16) for _ in range(300)])
     assert len(many) * len(many) * 9 > nm.DIST_BLOCK and len(wide) * 256 > nm.DIST_BLOCK
     for p, q in ((stack, stack[:4]), (diag, diag[::-1]), (mixed, stack), (diag, mixed),
                  (many, many), (wide[:3], wide)):
-        loop = [[nm.op_norm(a - b) for b in q] for a in p]
-        assert np.allclose(nm.op_dists(p, q), loop, rtol=1e-13, atol=1e-14)
-    assert nm.op_dists(stack[:0], stack).shape == (0, 7)
-    assert nm.op_dists(stack, stack[:0]).shape == (7, 0)
+        loop = np.array([[nm.op_norm(a - b) for b in q] for a in p])
+        assert np.allclose(_table(p, q), loop, rtol=1e-13, atol=1e-14)
+        row_min, row_arg, col_min, col_arg = nm.nearest(p, q)
+        assert np.allclose(row_min, loop.min(axis=1), rtol=1e-13, atol=1e-14)
+        assert np.allclose(col_min, loop.min(axis=0), rtol=1e-13, atol=1e-14)
+        assert np.allclose(loop[np.arange(len(p)), row_arg], row_min, rtol=1e-13, atol=1e-14)
+        assert np.allclose(loop[col_arg, np.arange(len(q))], col_min, rtol=1e-13, atol=1e-14)
+    assert _table(stack[:0], stack).shape == (0, 7)
+    assert _table(stack, stack[:0]).shape == (7, 0)
+
+
+def _table(p, q):
+    """The full distance table |p_i - q_k|, from the stack of every
+    difference."""
+    return nm.op_norms(p[:, None] - q[None, :])
+
+
+def _minima(t):
+    """The min and the first argmin along each axis of a table: inf and -1
+    along an empty axis."""
+    n, m = t.shape
+    if n == 0 or m == 0:
+        return np.full(n, np.inf), np.full(n, -1), np.full(m, np.inf), np.full(m, -1)
+    return t.min(axis=1), t.argmin(axis=1), t.min(axis=0), t.argmin(axis=0)
 
 
 def _diagonal_stack(rng, n, d):
@@ -82,26 +102,6 @@ def _diagonal_stack(rng, n, d):
     below goes through the complex abs."""
     diag = rng.standard_normal((n, d)) + 1e-3j * rng.standard_normal((n, d))
     return diag[:, :, None] * np.eye(d)
-
-
-def test_op_dists_memory_is_blocked(rng):
-    # the dense (200, 200, 16, 16) difference stack would take 164 MB; the
-    # diagonal stacks are blocked too, and the (24, 600, 600) difference of
-    # the larger diagonal pair would take 138 MB
-    p = np.array([nm.random_hermitian(rng, 16) for _ in range(200)])
-    q = np.array([nm.random_hermitian(rng, 16) for _ in range(200)])
-    dp = np.array([np.diag(rng.standard_normal(16)).astype(complex) for _ in range(200)])
-    dq = np.array([np.diag(rng.standard_normal(16)).astype(complex) for _ in range(200)])
-    wide_p, wide_q = _diagonal_stack(rng, 600, 24), _diagonal_stack(rng, 600, 24)
-    for a, b in ((p, q), (dp, dq), (wide_p, wide_q)):
-        tracemalloc.start()
-        try:
-            dists = nm.op_dists(a, b)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert dists.shape == (len(a), len(b))
-        assert peak < 16 * 2 ** 20
 
 
 def _linf_loop(p, q):
@@ -112,10 +112,11 @@ def _linf_loop(p, q):
                      for a in p]).reshape(len(p), len(q))
 
 
-def test_op_dists_diagonal_formula(rng):
-    # bit for bit the pair loop, for d = 1, 2 and 16, on shapes spanning
-    # several row blocks and (d = 1) several column blocks, and empty sides;
-    # op_norms bit for bit a loop over the matrices
+def test_nearest_diagonal_formula(rng):
+    # nearest's four arrays bit for bit those of the pair loop's table, for
+    # d = 1, 2 and 16, on shapes spanning several row blocks and (d = 1)
+    # several column blocks, and empty sides; the full table and op_norms
+    # bit for bit the loops
     p1, q1 = _diagonal_stack(rng, 3, 1), _diagonal_stack(rng, nm.DIST_BLOCK + 500, 1)
     p2, q2 = _diagonal_stack(rng, 150, 2), _diagonal_stack(rng, 130, 2)
     p16, q16 = _diagonal_stack(rng, 140, 16), _diagonal_stack(rng, 120, 16)
@@ -123,7 +124,9 @@ def test_op_dists_diagonal_formula(rng):
     assert len(p16) * len(q16) > nm.DIST_BLOCK
     for p, q in ((p1, q1), (q1[:40], p1), (p2, q2), (p16, q16), (q16[:7], p16[:30]),
                  (p2, p2[:1]), (p16[:0], q16), (p16, q16[:0])):
-        assert np.array_equal(nm.op_dists(p, q), _linf_loop(p, q))
+        for got, want in zip(nm.nearest(p, q), _minima(_linf_loop(p, q))):
+            assert np.array_equal(got, want)
+        assert np.array_equal(_table(p[:40], q[:40]), _linf_loop(p[:40], q[:40]))
         assert np.array_equal(nm.op_norms(p), [max(np.abs(np.diagonal(a)), default=0.0)
                                                for a in p])
     grid = np.stack([p16[:5], q16[:5]])                 # (2, 5, 16, 16)
@@ -165,66 +168,67 @@ def test_diagonal_nets_match_the_pair_loop(rng):
         # every later copy of a duplicated point is nearest to its first copy
         assert np.array_equal(nm.nearest(dupes, dupes)[3][30:40], np.arange(10, 20))
         # greedy insertion from the origin: the farthest point from the net
-        # so far, the first of ties, until stop or the cap
+        # so far, the first of ties, until the farthest is within the separation
+        # or the cap is reached
         for points in (p, dupes):
             table = _linf_loop(points, points)
-            start = np.array([max(np.abs(np.diagonal(a))) for a in points])
-            for cap, stop in ((10, lambda far: far <= 0.0), (len(points), lambda far: far <= 0.0),
-                              (len(points), lambda far: far < 0.3 * max(start))):
+            start = [max(np.abs(np.diagonal(a))) for a in points]
+            for cap, separation in ((10, 1e-12), (len(points), 1e-12),
+                                    (len(points), 0.3 * max(start))):
                 chosen, mind, capped = [], list(start), False
                 while True:
                     k = max(range(len(mind)), key=mind.__getitem__)
-                    if stop(mind[k]):
+                    if mind[k] < separation:
                         break
                     if len(chosen) == cap:
                         capped = True
                         break
                     chosen.append(k)
                     mind = [min(mind[i], table[i, k]) for i in range(len(mind))]
-                assert nm.farthest_first(points, start, cap, stop) == (chosen, capped)
-        assert nm.farthest_first(p[:0], np.zeros(0), 5, lambda far: False) == ([], False)
+                assert nm.farthest_first(points, cap, separation) == (chosen, capped)
+        assert nm.farthest_first(p[:0], 5, 0.1) == ([], False)
 
 
-def _greedy_reference(dmat, cap, stop):
-    """The greedy insertion spelled out on the full distance table, from
-    the starting set {point 0}."""
-    chosen, mind = [], dmat[0].copy()
-    while len(chosen) < cap and not stop(mind.max()):
+def _greedy_reference(stack, cap, separation):
+    """The greedy insertion from the origin spelled out on the full distance
+    table: (chosen, capped)."""
+    dmat, mind, chosen = _table(stack, stack), nm.op_norms(stack), []
+    while mind.max() >= separation:
+        if len(chosen) == cap:
+            return chosen, True
         k = int(np.argmax(mind))
         chosen.append(k)
         mind = np.minimum(mind, dmat[:, k])
-    return chosen
+    return chosen, False
 
 
 def test_farthest_first(rng):
     pts = np.array([nm.random_hermitian(rng, 3) for _ in range(30)])
-    dmat = nm.op_dists(pts, pts)
-    start = dmat[0].copy()
-    chosen = _greedy_reference(dmat, 8, lambda far: far <= 0.5)
-    assert nm.farthest_first(pts, start, 8, lambda far: far <= 0.5) == (chosen, True)
-    assert np.array_equal(start, dmat[0])            # the caller's dists are not modified
-    assert nm.farthest_first(pts, dmat[0], 0, lambda far: False) == ([], True)
-    spread, capped = nm.farthest_first(pts, dmat[0], 30, lambda far: far <= 0.0)
+    assert nm.farthest_first(pts, 8, 0.5) == _greedy_reference(pts, 8, 0.5)
+    assert _greedy_reference(pts, 8, 0.5)[1]
+    assert nm.farthest_first(pts, 0, 0.0) == ([], True)
+    spread, capped = nm.farthest_first(pts, 31, 1e-12)
     assert not capped
-    assert sorted(spread) == [i for i in range(30) if i != 0]
+    assert sorted(spread) == list(range(30))
     # a cap that the stop rule reaches as well is not flagged
-    assert nm.farthest_first(pts, dmat[0], 29, lambda far: far <= 0.0) == (spread, False)
+    assert nm.farthest_first(pts, 30, 1e-12) == (spread, False)
     # a dense d = 5 stack, screened by the HS lower bound, and a diagonal
     # d = 16 stack, updated from its diagonals: the same indices as the table
     dense = np.array([nm.random_hermitian(rng, 5) for _ in range(320)])
     diag = np.array([np.diag(rng.standard_normal(16)).astype(complex) for _ in range(120)])
-    for stack, cap, stop in ((dense, 120, lambda far: far <= 1.0),
-                             (diag, 60, lambda far: far <= 0.5)):
-        dmat = nm.op_dists(stack, stack)
-        assert nm.farthest_first(stack, dmat[0], cap, stop)[0] == _greedy_reference(dmat, cap, stop)
+    for stack, cap, separation in ((dense, 120, 1.0), (diag, 60, 0.5)):
+        assert nm.farthest_first(stack, cap, separation) == _greedy_reference(
+            stack, cap, separation)
 
 
 def test_farthest_first_screens_dense_points(rng, monkeypatch):
     dense = np.array([nm.random_hermitian(rng, 5) for _ in range(320)])
-    start = nm.op_dists(dense, dense[:1])[:, 0]
-    # one eigvalsh call per insertion, on the points the bounds keep
+    # one eigvalsh call for the starting norms, then one per insertion, on
+    # the points the bounds keep
     solved = _counting_eigvalsh(monkeypatch)
-    chosen, _ = nm.farthest_first(dense, start, 120, lambda far: far <= 1.0)
+    chosen, _ = nm.farthest_first(dense, 120, 1.0)
+    start, *solved = solved
+    assert start == len(dense)
     assert len(solved) == len(chosen) > 10
     assert max(solved) < len(dense)
     assert sum(solved) < 0.3 * len(dense) * len(solved)
@@ -249,7 +253,7 @@ def test_covering_radius(rng, monkeypatch):
     # table, on dense, diagonal, mixed and empty inputs; dense probes
     # eigensolve fewer differences than the table
     def table(p, q):
-        return np.max(np.min(nm.op_dists(p, q), axis=0), initial=0.0)
+        return np.max(np.min(_table(p, q), axis=0), initial=0.0)
 
     dense = np.array([nm.random_hermitian(rng, 4) for _ in range(150)])
     probes = np.array([nm.random_hermitian(rng, 4) for _ in range(60)])
@@ -274,10 +278,9 @@ def test_covering_radius(rng, monkeypatch):
 
 
 def _nearest_table(p, q, offset=0.0, ceiling=np.inf):
-    """nearest's four arrays from the full op_dists table."""
+    """nearest's four arrays from the full table."""
     offset = np.broadcast_to(np.asarray(offset, dtype=float), (len(p),))
-    t = np.minimum(ceiling, offset[:, None] + nm.op_dists(p, q))
-    return t.min(axis=1), t.argmin(axis=1), t.min(axis=0), t.argmin(axis=0)
+    return _minima(np.minimum(ceiling, offset[:, None] + _table(p, q)))
 
 
 def _counting_eigvalsh(monkeypatch):
@@ -341,20 +344,43 @@ def test_nearest(rng, monkeypatch):
 
 
 def test_nearest_memory_is_blocked(rng):
-    # the dense (200, 200, 16, 16) difference stack would take 164 MB
+    # the dense (200, 200, 16, 16) difference stack would take 164 MB; the
+    # diagonal stacks are blocked too, and the (24, 600, 600) difference of
+    # the larger diagonal pair would take 138 MB
     p = np.array([nm.random_hermitian(rng, 16) for _ in range(200)])
     q = np.array([nm.random_hermitian(rng, 16) for _ in range(200)])
     dp = np.array([np.diag(rng.standard_normal(16)).astype(complex) for _ in range(200)])
     dq = np.array([np.diag(rng.standard_normal(16)).astype(complex) for _ in range(200)])
-    for a, b in ((p, q), (dp, dq), (dp, q)):
+    wide_p, wide_q = _diagonal_stack(rng, 600, 24), _diagonal_stack(rng, 600, 24)
+    for a, b in ((p, q), (dp, dq), (dp, q), (wide_p, wide_q)):
         tracemalloc.start()
         try:
             row_min = nm.nearest(a, b)[0]
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert row_min.shape == (200,)
+        assert row_min.shape == (len(a),)
         assert peak < 16 * 2 ** 20
+
+
+def test_nearest_scans_each_stack_once(rng, monkeypatch):
+    # one is_diagonal scan of each diagonal stack, and none of the second
+    # stack once the first is dense
+    scans = []
+    is_diagonal = nm.is_diagonal
+
+    def counting(stack):
+        scans.append(len(stack))
+        return is_diagonal(stack)
+
+    monkeypatch.setattr(nm, "is_diagonal", counting)
+    diag, dense = _diagonal_stack(rng, 30, 4), np.array(
+        [nm.random_hermitian(rng, 4) for _ in range(20)])
+    nm.nearest(diag, diag[:10])
+    assert scans == [30, 10]
+    scans.clear()
+    nm.nearest(dense, diag)
+    assert scans == [20]
 
 
 def test_column_bound(rng):

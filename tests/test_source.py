@@ -1,4 +1,4 @@
-"""Checks on the package source: static ones on its syntax tree, and two on
+"""Checks on the package source: static ones on its syntax tree, and three on
 the calls that the scenarios and benchmark workloads make."""
 
 import ast
@@ -18,7 +18,8 @@ SRC = ROOT / "src" / "cqmlab"
 # ``test_traffic_calls_every_function`` never calls, each kept on purpose; an
 # entry also covers the functions nested in it.  A public name here is also
 # exempt from ``test_public_names_have_callers``, and an entry's defaulted
-# parameters from ``test_traffic_binds_every_default``
+# parameters from ``test_traffic_binds_every_default`` and
+# ``test_traffic_uses_every_default``
 TEST_ONLY = {
     "gh_exact_small": "criterion 08's exact Gromov-Hausdorff oracle for its lemmas",
     "_distortion_values": "gh_exact_small's candidate distortions",
@@ -289,6 +290,12 @@ UNSET_DEFAULTS = {
     "Cqms.ball_net.max_points": "perfbench/tracer.py binds it to count cap hits",
 }
 
+# defaulted parameters that every call of the traffic binds to another value,
+# each kept on purpose
+UNUSED_DEFAULTS = {
+    "main.argv": "the cqmlab console script calls main() bare, so argparse reads sys.argv",
+}
+
 _SCALARS = (type(None), bool, int, float, str)
 
 
@@ -334,7 +341,8 @@ def _record_traffic(out: Path) -> None:
     in src that it called, and the defaulted parameters of src (``Class.method.
     parameter`` or ``function.parameter``; module-level functions and
     methods of module-level classes) that no call bound to a value other
-    than the default.  The traffic: every scenario in ``scenarios/``
+    than the default ("unbound"), and those that no call left at the
+    default ("unused").  The traffic: every scenario in ``scenarios/``
     through ``cli.main(["run", ..., "--format", "csv"])``, one single-command
     ``cli.main`` call, and one ``run_pass()`` of each benchmark workload at
     seed 1 (then its ``close()``, where it has one).  The imports of the
@@ -342,9 +350,9 @@ def _record_traffic(out: Path) -> None:
     ``cli`` are built by calls made when it is imported.  Only call events
     are traced, and nothing is traced in the functions called."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
-    called, bound = set(), set()
-    # code -> defaulted parameters not yet bound to another value; file name
-    # -> whether it is in src
+    called, bound, used = set(), set(), set()
+    # code -> (defaulted parameters not yet bound to another value, those
+    # not yet left at the default); file name -> whether it is in src
     watched, in_src = {}, {}
 
     def hook(frame, event, arg):
@@ -357,15 +365,16 @@ def _record_traffic(out: Path) -> None:
                 in_src[name] = Path(name).resolve().parent == SRC.resolve()
             qual, fn = (_scoped_functions(frame.f_globals).get(code, (None, None))
                         if in_src[name] else (None, None))
-            pending = watched[code] = _defaulted(qual, fn) if fn else []
-        if pending:
-            args, still = frame.f_locals, []
-            for key, name, default in pending:
-                if _is_default(args[name], default):
-                    still.append((key, name, default))
-                else:
-                    bound.add(key)
-            watched[code] = still
+            params = _defaulted(qual, fn) if fn else []
+            pending = watched[code] = (params, params)
+        if pending[0] or pending[1]:
+            args = frame.f_locals
+            at_default = {key for key, name, default in pending[0] + pending[1]
+                          if _is_default(args[name], default)}
+            bound.update(key for key, _, _ in pending[0] if key not in at_default)
+            used.update(key for key, _, _ in pending[1] if key in at_default)
+            watched[code] = ([param for param in pending[0] if param[0] in at_default],
+                             [param for param in pending[1] if param[0] not in at_default])
 
     codes = {}
     sys.settrace(hook)
@@ -394,7 +403,8 @@ def _record_traffic(out: Path) -> None:
                      vars(importlib.import_module(f"cqmlab.{path.stem}"))).values()
                  for key, _, _ in _defaulted(qual, fn)}
     (out / "traffic.json").write_text(json.dumps({"codes": codes, "called": lines,
-                                                  "unbound": sorted(defaulted - bound)}))
+                                                  "unbound": sorted(defaulted - bound),
+                                                  "unused": sorted(defaulted - used)}))
 
 
 @pytest.fixture(scope="module")
@@ -468,6 +478,20 @@ def test_traffic_binds_every_default(traffic):
     # an allowlist entry that is gone or now bound is stale
     stale = sorted(set(UNSET_DEFAULTS) - unbound)
     assert not stale, f"stale entries in UNSET_DEFAULTS: {stale}"
+
+
+def test_traffic_uses_every_default(traffic):
+    # a default that every call of the traffic overrides is a knob left in
+    # place after its only value in use moved to the callers: the default
+    # serves only tests that lean on it.  Measured on the traced calls, as
+    # ``test_traffic_binds_every_default`` is
+    unused = set(traffic[1]["unused"])
+    found = sorted(key for key in unused
+                   if key not in UNUSED_DEFAULTS and not _allowed(key.rsplit(".", 1)[0]))
+    assert not found, f"defaulted parameters that the traffic never leaves at the default: {found}"
+    # an allowlist entry that is gone or now used is stale
+    stale = sorted(set(UNUSED_DEFAULTS) - unused)
+    assert not stale, f"stale entries in UNUSED_DEFAULTS: {stale}"
 
 
 if __name__ == "__main__":
