@@ -138,7 +138,7 @@ class HermitianSpace:
                                  np.asarray(a, dtype=complex)))
 
     def element(self, coeffs: np.ndarray) -> np.ndarray:
-        return np.einsum("...k,kab->...ab", np.asarray(coeffs, dtype=float), self.ortho)
+        return nm.combine(coeffs, self.ortho)
 
     def projection_residual(self, a: np.ndarray) -> float:
         a = np.asarray(a, dtype=complex)
@@ -494,7 +494,7 @@ class Cqms:
     def _rescaled(self, c: np.ndarray, value: float) -> tuple[float, np.ndarray]:
         """(value / L, a / L) for a = sum c_k S_k with <g, a> = value: a
         support solve's result on the exact unit sphere of the seminorm."""
-        a = np.einsum("k,kab->ab", c, self.space.ortho[1:])
+        a = nm.combine(c, self.space.ortho[1:])
         lv = self._coeff_seminorms(c[None])[0]
         if lv < 1e-12:
             raise NonLipError(

@@ -76,10 +76,10 @@ class ComparisonMap:
                                  np.asarray(a, dtype=complex)))
 
     def x_element(self, c: np.ndarray) -> np.ndarray:
-        return np.einsum("...k,kab->...ab", np.asarray(c, dtype=float), self.x_ortho)
+        return nm.combine(c, self.x_ortho)
 
     def apply_coeffs(self, c: np.ndarray) -> np.ndarray:
-        return np.einsum("...k,kab->...ab", np.asarray(c, dtype=float), self.images)
+        return nm.combine(c, self.images)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return self.apply_coeffs(self.x_coeffs(x))
@@ -371,8 +371,8 @@ def dist_oq_upper(a: Cqms, b: Cqms, phi: ComparisonMap, big_r: float | None,
     row_extra = res + eps * xnorm + _retract_gap(b, ims, nm.op_norms(ims), radius_b)
     pinv = np.linalg.pinv(nm.realify(phi.images))
     cb = nm.realify(pb) @ pinv
-    xb = np.einsum("nk,kab->nab", cb, phi.x_ortho)
-    gaps_b = nm.op_norms(np.einsum("nk,kab->nab", cb, phi.images) - pb)
+    xb = phi.x_element(cb)
+    gaps_b = nm.op_norms(phi.apply_coeffs(cb) - pb)
     xbnorm = nm.op_norms(xb)
     col_extra = _retract_gap(a, xb, xbnorm, radius_a) + eps * xbnorm + gaps_b
 

@@ -1,7 +1,9 @@
 """Dense Hermitian linear algebra primitives used by every other module.
 
 Matrices are plain complex numpy arrays.  Everything here is pure and
-safe for concurrent reads; nothing mutates its input.
+safe for concurrent reads; nothing mutates its input.  Real coefficient
+rows become matrices through :func:`combine`, sum_k c_k B_k over a basis
+stack, the terms added in order of k on real arrays.
 
 Target scale is desk-size: dimensions up to a few dozen.  The
 eigensolver is LAPACK's Hermitian driver (`numpy.linalg.eigh`), which is
@@ -15,10 +17,13 @@ ceiling).  It forms the differences ``p_i - q_k`` in blocks of at most
 ``DIST_BLOCK`` = 2**14 entries, so this module alone bounds their memory, and
 it decides, with one :func:`is_diagonal` scan of each stack, when the
 diagonal shortcut applies.  When both stacks are diagonal a distance is the
-l-infinity distance of two diagonals.  The diagonals are then read once as
-contiguous (d, n) planes, plane j holding every matrix's j-th entry, so the
-max over the d entries is d elementwise maxima over whole planes, not a
-reduction along a short last axis, which numpy takes one row at a time.
+l-infinity distance of the real parts of two diagonals, which is all that
+LAPACK's Hermitian eigensolver reads of a diagonal matrix, so on exactly
+diagonal matrices the shortcut gives ``eigvalsh``'s numbers bit for bit.
+The diagonals are then read once as contiguous float (d, n) planes, plane j
+holding the real part of every matrix's j-th entry, so the max over the d
+entries is d elementwise maxima over whole planes, not a reduction along a
+short last axis, which numpy takes one row at a time.
 Otherwise it eigensolves few of the table's entries.  :func:`farthest_first`
 grows a net from the origin by greedy insertion, and reads a diagonal stack,
 as :func:`op_norms` does, in the same planes.
@@ -111,12 +116,14 @@ def is_diagonal(stack: np.ndarray) -> bool:
 
 def op_norms(stack: np.ndarray) -> np.ndarray:
     """Operator norms of a stack of Hermitian matrices, shape (..., d, d);
-    a diagonal stack (:func:`is_diagonal`) is read off its diagonal."""
+    a diagonal stack (:func:`is_diagonal`) is read off the real parts of its
+    diagonals, max_j |Re X_jj|: all that ``eigvalsh`` reads of an exactly
+    diagonal matrix, so the same numbers, bit for bit."""
     stack = np.asarray(stack, dtype=complex)
     if stack.size == 0:
         return np.zeros(stack.shape[:-2])
     if is_diagonal(stack):
-        diag = np.diagonal(stack, 0, -2, -1)
+        diag = np.diagonal(stack, 0, -2, -1).real
         mags = np.empty(diag.shape[-1:] + diag.shape[:-1])
         np.abs(diag, out=np.moveaxis(mags, 0, -1))
         return np.max(mags, axis=0)
@@ -125,10 +132,11 @@ def op_norms(stack: np.ndarray) -> np.ndarray:
 
 
 def _diagonal_planes(stack: np.ndarray) -> np.ndarray:
-    """The diagonals of a stack (n, d, d) as one contiguous (d, n) array,
-    plane j holding the j-th diagonal entry of every matrix."""
-    planes = np.empty(stack.shape[-1:] + stack.shape[:1], dtype=complex)
-    np.copyto(planes.T, np.diagonal(stack, 0, -2, -1))
+    """The real parts of the diagonals of a stack (n, d, d) as one contiguous
+    float (d, n) array, plane j holding the real part of the j-th diagonal
+    entry of every matrix."""
+    planes = np.empty(stack.shape[-1:] + stack.shape[:1])
+    np.copyto(planes.T, np.diagonal(stack, 0, -2, -1).real)
     return planes
 
 
@@ -155,9 +163,10 @@ def nearest(p: np.ndarray, q: np.ndarray, offset=0.0, ceiling=np.inf):
     is formed whole, in blocks of at most ``DIST_BLOCK`` entries (whole rows
     when one fits).  The diagonals are read once as (d, n) planes
     (:func:`_diagonal_planes`), and a block of D is the elementwise max over
-    j of its (rows, cols) planes of |p_ij - q_kj|, each formed in one
-    plane-sized buffer: one subtraction, one complex abs and an exact max
-    per entry, the same numbers as ``op_norms``'s diagonal branch.
+    j of its (rows, cols) planes of |p_ij - q_kj|, on the real parts, each
+    formed in one plane-sized float buffer: one subtraction, one abs and an
+    exact max per entry, the same numbers as ``op_norms``'s diagonal branch
+    and as ``eigvalsh`` of the difference.
     Otherwise :func:`norm_bounds` of the differences, in blocks of at most
     ``DIST_BLOCK`` entries, bracket every entry, ``lo <= T <= hi``, and an
     entry with ``lo >= ceiling`` is the ceiling.  The entry with the
@@ -177,16 +186,16 @@ def nearest(p: np.ndarray, q: np.ndarray, offset=0.0, ceiling=np.inf):
         table = np.empty((n, m))
         cols = min(m, DIST_BLOCK)
         rows = DIST_BLOCK // cols
-        diff, mags = np.empty((rows, cols), dtype=complex), np.empty((rows, cols))
+        diff = np.empty((rows, cols))
         for i in range(0, n, rows):
             for j in range(0, m, cols):
                 block = table[i:i + rows, j:j + cols]
                 r, c = block.shape
                 planes = zip(p[:, i:i + r, None], q[:, j:j + c])
-                np.abs(np.subtract(*next(planes), out=diff[:r, :c]), out=block)
+                np.abs(np.subtract(*next(planes), out=block), out=block)
                 for pk, qk in planes:
-                    np.subtract(pk, qk, out=diff[:r, :c])
-                    np.maximum(block, np.abs(diff[:r, :c], out=mags[:r, :c]), out=block)
+                    mags = np.abs(np.subtract(pk, qk, out=diff[:r, :c]), out=diff[:r, :c])
+                    np.maximum(block, mags, out=block)
         table = np.minimum(ceiling, offset + table)
         return np.min(table, 1), np.argmin(table, 1), np.min(table, 0), np.argmin(table, 0)
     d = p.shape[-1]
@@ -232,11 +241,12 @@ def farthest_first(points: np.ndarray, cap: int, separation: float) -> tuple[lis
     the indices are those of the same insertion on the full table
     ``op_norms(points[:, None] - points[None, :])``, bit for bit.
 
-    A diagonal stack is updated from its diagonals, read once as (d, n)
-    planes: each insertion subtracts the new point's column from them and
-    takes the max of the |differences| over the d planes, in buffers made
-    before the loop, so every distance is the same number as the max over
-    the (n, d) rows of |diagonal differences|.  For a dense
+    A diagonal stack is updated from the real parts of its diagonals, read
+    once as float (d, n) planes: each insertion subtracts the new point's
+    column from them and takes the max of the |differences| over the d
+    planes, in buffers made before the loop, so every distance is the same
+    number as the max over the (n, d) rows of |real diagonal differences|,
+    and as ``eigvalsh`` of the difference.  For a dense
     stack, a point whose HS distance to the new net point k satisfies
     ``|p_i - p_k|_HS / sqrt(d) * (1 - 1e-9) >= dists[i]`` has
     ``|p_i - p_k| >= dists[i]``, so the minimum keeps ``dists[i]`` exactly;
@@ -263,9 +273,8 @@ def farthest_first(points: np.ndarray, cap: int, separation: float) -> tuple[lis
     diagonal = is_diagonal(points)
     if diagonal:
         planes = _diagonal_planes(points)
-        diff, mags = np.empty(planes.shape, dtype=complex), np.empty(planes.shape)
-        row = np.empty(len(points))
-        dists = np.max(np.abs(planes, out=mags), axis=0)
+        diff, row = np.empty(planes.shape), np.empty(len(points))
+        dists = np.max(np.abs(planes, out=diff), axis=0)
     else:
         dists = np.max(np.abs(np.linalg.eigvalsh(points)), axis=-1)
         flat = realify(points)
@@ -281,8 +290,8 @@ def farthest_first(points: np.ndarray, cap: int, separation: float) -> tuple[lis
             return chosen, True
         chosen.append(k)
         if diagonal:
-            np.abs(np.subtract(planes, planes[:, k, None], out=diff), out=mags)
-            np.minimum(dists, np.max(mags, axis=0, out=row), out=dists)
+            np.abs(np.subtract(planes, planes[:, k, None], out=diff), out=diff)
+            np.minimum(dists, np.max(diff, axis=0, out=row), out=dists)
         else:
             total = sq + sq[k]
             hs2 = total * (1.0 - margin) - 2.0 * (flat @ flat[k])
@@ -318,6 +327,36 @@ def realify(mats: np.ndarray) -> np.ndarray:
     m = np.asarray(mats, dtype=complex)
     m = m.reshape(m.shape[0], math.prod(m.shape[1:]))
     return np.concatenate([m.real, m.imag], axis=1)
+
+
+def combine(coeffs: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """sum_k c_k B_k for real coefficient rows (..., k) and a basis (k, d,
+    d): a complex (..., d, d) stack.  The terms are added in order of k,
+    starting from zero, so each entry is the number that
+    ``np.einsum("...k,kab->...ab", coeffs, basis)`` gives, bit for bit; a
+    BLAS product adds them in another order.  Any basis but a diagonal one
+    is summed on its real (k, 2 d^2) view.  A diagonal basis
+    (:func:`is_diagonal`) is summed on the real parts of its diagonals, and
+    the result is exactly zero off the diagonal: it drops the off-diagonal
+    residue below ``is_diagonal``'s tolerance that einsum would carry."""
+    c = np.asarray(coeffs, dtype=float)
+    basis = np.asarray(basis, dtype=complex)
+    k, d = basis.shape[0], basis.shape[-1]
+    diagonal = is_diagonal(basis)
+    terms = np.diagonal(basis, 0, 1, 2).real if diagonal else basis.reshape(k, d * d).view(float)
+    if c.ndim == 1:
+        # one row: its k products at once, then their running sum from zero
+        products = np.concatenate([np.zeros((1, terms.shape[1])), c[:, None] * terms])
+        total = np.add.accumulate(products)[-1]
+    else:
+        total = np.zeros(c.shape[:-1] + terms.shape[1:])
+        for ck, term in zip(np.moveaxis(c, -1, 0), terms):
+            total += ck[..., None] * term
+    if not diagonal:
+        return total.view(complex).reshape(c.shape[:-1] + (d, d))
+    out = np.zeros(c.shape[:-1] + (d, d), dtype=complex)
+    out.reshape(-1, d * d)[:, ::d + 1] = total.reshape(-1, d)
+    return out
 
 
 def complement_basis(v: np.ndarray) -> np.ndarray:

@@ -1,8 +1,11 @@
 import itertools
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from cqmlab import cli
 from cqmlab import cqms as cq
 from cqmlab import distoq as dq
 from cqmlab import examples as ex
@@ -58,6 +61,74 @@ def test_torus_frequency_map_unit(torus_pair):
     _, unit = phi.measure(_no_points(phi))
     assert unit == pytest.approx(0.0, abs=1e-10)
     assert phi.k == a.space.real_dim     # every source frequency is shared
+
+
+def _bundled_bases():
+    """(label, basis) for ``ortho`` and ``ortho[1:]`` of every example of the
+    bundled scenarios, and ``x_ortho`` and ``images`` of the comparison map
+    of every dist and audit job in them (identity, cycle_refine, torus_freq
+    and berezin)."""
+    built, maps = {}, {}
+    for path in sorted((Path(__file__).resolve().parents[1] / "scenarios").glob("*.json")):
+        doc = json.loads(path.read_text())
+        names = {example["name"]: ex.ExampleDescriptor.make(
+            **{k: v for k, v in example.items() if k != "name"}) for example in doc["examples"]}
+        for desc in names.values():
+            built.setdefault(desc, (desc, desc.build()))
+        for job in doc["jobs"]:
+            if "phi" in job:
+                a, b = built[names[job["a"]]], built[names[job["b"]]]
+                maps.setdefault((job["phi"], a[1].name, b[1].name), cli._PHI[job["phi"]](a, b))
+    for _, space in built.values():
+        yield space.name, space.space.ortho
+        yield space.name + "[1:]", space.space.ortho[1:]
+    assert {rule for rule, _, _ in maps} == {"identity", "cycle_refine", "torus_freq", "berezin"}
+    for phi in maps.values():
+        yield phi.label + ".x_ortho", phi.x_ortho
+        yield phi.label + ".images", phi.images
+
+
+def _bits(a):
+    return a.shape, a.dtype, a.tobytes()
+
+
+def test_combine_matches_einsum(rng):
+    # combine(c, B) is np.einsum("...k,kab->...ab", c, B) bit for bit, signed
+    # zeros included, on 1-D, 1-row and 640-row coefficients with zeros of
+    # both signs among them; a diagonal basis is summed on its diagonal, so
+    # there the result is einsum's on the diagonal part of the basis, exactly
+    # zero off the diagonal, and the off-diagonal residue it drops (what the
+    # SVD of HermitianSpace leaves, ~1e-17) is below is_diagonal's tolerance
+    seen_diagonal = seen_dense = 0
+    for label, basis in _bundled_bases():
+        k, d = basis.shape[0], basis.shape[-1]
+        diagonal = nm.is_diagonal(basis)
+        seen_diagonal += diagonal
+        seen_dense += not diagonal
+        target = basis
+        if diagonal:
+            target = np.zeros_like(basis)
+            target[:, np.arange(d), np.arange(d)] = np.diagonal(basis, 0, 1, 2)
+            assert not np.diagonal(basis, 0, 1, 2).imag.any(), label
+        for shape in ((k,), (1, k), (640, k)):
+            c = rng.standard_normal(shape)
+            c[..., ::3] = 0.0
+            c[..., 1::5] *= -0.0
+            got = nm.combine(c, basis)
+            assert _bits(got) == _bits(np.einsum("...k,kab->...ab", c, target)), (label, shape)
+            if diagonal:
+                off = got.copy()
+                off[..., np.arange(d), np.arange(d)] = 0.0
+                assert not off.any() and not np.signbit(off.view(float)).any(), label
+                full = np.einsum("...k,kab->...ab", c, basis)
+                assert _bits(np.diagonal(got, 0, -2, -1).copy()) == _bits(
+                    np.diagonal(full, 0, -2, -1).copy()), label
+                assert np.abs(full - got).max(initial=0.0) <= 1e-14, label
+    assert seen_diagonal and seen_dense
+    # an empty basis sums to zero
+    for shape in ((0,), (1, 0), (640, 0)):
+        got = nm.combine(np.zeros(shape), np.zeros((0, 3, 3), dtype=complex))
+        assert _bits(got) == _bits(np.zeros(shape[:-1] + (3, 3), dtype=complex))
 
 
 # ---------------------------------------------------------------------------

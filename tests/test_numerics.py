@@ -98,18 +98,19 @@ def _minima(t):
 
 
 def _diagonal_stack(rng, n, d):
-    """n diagonal d x d matrices with complex diagonals, so that every |.|
-    below goes through the complex abs."""
+    """n diagonal d x d matrices with complex diagonals: their imaginary
+    parts are what the eigensolver does not read, so every distance below
+    must ignore them."""
     diag = rng.standard_normal((n, d)) + 1e-3j * rng.standard_normal((n, d))
     return diag[:, :, None] * np.eye(d)
 
 
 def _linf_loop(p, q):
-    """The diagonal distance table spelled out pair by pair, max_j |p_ij -
-    q_kj|, with numpy's complex abs (Python's own abs of a complex rounds
-    differently in the last bit)."""
-    return np.array([[max(np.abs(np.diagonal(a) - np.diagonal(b))) for b in q]
-                     for a in p]).reshape(len(p), len(q))
+    """The diagonal distance table spelled out pair by pair, max_j |Re p_jj
+    - Re q_jj|: the real parts of the diagonals, all that ``eigvalsh``
+    reads of a diagonal matrix."""
+    pd, qd = [np.diagonal(a).real for a in p], [np.diagonal(b).real for b in q]
+    return np.array([[max(np.abs(x - y)) for y in qd] for x in pd]).reshape(len(p), len(q))
 
 
 def test_nearest_diagonal_formula(rng):
@@ -127,10 +128,34 @@ def test_nearest_diagonal_formula(rng):
         for got, want in zip(nm.nearest(p, q), _minima(_linf_loop(p, q))):
             assert np.array_equal(got, want)
         assert np.array_equal(_table(p[:40], q[:40]), _linf_loop(p[:40], q[:40]))
-        assert np.array_equal(nm.op_norms(p), [max(np.abs(np.diagonal(a)), default=0.0)
+        assert np.array_equal(nm.op_norms(p), [max(np.abs(np.diagonal(a).real), default=0.0)
                                                for a in p])
     grid = np.stack([p16[:5], q16[:5]])                 # (2, 5, 16, 16)
     assert np.array_equal(nm.op_norms(grid), nm.op_norms(grid.reshape(10, 16, 16)).reshape(2, 5))
+
+
+def _eig_norms(stack):
+    """max |eigenvalue| of each matrix, straight from the eigensolver."""
+    return np.max(np.abs(np.linalg.eigvalsh(stack)), axis=-1)
+
+
+def test_diagonal_branch_is_eigvalsh(rng):
+    # on diagonals with imaginary parts, which the eigensolver does not read,
+    # the diagonal shortcuts give eigvalsh's numbers bit for bit: op_norms,
+    # nearest's minima of the distance table, and farthest_first's starting
+    # norms (a single point is chosen at a separation equal to its norm, and
+    # not at the next float up)
+    for d in range(1, 25):
+        p, q = _diagonal_stack(rng, 12, d), _diagonal_stack(rng, 9, d)
+        assert nm.is_diagonal(p) and np.diagonal(p, 0, 1, 2).imag.all()
+        norms = _eig_norms(p)
+        assert np.array_equal(nm.op_norms(p), norms)
+        table = _eig_norms(p[:, None] - q[None, :])
+        for got, want in zip(nm.nearest(p, q), _minima(table)):
+            assert np.array_equal(got, want)
+        for point, norm in zip(p, norms):
+            assert nm.farthest_first(point[None], 1, norm) == ([0], False)
+            assert nm.farthest_first(point[None], 1, np.nextafter(norm, np.inf)) == ([], False)
 
 
 def test_diagonal_nets_match_the_pair_loop(rng):
@@ -172,7 +197,7 @@ def test_diagonal_nets_match_the_pair_loop(rng):
         # or the cap is reached
         for points in (p, dupes):
             table = _linf_loop(points, points)
-            start = [max(np.abs(np.diagonal(a))) for a in points]
+            start = [max(np.abs(np.diagonal(a).real)) for a in points]
             for cap, separation in ((10, 1e-12), (len(points), 1e-12),
                                     (len(points), 0.3 * max(start))):
                 chosen, mind, capped = [], list(start), False

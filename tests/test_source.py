@@ -238,6 +238,58 @@ def test_one_norm_minimizer():
     assert sorted(inside) == ["linprog", "spectral_lse"]
 
 
+def _contracts_coefficients(spec: str) -> bool:
+    """True when an einsum spec is sum_k c_k B_k: it sums an index k between
+    a basis operand, k followed by the output's last two (matrix) indices,
+    and an operand that holds k and neither matrix index."""
+    inputs, out = spec.replace(" ", "").split("->")
+    operands, mats = inputs.split(","), out[-2:]
+    if len(mats) < 2 or "." in mats:
+        return False
+    return any(k + mats in operands and any(k in op and not set(mats) & set(op) for op in operands)
+               for k in set(inputs) - set(out) - {",", "."})
+
+
+# einsums that sum against matrix stacks outside ``numerics.combine``, each
+# kept on purpose, by (file, enclosing function)
+OTHER_CONTRACTIONS = {
+    ("examples.py", "cosymbol"): "a quadrature of complex symbol values and weights against "
+                                 "the coherent-state projections, not real coefficient rows",
+}
+
+
+def test_one_coefficient_contraction():
+    # every sum of real coefficient rows against a basis stack runs in
+    # ``numerics.combine``, which adds the terms in order of k: an einsum that
+    # contracts a coefficient axis into matrices is a second path, with its
+    # own complex arithmetic and its own speed
+    for spec in ("...k,kab->...ab", "nk,kab->nab", "k,kab->ab", "x,x,xab->ab"):
+        assert _contracts_coefficients(spec), spec
+    for spec in ("kab,...ab->...k", "ab,kab->k", "ab,kbc,dc->kad", "x,xab,kbc,xdc->kad",
+                 "ab,xb,cb->xac", "nab,nab->n", "ij,ij->i"):
+        assert not _contracts_coefficients(spec), spec
+    found, kept = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        def visit(node, owner):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and owner is None:
+                owner = node.name
+            if isinstance(node, ast.Call) and getattr(
+                    node.func, "id", getattr(node.func, "attr", None)) == "einsum":
+                spec = node.args[0].value if node.args and isinstance(node.args[0],
+                                                                      ast.Constant) else None
+                if not isinstance(spec, str) or _contracts_coefficients(spec):
+                    if (path.name, owner) in OTHER_CONTRACTIONS:
+                        kept.add((path.name, owner))
+                    else:
+                        found.append(f"{path.name}:{node.lineno} {spec!r} in {owner}")
+            for child in ast.iter_child_nodes(node):
+                visit(child, owner)
+
+        visit(ast.parse(path.read_text()), None)
+    assert not found, f"coefficient contractions outside numerics.combine: {found}"
+    assert kept == set(OTHER_CONTRACTIONS)
+
+
 def test_ball_nets_read_the_sample():
     # ``Cqms.ball_net`` scales the seminorms of ``_ball_sample`` to its
     # radius: an L evaluation inside it, directly or through another method,
