@@ -100,8 +100,9 @@ class HermitianSpace:
     The stored orthonormal basis (Hilbert-Schmidt) starts with the
     normalized identity; the remaining vectors span the traceless-
     within-the-space slice.  Orthonormalization is SVD-based, so heavily
-    redundant spanning sets are fine.  ``coeffs`` and ``element`` map
-    (..., d, d) stacks to (..., n) coordinates on it and back.
+    redundant spanning sets are fine, and an off-diagonal entry that is zero
+    in every spanning matrix is exactly zero in the basis.  ``coeffs`` and
+    ``element`` map (..., d, d) stacks to (..., n) coordinates on it and back.
     """
 
     basis: np.ndarray              # (n, d, d) Hermitian spanning set
@@ -119,6 +120,8 @@ class HermitianSpace:
         u, s, vt = np.linalg.svd(rows, full_matrices=False)
         keep = s > 1e-10 * max(1.0, s[0] if s.size else 1.0)
         flat = vt[keep]
+        # no spanning row holds these entries: exact zeros, not the SVD's round-off
+        flat[:, ~rows.any(axis=0)] = 0.0
         k = flat.shape[1] // 2
         rest = (flat[:, :k] + 1j * flat[:, k:]).reshape(-1, d, d)
         rest = (rest + np.swapaxes(rest.conj(), 1, 2)) / 2.0
@@ -489,18 +492,18 @@ class Cqms:
             if new.size == 0:
                 break
             work = np.union1d(work, new)
-        return self._rescaled(c0 + nmat @ u, 1.0)    # the slice keeps <g, a> = 1
+        return self._rescaled(c0 + nmat @ u)    # the slice keeps <g, a> = 1
 
-    def _rescaled(self, c: np.ndarray, value: float) -> tuple[float, np.ndarray]:
-        """(value / L, a / L) for a = sum c_k S_k with <g, a> = value: a
-        support solve's result on the exact unit sphere of the seminorm."""
+    def _rescaled(self, c: np.ndarray) -> tuple[float, np.ndarray]:
+        """(1 / L, a / L) for a = sum c_k S_k: a on the exact unit sphere of
+        the seminorm, and 1 / L a support solve's value when <g, a> = 1."""
         a = nm.combine(c, self.space.ortho[1:])
         lv = self._coeff_seminorms(c[None])[0]
         if lv < 1e-12:
             raise NonLipError(
                 "seminorm vanishes off the scalars; the action is not ergodic "
                 "or has infinite-multiplicity directions")
-        return value / lv, a / lv
+        return 1.0 / lv, a / lv
 
     # -- radius and the state metric --------------------------------------------
 
@@ -595,7 +598,7 @@ class Cqms:
             rng = np.random.default_rng(0)
             starts = []
             for c in list(np.eye(ns)[:: max(1, ns // 4)][:4]) + list(rng.standard_normal((2, ns))):
-                _, a = self._rescaled(c, 1.0)
+                _, a = self._rescaled(c)
                 starts.append((nm.quotient_norm(a), a))
             self._alternate_witness(starts, 4)
         return self._radius[0]

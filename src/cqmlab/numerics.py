@@ -15,11 +15,11 @@ Distances between stacks go through :func:`nearest`, the min and the first
 argmin along both axes of the table |p_i - q_k| (with a per-row offset and a
 ceiling).  It forms the differences ``p_i - q_k`` in blocks of at most
 ``DIST_BLOCK`` = 2**14 entries, so this module alone bounds their memory, and
-it decides, with one :func:`is_diagonal` scan of each stack, when the
+it decides, with one exact :func:`is_diagonal` scan of each stack, when the
 diagonal shortcut applies.  When both stacks are diagonal a distance is the
 l-infinity distance of the real parts of two diagonals, which is all that
-LAPACK's Hermitian eigensolver reads of a diagonal matrix, so on exactly
-diagonal matrices the shortcut gives ``eigvalsh``'s numbers bit for bit.
+LAPACK's Hermitian eigensolver reads of a diagonal matrix, so the shortcut
+gives ``eigvalsh``'s numbers bit for bit.
 The diagonals are then read once as contiguous float (d, n) planes, plane j
 holding the real part of every matrix's j-th entry, so the max over the d
 entries is d elementwise maxima over whole planes, not a reduction along a
@@ -97,46 +97,39 @@ def op_norm(a: np.ndarray) -> float:
 
 
 def is_diagonal(stack: np.ndarray) -> bool:
-    """True when every off-diagonal entry of the stack (..., d, d) is at most
-    1e-14 * (1 + the largest |diagonal entry|).  Reads views a block of
-    matrices at a time, so a large stack is never copied whole."""
+    """True when every off-diagonal entry of the stack (..., d, d) is zero;
+    -0.0 is zero and NaN is not.  The test is exact, so a stack it passes
+    has nothing off the diagonal for a shortcut to drop.  On a C-contiguous
+    stack it reads one strided view of the off-diagonal entries and copies
+    none of them."""
     d = stack.shape[-1]
-    tol = 1e-14 * (1.0 + float(np.max(np.abs(np.diagonal(stack, 0, -2, -1)), initial=0.0)))
     flat = stack.reshape(-1, d * d)
-    block = max(1, 65536 // (d * d))
-    for lo in range(0, flat.shape[0], block):
-        rows = flat[lo:lo + block, 1:]
-        # row-major d x d minus its first entry: d - 1 runs of d off-diagonal
-        # entries, each followed by the next diagonal entry
-        off = rows.reshape(rows.shape[0], d - 1, d + 1)[:, :, :d]
-        if float(np.max(np.abs(off), initial=0.0)) > tol:
-            return False
-    return True
+    # row-major d x d minus its first entry: d - 1 runs of d off-diagonal
+    # entries, each followed by the next diagonal entry
+    return not flat[:, 1:].reshape(len(flat), d - 1, d + 1)[:, :, :d].any()
 
 
 def op_norms(stack: np.ndarray) -> np.ndarray:
-    """Operator norms of a stack of Hermitian matrices, shape (..., d, d);
-    a diagonal stack (:func:`is_diagonal`) is read off the real parts of its
-    diagonals, max_j |Re X_jj|: all that ``eigvalsh`` reads of an exactly
-    diagonal matrix, so the same numbers, bit for bit."""
+    """Operator norms of a stack of Hermitian matrices, shape (..., d, d).
+    A diagonal stack (:func:`is_diagonal`) is read off its diagonal planes
+    (:func:`_diagonal_planes`), max_j |Re X_jj|: all that ``eigvalsh`` reads
+    of a diagonal matrix, so the same numbers, bit for bit."""
     stack = np.asarray(stack, dtype=complex)
     if stack.size == 0:
         return np.zeros(stack.shape[:-2])
     if is_diagonal(stack):
-        diag = np.diagonal(stack, 0, -2, -1).real
-        mags = np.empty(diag.shape[-1:] + diag.shape[:-1])
-        np.abs(diag, out=np.moveaxis(mags, 0, -1))
-        return np.max(mags, axis=0)
+        planes = _diagonal_planes(stack)
+        return np.max(np.abs(planes, out=planes), axis=0)
     w = np.linalg.eigvalsh(stack)
     return np.max(np.abs(w), axis=-1)
 
 
 def _diagonal_planes(stack: np.ndarray) -> np.ndarray:
-    """The real parts of the diagonals of a stack (n, d, d) as one contiguous
-    float (d, n) array, plane j holding the real part of the j-th diagonal
-    entry of every matrix."""
-    planes = np.empty(stack.shape[-1:] + stack.shape[:1])
-    np.copyto(planes.T, np.diagonal(stack, 0, -2, -1).real)
+    """The real parts of the diagonals of a stack (..., d, d) as one
+    contiguous float (d, ...) array, plane j holding the real part of the
+    j-th diagonal entry of every matrix."""
+    planes = np.empty(stack.shape[-1:] + stack.shape[:-2])
+    np.copyto(np.moveaxis(planes, 0, -1), np.diagonal(stack, 0, -2, -1).real)
     return planes
 
 
@@ -337,8 +330,8 @@ def combine(coeffs: np.ndarray, basis: np.ndarray) -> np.ndarray:
     BLAS product adds them in another order.  Any basis but a diagonal one
     is summed on its real (k, 2 d^2) view.  A diagonal basis
     (:func:`is_diagonal`) is summed on the real parts of its diagonals, and
-    the result is exactly zero off the diagonal: it drops the off-diagonal
-    residue below ``is_diagonal``'s tolerance that einsum would carry."""
+    the result is +0.0 off the diagonal, as einsum's sum of zeros from
+    zero is."""
     c = np.asarray(coeffs, dtype=float)
     basis = np.asarray(basis, dtype=complex)
     k, d = basis.shape[0], basis.shape[-1]

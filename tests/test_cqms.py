@@ -23,6 +23,17 @@ def cycle12():
     return ex.commutative_cycle(12)
 
 
+@pytest.mark.parametrize("d", [3, 6, 8, 12, 16, 24])
+def test_diagonal_space_basis_is_exactly_diagonal(d):
+    # the SVD leaves round-off in entries that no spanning matrix holds; the
+    # basis keeps those zeros, so its off-diagonal entries are all exactly 0
+    ortho = cq.diagonal_space(d).ortho
+    off = ortho.copy()
+    off[:, np.arange(d), np.arange(d)] = 0.0
+    assert not off.any()
+    assert nm.is_diagonal(ortho)
+
+
 def test_space_projection_roundtrip(torus2, rng):
     a = torus2.space.random_element(rng)
     assert torus2.space.projection_residual(a) < 1e-10
@@ -622,7 +633,7 @@ def test_working_kernel_is_whole_small_kernel(name):
             *_family(obj, c0, nmat, obj._operator()[0]), np.ones(1),
             lambda u: obj._coeff_seminorms((c0 + nmat @ u)[None])[0], np.zeros(nmat.shape[1]))
         assert unconverged == 0
-        ref, ref_a = obj._rescaled(c0 + nmat @ u, 1.0)
+        ref, ref_a = obj._rescaled(c0 + nmat @ u)
         val, a = obj._support_max(g)
         assert val == pytest.approx(ref, rel=1e-12)
         assert np.allclose(a, ref_a, rtol=0.0, atol=1e-12 * nm.hs_norm(ref_a))

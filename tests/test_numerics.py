@@ -58,7 +58,7 @@ def test_batched_norms(rng):
     assert np.array_equal(nm.op_norms(diag), np.max(np.abs(np.diagonal(diag, 0, 1, 2)), axis=1))
     mixed = np.concatenate([diag, stack[:1]])
     assert not nm.is_diagonal(mixed)
-    assert np.allclose(nm.op_norms(diag), [nm.op_norm(m) for m in diag], rtol=1e-14, atol=0.0)
+    assert nm.op_norms(diag).tobytes() == np.array([nm.op_norm(m) for m in diag]).tobytes()
     assert np.allclose(nm.op_norms(mixed), [nm.op_norm(m) for m in mixed])
     grid = np.stack([diag, diag])                       # (2, 5, 3, 3)
     assert nm.op_norms(grid).shape == (2, 5)
@@ -137,6 +137,41 @@ def test_nearest_diagonal_formula(rng):
 def _eig_norms(stack):
     """max |eigenvalue| of each matrix, straight from the eigensolver."""
     return np.max(np.abs(np.linalg.eigvalsh(stack)), axis=-1)
+
+
+def test_is_diagonal_is_exact():
+    # a stack is diagonal when every off-diagonal entry is zero, -0.0 too:
+    # the smallest off-diagonal float, real or imaginary, or a NaN there
+    # makes it dense, and a NaN matrix's norm is NaN, not its diagonal's
+    base = np.array([np.diag([1.0, -2.0, 3.0]).astype(complex)] * 4)
+    assert nm.is_diagonal(base)
+    for value, diagonal in ((-0.0, True), (complex(-0.0, -0.0), True), (1e-300, False),
+                            (1e-300j, False), (5e-324, False), (np.nan, False)):
+        for i, j in ((0, 1), (2, 0), (1, 2)):
+            stack = base.copy()
+            stack[3, i, j] = value
+            assert nm.is_diagonal(stack) == diagonal, (value, i, j)
+            assert nm.is_diagonal(stack[None]) == diagonal
+    assert np.isnan(nm.op_norms(np.array([[1.0, np.nan], [np.nan, -2.0]], dtype=complex)))
+    # 1 x 1 and empty stacks have no off-diagonal entries
+    assert nm.is_diagonal(np.full((5, 1, 1), 2.0 + 1j)) and nm.is_diagonal(np.ones((1, 1)))
+    assert nm.is_diagonal(np.zeros((0, 3, 3), dtype=complex))
+    assert nm.is_diagonal(np.zeros((2, 0, 3, 3), dtype=complex))
+
+
+def test_is_diagonal_copies_nothing(rng):
+    # the scan reads a view of the off-diagonal entries: an 8 MB stack is
+    # decided with no temporary of its size
+    stack = np.zeros((2000, 16, 16), dtype=complex)
+    stack[:, np.arange(16), np.arange(16)] = rng.standard_normal((2000, 16))
+    tracemalloc.start()
+    try:
+        diagonal = nm.is_diagonal(stack)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert diagonal
+    assert peak < 2 ** 20
 
 
 def test_diagonal_branch_is_eigvalsh(rng):

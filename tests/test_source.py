@@ -1,4 +1,4 @@
-"""Checks on the package source: static ones on its syntax tree, and three on
+"""Checks on the package source: static ones on its syntax tree, and four on
 the calls that the scenarios and benchmark workloads make."""
 
 import ast
@@ -348,6 +348,13 @@ UNUSED_DEFAULTS = {
     "main.argv": "the cqmlab console script calls main() bare, so argparse reads sys.argv",
 }
 
+# parameters of private functions and methods that every call of the traffic
+# binds to one and the same value, each kept on purpose
+ONE_VALUE_PARAMETERS = {
+    "_parse_example_arg.grid": "the CLI's --grid option, documented in README and run by "
+                               "tests/test_cli.py; the traffic's one CLI command sets no grid",
+}
+
 _SCALARS = (type(None), bool, int, float, str)
 
 
@@ -387,6 +394,15 @@ def _defaulted(qual: str, fn) -> list:
             if param.default is not param.empty]
 
 
+def _private_parameters(qual: str, fn) -> list:
+    """(``qual.parameter``, parameter) for each parameter of ``fn`` when it is
+    private (``_name`` or ``Class._name``, not a dunder), else []."""
+    name = qual.rsplit(".", 1)[-1]
+    if not name.startswith("_") or name.startswith("__"):
+        return []
+    return [(f"{qual}.{param}", param) for param in inspect.signature(fn).parameters]
+
+
 def _record_traffic(out: Path) -> None:
     """Run the measured traffic and write to ``out/traffic.json`` the exit
     codes of its CLI runs, (file name, first line, name) of every function
@@ -394,7 +410,11 @@ def _record_traffic(out: Path) -> None:
     parameter`` or ``function.parameter``; module-level functions and
     methods of module-level classes) that no call bound to a value other
     than the default ("unbound"), and those that no call left at the
-    default ("unused").  The traffic: every scenario in ``scenarios/``
+    default ("unused"); and the parameters of the private ones among those
+    functions that every call bound to one and the same None, bool, int,
+    float or str value, with that value's repr ("one_value").  A parameter
+    ever bound to another object, or to two such values of different types
+    or reprs, is not one-valued.  The traffic: every scenario in ``scenarios/``
     through ``cli.main(["run", ..., "--format", "csv"])``, one single-command
     ``cli.main`` call, and one ``run_pass()`` of each benchmark workload at
     seed 1 (then its ``close()``, where it has one).  The imports of the
@@ -404,8 +424,12 @@ def _record_traffic(out: Path) -> None:
     sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
     called, bound, used = set(), set(), set()
     # code -> (defaulted parameters not yet bound to another value, those
-    # not yet left at the default); file name -> whether it is in src
+    # not yet left at the default, private parameters bound to one scalar
+    # value so far); file name -> whether it is in src
     watched, in_src = {}, {}
+    # private parameter -> (type name, repr) of its one value so far;
+    # parameters that took another value or a non-scalar
+    values, varied = {}, set()
 
     def hook(frame, event, arg):
         code = frame.f_code
@@ -418,15 +442,21 @@ def _record_traffic(out: Path) -> None:
             qual, fn = (_scoped_functions(frame.f_globals).get(code, (None, None))
                         if in_src[name] else (None, None))
             params = _defaulted(qual, fn) if fn else []
-            pending = watched[code] = (params, params)
-        if pending[0] or pending[1]:
+            pending = watched[code] = (params, params, _private_parameters(qual, fn) if fn else [])
+        if pending[0] or pending[1] or pending[2]:
             args = frame.f_locals
             at_default = {key for key, name, default in pending[0] + pending[1]
                           if _is_default(args[name], default)}
             bound.update(key for key, _, _ in pending[0] if key not in at_default)
             used.update(key for key, _, _ in pending[1] if key in at_default)
+            for key, name in pending[2]:
+                value = args[name]
+                seen = (type(value).__name__, repr(value)) if isinstance(value, _SCALARS) else None
+                if seen is None or values.setdefault(key, seen) != seen:
+                    varied.add(key)
             watched[code] = ([param for param in pending[0] if param[0] in at_default],
-                             [param for param in pending[1] if param[0] not in at_default])
+                             [param for param in pending[1] if param[0] not in at_default],
+                             [param for param in pending[2] if param[0] not in varied])
 
     codes = {}
     sys.settrace(hook)
@@ -454,9 +484,11 @@ def _record_traffic(out: Path) -> None:
                  for qual, fn in _scoped_functions(
                      vars(importlib.import_module(f"cqmlab.{path.stem}"))).values()
                  for key, _, _ in _defaulted(qual, fn)}
+    one_value = {key: seen[1] for key, seen in sorted(values.items()) if key not in varied}
     (out / "traffic.json").write_text(json.dumps({"codes": codes, "called": lines,
                                                   "unbound": sorted(defaulted - bound),
-                                                  "unused": sorted(defaulted - used)}))
+                                                  "unused": sorted(defaulted - used),
+                                                  "one_value": one_value}))
 
 
 @pytest.fixture(scope="module")
@@ -544,6 +576,20 @@ def test_traffic_uses_every_default(traffic):
     # an allowlist entry that is gone or now used is stale
     stale = sorted(set(UNUSED_DEFAULTS) - unused)
     assert not stale, f"stale entries in UNUSED_DEFAULTS: {stale}"
+
+
+def test_private_parameters_take_two_values(traffic):
+    # a private parameter that every traced call binds to one value is a
+    # constant passed as an argument: the defaulted-parameter guards do not
+    # see it, since it has no default.  Measured on the traced calls, as
+    # ``test_traffic_binds_every_default`` is
+    one_value = traffic[1]["one_value"]
+    found = sorted(f"{key} = {value}" for key, value in one_value.items()
+                   if key not in ONE_VALUE_PARAMETERS)
+    assert not found, f"private parameters that the traffic binds to one value: {found}"
+    # an allowlist entry that is gone or now takes two values is stale
+    stale = sorted(set(ONE_VALUE_PARAMETERS) - set(one_value))
+    assert not stale, f"stale entries in ONE_VALUE_PARAMETERS: {stale}"
 
 
 if __name__ == "__main__":
