@@ -181,8 +181,8 @@ def _unconverged(a, b) -> dict:
 
 def _shared_grid(descs) -> tuple:
     """The one SU(2) grid the spheres among ``descs`` are declared on (the
-    default grid when there are none): spheres compared through Berezin
-    symbols, with the characters of their family, must share one sample."""
+    default grid when there are none): the members a sphere study builds,
+    and the characters of its family, must share their sample."""
     grids = {desc.checked()["grid"] for desc in descs if desc.family == "sphere"}
     if len(grids) > 1:
         raise ScenarioError(f"spheres compared here are declared on different "
@@ -190,29 +190,20 @@ def _shared_grid(descs) -> tuple:
     return grids.pop() if grids else ex.DEFAULT_SU2_GRID
 
 
-def _berezin_map(a, b) -> dq.ComparisonMap:
-    """Berezin transport between two built spheres, with its symbols on the
-    SU(2) grid both are declared on."""
-    (desc_a, cq_a), (desc_b, cq_b) = a, b
-    grid = _shared_grid([desc_a, desc_b])
-    return dq.berezin_transport_map(cq_a, cq_b, ex.berezin_maps(cq_a.dim - 1, grid),
-                                    ex.berezin_maps(cq_b.dim - 1, grid))
-
-
-# comparison maps of dist and audit jobs: rule -> the built (descriptor,
-# Cqms) pairs of A and B -> ComparisonMap
+# comparison maps of dist and audit jobs: rule -> the built spaces A and B
+# -> ComparisonMap
 _PHI = {
-    "identity": lambda a, b: dq.identity_map(a[1]),
-    "cycle_refine": lambda a, b: dq.cycle_refinement_map(a[1], b[1]),
-    "torus_freq": lambda a, b: dq.torus_frequency_map(a[1], b[1]),
-    "berezin": _berezin_map,
+    "identity": lambda a, b: dq.identity_map(a),
+    "cycle_refine": dq.cycle_refinement_map,
+    "torus_freq": dq.torus_frequency_map,
+    "berezin": dq.berezin_transport_map,
 }
 
 
 def _pair(job, built) -> tuple:
     """A dist or audit job's two spaces and the comparison map of its rule."""
-    a, b = built[job["a"]], built[job["b"]]
-    return a[1], b[1], _PHI[job["phi"]](a, b)
+    a, b = built[job["a"]][1], built[job["b"]][1]
+    return a, b, _PHI[job["phi"]](a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +217,7 @@ def _example_job(job, built) -> dict:
         "real_dim": cq.space.real_dim, "group_size": cq.action.group.size,
         "group": cq.action.group.descriptor,
         "seminorm_kernel_size": int(cq.action.seminorm_kernel()[0].size),
-        "ergodic": bool(ga.ergodicity_check(cq.action, cq.space.ortho)),
+        "ergodic": ga.ergodicity_check(cq.action, cq.space.ortho),
     }
 
 
@@ -334,8 +325,7 @@ def _sphere_convergence_study(job, built) -> dict:
                for tj in labels}
     fam = fl.ParamFamily(labels=labels, t0=t0_j, members=members,
                          name=f"sphere-family(max={t0_j})")
-    bmaps = {tj: ex.berezin_maps(tj, grid) for tj in labels}
-    rules = {tj: dq.berezin_transport_map(members[tj], members[t0_j], bmaps[tj], bmaps[t0_j])
+    rules = {tj: dq.berezin_transport_map(members[tj], members[t0_j])
              for tj in labels if tj != t0_j}
     chars = ex.sphere_characters(max(labels), grid_dims=grid)
     return fl.convergence_study(fam, rules, bound_r=job["R"], eps_net=job["eps_net"],

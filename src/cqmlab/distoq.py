@@ -37,6 +37,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import examples as ex
 from . import numerics as nm
 from .cqms import Cqms, minimize_norms
 
@@ -171,9 +172,16 @@ def cycle_refinement_map(a: Cqms, b: Cqms) -> ComparisonMap:
     return comparison_from_pairs(raw_x, raw_im, label=f"cycle-refinement({a.name}->{b.name})")
 
 
-def berezin_transport_map(a: Cqms, b: Cqms, maps_a, maps_b) -> ComparisonMap:
+def berezin_transport_map(a: Cqms, b: Cqms) -> ComparisonMap:
     """Sphere-to-sphere map through the shared orbit sample: covariant
-    symbol at the source level, contravariant symbol at the target."""
+    symbol at the source level, contravariant symbol at the target, each
+    read from its space's own action (``examples.berezin_maps``).  The two
+    spaces must sit on one sampled group, else a ValueError."""
+    sample_a, sample_b = a.action.group.descriptor, b.action.group.descriptor
+    if sample_a != sample_b:
+        raise ValueError(f"spaces compared by Berezin transport sit on different SU(2) "
+                         f"grids or groups: {sample_a!r} and {sample_b!r}")
+    maps_a, maps_b = ex.berezin_maps(a), ex.berezin_maps(b)
     basis = a.space.ortho
     images = np.array([maps_b.cosymbol(maps_a.symbol(e)) for e in basis])
     images = (images + np.swapaxes(images.conj(), 1, 2)) / 2.0

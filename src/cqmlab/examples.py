@@ -18,8 +18,9 @@ table, its builder and its character table.  ``check_fields`` is the one
 checker of field tables, these and those of ``cli``.
 
 ``berezin_maps`` supplies the covariant symbol transform and its
-adjoint for the sphere family; they are the raw material for the
-sphere-to-sphere comparison maps used by the distance estimators.
+adjoint of a built sphere, read from its own implementers and group
+weights; they are the raw material for the sphere-to-sphere comparison
+maps used by the distance estimators.
 """
 
 import math
@@ -234,23 +235,21 @@ class BerezinMaps:
     ``symbol`` sends a matrix to the function x -> tr(a alpha_x(P)) on
     the sampled group; ``cosymbol`` is its adjoint for the normalized
     trace pairing on matrices and the quadrature L^2 pairing on
-    functions.  The adjoint is unital and positive up to quadrature
-    defects.
+    functions, with the group's quadrature ``weights``.  The adjoint is
+    unital and positive up to quadrature defects.
     """
 
-    grid: ga.Su2Grid
     coherent: np.ndarray           # (size, d, d): alpha_x(P)
-    projector: np.ndarray
+    weights: np.ndarray            # (size,) Haar quadrature weights
 
     def symbol(self, a: np.ndarray) -> np.ndarray:
         return np.einsum("ab,xba->x", np.asarray(a, dtype=complex), self.coherent,
                          optimize=True)
 
     def cosymbol(self, f: np.ndarray) -> np.ndarray:
-        d = self.projector.shape[0]
-        w = self.grid.group.weights
-        return d * np.einsum("x,x,xab->ab", w, np.asarray(f, dtype=complex), self.coherent,
-                             optimize=True)
+        d = self.coherent.shape[-1]
+        return d * np.einsum("x,x,xab->ab", self.weights, np.asarray(f, dtype=complex),
+                             self.coherent, optimize=True)
 
     def equivariance_defect(self, implementers: np.ndarray, a: np.ndarray,
                             x_indices) -> float:
@@ -268,14 +267,16 @@ class BerezinMaps:
         return worst
 
 
-def berezin_maps(two_j: int, grid_dims) -> BerezinMaps:
-    grid = su2_grid(grid_dims)
-    impl = su2_implementers(two_j, grid)
-    d = two_j + 1
-    proj = np.zeros((d, d), dtype=complex)
-    proj[0, 0] = 1.0          # highest weight m = j
+def berezin_maps(sphere: Cqms) -> BerezinMaps:
+    """The Berezin maps of a built space, read from its action: P is the
+    projector onto the first basis vector (the highest weight m = j of a
+    sphere), moved by the space's own implementers and integrated with its
+    group's weights."""
+    impl = sphere.action.implementers
+    proj = np.zeros((sphere.dim, sphere.dim), dtype=complex)
+    proj[0, 0] = 1.0
     coherent = np.einsum("xab,bc,xdc->xad", impl, proj, impl.conj(), optimize=True)
-    return BerezinMaps(grid=grid, coherent=coherent, projector=proj)
+    return BerezinMaps(coherent=coherent, weights=sphere.action.group.weights)
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,10 @@ SU(2) implementers are isometries and ``l(x^-1) = l(x)``, so one element
 of each inverse pair suffices; and every irreducible implementer has
 ``U(-x) = +-U(x)``, so ``alpha_{-x} = alpha_x`` and the shorter of x and
 -x dominates.  ``cqms.Cqms`` builds the one operator that forms the
-quotients over the kernel.  Multiplicities and the ergodicity check
-decompose the action on the space that a given Hilbert-Schmidt
-orthonormal basis spans (a space's ``ortho``).  All reported quantities
+quotients over the kernel.  Multiplicities come from one trace
+quadrature of the action on the space that a given Hilbert-Schmidt
+orthonormal basis spans (a space's ``ortho``); ergodicity is one of
+them, the trivial character's, which must be 1.  All reported quantities
 refer to the sampled group; every grid carries a descriptor so results
 can be stamped with it.
 """
@@ -297,23 +298,11 @@ def multiplicities(action: UnitaryAction, chars, space_basis: np.ndarray,
 
 
 def ergodicity_check(action: UnitaryAction, space_basis: np.ndarray) -> bool:
-    """True iff the fixed subspace of the Haar-average operator is the scalars.
-
-    The averager is assembled on ``space_basis``, a Hilbert-Schmidt
-    orthonormal basis of the (complexified) space; fixed directions are
-    singular values of (P - I) below 0.1.
-    """
-    d = action.dim
-    e = np.asarray(space_basis, dtype=complex)
-    n = e.shape[0]
-    u = action.implementers
-    w = action.group.weights
-    avg = np.empty((n, d, d), dtype=complex)
-    block = max(1, int(2_000_000 / max(1, u.shape[0] * d * d)))
-    for lo in range(0, n, block):
-        avg[lo:lo + block] = np.einsum("x,xab,kbc,xdc->kad", w, u, e[lo:lo + block],
-                                       u.conj(), optimize=True)
-    p = np.einsum("kab,lab->kl", e.conj(), avg, optimize=True)
-    sv = np.linalg.svd(p - np.eye(n), compute_uv=False)
-    fixed_dim = int(np.sum(sv < 0.1))
-    return fixed_dim == 1
+    """True iff the action is ergodic on the space that ``space_basis`` spans:
+    the trivial character, constant 1 on the sample, has multiplicity 1
+    there (the scalars alone are fixed).  One trace quadrature, as
+    :func:`multiplicities` reads it, so a grid too coarse to integrate the
+    trivial character raises its :class:`QuadratureError`."""
+    trivial = IrrepCharacter(label="trivial", dimension=1,
+                             values=np.ones(action.group.size, dtype=complex))
+    return multiplicity(action, trivial, space_basis) == 1

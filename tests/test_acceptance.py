@@ -127,9 +127,7 @@ def bound_pairs(bundle):
         if kind == "freq":
             phi = dq.torus_frequency_map(a, b)
         elif kind == "berezin":
-            ja, jb = a.dim - 1, b.dim - 1
-            phi = dq.berezin_transport_map(a, b, ex.berezin_maps(ja, ex.DEFAULT_SU2_GRID),
-                                           ex.berezin_maps(jb, ex.DEFAULT_SU2_GRID))
+            phi = dq.berezin_transport_map(a, b)
         else:
             phi = dq.cycle_refinement_map(a, b)
         reports, record = dq.audit_pair(a, b, phi, eps_net=0.5, budget=24, seed=0)

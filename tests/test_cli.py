@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -487,17 +488,17 @@ def test_sphere_family_uses_declared_grid(tmp_path, monkeypatch):
 def test_berezin_map_uses_declared_grid(tmp_path, monkeypatch):
     # the Berezin symbols of a dist job sit on the grid its spheres are
     # declared on: a quadrature of that grid's size, the default grid never built
-    from cqmlab import distoq as dq
     from cqmlab import examples as ex
     monkeypatch.setattr(ex, "_grid_cache", {})
     sizes = []
-    transport = dq.berezin_transport_map
+    berezin = ex.berezin_maps
 
-    def spy(a, b, maps_a, maps_b):
-        sizes.extend(len(m.coherent) for m in (maps_a, maps_b))
-        return transport(a, b, maps_a, maps_b)
+    def spy(sphere):
+        maps = berezin(sphere)
+        sizes.append(len(maps.coherent))
+        return maps
 
-    monkeypatch.setattr(dq, "berezin_transport_map", spy)
+    monkeypatch.setattr(ex, "berezin_maps", spy)
     doc = {
         "seed": 0, "eps_net": 0.6, "budget": 8,
         "examples": [{"name": "s1", "family": "sphere", "two_j": 1, "grid": "6x6x6"},
@@ -513,6 +514,17 @@ def test_berezin_map_uses_declared_grid(tmp_path, monkeypatch):
     report, _, _ = run_doc(doc, tmp_path)
     assert report["jobs"][0]["status"] == "error"
     assert "different SU(2) grids" in report["jobs"][0]["error"]
+
+
+def test_largest_cycle_example_is_quick(tmp_path):
+    # the ergodicity verdict is one trace quadrature: the largest legal cycle
+    # reports within seconds, not the minutes a Haar-averaging operator took
+    start = time.perf_counter()
+    assert cli.main(["--seed", "0", "--out", str(tmp_path), "example", "cycle:m=64"]) == 0
+    assert time.perf_counter() - start < 30.0
+    job = json.loads((tmp_path / "report.json").read_text())["jobs"][0]
+    assert job["status"] == "ok", job.get("error")
+    assert job["result"]["ergodic"] is True
 
 
 def test_csv_trend_schema(tmp_path):

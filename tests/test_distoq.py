@@ -76,6 +76,42 @@ def test_torus_frequency_map_unit(torus_pair):
     assert phi.k == a.space.real_dim     # every source frequency is shared
 
 
+def test_berezin_transport_reads_the_spheres(monkeypatch):
+    # the map reads each sphere's own implementers and weights: no spin
+    # implementers are rebuilt, and spaces on two samples are refused
+    a, b = ex.fuzzy_sphere(1), ex.fuzzy_sphere(2)
+    calls = []
+    implementers = ex.su2_implementers
+
+    def counting(*args):
+        calls.append(args)
+        return implementers(*args)
+
+    monkeypatch.setattr(ex, "su2_implementers", counting)
+    phi = dq.berezin_transport_map(a, b)
+    assert calls == [] and phi.k == a.space.real_dim
+    ex.fuzzy_sphere(1)
+    assert len(calls) == 1                   # the wrapper does count
+    with pytest.raises(ValueError, match=r"different SU\(2\) grids"):
+        dq.berezin_transport_map(a, ex.fuzzy_sphere(2, grid_dims=(6, 6, 6)))
+
+
+def test_torus_frequency_map_into_coarser_lattice():
+    # mapping torus(5,1) into torus(3,1) skips the source frequencies the
+    # target lattice lacks: the centred frequencies in {-1, 0, 1}^2 are kept,
+    # and they span all of B
+    a, b = ex.fuzzy_torus(5, 1), ex.fuzzy_torus(3, 1)
+    phi = dq.torus_frequency_map(a, b)
+    assert phi.k == 9 == b.space.real_dim
+    _, unit = phi.measure(_no_points(phi))
+    assert unit == pytest.approx(0.0, abs=1e-10)
+    basis = b.space.ortho
+    coeffs = np.einsum("kab,jab->jk", basis.conj(), phi.images)
+    assert np.abs(phi.images - np.einsum("jk,kab->jab", coeffs, basis)).max() < 1e-12
+    up = dq.dist_oq_upper(a, b, phi, None, eps_net=0.6, budget=8, seed=0)
+    assert np.isfinite(up.value) and np.isfinite(up.certified_upper)
+
+
 def _bundled_bases():
     """(label, basis) for ``ortho`` and ``ortho[1:]`` of every example of the
     bundled scenarios, and ``x_ortho`` and ``images`` of the comparison map
@@ -90,8 +126,8 @@ def _bundled_bases():
             built.setdefault(desc, (desc, desc.build()))
         for job in doc["jobs"]:
             if "phi" in job:
-                a, b = built[names[job["a"]]], built[names[job["b"]]]
-                maps.setdefault((job["phi"], a[1].name, b[1].name), cli._PHI[job["phi"]](a, b))
+                a, b = built[names[job["a"]]][1], built[names[job["b"]]][1]
+                maps.setdefault((job["phi"], a.name, b.name), cli._PHI[job["phi"]](a, b))
     for _, space in built.values():
         yield space.name, space.space.ortho
         yield space.name + "[1:]", space.space.ortho[1:]

@@ -152,10 +152,12 @@ def test_cycle_diameter_even():
 
 
 def test_berezin_symbol_normalization():
-    maps = ex.berezin_maps(2, ex.DEFAULT_SU2_GRID)
-    p = maps.projector
+    s = ex.fuzzy_sphere(2)
+    maps = ex.berezin_maps(s)
+    p = np.zeros((3, 3), dtype=complex)
+    p[0, 0] = 1.0                      # the highest-weight projector
     # sigma_P at the group identity is tr(P P) = 1
-    assert maps.symbol(p)[maps.grid.group.identity_index].real == pytest.approx(1.0)
+    assert maps.symbol(p)[s.action.group.identity_index].real == pytest.approx(1.0)
     # sigma of the identity matrix is the constant function tr(P) = 1
     sym = maps.symbol(np.eye(3, dtype=complex))
     assert np.max(np.abs(sym - 1.0)) < 1e-12
@@ -164,8 +166,9 @@ def test_berezin_symbol_normalization():
 def test_berezin_checks():
     rng = np.random.default_rng(0)
     for two_j in (1, 2, 3, 4):
-        maps = ex.berezin_maps(two_j, ex.DEFAULT_SU2_GRID)
-        d, size = two_j + 1, maps.grid.group.size
+        s = ex.fuzzy_sphere(two_j)
+        maps = ex.berezin_maps(s)
+        d, size = two_j + 1, s.action.group.size
         # quadrature defect only
         assert nm.op_norm(maps.cosymbol(np.ones(size)) - np.eye(d)) < 5e-3
         # exactly positive: nonnegative functions go to positive matrices
@@ -178,8 +181,8 @@ def test_berezin_checks():
 
 
 def test_berezin_equivariance_defect():
-    maps = ex.berezin_maps(2, ex.DEFAULT_SU2_GRID)
     s = ex.fuzzy_sphere(2)
+    maps = ex.berezin_maps(s)
     rng = np.random.default_rng(0)
     a = s.space.random_element(rng)
     defect = maps.equivariance_defect(s.action.implementers, a, [1, 7, 100])

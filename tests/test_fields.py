@@ -94,9 +94,7 @@ def test_torus_theta_family_passes_both():
 def test_sphere_family_trend():
     members = {tj: ex.fuzzy_sphere(tj) for tj in (1, 2, 3)}
     fam = fl.ParamFamily(labels=[1, 2, 3], t0=3, members=members, name="spheres")
-    bmaps = {tj: ex.berezin_maps(tj, ex.DEFAULT_SU2_GRID) for tj in (1, 2, 3)}
-    rules = {tj: dq.berezin_transport_map(members[tj], members[3], bmaps[tj], bmaps[3])
-             for tj in (1, 2)}
+    rules = {tj: dq.berezin_transport_map(members[tj], members[3]) for tj in (1, 2)}
     study = fl.convergence_study(fam, rules, bound_r=None, eps_net=0.5, budget=24, seed=0,
                                  characters=ex.sphere_characters(3, ex.DEFAULT_SU2_GRID))
     rows = {r["t"]: r for r in study["rows"] if "upper" in r}

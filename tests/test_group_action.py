@@ -271,6 +271,31 @@ def test_ergodicity_block_sum_false():
     assert not ga.ergodicity_check(action, full_matrix_space(4).ortho)
 
 
+def test_ergodicity_subgroup_false(torus3):
+    # torus(3,1) under Z_3 x {0} fixes the frequencies (0, w2): the trivial
+    # character's raw multiplicity is 3, the rank of its isotypic projection
+    sub = [torus3.action.group.elements.index((k, 0)) for k in range(3)]
+    action = ga.UnitaryAction(group=ga.torus_group(3, 1),
+                              implementers=torus3.action.implementers[sub])
+    basis = torus3.space.ortho
+    trivial = ga.torus_characters(3, 1)[0]
+    (raw, m), = ga.multiplicities(action, [trivial], basis)
+    assert m == 3 and abs(raw - 3) < 1e-9
+    images = np.array([isotypic_oracle(action, [trivial], e) for e in basis])
+    sv = np.linalg.svd(images.reshape(len(basis), -1), compute_uv=False)
+    assert int(np.sum(sv > 1e-8 * sv[0])) == 3
+    assert not ga.ergodicity_check(action, basis)
+
+
+def test_ergodicity_coarse_grid_raises():
+    # a grid too coarse to integrate the trivial character has no verdict
+    for two_j, n in ((3, 3), (4, 4)):
+        s = ex.fuzzy_sphere(two_j, grid_dims=(n, n, n))
+        with pytest.raises(ga.QuadratureError) as err:
+            ga.ergodicity_check(s.action, s.space.ortho)
+        assert abs(err.value.raw - 1) > ga.DEFAULT_INTEGER_TOL
+
+
 def test_su2_grid_structure():
     grid = ga.su2_euler_grid(4, 4, 4)
     g = grid.group

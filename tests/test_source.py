@@ -35,7 +35,6 @@ TEST_ONLY = {
     "QuadratureError.__init__": "runs only when a quadrature is too coarse for a multiplicity",
     "random_hermitian": "test input",
     "dirac_state": "test input",
-    "multiplicity": "perfbench/tracer.py hooks it by name; tests check one character at a time",
     "SampledGroup.seminorm_support": "perfbench/workloads.py::reference_gauge reads it; the "
                                      "kernel oracle of tests/conftest.py starts from it",
 }
