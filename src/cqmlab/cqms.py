@@ -216,9 +216,11 @@ class BallNet:
 class Cqms:
     """Order-unit space + ergodic action + derived metric structure.
 
-    Immutable in spirit after construction; ``net_cache``, the ball-net
-    sample (``_ball_sample``), the Dirac metric and the seminorm operator
-    are write-once memoizations.  The radius cache ``_radius`` (None until
+    Immutable in spirit after construction; ``net_cache``, ``upper_cache``
+    (the glue upper bounds of ``distoq.dist_oq_upper`` with this space as
+    source, keyed by everything they read), the ball-net sample
+    (``_ball_sample``), the Dirac metric and the seminorm operator are
+    write-once memoizations.  The radius cache ``_radius`` (None until
     the first radius ascent; then the best pure-state pair's value in radius
     units and its element, or None for an exact radius) only rises: a
     ``state_diameter`` call continues its ascent.  ``unconverged_stages``
@@ -231,6 +233,7 @@ class Cqms:
     name: str = ""
     basis_labels: dict = field(default_factory=dict)   # torus frequency w -> unitary u_w
     net_cache: dict = field(default_factory=dict, init=False)
+    upper_cache: dict = field(default_factory=dict, init=False, repr=False)
     _radius: tuple | None = field(default=None, init=False, repr=False)
     _op: tuple | None = field(default=None, init=False, repr=False)
     _dirac: np.ndarray | None = field(default=None, init=False, repr=False)
@@ -453,6 +456,9 @@ class Cqms:
         outside W at least ``WORKING_ADD`` times the max join W, and the solve
         is run again from the result until none join.
 
+        That admission check eigensolves every element at or above its reach,
+        the max among them, so it holds the exact full-kernel L at the result:
+        the next solve's first temperature and the final rescaling reuse it.
         The result is rescaled by its exact full-kernel seminorm, so the
         returned value is a guaranteed lower bound of the support function
         (and equals it, up to the LP's tolerance, on diagonal spaces).  A
@@ -479,26 +485,37 @@ class Cqms:
             work = np.sort(np.argsort(-norms, kind="stable")[:WORKING_SEED])
 
         u = np.zeros(nmat.shape[1])
+        lv = None                                # the full-kernel L at u, once known
         while nmat.shape[1] > 0:
             sub = op if work is None else op.reshape(ns, kernel, -1)[:, work].reshape(ns, -1)
+
+            def exact(v, start=u, known=lv):
+                # the anneal's first call is at u, where the admission check
+                # below may already hold L
+                if known is not None and v is start:
+                    return known
+                return self._coeff_seminorms((c0 + nmat @ v)[None])[0]
+
             u, unconverged = minimize_norms((c0 @ sub).reshape(layout), nmat.T @ sub, np.ones(1),
-                                            lambda u: self._coeff_seminorms((c0 + nmat @ u)[None])[0],
-                                            u)
+                                            exact, u)
             self.unconverged_stages += unconverged
             if work is None:
                 break
             norms = self._kernel_norms((c0 + nmat @ u)[None], WORKING_ADD)[0]
-            new = np.setdiff1d(np.flatnonzero(norms >= WORKING_ADD * np.max(norms)), work)
+            lv = np.max(norms)
+            new = np.setdiff1d(np.flatnonzero(norms >= WORKING_ADD * lv), work)
             if new.size == 0:
                 break
             work = np.union1d(work, new)
-        return self._rescaled(c0 + nmat @ u)    # the slice keeps <g, a> = 1
+        return self._rescaled(c0 + nmat @ u, lv)    # the slice keeps <g, a> = 1
 
-    def _rescaled(self, c: np.ndarray) -> tuple[float, np.ndarray]:
+    def _rescaled(self, c: np.ndarray, lv: float | None = None) -> tuple[float, np.ndarray]:
         """(1 / L, a / L) for a = sum c_k S_k: a on the exact unit sphere of
-        the seminorm, and 1 / L a support solve's value when <g, a> = 1."""
+        the seminorm, and 1 / L a support solve's value when <g, a> = 1.  L is
+        ``lv`` when the caller already holds it exactly, else computed."""
         a = nm.combine(c, self.space.ortho[1:])
-        lv = self._coeff_seminorms(c[None])[0]
+        if lv is None:
+            lv = self._coeff_seminorms(c[None])[0]
         if lv < 1e-12:
             raise NonLipError(
                 "seminorm vanishes off the scalars; the action is not ergodic "

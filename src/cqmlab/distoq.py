@@ -32,7 +32,7 @@ Upper reports flag nets that stopped at their point cap (``net_a_capped``,
 net.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -344,6 +344,16 @@ def dist_oq_upper(a: Cqms, b: Cqms, phi: ComparisonMap, big_r: float | None,
     frequency maps it does not: for torus(3,1)->(5,1) the distortion
     exceeds 0.71 against a glue_eps of 0.430, so ``certified_upper`` there
     is an estimate, not a bound.
+
+    Each bound is computed once per question and memoized in A's
+    ``upper_cache``.  The question is everything the bound reads: B (by
+    identity; the entry holds B, so its id is not reused), phi's label,
+    ``x_ortho`` and ``images`` (exact contents), the two ball radii, the
+    plain radii r_A and r_B (a ``state_diameter`` call can raise a dense
+    radius), ``eps_net``, ``budget`` and ``seed``.  So the plain bound and
+    an R-variant whose balls are the same (R = r_A = r_B, as on even
+    cycles) share one computation.  Every call returns a fresh report with
+    its own ``kind``, ``big_r`` and ``components`` dict.
     """
     if (phi.dim_a, phi.dim_b) != (a.dim, b.dim):
         raise ValueError(f"comparison map {phi.label!r} goes from {phi.dim_a} x {phi.dim_a} "
@@ -354,6 +364,12 @@ def dist_oq_upper(a: Cqms, b: Cqms, phi: ComparisonMap, big_r: float | None,
         kind, radius_a, radius_b = "oq", ra, rb
     else:
         kind, radius_a, radius_b = "oq_R", float(big_r), float(big_r)
+    key = (id(b), phi.label,
+           tuple((m.dtype.str, m.shape, m.tobytes()) for m in (phi.x_ortho, phi.images)),
+           radius_a, radius_b, ra, rb, eps_net, budget, seed)
+    if key in a.upper_cache:
+        known = a.upper_cache[key][1]
+        return replace(known, kind=kind, big_r=big_r, components=dict(known.components))
     net_a = a.ball_net(radius_a, eps_net, budget=budget, seed=seed)
     net_b = b.ball_net(radius_b, eps_net, budget=budget, seed=seed)
 
@@ -410,7 +426,7 @@ def dist_oq_upper(a: Cqms, b: Cqms, phi: ComparisonMap, big_r: float | None,
     value = max(h, unit_term)
     slack = net_a.covering_certificate + net_b.covering_certificate
     degraded = not (net_a.complete and net_b.complete)
-    return BoundReport(
+    report = BoundReport(
         pair=(a.name, b.name), kind=kind, big_r=big_r, value=value,
         hausdorff_term=h, unit_term=unit_term, slack=slack,
         certified_upper=value + slack,
@@ -426,6 +442,8 @@ def dist_oq_upper(a: Cqms, b: Cqms, phi: ComparisonMap, big_r: float | None,
         },
         degraded=degraded,
     )
+    a.upper_cache[key] = (b, report)
+    return replace(report, components=dict(report.components))
 
 
 def dist_oq_lower(a: Cqms, b: Cqms) -> LowerReport:
@@ -516,21 +534,19 @@ def audit_chain(a: Cqms, b: Cqms, reports: dict) -> AuditRecord:
 
 def audit_pair(a: Cqms, b: Cqms, phi: ComparisonMap, eps_net: float, budget: int,
                seed: int) -> tuple[dict, AuditRecord]:
-    """Convenience: compute the full report set for a pair and audit it."""
+    """Compute the full report set for a pair and audit it.  Upper variants
+    that ask one question (R = r_B when r_B is the larger radius; the plain
+    distance when r_A = r_B) are computed once, by ``dist_oq_upper``'s memo."""
     ra, rb = a.radius(), b.radius()
-    big_r = max(ra, rb)
     # the lower bound is the radius gap and takes no R or net: one report
     # serves all three variants
     lower = dist_oq_lower(a, b)
-    upper_r = dist_oq_upper(a, b, phi, big_r, eps_net, budget, seed)
     reports = {
         "oq_upper": dist_oq_upper(a, b, phi, None, eps_net, budget, seed),
         "oq_lower": lower,
-        "oqR_upper": upper_r,
+        "oqR_upper": dist_oq_upper(a, b, phi, max(ra, rb), eps_net, budget, seed),
         "oqR_lower": lower,
-        # at r_B = max(r_A, r_B) this is the same call as oqR_upper
-        "oq_rB_upper": (upper_r if rb == big_r
-                        else dist_oq_upper(a, b, phi, rb, eps_net, budget, seed)),
+        "oq_rB_upper": dist_oq_upper(a, b, phi, rb, eps_net, budget, seed),
         "oq_rB_lower": lower,
     }
     return reports, audit_chain(a, b, reports)

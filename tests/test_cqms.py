@@ -530,6 +530,45 @@ def test_working_kernel_support(name, monkeypatch):
         assert len(set(widths)) <= 4 and max(widths) < 2 * cq.WORKING_SEED
 
 
+def test_support_solve_reuses_admission_seminorm(monkeypatch):
+    # the admission check after each working-kernel ladder holds the exact
+    # full-kernel L at the ladder's result; the next ladder's first
+    # temperature and the final rescaling read it.  So a solve of R ladders
+    # evaluates 1 (the seed) + R (admissions) + 4 + 3 (R - 1) (the ladders'
+    # temperatures) = 4R + 2 kernel rows, where recomputing took 5R + 2
+    obj = ex.fuzzy_sphere(2)
+    screened, minimize_norms, rescaled = cq.Cqms._kernel_norms, cq.minimize_norms, cq.Cqms._rescaled
+    rows, ladders, handed = [], [], []
+
+    def counting(self, coeff_rows, *args):
+        rows.append(len(coeff_rows))
+        return screened(self, coeff_rows, *args)
+
+    def recording(*args):
+        ladders.append(1)
+        return minimize_norms(*args)
+
+    def checked(self, c, lv=None):
+        # the handed L is the full kernel's, to the bit
+        handed.append(lv)
+        assert lv == np.max(screened(self, c[None])[0])
+        return rescaled(self, c, lv)
+
+    monkeypatch.setattr(cq.Cqms, "_kernel_norms", counting)
+    monkeypatch.setattr(cq, "minimize_norms", recording)
+    monkeypatch.setattr(cq.Cqms, "_rescaled", checked)
+    solves = []
+    for g in _orthogonal_pure_pairs(obj, 3, seed=5):
+        rows.clear()
+        ladders.clear()
+        obj._support_max(g)
+        r = len(ladders)
+        assert sum(rows) == len(rows) == 1 + r + len(cq.LADDER) + (len(cq.LADDER) - 1) * (r - 1)
+        solves.append(r)
+    assert len(handed) == 3 and None not in handed
+    assert max(solves) > 1
+
+
 @pytest.mark.parametrize("name", ["sphere2", "sphere3"])
 def test_kernel_norms_screen_is_exact(name, monkeypatch):
     # the traceless-HS bound skips eigensolves, but every solved norm is

@@ -283,6 +283,7 @@ def test_glue_unconverged_stages_counted(torus_pair, monkeypatch):
 
     monkeypatch.setattr(cq, "_newton_stage", counting)
     monkeypatch.setattr(cq, "NEWTON_STEPS", 0)
+    a.upper_cache.clear()       # the patched solver answers the same question anew
     capped = dq.dist_oq_upper(a, b, phi, None, eps_net=0.6, budget=8, seed=0)
     assert stages and capped.components["glue_unconverged_stages"] == len(stages)
 
@@ -364,6 +365,7 @@ def test_reports_flag_capped_nets(cycle8, cycle16, monkeypatch):
         with monkeypatch.context() as mp:
             mp.setattr(cq.Cqms, "ball_net",
                        lambda self, *args, **kw: ball_net(self, *args, **kw, max_points=cap))
+            cycle8.upper_cache.clear()      # the patched cap is not part of the question
             up = dq.dist_oq_upper(cycle8, cycle16, phi, None, eps_net=0.8, budget=16, seed=0)
         assert up.components["net_a_capped"] is flag
         assert up.components["net_b_capped"] is flag
@@ -467,27 +469,107 @@ def test_audit_cycle_pair(cycle8, cycle16):
     assert record.all_passed
 
 
+def _computations(monkeypatch):
+    """The ``big_r`` of every ``dist_oq_upper`` call that computed its bound
+    rather than reading it from the memo, and the label of the map each
+    computation measured: a computation measures phi once."""
+    computed, measured = [], []
+    upper, measure = dq.dist_oq_upper, dq.ComparisonMap.measure
+
+    def counting_measure(self, extra):
+        measured.append(self.label)
+        return measure(self, extra)
+
+    def counting_upper(*args):
+        before = len(measured)
+        report = upper(*args)
+        if len(measured) > before:
+            computed.append(args[3])
+        return report
+
+    monkeypatch.setattr(dq.ComparisonMap, "measure", counting_measure)
+    monkeypatch.setattr(dq, "dist_oq_upper", counting_upper)
+    return computed, measured
+
+
 def test_audit_reuses_upper_at_larger_radius(cycle8, monkeypatch):
-    # when r_B is the larger radius, the R = r_B upper report is the R =
-    # max(r_A, r_B) one, computed once; otherwise it is a third call
+    # when r_B is the larger radius, the R = r_B upper report asks the R =
+    # max(r_A, r_B) question, computed once; otherwise it is a third computation
     squared = relengthed_cycle(8, np.square)
     assert squared.radius() < cycle8.radius()
     phi = dq.identity_map(cycle8)
-    calls = []
-    upper = dq.dist_oq_upper
-
-    def counting(*args):
-        calls.append(args[3])
-        return upper(*args)
-
-    monkeypatch.setattr(dq, "dist_oq_upper", counting)
+    computed, _ = _computations(monkeypatch)
     reports, _ = dq.audit_pair(squared, cycle8, phi, eps_net=0.5, budget=8, seed=0)
-    assert len(calls) == 2 and set(calls) == {cycle8.radius(), None}
-    assert reports["oq_rB_upper"] is reports["oqR_upper"]
-    calls.clear()
+    assert len(computed) == 2 and set(computed) == {cycle8.radius(), None}
+    assert reports["oq_rB_upper"].as_dict() == reports["oqR_upper"].as_dict()
+    computed.clear()
     reports, _ = dq.audit_pair(cycle8, squared, phi, eps_net=0.5, budget=8, seed=0)
-    assert len(calls) == 3 and set(calls) == {cycle8.radius(), None, squared.radius()}
+    assert len(computed) == 3 and set(computed) == {cycle8.radius(), None, squared.radius()}
     assert reports["oq_rB_upper"].big_r == squared.radius()
+
+
+def test_upper_memo_answers_only_its_question(monkeypatch):
+    # the glue bound is memoized on its source space, keyed by everything it
+    # reads: asked again it is read, with any one part changed it is computed
+    a, b = ex.fuzzy_torus(2, 1), ex.fuzzy_torus(3, 1)
+    phi = dq.torus_frequency_map(a, b)
+    computed, _ = _computations(monkeypatch)
+    first = dq.dist_oq_upper(a, b, phi, 2.5, 0.6, 8, 0)
+    again = dq.dist_oq_upper(a, b, dq.torus_frequency_map(a, b), 2.5, 0.6, 8, 0)
+    assert len(computed) == 1
+    assert again is not first and again.as_dict() == first.as_dict()
+    again.components["glue_eps"] = -1.0          # a caller's edit stays its own
+    assert dq.dist_oq_upper(a, b, phi, 2.5, 0.6, 8, 0).as_dict() == first.as_dict()
+    halved = dq.ComparisonMap(phi.x_ortho, phi.images / 2.0, label=phi.label)
+    changed = [(ex.fuzzy_torus(3, 1), phi, 2.5, 0.6, 8, 0),     # an equal, other target
+               (b, halved, 2.5, 0.6, 8, 0),                      # same label, other images
+               (b, phi, 2.5, 0.5, 8, 0), (b, phi, 2.5, 0.6, 9, 0),
+               (b, phi, 2.5, 0.6, 8, 1), (b, phi, 2.75, 0.6, 8, 0)]
+    for count, (target, m, big_r, eps_net, budget, seed) in enumerate(changed, start=2):
+        dq.dist_oq_upper(a, target, m, big_r, eps_net, budget, seed)
+        assert len(computed) == count
+    # a state_diameter call raises the dense target's radius: the balls stay
+    # at R, but the report's r_B is read anew
+    rb = b.radius()
+    b.state_diameter(sample=8, seed=0)
+    assert b.radius() > rb
+    raised = dq.dist_oq_upper(a, b, phi, 2.5, 0.6, 8, 0)
+    assert len(computed) == len(changed) + 2
+    assert raised.components["radius_b"] == b.radius() != first.components["radius_b"]
+
+
+def test_plain_and_R_variant_share_one_computation(monkeypatch):
+    # even cycles have radius pi/2 to the bit, so the plain bound and its
+    # R-variant at R = r_A = r_B ask one question: computed once, reported
+    # twice, alike but for kind and R
+    a, b = ex.commutative_cycle(8), ex.commutative_cycle(16)
+    assert a.radius() == b.radius()
+    phi = dq.cycle_refinement_map(a, b)
+    computed, _ = _computations(monkeypatch)
+    plain = dq.dist_oq_upper(a, b, phi, None, 0.35, 32, 7)
+    at_r = dq.dist_oq_upper(a, b, phi, b.radius(), 0.35, 32, 7)
+    assert computed == [None]
+    assert (plain.kind, plain.big_r, at_r.kind, at_r.big_r) == ("oq", None, "oq_R", b.radius())
+    assert {**plain.as_dict(), "kind": "", "R": 0} == {**at_r.as_dict(), "kind": "", "R": 0}
+
+
+def test_bundled_runs_compute_each_bound_once(monkeypatch):
+    # regression asks one c8|c16 question three times (its dist job, then the
+    # audit's plain and R-variants); cycle-refinement asks c12|c24's plain
+    # bound twice (its dist job and the audit) beside the audit's R-variant;
+    # the torus audit computes its two questions
+    _, measured = _computations(monkeypatch)
+    scenarios = Path(__file__).resolve().parents[1] / "scenarios"
+    for name, label, want in (("regression", "cycle(m=8)->cycle(m=16)", 1),
+                              ("cycle-refinement", "cycle(m=12)->cycle(m=24)", 2)):
+        measured.clear()
+        _, code = cli.run_scenario(json.loads((scenarios / f"{name}.json").read_text()))
+        assert code == 0
+        assert measured.count(f"cycle-refinement({label})") == want
+    measured.clear()
+    a, b = ex.fuzzy_torus(3, 1), ex.fuzzy_torus(5, 1)
+    dq.audit_pair(a, b, dq.torus_frequency_map(a, b), eps_net=0.5, budget=24, seed=1)
+    assert len(measured) == 2
 
 
 def test_audit_detects_corruption(cycle8, cycle16):
