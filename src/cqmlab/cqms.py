@@ -35,19 +35,22 @@ exact.
 Otherwise the norms are smoothed by log-sum-exp and minimized by damped
 Newton steps at the decreasing temperatures of one ladder, ``LADDER``; the
 exact Hessian comes from the Daleckii-Krein formula for the second
-derivative of a spectral function.  One routine, ``spectral_lse``, gives
-the value, gradient and Hessian of that smoothing for any affine family of
-matrices, and the gradient's derivative in the temperature.  One loop,
-``anneal``, runs every temperature stage, each started on the tangent of
-the minimizer path that the previous stage returns (a Newton step in tau),
-so a stage mostly polishes instead of travelling.  The support solve runs
-on a working kernel: the ``WORKING_SEED`` elements largest at the starting
-point (the whole kernel when it is no larger).  After each solve every
-kernel element is evaluated at the result; those whose norm is at least
-``WORKING_ADD`` times the full-kernel max join the working kernel, and the
-solve is repeated, warm-started, until none join.  Values returned are
-honest lower bounds (the result is rescaled by its true full-kernel, not
-smoothed, seminorm).
+derivative of a spectral function.  Two routines give that smoothing for
+any affine family of matrices: ``spectral_lse_value`` its value, from one
+``eigh``, and ``spectral_lse_derivatives`` the gradient, Hessian and the
+gradient's derivative in the temperature, from that stored decomposition.
+A Newton stage judges each trial point on its value alone, differentiates
+only the points it accepts, and takes the temperature derivative only at
+convergence.  One loop, ``anneal``, runs every temperature stage, each
+started on the tangent of the minimizer path that the previous stage
+returns (a Newton step in tau), so a stage mostly polishes instead of
+travelling.  The support solve runs on a working kernel: the
+``WORKING_SEED`` elements largest at the starting point (the whole kernel
+when it is no larger).  After each solve every kernel element is evaluated
+at the result; those whose norm is at least ``WORKING_ADD`` times the
+full-kernel max join the working kernel, and the solve is repeated,
+warm-started, until none join.  Values returned are honest lower bounds
+(the result is rescaled by its true full-kernel, not smoothed, seminorm).
 
 The radius is half the diameter of the state space under the dual metric:
 for Hermitian a, |a~| = (lambda_max - lambda_min) / 2 is half the largest
@@ -674,46 +677,53 @@ class Cqms:
         return 2.0 * self.radius()
 
 
-def spectral_lse(mats: np.ndarray, dirs: np.ndarray, tau: float):
-    """Value, gradient, Hessian and the gradient's tau-derivative of f = tau
-    log S, S = sum 2 cosh(lambda / tau) over the eigenvalues lambda of every
-    matrix in a group, for each of g groups of an affine family of Hermitian
-    matrices M_x + sum_k c_k D_k,x, at c = 0: ``mats`` (g, m, d, d) holds the
-    M_x and ``dirs`` (g, m, n, d, d) the D_k,x; returns arrays of shapes (g,),
-    (g, n), (g, n, n) and (g, n).
-
-    Derivatives come from the Daleckii-Krein formula in each matrix's
-    eigenbasis V, where B_k = V* D_k V: dS/dc_k = sum_i F'(lambda_i) B_k,ii and
-    d2S/dc_k dc_l = sum_ij Gamma_ij Re(B_k,ij conj(B_l,ij)), with Gamma the
-    divided differences of F'(x) = 2 sinh(x / tau) / tau (taken through
-    sinh(delta) / delta when two eigenvalues lie within tau of each other);
-    then d2f = tau (S'' / S - S' S'^T / S^2).  Every exponential is shifted by
-    its group's largest |lambda|, z, so none overflows.  The gradient is sum_i
-    coef_i B_k,ii with coef = (up - down) / total over the shifted terms up =
-    e^((lambda - z) / tau) and down = e^((-lambda - z) / tau); differentiating
-    those in tau (d up = -up (lambda - z) / tau^2, d down = down (lambda + z) /
-    tau^2) gives d grad / d tau, the input of ``anneal``'s stage predictor.
+def spectral_lse_value(mats: np.ndarray, tau: float):
+    """(value, spectrum): f = tau log S, S = sum 2 cosh(lambda / tau) over the
+    eigenvalues lambda of every matrix in a group, for each of g groups of
+    Hermitian matrices ``mats`` (g, m, d, d), from one ``eigh`` of the stack;
+    ``spectrum`` holds that decomposition and its exponentials for
+    ``spectral_lse_derivatives``.  Every exponential is shifted by its
+    group's largest |lambda|, z, so none overflows: up = e^((lambda - z) /
+    tau), down = e^((-lambda - z) / tau), and f = z + tau log(sum up + down).
     """
-    g, m, n, d = dirs.shape[:4]
     vals, v = np.linalg.eigh(mats)
     # (array methods rather than np.max / np.sum: these tiny reductions are
     # evaluated thousands of times per solve, and the wrappers cost more)
     zmax = np.abs(vals).max(axis=(1, 2))
     shift = zmax[:, None, None]
     up, down = np.exp((vals - shift) / tau), np.exp((-vals - shift) / tau)
-    d_up, d_down = -up * (vals - shift) / tau ** 2, down * (vals + shift) / tau ** 2
     total = up.sum(axis=(1, 2)) + down.sum(axis=(1, 2))
-    d_total = d_up.sum(axis=(1, 2)) + d_down.sum(axis=(1, 2))
-    val = zmax + tau * np.log(total)
+    return zmax + tau * np.log(total), (vals, v, shift, up, down, total)
+
+
+def spectral_lse_derivatives(spectrum, dirs: np.ndarray, tau: float):
+    """(gradient, Hessian, d_tau) of ``spectral_lse_value``'s f at the
+    ``spectrum`` it returned, for each of g groups of an affine family of
+    Hermitian matrices M_x + sum_k c_k D_k,x, at c = 0: the spectrum is that
+    of the M_x and ``dirs`` (g, m, n, d, d) holds the D_k,x.  The gradient
+    and Hessian have shapes (g, n) and (g, n, n); ``d_tau()`` gives the
+    gradient's tau-derivative, (g, n), from the same eigenbasis products.
+
+    Derivatives come from the Daleckii-Krein formula in each matrix's
+    eigenbasis V, where B_k = V* D_k V: dS/dc_k = sum_i F'(lambda_i) B_k,ii and
+    d2S/dc_k dc_l = sum_ij Gamma_ij Re(B_k,ij conj(B_l,ij)), with Gamma the
+    divided differences of F'(x) = 2 sinh(x / tau) / tau (taken through
+    sinh(delta) / delta when two eigenvalues lie within tau of each other);
+    then d2f = tau (S'' / S - S' S'^T / S^2).  The gradient is sum_i coef_i
+    B_k,ii with coef = (up - down) / total over the shifted terms;
+    differentiating those in tau (d up = -up (lambda - z) / tau^2, d down =
+    down (lambda + z) / tau^2) gives d grad / d tau, the input of ``anneal``'s
+    stage predictor.
+    """
+    vals, v, shift, up, down, total = spectrum
+    g, m, n, d = dirs.shape[:4]
     coef = (up - down) / total[:, None, None]   # tau F'(lambda) / S
-    d_coef = (d_up - d_down - coef * d_total[:, None, None]) / total[:, None, None]
     # B_k = V* D_k V for every matrix and direction, laid out as
     # (matrix, i, k, j) so that one product per matrix covers every k
     dv = dirs.reshape(g * m, n * d, d) @ v.reshape(g * m, d, d)
     dv = dv.reshape(g * m, n, d, d).transpose(0, 2, 1, 3).reshape(g * m, d, n * d)
     bmat = (v.conj().swapaxes(-1, -2).reshape(g * m, d, d) @ dv).reshape(g, m, d, n, d)
     grad = np.einsum("gxiki,gxi->gk", bmat, coef).real
-    dgrad = np.einsum("gxiki,gxi->gk", bmat, d_coef).real
     # tau S''/S: the divided differences of coef for pairs at least tau
     # apart; closer pairs take (up + down) at their midpoint times
     # sinh(delta) / (delta tau), delta = gap / (2 tau), which has no 0/0
@@ -730,7 +740,14 @@ def spectral_lse(mats: np.ndarray, dirs: np.ndarray, tau: float):
     rows = (bmat * np.sqrt(np.maximum(gamma, 0.0))[:, :, :, None, :]).view(float)
     rows = rows.transpose(0, 3, 1, 2, 4).reshape(g, n, -1)
     hess = rows @ rows.swapaxes(1, 2) - grad[:, :, None] * grad[:, None, :] / tau
-    return val, grad, hess, dgrad
+
+    def d_tau():
+        d_up, d_down = -up * (vals - shift) / tau ** 2, down * (vals + shift) / tau ** 2
+        d_total = d_up.sum(axis=(1, 2)) + d_down.sum(axis=(1, 2))
+        d_coef = (d_up - d_down - coef * d_total[:, None, None]) / total[:, None, None]
+        return np.einsum("gxiki,gxi->gk", bmat, d_coef).real
+
+    return grad, hess, d_tau
 
 
 def minimize_norms(start: np.ndarray, lin: np.ndarray, weights: np.ndarray, exact,
@@ -748,7 +765,8 @@ def minimize_norms(start: np.ndarray, lin: np.ndarray, weights: np.ndarray, exac
     end optimal raises (``exact`` and the start u are then unused).  Real
     views of the complex matrices, (g, m, d, 2d), are annealed from u
     (``anneal``, its temperatures scaled by ``exact(u)``) on the weighted sum
-    of each group's ``spectral_lse``.
+    of each group's ``spectral_lse_value``, differentiated by
+    ``spectral_lse_derivatives`` only where ``_newton_stage`` asks.
     """
     g, n = len(start), len(lin)
     if start.ndim == 3:
@@ -767,22 +785,26 @@ def minimize_norms(start: np.ndarray, lin: np.ndarray, weights: np.ndarray, exac
 
     def smoothed(v, tau):
         mats = (start + (v @ lin).reshape(start.shape)).view(complex)
-        val, grad, hess, dgrad = spectral_lse(mats, dirs, tau)
-        return (weights @ val, weights @ grad,
-                (weights @ hess.reshape(g, -1)).reshape(n, n), weights @ dgrad)
+        val, spectrum = spectral_lse_value(mats, tau)
+
+        def derivatives():
+            grad, hess, d_tau = spectral_lse_derivatives(spectrum, dirs, tau)
+            return (weights @ grad, (weights @ hess.reshape(g, -1)).reshape(n, n),
+                    lambda: weights @ d_tau())
+
+        return weights @ val, derivatives
 
     return anneal(smoothed, exact, u)
 
 
 def anneal(smoothed, exact, u: np.ndarray) -> tuple[np.ndarray, int]:
     """(final u, unconverged stages): one ``_newton_stage`` on ``smoothed(u,
-    tau) -> (value, gradient, hessian, d gradient / d tau)`` per factor of
-    ``LADDER``, tau the factor times ``exact(u)``, floored at 1e-9, at the
-    previous stage's minimizer u.  The minimizer path u(tau) moves O(tau' -
-    tau) between stages, so a stage starts on its tangent, at u + (tau' - tau)
-    du/dtau, when the previous stage converged and returned one, and at u
-    otherwise.  The one stage loop, run by ``minimize_norms`` for every
-    dense norm solve."""
+    tau) -> (value, derivatives)`` per factor of ``LADDER``, tau the factor
+    times ``exact(u)``, floored at 1e-9, at the previous stage's minimizer
+    u.  The minimizer path u(tau) moves O(tau' - tau) between stages, so a
+    stage starts on its tangent, at u + (tau' - tau) du/dtau, when the
+    previous stage converged and returned one, and at u otherwise.  The one
+    stage loop, run by ``minimize_norms`` for every dense norm solve."""
     unconverged, tau, tangent = 0, None, None
     for factor in LADDER:
         new_tau = factor * max(exact(u), 1e-9)
@@ -794,19 +816,24 @@ def anneal(smoothed, exact, u: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def _newton_stage(smoothed, u: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """Damped Newton on ``smoothed(u) -> (value, gradient, hessian, d gradient
-    / d tau)`` from u: (final u, its tangent du/dtau), the tangent None when
-    the Newton decrement did not meet ``NEWTON_TOL``.  Each step is halved
-    until it achieves a quarter of the decrease its slope predicts (Armijo),
-    at most 40 times; a stage whose backtrack fails, or that reaches
-    ``NEWTON_STEPS`` steps, ends unconverged.
+    """Damped Newton on ``smoothed(u) -> (value, derivatives)`` from u:
+    (final u, its tangent du/dtau), the tangent None when the Newton
+    decrement did not meet ``NEWTON_TOL``.  ``derivatives() -> (gradient,
+    hessian, d_tau)`` differentiates at u from the decomposition that gave
+    the value, and ``d_tau()`` is d gradient / d tau there.  Each step is
+    halved until it achieves a quarter of the decrease its slope predicts
+    (Armijo), at most 40 times; a stage whose backtrack fails, or that
+    reaches ``NEWTON_STEPS`` steps, ends unconverged.  A trial point is
+    judged on its value alone: the gradient and Hessian are formed once per
+    accepted point, and d gradient / d tau once, at a converged stage's end.
 
     At a minimizer the gradient vanishes for every tau, so H du/dtau + d
     gradient / d tau = 0: the tangent is -H+ (d gradient / d tau), H+ the
     pseudo-inverse over the eigenpairs that the final convergence check kept.
     """
-    val, grad, hess, dgrad = smoothed(u)
+    val, derivatives = smoothed(u)
     for steps in range(NEWTON_STEPS + 1):
+        grad, hess, d_tau = derivatives()
         # the Hessian is positive semidefinite; directions of curvature below
         # 1e-12 of the largest (flat ones, such as any direction at a minimum
         # with gradient 0) are left out of the step
@@ -816,16 +843,16 @@ def _newton_stage(smoothed, u: np.ndarray) -> tuple[np.ndarray, np.ndarray | Non
         step = -v @ ((grad @ v) / w)
         slope = float(grad @ step)               # minus the squared decrement
         if -slope <= 2.0 * NEWTON_TOL * val:
-            return u, -v @ ((dgrad @ v) / w)
+            return u, -v @ ((d_tau() @ v) / w)
         if steps == NEWTON_STEPS:
             break
         for halvings in range(40):
             t = 0.5 ** halvings
-            trial = smoothed(u + t * step)
-            if trial[0] <= val + 0.25 * t * slope:
+            trial, trial_derivatives = smoothed(u + t * step)
+            if trial <= val + 0.25 * t * slope:
                 break
         else:
             return u, None                       # no step lowers the value
         u = u + t * step
-        val, grad, hess, dgrad = trial
+        val, derivatives = trial, trial_derivatives
     return u, None

@@ -139,15 +139,28 @@ def _centered(w: int, q: int) -> int:
 def torus_frequency_map(a: Cqms, b: Cqms) -> ComparisonMap:
     """Frequency matching between two fuzzy tori: the unitary at centered
     frequency w in the source goes to the unitary at the same centered
-    frequency in the target (defined whenever the target lattice contains
-    it).  X is the span of the matched Hermitian pairs."""
+    frequency in the target, when the target lattice contains both it and
+    its negative.  X is the span of the matched Hermitian pairs.
+
+    u_-w is a multiple of u_w*, so the Hermitian parts of u_w span those of
+    u_-w, and the map is injective when it commutes with negation.  For an
+    even q_B below q_A it does not: in the target the frequency q_B / 2 is
+    its own negative, while in the source -q_B / 2 is another frequency,
+    outside the target window.  Frequencies with a coordinate at q_B / 2 are
+    then left out; all others, and every frequency of a map into an odd
+    level, between equal levels or into a higher level, are kept."""
     qa = int(round(np.sqrt(len(a.basis_labels))))
     qb = int(round(np.sqrt(len(b.basis_labels))))
+
+    def inside(w):
+        # w and its negative, centred at level q_A, both in the target window
+        return all(-qb // 2 < _centered(v % qa, qa) <= qb // 2 for v in (w, -w))
+
     raw_x, raw_im = [], []
     for (w1, w2), u in sorted(a.basis_labels.items()):
-        c1, c2 = _centered(w1, qa), _centered(w2, qa)
-        if not (-qb // 2 < c1 <= qb // 2 and -qb // 2 < c2 <= qb // 2):
+        if not (inside(w1) and inside(w2)):
             continue
+        c1, c2 = _centered(w1, qa), _centered(w2, qa)
         v = b.basis_labels[(c1 % qb, c2 % qb)]
         raw_x.append((u + u.conj().T) / 2.0)
         raw_im.append((v + v.conj().T) / 2.0)

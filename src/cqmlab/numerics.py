@@ -13,13 +13,13 @@ small eigenproblems per call.
 
 Distances between stacks go through :func:`nearest`, the min and the first
 argmin along both axes of the table |p_i - q_k| (with a per-row offset and a
-ceiling).  It forms the differences ``p_i - q_k`` in blocks of at most
-``DIST_BLOCK`` = 2**14 entries, so this module alone bounds their memory, and
-it decides, with one exact :func:`is_diagonal` scan of each stack, when the
-diagonal shortcut applies.  When both stacks are diagonal a distance is the
-l-infinity distance of the real parts of two diagonals, which is all that
-LAPACK's Hermitian eigensolver reads of a diagonal matrix, so the shortcut
-gives ``eigvalsh``'s numbers bit for bit.
+ceiling).  It forms its differences ``p_i - q_k`` and its Gram products in
+blocks of at most ``DIST_BLOCK`` = 2**14 numbers, so this module alone
+bounds their memory, and it decides, with one exact :func:`is_diagonal` scan
+of each stack, when the diagonal shortcut applies.  When both stacks are
+diagonal a distance is the l-infinity distance of the real parts of two
+diagonals, which is all that LAPACK's Hermitian eigensolver reads of a
+diagonal matrix, so the shortcut gives ``eigvalsh``'s numbers bit for bit.
 The diagonals are then read once as contiguous float (d, n) planes, plane j
 holding the real part of every matrix's j-th entry, so the max over the d
 entries is d elementwise maxima over whole planes, not a reduction along a
@@ -29,20 +29,26 @@ grows a net from the origin by greedy insertion, and reads a diagonal stack,
 as :func:`op_norms` does, in the same planes.
 
 Screening.  For a d x d Hermitian X two cheap norms bracket the operator
-norm: ``max_j |X e_j| <= |X| <= |X|_HS`` (:func:`norm_bounds`, one pass over
-the squared entries, where ``|X|`` costs an eigensolve).  The left side
-holds because every e_j is a unit vector, with equality for diagonal X; it
-is at least ``|X|_HS / sqrt(d)``.  The right side tightens to ``sqrt((d-1)/d)
-|X|_HS`` for traceless X (:func:`traceless_scale`), the one bound ``cqms``
-screens its seminorm sups with.  :func:`nearest` eigensolves only the entries
-whose lower bound can still reach the smallest upper bound, or exact value,
-in their row or column, and :func:`covering_radius` is the max of its column
-minima.  :func:`farthest_first` skips a point whose lower bound to the new
-net point is already at least its current distance to the net, and
-eigensolves the differences it keeps itself.  Each skip is taken with a
-1e-9 relative margin, far above the rounding of either norm, and each
-matrix's ``eigvalsh`` result does not depend on the batch around it, so
-screened and unscreened runs give the same bits.
+norm: ``max_j |X e_j| <= |X| <= |X|_HS``, where ``|X|`` costs an
+eigensolve.  The left side holds because every e_j is a unit vector, with
+equality for diagonal X; it is at least ``|X|_HS / sqrt(d)``.  The right
+side tightens to ``sqrt((d-1)/d) |X|_HS`` for traceless X
+(:func:`traceless_scale`), the one bound ``cqms`` screens its seminorm sups
+with.  For a difference X = p - q both come without forming it, in Gram
+form: ``|X e_j|^2 = |p e_j|^2 + |q e_j|^2 - 2 Re <p e_j, q e_j>``, from one
+product of the column views (:func:`_columns`) per column j, summed over j
+for ``|X|_HS^2``, to within a rounding margin that :func:`farthest_first`
+derives.  :func:`nearest` brackets every entry of its table that way and
+eigensolves only the entries whose lower bound can still reach the smallest
+upper bound, or exact value, in their row or column; :func:`covering_radius`
+is the max of its column minima.  :func:`farthest_first` skips a point whose
+lower bound to the new net point is already at least its current distance
+to the net: the Gram column bound, then a fourth moment, ``|X|^2 >= tr X^4 /
+tr X^2`` (the eigenvalues' fourth powers sum to at most max lambda^2 times
+their squares' sum); it eigensolves the differences it keeps itself.  Each
+skip is taken with a 1e-9 relative margin, far above the rounding of any of
+these norms, and each matrix's ``eigvalsh`` result does not depend on the
+batch around it, so screened and unscreened runs give the same bits.
 """
 
 import math
@@ -133,15 +139,19 @@ def _diagonal_planes(stack: np.ndarray) -> np.ndarray:
     return planes
 
 
-def norm_bounds(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(max_j |X e_j|, |X|_HS) for each matrix X of a complex stack
-    (..., d, d): the largest column norm and the Hilbert-Schmidt norm, which
-    bracket the operator norm, ``max_j |X e_j| <= |X| <= |X|_HS``.  Both come
-    from one pass over the squared entries."""
-    sq = np.abs(stack)
-    sq *= sq
-    cols = np.sum(sq, axis=-2)
-    return np.sqrt(np.max(cols, axis=-1)), np.sqrt(np.sum(cols, axis=-1))
+def _columns(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(cols, sq) of a complex stack (n, d, d): ``cols`` (d, n, 2d) holds
+    column j of every matrix as 2d reals, grouped by j, so the real dot
+    product of two rows of ``cols[j]`` is Re <X e_j, Y e_j>, and ``sq`` (d,
+    n) their squared norms."""
+    cols = np.ascontiguousarray(stack.transpose(2, 0, 1)).view(float)
+    return cols, np.einsum("jnr,jnr->jn", cols, cols)
+
+
+def _gram_margin(terms: int) -> float:
+    """The relative margin of a Gram-form squared distance over ``terms``
+    real entries (see :func:`farthest_first`)."""
+    return 2.0 * (terms + 2) * np.finfo(float).eps
 
 
 def nearest(p: np.ndarray, q: np.ndarray, offset=0.0, ceiling=np.inf):
@@ -160,13 +170,14 @@ def nearest(p: np.ndarray, q: np.ndarray, offset=0.0, ceiling=np.inf):
     formed in one plane-sized float buffer: one subtraction, one abs and an
     exact max per entry, the same numbers as ``op_norms``'s diagonal branch
     and as ``eigvalsh`` of the difference.
-    Otherwise :func:`norm_bounds` of the differences, in blocks of at most
-    ``DIST_BLOCK`` entries, bracket every entry, ``lo <= T <= hi``, and an
-    entry with ``lo >= ceiling`` is the ceiling.  The entry with the
-    smallest hi in each row and each column is eigensolved first, and its
-    exact value replaces its hi.  Then only the entries whose lo is at most
-    their row's or their column's smallest hi are eigensolved: any other is
-    above both minima, so it is neither a min nor an argmin.
+    Otherwise every entry is bracketed, ``lo <= T <= hi``, in Gram form
+    (:func:`_dense_bracket`): lo from the largest column norm of the
+    difference, hi from its HS norm, with no difference formed.  An entry
+    with ``lo >= ceiling`` is the ceiling.  The entry with the smallest hi in
+    each row and each column is eigensolved first, and its exact value
+    replaces its hi.  Then only the entries whose lo is at most their row's
+    or their column's smallest hi are eigensolved: any other is above both
+    minima, so it is neither a min nor an argmin.
     """
     p, q = np.asarray(p, dtype=complex), np.asarray(q, dtype=complex)
     n, m = len(p), len(q)
@@ -191,24 +202,13 @@ def nearest(p: np.ndarray, q: np.ndarray, offset=0.0, ceiling=np.inf):
                     np.maximum(block, mags, out=block)
         table = np.minimum(ceiling, offset + table)
         return np.min(table, 1), np.argmin(table, 1), np.min(table, 0), np.argmin(table, 0)
-    d = p.shape[-1]
-    lo, hi = np.empty((n, m)), np.empty((n, m))
-    cols = max(1, min(m, DIST_BLOCK // (d * d)))
-    rows = max(1, DIST_BLOCK // (cols * d * d))
-    for i in range(0, n, rows):
-        for j in range(0, m, cols):
-            lo[i:i + rows, j:j + cols], hi[i:i + rows, j:j + cols] = norm_bounds(
-                p[i:i + rows, None] - q[None, j:j + cols])
-    # 1e-9 relative covers rounding, 1e-150 absolute squares that underflow;
-    # float addition is monotone, so adding the offset keeps both bounds
-    lo = offset + (lo * (1.0 - 1e-9) - 1e-150)
-    hi = np.minimum(ceiling, offset + (hi * (1.0 + 1e-9) + 1e-150))
+    chunk = max(1, DIST_BLOCK // (p.shape[-1] ** 2))
+    lo, hi = _dense_bracket(p, q, offset, ceiling)
     capped = lo >= ceiling
     table = np.where(capped, ceiling, np.inf)
 
     def solve(mask):
         ri, ci = np.nonzero(mask & ~capped)
-        chunk = max(1, DIST_BLOCK // (d * d))
         for s in range(0, ri.size, chunk):
             r, c = ri[s:s + chunk], ci[s:s + chunk]
             dist = np.max(np.abs(np.linalg.eigvalsh(p[r] - q[c])), axis=-1)
@@ -221,6 +221,33 @@ def nearest(p: np.ndarray, q: np.ndarray, offset=0.0, ceiling=np.inf):
     solve(first)
     solve(lo <= np.maximum(np.min(hi, axis=1)[:, None], np.min(hi, axis=0)))
     return np.min(table, 1), np.argmin(table, 1), np.min(table, 0), np.argmin(table, 0)
+
+
+def _dense_bracket(p, q, offset, ceiling):
+    """(lo, hi) for :func:`nearest`'s dense table, ``lo <= T <= hi`` for
+    every entry, in Gram form: lo from the largest column norm, hi from the
+    HS norm, both from one product of the column views per block.  Every
+    temporary holds at most ``DIST_BLOCK`` numbers, and dies on return."""
+    (n, m), d = (len(p), len(q)), p.shape[-1]
+    (cp, sp), (cq, sq) = _columns(p), _columns(q)
+    hp, hq = sp.sum(axis=0), sq.sum(axis=0)
+    col_margin, hs_margin = _gram_margin(2 * d), _gram_margin(2 * d * d)
+    lo, hi = np.empty((n, m)), np.empty((n, m))
+    cols = min(m, max(1, DIST_BLOCK // d))
+    rows = max(1, DIST_BLOCK // (d * cols))
+    for i in range(0, n, rows):
+        for j in range(0, m, cols):
+            r, c = slice(i, i + rows), slice(j, j + cols)
+            dots = 2.0 * (cp[:, r] @ cq[:, c].swapaxes(1, 2))        # (d, rows, cols)
+            col2 = ((sp[:, r, None] + sq[:, None, c]) * (1.0 - col_margin) - dots).max(axis=0)
+            hs2 = (hp[r, None] + hq[c]) * (1.0 + hs_margin) - dots.sum(axis=0)
+            # 1e-9 relative covers rounding, 1e-150 absolute squares that
+            # underflow; float addition is monotone, so adding the offset
+            # keeps both bounds
+            lo[r, c] = offset[r] + (np.sqrt(np.maximum(col2, 0.0)) * (1.0 - 1e-9) - 1e-150)
+            hi[r, c] = np.minimum(ceiling[r, c], offset[r] + (
+                np.sqrt(np.maximum(hs2, 0.0)) * (1.0 + 1e-9) + 1e-150))
+    return lo, hi
 
 
 def farthest_first(points: np.ndarray, cap: int, separation: float) -> tuple[list, bool]:
@@ -239,26 +266,35 @@ def farthest_first(points: np.ndarray, cap: int, separation: float) -> tuple[lis
     column from them and takes the max of the |differences| over the d
     planes, in buffers made before the loop, so every distance is the same
     number as the max over the (n, d) rows of |real diagonal differences|,
-    and as ``eigvalsh`` of the difference.  For a dense
-    stack, a point whose HS distance to the new net point k satisfies
-    ``|p_i - p_k|_HS / sqrt(d) * (1 - 1e-9) >= dists[i]`` has
-    ``|p_i - p_k| >= dists[i]``, so the minimum keeps ``dists[i]`` exactly;
-    the survivors are screened again by the larger column-norm bound of
-    :func:`norm_bounds`, and only the rest are eigensolved.  The starting
-    norms come from the same planes (their max |.| over the d planes) or from
-    one ``eigvalsh`` of the stack.
+    and as ``eigvalsh`` of the difference.  For a dense stack, a point whose
+    largest column distance to the new net point k satisfies ``max_j |(p_i -
+    p_k) e_j| * (1 - 1e-9) >= dists[i]`` has ``|p_i - p_k| >= dists[i]``, so
+    the minimum keeps ``dists[i]`` exactly.  The survivors are screened again
+    by the fourth moment: a Hermitian X has ``tr X^4 <= |X|^2 tr X^2``, so
+    ``tr X^4 (1 - 1e-9) > dists[i]^2 tr X^2`` gives ``|X| > dists[i]``, and
+    only the rest are eigensolved.  The traces are the sums of the squared
+    entries of X X and of X; entry ab of the computed X X is within d u
+    sum_c |X_ac| |X_cb| of the exact one, so the computed ``sqrt(tr X^4)``
+    is within d u tr X^2 <= d^1.5 u sqrt(tr X^4) of the exact one, far
+    inside the margin, and 1e-300 absolute covers the fourth powers that
+    underflow.  A difference of zero (the new point itself, or a copy of it)
+    has ``tr X^4 = tr X^2 = 0`` and is kept.  The starting norms come from
+    the same planes (their max |.| over the d planes) or from one
+    ``eigvalsh`` of the stack.
 
-    The squared HS distances come in Gram form, ``s_i + s_k - 2 <p_i, p_k>``
-    from the squared norms s of the m = 2 d^2 real entries, with no (N, m)
-    difference.  Each of the m-term sums s_i, s_k and <p_i, p_k> is off by at
-    most m u times s_i, s_k and (s_i + s_k) / 2 (u = eps / 2, the unit
-    roundoff, in any summation order), and the two final additions by at most
-    u times 3 (s_i + s_k), so the computed form is within (m + 2) eps (s_i +
-    s_k) of the exact one.  The screen subtracts twice that margin,
-    2 (m + 2) eps (s_i + s_k), before its square root, so it skips only
-    points that the exact HS screen skips.  A point either screen keeps but
-    whose operator distance is at least ``dists[i]`` leaves ``dists[i]``
-    unchanged, so both screens insert the same points.
+    The squared column distances come in Gram form, ``s_i + s_k - 2 <c_i,
+    c_k>`` over the m = 2 d real entries c of column j (:func:`_columns`),
+    with no difference formed.  Each of the m-term sums s_i, s_k and <c_i,
+    c_k> is off by at most m u times s_i, s_k and (s_i + s_k) / 2 (u = eps /
+    2, the unit roundoff, in any summation order), and the two final
+    additions by at most u times 3 (s_i + s_k), so the computed form is
+    within (m + 2) eps (s_i + s_k) of the exact one.  The screen subtracts
+    twice that margin, 2 (m + 2) eps (s_i + s_k) (:func:`_gram_margin`),
+    before its square root, so it skips only points that the exact column
+    screen skips; :func:`nearest` takes the same margin for its lower bound
+    and, with m = 2 d^2, adds it for its HS upper bound.  A point either
+    screen keeps but whose operator distance is at least ``dists[i]`` leaves
+    ``dists[i]`` unchanged, so both screens insert the same points.
     """
     points = np.asarray(points, dtype=complex)
     if not len(points):
@@ -270,10 +306,9 @@ def farthest_first(points: np.ndarray, cap: int, separation: float) -> tuple[lis
         dists = np.max(np.abs(planes, out=diff), axis=0)
     else:
         dists = np.max(np.abs(np.linalg.eigvalsh(points)), axis=-1)
-        flat = realify(points)
-        sq = np.einsum("ij,ij->i", flat, flat)
-        margin = 2.0 * (flat.shape[1] + 2) * np.finfo(float).eps
-        scale = (1.0 - 1e-9) / math.sqrt(points.shape[-1])
+        d = points.shape[-1]
+        cols, sq = _columns(points)
+        margin = _gram_margin(2 * d)
     chosen = []
     while True:
         k = int(np.argmax(dists))
@@ -286,12 +321,16 @@ def farthest_first(points: np.ndarray, cap: int, separation: float) -> tuple[lis
             np.abs(np.subtract(planes, planes[:, k, None], out=diff), out=diff)
             np.minimum(dists, np.max(diff, axis=0, out=row), out=dists)
         else:
-            total = sq + sq[k]
-            hs2 = total * (1.0 - margin) - 2.0 * (flat @ flat[k])
-            near = np.flatnonzero(np.sqrt(np.maximum(hs2, 0.0)) * scale < dists)
-            near = near[norm_bounds(points[near] - points[k])[0] * (1.0 - 1e-9) < dists[near]]
+            dots = 2.0 * (cols @ cols[:, k, :, None])[..., 0]
+            col2 = ((sq + sq[:, k, None]) * (1.0 - margin) - dots).max(axis=0)
+            near = np.flatnonzero(np.sqrt(np.maximum(col2, 0.0)) * (1.0 - 1e-9) < dists)
+            diff = points[near] - points[k]
+            x, x2 = (a.reshape(len(near), d * d).view(float) for a in (diff, diff @ diff))
+            t2, t4 = np.einsum("ij,ij->i", x, x), np.einsum("ij,ij->i", x2, x2)
+            keep = ~(t4 * (1.0 - 1e-9) - 1e-300 > dists[near] ** 2 * t2)
+            near, diff = near[keep], diff[keep]
             dists[near] = np.minimum(
-                dists[near], np.max(np.abs(np.linalg.eigvalsh(points[near] - points[k])), axis=-1))
+                dists[near], np.max(np.abs(np.linalg.eigvalsh(diff)), axis=-1))
     return chosen, False
 
 

@@ -370,7 +370,8 @@ def test_smoothed_seminorm_gradient(name, monkeypatch):
     exact = obj._coeff_seminorms((c0 + nmat @ u)[None])[0]
     # (at tau = exact most eigenvalue pairs take the near-pair formula)
     for tau in (exact, 0.1 * exact, 0.001 * exact):
-        val, grad, hess, _ = smoothed(u, tau)
+        val, derivatives = smoothed(u, tau)
+        grad, hess, _ = derivatives()
         # log-sum-exp sits between the max and the max plus tau log(#terms)
         terms = 2 * len(obj.action.seminorm_kernel()[0]) * obj.dim
         assert exact - 1e-12 <= val <= exact + tau * np.log(terms) + 1e-12
@@ -378,19 +379,19 @@ def test_smoothed_seminorm_gradient(name, monkeypatch):
         steps = [(smoothed(u + h * e, tau), smoothed(u - h * e, tau)) for e in np.eye(n)]
         fd = np.array([(plus[0] - minus[0]) / (2 * h) for plus, minus in steps])
         assert np.allclose(grad, fd, rtol=1e-6, atol=1e-7)
-        fd_hess = np.array([(plus[1] - minus[1]) / (2 * h) for plus, minus in steps])
+        fd_hess = np.array([(plus[1]()[0] - minus[1]()[0]) / (2 * h) for plus, minus in steps])
         assert np.array_equal(hess, hess.T)
         assert np.allclose(hess, fd_hess, rtol=1e-6, atol=1e-7)
 
 
 def test_spectral_lse_derivatives():
-    # value, gradient and Hessian of the shared log-sum-exp routine against
-    # central differences of an affine family with an offset (the glue's
-    # shape), taken at the offset: two groups of two 4 x 4 matrices, the
-    # second zero-padded from 3 x 3, and an eigenvalue pair 1e-3 tau apart
-    # in the first offset, so that both Gamma branches are taken; and the
-    # gradient's tau-derivative against central differences in tau, at the
-    # glue's temperature scale too
+    # gradient and Hessian of the shared log-sum-exp routine's derivative
+    # part against central differences of its value part over an affine
+    # family with an offset (the glue's shape), taken at the offset: two
+    # groups of two 4 x 4 matrices, the second zero-padded from 3 x 3, and an
+    # eigenvalue pair 1e-3 tau apart in the first offset, so that both Gamma
+    # branches are taken; and the gradient's tau-derivative against central
+    # differences in tau, at the glue's temperature scale too
     rng = np.random.default_rng(4)
     n, d, tau = 3, 4, 0.2
     mats = np.array([[nm.random_hermitian(rng, d) for _ in range(2)] for _ in range(2)])
@@ -402,15 +403,16 @@ def test_spectral_lse_derivatives():
     mats[1, :, 3, :] = mats[1, :, :, 3] = 0.0
     dirs[1, :, :, 3, :] = dirs[1, :, :, :, 3] = 0.0
 
-    def at(c):
-        return cq.spectral_lse(mats + np.einsum("k,gmkab->gmab", c, dirs), dirs, tau)
+    def at(c, t=tau):
+        """(value, gradient, Hessian, d_tau) at offset + c and temperature t."""
+        val, spectrum = cq.spectral_lse_value(mats + np.einsum("k,gmkab->gmab", c, dirs), t)
+        return (val, *cq.spectral_lse_derivatives(spectrum, dirs, t))
 
-    val, grad, hess, dgrad = at(np.zeros(n))
+    val, grad, hess, _ = at(np.zeros(n))
     for t in (tau, 5.0 * tau):
         ht = 1e-5 * t
-        fd_tau = (cq.spectral_lse(mats, dirs, t + ht)[1]
-                  - cq.spectral_lse(mats, dirs, t - ht)[1]) / (2 * ht)
-        assert np.allclose(cq.spectral_lse(mats, dirs, t)[3], fd_tau, rtol=1e-7, atol=1e-8)
+        fd_tau = (at(np.zeros(n), t + ht)[1] - at(np.zeros(n), t - ht)[1]) / (2 * ht)
+        assert np.allclose(at(np.zeros(n), t)[3](), fd_tau, rtol=1e-7, atol=1e-8)
     h = 1e-5
     steps = [(at(h * e), at(-h * e)) for e in np.eye(n)]
     fd = np.array([(plus[0] - minus[0]) / (2 * h) for plus, minus in steps]).T
@@ -434,8 +436,9 @@ def _family(obj, c0, nmat, op):
 
 
 def _smoothed(obj, c0, nmat, op, monkeypatch):
-    """The smoothed seminorm (u, tau) -> (value, gradient, Hessian, d
-    gradient / d tau) that ``minimize_norms`` anneals over ``_family``."""
+    """The smoothed seminorm (u, tau) -> (value, derivatives), derivatives()
+    -> (gradient, Hessian, d_tau), that ``minimize_norms`` anneals over
+    ``_family``."""
     seen = []
 
     def capture(smoothed, exact, u):
@@ -497,29 +500,38 @@ def test_working_kernel_support(name, monkeypatch):
     # seminorm and attains the value
     obj = {"sphere2": lambda: ex.fuzzy_sphere(2),
            "sphere3": lambda: ex.fuzzy_sphere(3)}[name]()
-    lse, anneal = cq.spectral_lse, cq.anneal
+    lse, anneal = cq.spectral_lse_derivatives, cq.anneal
     widths = []
 
-    def recording(mats, dirs, tau):
-        # every evaluation reads one contiguous direction stack, laid out
-        # once per working kernel
+    def recording(spectrum, dirs, tau):
+        # every differentiation reads one contiguous direction stack, laid
+        # out once per working kernel
         widths.append(dirs.shape[1])
         assert dirs.flags["C_CONTIGUOUS"]
-        return lse(mats, dirs, tau)
+        return lse(spectrum, dirs, tau)
 
     def checked(smoothed, exact, u):
         # and the smoothed seminorm differentiates in u directly
         def shaped(v, tau):
-            val, grad, hess, dgrad = smoothed(v, tau)
-            assert grad.shape == dgrad.shape == v.shape and hess.shape == (len(v), len(v))
-            return val, grad, hess, dgrad
+            val, derivatives = smoothed(v, tau)
+
+            def checked_derivatives():
+                grad, hess, d_tau = derivatives()
+                assert grad.shape == v.shape and hess.shape == (len(v), len(v))
+
+                def checked_d_tau():
+                    out = d_tau()
+                    assert out.shape == v.shape
+                    return out
+                return grad, hess, checked_d_tau
+            return val, checked_derivatives
         return anneal(shaped, exact, u)
 
     for g in _orthogonal_pure_pairs(obj, 3, seed=5):
         ref, _ = _full_kernel_support(obj, g)
         widths.clear()
         with monkeypatch.context() as mp:
-            mp.setattr(cq, "spectral_lse", recording)
+            mp.setattr(cq, "spectral_lse_derivatives", recording)
             mp.setattr(cq, "anneal", checked)
             val, a = obj._support_max(g)
         assert abs(val - ref) <= 1e-4 * ref
@@ -772,13 +784,13 @@ def test_diagonal_spaces_skip_smoothing(monkeypatch):
     # cycle radii, diameters and state metrics never evaluate the smoothed
     # seminorm; a fuzzy torus still does
     calls = []
-    lse = cq.spectral_lse
+    lse = cq.spectral_lse_value
 
     def counting(*args):
         calls.append(1)
         return lse(*args)
 
-    monkeypatch.setattr(cq, "spectral_lse", counting)
+    monkeypatch.setattr(cq, "spectral_lse_value", counting)
     for m in (8, 16):
         obj = ex.commutative_cycle(m)
         obj.radius()
@@ -820,13 +832,63 @@ def test_newton_stage_outcomes():
     # started, with no tangent
     a = np.array([[3.0, 1.0], [1.0, 2.0]])
     b, c = np.array([1.0, -1.0]), np.array([0.5, 2.0])
-    quadratic = lambda u: (0.5 * u @ a @ u - b @ u + 10.0, a @ u - b, a, -c)
+    quadratic = lambda u: (0.5 * u @ a @ u - b @ u + 10.0, lambda: (a @ u - b, a, lambda: -c))
     u, tangent = cq._newton_stage(quadratic, np.zeros(2))
     assert np.allclose(u, np.linalg.solve(a, b), rtol=0, atol=1e-12)
     assert np.allclose(tangent, np.linalg.solve(a, c), rtol=0, atol=1e-12)
-    rising = lambda u: (1.0 + u @ u, np.ones(2), np.eye(2), np.zeros(2))
+    rising = lambda u: (1.0 + u @ u, lambda: (np.ones(2), np.eye(2), lambda: np.zeros(2)))
     u, tangent = cq._newton_stage(rising, np.zeros(2))
     assert tangent is None and np.array_equal(u, np.zeros(2))
+
+
+def test_newton_stage_differentiates_accepted_points(monkeypatch):
+    # a trial point is judged on its value alone: over fuzzy_torus(5,1)'s
+    # radius every stage differentiates its start and each point it accepts
+    # (the evaluation just before), once each, ends on the last of them, and
+    # takes d gradient / d tau once, there, exactly when it converges
+    newton_stage = cq._newton_stage
+    counts = {"evaluated": 0, "differentiated": 0, "d_tau": 0, "converged": 0}
+
+    def traced(smoothed, u):
+        points, events = [], []
+
+        def wrapped(v):
+            val, derivatives = smoothed(v)
+            index = len(points)
+            points.append(v)
+            events.append(("value", index))
+
+            def counted():
+                events.append(("derivatives", index))
+                grad, hess, d_tau = derivatives()
+
+                def counted_d_tau():
+                    events.append(("d_tau", index))
+                    return d_tau()
+                return grad, hess, counted_d_tau
+            return val, counted
+
+        end, tangent = newton_stage(wrapped, u)
+        differentiated = [i for kind, i in events if kind == "derivatives"]
+        assert differentiated[0] == 0 and len(set(differentiated)) == len(differentiated)
+        for before, (kind, i) in zip(events, events[1:]):
+            if kind == "derivatives":
+                assert before == ("value", i)
+        assert np.array_equal(end, points[differentiated[-1]])
+        tangents = [i for kind, i in events if kind == "d_tau"]
+        assert tangents == ([] if tangent is None else [differentiated[-1]])
+        counts["evaluated"] += len(points)
+        counts["differentiated"] += len(differentiated)
+        counts["d_tau"] += len(tangents)
+        counts["converged"] += tangent is not None
+        return end, tangent
+
+    monkeypatch.setattr(cq, "_newton_stage", traced)
+    obj = ex.fuzzy_torus(5, 1)
+    obj.radius()
+    assert obj.unconverged_stages == 0
+    assert counts["d_tau"] == counts["converged"] > 0
+    assert 0 < counts["differentiated"] < counts["evaluated"]
 
 
 @pytest.mark.parametrize("name", ["torus3", "sphere1"])
@@ -860,15 +922,16 @@ def test_torus_radius_evaluation_count(monkeypatch):
     # each annealing stage starts on the previous stage's tangent, and the
     # generator kernel keeps the smoothing small: fuzzy_torus(5,1)'s radius
     # takes at most 500 smoothed evaluations (448 at this writing), and
-    # every stage converges; each evaluation is one ``spectral_lse`` call
+    # every stage converges; each evaluation is one ``spectral_lse_value``
+    # call
     calls = []
-    lse = cq.spectral_lse
+    lse = cq.spectral_lse_value
 
     def counting(*args):
         calls.append(1)
         return lse(*args)
 
-    monkeypatch.setattr(cq, "spectral_lse", counting)
+    monkeypatch.setattr(cq, "spectral_lse_value", counting)
     obj = ex.fuzzy_torus(5, 1)
     obj.radius()
     assert 0 < len(calls) <= 500

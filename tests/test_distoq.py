@@ -112,6 +112,21 @@ def test_torus_frequency_map_into_coarser_lattice():
     assert np.isfinite(up.value) and np.isfinite(up.certified_upper)
 
 
+@pytest.mark.parametrize("qa, qb, k", [(5, 4, 9), (3, 2, 1), (4, 4, 16), (3, 4, 9)],
+                         ids=["5to4", "3to2", "4to4", "3to4"])
+def test_torus_frequency_map_is_injective(qa, qb, k):
+    # the target's Nyquist frequency q_B / 2 is its own negative, the
+    # source's -q_B / 2 another frequency when q_A > q_B: those source
+    # frequencies are left out, so X -> B is injective (image rank k) and the
+    # distortion is below 1, where it read 1.0 with k = 23 against image
+    # rank 16 (5 -> 4) and k = 7 against 4 (3 -> 2).  Equal even levels keep
+    # their Nyquist frequencies, and a map into a higher level keeps all
+    phi = dq.torus_frequency_map(ex.fuzzy_torus(qa, 1), ex.fuzzy_torus(qb, 1))
+    assert phi.k == k
+    assert np.linalg.matrix_rank(nm.realify(phi.images), tol=1e-9) == k
+    assert phi.measure(_no_points(phi))[0] < 1.0
+
+
 def _bundled_bases():
     """(label, basis) for ``ortho`` and ``ortho[1:]`` of every example of the
     bundled scenarios, and ``x_ortho`` and ``images`` of the comparison map
@@ -215,7 +230,7 @@ def test_diagonal_glue_lp_oracle(cycle8, cycle16, monkeypatch):
     # the dual LP, with no smoothing, for random pairs and for pairs near
     # the map's graph (as in the distance bounds).  Each norm scans its glue
     # terms (k, 3, 1, d, d) for diagonality once, not on every descent
-    monkeypatch.setattr(cq, "spectral_lse", None)
+    monkeypatch.setattr(cq, "spectral_lse_value", None)
     scans = []
     is_diagonal = nm.is_diagonal
 

@@ -276,9 +276,20 @@ def test_farthest_first(rng):
     # d = 16 stack, updated from its diagonals: the same indices as the table
     dense = np.array([nm.random_hermitian(rng, 5) for _ in range(320)])
     diag = np.array([np.diag(rng.standard_normal(16)).astype(complex) for _ in range(120)])
-    for stack, cap, separation in ((dense, 120, 1.0), (diag, 60, 0.5)):
+    for stack, cap, separation in ((dense, 120, 1.0), (diag, 60, 0.5),
+                                   (1e-160 * dense, 120, 1e-160)):
         assert nm.farthest_first(stack, cap, separation) == _greedy_reference(
             stack, cap, separation)
+    # duplicate points: a copy of a net point is at distance 0 from it (X = 0,
+    # where tr X^4 = tr X^2 = 0), so it is never inserted twice
+    twice = np.concatenate([dense[:40], dense[:40], dense[10:20]])[rng.permutation(90)]
+    # and copies 1e-8 apart, below the Gram form's rounding margin
+    quints = np.repeat(dense[:20], 5, axis=0) + 1e-8 * dense[100:200]
+    for stack, cap, separation in ((twice, 90, 1e-12), (twice, 90, 1.0), (twice, 20, 0.5),
+                                   (quints, 100, 1e-12), (quints, 60, 1e-9)):
+        assert nm.farthest_first(stack, cap, separation) == _greedy_reference(
+            stack, cap, separation)
+    assert len(nm.farthest_first(twice, 90, 1e-12)[0]) == 40
 
 
 def test_farthest_first_screens_dense_points(rng, monkeypatch):
@@ -292,6 +303,9 @@ def test_farthest_first_screens_dense_points(rng, monkeypatch):
     assert len(solved) == len(chosen) > 10
     assert max(solved) < len(dense)
     assert sum(solved) < 0.3 * len(dense) * len(solved)
+    # the fourth-moment screen, |X|^2 >= tr X^4 / tr X^2, leaves under 5%
+    # (the HS and column screens alone left 7.8% at this writing)
+    assert sum(solved) < 0.05 * len(dense) * len(solved)
 
 
 def test_traceless_bound(rng):
@@ -362,6 +376,11 @@ def test_nearest(rng, monkeypatch):
     diag = np.array([np.diag(rng.standard_normal(4)).astype(complex) for _ in range(50)])
     dupes = np.concatenate([dense[:30], dense[10:20], dense[:5]])      # tied rows and columns
     near = dense[rng.permutation(90)] + 0.05 * other[:1]
+    # |p - q| about 1e-8 |p|, below the Gram form's rounding margin, one
+    # twin to a point or five
+    twins = dense[:70] + 1e-8 * other
+    quints = np.repeat(dense[:14], 5, axis=0) + 1e-8 * other
+    tiny, tiny_dupes = 1e-160 * dense, 1e-160 * dupes                    # squares underflow
     norms_d, norms_o = nm.op_norms(dense), nm.op_norms(other)
     cases = [
         (dense, other, 0.0, np.inf),
@@ -374,6 +393,14 @@ def test_nearest(rng, monkeypatch):
         (dupes, dupes, 0.0, np.inf),
         (dupes, dupes[::-1], 0.0, 5.0),
         (dense[:1], other, 0.0, np.inf),
+        (dense[:70], twins, 0.0, np.inf),
+        (dense[:14], quints, 0.0, np.inf),
+        (quints, quints[::-1], 0.0, np.inf),
+        (twins, dense, rng.random(70), 2.0),
+        (dense, dense, 0.0, np.inf),
+        (tiny, 1e-160 * other, 0.0, np.inf),
+        (tiny, tiny_dupes, 0.0, np.inf),
+        (tiny_dupes, tiny, 1e-160 * rng.random(45), 1e-160),
     ]
     for p, q, offset, ceiling in cases:
         for got, want in zip(nm.nearest(p, q, offset, ceiling),
@@ -404,19 +431,21 @@ def test_nearest(rng, monkeypatch):
 
 
 def test_nearest_memory_is_blocked(rng):
-    # the dense (200, 200, 16, 16) difference stack would take 164 MB
+    # the dense (200, 200, 16, 16) difference stack would take 164 MB; the
+    # (600, 600) d = 4 pair's Gram bracket is built in blocks as well
     p = np.array([nm.random_hermitian(rng, 16) for _ in range(200)])
     q = np.array([nm.random_hermitian(rng, 16) for _ in range(200)])
     dp = np.array([np.diag(rng.standard_normal(16)).astype(complex) for _ in range(200)])
     dq = np.array([np.diag(rng.standard_normal(16)).astype(complex) for _ in range(200)])
-    for a, b in ((p, q), (dp, dq), (dp, q)):
+    wide = [np.array([nm.random_hermitian(rng, 4) for _ in range(600)]) for _ in range(2)]
+    for a, b in ((p, q), (dp, dq), (dp, q), wide):
         tracemalloc.start()
         try:
             row_min = nm.nearest(a, b)[0]
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert row_min.shape == (200,)
+        assert row_min.shape == (len(a),)
         assert peak < 16 * 2 ** 20
 
 
@@ -459,10 +488,16 @@ def test_nearest_scans_each_stack_once(rng, monkeypatch):
 
 def test_column_bound(rng):
     # max_j |X e_j| <= |X| <= |X|_HS, with equality on the left for diagonal
-    # matrices and on the right for rank one
+    # matrices and on the right for rank one, from the squared column norms
+    # of ``_columns``; their Gram form for the differences of two stacks is
+    # within half its margin, (2 d + 2) eps (s_i + s_k), of the direct one
+    def bounds(stack):
+        sq = nm._columns(stack)[1]
+        return np.sqrt(sq.max(axis=0)), np.sqrt(sq.sum(axis=0))
+
     for d in (1, 2, 3, 5, 8):
         stack = np.array([nm.random_hermitian(rng, d) for _ in range(200)])
-        lower, hs = nm.norm_bounds(stack)
+        lower, hs = bounds(stack)
         norms = nm.op_norms(stack)
         assert np.all(lower <= norms * (1.0 + 1e-12))
         assert np.all(norms <= hs * (1.0 + 1e-12))
@@ -470,7 +505,13 @@ def test_column_bound(rng):
         assert np.allclose(lower, [max(np.linalg.norm(m[:, j]) for j in range(d)) for m in stack],
                            rtol=1e-14, atol=0.0)
         diag = np.array([np.diag(rng.standard_normal(d)).astype(complex) for _ in range(20)])
-        assert np.allclose(nm.norm_bounds(diag)[0], nm.op_norms(diag), rtol=1e-15, atol=0.0)
+        assert np.allclose(bounds(diag)[0], nm.op_norms(diag), rtol=1e-15, atol=0.0)
         v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         rank_one = np.outer(v, v.conj())[None]
-        assert nm.norm_bounds(rank_one)[1] == pytest.approx(nm.op_norms(rank_one)[0], rel=1e-13)
+        assert bounds(rank_one)[1] == pytest.approx(nm.op_norms(rank_one)[0], rel=1e-13)
+        near = stack[:50] + 1e-6 * stack[50:100]
+        (cp, sp), (cq, sq) = nm._columns(stack[:50]), nm._columns(near)
+        total = sp[:, :, None] + sq[:, None, :]
+        gram = total - 2.0 * (cp @ cq.swapaxes(1, 2))
+        direct = np.sum(np.abs(stack[:50, None] - near[None]) ** 2, axis=-2).transpose(2, 0, 1)
+        assert np.all(np.abs(gram - direct) <= nm._gram_margin(2 * d) / 2.0 * total)
